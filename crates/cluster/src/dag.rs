@@ -77,6 +77,7 @@ use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_runtime::graph::{Frontier, FrontierSnapshot, TaskId};
 use madness_trace::{stage_overlap_ns, FaultAction, FaultEvent, FaultKind, Recorder, Span, Stage};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Deterministic uniform draw in `[0, 1)` (stateless splitmix64, the
 /// same construction the serving layer uses).
@@ -707,26 +708,41 @@ pub fn run_dag_survivable<R: Recorder>(
     let mut avail: Vec<SimTime> = vec![SimTime::ZERO; n];
     let mut incarnation: Vec<u32> = vec![0; n];
     let mut node_free: Vec<SimTime> = vec![rate.startup; nodes];
-    let mut barrier_time = SimTime::ZERO; // only advanced in Barrier mode
-    let mut current_step = workload.tasks[0].step;
     let mut spans: Vec<Span> = Vec::with_capacity(n);
     let mut cp: Vec<SimTime> = vec![SimTime::ZERO; n];
-    let mut scheduled = vec![false; n];
     let mut remaining = n;
+
+    // Barrier mode only: per open step, (tasks left, latest finish).
+    // The smallest key is the step currently released; closing it
+    // raises `barrier_time` and releases the next one.
+    let mut barrier_time = SimTime::ZERO;
+    let mut steps: BTreeMap<u32, (usize, SimTime)> = BTreeMap::new();
+    if mode == DagMode::Barrier {
+        for t in &workload.tasks {
+            steps.entry(t.step).or_default().0 += 1;
+        }
+    }
+
+    // The ready frontier: value-less tasks whose dependencies all hold
+    // values, in index order. `waiting[i]` counts task `i`'s value-less
+    // dependencies; a commit releases work through the frontier's
+    // successor lists (built once, one entry per edge), and only a
+    // crash fold-back (which voids values) recounts.
+    let mut waiting: Vec<usize> = workload.tasks.iter().map(|t| t.deps.len()).collect();
+    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
 
     // Greedy earliest-start list scheduling: repeatedly run the ready
     // task that can start soonest (ties broken by index, so the
     // schedule is deterministic). Candidate starts are monotone
     // non-decreasing, which is what lets lifecycle events interleave
-    // at the right instants. O(n²) per pass, fine at scenario scale.
+    // at the right instants.
     while remaining > 0 {
         // (start, task, node, failed draws, moved-off-home)
         let mut best: Option<(SimTime, usize, usize, u32, bool)> = None;
-        for (i, t) in workload.tasks.iter().enumerate() {
-            if scheduled[i] {
-                continue;
-            }
-            if mode == DagMode::Barrier && t.step != current_step {
+        let open_step = steps.keys().next().copied();
+        for &i in &ready {
+            let t = &workload.tasks[i];
+            if mode == DagMode::Barrier && Some(t.step) != open_step {
                 continue;
             }
             let chain = t.chain as usize;
@@ -741,15 +757,12 @@ pub fn run_dag_survivable<R: Recorder>(
             } else {
                 (assigned, false)
             };
-            let mut ready = SimTime::ZERO;
+            let mut inputs_at = SimTime::ZERO;
             let mut ok = true;
             for &d in &t.deps {
-                let Some(vn) = value_node[d] else {
-                    ok = false;
-                    break;
-                };
+                let vn = value_node[d].expect("a ready task's dependencies hold values");
                 if vn == node {
-                    ready = ready.max(avail[d]);
+                    inputs_at = inputs_at.max(avail[d]);
                     continue;
                 }
                 if dead[vn] {
@@ -760,7 +773,7 @@ pub fn run_dag_survivable<R: Recorder>(
                     Some(ts) => {
                         let hop = net.latency
                             + net.transfer_time(1, workload.tasks[d].cost * BYTES_PER_COST);
-                        ready = ready.max(SimTime::from_nanos(ts) + hop);
+                        inputs_at = inputs_at.max(SimTime::from_nanos(ts) + hop);
                     }
                     None => {
                         ok = false;
@@ -771,7 +784,7 @@ pub fn run_dag_survivable<R: Recorder>(
             if !ok {
                 continue;
             }
-            let start = ready
+            let start = inputs_at
                 .max(node_free[node])
                 .max(barrier_time)
                 .max(chain_ready[chain]);
@@ -822,8 +835,17 @@ pub fn run_dag_survivable<R: Recorder>(
                     finish[j] = None;
                     value_node[j] = None;
                     avail[j] = SimTime::ZERO;
-                    scheduled[j] = false;
                     incarnation[j] += 1;
+                }
+                if !lost.is_empty() {
+                    // Voided values pull their consumers back out of
+                    // the ready set: recount from scratch.
+                    for (j, t) in workload.tasks.iter().enumerate() {
+                        waiting[j] = t.deps.iter().filter(|&&d| value_node[d].is_none()).count();
+                    }
+                    ready = (0..n)
+                        .filter(|&j| value_node[j].is_none() && waiting[j] == 0)
+                        .collect();
                 }
                 report.voided += lost.len() as u64;
                 report.replayed += lost.len() as u64;
@@ -855,7 +877,7 @@ pub fn run_dag_survivable<R: Recorder>(
                                 .tasks
                                 .iter()
                                 .enumerate()
-                                .filter(|(j, t)| t.chain as usize == c && !scheduled[*j])
+                                .filter(|(j, t)| t.chain as usize == c && value_node[*j].is_none())
                                 .map(|(_, t)| t.cost.max(1))
                                 .sum::<u64>()
                                 .max(1)
@@ -932,7 +954,8 @@ pub fn run_dag_survivable<R: Recorder>(
             .filter(|&c| start < c && c < seq_end);
 
         // Tail speculation: race a copy on the least-loaded other node.
-        let mut committed = false;
+        // (end, node, launch) of the race's winner, when one ran.
+        let mut won: Option<(SimTime, usize, SimTime)> = None;
         if target[i] && cut.is_none() {
             let copy_node = (0..nodes)
                 .filter(|&x| !dead[x] && x != node)
@@ -1022,101 +1045,88 @@ pub fn run_dag_survivable<R: Recorder>(
                             }
                         }
                         node_free[l_node] = l_free.max(l_end.min(w_end));
-                        node_free[w_node] = w_end;
-                        finish[i] = Some(w_end);
-                        value_node[i] = Some(w_node);
-                        avail[i] = w_end;
-                        scheduled[i] = true;
-                        frontier.mark_complete(TaskId::from_index(i));
-                        remaining -= 1;
-                        report.base.makespan = report.base.makespan.max(w_end);
-                        let mut base = SimTime::ZERO;
-                        for &d in &t.deps {
-                            let hop = if value_node[d] == Some(w_node) {
-                                SimTime::ZERO
-                            } else {
-                                net.latency
-                                    + net.transfer_time(1, workload.tasks[d].cost * BYTES_PER_COST)
-                            };
-                            base = base.max(cp[d] + hop);
-                        }
-                        cp[i] = base + (w_end.saturating_sub(w_launch));
-                        report.base.critical_path = report.base.critical_path.max(cp[i]);
-                        committed = true;
+                        won = Some((w_end, w_node, w_launch));
                     }
                 }
             }
         }
 
-        if !committed {
-            let truncated = emit_sequence(
-                rec,
-                &mut spans,
-                &mut report.base,
-                &mut report.attempts_journaled,
-                &mut report.voided,
-                t.stage,
-                node,
-                moved,
-                &seq,
-                cut,
-            );
-            if truncated {
-                // The node died mid-sequence: the task replays after
-                // the crash event fires and reassigns its chain.
-                let c = cut.expect("truncation implies a crash cut");
-                node_free[node] = node_free[node].max(c);
-                incarnation[i] += 1;
-                continue;
+        let (end, on, launch) = match won {
+            Some(winner) => winner,
+            None => {
+                let truncated = emit_sequence(
+                    rec,
+                    &mut spans,
+                    &mut report.base,
+                    &mut report.attempts_journaled,
+                    &mut report.voided,
+                    t.stage,
+                    node,
+                    moved,
+                    &seq,
+                    cut,
+                );
+                if truncated {
+                    // The node died mid-sequence: the task stays ready
+                    // and replays after the crash event fires and
+                    // reassigns its chain.
+                    let c = cut.expect("truncation implies a crash cut");
+                    node_free[node] = node_free[node].max(c);
+                    incarnation[i] += 1;
+                    continue;
+                }
+                (seq_end, node, start)
             }
-            report.base.makespan = report.base.makespan.max(seq_end);
-            finish[i] = Some(seq_end);
-            value_node[i] = Some(node);
-            avail[i] = seq_end;
-            node_free[node] = seq_end;
-            scheduled[i] = true;
-            frontier.mark_complete(TaskId::from_index(i));
-            remaining -= 1;
+        };
 
-            // Critical path: predecessors' paths + this task's total
-            // time (failed attempts, backoffs and state hops included —
-            // faults lengthen the chain no schedule can beat).
-            let mut base = SimTime::ZERO;
-            for &d in &t.deps {
-                let hop = if value_node[d] == Some(node) {
-                    SimTime::ZERO
-                } else {
-                    net.latency + net.transfer_time(1, workload.tasks[d].cost * BYTES_PER_COST)
-                };
-                base = base.max(cp[d] + hop);
+        // Commit: the value lives on `on` from `end`, and every
+        // successor it was the last missing input of becomes ready.
+        report.base.makespan = report.base.makespan.max(end);
+        finish[i] = Some(end);
+        value_node[i] = Some(on);
+        avail[i] = end;
+        node_free[on] = end;
+        frontier.mark_complete(TaskId::from_index(i));
+        remaining -= 1;
+        ready.remove(&i);
+        for s in frontier
+            .successors(TaskId::from_index(i))
+            .map(TaskId::index)
+        {
+            waiting[s] -= 1;
+            // A successor that kept its own value through a fold-back
+            // of this one has nothing to re-run.
+            if waiting[s] == 0 && value_node[s].is_none() {
+                ready.insert(s);
             }
-            cp[i] = base + (seq_end.saturating_sub(start));
-            report.base.critical_path = report.base.critical_path.max(cp[i]);
         }
 
-        // Barrier mode: advance the step once its last task finished.
+        // Critical path: predecessors' paths + this task's total
+        // time (failed attempts, backoffs and state hops included —
+        // faults lengthen the chain no schedule can beat).
+        let mut base = SimTime::ZERO;
+        for &d in &t.deps {
+            let hop = if value_node[d] == Some(on) {
+                SimTime::ZERO
+            } else {
+                net.latency + net.transfer_time(1, workload.tasks[d].cost * BYTES_PER_COST)
+            };
+            base = base.max(cp[d] + hop);
+        }
+        cp[i] = base + (end.saturating_sub(launch));
+        report.base.critical_path = report.base.critical_path.max(cp[i]);
+
+        // Barrier mode: close the open step once its last task finished.
         if mode == DagMode::Barrier {
-            let step_done = workload
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.step == current_step)
-                .all(|(j, _)| scheduled[j]);
-            if step_done {
-                barrier_time = workload
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.step == current_step)
-                    .map(|(j, _)| finish[j].expect("scheduled"))
-                    .fold(barrier_time, SimTime::max);
-                current_step = workload
-                    .tasks
-                    .iter()
-                    .filter(|t| t.step > current_step)
-                    .map(|t| t.step)
-                    .min()
-                    .unwrap_or(current_step);
+            let mut open = steps
+                .first_entry()
+                .expect("a committed task's step is still open");
+            let (left, latest) = open.get_mut();
+            *left -= 1;
+            *latest = (*latest).max(end);
+            if *left == 0 {
+                barrier_time = barrier_time.max(*latest);
+                open.remove();
             }
         }
     }
@@ -1466,6 +1476,46 @@ mod tests {
     }
 
     #[test]
+    fn barrier_starts_from_the_smallest_step_whatever_the_push_order() {
+        // Independent tasks pushed out of step order: task 0 sits in
+        // step 5, task 1 in step 2. The barrier schedule must open
+        // step 2 first (it used to open task 0's step, find no later
+        // one, and die with step 2 still pending).
+        let mut w = DagWorkload::new();
+        for (chain, step, stage) in [(0, 5, Stage::Postprocess), (1, 2, Stage::CpuCompute)] {
+            w.push(DagTask {
+                chain,
+                step,
+                stage,
+                cost: 10,
+                deps: vec![],
+            });
+        }
+        assert!(w.is_barrier_stratified());
+        let mut rec = MemRecorder::new();
+        let r = run_dag(
+            &w,
+            2,
+            rate(),
+            &NetworkModel::default(),
+            DagMode::Barrier,
+            &DagFaultSpec::none(),
+            &mut rec,
+        );
+        assert_eq!(r.tasks, 2);
+        assert!(r.conserved(2));
+        let span = |stage| {
+            rec.spans()
+                .find(|s| s.stage == stage)
+                .expect("one span each")
+        };
+        assert!(
+            span(Stage::CpuCompute).end_ns <= span(Stage::Postprocess).start_ns,
+            "step 5 must wait for step 2 to close"
+        );
+    }
+
+    #[test]
     fn empty_workload_is_trivial() {
         let r = run_dag(
             &DagWorkload::new(),
@@ -1569,6 +1619,66 @@ mod tests {
             r.last_checkpoint
         );
         assert!(!r.last_checkpoint.frontier.is_empty());
+    }
+
+    #[test]
+    fn fold_back_pulls_consumers_out_of_the_ready_set_and_keeps_truncated_tasks_in() {
+        // Node 0 is busy with L until 305 µs. On node 1, A finishes at
+        // 85 µs — which makes B (node 0, consumes A) ready, queued
+        // behind L — and T starts, to be cut down by the crash at
+        // 150 µs. The 1 ms checkpoint cadence puts the cut at 0, so the
+        // crash also voids A's value: B must leave the ready set until
+        // A has replayed on the survivor, while T (no voided input)
+        // stays ready and simply runs again.
+        let mut w = DagWorkload::new();
+        let task = |chain, stage, cost, deps| DagTask {
+            chain,
+            step: 0,
+            stage,
+            cost,
+            deps,
+        };
+        w.push(task(0, Stage::CpuCompute, 150, vec![])); // L
+        let a = w.push(task(1, Stage::Preprocess, 40, vec![]));
+        w.push(task(0, Stage::Postprocess, 10, vec![a])); // B
+        w.push(task(3, Stage::Dispatch, 100, vec![])); // T
+        let mut spec = crash_spec(2, 1, 150);
+        spec.checkpoint_every = SimTime::from_millis(1);
+        let mut rec = MemRecorder::new();
+        let r = run_dag_survivable(
+            &w,
+            2,
+            rate(),
+            &NetworkModel::default(),
+            DagMode::Dataflow,
+            &DagFaultSpec::none(),
+            &spec,
+            &mut rec,
+        );
+        assert!(r.conserved(2), "{r:?}");
+        assert_eq!((r.crashes, r.replayed, r.voided), (1, 1, 2), "{r:?}");
+        let spans =
+            |stage| -> Vec<Span> { rec.spans().filter(|s| s.stage == stage).copied().collect() };
+        let (a_runs, b_runs, t_runs) = (
+            spans(Stage::Preprocess),
+            spans(Stage::Postprocess),
+            spans(Stage::Dispatch),
+        );
+        assert_eq!(a_runs.len(), 2, "A ran, was voided, and replayed");
+        assert_eq!((a_runs[0].lane, a_runs[1].lane), (1, 0));
+        assert_eq!(b_runs.len(), 1);
+        assert!(
+            b_runs[0].start_ns >= a_runs[1].end_ns,
+            "B started before its voided input was recomputed: {b_runs:?} vs {a_runs:?}"
+        );
+        assert_eq!(t_runs.len(), 2, "T's truncated attempt is retried");
+        assert_eq!((t_runs[0].lane, t_runs[0].end_ns), (1, 150_000));
+        assert_eq!(t_runs[1].lane, 0);
+        assert_eq!(
+            t_runs[1].end_ns - t_runs[1].start_ns,
+            200_000,
+            "the retry runs T in full"
+        );
     }
 
     #[test]

@@ -68,9 +68,22 @@ impl<E> Des<E> {
 
     /// Schedules `payload` after a delay from now.
     pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        let at = self.now + delay;
-        self.heap.push(Reverse((at, self.seq, EventSlot(payload))));
-        self.seq += 1;
+        self.schedule(self.now + delay, payload);
+    }
+
+    /// Advances the clock to `t` for an event delivered from outside
+    /// the heap (a pre-sorted stream merged with [`Des::pop`]), so
+    /// [`Des::schedule`] keeps rejecting the past.
+    ///
+    /// # Panics
+    /// Panics if `t` is in the past or a pending event is due before it.
+    pub fn advance_to(&mut self, t: SimTime) {
+        assert!(t >= self.now, "cannot advance into the past");
+        assert!(
+            self.peek().is_none_or(|next| t <= next),
+            "cannot advance past a pending event"
+        );
+        self.now = t;
     }
 
     /// Pops the next event, advancing the clock.
@@ -237,6 +250,50 @@ mod tests {
         des.schedule(SimTime::from_micros(10), ());
         des.pop();
         des.schedule(SimTime::from_micros(5), ());
+    }
+
+    #[test]
+    fn schedule_in_keeps_same_timestamp_events_fifo() {
+        // A zero delay lands in the current tick, behind everything
+        // already scheduled for it.
+        let mut des: Des<u32> = Des::new();
+        let t = SimTime::from_micros(5);
+        des.schedule(t, 0);
+        des.schedule(t, 1);
+        assert_eq!(des.pop(), Some((t, 0)));
+        des.schedule_in(SimTime::ZERO, 2);
+        des.schedule(t, 3);
+        let order: Vec<u32> = std::iter::from_fn(|| des.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn schedule_in_cannot_wrap_into_the_past() {
+        // The only past a relative delay can reach is through clock
+        // overflow: the add panics where overflow checks are on, and
+        // where it wraps, `schedule`'s guard rejects the result.
+        let mut des: Des<()> = Des::new();
+        des.schedule(SimTime::from_micros(10), ());
+        des.pop();
+        des.schedule_in(SimTime::from_nanos(u64::MAX), ());
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_up_to_the_next_event() {
+        let mut des: Des<()> = Des::new();
+        des.schedule(SimTime::from_micros(10), ());
+        des.advance_to(SimTime::from_micros(10)); // a tie is allowed
+        assert_eq!(des.now(), SimTime::from_micros(10));
+        assert_eq!(des.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past a pending event")]
+    fn advance_to_cannot_skip_a_pending_event() {
+        let mut des: Des<()> = Des::new();
+        des.schedule(SimTime::from_micros(10), ());
+        des.advance_to(SimTime::from_micros(11));
     }
 
     #[test]

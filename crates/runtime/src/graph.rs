@@ -223,6 +223,16 @@ impl Frontier {
         self.completed == self.done.len()
     }
 
+    /// The tasks that consume `id`'s value, once per dependency edge
+    /// (a task listing `id` twice appears twice) — what a scheduler
+    /// walks to release work when `id` completes.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn successors(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+        self.succs[id.0].iter().map(|&s| TaskId(s))
+    }
+
     /// Records the completion of `id`. Idempotent.
     ///
     /// # Panics
@@ -614,6 +624,18 @@ mod tests {
         let d = g.spawn(&[b.id(), c.id()], || 4u64);
         let ids = [a.id(), b.id(), c.id(), d.id()];
         (g, ids)
+    }
+
+    #[test]
+    fn successors_list_one_entry_per_edge() {
+        let (g, [a, b, c, d]) = diamond();
+        let f = g.frontier();
+        assert_eq!(f.successors(a).collect::<Vec<_>>(), vec![b, c]);
+        assert_eq!(f.successors(d).count(), 0);
+        // A doubled edge is two entries: a consumer counting its
+        // missing inputs by edge gets one release per edge.
+        let twice = Frontier::from_deps(vec![vec![], vec![0, 0]]);
+        assert_eq!(twice.successors(TaskId(0)).count(), 2);
     }
 
     #[test]
