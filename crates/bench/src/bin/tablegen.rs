@@ -231,8 +231,8 @@ fn kernels(write_json: bool) {
     hr(
         "Kernels — per-(d,k) autotuned mtxmq kernel shootout, Apply hot path\n\
          scalar runtime-width / scalar const-width / AVX const-width /\n\
-         cache-blocked candidates, bit-identity-gated, argmin winner;\n\
-         dispatch counts from one counted Full-fidelity Apply run",
+         cache-blocked candidates, bit-identity-gated, heuristic unless\n\
+         beaten by 10 %; span counts from one counted Full-fidelity Apply run",
     );
     let r = kernels_report::kernels_table();
     print!("{}", kernels_report::render(&r));

@@ -21,7 +21,7 @@ use madness_mra::tree::{FunctionTree, TreeForm};
 use madness_runtime::{
     AdaptiveConfig, AdaptiveDispatcher, Batcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
 };
-use madness_tensor::{Tensor, TransformScratch, Workspace, MAX_DIMS};
+use madness_tensor::{transform_sum_accumulate, Tensor, Term, TransformScratch, Workspace};
 use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -144,34 +144,34 @@ pub fn apply_cpu_reference(op: &SeparatedConvolution, tree: &FunctionTree) -> Fu
             let s = node.coeffs.as_ref()?;
             Some(Workspace::with(|ws| {
                 let mut local = Vec::new();
-                // Arc handles keep the blocks alive across the transform;
-                // the vec is reused for every term so the Σ_μ loop stays
-                // off the allocator after its first iteration.
-                let mut hs: Vec<Arc<Tensor>> = Vec::with_capacity(op.d());
                 let displacements = op.displacements_at(key.level());
+                // An `h` block depends on (μ, level, 1-D displacement)
+                // only, so one fetch per source serves every one of its
+                // displacement tasks: `M × width` cache lookups a source
+                // instead of `M × d` a task, which is what kept the
+                // walk's workers queueing on the operator's cache lock.
+                let deltas = || displacements.iter().flat_map(|disp| &disp.delta[..op.d()]);
+                let lo = deltas().copied().min().unwrap_or(0);
+                let width = (deltas().copied().max().unwrap_or(0) - lo + 1) as usize;
+                let blocks: Vec<Arc<Tensor>> = (0..op.rank() * width)
+                    .map(|ix| op.get_h(ix / width, key.level(), lo + (ix % width) as i64))
+                    .collect();
                 for disp in displacements.iter() {
                     let Some(neighbor) = key.neighbor(&disp.delta) else {
                         continue;
                     };
-                    // integral_operator (Algorithm 2).
+                    // integral_operator (Algorithm 2): the Σ_μ loop as
+                    // one task-level call.
                     let mut r = Tensor::zeros(s.shape());
-                    for mu in 0..op.rank() {
-                        hs.clear();
-                        hs.extend(
-                            (0..op.d()).map(|dim| op.get_h(mu, key.level(), disp.delta[dim])),
-                        );
-                        let mut hrefs = [&*hs[0]; MAX_DIMS];
-                        for (slot, h) in hrefs.iter_mut().zip(&hs) {
-                            *slot = h;
-                        }
-                        madness_tensor::transform_accumulate_scaled(
-                            s,
-                            op.terms()[mu].coeff,
-                            &hrefs[..op.d()],
-                            ws.scratch(),
-                            &mut r,
-                        );
-                    }
+                    let blocks = &blocks;
+                    let term = |mu: usize| Term {
+                        coeff: op.terms()[mu].coeff,
+                        hs: disp.delta[..op.d()]
+                            .iter()
+                            .map(move |delta| &*blocks[mu * width + (delta - lo) as usize]),
+                        krs: None,
+                    };
+                    transform_sum_accumulate(s, op.rank(), term, ws.scratch(), &mut r);
                     local.push((neighbor, r));
                 }
                 local
@@ -441,25 +441,7 @@ pub fn apply_batched_recorded<R: Recorder>(
 fn compute_cpu(task: &TransformTask, scratch: &mut TransformScratch) -> Tensor {
     let s = task.s.as_ref().expect("full-fidelity task");
     let mut r = Tensor::zeros(s.shape());
-    for term in task.terms.iter() {
-        // Block refs live on the stack (d ≤ MAX_DIMS); c_μ folds into the
-        // scratch staging copy — no temporaries per rank term.
-        let first = term.hs[0].data.as_deref().expect("block data present");
-        let mut hrefs = [first; MAX_DIMS];
-        for (slot, h) in hrefs.iter_mut().zip(&term.hs) {
-            *slot = h.data.as_deref().expect("block data present");
-        }
-        let hrefs = &hrefs[..task.d];
-        match &term.effective_ranks {
-            Some(krs) => {
-                madness_tensor::transform_rr_accumulate_scaled(
-                    s, term.coeff, hrefs, krs, scratch, &mut r,
-                );
-            }
-            None => {
-                madness_tensor::transform_accumulate_scaled(s, term.coeff, hrefs, scratch, &mut r);
-            }
-        }
-    }
+    let term = |mu| task.sum_term(mu, true);
+    transform_sum_accumulate(s, task.rank(), term, scratch, &mut r);
     r
 }

@@ -15,7 +15,7 @@
 use crate::clock::SimTime;
 use crate::spec::DeviceSpec;
 use crate::task::TransformTask;
-use madness_tensor::{transform_accumulate_scaled, Shape, Tensor, TransformScratch, MAX_DIMS};
+use madness_tensor::{transform_sum_accumulate, Shape, Tensor, TransformScratch};
 
 /// Which kernel implementation services a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -126,23 +126,10 @@ pub fn kernel_cost(spec: &DeviceSpec, kind: KernelKind, task: &TransformTask) ->
 pub fn execute_task(task: &TransformTask, scratch: &mut TransformScratch) -> Option<Tensor> {
     let s = task.s.as_ref()?;
     let mut r = Tensor::zeros(Shape::cube(task.d, task.k));
-    for term in task.terms.iter() {
-        // Block refs live on the stack (d ≤ MAX_DIMS); c_μ folds into the
-        // scratch staging copy instead of a materialized scaled source —
-        // same products, no temporaries per rank term.
-        let first = term.hs[0]
-            .data
-            .as_deref()
-            .expect("full-fidelity task requires block data");
-        let mut hs = [first; MAX_DIMS];
-        for (slot, h) in hs.iter_mut().zip(&term.hs) {
-            *slot = h
-                .data
-                .as_deref()
-                .expect("full-fidelity task requires block data");
-        }
-        transform_accumulate_scaled(s, term.coeff, &hs[..task.d], scratch, &mut r);
-    }
+    // One task-level call: the CPU stand-in for the custom kernel's
+    // single launch with the whole rank-M loop embedded.
+    let term = |mu| task.sum_term(mu, false);
+    transform_sum_accumulate(s, task.rank(), term, scratch, &mut r);
     Some(r)
 }
 

@@ -1,6 +1,6 @@
 //! The unit of GPU work: one batched Apply transform task.
 
-use madness_tensor::Tensor;
+use madness_tensor::{Tensor, Term};
 use std::sync::Arc;
 
 /// One `(k, k)` operator block, identified for the device cache.
@@ -100,6 +100,30 @@ impl TransformTask {
     /// Bytes of one operator block (`k²` doubles).
     pub fn h_block_bytes(&self) -> u64 {
         8 * (self.k as u64).pow(2)
+    }
+
+    /// Term `mu` as the tensor crate's Σ_μ task kernel
+    /// ([`madness_tensor::transform_sum_accumulate`]) takes it.
+    /// `rank_reduced` passes the term's effective ranks on (the CPU
+    /// path); the GPU kernels never rank-reduce (paper §II-D).
+    ///
+    /// # Panics
+    /// The block iterator panics on a timing-only block.
+    pub fn sum_term(
+        &self,
+        mu: usize,
+        rank_reduced: bool,
+    ) -> Term<'_, impl Iterator<Item = &Tensor>> {
+        let term = &self.terms[mu];
+        Term {
+            coeff: term.coeff,
+            hs: term.hs.iter().map(|h| {
+                h.data
+                    .as_deref()
+                    .expect("full-fidelity task requires block data")
+            }),
+            krs: term.effective_ranks.as_deref().filter(|_| rank_reduced),
+        }
     }
 
     /// All block ids this task references (for the device cache).

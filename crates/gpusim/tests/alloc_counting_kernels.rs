@@ -2,7 +2,8 @@
 //! **zero** allocations to the steady-state Apply hot path: kernel
 //! selection is a binary search over the pre-sorted installed table and
 //! dispatch counting is a relaxed atomic bump — neither touches the
-//! heap. Runs as its own integration binary (like `alloc_counting`) so
+//! heap — and that the task-level Σ_μ kernel's chunk buffers add none
+//! either. Runs as its own integration binary (like `alloc_counting`) so
 //! the `#[global_allocator]` swap and the process-global table install
 //! cannot perturb other tests.
 
@@ -32,8 +33,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn full_task(rank: usize) -> TransformTask {
+    full_task_of_order(10, rank)
+}
+
+fn full_task_of_order(k: usize, rank: usize) -> TransformTask {
     let d = 3;
-    let k = 10;
     let s = Arc::new(Tensor::from_fn(Shape::cube(d, k), |ix| {
         (ix[0] * 7 + ix[1] * 3 + ix[2]) as f64 * 0.01 - 1.0
     }));
@@ -116,4 +120,31 @@ fn autotuned_table_adds_zero_steady_state_allocations() {
         with_table <= 2,
         "expected only the result-tensor allocation, saw {with_table}"
     );
+
+    // The task-level Σ_μ kernel's chunk buffers (the stack of last-pass
+    // intermediates and the panel of last-dimension blocks) reach their
+    // high-water size once: after one warm-up of each shape, a task
+    // allocates the same whatever its rank — one term, less than a
+    // chunk, exactly chunks, chunks plus a remainder — and switching
+    // between a k = 4 task (one chunk holds every term) and a k = 10
+    // task (four terms per chunk) through the same scratch never
+    // re-grows a buffer.
+    let tasks: Vec<TransformTask> = [(4, 1), (4, 37), (10, 1), (10, 3), (10, 8), (10, 37)]
+        .map(|(k, rank)| full_task_of_order(k, rank))
+        .into();
+    for task in &tasks {
+        execute_task(task, &mut scratch).unwrap();
+    }
+    for round in 0..2 {
+        for task in &tasks {
+            let allocs = count_steady(task, &mut scratch);
+            assert_eq!(
+                allocs,
+                with_table,
+                "round {round}: a k = {} rank-{} task allocated {allocs} times in steady state",
+                task.k,
+                task.rank()
+            );
+        }
+    }
 }

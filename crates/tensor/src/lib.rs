@@ -22,21 +22,24 @@
 //!   `mtxmq` `d` times (Formula 1 of the paper for a single rank-`μ` term),
 //!   cache-blocked so large `(k^{d-1}, k)` passes stream through L2 in
 //!   row tiles;
+//! * [`transform_sum_accumulate`] — the task-level kernel: the whole
+//!   rank-`M` Σ_μ loop of Formula 1 in one call, with the last dimension
+//!   of a chunk of terms contracted in one long span;
 //! * [`kernel`] — the per-`(d, k)` autotuned kernel table: candidate span
-//!   kernels (runtime-width scalar, const-width scalar, AVX SIMD behind
-//!   the `simd` feature, cache-blocked) microbenchmarked at startup with
-//!   the winner dispatched per pass shape — all candidates bit-identical;
+//!   kernels (runtime-width scalar, const-width scalar, row-blocked AVX
+//!   where the host has it, cache-blocked) microbenchmarked at startup
+//!   with the pick dispatched per pass shape — all candidates
+//!   bit-identical;
 //! * FLOP accounting ([`flops`]) used by the simulators' cost models.
 //!
 //! All arithmetic is deterministic `f64`; the simulated-GPU crate executes
 //! these same kernels so CPU and "GPU" results are directly comparable.
 
 #![warn(missing_docs)]
-// `unsafe` is forbidden everywhere except the explicitly-vectorized
-// kernels: with the `simd` feature on, `src/simd.rs` (and only that
-// module) opts back in for the AVX intrinsic loads/stores.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// `unsafe` is denied everywhere except the explicitly-vectorized
+// kernels: `src/simd.rs` (and only that module) opts back in for the
+// AVX intrinsic loads/stores.
+#![deny(unsafe_code)]
 // Index loops over multiple parallel arrays are the clearest idiom for
 // the numeric kernels here; the iterator rewrites clippy suggests hurt
 // readability without changing codegen.
@@ -46,8 +49,7 @@ pub mod flops;
 pub mod kernel;
 pub mod mtxmq;
 pub mod shape;
-#[cfg(feature = "simd")]
-pub mod simd;
+mod simd;
 pub mod tensor;
 pub mod transform;
 
@@ -59,7 +61,7 @@ pub use tensor::Tensor;
 pub use transform::{
     general_transform, transform, transform_accumulate, transform_accumulate_scaled, transform_dim,
     transform_dim_into, transform_into, transform_rr, transform_rr_accumulate,
-    transform_rr_accumulate_scaled, TransformScratch, Workspace,
+    transform_rr_accumulate_scaled, transform_sum_accumulate, Term, TransformScratch, Workspace,
 };
 
 /// Maximum tensor dimensionality supported by [`Shape`].

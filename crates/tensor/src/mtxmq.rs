@@ -44,15 +44,15 @@ pub fn mtxmq_acc(dimi: usize, dimj: usize, dimk: usize, a: &[f64], b: &[f64], c:
 
 /// Shared inner kernel: `C(i,j) += Σ_{k < kr} A(k,i)·B(k,j)` with the
 /// length asserts already done by the caller. The kernel choice — the
-/// runtime-width scalar loop, a width-specialized const loop, the AVX
-/// loop (feature `simd`), or the cache-blocked loop — comes from the
-/// autotuned [`crate::kernel`] table (heuristic fallback when no table
-/// is installed). Every candidate performs the identical operations in
-/// the identical order, so results are bit-identical across them.
+/// runtime-width scalar loop, a width-specialized const loop, the
+/// row-blocked AVX loop (where the host has AVX), or the cache-blocked
+/// loop — comes from the autotuned [`crate::kernel`] table (heuristic
+/// fallback when no table is installed). Every candidate performs the
+/// identical operations in the identical order, so results are
+/// bit-identical across them.
 #[inline]
 fn mtxmq_acc_rows(dimi: usize, dimj: usize, kr: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    let id = crate::kernel::select(dimi, dimj);
-    crate::kernel::run_span(id, dimi, 0, dimi, dimj, kr, a, b, c);
+    crate::kernel::resolve(dimi, dimj).run_span(dimi, 0, dimi, dimj, kr, a, b, c);
 }
 
 /// Rank-reduced `mtxmq`: `C(i,j) = Σ_{k < kr} A(k,i)·B(k,j)`.

@@ -13,22 +13,36 @@
 //! axis order. Each pass is exactly one of the paper's
 //! `(k^{d-1}, k) × (k, k)` multiplications.
 
-use crate::kernel;
+use crate::kernel::{self, SpanKernel};
 use crate::mtxmq::mtxmq;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+use crate::MAX_DIMS;
 use std::cell::RefCell;
+use std::ops::Deref;
 
 /// Reusable scratch buffers for [`transform`]-family calls.
 ///
-/// Apply evaluates hundreds of transforms per tree node; reusing two
-/// ping-pong buffers keeps the hot loop allocation-free (a requirement the
-/// perf guides are emphatic about).
+/// Apply evaluates hundreds of transforms per tree node; reusing the
+/// buffers keeps the hot loop allocation-free (a requirement the perf
+/// guides are emphatic about).
 #[derive(Default, Debug)]
 pub struct TransformScratch {
+    /// Ping-pong intermediates of the leading passes.
     ping: Vec<f64>,
     pong: Vec<f64>,
+    /// The open chunk's last-pass operands, term after term: the
+    /// intermediates entering the last pass…
+    stack: Vec<f64>,
+    /// …and the matching rows of each term's last operator block.
+    panel: Vec<f64>,
 }
+
+/// Budget, in `f64`s, for the stack of last-pass intermediates a chunk
+/// of terms builds before its fused final span: 32 KiB, so the stack
+/// the span streams as its `A` operand is still in L1 when it runs.
+/// Tasks whose single intermediate exceeds it run one term per chunk.
+const STACK_ELEMS: usize = 4096;
 
 impl TransformScratch {
     /// Creates empty scratch; buffers grow on first use.
@@ -36,27 +50,35 @@ impl TransformScratch {
         Self::default()
     }
 
-    /// Pre-sizes both buffers for tensors of `len` elements.
+    /// Pre-sizes every buffer for cube tensors of `len` elements (the
+    /// chunk buffers to their upper bound: a full 32 KiB chunk or one
+    /// term, whichever is larger).
     pub fn with_capacity(len: usize) -> Self {
+        let chunk = len.max(STACK_ELEMS);
         TransformScratch {
             ping: Vec::with_capacity(len),
             pong: Vec::with_capacity(len),
+            stack: Vec::with_capacity(chunk),
+            panel: Vec::with_capacity(chunk),
         }
     }
+}
 
-    fn resize(&mut self, len: usize) {
-        self.ping.resize(len, 0.0);
-        self.pong.resize(len, 0.0);
+/// Grows `buf` to at least `len` elements (never shrinks: a smaller
+/// task must not make the next larger one re-fill the buffer).
+fn grow(buf: &mut Vec<f64>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
 }
 
 /// Per-thread reusable state for the allocation-free Apply hot path.
 ///
-/// The Σ_μ inner loops (one transform per separated-rank term, M ≈ 100
-/// terms per task) borrow the calling thread's workspace through
-/// [`Workspace::with`] instead of allocating scratch per call; in steady
-/// state the buffers reach their high-water size once and every later
-/// term runs with **zero heap allocations**.
+/// The Σ_μ task kernels (M ≈ 100 separated-rank terms per task) borrow
+/// the calling thread's workspace through [`Workspace::with`] instead of
+/// allocating scratch per call; in steady state the buffers reach their
+/// high-water size once and every later task runs with **zero heap
+/// allocations**.
 #[derive(Default, Debug)]
 pub struct Workspace {
     scratch: TransformScratch,
@@ -72,7 +94,7 @@ impl Workspace {
         Self::default()
     }
 
-    /// The ping-pong transform scratch.
+    /// The transform scratch.
     pub fn scratch(&mut self) -> &mut TransformScratch {
         &mut self.scratch
     }
@@ -90,7 +112,9 @@ impl Workspace {
     }
 }
 
-fn check_operands(t: &Tensor, hs: &[&Tensor]) -> usize {
+/// The output shape of transforming `t` by `hs`: dimension `i` takes
+/// the column count of `hs[i]`.
+fn out_shape(t: &Tensor, hs: &[&Tensor]) -> Shape {
     let d = t.ndim();
     assert_eq!(
         hs.len(),
@@ -98,15 +122,11 @@ fn check_operands(t: &Tensor, hs: &[&Tensor]) -> usize {
         "need one operator matrix per dimension ({d}), got {}",
         hs.len()
     );
-    for (i, h) in hs.iter().enumerate() {
-        assert_eq!(h.ndim(), 2, "operator {i} must be a matrix");
-        assert_eq!(
-            h.shape().dim(0),
-            t.shape().dim(i),
-            "operator {i} rows must match tensor dim {i}"
-        );
+    let mut dims = [0usize; MAX_DIMS];
+    for (dim, h) in dims.iter_mut().zip(hs) {
+        *dim = h.shape().dim(1);
     }
-    d
+    Shape::new(&dims[..d])
 }
 
 /// Transforms every dimension of `t` by the corresponding matrix in `hs`
@@ -118,15 +138,8 @@ fn check_operands(t: &Tensor, hs: &[&Tensor]) -> usize {
 /// # Panics
 /// Panics if `hs.len() != t.ndim()` or operator rows mismatch extents.
 pub fn general_transform(t: &Tensor, hs: &[&Tensor]) -> Tensor {
-    let mut scratch = TransformScratch::new();
-    let mut out_dims = [0usize; crate::MAX_DIMS];
-    let d = check_operands(t, hs);
-    for (i, h) in hs.iter().enumerate() {
-        out_dims[i] = h.shape().dim(1);
-    }
-    let out_shape = Shape::new(&out_dims[..d]);
-    let mut out = Tensor::zeros(out_shape);
-    pipeline(t, None, hs, None, &mut scratch, out.as_mut_slice(), false);
+    let mut out = Tensor::zeros(out_shape(t, hs));
+    transform_accumulate(t, hs, &mut TransformScratch::new(), &mut out);
     out
 }
 
@@ -153,17 +166,7 @@ pub fn transform_accumulate(
     scratch: &mut TransformScratch,
     out: &mut Tensor,
 ) {
-    let d = check_operands(t, hs);
-    let mut out_dims = [0usize; crate::MAX_DIMS];
-    for (i, h) in hs.iter().enumerate() {
-        out_dims[i] = h.shape().dim(1);
-    }
-    assert_eq!(
-        out.shape(),
-        Shape::new(&out_dims[..d]),
-        "accumulate target shape mismatch"
-    );
-    pipeline(t, None, hs, None, scratch, out.as_mut_slice(), true);
+    one_term(t, 1.0, hs, None, scratch, out);
 }
 
 /// `out += transform(coeff · t, hs)` with the coefficient multiply fused
@@ -171,7 +174,8 @@ pub fn transform_accumulate(
 /// (`r += c_μ · Π h^{(μ,dim)} s`) without materializing `c_μ · s`.
 ///
 /// Bit-identical to scaling `t` elementwise first and then calling
-/// [`transform_accumulate`].
+/// [`transform_accumulate`]. A whole Σ_μ loop of these is one
+/// [`transform_sum_accumulate`] call.
 ///
 /// # Panics
 /// Same contract as [`transform_accumulate`].
@@ -182,17 +186,7 @@ pub fn transform_accumulate_scaled(
     scratch: &mut TransformScratch,
     out: &mut Tensor,
 ) {
-    let d = check_operands(t, hs);
-    let mut out_dims = [0usize; crate::MAX_DIMS];
-    for (i, h) in hs.iter().enumerate() {
-        out_dims[i] = h.shape().dim(1);
-    }
-    assert_eq!(
-        out.shape(),
-        Shape::new(&out_dims[..d]),
-        "accumulate target shape mismatch"
-    );
-    pipeline(t, Some(coeff), hs, None, scratch, out.as_mut_slice(), true);
+    one_term(t, coeff, hs, None, scratch, out);
 }
 
 /// Overwriting scratch-buffer transform: `out = transform(t, hs)` with
@@ -207,126 +201,245 @@ pub fn transform_into(
     scratch: &mut TransformScratch,
     out: &mut Tensor,
 ) {
-    let d = check_operands(t, hs);
-    let mut out_dims = [0usize; crate::MAX_DIMS];
-    for (i, h) in hs.iter().enumerate() {
-        out_dims[i] = h.shape().dim(1);
-    }
-    assert_eq!(
-        out.shape(),
-        Shape::new(&out_dims[..d]),
-        "transform_into target shape mismatch"
-    );
-    pipeline(t, None, hs, None, scratch, out.as_mut_slice(), false);
+    out.as_mut_slice().fill(0.0);
+    one_term(t, 1.0, hs, None, scratch, out);
 }
 
-/// Upper bound for intermediate sizes: after pass p the tensor has dims
-/// `(n_{p+1}, …, n_d, m_1, …, m_p)`.
-fn max_intermediate_len(t: &Tensor, hs: &[&Tensor]) -> usize {
-    let mut len = t.len();
-    let mut m = len;
-    for (i, h) in hs.iter().enumerate() {
-        len = len / t.shape().dim(i) * h.shape().dim(1);
-        m = m.max(len);
-    }
-    m
+/// One separated-rank term `c_μ · Π_dim h^{(μ,dim)}` of a
+/// [`transform_sum_accumulate`] task.
+pub struct Term<'a, I> {
+    /// The expansion coefficient `c_μ`, folded into the staging copy of
+    /// the source tensor.
+    pub coeff: f64,
+    /// The operator blocks `h^{(μ,1)} … h^{(μ,d)}`, one per dimension in
+    /// order. Items are anything that derefs to a [`Tensor`] (`&Tensor`,
+    /// `Arc<Tensor>`); each is fetched as its pass starts and dropped
+    /// when the pass ends.
+    pub hs: I,
+    /// Rank reduction (paper §II-D, Fig. 4): if `Some`, pass `p`
+    /// contracts only the first `krs[p]` rows.
+    pub krs: Option<&'a [usize]>,
 }
 
-/// Shared d-pass pipeline behind every `transform*` entry point.
+/// The task-level kernel: `out += Σ_μ c_μ · transform(t, h^{(μ,·)})`,
+/// the whole rank-`M` loop of Formula 1 in one call (the CPU counterpart
+/// of the paper's custom GPU kernel, which embeds the same loop in one
+/// launch).
 ///
-/// * `scale` — if `Some(c)`, the tensor is multiplied by `c` while being
-///   staged into the scratch buffer, fusing the caller's
-///   `scaled = c · s` pre-pass (and its temporary tensor) into the first
-///   copy;
-/// * `krs` — if `Some`, pass `p` contracts only the first `krs[p]` rows
-///   (rank reduction, paper §II-D);
-/// * `accumulate` — the final pass adds into `out` instead of
-///   overwriting it.
+/// `term(μ)` is called once for each `μ < n_terms`, in order. Shapes
+/// are validated, the span kernels selected and the scratch sized once
+/// per task rather than once per term. Each term runs its passes
+/// `1..d−1` alone; the **last** dimension of a whole chunk of terms is
+/// then contracted in one span: the chunk's last-pass intermediates,
+/// stacked, form one `(Σ kr_μ, k^{d−1})` operand and the matching rows
+/// of their `h^{(μ,d)}` blocks one `(Σ kr_μ, k)` panel, so
+/// `out(i,j) += Σ_{(μ,k)} A(μk,i)·B(μk,j)` with `(μ, k)` ascending.
+/// That is, element by element, exactly the multiply-then-add chain
+/// (and the `a == 0.0` skips) that `n_terms` successive
+/// [`transform_accumulate_scaled`] / [`transform_rr_accumulate_scaled`]
+/// calls produce — the result is bit-identical to that loop, while
+/// `out` is loaded and stored once per chunk instead of once per term.
 ///
-/// All intermediates live in `scratch`'s ping-pong buffers: once those
-/// reach their high-water size this function performs **zero heap
-/// allocations**.
-fn pipeline(
+/// Allocation-free once `scratch` has reached its high-water size.
+///
+/// # Panics
+/// Panics if `out`'s rank differs from `t`'s, a term does not yield
+/// exactly one `(t.dim(p), out.dim(p))` matrix per dimension `p`, or
+/// `krs` does not have one entry per dimension.
+pub fn transform_sum_accumulate<'a, H, I>(
     t: &Tensor,
-    scale: Option<f64>,
+    n_terms: usize,
+    term: impl FnMut(usize) -> Term<'a, I>,
+    scratch: &mut TransformScratch,
+    out: &mut Tensor,
+) where
+    I: IntoIterator<Item = H>,
+    H: Deref<Target = Tensor>,
+{
+    sum_terms(t, n_terms, term, scratch, out);
+}
+
+/// The one-term case of [`sum_terms`] behind the slice-of-operators
+/// entry points.
+fn one_term(
+    t: &Tensor,
+    coeff: f64,
     hs: &[&Tensor],
     krs: Option<&[usize]>,
     scratch: &mut TransformScratch,
-    out: &mut [f64],
-    accumulate: bool,
+    out: &mut Tensor,
 ) {
-    let d = t.ndim();
-    scratch.resize(max_intermediate_len(t, hs));
+    let term = |_| Term {
+        coeff,
+        hs: hs.iter().copied(),
+        krs,
+    };
+    sum_terms(t, 1, term, scratch, out);
+}
 
-    // `dims` is the (rotated) shape of the current intermediate, kept in
-    // a stack array — the old per-call `Vec` showed up in Apply's heap
-    // profile at one allocation per rank term.
-    let mut dims = [0usize; crate::MAX_DIMS];
-    dims[..d].copy_from_slice(t.shape().dims());
-    let mut src_is_ping = true;
-    let mut cur_len = t.len();
-    match scale {
-        // Fold the separated-expansion coefficient into the staging
-        // copy: same elementwise product the callers used to materialize
-        // as a `scaled` temporary, so results stay bit-identical.
-        Some(c) => {
-            for (p, &s) in scratch.ping[..cur_len].iter_mut().zip(t.as_slice()) {
-                *p = c * s;
-            }
-        }
-        None => scratch.ping[..cur_len].copy_from_slice(t.as_slice()),
-    }
+/// Geometry of pass `p`, fixed for the task: it contracts the current
+/// leading dimension (`dimk` rows of the `(dimk, dimi)` intermediate)
+/// with a `(dimk, dimj)` block and rotates the new extent to the end.
+#[derive(Clone, Copy)]
+struct Pass {
+    dimk: usize,
+    dimi: usize,
+    dimj: usize,
+    /// Row tile for a full-rank pass (see [`kernel::pass_tile_rows`]).
+    tile: usize,
+    kernel: SpanKernel,
+}
 
-    for (pass, h) in hs.iter().enumerate() {
-        let dimk = dims[0]; // contraction extent = current leading dim
-        let dimi = cur_len / dimk; // fused remaining dims
-        let dimj = h.shape().dim(1);
-        let next_len = dimi * dimj;
-        let last = pass + 1 == d;
-        let kr = krs.map(|k| k[pass].min(dimk));
-
-        let (src, dst): (&[f64], &mut [f64]) = if src_is_ping {
-            (&scratch.ping[..cur_len], &mut scratch.pong[..next_len])
-        } else {
-            (&scratch.pong[..cur_len], &mut scratch.ping[..next_len])
-        };
-
-        let target: &mut [f64] = if last {
-            debug_assert_eq!(out.len(), next_len, "output buffer length mismatch");
-            out
-        } else {
-            dst
-        };
-        // Tiled dispatch through the autotuned kernel table: the pass's
-        // rows stream through cache-sized tiles (one tile = the whole
-        // pass for small shapes), each served by the table's per-shape
-        // winner. Tiles run in row order and every candidate preserves
-        // the per-element k-ascending accumulation chain, so the result
-        // is bit-identical to a single untiled pass — and to every
-        // other candidate.
-        let acc_pass = last && accumulate;
-        let kr_eff = kr.unwrap_or(dimk);
-        let id = kernel::select(dimi, dimj);
-        let tile = kernel::pass_tile_rows(dimi, dimj, kr_eff);
-        let hmat = h.as_slice();
+impl Pass {
+    /// Runs the pass over `kr` contraction rows as consecutive row
+    /// tiles, zeroing each tile of `c` first unless `accumulate`. Small
+    /// shapes are a single tile; tiles run in row order and every
+    /// candidate kernel preserves the per-element k-ascending chain, so
+    /// the result is bit-identical to one untiled span — and to every
+    /// other candidate.
+    fn run(&self, kr: usize, tile: usize, accumulate: bool, a: &[f64], b: &[f64], c: &mut [f64]) {
+        let (dimi, dimj) = (self.dimi, self.dimj);
         let mut i0 = 0;
         while i0 < dimi {
             let i1 = (i0 + tile).min(dimi);
-            let span = &mut target[i0 * dimj..i1 * dimj];
-            if !acc_pass {
+            let span = &mut c[i0 * dimj..i1 * dimj];
+            if !accumulate {
                 span.fill(0.0);
             }
-            kernel::run_span(id, dimi, i0, i1, dimj, kr_eff, src, hmat, span);
+            self.kernel.run_span(dimi, i0, i1, dimj, kr, a, b, span);
             i0 = i1;
         }
+    }
+}
 
-        // Rotate: leading dim contracted away, output dim appended.
-        for i in 1..d {
-            dims[i - 1] = dims[i];
+/// The one pass loop behind every `transform*` entry point; see
+/// [`transform_sum_accumulate`] for the contract.
+fn sum_terms<'a, H, I>(
+    t: &Tensor,
+    n_terms: usize,
+    mut term: impl FnMut(usize) -> Term<'a, I>,
+    scratch: &mut TransformScratch,
+    out: &mut Tensor,
+) where
+    I: IntoIterator<Item = H>,
+    H: Deref<Target = Tensor>,
+{
+    let d = t.ndim();
+    assert_eq!(out.ndim(), d, "output rank must match the tensor's");
+
+    // After pass p the intermediate has dims (n_{p+1}, …, n_d, m_1, …,
+    // m_p): pass p sees it as a (n_p, len / n_p) matrix.
+    let pass_at = |p: usize, len: usize| {
+        let dimk = t.shape().dim(p);
+        let (dimi, dimj) = (len / dimk, out.shape().dim(p));
+        Pass {
+            dimk,
+            dimi,
+            dimj,
+            tile: kernel::pass_tile_rows(dimi, dimj, dimk),
+            kernel: kernel::resolve(dimi, dimj),
         }
-        dims[d - 1] = dimj;
-        cur_len = next_len;
-        src_is_ping = !src_is_ping;
+    };
+    let mut passes = [pass_at(0, t.len()); MAX_DIMS];
+    let mut max_len = t.len();
+    for p in 1..d {
+        let len = passes[p - 1].dimi * passes[p - 1].dimj;
+        passes[p] = pass_at(p, len);
+        max_len = max_len.max(len);
+    }
+    let last = passes[d - 1];
+    let term_len = last.dimk * last.dimi;
+    let chunk = (STACK_ELEMS / term_len).clamp(1, n_terms.max(1));
+
+    let TransformScratch {
+        ping,
+        pong,
+        stack,
+        panel,
+    } = scratch;
+    grow(ping, max_len);
+    grow(pong, max_len);
+    grow(stack, chunk * term_len);
+    grow(panel, chunk * last.dimk * last.dimj);
+
+    let out = out.as_mut_slice();
+    // Contraction rows stacked so far in the open chunk.
+    let mut rows = 0;
+    for mu in 0..n_terms {
+        let Term { coeff, hs, krs } = term(mu);
+        if let Some(krs) = krs {
+            assert_eq!(krs.len(), d, "need one effective rank per dimension");
+        }
+        let kr_of = |p: usize| krs.map_or(passes[p].dimk, |krs| krs[p].min(passes[p].dimk));
+        let mut hs = hs.into_iter();
+        let mut block = |p: usize| {
+            let h = hs
+                .next()
+                .unwrap_or_else(|| panic!("need one operator matrix per dimension ({d}), got {p}"));
+            assert_eq!(h.ndim(), 2, "operator {p} must be a matrix");
+            assert_eq!(
+                h.shape().dim(0),
+                passes[p].dimk,
+                "operator {p} rows must match tensor dim {p}"
+            );
+            assert_eq!(
+                h.shape().dim(1),
+                passes[p].dimj,
+                "operator {p} columns must match output dim {p}"
+            );
+            h
+        };
+
+        // This term's slot in the stack: where its last-pass operand
+        // lands, written by the staging copy (d = 1) or by pass d−1.
+        let slot = rows * last.dimi..rows * last.dimi + term_len;
+        // Fold the separated-expansion coefficient into the staging
+        // copy: the same elementwise product as materializing a scaled
+        // temporary, so results stay bit-identical.
+        let staged = if d == 1 {
+            &mut stack[slot.clone()]
+        } else {
+            &mut ping[..t.len()]
+        };
+        for (x, &s) in staged.iter_mut().zip(t.as_slice()) {
+            *x = coeff * s;
+        }
+        let mut src_is_ping = true;
+        for (p, pass) in passes[..d - 1].iter().enumerate() {
+            let h = block(p);
+            let (src, dst) = if src_is_ping {
+                (&ping[..], &mut pong[..])
+            } else {
+                (&pong[..], &mut ping[..])
+            };
+            let dst = if p + 2 == d {
+                &mut stack[slot.clone()]
+            } else {
+                &mut dst[..pass.dimi * pass.dimj]
+            };
+            let src = &src[..pass.dimk * pass.dimi];
+            pass.run(kr_of(p), pass.tile, false, src, h.as_slice(), dst);
+            src_is_ping = !src_is_ping;
+        }
+
+        let h = block(d - 1);
+        assert!(
+            hs.next().is_none(),
+            "need one operator matrix per dimension ({d}), got more"
+        );
+        let kr = kr_of(d - 1);
+        panel[rows * last.dimj..(rows + kr) * last.dimj]
+            .copy_from_slice(&h.as_slice()[..kr * last.dimj]);
+        rows += kr;
+
+        if (mu + 1) % chunk == 0 || mu + 1 == n_terms {
+            // The chunk's fused final pass: one (μ, k)-ascending chain
+            // per output element, straight into `out`.
+            let tile = kernel::pass_tile_rows(last.dimi, last.dimj, rows);
+            let (a, b) = (&stack[..rows * last.dimi], &panel[..rows * last.dimj]);
+            last.run(rows, tile, true, a, b, out);
+            rows = 0;
+        }
     }
 }
 
@@ -393,20 +506,13 @@ pub fn transform_dim_into(t: &Tensor, h: &Tensor, out: &mut Tensor) {
 /// Panics if `krs.len() != t.ndim()`, any `krs[p]` exceeds the dimension
 /// extent, or on the operand mismatches of [`general_transform`].
 pub fn transform_rr(t: &Tensor, hs: &[&Tensor], krs: &[usize]) -> Tensor {
-    let d = check_operands(t, hs);
-    let mut out_dims = [0usize; crate::MAX_DIMS];
-    for (i, h) in hs.iter().enumerate() {
-        out_dims[i] = h.shape().dim(1);
-    }
-    let mut out = Tensor::zeros(Shape::new(&out_dims[..d]));
-    let mut scratch = TransformScratch::new();
-    transform_rr_accumulate(t, hs, krs, &mut scratch, &mut out);
+    let mut out = Tensor::zeros(out_shape(t, hs));
+    transform_rr_accumulate(t, hs, krs, &mut TransformScratch::new(), &mut out);
     out
 }
 
 /// `out += transform_rr(t, hs, krs)` without allocating: the rank-reduced
-/// counterpart of [`transform_accumulate`], used by the CPU compute
-/// sub-task's hot loop (one call per separated-rank term).
+/// counterpart of [`transform_accumulate`].
 ///
 /// # Panics
 /// Same contract as [`transform_rr`], plus `out` must match the output
@@ -418,18 +524,7 @@ pub fn transform_rr_accumulate(
     scratch: &mut TransformScratch,
     out: &mut Tensor,
 ) {
-    let d = check_operands(t, hs);
-    assert_eq!(krs.len(), d, "need one effective rank per dimension");
-    let mut out_dims = [0usize; crate::MAX_DIMS];
-    for (i, h) in hs.iter().enumerate() {
-        out_dims[i] = h.shape().dim(1);
-    }
-    assert_eq!(
-        out.shape(),
-        Shape::new(&out_dims[..d]),
-        "accumulate target shape mismatch"
-    );
-    pipeline(t, None, hs, Some(krs), scratch, out.as_mut_slice(), true);
+    one_term(t, 1.0, hs, Some(krs), scratch, out);
 }
 
 /// `out += transform_rr(coeff · t, hs, krs)` with the coefficient fused
@@ -446,26 +541,7 @@ pub fn transform_rr_accumulate_scaled(
     scratch: &mut TransformScratch,
     out: &mut Tensor,
 ) {
-    let d = check_operands(t, hs);
-    assert_eq!(krs.len(), d, "need one effective rank per dimension");
-    let mut out_dims = [0usize; crate::MAX_DIMS];
-    for (i, h) in hs.iter().enumerate() {
-        out_dims[i] = h.shape().dim(1);
-    }
-    assert_eq!(
-        out.shape(),
-        Shape::new(&out_dims[..d]),
-        "accumulate target shape mismatch"
-    );
-    pipeline(
-        t,
-        Some(coeff),
-        hs,
-        Some(krs),
-        scratch,
-        out.as_mut_slice(),
-        true,
-    );
+    one_term(t, coeff, hs, Some(krs), scratch, out);
 }
 
 #[cfg(test)]

@@ -481,3 +481,188 @@ mod kernels {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The task-level Σ_μ kernel
+// ---------------------------------------------------------------------------
+
+mod task_kernel {
+    use madness_tensor::kernel::{self, KernelId};
+    use madness_tensor::{
+        transform_accumulate_scaled, transform_rr_accumulate_scaled, transform_sum_accumulate,
+        Shape, Tensor, Term, TransformScratch,
+    };
+    use proptest::prelude::*;
+
+    /// The orders the issue names: every k up to 10, then 14 and 20.
+    const ORDERS: [usize; 11] = [2, 3, 4, 5, 6, 7, 8, 9, 10, 14, 20];
+
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn new(seed: u64) -> Self {
+            Xorshift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
+        }
+
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            ((self.next() >> 11) % n as u64) as usize
+        }
+
+        /// Uniform in [-0.5, 0.5), with one value in `one_in` replaced
+        /// by an exact zero, a negative zero, a NaN or an infinity.
+        fn value(&mut self, one_in: usize) -> f64 {
+            const SPECIALS: [f64; 6] = [0.0, -0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            if self.below(one_in) == 0 {
+                SPECIALS[self.below(SPECIALS.len())]
+            } else {
+                ((self.next() >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+            }
+        }
+    }
+
+    struct TaskTerm {
+        coeff: f64,
+        hs: Vec<Tensor>,
+        krs: Option<Vec<usize>>,
+    }
+
+    /// Bit-for-bit, except that two NaNs match whatever their payloads:
+    /// which operand's payload an add of two NaNs keeps is the code
+    /// generator's choice, not part of the chain contract.
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    /// `out += c · transform(s, hs)` for one term from the scalar
+    /// reference span kernel alone: no code shared with `transform.rs`.
+    fn reference_term(s: &Tensor, term: &TaskTerm, out: &mut [f64]) {
+        let d = s.ndim();
+        let mut cur: Vec<f64> = s.as_slice().iter().map(|x| term.coeff * x).collect();
+        for (p, h) in term.hs.iter().enumerate() {
+            let (dimk, dimj) = (h.shape().dim(0), h.shape().dim(1));
+            let dimi = cur.len() / dimk;
+            let kr = term.krs.as_ref().map_or(dimk, |krs| krs[p].min(dimk));
+            let mut next = vec![0.0; dimi * dimj];
+            let c = if p + 1 == d { &mut *out } else { &mut next[..] };
+            kernel::run_span(
+                KernelId::ScalarRuntime,
+                dimi,
+                0,
+                dimi,
+                dimj,
+                kr,
+                &cur,
+                h.as_slice(),
+                c,
+            );
+            cur = next;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One `transform_sum_accumulate` call equals the per-term
+        /// `transform_accumulate_scaled` / `transform_rr_accumulate_scaled`
+        /// loop — and an independent scalar pipeline — bit for bit: cubes
+        /// of every order and rectangular operands, ranks on both sides
+        /// of the chunk length, rank-reduced and exact terms mixed, a
+        /// non-zero initial `out`, and exact zeros, ±0.0, NaN and ±∞ in
+        /// the source and the blocks (the zero-skip contract).
+        #[test]
+        fn sum_equals_per_term_loop_bit_for_bit(
+            d in 2usize..5,
+            cube in any::<bool>(),
+            k_ix in 0usize..ORDERS.len(),
+            rank in 1usize..41,
+            specials in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xorshift::new(seed);
+            let (ins, outs): (Vec<usize>, Vec<usize>) = if cube {
+                (vec![ORDERS[k_ix]; d], vec![ORDERS[k_ix]; d])
+            } else {
+                let top = if d == 4 { 7 } else { 13 };
+                (0..d).map(|_| (1 + rng.below(top), 1 + rng.below(top))).unzip()
+            };
+            // Keep a case under ~1M multiply-adds per pass.
+            let len: usize = ins.iter().product::<usize>().max(outs.iter().product());
+            let rank = rank.min((400_000 / len).max(2));
+            let one_in = if specials { 23 } else { usize::MAX };
+
+            let mut s = Tensor::from_fn(Shape::new(&ins), |_| rng.value(one_in));
+            if specials {
+                // Zero a slab of the last dimension: those rows of the
+                // last pass's operand are exactly zero in every term, so
+                // a NaN/∞ in the matching block row must be skipped.
+                let slab = rng.below(ins[d - 1]);
+                let n_last = ins[d - 1];
+                for (ix, x) in s.as_mut_slice().iter_mut().enumerate() {
+                    if ix % n_last == slab {
+                        *x = 0.0;
+                    }
+                }
+            }
+            let terms: Vec<TaskTerm> = (0..rank)
+                .map(|_| TaskTerm {
+                    coeff: rng.value(usize::MAX) * 4.0,
+                    hs: (0..d)
+                        .map(|p| Tensor::from_fn(Shape::matrix(ins[p], outs[p]), |_| rng.value(one_in)))
+                        .collect(),
+                    krs: (rng.below(3) == 0)
+                        .then(|| ins.iter().map(|&n| 1 + rng.below(n)).collect()),
+                })
+                .collect();
+            let base = Tensor::from_fn(Shape::new(&outs), |_| rng.value(usize::MAX));
+
+            let mut reference = base.clone();
+            for term in &terms {
+                reference_term(&s, term, reference.as_mut_slice());
+            }
+
+            let mut scratch = TransformScratch::new();
+            let mut looped = base.clone();
+            for term in &terms {
+                let hr: Vec<&Tensor> = term.hs.iter().collect();
+                match &term.krs {
+                    Some(krs) => transform_rr_accumulate_scaled(
+                        &s, term.coeff, &hr, krs, &mut scratch, &mut looped,
+                    ),
+                    None => transform_accumulate_scaled(&s, term.coeff, &hr, &mut scratch, &mut looped),
+                }
+            }
+
+            let mut summed = base.clone();
+            transform_sum_accumulate(
+                &s,
+                terms.len(),
+                |mu| Term {
+                    coeff: terms[mu].coeff,
+                    hs: terms[mu].hs.iter(),
+                    krs: terms[mu].krs.as_deref(),
+                },
+                &mut scratch,
+                &mut summed,
+            );
+
+            prop_assert!(
+                same_bits(summed.as_slice(), looped.as_slice()),
+                "sum diverged from the per-term loop: ins {:?} outs {:?} rank {}", ins, outs, rank
+            );
+            prop_assert!(
+                same_bits(summed.as_slice(), reference.as_slice()),
+                "sum diverged from the scalar reference: ins {:?} outs {:?} rank {}", ins, outs, rank
+            );
+        }
+    }
+}
