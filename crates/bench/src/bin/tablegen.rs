@@ -7,7 +7,7 @@
 
 use madness_bench::{
     ablation, balance_report, chaos_report, dag_report, dispatch_report, faults_report, figures,
-    kernels_report, perf, serve_report, tables, trace_report,
+    kernels_report, serve_report, tables, trace_report,
 };
 
 fn hr(title: &str) {
@@ -211,22 +211,6 @@ fn trace() {
     }
 }
 
-fn bench(write_json: bool) {
-    hr(
-        "Bench — wall-clock Apply pipelines, Table I Full-fidelity workload\n\
-         real host arithmetic (not simulated time); best of 2 iterations",
-    );
-    let report = perf::bench_apply(2);
-    print!("{}", perf::render(&report));
-    if write_json {
-        let path = std::path::Path::new("BENCH_apply.json");
-        match std::fs::write(path, perf::to_json(&report)) {
-            Ok(()) => println!("\nperf trajectory point written to {}", path.display()),
-            Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
-        }
-    }
-}
-
 fn kernels(write_json: bool) {
     hr(
         "Kernels — per-(d,k) autotuned mtxmq kernel shootout, Apply hot path\n\
@@ -368,7 +352,6 @@ const EXPERIMENTS: &[&str] = &[
     "future",
     "ablations",
     "trace",
-    "bench",
     "kernels",
     "dispatch",
     "faults",
@@ -381,11 +364,10 @@ const EXPERIMENTS: &[&str] = &[
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--json` affects `bench` (writes BENCH_apply.json), `kernels`
-    // (writes BENCH_kernels.json), `balance` (writes BENCH_cluster.json),
-    // `serve` (writes BENCH_serve.json), `dag`/`dag-chaos` (both write
-    // the full BENCH_dag.json), and `chaos-serve` (writes
-    // BENCH_chaos.json).
+    // `--json` affects `kernels` (writes BENCH_kernels.json), `balance`
+    // (writes BENCH_cluster.json), `serve` (writes BENCH_serve.json),
+    // `dag`/`dag-chaos` (both write the full BENCH_dag.json), and
+    // `chaos-serve` (writes BENCH_chaos.json).
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
     if let Some(bad) = args
@@ -442,9 +424,6 @@ fn main() {
     }
     if want("trace") {
         trace();
-    }
-    if want("bench") {
-        bench(json);
     }
     if want("kernels") {
         kernels(json);

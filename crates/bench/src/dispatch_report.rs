@@ -11,6 +11,7 @@
 
 use crate::tables;
 use madness_cluster::node::{NodeSim, ResourceMode};
+use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::KernelKind;
 use madness_trace::{DispatchSample, MemRecorder};
 
@@ -62,7 +63,14 @@ pub fn dispatch_table1() -> DispatchReport {
     let (static_mode, adaptive_mode) = modes();
     let informed = node.simulate(&s.spec, n_tasks, static_mode);
     let mut rec = MemRecorder::new();
-    let learned = node.simulate_recorded(&s.spec, n_tasks, adaptive_mode, &mut rec);
+    let (learned, _) = node.simulate_faulty(
+        &s.spec,
+        n_tasks,
+        adaptive_mode,
+        &FaultPlan::none(),
+        RecoveryPolicy::default(),
+        &mut rec,
+    );
     DispatchReport {
         history: rec.metrics().dispatch_history().to_vec(),
         static_k: informed.mean_split_k,

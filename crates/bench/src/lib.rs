@@ -2,8 +2,11 @@
 //!
 //! The experiment harness: every table and figure of the CLUSTER 2012
 //! paper's evaluation, regenerated over the simulated cluster
-//! (`tablegen` binary), plus ablation studies of the design choices and
-//! Criterion microbenchmarks of the real host kernels.
+//! (`tablegen` binary), plus ablation studies of the design choices.
+//! Everything here reports simulated time except the span-kernel
+//! shootout ([`kernels_report`]); wall-clock performance of the real
+//! Apply path and of the simulators is measured by the standalone
+//! `benchmark/` package (`BENCHMARK.json`), not by this crate.
 //!
 //! Experiment ↔ module map (per-experiment index in DESIGN.md §4):
 //!
@@ -19,7 +22,6 @@
 //! | Figure 6   | [`figures::fig6`] |
 //! | Ablations  | [`ablation`] |
 //! | Trace      | [`trace_report::trace_table1`] |
-//! | Bench      | [`perf::bench_apply`] |
 //! | Kernels    | [`kernels_report::kernels_table`] |
 //! | Dispatch   | [`dispatch_report::dispatch_table1`] |
 //! | Faults     | [`faults_report::faults_table1`] |
@@ -39,7 +41,6 @@ pub mod dispatch_report;
 pub mod faults_report;
 pub mod figures;
 pub mod kernels_report;
-pub mod perf;
 pub mod serve_report;
 pub mod tables;
 pub mod trace_report;

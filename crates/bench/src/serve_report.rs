@@ -20,7 +20,9 @@
 use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
-use madness_cluster::serve::{RateProfile, ServeConfig, ServeReport, ShedPolicy, TenantSpec};
+use madness_cluster::serve::{
+    RateProfile, ServeConfig, ServeReport, ShedPolicy, SurvivalConfig, TenantSpec,
+};
 use madness_cluster::workload::WorkloadSpec;
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
@@ -197,12 +199,13 @@ pub fn serve_table() -> ServeBenchReport {
     plans[0] = FaultPlan::none().with_straggler(3.0);
     rows.push(ServeRow {
         mode: "steal+straggler",
-        report: sim.run_served_with_faults(
+        report: sim.run_served_survivable(
             &cfg,
             hybrid(),
             steal_mode(),
             &plans,
             RecoveryPolicy::default(),
+            &SurvivalConfig::default(),
             &mut NullRecorder,
         ),
     });

@@ -9,6 +9,7 @@
 //! JSON timeline.
 
 use madness_cluster::node::{NodeReport, NodeSim, ResourceMode};
+use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::KernelKind;
 use madness_trace::{MemRecorder, StageBreakdown};
 
@@ -59,7 +60,14 @@ pub fn trace_table1() -> Vec<TracedRun> {
         .into_iter()
         .map(|(label, mode)| {
             let mut recorder = MemRecorder::new();
-            let report = node.simulate_recorded(&s.spec, n_tasks, mode, &mut recorder);
+            let (report, _) = node.simulate_faulty(
+                &s.spec,
+                n_tasks,
+                mode,
+                &FaultPlan::none(),
+                RecoveryPolicy::default(),
+                &mut recorder,
+            );
             let breakdown = recorder.breakdown(report.total.as_nanos());
             TracedRun {
                 label,

@@ -34,14 +34,12 @@
 //! and fault plans compose: a quarantined-GPU or straggler node
 //! calibrates slow and naturally becomes a steal victim.
 
-use crate::cluster::{ClusterReport, ClusterSim};
+use crate::cluster::{ClusterReport, ClusterSim, NodeLoad};
 use crate::des::Des;
 use crate::network::Interconnect;
 use crate::node::{FaultSummary, NodeRate, ResourceMode};
 use crate::workload::TaskPopulation;
-use madness_faults::{
-    FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy,
-};
+use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_trace::{BalanceEvent, BalanceKind, Recorder, Stage};
@@ -136,13 +134,13 @@ enum Ev {
     /// The batch in service on `node` completed (or the node spun up).
     BatchDone(usize),
     /// A migration of `tasks` tasks landed on `to`.
-    Arrive { to: usize, from: usize, tasks: u64 },
-    /// Repartition sync point (the index is informational).
-    Epoch(#[allow(dead_code)] u32),
+    Arrive { to: usize, tasks: u64 },
+    /// Repartition sync point.
+    Epoch,
 }
 
 /// Full cluster state threaded through the event loop.
-struct BalCluster<'a> {
+struct BalCluster<'a, R: Recorder> {
     nodes: Vec<BalNode>,
     des: Des<Ev>,
     net: Interconnect,
@@ -152,31 +150,7 @@ struct BalCluster<'a> {
     mode: BalanceMode,
     inflight: usize,
     report: BalanceReport,
-    rec: &'a mut dyn DynRecorder,
-}
-
-/// Object-safe shim over [`Recorder`] so the event loop is not generic
-/// over it (the hot path here is decision logic, not journaling).
-trait DynRecorder {
-    fn enabled(&self) -> bool;
-    fn span(&mut self, stage: Stage, start_ns: u64, end_ns: u64, lane: u32);
-    fn balance_event(&mut self, ev: BalanceEvent);
-    fn add(&mut self, counter: &'static str, delta: u64);
-}
-
-impl<R: Recorder> DynRecorder for R {
-    fn enabled(&self) -> bool {
-        R::ENABLED
-    }
-    fn span(&mut self, stage: Stage, start_ns: u64, end_ns: u64, lane: u32) {
-        Recorder::span(self, stage, start_ns, end_ns, lane);
-    }
-    fn balance_event(&mut self, ev: BalanceEvent) {
-        Recorder::balance_event(self, ev);
-    }
-    fn add(&mut self, counter: &'static str, delta: u64) {
-        Recorder::add(self, counter, delta);
-    }
+    rec: &'a mut R,
 }
 
 /// Per-node outcome of the DES: what it executed and when it finished.
@@ -186,7 +160,7 @@ struct NodeOutcome {
     finish: SimTime,
 }
 
-impl<'a> BalCluster<'a> {
+impl<R: Recorder> BalCluster<'_, R> {
     /// Per-node injection time if the node ends up with `tasks` tasks —
     /// the network component of its finish estimate.
     fn inj(&self, tasks: u64) -> SimTime {
@@ -273,7 +247,6 @@ impl<'a> BalCluster<'a> {
                     arrive,
                     Ev::Arrive {
                         to: thief,
-                        from: v,
                         tasks: a,
                     },
                 );
@@ -302,7 +275,7 @@ impl<'a> BalCluster<'a> {
         arrive: SimTime,
         decided: SimTime,
     ) {
-        if !self.rec.enabled() {
+        if !R::ENABLED {
             return;
         }
         self.rec.span(
@@ -386,14 +359,7 @@ impl<'a> BalCluster<'a> {
                 let wire = self.net.model().migration_time(a, self.bytes_per_task);
                 let (lane, start, arrive) = self.net.migrate(now, a, self.bytes_per_task);
                 self.nodes[from].queue -= a;
-                self.des.schedule(
-                    arrive,
-                    Ev::Arrive {
-                        to: *to,
-                        from,
-                        tasks: a,
-                    },
-                );
+                self.des.schedule(arrive, Ev::Arrive { to: *to, tasks: a });
                 self.journal_migration(
                     BalanceKind::Repartition,
                     from,
@@ -439,9 +405,13 @@ impl<'a> BalCluster<'a> {
                         self.try_steal(i, now);
                     }
                 }
-                Ev::Arrive { to, from, tasks } => {
-                    let _ = from;
-                    self.inflight = self.inflight.saturating_sub(1);
+                Ev::Arrive { to, tasks } => {
+                    // Only steals hold an in-flight slot; repartition
+                    // migrations land here too.
+                    if matches!(self.mode, BalanceMode::Steal { .. }) {
+                        debug_assert!(self.inflight > 0, "a steal landed without a slot");
+                        self.inflight -= 1;
+                    }
                     self.nodes[to].awaiting = false;
                     self.nodes[to].queue += tasks;
                     if self.nodes[to].busy_until <= now {
@@ -458,7 +428,7 @@ impl<'a> BalCluster<'a> {
                         }
                     }
                 }
-                Ev::Epoch(_) => self.epoch(now),
+                Ev::Epoch => self.epoch(now),
             }
         }
         self.nodes
@@ -475,8 +445,8 @@ impl<'a> BalCluster<'a> {
 }
 
 impl ClusterSim {
-    /// [`ClusterSim::run_recorded`] under a [`BalanceMode`]: the whole
-    /// cluster advances through one discrete-event simulation, so
+    /// A traced, fault-free cluster run under a [`BalanceMode`]: the
+    /// whole cluster advances through one discrete-event simulation, so
     /// drained nodes can steal batched work (or epochs can repartition
     /// it) with migration cost charged through the contention-aware
     /// interconnect. `Static` reproduces the per-node baseline inside
@@ -523,29 +493,8 @@ impl ClusterSim {
         let spec = population.spec;
         let n = population.per_node.len();
         let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
-        let none = FaultPlan::none();
-
-        // Calibration: healthy nodes share one rate; each faulty plan
-        // calibrates with its injector active.
-        let healthy = self.node().calibrate(&spec, mode, &none, policy);
-        let rates: Vec<NodeRate> = (0..n)
-            .map(|i| {
-                let plan = plans.get(i).unwrap_or(&none);
-                if FaultInjector::new(plan).is_inert() {
-                    healthy
-                } else {
-                    if R::ENABLED && plan.straggler_multiplier() != 1.0 {
-                        rec.fault(FaultEvent {
-                            kind: FaultKind::SlowNode,
-                            action: FaultAction::Injected,
-                            at_ns: 0,
-                            tasks: population.per_node[i],
-                        });
-                    }
-                    self.node().calibrate(&spec, mode, plan, policy)
-                }
-            })
-            .collect();
+        let (_, rates) =
+            self.calibrate_nodes(&spec, mode, plans, policy, &population.per_node, rec);
 
         // Seed the DES: every node spins up at its startup time with its
         // static partition queued.
@@ -576,7 +525,7 @@ impl ClusterSim {
                 .unwrap_or(SimTime::ZERO);
             let interval = horizon / (u64::from(epochs) + 1);
             for e in 0..epochs {
-                des.schedule(interval * (u64::from(e) + 1), Ev::Epoch(e));
+                des.schedule(interval * (u64::from(e) + 1), Ev::Epoch);
             }
         }
         let batch_cap = (self.node().params().batch.max_batch as u64).max(1);
@@ -604,65 +553,21 @@ impl ClusterSim {
         // DES finish time overrides the isolated total. Network
         // injection (plus fault-plan message-drop retransmits) rides on
         // the executed counts exactly as in `run_with_faults`.
-        let mut summaries = Vec::with_capacity(n);
-        let mut total = SimTime::ZERO;
-        let mut slowest = 0usize;
-        let mut network_time = SimTime::ZERO;
-        let mut reports = Vec::with_capacity(n);
-        for (i, out) in outcomes.iter().enumerate() {
-            let plan = plans.get(i).unwrap_or(&none);
-            let (mut report, mut summary) =
-                self.node()
-                    .simulate_faulty(&spec, out.executed, mode, plan, policy, rec);
-            report.total = out.finish;
-            let (msgs, bytes, net) = self.network().injection(out.executed, result_bytes);
-            let mut net_inj = FaultInjector::new(plan);
-            let dropped = net_inj.dropped_messages(msgs, report.total.as_nanos());
-            let net = if dropped > 0 {
-                summary.dropped_messages += dropped;
-                let per_msg = if msgs > 0 {
-                    SimTime::from_secs_f64(bytes as f64 / msgs as f64 / self.network().bandwidth)
-                } else {
-                    SimTime::ZERO
+        let none = FaultPlan::none();
+        let finished = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, out)| {
+                let load = NodeLoad {
+                    n_tasks: out.executed,
+                    plan: plans.get(i).unwrap_or(&none),
+                    des_finish: Some(out.finish),
                 };
-                let retrans = (self.network().latency * 2 + per_msg) * dropped;
-                if R::ENABLED {
-                    rec.fault(FaultEvent {
-                        kind: FaultKind::DroppedMessage,
-                        action: FaultAction::Resent,
-                        at_ns: (report.total + net).as_nanos(),
-                        tasks: dropped,
-                    });
-                }
-                net + retrans
-            } else {
-                net
-            };
-            if R::ENABLED && msgs > 0 {
-                rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
-                rec.add("net_msgs_sent", msgs);
-                rec.add("net_bytes_sent", bytes);
-            }
-            let node_total = report.total.max(net);
-            if node_total > total {
-                total = node_total;
-                slowest = i;
-            }
-            network_time = network_time.max(net);
-            reports.push(report);
-            summaries.push(summary);
-        }
-        (
-            ClusterReport {
-                total,
-                nodes: reports,
-                slowest_node: slowest,
-                network_time,
-                total_tasks: population.total(),
-            },
-            bal,
-            summaries,
-        )
+                self.finish_node(&spec, mode, policy, &load, rec)
+            })
+            .collect();
+        let (report, summaries) = self.reduce(finished, population);
+        (report, bal, summaries)
     }
 }
 

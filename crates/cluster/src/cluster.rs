@@ -1,13 +1,13 @@
 //! Whole-cluster simulation: partition, per-node pipelines, makespan.
 
 use crate::network::NetworkModel;
-use crate::node::{FaultSummary, NodeReport, NodeSim, ResourceMode};
-use crate::workload::TaskPopulation;
+use crate::node::{FaultSummary, NodeRate, NodeReport, NodeSim, ResourceMode};
+use crate::workload::{TaskPopulation, WorkloadSpec};
 use madness_faults::{
     FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy,
 };
 use madness_gpusim::SimTime;
-use madness_trace::{Recorder, Stage};
+use madness_trace::{NullRecorder, Recorder, Stage};
 use rayon::prelude::*;
 
 /// Aggregate result of a cluster run.
@@ -71,52 +71,25 @@ impl ClusterSim {
     /// Runs the population under `mode` on every node; the application
     /// finishes when the slowest node does. Network injection overlaps
     /// compute; only any excess beyond compute extends the node's time.
+    /// This is [`ClusterSim::run_with_faults`] untraced and fault-free.
     pub fn run(&self, population: &TaskPopulation, mode: ResourceMode) -> ClusterReport {
-        let spec = population.spec;
-        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
-        let nodes: Vec<(NodeReport, SimTime)> = population
-            .per_node
-            .par_iter()
-            .map(|&n_tasks| {
-                let report = self.node.simulate(&spec, n_tasks, mode);
-                let net = self.network.injection_time(n_tasks, result_bytes);
-                (report, net)
-            })
-            .collect();
-        self.reduce(nodes, population)
+        self.run_with_faults(
+            population,
+            mode,
+            &[],
+            RecoveryPolicy::default(),
+            &mut NullRecorder,
+        )
+        .0
     }
 
-    /// [`ClusterSim::run`] with tracing. Nodes run sequentially (the
-    /// journal is one stream, so there is no parallel map here) and each
-    /// node's pipeline records into `rec`; the per-node remote
+    /// [`ClusterSim::run`] with tracing and per-node fault schedules.
+    ///
+    /// Traced, nodes run sequentially (the journal is one stream) and
+    /// each node's pipeline records into `rec`; the per-node remote
     /// accumulation traffic is journaled as a `NetSend` event at the
-    /// node's finish time. Totals are bit-identical to `run`'s.
-    pub fn run_recorded<R: Recorder>(
-        &self,
-        population: &TaskPopulation,
-        mode: ResourceMode,
-        rec: &mut R,
-    ) -> ClusterReport {
-        let spec = population.spec;
-        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
-        let nodes: Vec<(NodeReport, SimTime)> = population
-            .per_node
-            .iter()
-            .map(|&n_tasks| {
-                let report = self.node.simulate_recorded(&spec, n_tasks, mode, rec);
-                let (msgs, bytes, net) = self.network.injection(n_tasks, result_bytes);
-                if R::ENABLED && msgs > 0 {
-                    rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
-                    rec.add("net_msgs_sent", msgs);
-                    rec.add("net_bytes_sent", bytes);
-                }
-                (report, net)
-            })
-            .collect();
-        self.reduce(nodes, population)
-    }
-
-    /// [`ClusterSim::run_recorded`] under per-node fault schedules.
+    /// node's finish time. Untraced, nodes fan out over the executor.
+    /// The report is bit-identical either way.
     ///
     /// Node `i` runs with `plans[i]` (nodes past the slice's end run
     /// fault-free), recovering per `policy`: GPU-side failures retry
@@ -130,8 +103,7 @@ impl ClusterSim {
     ///
     /// Returns the cluster report plus one [`FaultSummary`] per node;
     /// `summary.conserved(n_tasks)` holds for every node — no task is
-    /// lost or run twice, whatever the schedule. With all-empty plans
-    /// the report is bit-identical to [`ClusterSim::run_recorded`]'s.
+    /// lost or run twice, whatever the schedule.
     pub fn run_with_faults<R: Recorder>(
         &self,
         population: &TaskPopulation,
@@ -141,91 +113,186 @@ impl ClusterSim {
         rec: &mut R,
     ) -> (ClusterReport, Vec<FaultSummary>) {
         let spec = population.spec;
-        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
         let none = FaultPlan::none();
-        let mut summaries = Vec::with_capacity(population.per_node.len());
-        let nodes: Vec<(NodeReport, SimTime)> = population
+        let loads: Vec<NodeLoad> = population
             .per_node
             .iter()
             .enumerate()
-            .map(|(i, &n_tasks)| {
-                let plan = plans.get(i).unwrap_or(&none);
-                if R::ENABLED && plan.straggler_multiplier() != 1.0 {
-                    rec.fault(FaultEvent {
-                        kind: FaultKind::SlowNode,
-                        action: FaultAction::Injected,
-                        at_ns: 0,
-                        tasks: n_tasks,
-                    });
-                }
-                let (report, mut summary) = self
-                    .node
-                    .simulate_faulty(&spec, n_tasks, mode, plan, policy, rec);
-                let (msgs, bytes, net) = self.network.injection(n_tasks, result_bytes);
-                // Message drops ride a fresh injector (the node's own was
-                // consumed by its pipeline): each dropped message is
-                // detected after a round-trip and streamed again.
-                let mut net_inj = FaultInjector::new(plan);
-                let dropped = net_inj.dropped_messages(msgs, report.total.as_nanos());
-                let net = if dropped > 0 {
-                    summary.dropped_messages += dropped;
-                    let per_msg = if msgs > 0 {
-                        SimTime::from_secs_f64(bytes as f64 / msgs as f64 / self.network.bandwidth)
-                    } else {
-                        SimTime::ZERO
-                    };
-                    let retrans = (self.network.latency * 2 + per_msg) * dropped;
-                    if R::ENABLED {
-                        rec.fault(FaultEvent {
-                            kind: FaultKind::DroppedMessage,
-                            action: FaultAction::Resent,
-                            at_ns: (report.total + net).as_nanos(),
-                            tasks: dropped,
-                        });
-                    }
-                    net + retrans
-                } else {
-                    net
-                };
-                if R::ENABLED && msgs > 0 {
-                    rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
-                    rec.add("net_msgs_sent", msgs);
-                    rec.add("net_bytes_sent", bytes);
-                }
-                summaries.push(summary);
-                (report, net)
+            .map(|(i, &n_tasks)| NodeLoad {
+                n_tasks,
+                plan: plans.get(i).unwrap_or(&none),
+                des_finish: None,
             })
             .collect();
-        (self.reduce(nodes, population), summaries)
+        let finished = if R::ENABLED {
+            loads
+                .iter()
+                .map(|load| {
+                    if load.plan.straggler_multiplier() != 1.0 {
+                        rec.fault(slow_node(load.n_tasks));
+                    }
+                    self.finish_node(&spec, mode, policy, load, rec)
+                })
+                .collect()
+        } else {
+            loads
+                .par_iter()
+                .map(|load| self.finish_node(&spec, mode, policy, load, &mut NullRecorder))
+                .collect()
+        };
+        self.reduce(finished, population)
     }
 
-    fn reduce(
+    /// One node's contribution to a cluster run: its pipeline on the
+    /// load's tasks under its plan, then the injection of its remote
+    /// accumulations with dropped messages retransmitted, journaled as a
+    /// `NetSend` at the node's finish.
+    pub(crate) fn finish_node<R: Recorder>(
         &self,
-        nodes: Vec<(NodeReport, SimTime)>,
+        spec: &WorkloadSpec,
+        mode: ResourceMode,
+        policy: RecoveryPolicy,
+        load: &NodeLoad,
+        rec: &mut R,
+    ) -> NodeFinish {
+        let NodeLoad {
+            n_tasks,
+            plan,
+            des_finish,
+        } = *load;
+        let (mut report, mut summary) = self
+            .node
+            .simulate_faulty(spec, n_tasks, mode, plan, policy, rec);
+        if let Some(finish) = des_finish {
+            report.total = finish;
+        }
+        let result_bytes = 8 * (spec.k as u64).pow(spec.d as u32);
+        let (msgs, bytes, mut net) = self.network.injection(n_tasks, result_bytes);
+        // Message drops ride a fresh injector (the node's own was
+        // consumed by its pipeline): each dropped message is detected
+        // after a round-trip and streamed again.
+        let dropped = FaultInjector::new(plan).dropped_messages(msgs, report.total.as_nanos());
+        if dropped > 0 {
+            summary.dropped_messages += dropped;
+            let per_msg =
+                SimTime::from_secs_f64(bytes as f64 / msgs as f64 / self.network.bandwidth);
+            if R::ENABLED {
+                rec.fault(FaultEvent {
+                    kind: FaultKind::DroppedMessage,
+                    action: FaultAction::Resent,
+                    at_ns: (report.total + net).as_nanos(),
+                    tasks: dropped,
+                });
+            }
+            net += (self.network.latency * 2 + per_msg) * dropped;
+        }
+        if R::ENABLED && msgs > 0 {
+            rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
+            rec.add("net_msgs_sent", msgs);
+            rec.add("net_bytes_sent", bytes);
+        }
+        NodeFinish {
+            report,
+            net,
+            summary,
+        }
+    }
+
+    /// The makespan reduction over the finished nodes.
+    pub(crate) fn reduce(
+        &self,
+        finished: Vec<NodeFinish>,
         population: &TaskPopulation,
-    ) -> ClusterReport {
+    ) -> (ClusterReport, Vec<FaultSummary>) {
         let mut total = SimTime::ZERO;
         let mut slowest = 0usize;
         let mut network_time = SimTime::ZERO;
-        let mut reports = Vec::with_capacity(nodes.len());
-        for (i, (report, net)) in nodes.into_iter().enumerate() {
+        let mut reports = Vec::with_capacity(finished.len());
+        let mut summaries = Vec::with_capacity(finished.len());
+        for (i, node) in finished.into_iter().enumerate() {
             // Injection overlaps the pipeline; a node only waits if the
             // network needs longer than its own compute tail.
-            let node_total = report.total.max(net);
+            let node_total = node.report.total.max(node.net);
             if node_total > total {
                 total = node_total;
                 slowest = i;
             }
-            network_time = network_time.max(net);
-            reports.push(report);
+            network_time = network_time.max(node.net);
+            reports.push(node.report);
+            summaries.push(node.summary);
         }
-        ClusterReport {
+        let report = ClusterReport {
             total,
             nodes: reports,
             slowest_node: slowest,
             network_time,
             total_tasks: population.total(),
-        }
+        };
+        (report, summaries)
+    }
+
+    /// Calibrates one node per entry of `slow_tasks` under its plan, for
+    /// the cluster-level DES engines ([`crate::balance`],
+    /// [`crate::serve`]): healthy nodes share one rate; each faulty plan
+    /// calibrates with its injector active, and a straggler is journaled
+    /// as a `SlowNode` fault carrying the node's `slow_tasks` entry.
+    /// Returns the healthy rate and the per-node rates.
+    pub(crate) fn calibrate_nodes<R: Recorder>(
+        &self,
+        spec: &WorkloadSpec,
+        mode: ResourceMode,
+        plans: &[FaultPlan],
+        policy: RecoveryPolicy,
+        slow_tasks: &[u64],
+        rec: &mut R,
+    ) -> (NodeRate, Vec<NodeRate>) {
+        let none = FaultPlan::none();
+        let healthy = self.node.calibrate(spec, mode, &none, policy);
+        let rates = slow_tasks
+            .iter()
+            .enumerate()
+            .map(|(i, &tasks)| {
+                let plan = plans.get(i).unwrap_or(&none);
+                if FaultInjector::new(plan).is_inert() {
+                    return healthy;
+                }
+                if R::ENABLED && plan.straggler_multiplier() != 1.0 {
+                    rec.fault(slow_node(tasks));
+                }
+                self.node.calibrate(spec, mode, plan, policy)
+            })
+            .collect();
+        (healthy, rates)
+    }
+}
+
+/// One node's share of a cluster run ([`ClusterSim::finish_node`]).
+pub(crate) struct NodeLoad<'a> {
+    pub(crate) n_tasks: u64,
+    pub(crate) plan: &'a FaultPlan,
+    /// The finish time a cluster-level DES already settled for the node
+    /// ([`ClusterSim::run_balanced_with_faults`]); overrides the
+    /// isolated pipeline's total.
+    pub(crate) des_finish: Option<SimTime>,
+}
+
+/// What one node hands the makespan reduction
+/// ([`ClusterSim::finish_node`]).
+pub(crate) struct NodeFinish {
+    report: NodeReport,
+    /// Injection time of the node's remote accumulations, retransmits
+    /// included.
+    net: SimTime,
+    summary: FaultSummary,
+}
+
+/// The journal entry announcing a straggler node.
+fn slow_node(tasks: u64) -> FaultEvent {
+    FaultEvent {
+        kind: FaultKind::SlowNode,
+        action: FaultAction::Injected,
+        at_ns: 0,
+        tasks,
     }
 }
 
@@ -309,30 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn all_empty_plans_match_run_recorded() {
-        use madness_trace::NullRecorder;
-        let s = sim();
-        let pop = TaskPopulation::even(spec(), 12_000, 4);
-        let base = s.run_recorded(&pop, hybrid(), &mut NullRecorder);
-        let plans = vec![FaultPlan::none(); 4];
-        let (faulty, sums) = s.run_with_faults(
-            &pop,
-            hybrid(),
-            &plans,
-            RecoveryPolicy::default(),
-            &mut NullRecorder,
-        );
-        assert_eq!(base.total, faulty.total, "empty plans must be inert");
-        assert_eq!(base.slowest_node, faulty.slowest_node);
-        assert_eq!(base.nodes, faulty.nodes);
-        for (sum, &n) in sums.iter().zip(&pop.per_node) {
-            assert!(sum.conserved(n), "{sum:?}");
-        }
-    }
-
-    #[test]
     fn straggler_node_becomes_critical() {
-        use madness_trace::NullRecorder;
         let s = sim();
         let pop = TaskPopulation::even(spec(), 12_000, 4);
         let clean = s.run(&pop, hybrid()).total;

@@ -66,11 +66,6 @@ impl<E> Des<E> {
         self.seq += 1;
     }
 
-    /// Schedules `payload` after a delay from now.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Advances the clock to `t` for an event delivered from outside
     /// the heap (a pre-sorted stream merged with [`Des::pop`]), so
     /// [`Des::schedule`] keeps rejecting the past.
@@ -234,49 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut des: Des<&str> = Des::new();
-        des.schedule(SimTime::from_micros(10), "first");
-        des.pop();
-        des.schedule_in(SimTime::from_micros(5), "second");
-        let (t, _) = des.pop().unwrap();
-        assert_eq!(t, SimTime::from_micros(15));
-    }
-
-    #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_panics() {
         let mut des: Des<()> = Des::new();
         des.schedule(SimTime::from_micros(10), ());
         des.pop();
         des.schedule(SimTime::from_micros(5), ());
-    }
-
-    #[test]
-    fn schedule_in_keeps_same_timestamp_events_fifo() {
-        // A zero delay lands in the current tick, behind everything
-        // already scheduled for it.
-        let mut des: Des<u32> = Des::new();
-        let t = SimTime::from_micros(5);
-        des.schedule(t, 0);
-        des.schedule(t, 1);
-        assert_eq!(des.pop(), Some((t, 0)));
-        des.schedule_in(SimTime::ZERO, 2);
-        des.schedule(t, 3);
-        let order: Vec<u32> = std::iter::from_fn(|| des.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn schedule_in_cannot_wrap_into_the_past() {
-        // The only past a relative delay can reach is through clock
-        // overflow: the add panics where overflow checks are on, and
-        // where it wraps, `schedule`'s guard rejects the result.
-        let mut des: Des<()> = Des::new();
-        des.schedule(SimTime::from_micros(10), ());
-        des.pop();
-        des.schedule_in(SimTime::from_nanos(u64::MAX), ());
     }
 
     #[test]

@@ -82,8 +82,19 @@ pub enum ResourceMode {
     },
 }
 
-/// Tunable pipeline parameters (calibration record in EXPERIMENTS.md).
-#[derive(Clone, Debug)]
+/// Data-intensive work (preprocess + postprocess) per task, as a
+/// fraction of that task's full CPU compute time (calibration record in
+/// EXPERIMENTS.md).
+const DATA_FRACTION: f64 = 0.12;
+
+/// Data work is memory-bound: it scales only to this many threads.
+const DATA_THREADS_CAP: usize = 4;
+
+/// Dispatcher cost to rearrange one task into the transfer buffers.
+const DISPATCH_PER_TASK: SimTime = SimTime::from_micros(15);
+
+/// The hardware and batching a node runs with.
+#[derive(Clone, Debug, Default)]
 pub struct NodeParams {
     /// CPU timing model.
     pub cpu: CpuModel,
@@ -91,26 +102,6 @@ pub struct NodeParams {
     pub gpu: DeviceSpec,
     /// Batch flush policy.
     pub batch: BatcherConfig,
-    /// Data-intensive work (preprocess + postprocess) per task, as a
-    /// fraction of that task's full CPU compute time.
-    pub data_fraction: f64,
-    /// Data work is memory-bound: it scales only to this many threads.
-    pub data_threads_cap: usize,
-    /// Dispatcher cost to rearrange one task into the transfer buffers.
-    pub dispatch_per_task: SimTime,
-}
-
-impl Default for NodeParams {
-    fn default() -> Self {
-        NodeParams {
-            cpu: CpuModel::default(),
-            gpu: DeviceSpec::default(),
-            batch: BatcherConfig::default(),
-            data_fraction: 0.12,
-            data_threads_cap: 4,
-            dispatch_per_task: SimTime::from_micros(15),
-        }
-    }
 }
 
 /// Timing report of one node's run.
@@ -205,9 +196,9 @@ struct FaultCtx {
     health: HealthTracker,
     policy: RecoveryPolicy,
     summary: FaultSummary,
-    /// False for the inert context the fault-free entry points use: all
+    /// False under an inert plan (the fault-free entry points): all
     /// recovery machinery (gates, watchdog, timeout detection) is
-    /// bypassed so those paths stay bit-identical to before it existed.
+    /// bypassed so those runs stay bit-identical to before it existed.
     active: bool,
 }
 
@@ -221,10 +212,6 @@ impl FaultCtx {
             policy,
             summary: FaultSummary::default(),
         }
-    }
-
-    fn inert() -> Self {
-        FaultCtx::new(&FaultPlan::none(), RecoveryPolicy::default())
     }
 }
 
@@ -258,48 +245,46 @@ impl NodeSim {
     /// Per-task data-intensive time (preprocess + postprocess).
     fn data_per_task(&self, spec: &WorkloadSpec) -> SimTime {
         let full = self.params.cpu.task_time(spec.task_flops(), spec.d, spec.k);
-        full * self.params.data_fraction
+        full * DATA_FRACTION
     }
 
     /// Effective parallel throughput divisor for data threads.
     fn data_eff(&self, threads: usize) -> f64 {
         self.params
             .cpu
-            .effective_threads(threads.clamp(1, self.params.data_threads_cap))
+            .effective_threads(threads.clamp(1, DATA_THREADS_CAP))
     }
 
     /// Simulates `n_tasks` homogeneous tasks; returns the timing report.
+    /// This is [`NodeSim::simulate_faulty`] untraced and fault-free.
     pub fn simulate(&self, spec: &WorkloadSpec, n_tasks: u64, mode: ResourceMode) -> NodeReport {
-        self.simulate_recorded(spec, n_tasks, mode, &mut NullRecorder)
+        self.simulate_faulty(
+            spec,
+            n_tasks,
+            mode,
+            &FaultPlan::none(),
+            RecoveryPolicy::default(),
+            &mut NullRecorder,
+        )
+        .0
     }
 
-    /// [`NodeSim::simulate`] with tracing: journals every pipeline stage
-    /// (preprocess, batch flushes, dispatch, transfers, kernels, CPU
-    /// compute, postprocess) into `rec` along with the batcher/cache/pool
-    /// counters and the dispatcher's split-ratio history. The report is
-    /// bit-identical to `simulate`'s regardless of the recorder.
-    pub fn simulate_recorded<R: Recorder>(
-        &self,
-        spec: &WorkloadSpec,
-        n_tasks: u64,
-        mode: ResourceMode,
-        rec: &mut R,
-    ) -> NodeReport {
-        self.simulate_inner(spec, n_tasks, mode, rec, &mut FaultCtx::inert())
-    }
-
-    /// [`NodeSim::simulate_recorded`] under a fault plan: faults from
-    /// `plan` are injected into the pipeline, and the node recovers per
-    /// `policy` — failed GPU batches retry with capped exponential
-    /// backoff, exhausted retries fall back to the CPU, repeated
-    /// failures quarantine the device behind a probing re-admission
-    /// gate, and a straggler multiplier slows the whole node. Every
-    /// fault/retry/fallback/quarantine/re-admission is journaled through
-    /// `rec` as a [`FaultEvent`].
+    /// [`NodeSim::simulate`] with tracing and a fault plan.
     ///
-    /// With [`FaultPlan::none`] the report is bit-identical to
-    /// [`NodeSim::simulate_recorded`]'s (pinned by the
-    /// `fault_free_identity` integration tests).
+    /// Tracing journals every pipeline stage (preprocess, batch flushes,
+    /// dispatch, transfers, kernels, CPU compute, postprocess) into `rec`
+    /// along with the batcher/cache/pool counters and the dispatcher's
+    /// split-ratio history; the report is bit-identical whatever the
+    /// recorder.
+    ///
+    /// Faults from `plan` are injected into the pipeline, and the node
+    /// recovers per `policy` — failed GPU batches retry with capped
+    /// exponential backoff, exhausted retries fall back to the CPU,
+    /// repeated failures quarantine the device behind a probing
+    /// re-admission gate, and a straggler multiplier slows the whole
+    /// node. Every fault/retry/fallback/quarantine/re-admission is
+    /// journaled through `rec` as a [`FaultEvent`]. [`FaultPlan::none`]
+    /// bypasses all of it: that is how `simulate` runs.
     pub fn simulate_faulty<R: Recorder>(
         &self,
         spec: &WorkloadSpec,
@@ -500,7 +485,7 @@ impl NodeSim {
         let data_each = self.data_per_task(spec);
         let pre_each = data_each * 0.6;
         let post_each = data_each * 0.4;
-        let data_lanes = data_threads.clamp(1, p.data_threads_cap);
+        let data_lanes = data_threads.clamp(1, DATA_THREADS_CAP);
         // Memory-bound data threads: lanes beyond the cap add nothing;
         // contention inside the cap comes from the CPU model.
         let lane_slowdown = data_lanes as f64 / self.params.cpu.effective_threads(data_lanes);
@@ -660,7 +645,7 @@ impl NodeSim {
             if gpu_n > 0 {
                 let (disp_start, disp_end) = dispatcher.serve(
                     release.max(pool_ready),
-                    (p.dispatch_per_task * gpu_n).scale(straggler),
+                    (DISPATCH_PER_TASK * gpu_n).scale(straggler),
                 );
                 if R::ENABLED {
                     rec.span(
@@ -1125,41 +1110,6 @@ mod tests {
             data_threads: 5,
             streams: 5,
             kernel: KernelKind::CustomMtxmq,
-        }
-    }
-
-    #[test]
-    fn empty_plan_is_bit_identical_and_conserves() {
-        let s = spec_3d_k10();
-        let sm = sim();
-        for mode in [
-            ResourceMode::CpuOnly { threads: 16 },
-            ResourceMode::GpuOnly {
-                streams: 5,
-                kernel: KernelKind::CustomMtxmq,
-                data_threads: 12,
-            },
-            hybrid(),
-            ResourceMode::AdaptiveHybrid {
-                compute_threads: 10,
-                data_threads: 5,
-                streams: 5,
-                kernel: KernelKind::CustomMtxmq,
-            },
-        ] {
-            let baseline = sm.simulate(&s, 4_000, mode);
-            let (faulty, sum) = sm.simulate_faulty(
-                &s,
-                4_000,
-                mode,
-                &FaultPlan::none(),
-                RecoveryPolicy::default(),
-                &mut NullRecorder,
-            );
-            assert_eq!(baseline, faulty, "empty plan must be inert: {mode:?}");
-            assert!(sum.conserved(4_000), "{sum:?}");
-            assert_eq!(sum.gpu_task_failures, 0);
-            assert_eq!(sum.quarantines, 0);
         }
     }
 

@@ -9,6 +9,7 @@
 
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
 use madness_cluster::workload::WorkloadSpec;
+use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::KernelKind;
 use madness_trace::MemRecorder;
 
@@ -67,7 +68,14 @@ fn adaptive_trajectory_probes_then_settles_near_static_k() {
 
     let informed = sim.simulate(&spec, n_tasks, static_mode());
     let mut rec = MemRecorder::new();
-    let learned = sim.simulate_recorded(&spec, n_tasks, adaptive_mode(), &mut rec);
+    let (learned, _) = sim.simulate_faulty(
+        &spec,
+        n_tasks,
+        adaptive_mode(),
+        &FaultPlan::none(),
+        RecoveryPolicy::default(),
+        &mut rec,
+    );
 
     let history = rec.metrics().dispatch_history();
     assert_eq!(history.len() as u64, learned.n_batches);

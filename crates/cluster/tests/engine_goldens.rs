@@ -1,13 +1,19 @@
-//! Cross-commit golden pins for the two online engines (ISSUE 12).
+//! Cross-commit golden pins for the online engines (ISSUE 12) and the
+//! batch simulators (ISSUE 15).
 //!
 //! The replay tests elsewhere compare a run to *itself*; they cannot
-//! see a scheduler rewrite that changes every run the same way. These
-//! pins compare the engines to the commit that preceded the
-//! ready-frontier / streamed-arrival rewrite: the constants below were
-//! captured on that commit (the all-tasks scan, the pre-loaded arrival
-//! heap) and the old loops were then deleted. Each scenario pins the
-//! full report (`{:?}`) and an FNV-1a hash of the `MemRecorder` trace
-//! JSON, so every simulated number and every journal byte is covered.
+//! see a rewrite that changes every run the same way. These pins compare
+//! the engines to the commit that preceded a rewrite. The DAG and serve
+//! constants were captured before the ready-frontier / streamed-arrival
+//! rewrite (the all-tasks scan, the pre-loaded arrival heap), the batch
+//! constants before `ClusterSim::run` / `run_recorded` /
+//! `run_with_faults` and the balanced fidelity pass — four hand-copied
+//! per-node bodies — collapsed into one; "cluster traced fault-free" was
+//! captured from `run_recorded`, which no longer exists, so it is also
+//! the fault-free identity pin of the surviving fault-aware body. Each
+//! scenario pins the full report (`{:?}`) and an FNV-1a hash of the
+//! `MemRecorder` trace JSON, so every simulated number and every journal
+//! byte is covered.
 //!
 //! A change that *means* to move simulated numbers regenerates the
 //! table with
@@ -27,7 +33,7 @@ use madness_cluster::node::{NodeParams, NodeRate, NodeSim, ResourceMode};
 use madness_cluster::serve::{
     HedgeConfig, RateProfile, ServeConfig, ShedPolicy, SurvivalConfig, TenantSpec,
 };
-use madness_cluster::workload::WorkloadSpec;
+use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, NodeFault, NodeTimeline, RecoveryPolicy};
 use madness_gpusim::{KernelKind, SimTime};
@@ -311,9 +317,87 @@ fn serve_goldens() -> Vec<Golden> {
     out
 }
 
+// ---------------------------------------------------------------------
+// Batch-simulator scenarios (NodeSim, ClusterSim::run*, run_balanced*)
+// ---------------------------------------------------------------------
+
+/// Eight nodes, one of them idle, the rest between 60 and 9,000 tasks.
+fn lumpy_population() -> TaskPopulation {
+    TaskPopulation {
+        spec: spec(),
+        per_node: vec![9_000, 300, 4_200, 0, 6_100, 1_500, 7_700, 60],
+    }
+}
+
+/// Node 2 straggles 3×, node 4 drops half its accumulation messages.
+fn batch_plans() -> Vec<FaultPlan> {
+    let mut plans = vec![FaultPlan::none(); 8];
+    plans[2] = FaultPlan::none().with_straggler(3.0);
+    plans[4] = FaultPlan::seeded(9).with_message_drop_rate(0.5);
+    plans
+}
+
+fn batch_goldens() -> Vec<Golden> {
+    let policy = RecoveryPolicy::default();
+    let pop = lumpy_population();
+    let mut out = Vec::new();
+
+    let mut rec = MemRecorder::new();
+    let node = sim().node().simulate_faulty(
+        &spec(),
+        6_000,
+        hybrid(),
+        &FaultPlan::seeded(0x0020_12C1).with_launch_fail_rate(0.005),
+        policy,
+        &mut rec,
+    );
+    assert!(node.1.conserved(6_000) && node.1.gpu_task_failures > 0);
+    out.push((
+        "node hybrid 0.5% launch faults",
+        format!("{node:?}"),
+        fnv1a(&rec.to_json()),
+    ));
+
+    let mut rec = MemRecorder::new();
+    let (report, _) = sim().run_with_faults(&pop, hybrid(), &[], policy, &mut rec);
+    out.push((
+        "cluster traced fault-free",
+        format!("{report:?}"),
+        fnv1a(&rec.to_json()),
+    ));
+
+    let mut rec = MemRecorder::new();
+    let faulty = sim().run_with_faults(&pop, hybrid(), &batch_plans(), policy, &mut rec);
+    assert!(
+        faulty.0.slowest_node == 2 && faulty.1[4].dropped_messages > 0,
+        "the faulted pin must exercise the straggler and the retransmits: {faulty:?}"
+    );
+    out.push((
+        "cluster straggler + message drops",
+        format!("{faulty:?}"),
+        fnv1a(&rec.to_json()),
+    ));
+
+    for (name, bmode) in [
+        ("balanced steal + faults", steal()),
+        (
+            "balanced repartition + faults",
+            BalanceMode::Repartition { epochs: 4 },
+        ),
+    ] {
+        let mut rec = MemRecorder::new();
+        let balanced =
+            sim().run_balanced_with_faults(&pop, hybrid(), bmode, &batch_plans(), policy, &mut rec);
+        assert!(balanced.1.migrated_tasks > 0, "{name}: {balanced:?}");
+        out.push((name, format!("{balanced:?}"), fnv1a(&rec.to_json())));
+    }
+    out
+}
+
 fn goldens() -> Vec<Golden> {
     let mut all = dag_goldens();
     all.extend(serve_goldens());
+    all.extend(batch_goldens());
     all
 }
 
@@ -384,5 +468,30 @@ const GOLDENS: &[(&str, &str, u64)] = &[
         "serve crash + hedge",
         "ServeReport { generated: 274, admitted: 274, completed: 274, rejected: 0, shed: 0, horizon: 40.000ms, makespan: 75.707ms, overall: LatencyStats { count: 274, p50: 17.512ms, p99: 45.780ms, p999: 58.654ms, max: 58.654ms, mean: 17.833ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 139, completed: 139, rejected: 0, shed: 0, slo_met: 106, slo_attainment: 0.762589928057554, latency: LatencyStats { count: 139, p50: 3.214ms, p99: 26.161ms, p999: 28.828ms, max: 28.828ms, mean: 6.537ms } }, TenantReport { tenant: TenantId(2), generated: 135, completed: 135, rejected: 0, shed: 0, slo_met: 21, slo_attainment: 0.15555555555555556, latency: LatencyStats { count: 135, p50: 31.202ms, p99: 45.885ms, p999: 58.654ms, max: 58.654ms, mean: 29.464ms } }], kinds: [KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, latency: LatencyStats { count: 27, p50: 3.256ms, p99: 7.301ms, p999: 7.301ms, max: 7.301ms, mean: 3.395ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(2) }, latency: LatencyStats { count: 35, p50: 40.433ms, p99: 58.654ms, p999: 58.654ms, max: 58.654ms, mean: 35.539ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(1) }, latency: LatencyStats { count: 36, p50: 14.786ms, p99: 28.828ms, p999: 28.828ms, max: 28.828ms, mean: 17.094ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(2) }, latency: LatencyStats { count: 38, p50: 32.819ms, p99: 36.484ms, p999: 36.484ms, max: 36.484ms, mean: 28.610ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(1) }, latency: LatencyStats { count: 34, p50: 2.125ms, p99: 4.350ms, p999: 4.350ms, max: 4.350ms, mean: 2.391ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(2) }, latency: LatencyStats { count: 34, p50: 27.757ms, p99: 37.055ms, p999: 37.055ms, max: 37.055ms, mean: 25.152ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(1) }, latency: LatencyStats { count: 42, p50: 2.867ms, p99: 4.137ms, p999: 4.137ms, max: 4.137ms, mean: 2.865ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(2) }, latency: LatencyStats { count: 28, p50: 31.199ms, p99: 35.678ms, p999: 35.678ms, max: 35.678ms, mean: 28.265ms } }], steals: 4, blocked_steals: 0, migrated_tasks: 656, migrated_bytes: 5248000, migration_wire: 1.314ms, hedges_launched: 127, cancelled_hedges: 127, recovered_requests: 4, node_crashes: 1, rejoins: 0, breaker_trips: 2, brownout_engagements: 0, degraded_tasks: 0 }",
         0x9fc1f68da9c6b6f8,
+    ),
+    (
+        "node hybrid 0.5% launch faults",
+        "(NodeReport { total: 625.169ms, cpu_compute: 588.212ms, gpu_busy: 620.977ms, data_busy: 946.380ms, dispatch_busy: 43.500ms, n_batches: 100, mean_split_k: 0.5177749753365076 }, FaultSummary { gpu_task_failures: 10, gpu_retries: 9, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 2900, completed_cpu: 3100, lost: 0, dropped_messages: 0 })",
+        0xc7b3cf9afa238705,
+    ),
+    (
+        "cluster traced fault-free",
+        "ClusterReport { total: 921.032ms, nodes: [NodeReport { total: 921.032ms, cpu_compute: 882.318ms, gpu_busy: 917.651ms, data_busy: 1.420s, dispatch_busy: 65.250ms, n_batches: 150, mean_split_k: 0.5177749753365076 }, NodeReport { total: 34.016ms, cpu_compute: 29.411ms, gpu_busy: 30.635ms, data_busy: 47.319ms, dispatch_busy: 2.175ms, n_batches: 5, mean_split_k: 0.5177749753365072 }, NodeReport { total: 431.644ms, cpu_compute: 411.748ms, gpu_busy: 428.263ms, data_busy: 662.466ms, dispatch_busy: 30.450ms, n_batches: 70, mean_split_k: 0.5177749753365075 }, NodeReport { total: 0ns, cpu_compute: 0ns, gpu_busy: 0ns, data_busy: 0ns, dispatch_busy: 0ns, n_batches: 0, mean_split_k: 0.0 }, NodeReport { total: 625.049ms, cpu_compute: 598.079ms, gpu_busy: 621.983ms, data_busy: 962.153ms, dispatch_busy: 44.220ms, n_batches: 102, mean_split_k: 0.5177765766065734 }, NodeReport { total: 156.363ms, cpu_compute: 147.053ms, gpu_busy: 152.982ms, data_busy: 236.595ms, dispatch_busy: 10.875ms, n_batches: 25, mean_split_k: 0.5177749753365073 }, NodeReport { total: 787.870ms, cpu_compute: 754.809ms, gpu_busy: 785.120ms, data_busy: 1.215s, dispatch_busy: 55.830ms, n_batches: 129, mean_split_k: 0.5177800356252427 }, NodeReport { total: 9.547ms, cpu_compute: 5.882ms, gpu_busy: 6.165ms, data_busy: 9.464ms, dispatch_busy: 435.000µs, n_batches: 1, mean_split_k: 0.5177749753365072 }], slowest_node: 0, network_time: 4.322ms, total_tasks: 28860 }",
+        0x8bab5aac7eb5f88c,
+    ),
+    (
+        "cluster straggler + message drops",
+        "(ClusterReport { total: 1.295s, nodes: [NodeReport { total: 921.032ms, cpu_compute: 882.318ms, gpu_busy: 917.651ms, data_busy: 1.420s, dispatch_busy: 65.250ms, n_batches: 150, mean_split_k: 0.5177749753365076 }, NodeReport { total: 34.016ms, cpu_compute: 29.411ms, gpu_busy: 30.635ms, data_busy: 47.319ms, dispatch_busy: 2.175ms, n_batches: 5, mean_split_k: 0.5177749753365072 }, NodeReport { total: 1.295s, cpu_compute: 1.235s, gpu_busy: 1.285s, data_busy: 1.987s, dispatch_busy: 91.350ms, n_batches: 70, mean_split_k: 0.5177749753365075 }, NodeReport { total: 0ns, cpu_compute: 0ns, gpu_busy: 0ns, data_busy: 0ns, dispatch_busy: 0ns, n_batches: 0, mean_split_k: 0.0 }, NodeReport { total: 625.049ms, cpu_compute: 598.079ms, gpu_busy: 621.983ms, data_busy: 962.153ms, dispatch_busy: 44.220ms, n_batches: 102, mean_split_k: 0.5177765766065734 }, NodeReport { total: 156.363ms, cpu_compute: 147.053ms, gpu_busy: 152.982ms, data_busy: 236.595ms, dispatch_busy: 10.875ms, n_batches: 25, mean_split_k: 0.5177749753365073 }, NodeReport { total: 787.870ms, cpu_compute: 754.809ms, gpu_busy: 785.120ms, data_busy: 1.215s, dispatch_busy: 55.830ms, n_batches: 129, mean_split_k: 0.5177800356252427 }, NodeReport { total: 9.547ms, cpu_compute: 5.882ms, gpu_busy: 6.165ms, data_busy: 9.464ms, dispatch_busy: 435.000µs, n_batches: 1, mean_split_k: 0.5177749753365072 }], slowest_node: 2, network_time: 8.043ms, total_tasks: 28860 }, [FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 4350, completed_cpu: 4650, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 145, completed_cpu: 155, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 2030, completed_cpu: 2170, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 0, completed_cpu: 0, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 2948, completed_cpu: 3152, lost: 0, dropped_messages: 913 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 725, completed_cpu: 775, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 3722, completed_cpu: 3978, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 29, completed_cpu: 31, lost: 0, dropped_messages: 0 }])",
+        0xc0a0a54dc43e0381,
+    ),
+    (
+        "balanced steal + faults",
+        "(ClusterReport { total: 408.161ms, nodes: [NodeReport { total: 407.172ms, cpu_compute: 388.220ms, gpu_busy: 403.793ms, data_busy: 624.611ms, dispatch_busy: 28.710ms, n_batches: 66, mean_split_k: 0.5177749753365075 }, NodeReport { total: 407.172ms, cpu_compute: 388.220ms, gpu_busy: 403.793ms, data_busy: 624.611ms, dispatch_busy: 28.710ms, n_batches: 66, mean_split_k: 0.5177749753365075 }, NodeReport { total: 395.681ms, cpu_compute: 370.573ms, gpu_busy: 385.537ms, data_busy: 596.219ms, dispatch_busy: 27.405ms, n_batches: 21, mean_split_k: 0.5177749753365072 }, NodeReport { total: 404.417ms, cpu_compute: 382.338ms, gpu_busy: 397.676ms, data_busy: 615.147ms, dispatch_busy: 28.275ms, n_batches: 65, mean_split_k: 0.5177749753365075 }, NodeReport { total: 405.133ms, cpu_compute: 386.322ms, gpu_busy: 401.759ms, data_busy: 621.456ms, dispatch_busy: 28.560ms, n_batches: 66, mean_split_k: 0.5177774500266092 }, NodeReport { total: 407.172ms, cpu_compute: 388.220ms, gpu_busy: 403.793ms, data_busy: 624.611ms, dispatch_busy: 28.710ms, n_batches: 66, mean_split_k: 0.5177749753365075 }, NodeReport { total: 403.094ms, cpu_compute: 384.235ms, gpu_busy: 399.727ms, data_busy: 618.302ms, dispatch_busy: 28.425ms, n_batches: 66, mean_split_k: 0.5177848659008532 }, NodeReport { total: 408.161ms, cpu_compute: 388.220ms, gpu_busy: 403.793ms, data_busy: 624.611ms, dispatch_busy: 28.710ms, n_batches: 66, mean_split_k: 0.5177749753365075 }], slowest_node: 7, network_time: 5.248ms, total_tasks: 28860 }, BalanceReport { steals: 12, blocked_steals: 0, repartitions: 0, migrated_tasks: 15360, migrated_bytes: 122880000, migration_wire: 24.600ms }, [FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1914, completed_cpu: 2046, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1914, completed_cpu: 2046, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 609, completed_cpu: 651, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1885, completed_cpu: 2015, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1904, completed_cpu: 2036, lost: 0, dropped_messages: 599 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1914, completed_cpu: 2046, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1895, completed_cpu: 2025, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1914, completed_cpu: 2046, lost: 0, dropped_messages: 0 }])",
+        0x93fe7aa483c8ddfe,
+    ),
+    (
+        "balanced repartition + faults",
+        "(ClusterReport { total: 536.573ms, nodes: [NodeReport { total: 535.636ms, cpu_compute: 511.744ms, gpu_busy: 532.258ms, data_busy: 823.351ms, dispatch_busy: 37.845ms, n_batches: 87, mean_split_k: 0.5177749753365076 }, NodeReport { total: 526.160ms, cpu_compute: 282.342ms, gpu_busy: 293.681ms, data_busy: 454.262ms, dispatch_busy: 20.880ms, n_batches: 48, mean_split_k: 0.5177749753365075 }, NodeReport { total: 524.145ms, cpu_compute: 494.098ms, gpu_busy: 514.002ms, data_busy: 794.959ms, dispatch_busy: 36.540ms, n_batches: 28, mean_split_k: 0.5177749753365074 }, NodeReport { total: 480.747ms, cpu_compute: 211.756ms, gpu_busy: 220.273ms, data_busy: 340.697ms, dispatch_busy: 15.660ms, n_batches: 36, mean_split_k: 0.5177749753365074 }, NodeReport { total: 533.596ms, cpu_compute: 509.847ms, gpu_busy: 530.223ms, data_busy: 820.196ms, dispatch_busy: 37.695ms, n_batches: 87, mean_split_k: 0.5177768526876193 }, NodeReport { total: 536.573ms, cpu_compute: 411.748ms, gpu_busy: 428.263ms, data_busy: 662.466ms, dispatch_busy: 30.450ms, n_batches: 70, mean_split_k: 0.5177749753365075 }, NodeReport { total: 531.557ms, cpu_compute: 507.760ms, gpu_busy: 528.191ms, data_busy: 817.041ms, dispatch_busy: 37.560ms, n_batches: 87, mean_split_k: 0.5177824785232525 }, NodeReport { total: 497.401ms, cpu_compute: 229.403ms, gpu_busy: 238.625ms, data_busy: 369.088ms, dispatch_busy: 16.965ms, n_batches: 39, mean_split_k: 0.5177749753365075 }], slowest_node: 5, network_time: 6.967ms, total_tasks: 28860 }, BalanceReport { steals: 0, blocked_steals: 0, repartitions: 1, migrated_tasks: 9720, migrated_bytes: 77760000, migration_wire: 15.566ms }, [FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 2523, completed_cpu: 2697, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1392, completed_cpu: 1488, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 812, completed_cpu: 868, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1044, completed_cpu: 1116, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 2513, completed_cpu: 2687, lost: 0, dropped_messages: 798 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 2030, completed_cpu: 2170, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 2504, completed_cpu: 2676, lost: 0, dropped_messages: 0 }, FaultSummary { gpu_task_failures: 0, gpu_retries: 0, cpu_fallback_tasks: 0, timeouts_detected: 0, quarantines: 0, readmissions: 0, completed_gpu: 1131, completed_cpu: 1209, lost: 0, dropped_messages: 0 }])",
+        0xa0b375c3cc36dd0e,
     ),
 ];

@@ -8,7 +8,8 @@ use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
 use madness_cluster::serve::{
-    generate_requests, RateProfile, ServeConfig, ServeReport, ShedPolicy, TenantSpec,
+    generate_requests, RateProfile, ServeConfig, ServeReport, ShedPolicy, SurvivalConfig,
+    TenantSpec,
 };
 use madness_cluster::workload::WorkloadSpec;
 use madness_cluster::BalanceMode;
@@ -154,21 +155,23 @@ fn faulted_run_still_replays_and_conserves() {
     plans[1] = FaultPlan::none().with_straggler(2.0);
     let s = sim();
     let mut rec_a = MemRecorder::new();
-    let a = s.run_served_with_faults(
+    let a = s.run_served_survivable(
         &c,
         hybrid(),
         steal(),
         &plans,
         RecoveryPolicy::default(),
+        &SurvivalConfig::default(),
         &mut rec_a,
     );
     let mut rec_b = MemRecorder::new();
-    let b = s.run_served_with_faults(
+    let b = s.run_served_survivable(
         &c,
         hybrid(),
         steal(),
         &plans,
         RecoveryPolicy::default(),
+        &SurvivalConfig::default(),
         &mut rec_b,
     );
     assert_eq!(a, b);

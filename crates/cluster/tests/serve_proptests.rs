@@ -7,7 +7,9 @@
 use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
-use madness_cluster::serve::{LatencyStats, RateProfile, ServeConfig, ShedPolicy, TenantSpec};
+use madness_cluster::serve::{
+    LatencyStats, RateProfile, ServeConfig, ShedPolicy, SurvivalConfig, TenantSpec,
+};
 use madness_cluster::workload::WorkloadSpec;
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
@@ -120,12 +122,13 @@ proptest! {
         };
         let mut plans = vec![FaultPlan::none(); nodes];
         plans[0] = FaultPlan::none().with_straggler(straggler);
-        let report = s.run_served_with_faults(
+        let report = s.run_served_survivable(
             &cfg,
             hybrid(),
             bmode(mode_idx),
             &plans,
             RecoveryPolicy::default(),
+            &SurvivalConfig::default(),
             &mut NullRecorder,
         );
         prop_assert!(report.conserved(), "conservation violated: {report:?}");

@@ -3,20 +3,22 @@
 //!
 //! The acceptance bar for the observability layer:
 //!
-//! 1. recording never perturbs the simulation — `simulate_recorded`
+//! 1. recording never perturbs the simulation — the traced signature
 //!    with either recorder yields bit-identical reports to `simulate`;
 //! 2. journals are deterministic — same spec, same journal, byte for
 //!    byte;
 //! 3. the sweep-line breakdown tiles exactly `[0, total)`;
 //! 4. a real journal survives a JSON round-trip;
-//! 5. `run_recorded` matches `run` and journals network injection.
+//! 5. the traced cluster run matches `run` and journals network
+//!    injection.
 
 use madness_cluster::cluster::{ClusterReport, ClusterSim};
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeReport, NodeSim, ResourceMode};
 use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
+use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::KernelKind;
-use madness_trace::{MemRecorder, NullRecorder, Stage};
+use madness_trace::{MemRecorder, NullRecorder, Recorder, Stage};
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -25,6 +27,19 @@ fn spec() -> WorkloadSpec {
         rank: 100,
         rr_mean_rank: None,
     }
+}
+
+/// 500 fault-free tasks through the traced signature.
+fn traced<R: Recorder>(node: &NodeSim, mode: ResourceMode, rec: &mut R) -> NodeReport {
+    let (report, _) = node.simulate_faulty(
+        &spec(),
+        500,
+        mode,
+        &FaultPlan::none(),
+        RecoveryPolicy::default(),
+        rec,
+    );
+    report
 }
 
 fn modes() -> [ResourceMode; 3] {
@@ -81,9 +96,9 @@ fn recording_does_not_perturb_results() {
     let node = NodeSim::new(NodeParams::default());
     for mode in modes() {
         let plain = node.simulate(&spec(), 500, mode);
-        let with_null = node.simulate_recorded(&spec(), 500, mode, &mut NullRecorder);
+        let with_null = traced(&node, mode, &mut NullRecorder);
         let mut mem = MemRecorder::new();
-        let with_mem = node.simulate_recorded(&spec(), 500, mode, &mut mem);
+        let with_mem = traced(&node, mode, &mut mem);
         assert_reports_identical(&plain, &with_null, "NullRecorder");
         assert_reports_identical(&plain, &with_mem, "MemRecorder");
     }
@@ -95,8 +110,8 @@ fn journals_are_deterministic() {
     for mode in modes() {
         let mut a = MemRecorder::new();
         let mut b = MemRecorder::new();
-        node.simulate_recorded(&spec(), 500, mode, &mut a);
-        node.simulate_recorded(&spec(), 500, mode, &mut b);
+        traced(&node, mode, &mut a);
+        traced(&node, mode, &mut b);
         assert_eq!(a.to_json(), b.to_json(), "journal must be reproducible");
     }
 }
@@ -106,7 +121,7 @@ fn breakdown_tiles_the_whole_timeline() {
     let node = NodeSim::new(NodeParams::default());
     for mode in modes() {
         let mut rec = MemRecorder::new();
-        let report = node.simulate_recorded(&spec(), 500, mode, &mut rec);
+        let report = traced(&node, mode, &mut rec);
         let bd = rec.breakdown(report.total.as_nanos());
         assert_eq!(bd.attributed_total_ns(), report.total.as_nanos());
         let sum: u64 = bd.nonzero().iter().map(|&(_, ns)| ns).sum();
@@ -118,9 +133,8 @@ fn breakdown_tiles_the_whole_timeline() {
 fn real_journal_round_trips_through_json() {
     let node = NodeSim::new(NodeParams::default());
     let mut rec = MemRecorder::new();
-    node.simulate_recorded(
-        &spec(),
-        500,
+    traced(
+        &node,
         ResourceMode::Hybrid {
             compute_threads: 10,
             data_threads: 5,
@@ -140,7 +154,7 @@ fn real_journal_round_trips_through_json() {
 }
 
 #[test]
-fn cluster_run_recorded_matches_run_and_journals_network() {
+fn traced_cluster_run_matches_run_and_journals_network() {
     let sim = ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default());
     let pop = TaskPopulation::even(spec(), 2_000, 4);
     let mode = ResourceMode::Hybrid {
@@ -151,7 +165,7 @@ fn cluster_run_recorded_matches_run_and_journals_network() {
     };
     let plain: ClusterReport = sim.run(&pop, mode);
     let mut rec = MemRecorder::new();
-    let traced = sim.run_recorded(&pop, mode, &mut rec);
+    let (traced, _) = sim.run_with_faults(&pop, mode, &[], RecoveryPolicy::default(), &mut rec);
     assert_eq!(plain.total.as_nanos(), traced.total.as_nanos());
     assert_eq!(plain.slowest_node, traced.slowest_node);
     assert_eq!(

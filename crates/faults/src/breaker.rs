@@ -262,11 +262,6 @@ impl BreakerMap {
     pub fn total_trips(&self) -> u64 {
         self.breakers.values().map(|b| b.trips()).sum()
     }
-
-    /// Total closes across every pair.
-    pub fn total_closes(&self) -> u64 {
-        self.breakers.values().map(|b| b.closes()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -379,7 +374,6 @@ mod tests {
         assert!(!map.get(2, 0).admit(101), "tenant 2 on node 0 tripped");
         assert!(map.get(1, 1).admit(101), "node 1 untouched");
         assert_eq!(map.total_trips(), 2);
-        assert_eq!(map.total_closes(), 0);
     }
 
     #[test]

@@ -59,10 +59,11 @@ pub use timeline::NodeTimeline;
 ///
 /// splitmix64 over the mixed key: the same triple always yields the same
 /// value, and consecutive indices are statistically independent. Used
-/// for both fault-rate draws and backoff jitter, so *nothing* in this
-/// crate carries RNG state — determinism cannot be lost to query
-/// reordering.
-pub(crate) fn draw(seed: u64, salt: u64, index: u64) -> f64 {
+/// for fault-rate draws and backoff jitter here, and (with their own
+/// salts) for the serving layer's arrivals and the DAG layer's attempt
+/// failures, so *nothing* carries RNG state — determinism cannot be
+/// lost to query reordering.
+pub fn draw(seed: u64, salt: u64, index: u64) -> f64 {
     let mut z = seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(salt.rotate_left(17))

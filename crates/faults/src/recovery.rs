@@ -4,6 +4,12 @@ use crate::draw;
 
 const SALT_JITTER: u64 = 0x4a49_5454; // "JITT"
 
+/// Seed for the backoff jitter draws.
+const JITTER_SEED: u64 = 0;
+
+/// Consecutive failed batches before the device is quarantined.
+const QUARANTINE_AFTER: u32 = 3;
+
 /// How the dispatcher reacts to GPU-side failures.
 ///
 /// All durations are simulated nanoseconds; jitter is drawn from the
@@ -22,10 +28,6 @@ pub struct RecoveryPolicy {
     /// Jitter fraction in `[0, 1]`: each backoff is scaled by a
     /// deterministic factor in `[1 - jitter, 1 + jitter]`.
     pub jitter: f64,
-    /// Seed for the jitter draws.
-    pub jitter_seed: u64,
-    /// Consecutive failed batches before the device is quarantined.
-    pub quarantine_after: u32,
     /// Length of the first quarantine window.
     pub quarantine_ns: u64,
     /// Ceiling on the (doubling) quarantine window.
@@ -39,8 +41,6 @@ impl Default for RecoveryPolicy {
             base_backoff_ns: 100_000,   // 100 µs
             backoff_cap_ns: 10_000_000, // 10 ms
             jitter: 0.25,
-            jitter_seed: 0,
-            quarantine_after: 3,
             quarantine_ns: 5_000_000,      // 5 ms
             quarantine_cap_ns: 80_000_000, // 80 ms
         }
@@ -52,8 +52,8 @@ impl RecoveryPolicy {
     ///
     /// # Panics
     /// Panics when a field is out of range (jitter outside `[0, 1]`,
-    /// zero backoff base, cap below base, zero quarantine threshold or
-    /// window, quarantine cap below window).
+    /// zero backoff base, cap below base, zero quarantine window,
+    /// quarantine cap below window).
     pub fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.jitter),
@@ -63,10 +63,6 @@ impl RecoveryPolicy {
         assert!(
             self.backoff_cap_ns >= self.base_backoff_ns,
             "backoff cap below base"
-        );
-        assert!(
-            self.quarantine_after > 0,
-            "quarantine threshold must be positive"
         );
         assert!(self.quarantine_ns > 0, "quarantine window must be positive");
         assert!(
@@ -91,11 +87,7 @@ impl RecoveryPolicy {
         if self.jitter == 0.0 {
             return exp;
         }
-        let u = draw(
-            self.jitter_seed,
-            SALT_JITTER,
-            salt.wrapping_add(attempt as u64),
-        );
+        let u = draw(JITTER_SEED, SALT_JITTER, salt.wrapping_add(attempt as u64));
         let factor = 1.0 + self.jitter * (2.0 * u - 1.0);
         // f64→u64 casts saturate, so even an enormous cap cannot wrap;
         // the min keeps the cap a hard ceiling through the jitter path.
@@ -134,7 +126,7 @@ pub enum GpuGate {
 /// Tracks one device's failure history and drives the
 /// quarantine → probe → re-admission state machine.
 ///
-/// `quarantine_after` consecutive failed batches close the gate for a
+/// [`QUARANTINE_AFTER`] consecutive failed batches close the gate for a
 /// quarantine window; each re-quarantine doubles the window up to the
 /// cap, and a successful probe resets it. The first successful batch
 /// after a quarantine reports `readmitted = true` so the caller can
@@ -217,7 +209,7 @@ impl HealthTracker {
             } => consecutive_failures + 1,
             _ => 1,
         };
-        if failures >= self.policy.quarantine_after {
+        if failures >= QUARANTINE_AFTER {
             self.quarantine(now_ns)
         } else {
             self.health = DeviceHealth::Degraded {

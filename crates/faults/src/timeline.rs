@@ -1,14 +1,13 @@
 //! Per-node liveness derived from planned [`NodeFault`]s.
 //!
-//! A [`FaultPlan`] carries whole-node lifecycle faults as a flat list of
+//! A [`crate::FaultPlan`] carries whole-node lifecycle faults as a flat list of
 //! instants; schedulers want the derived questions — *is node `i` alive
 //! at `t`? reachable at `t`? when does the next lifecycle event land?*
-//! [`NodeTimeline`] answers them from one pass over the plans, so every
+//! [`NodeTimeline`] answers them from the faults added to it, so every
 //! consumer (the survivable DAG executor, the serving DES) agrees on
 //! what the same plan means.
 
 use crate::plan::NodeFault;
-use crate::FaultPlan;
 
 /// Resolved per-node lifecycle: crash/rejoin instants and partition
 /// windows, queryable by simulated time.
@@ -33,20 +32,6 @@ impl NodeTimeline {
             rejoin: vec![None; nodes],
             partitions: vec![Vec::new(); nodes],
         }
-    }
-
-    /// Builds the timeline from one plan per node.
-    ///
-    /// # Panics
-    /// Panics on the same malformed shapes as [`NodeTimeline::add`].
-    pub fn from_plans(plans: &[FaultPlan]) -> Self {
-        let mut tl = NodeTimeline::new(plans.len());
-        for (node, plan) in plans.iter().enumerate() {
-            for &f in plan.node_faults() {
-                tl.add(node, f);
-            }
-        }
-        tl
     }
 
     /// Nodes tracked.
@@ -154,7 +139,7 @@ impl NodeTimeline {
     }
 
     /// True when no node ever crashes, partitions or rejoins — the
-    /// timeline equivalent of [`FaultPlan::is_empty`].
+    /// timeline equivalent of [`crate::FaultPlan::is_empty`].
     pub fn is_inert(&self) -> bool {
         self.crash.iter().all(Option::is_none)
             && self.rejoin.iter().all(Option::is_none)
@@ -236,21 +221,6 @@ mod tests {
             },
         );
         assert_eq!(tl.reachable_from(0, 2_000), Some(4_500));
-    }
-
-    #[test]
-    fn from_plans_reads_each_nodes_faults() {
-        let plans = vec![
-            FaultPlan::none(),
-            FaultPlan::none().with_node_crash_at(7_000),
-            FaultPlan::none().with_node_partition(1_000, 2_000),
-        ];
-        let tl = NodeTimeline::from_plans(&plans);
-        assert_eq!(tl.nodes(), 3);
-        assert!(tl.reachable(0, 8_000));
-        assert!(!tl.alive(1, 8_000));
-        assert!(!tl.reachable(2, 1_500));
-        assert_eq!(tl.crashes(), vec![(1, 7_000)]);
     }
 
     #[test]

@@ -132,15 +132,6 @@ impl GpuDevice {
         self.streams
     }
 
-    /// Reconfigures the stream count.
-    ///
-    /// # Panics
-    /// Panics if out of the spec's range.
-    pub fn set_streams(&mut self, streams: usize) {
-        assert!(streams >= 1 && streams <= self.spec.max_streams);
-        self.streams = streams;
-    }
-
     /// Toggles pinned staging buffers (ablation: pageable transfers).
     pub fn set_pinned(&mut self, pinned: bool) {
         self.pinned = pinned;
@@ -218,39 +209,34 @@ impl GpuDevice {
         kind: KernelKind,
         mode: ExecMode,
     ) -> BatchOutcome {
-        self.execute_batch_recorded(tasks, kind, mode, SimTime::ZERO, &mut NullRecorder)
-    }
-
-    /// [`GpuDevice::execute_batch`] with tracing: journals the batch's
-    /// transfer and per-stream kernel spans relative to `batch_start`,
-    /// counts cache hits/misses/evictions and kernel launches, and
-    /// accumulates per-stream busy time. With [`NullRecorder`] this is
-    /// exactly `execute_batch` — every recording branch folds away and
-    /// the returned timings are bit-identical.
-    pub fn execute_batch_recorded<R: Recorder>(
-        &mut self,
-        tasks: &[TransformTask],
-        kind: KernelKind,
-        mode: ExecMode,
-        batch_start: SimTime,
-        rec: &mut R,
-    ) -> BatchOutcome {
         let mut inert = FaultInjector::new(&FaultPlan::none());
-        self.execute_batch_injected(tasks, kind, mode, batch_start, rec, &mut inert)
+        self.execute_batch_injected(
+            tasks,
+            kind,
+            mode,
+            SimTime::ZERO,
+            &mut NullRecorder,
+            &mut inert,
+        )
     }
 
-    /// [`GpuDevice::execute_batch_recorded`] with fault injection: walks
-    /// `inj` at each injection point — device loss before/during the
-    /// batch, DMA timeout on the aggregated in-transfer (one timed-out
-    /// attempt is waited out and re-issued; a second failure aborts the
-    /// batch), per-task kernel-launch failure, and a stream stall
-    /// stretching the compute phase. Failures are reported per task in
-    /// [`BatchOutcome::failed`]; every injected fault is journaled
-    /// through `rec` as a [`FaultEvent`].
+    /// [`GpuDevice::execute_batch`] with tracing and fault injection.
     ///
-    /// With an inert injector ([`FaultPlan::none`]) every query answers
-    /// "no fault" and this is bit-identical to
-    /// [`GpuDevice::execute_batch_recorded`].
+    /// Tracing journals the batch's transfer and per-stream kernel spans
+    /// relative to `batch_start`, counts cache hits/misses/evictions and
+    /// kernel launches, and accumulates per-stream busy time; with
+    /// [`NullRecorder`] every recording branch folds away and the
+    /// returned timings are bit-identical.
+    ///
+    /// Injection walks `inj` at each injection point — device loss
+    /// before/during the batch, DMA timeout on the aggregated
+    /// in-transfer (one timed-out attempt is waited out and re-issued; a
+    /// second failure aborts the batch), per-task kernel-launch failure,
+    /// and a stream stall stretching the compute phase. Failures are
+    /// reported per task in [`BatchOutcome::failed`]; every injected
+    /// fault is journaled through `rec` as a [`FaultEvent`]. An inert
+    /// injector ([`FaultPlan::none`]) answers "no fault" to every query,
+    /// which is how `execute_batch` runs.
     pub fn execute_batch_injected<R: Recorder>(
         &mut self,
         tasks: &[TransformTask],
@@ -633,32 +619,6 @@ mod tests {
         d.note_inflight(us(400), us(500));
         d.reset();
         assert_eq!(d.queue_depth(us(450)), 0, "reset must drain the queue");
-    }
-
-    #[test]
-    fn inert_injector_is_bit_identical() {
-        let batch = timing_batch(40);
-        let mut a = device(5);
-        let mut b = device(5);
-        let base = a.execute_batch_recorded(
-            &batch,
-            KernelKind::CustomMtxmq,
-            ExecMode::Timing,
-            SimTime::ZERO,
-            &mut madness_trace::NullRecorder,
-        );
-        let mut inj = FaultInjector::new(&FaultPlan::none());
-        let faulty = b.execute_batch_injected(
-            &batch,
-            KernelKind::CustomMtxmq,
-            ExecMode::Timing,
-            SimTime::ZERO,
-            &mut madness_trace::NullRecorder,
-            &mut inj,
-        );
-        assert_eq!(base.time, faulty.time);
-        assert_eq!(base.breakdown, faulty.breakdown);
-        assert!(faulty.failed.is_empty());
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl PinnedBufferPool {
         self.lock_cost * self.n_buffers as u64
     }
 
-    /// One-time teardown cost: page-unlock every buffer (2 ms each).
-    pub fn teardown_cost(&self) -> SimTime {
-        self.unlock_cost * self.n_buffers as u64
-    }
-
     /// Total capacity of the pool in bytes.
     pub fn capacity(&self) -> u64 {
         self.n_buffers as u64 * self.bytes_each
@@ -145,7 +140,6 @@ mod tests {
         let spec = DeviceSpec::default();
         let pool = PinnedBufferPool::new(&spec, 4, 32 << 20);
         assert_eq!(pool.setup_cost(), SimTime::from_millis(2)); // 4 × 0.5 ms
-        assert_eq!(pool.teardown_cost(), SimTime::from_millis(8)); // 4 × 2 ms
         assert_eq!(pool.capacity(), 4 * (32 << 20));
         // Per-op locking for 1000 tasks dwarfs the pooled cost.
         assert!(pool.per_op_locking_cost(1000) > pool.setup_cost() * 100);

@@ -300,11 +300,6 @@ impl SeparatedConvolution {
         )
     }
 
-    /// Number of blocks currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
-    }
-
     /// The 1-D operator block `h^{(μ)}(n, δ)` — a `(k, k)` tensor stored
     /// transform-ready (`h[j][i] = T_{ij}`), fetched through the
     /// write-once cache.
@@ -437,12 +432,6 @@ impl SeparatedConvolution {
         out
     }
 
-    /// Estimated operator norm of term `μ` for a 1-D displacement at a
-    /// level: `|c_μ|^{1/d}`-weighted Frobenius norm of the cached block.
-    pub fn term_block_norm(&self, mu: usize, level: u8, disp: i64) -> f64 {
-        self.get_h(mu, level, disp).normf()
-    }
-
     /// Effective rank of the block for *rank reduction* (paper §II-D,
     /// Fig. 4): the number of leading rows whose norm exceeds
     /// `eps · max_row_norm`. Tail rows beyond it are negligible and the
@@ -565,7 +554,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "cache returned distinct blocks");
         let (hits, misses) = op.cache_stats();
         assert_eq!((hits, misses), (1, 1));
-        assert_eq!(op.cache_len(), 1);
     }
 
     #[test]
@@ -655,8 +643,8 @@ mod tests {
         // than the δ=0 block at fine levels — the basis of displacement
         // cutoffs.
         let op = SeparatedConvolution::gaussian_sum(1, 6, 1, 50.0, 50.0);
-        let n0 = op.term_block_norm(0, 0, 0);
-        let n1 = op.term_block_norm(0, 0, 1);
+        let n0 = op.get_h(0, 0, 0).normf();
+        let n1 = op.get_h(0, 0, 1).normf();
         assert!(n1 < n0 * 0.5, "no decay: {n0} vs {n1}");
     }
 }

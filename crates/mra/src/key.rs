@@ -181,21 +181,6 @@ impl Key {
         h ^ (h >> 31)
     }
 
-    /// The top-level (level-1) ancestor index of this key, or `None` for
-    /// the root. Used by the locality process map to keep subtrees
-    /// together.
-    pub fn top_subtree(&self) -> Option<usize> {
-        if self.level == 0 {
-            return None;
-        }
-        let shift = self.level - 1;
-        let mut w = 0usize;
-        for i in 0..self.ndim() {
-            w |= (((self.l[i] >> shift) & 1) as usize) << i;
-        }
-        Some(w)
-    }
-
     /// The lower corner of the box in physical coordinates `[0,1]^d`.
     pub fn lower_corner(&self) -> Vec<f64> {
         let scale = (1u64 << self.level) as f64;
@@ -272,16 +257,6 @@ mod tests {
         assert!(r.child(5).is_ancestor_of(&c));
         assert!(!r.child(4).is_ancestor_of(&c));
         assert!(c.is_ancestor_of(&c));
-    }
-
-    #[test]
-    fn top_subtree_is_level1_ancestor() {
-        let r = Key::root(3);
-        for w in 0..8 {
-            let deep = r.child(w).child(3).child(6);
-            assert_eq!(deep.top_subtree(), Some(w));
-        }
-        assert_eq!(r.top_subtree(), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::hashing::FxHashMap;
 use crate::key::Key;
-use madness_tensor::{Shape, Tensor};
+use madness_tensor::Tensor;
 use std::collections::BTreeSet;
 
 pub use madness_tensor::MAX_DIMS;
@@ -108,11 +108,6 @@ impl FunctionTree {
     /// Sets the coefficient form (used by the Compress/Reconstruct ops).
     pub fn set_form(&mut self, form: TreeForm) {
         self.form = form;
-    }
-
-    /// The shape of a scaling-coefficient block: `k^d`.
-    pub fn block_shape(&self) -> Shape {
-        Shape::cube(self.d, self.k)
     }
 
     /// Number of stored nodes.
@@ -334,6 +329,7 @@ impl FunctionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use madness_tensor::Shape;
 
     fn block(d: usize, k: usize, v: f64) -> Tensor {
         Tensor::full(Shape::cube(d, k), v)

@@ -123,11 +123,6 @@ impl TwoScale {
         &self.wt
     }
 
-    /// The scaling block `H = [h0 | h1]` (k × 2k).
-    pub fn h_block(&self) -> Tensor {
-        Tensor::from_fn(Shape::matrix(self.k, 2 * self.k), |ix| self.w.at(ix))
-    }
-
     /// Child-to-parent change of basis on a gathered `(2k)^d` block:
     /// output corner `[0,k)^d` = parent `s`, rest = wavelet `d`.
     ///

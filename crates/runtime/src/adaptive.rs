@@ -18,7 +18,7 @@
 //!   queue drains, bounding the memory pinned under outstanding batches.
 //!
 //! A starvation refresh re-routes one task to a backend that rounding
-//! has kept idle for [`AdaptiveConfig::refresh_every`] consecutive
+//! has kept idle for `REFRESH_EVERY` (16) consecutive
 //! flushes, so its cost estimate can never go permanently stale.
 
 use crate::batcher::TaskKind;
@@ -27,6 +27,25 @@ use madness_faults::GpuGate;
 use madness_trace::DispatchSample;
 use std::collections::HashMap;
 
+/// Minimum nanoseconds-per-task a measurement can report (the
+/// degenerate-measurement floor).
+const FLOOR_NS: f64 = 50.0;
+
+/// Multiplicative GPU-share shrink per batch of excess queue depth.
+const BACKPRESSURE_SHRINK: f64 = 0.5;
+
+/// A backend left idle by rounding for this many consecutive flushes is
+/// refreshed with one task so its estimate cannot go stale.
+const REFRESH_EVERY: u64 = 16;
+
+/// Consecutive over-depth observations before the watchdog trips.
+const WATCHDOG_STRIKES: u32 = 3;
+
+/// A GPU batch is declared timed out when its measured duration exceeds
+/// this multiple of the cost model's expectation (only once the model is
+/// steady — an unprobed model predicts nothing).
+const TIMEOUT_FACTOR: f64 = 4.0;
+
 /// Tuning knobs of the feedback loop.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveConfig {
@@ -34,29 +53,14 @@ pub struct AdaptiveConfig {
     pub alpha: f64,
     /// Hysteresis: maximum change of `k` per flush, in `(0, 1]`.
     pub max_step: f64,
-    /// Minimum nanoseconds-per-task a measurement can report (the
-    /// degenerate-measurement floor).
-    pub floor_ns: f64,
     /// In-flight GPU batches above which backpressure engages.
     pub backpressure_depth: usize,
-    /// Multiplicative GPU-share shrink per batch of excess queue depth,
-    /// in `(0, 1)`.
-    pub backpressure_shrink: f64,
-    /// A backend left idle by rounding for this many consecutive flushes
-    /// is refreshed with one task so its estimate cannot go stale.
-    pub refresh_every: u64,
     /// Queue depth at which the watchdog counts a strike. Deliberately
     /// above [`AdaptiveConfig::backpressure_depth`]: backpressure is the
     /// normal regulator, the watchdog only fires when backpressure has
     /// visibly failed to drain the device (a wedged stream, a dead
     /// device) — healthy runs must never trip it.
     pub watchdog_depth: usize,
-    /// Consecutive over-depth observations before the watchdog trips.
-    pub watchdog_strikes: u32,
-    /// A GPU batch is declared timed out when its measured duration
-    /// exceeds this multiple of the cost model's expectation (only once
-    /// the model is steady — an unprobed model predicts nothing).
-    pub timeout_factor: f64,
 }
 
 impl Default for AdaptiveConfig {
@@ -64,13 +68,8 @@ impl Default for AdaptiveConfig {
         AdaptiveConfig {
             alpha: 0.3,
             max_step: 0.15,
-            floor_ns: 50.0,
             backpressure_depth: 2,
-            backpressure_shrink: 0.5,
-            refresh_every: 16,
             watchdog_depth: 6,
-            watchdog_strikes: 3,
-            timeout_factor: 4.0,
         }
     }
 }
@@ -86,26 +85,9 @@ impl AdaptiveConfig {
             "max_step must be in (0, 1]"
         );
         assert!(
-            self.floor_ns > 0.0 && self.floor_ns.is_finite(),
-            "floor_ns must be positive and finite"
-        );
-        assert!(
-            self.backpressure_shrink > 0.0 && self.backpressure_shrink < 1.0,
-            "backpressure_shrink must be in (0, 1)"
-        );
-        assert!(self.refresh_every > 0, "refresh_every must be positive");
-        assert!(
             self.watchdog_depth > self.backpressure_depth,
             "watchdog_depth must exceed backpressure_depth — backpressure \
              regulates first, the watchdog only catches its failure"
-        );
-        assert!(
-            self.watchdog_strikes > 0,
-            "watchdog_strikes must be positive"
-        );
-        assert!(
-            self.timeout_factor > 1.0 && self.timeout_factor.is_finite(),
-            "timeout_factor must be finite and > 1"
         );
     }
 }
@@ -307,10 +289,10 @@ impl AdaptiveDispatcher {
         }
 
         // --- steady state: model → backpressure → hysteresis -----------
-        let mut k = measured_split(m_hat_ns, n_hat_ns, cfg.floor_ns);
+        let mut k = measured_split(m_hat_ns, n_hat_ns, FLOOR_NS);
         if gpu_queue_depth > cfg.backpressure_depth {
             let excess = (gpu_queue_depth - cfg.backpressure_depth) as i32;
-            let gpu_share = (1.0 - k) * cfg.backpressure_shrink.powi(excess);
+            let gpu_share = (1.0 - k) * BACKPRESSURE_SHRINK.powi(excess);
             k = 1.0 - gpu_share;
         }
         k = k
@@ -324,7 +306,7 @@ impl AdaptiveDispatcher {
         if n_tasks >= 2 {
             if plan.cpu_tasks == 0 {
                 model.cpu_idle += 1;
-                if model.cpu_idle >= cfg.refresh_every {
+                if model.cpu_idle >= REFRESH_EVERY {
                     plan = SplitPlan {
                         cpu_tasks: 1,
                         gpu_tasks: n_tasks - 1,
@@ -333,7 +315,7 @@ impl AdaptiveDispatcher {
             }
             if plan.gpu_tasks == 0 {
                 model.gpu_idle += 1;
-                if model.gpu_idle >= cfg.refresh_every {
+                if model.gpu_idle >= REFRESH_EVERY {
                     plan = SplitPlan {
                         cpu_tasks: n_tasks - 1,
                         gpu_tasks: 1,
@@ -360,7 +342,7 @@ impl AdaptiveDispatcher {
     /// Feeds back one flush's measured timings: `cpu_ns` spent computing
     /// `cpu_tasks` tasks on the CPU side, `gpu_ns` for `gpu_tasks` on the
     /// GPU side. A side with zero tasks contributes no sample. Samples
-    /// are floored at [`AdaptiveConfig::floor_ns`] per task (degenerate-
+    /// are floored at [`FLOOR_NS`] per task (degenerate-
     /// measurement guard) before the EWMA update.
     pub fn record(
         &mut self,
@@ -373,17 +355,17 @@ impl AdaptiveDispatcher {
         let cfg = self.config;
         let model = self.models.entry(kind).or_default();
         if cpu_tasks > 0 {
-            let sample = (cpu_ns as f64 / cpu_tasks as f64).max(cfg.floor_ns);
+            let sample = (cpu_ns as f64 / cpu_tasks as f64).max(FLOOR_NS);
             model.m_hat = Some(ewma(model.m_hat, sample, cfg.alpha));
         }
         if gpu_tasks > 0 {
-            let sample = (gpu_ns as f64 / gpu_tasks as f64).max(cfg.floor_ns);
+            let sample = (gpu_ns as f64 / gpu_tasks as f64).max(FLOOR_NS);
             model.n_hat = Some(ewma(model.n_hat, sample, cfg.alpha));
         }
     }
 
     /// Feeds the queue-depth watchdog one observation; returns `true`
-    /// when [`AdaptiveConfig::watchdog_strikes`] consecutive
+    /// when [`WATCHDOG_STRIKES`] consecutive
     /// observations exceeded [`AdaptiveConfig::watchdog_depth`] — the
     /// backpressure regulator has failed to drain the device, so the
     /// caller should treat the device as stalled (quarantine it). The
@@ -392,7 +374,7 @@ impl AdaptiveDispatcher {
     pub fn queue_watchdog(&mut self, gpu_queue_depth: usize) -> bool {
         if gpu_queue_depth > self.config.watchdog_depth {
             self.watchdog_count += 1;
-            if self.watchdog_count >= self.config.watchdog_strikes {
+            if self.watchdog_count >= WATCHDOG_STRIKES {
                 self.watchdog_count = 0;
                 return true;
             }
@@ -404,7 +386,7 @@ impl AdaptiveDispatcher {
 
     /// Whether a GPU batch of `gpu_tasks` tasks taking `actual_ns` blew
     /// past the cost model's expectation by more than
-    /// [`AdaptiveConfig::timeout_factor`]. Detection only — the batch
+    /// [`TIMEOUT_FACTOR`]. Detection only — the batch
     /// already ran; callers must **not** re-execute its tasks (they
     /// completed, late), only penalize the device's health. Answers
     /// `false` while the model is unprobed: no expectation, no timeout.
@@ -418,8 +400,8 @@ impl AdaptiveDispatcher {
         // The degenerate-measurement floor is per *task*, not per batch:
         // flooring the whole-batch expectation would under-floor large
         // batches of a fast kind and flag a healthy device as timed out.
-        let expected = n_hat.max(self.config.floor_ns) * gpu_tasks as f64;
-        actual_ns as f64 > self.config.timeout_factor * expected
+        let expected = n_hat.max(FLOOR_NS) * gpu_tasks as f64;
+        actual_ns as f64 > TIMEOUT_FACTOR * expected
     }
 
     /// Forgets the GPU side of `kind`'s cost model. Called on
@@ -428,15 +410,6 @@ impl AdaptiveDispatcher {
     /// flush re-probes it instead of trusting a dead device's history.
     pub fn reset_gpu_model(&mut self, kind: TaskKind) {
         if let Some(model) = self.models.get_mut(&kind) {
-            model.n_hat = None;
-            model.gpu_idle = 0;
-        }
-    }
-
-    /// Forgets the GPU side of **every** kind's model (device-wide
-    /// events: the quarantined device serves all kinds).
-    pub fn reset_all_gpu_models(&mut self) {
-        for model in self.models.values_mut() {
             model.n_hat = None;
             model.gpu_idle = 0;
         }
@@ -625,7 +598,7 @@ mod tests {
             dec.plan.gpu_tasks as u64 * 5_000,
         );
         let mut refreshed = false;
-        for _ in 0..(cfg.refresh_every + 2) {
+        for _ in 0..(REFRESH_EVERY + 2) {
             let dec = d.plan(KIND, 8, 0);
             if dec.plan.cpu_tasks > 0 {
                 refreshed = true;
@@ -765,8 +738,8 @@ mod tests {
         // line must then scale as floor · tasks — a large batch gets the
         // full per-task floor, not one floor for the whole batch.
         let mut d = dispatcher();
-        let floor = d.config().floor_ns; // 50 ns
-        let factor = d.config().timeout_factor; // 4.0
+        let floor = FLOOR_NS;
+        let factor = TIMEOUT_FACTOR;
         d.record(KIND, 0, 0, 60, 0); // 0 ns for 60 tasks → floored
         let m = d.model(KIND).expect("model exists");
         assert_eq!(m.n_hat_ns, floor, "record floors per task");

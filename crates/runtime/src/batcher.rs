@@ -216,17 +216,6 @@ impl<T> Batcher<T> {
             self.flushed_by_drain,
         )
     }
-
-    /// Dumps the flush-cause statistics into a trace recorder's counter
-    /// registry (`batch_pushed` / `batch_flush_size` /
-    /// `batch_flush_timer` / `batch_flush_drain`). Deltas accumulate, so
-    /// several batchers can report into one registry.
-    pub fn record_stats<R: madness_trace::Recorder>(&self, rec: &mut R) {
-        rec.add("batch_pushed", self.pushed);
-        rec.add("batch_flush_size", self.flushed_by_size);
-        rec.add("batch_flush_timer", self.flushed_by_timer);
-        rec.add("batch_flush_drain", self.flushed_by_drain);
-    }
 }
 
 #[cfg(test)]

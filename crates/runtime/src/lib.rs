@@ -8,8 +8,10 @@
 //! MADNESS employs *many small tasks*; launching a GPU kernel per task is
 //! hopeless (launch overhead, transfer latency, occupancy). The extension
 //! layer lets an algorithm developer split a task into
-//! `preprocess → compute → postprocess` sub-tasks ([`op::BatchedOp`]);
-//! the runtime then:
+//! `preprocess → compute → postprocess` sub-tasks. This crate holds the
+//! mechanisms; the two pipelines built from them are the real one,
+//! `madness_core::apply`, and the simulated one,
+//! `madness_cluster::node`. Between the sub-tasks the runtime:
 //!
 //! * runs `preprocess`/`postprocess` on CPU worker threads
 //!   ([`pool::WorkerPool`]);
@@ -33,7 +35,6 @@ pub mod batcher;
 pub mod cpu;
 pub mod dispatch;
 pub mod graph;
-pub mod op;
 pub mod pool;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveDispatcher, DispatchDecision, DispatchPhase};
@@ -41,5 +42,4 @@ pub use batcher::{Batcher, BatcherConfig, TaskKind, TenantId};
 pub use cpu::CpuModel;
 pub use dispatch::{hybrid_optimal_time, measured_split, optimal_split, SplitPlan};
 pub use graph::{Future, GraphRunStats, TaskGraph, TaskId};
-pub use op::BatchedOp;
 pub use pool::{global_pool, initialize_hot_path, WorkerPool};

@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 /// `executor_stats().workers` — the latter is `0` until the executor's
 /// first parallel run, and this accessor's `OnceLock` would have pinned
 /// a 1-worker data pool for the rest of the process if it was called
-/// first (the bug behind the all-inline `BENCH_apply.json` trajectory
-/// point).
+/// first (a wall-clock Apply trajectory point was once recorded with
+/// every run inline because of it).
 pub fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| WorkerPool::new(rayon::configured_worker_threads().max(1)))

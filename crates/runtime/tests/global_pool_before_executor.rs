@@ -5,8 +5,8 @@
 //! The old sizing — `rayon::executor_stats().workers.max(1)` — read `0`
 //! here, and the `OnceLock` pinned a 1-worker data pool for the rest of
 //! the process. That starved every Full-fidelity Apply run's data
-//! threads, and it is how the committed `BENCH_apply.json` recorded
-//! `workers: 0` with all 12 776 runs inline.
+//! threads, and it is how a committed wall-clock Apply point once
+//! recorded `workers: 0` with all 12 776 runs inline.
 //!
 //! This file must stay a single-test integration binary: cargo gives it
 //! its own process, so no other test can have triggered the executor's

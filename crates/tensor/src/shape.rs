@@ -139,13 +139,6 @@ impl Shape {
             ndim: self.ndim,
         }
     }
-
-    /// Viewing the tensor as a `(len/dim0_last, dim_last)` matrix: the
-    /// "fused" leading extent `k^{d-1}` of the paper's
-    /// `(k^{d-1}, k) × (k, k)` multiplications.
-    pub fn fused_leading(&self) -> usize {
-        self.len() / self.dims[self.ndim() - 1]
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -209,12 +202,6 @@ mod tests {
         assert_eq!(r1.dims(), &[3, 4, 2]);
         let r3 = r1.rotated().rotated();
         assert_eq!(r3, s);
-    }
-
-    #[test]
-    fn fused_leading_is_k_pow_d_minus_1() {
-        let s = Shape::cube(4, 14);
-        assert_eq!(s.fused_leading(), 14 * 14 * 14);
     }
 
     #[test]

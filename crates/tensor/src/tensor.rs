@@ -158,11 +158,6 @@ impl Tensor {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute entry (∞-norm over elements).
-    pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
@@ -311,7 +306,6 @@ mod tests {
     fn normf_matches_manual() {
         let t = Tensor::from_vec(Shape::matrix(1, 2), vec![3.0, 4.0]);
         assert!((t.normf() - 5.0).abs() < 1e-15);
-        assert_eq!(t.norm_inf(), 4.0);
     }
 
     #[test]
