@@ -9,7 +9,10 @@
 //! *preprocess* resolves neighbors and operator-block addresses,
 //! *compute* tasks batch per kind and are split between CPU threads and
 //! the simulated GPU by the dispatcher's `k* = n/(m+n)` rule,
-//! *postprocess* accumulates results. Both produce identical trees.
+//! *postprocess* accumulates results. It is asynchronous: the calling
+//! thread dispatches and never waits for a batch — the CPU share is
+//! spawned into the executor and results commit in order as it retires.
+//! Both produce identical trees.
 
 use madness_gpusim::{
     ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
@@ -24,7 +27,9 @@ use madness_runtime::{
 use madness_tensor::{transform_sum_accumulate, Tensor, Term, TransformScratch, Workspace};
 use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Instant;
 
 /// Which resources execute the compute batches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -304,126 +309,147 @@ pub fn apply_batched_recorded<R: Recorder>(
         .collect();
     stats.tasks = prepared.len() as u64;
 
-    // ---- batch per kind, dispatch, compute ------------------------------
-    let mut batcher: Batcher<PreparedTask> = Batcher::new(config.batch);
-    let mut results: Vec<(Key, Tensor)> = Vec::with_capacity(prepared.len());
+    // ---- batch per kind, dispatch, compute, postprocess ------------------
+    // This thread is the paper's dispatcher: per flush it plans the split,
+    // runs the GPU share on the simulated device itself (flush order, so
+    // the device's cache and stream clocks see the same sequence whatever
+    // the executor does) and *spawns* the CPU share in cost-grained
+    // chunks — then moves on to the next push without waiting. Every
+    // chunk and every GPU share is one segment of the commit order.
+    let commit = Commit::new(FunctionTree::new(d, k));
+    let mut segments = 0usize;
     // Adaptive mode's feedback state. `sim_now` is the simulated clock the
-    // in-flight stream-queue windows live on: it advances by each flush's
-    // measured CPU time (the CPU keeps streaming), so a GPU batch whose
-    // simulated time outlives the flush stays queued and builds the
-    // backpressure the dispatcher shrinks the GPU share on.
+    // in-flight stream-queue windows live on: it advances by each retired
+    // CPU chunk's throughput-equivalent time (the CPU keeps streaming), so
+    // a GPU batch whose simulated time outlives the CPU work dispatched
+    // beside it stays queued and builds the backpressure the dispatcher
+    // shrinks the GPU share on.
+    let adaptive = matches!(config.resource, ApplyResource::Adaptive);
     let mut dispatcher = AdaptiveDispatcher::new(AdaptiveConfig::default());
     let mut sim_now = SimTime::ZERO;
-    let mut run_batch = |kind: TaskKind,
-                         batch: Vec<PreparedTask>,
-                         device: &mut GpuDevice,
-                         stats: &mut ApplyStats,
-                         dispatcher: &mut AdaptiveDispatcher,
-                         sim_now: &mut SimTime,
-                         rec: &mut R| {
-        stats.batches += 1;
-        let adaptive = matches!(config.resource, ApplyResource::Adaptive);
-        let plan = match config.resource {
-            ApplyResource::Cpu => SplitPlan::all_cpu(batch.len()),
-            ApplyResource::Gpu => SplitPlan::all_gpu(batch.len()),
-            ApplyResource::Hybrid => {
-                let spec_flops = batch
-                    .first()
-                    .map(|p| p.task.flops_rank_reduced())
-                    .unwrap_or(0);
-                let m = cpu_model
-                    .batch_time(batch.len(), spec_flops, d, k, op.rank(), config.threads)
-                    .as_secs_f64();
-                let gcost = batch
-                    .first()
-                    .map(|p| madness_gpusim::kernel::kernel_cost(device.spec(), kernel, &p.task))
-                    .unwrap_or_default();
-                let conc = device.concurrency(gcost.sms_used).max(1) as f64;
-                let n = gcost.duration.as_secs_f64() * batch.len() as f64 / conc;
-                SplitPlan::for_times(batch.len(), m, n)
+    let workers = rayon::configured_worker_threads().max(1) as u64;
+    let (sample_tx, sample_rx) = mpsc::channel::<ChunkSample>();
+    let sample_tx = adaptive.then_some(&sample_tx);
+    let mut batcher: Batcher<PreparedTask> = Batcher::new(config.batch);
+
+    rayon::scope(|scope| {
+        let commit = &commit;
+        let mut flush = |kind: TaskKind, batch: Vec<PreparedTask>| {
+            stats.batches += 1;
+            // A batch is one kind: its first task's cost stands for all.
+            let task_flops = batch.first().map_or(0, |p| p.task.flops_rank_reduced());
+            let plan = match config.resource {
+                ApplyResource::Cpu => SplitPlan::all_cpu(batch.len()),
+                ApplyResource::Gpu => SplitPlan::all_gpu(batch.len()),
+                ApplyResource::Hybrid => {
+                    let m = cpu_model
+                        .batch_time(batch.len(), task_flops, d, k, op.rank(), config.threads)
+                        .as_secs_f64();
+                    let gcost = batch
+                        .first()
+                        .map(|p| {
+                            madness_gpusim::kernel::kernel_cost(device.spec(), kernel, &p.task)
+                        })
+                        .unwrap_or_default();
+                    let conc = device.concurrency(gcost.sms_used).max(1) as f64;
+                    let n = gcost.duration.as_secs_f64() * batch.len() as f64 / conc;
+                    SplitPlan::for_times(batch.len(), m, n)
+                }
+                ApplyResource::Adaptive => {
+                    // CPU feedback arrives whenever a chunk retires: a
+                    // chunk's busy time over the executor's width is what
+                    // the CPU side as a whole needs per task — the same
+                    // quantity a fork-join's wall time used to measure.
+                    for sample in sample_rx.try_iter() {
+                        let cpu_ns = sample.busy_ns / workers;
+                        dispatcher.record(sample.kind, sample.tasks, cpu_ns, 0, 0);
+                        sim_now += SimTime::from_nanos(cpu_ns);
+                    }
+                    let depth = device.queue_depth(sim_now);
+                    let decision = dispatcher.plan(kind, batch.len(), depth);
+                    rec.observe_split(decision.k);
+                    rec.observe_dispatch(decision.sample());
+                    decision.plan
+                }
+            };
+            stats.cpu_tasks += plan.cpu_tasks as u64;
+            stats.gpu_tasks += plan.gpu_tasks as u64;
+            // The schedule, not split-on-demand, owns the grain.
+            let per_chunk = (CHUNK_FLOPS / task_flops.max(1)).max(1) as usize;
+
+            // CPU side (honours rank reduction): ownership of the tasks
+            // moves into the spawned chunk, which runs them in order
+            // inside one workspace and retires as one commit segment.
+            let mut tasks = batch.into_iter();
+            let mut cpu_left = plan.cpu_tasks;
+            while cpu_left > 0 {
+                let chunk: Vec<PreparedTask> =
+                    tasks.by_ref().take(per_chunk.min(cpu_left)).collect();
+                cpu_left -= chunk.len();
+                let seq = segments;
+                segments += 1;
+                scope.spawn(move |_| {
+                    let t0 = Instant::now();
+                    let results: Vec<(Key, Tensor)> = Workspace::with(|ws| {
+                        chunk
+                            .iter()
+                            .map(|p| (p.neighbor, compute_cpu(&p.task, ws.scratch())))
+                            .collect()
+                    });
+                    if let Some(tx) = sample_tx {
+                        // The receiver outlives the scope; a failed send
+                        // could only lose feedback, never a result.
+                        let _ = tx.send(ChunkSample {
+                            kind,
+                            tasks: chunk.len(),
+                            busy_ns: t0.elapsed().as_nanos() as u64,
+                        });
+                    }
+                    drop(chunk);
+                    commit.retire(seq, results);
+                });
             }
-            ApplyResource::Adaptive => {
-                let depth = device.queue_depth(*sim_now);
-                let decision = dispatcher.plan(kind, batch.len(), depth);
-                rec.observe_split(decision.k);
-                rec.observe_dispatch(decision.sample());
-                decision.plan
+
+            // GPU side: the rest of the batch, after the CPU segments in
+            // commit order — the exact pre-pipeline accumulation order
+            // (bit-identical trees).
+            if plan.gpu_tasks > 0 {
+                let (neighbors, gpu_tasks): (Vec<Key>, Vec<TransformTask>) =
+                    tasks.map(|p| (p.neighbor, p.task)).unzip();
+                let out = device.execute_batch(&gpu_tasks, kernel, ExecMode::Full);
+                if adaptive {
+                    // Simulated GPU batch time feeds the cost model, and
+                    // the batch occupies the stream queue for that long.
+                    let gpu_ns = out.time.as_nanos();
+                    dispatcher.record(kind, 0, 0, plan.gpu_tasks, gpu_ns);
+                    device.note_inflight(sim_now, sim_now + SimTime::from_nanos(gpu_ns));
+                }
+                let results = neighbors
+                    .into_iter()
+                    .zip(out.results)
+                    .map(|(neighbor, r)| (neighbor, r.expect("full mode returns results")))
+                    .collect();
+                let seq = segments;
+                segments += 1;
+                commit.retire(seq, results);
             }
         };
-        stats.cpu_tasks += plan.cpu_tasks as u64;
-        stats.gpu_tasks += plan.gpu_tasks as u64;
-        let mut cpu_part = batch;
-        let gpu_part = cpu_part.split_off(plan.cpu_tasks);
 
-        // CPU side (honours rank reduction) overlaps with the GPU batch
-        // via `join` — the paper's "CPU threads keep computing while the
-        // GPU batch is in flight". Ownership of the GPU tasks moves into
-        // the slice: no per-task deep clone.
-        let (neighbors, tasks): (Vec<Key>, Vec<TransformTask>) =
-            gpu_part.into_iter().map(|p| (p.neighbor, p.task)).unzip();
-        let ((cpu_results, cpu_ns), gpu_out) = rayon::join(
-            || {
-                let t0 = std::time::Instant::now();
-                let out = cpu_part
-                    .par_iter()
-                    .map(|p| Workspace::with(|ws| (p.neighbor, compute_cpu(&p.task, ws.scratch()))))
-                    .collect::<Vec<(Key, Tensor)>>();
-                (out, t0.elapsed().as_nanos() as u64)
-            },
-            || (!tasks.is_empty()).then(|| device.execute_batch(&tasks, kernel, ExecMode::Full)),
-        );
-        if adaptive {
-            // Feed measured CPU wall time + simulated GPU batch time back
-            // into the cost model, and note the batch's stream-queue
-            // occupancy window.
-            let gpu_ns = gpu_out.as_ref().map_or(0, |out| out.time.as_nanos());
-            dispatcher.record(kind, plan.cpu_tasks, cpu_ns, plan.gpu_tasks, gpu_ns);
-            if plan.gpu_tasks > 0 {
-                device.note_inflight(*sim_now, *sim_now + SimTime::from_nanos(gpu_ns));
-            }
-            *sim_now += SimTime::from_nanos(cpu_ns);
-        }
-        // CPU results stay ahead of GPU results, preserving the exact
-        // pre-overlap accumulation order (bit-identical trees).
-        results.extend(cpu_results);
-        if let Some(out) = gpu_out {
-            for (neighbor, r) in neighbors.into_iter().zip(out.results) {
-                results.push((neighbor, r.expect("full mode returns results")));
+        for p in prepared {
+            let kind = TaskKind::new(APPLY_OP_ID, p.neighbor.level() as u64);
+            if let Some((flushed_kind, full)) = batcher.push(kind, p) {
+                flush(flushed_kind, full);
             }
         }
-    };
-
-    for p in prepared {
-        let kind = TaskKind::new(APPLY_OP_ID, p.neighbor.level() as u64);
-        if let Some((flushed_kind, full)) = batcher.push(kind, p) {
-            run_batch(
-                flushed_kind,
-                full,
-                &mut device,
-                &mut stats,
-                &mut dispatcher,
-                &mut sim_now,
-                rec,
-            );
+        for (flushed_kind, rest) in batcher.drain() {
+            flush(flushed_kind, rest);
         }
-    }
-    for (flushed_kind, rest) in batcher.drain() {
-        run_batch(
-            flushed_kind,
-            rest,
-            &mut device,
-            &mut stats,
-            &mut dispatcher,
-            &mut sim_now,
-            rec,
-        );
-    }
+    });
 
-    // ---- postprocess (Algorithm 6) --------------------------------------
-    let mut result_tree = FunctionTree::new(d, k);
-    for (neighbor, r) in results {
-        result_tree.accumulate(neighbor, 1.0, &r);
-    }
+    // ---- postprocess tail (Algorithm 6) ---------------------------------
+    // Accumulation overlapped compute; only the segments that retired
+    // while another thread held the tree are left, then `sum_down`.
+    let mut result_tree = commit.finish(segments);
     sum_down(&mut result_tree);
 
     let host_cache_after = op.cache_stats();
@@ -434,6 +460,110 @@ pub fn apply_batched_recorded<R: Recorder>(
     let (h, m, e) = device.cache().stats();
     stats.device_cache = (h, m, e);
     (result_tree, stats)
+}
+
+/// Cost grain of one spawned CPU chunk, in rank-reduced FLOPs: large
+/// enough that queueing, waking and committing a chunk (a few µs) is
+/// noise against running it (a whole 16-task batch at k = 4 is one
+/// chunk), small enough that a kernel-bound task (k = 10: ≈ 2 MFLOP) is
+/// its own chunk and a batch still spreads over every worker.
+const CHUNK_FLOPS: u64 = 1_000_000;
+
+/// One retired CPU chunk's timing: [`ApplyResource::Adaptive`]'s CPU-side
+/// feedback, sent to the dispatcher thread.
+struct ChunkSample {
+    kind: TaskKind,
+    tasks: usize,
+    busy_ns: u64,
+}
+
+/// The postprocess stage: results enter the result tree in segment order
+/// (flush order; a flush's CPU chunks before its GPU share; task order
+/// within), whatever order the segments finish in, so every target keeps
+/// its accumulation order and the tree is bit-identical to a serial run.
+struct Commit {
+    ready: Mutex<ReadySegments>,
+    /// Held by whoever is committing; never waited on while computing.
+    tree: Mutex<FunctionTree>,
+}
+
+/// Retired segments waiting for their turn.
+struct ReadySegments {
+    /// The next segment the tree takes.
+    next: usize,
+    done: BTreeMap<usize, Vec<(Key, Tensor)>>,
+}
+
+impl Commit {
+    fn new(tree: FunctionTree) -> Self {
+        Commit {
+            ready: Mutex::new(ReadySegments {
+                next: 0,
+                done: BTreeMap::new(),
+            }),
+            tree: Mutex::new(tree),
+        }
+    }
+
+    /// Hands in segment `seq` and commits whatever is now in order —
+    /// unless another thread is already committing, which will pick this
+    /// segment up itself (or leave it to a later retire / `finish`).
+    fn retire(&self, seq: usize, results: Vec<(Key, Tensor)>) {
+        self.ready
+            .lock()
+            .expect("commit queue poisoned")
+            .done
+            .insert(seq, results);
+        loop {
+            // Busy, or poisoned by a panic the scope is about to rethrow.
+            let Ok(mut tree) = self.tree.try_lock() else {
+                return;
+            };
+            Self::drain(&self.ready, &mut tree);
+            drop(tree);
+            // A segment that became next-in-order while the lock was held
+            // found it busy and left: look again before leaving.
+            let ready = self.ready.lock().expect("commit queue poisoned");
+            if !ready.done.contains_key(&ready.next) {
+                return;
+            }
+        }
+    }
+
+    /// Accumulates every in-order ready segment; result tensors are freed
+    /// as they commit.
+    fn drain(ready: &Mutex<ReadySegments>, tree: &mut FunctionTree) {
+        loop {
+            let segment = {
+                let mut ready = ready.lock().expect("commit queue poisoned");
+                let next = ready.next;
+                let Some(segment) = ready.done.remove(&next) else {
+                    return;
+                };
+                ready.next += 1;
+                segment
+            };
+            for (neighbor, r) in &segment {
+                tree.accumulate(*neighbor, 1.0, r);
+            }
+        }
+    }
+
+    /// The final drain, once every segment has retired: returns the tree.
+    ///
+    /// # Panics
+    /// Panics unless exactly `segments` segments were committed.
+    fn finish(self, segments: usize) -> FunctionTree {
+        let mut tree = self.tree.into_inner().expect("commit panicked");
+        Self::drain(&self.ready, &mut tree);
+        let ready = self.ready.into_inner().expect("commit queue poisoned");
+        assert!(
+            ready.next == segments && ready.done.is_empty(),
+            "committed {} of {segments} segments",
+            ready.next
+        );
+        tree
+    }
 }
 
 /// CPU compute sub-task: rank-reduced when the term carries effective
