@@ -28,8 +28,10 @@ use madness_faults::{
     FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, GpuGate, HealthTracker,
     RecoveryPolicy,
 };
+use madness_gpusim::kernel::kernel_cost;
 use madness_gpusim::{
-    DeviceSpec, ExecMode, GpuDevice, KernelKind, PinnedBufferPool, SimTime, TransformTask,
+    DeviceSpec, ExecMode, GpuDevice, KernelKind, PinnedBufferPool, SimTime, TransferEngine,
+    TransformTask,
 };
 use madness_runtime::{
     AdaptiveConfig, AdaptiveDispatcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
@@ -511,6 +513,27 @@ impl NodeSim {
         // Most recent fault cause — labels device-lifecycle journal
         // entries (quarantine, readmission) with what provoked them.
         let mut last_fault_kind = FaultKind::StreamStall;
+        // The population is homogeneous: one shape task, built once, and
+        // every simulated GPU task is a clone of it — an `Arc` bump on
+        // its term table, which is also what lets the device see each
+        // flush as one run. The buffer is reused across flushes and
+        // retries.
+        let shape = shape_task(spec);
+        let mut gpu_tasks: Vec<TransformTask> = Vec::new();
+        let flops_cpu = spec.task_flops_cpu();
+        let cpu_batch_time = |n: u64, threads: usize| {
+            p.cpu
+                .batch_time(n as usize, flops_cpu, spec.d, spec.k, spec.rank, threads)
+        };
+        // Steady-state estimate of a GPU batch (h blocks assumed cached)
+        // — what the dispatcher "knows" about relative GPU performance.
+        let est_cost = kernel_cost(&p.gpu, kernel, &shape);
+        let est_conc = device.concurrency(est_cost.sms_used) as u64;
+        let est_engine = TransferEngine::new(&p.gpu);
+        let estimate_gpu_batch = |b: u64| {
+            est_cost.duration * b / est_conc
+                + est_engine.transfer_time(shape.s_bytes() * b, true) * 2u64
+        };
 
         while remaining > 0 {
             let b = remaining.min(batch_cap);
@@ -597,20 +620,8 @@ impl NodeSim {
                 _ if gate == GpuGate::Probe => (b - 1, 1u64, (b - 1) as f64 / b as f64),
                 None => (0u64, b, 0.0),
                 Some(ct) => {
-                    let m = p
-                        .cpu
-                        .batch_time(
-                            b as usize,
-                            spec.task_flops_cpu(),
-                            spec.d,
-                            spec.k,
-                            spec.rank,
-                            ct,
-                        )
-                        .as_secs_f64();
-                    let n = self
-                        .estimate_gpu_batch(&device, spec, b, kernel)
-                        .as_secs_f64();
+                    let m = cpu_batch_time(b, ct).as_secs_f64();
+                    let n = estimate_gpu_batch(b).as_secs_f64();
                     let plan = SplitPlan::for_times(b as usize, m, n);
                     (
                         plan.cpu_tasks as u64,
@@ -660,15 +671,14 @@ impl NodeSim {
                 let mut submit = disp_end;
                 let mut attempt = 0u32;
                 loop {
-                    let tasks: Vec<TransformTask> =
-                        (0..pending).map(|_| shape_task(spec)).collect();
+                    gpu_tasks.resize(pending as usize, shape.clone());
                     // The device journals its own transfer/kernel spans;
                     // it needs the batch's absolute start, which for the
                     // 1-lane GPU resource is what `serve` will hand back
                     // below.
                     let batch_start = gpu_res.next_start(submit);
                     let out = device.execute_batch_injected(
-                        &tasks,
+                        &gpu_tasks,
                         kernel,
                         ExecMode::Timing,
                         batch_start,
@@ -774,18 +784,8 @@ impl NodeSim {
                         tasks: n_failed,
                     });
                     ctx.summary.cpu_fallback_tasks += n_failed;
-                    let ct = compute_threads.unwrap_or(1);
-                    let dur = p
-                        .cpu
-                        .batch_time(
-                            n_failed as usize,
-                            spec.task_flops_cpu(),
-                            spec.d,
-                            spec.k,
-                            spec.rank,
-                            ct,
-                        )
-                        .scale(straggler);
+                    let dur =
+                        cpu_batch_time(n_failed, compute_threads.unwrap_or(1)).scale(straggler);
                     cpu_busy += dur;
                     let (fstart, fend) = cpu_res.serve(gend, dur);
                     if R::ENABLED {
@@ -799,18 +799,7 @@ impl NodeSim {
             }
             // CPU part.
             if cpu_n > 0 {
-                let ct = compute_threads.unwrap_or(1);
-                let dur = p
-                    .cpu
-                    .batch_time(
-                        cpu_n as usize,
-                        spec.task_flops_cpu(),
-                        spec.d,
-                        spec.k,
-                        spec.rank,
-                        ct,
-                    )
-                    .scale(straggler);
+                let dur = cpu_batch_time(cpu_n, compute_threads.unwrap_or(1)).scale(straggler);
                 cpu_busy += dur;
                 let (cstart, cend) = cpu_res.serve(release, dur);
                 if R::ENABLED {
@@ -876,24 +865,6 @@ impl NodeSim {
                 0.0
             },
         }
-    }
-
-    /// Steady-state estimate of a GPU batch (h blocks assumed cached) —
-    /// what the dispatcher "knows" about relative GPU performance.
-    fn estimate_gpu_batch(
-        &self,
-        device: &GpuDevice,
-        spec: &WorkloadSpec,
-        b: u64,
-        kernel: KernelKind,
-    ) -> SimTime {
-        let task = shape_task(spec);
-        let cost = madness_gpusim::kernel::kernel_cost(device.spec(), kernel, &task);
-        let conc = device.concurrency(cost.sms_used) as u64;
-        let compute = cost.duration * b / conc.max(1);
-        let engine = madness_gpusim::TransferEngine::new(device.spec());
-        let bytes = task.s_bytes() * b;
-        compute + engine.transfer_time(bytes, true) * 2u64
     }
 }
 

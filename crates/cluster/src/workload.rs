@@ -34,8 +34,9 @@ impl WorkloadSpec {
     pub fn task_flops_cpu(&self) -> u64 {
         match self.rr_mean_rank {
             Some(kr) => {
-                let krs = vec![kr.min(self.k); self.d];
-                (self.rank as u64) * madness_tensor::flops::transform_rr_flops(self.d, self.k, &krs)
+                let krs = [kr.min(self.k); madness_tensor::MAX_DIMS];
+                (self.rank as u64)
+                    * madness_tensor::flops::transform_rr_flops(self.d, self.k, &krs[..self.d])
             }
             None => self.task_flops(),
         }

@@ -96,7 +96,7 @@ fn run(cfg: &ServeConfig) -> (ServeReport, MemRecorder) {
 
 #[test]
 fn fixed_seed_replays_bit_identically() {
-    let c = cfg(0xD15E_A5E);
+    let c = cfg(0x0D15_EA5E);
     assert_eq!(
         generate_requests(&c),
         generate_requests(&c),

@@ -12,6 +12,8 @@ use madness_trace::{NullRecorder, Recorder, Stage};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::VecDeque;
+use std::iter::repeat_n;
+use std::sync::Arc;
 
 /// Simulated latency between a device falling off the bus and the
 /// driver reporting the loss to the caller.
@@ -279,9 +281,24 @@ impl GpuDevice {
         br.bytes_s = tasks.iter().map(|t| t.s_bytes()).sum();
         br.transfer_in_s = self.engine.transfer_time(br.bytes_s, self.pinned);
         let (hits0, misses0, evictions0) = self.cache.stats();
-        for t in tasks {
-            let per_block = t.h_block_bytes();
-            br.bytes_h += self.cache.ensure_batch(t.h_ids(), per_block);
+        // Consecutive tasks applying one term table (the same `Arc`, as
+        // `core::apply` hands out per level × displacement and the node
+        // simulator per population; equal ids behind different
+        // allocations do not count) to one tensor shape form a *run*:
+        // they ask the cache for the same blocks and cost the same
+        // kernel time, so both are worked out once per run. Faults,
+        // stream scheduling and journaling below stay per task.
+        let mut costs = Vec::with_capacity(n);
+        for run in
+            tasks.chunk_by(|a, b| Arc::ptr_eq(&a.terms, &b.terms) && (a.d, a.k) == (b.d, b.k))
+        {
+            let head = &run[0];
+            br.bytes_h += self.cache.ensure_batch_repeated(
+                head.h_ids(),
+                head.h_block_bytes(),
+                run.len() as u64,
+            );
+            costs.extend(repeat_n(kernel_cost(&self.spec, kind, head), run.len()));
         }
         br.transfer_in_h = self.engine.transfer_time(br.bytes_h, self.pinned);
         if inj.transfer(t0).is_some() {
@@ -332,10 +349,6 @@ impl GpuDevice {
         }
 
         // --- compute: greedy list scheduling over streams ---------------
-        let costs: Vec<_> = tasks
-            .iter()
-            .map(|t| kernel_cost(&self.spec, kind, t))
-            .collect();
         let sms_per_kernel = costs.iter().map(|c| c.sms_used).max().unwrap_or(1);
         let lanes = self.concurrency(sms_per_kernel);
         let compute_begin = t0 + (br.transfer_in_s + br.transfer_in_h).as_nanos();
@@ -471,7 +484,6 @@ mod tests {
     use crate::task::{HBlock, TransformTerm};
     use madness_faults::Trigger;
     use madness_tensor::Shape;
-    use std::sync::Arc;
 
     fn device(streams: usize) -> GpuDevice {
         GpuDevice::new(DeviceSpec::default(), streams)

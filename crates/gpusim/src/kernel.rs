@@ -64,8 +64,7 @@ pub fn kernel_cost(spec: &DeviceSpec, kind: KernelKind, task: &TransformTask) ->
         KernelKind::CustomMtxmq => {
             let sms = spec.custom_kernel_sms(d, k);
             let rate = sms as f64 * spec.dp_gflops_per_sm * 1e9 * spec.custom_efficiency(d, k);
-            let has_rr = task.terms.iter().any(|t| t.effective_ranks.is_some());
-            if spec.dynamic_parallelism && has_rr {
+            if spec.dynamic_parallelism && task.terms.iter().any(|t| t.effective_ranks.is_some()) {
                 // The paper's future work (§II-D/§VI): on Kepler, CUDA 5
                 // dynamic parallelism lets the kernel launch sub-kernels
                 // sized to the *reduced* multiplications, so rank
@@ -92,24 +91,25 @@ pub fn kernel_cost(spec: &DeviceSpec, kind: KernelKind, task: &TransformTask) ->
             }
         }
         KernelKind::CublasLike => {
-            let fused = (k as u64).pow(d as u32 - 1) as usize;
-            let mut duration = SimTime::ZERO;
-            let mut launches = 0u64;
-            let mut sms_used = 1usize;
-            for _term in task.terms.iter() {
-                for _dim in 0..d {
-                    let flops = madness_tensor::flops::mtxmq_flops(fused, k, k);
-                    let (sms, rate) = spec.cublas_gemm(fused, k, k);
-                    sms_used = sms_used.max(sms);
-                    duration +=
-                        spec.kernel_launch_overhead + SimTime::from_secs_f64(flops as f64 / rate);
-                    launches += 1;
-                }
+            let launches = task.num_multiplications();
+            if launches == 0 {
+                return KernelCost {
+                    sms_used: 1,
+                    ..KernelCost::default()
+                };
             }
+            // All `M × d` launches are the same `(k^{d-1}, k) × (k, k)`
+            // GEMM. `SimTime` is integer nanoseconds, so pricing one and
+            // multiplying is bit-identical to summing launch by launch.
+            let fused = (k as u64).pow(d as u32 - 1) as usize;
+            let flops = madness_tensor::flops::mtxmq_flops(fused, k, k);
+            let (sms, rate) = spec.cublas_gemm(fused, k, k);
+            let per_gemm =
+                spec.kernel_launch_overhead + SimTime::from_secs_f64(flops as f64 / rate);
             KernelCost {
-                duration,
+                duration: per_gemm * launches,
                 launches,
-                sms_used,
+                sms_used: sms,
             }
         }
     }
@@ -174,6 +174,43 @@ mod tests {
             (1.8..3.5).contains(&ratio),
             "custom/cuBLAS ratio {ratio:.2} outside paper band"
         );
+    }
+
+    #[test]
+    fn cublas_cost_is_the_launch_by_launch_sum() {
+        // The closed form must equal the `rank × d`-term sum it
+        // replaced, written out here, to the nanosecond.
+        let spec = DeviceSpec::default();
+        for d in [3usize, 4] {
+            for k in [4usize, 10, 14, 20, 30] {
+                for rank in [0usize, 1, 34, 100] {
+                    for rr in [false, true] {
+                        let task = if rr {
+                            TransformTask::shape_only_rr(d, k, rank, 0, 3)
+                        } else {
+                            TransformTask::shape_only(d, k, rank, 0)
+                        };
+                        let fused = k.pow(d as u32 - 1);
+                        let mut want = KernelCost {
+                            sms_used: 1,
+                            ..KernelCost::default()
+                        };
+                        for _term in 0..rank {
+                            for _dim in 0..d {
+                                let flops = madness_tensor::flops::mtxmq_flops(fused, k, k);
+                                let (sms, rate) = spec.cublas_gemm(fused, k, k);
+                                want.sms_used = want.sms_used.max(sms);
+                                want.duration += spec.kernel_launch_overhead
+                                    + SimTime::from_secs_f64(flops as f64 / rate);
+                                want.launches += 1;
+                            }
+                        }
+                        let got = kernel_cost(&spec, KernelKind::CublasLike, &task);
+                        assert_eq!(got, want, "d={d} k={k} rank={rank} rr={rr}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

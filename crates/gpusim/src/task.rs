@@ -127,7 +127,7 @@ impl TransformTask {
     }
 
     /// All block ids this task references (for the device cache).
-    pub fn h_ids(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn h_ids(&self) -> impl Iterator<Item = u64> + Clone + '_ {
         self.terms.iter().flat_map(|t| t.hs.iter().map(|h| h.id))
     }
 

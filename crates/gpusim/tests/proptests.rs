@@ -1,16 +1,75 @@
 //! Property-based tests of the device model's monotonicity and
 //! accounting invariants.
 
+use madness_faults::{FaultInjector, FaultPlan};
 use madness_gpusim::kernel::{execute_task, kernel_cost};
 use madness_gpusim::{
     DeviceSpec, ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
 };
 use madness_tensor::{Shape, Tensor, TransformScratch};
+use madness_trace::MemRecorder;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn kinds() -> impl Strategy<Value = KernelKind> {
     prop_oneof![Just(KernelKind::CustomMtxmq), Just(KernelKind::CublasLike)]
+}
+
+/// A batch for the run-sharing oracle: each `(pick, len)` is `len`
+/// consecutive tasks on one of five term tables, chosen to hit every
+/// way a run can begin, end or be refused.
+fn run_batch(picks: &[(usize, usize)]) -> Vec<TransformTask> {
+    let a = TransformTask::shape_only(3, 10, 7, 0);
+    let b = TransformTask::shape_only_rr(3, 10, 5, 1, 4);
+    let mut batch = Vec::new();
+    for &(pick, len) in picks {
+        let task = match pick {
+            // One shared table: a run.
+            0 => a.clone(),
+            // Another shared table with other ids (and effective ranks).
+            1 => b.clone(),
+            // `a`'s ids behind a fresh allocation per pick: a new run.
+            2 => TransformTask::shape_only(3, 10, 7, 0),
+            // `a`'s allocation at another `k`: not `a`'s run.
+            3 => TransformTask { k: 12, ..a.clone() },
+            // A rank-0 table: a run with nothing to ask the cache.
+            _ => TransformTask::shape_only(3, 10, 0, 2),
+        };
+        batch.extend(std::iter::repeat_n(task, len));
+    }
+    batch
+}
+
+/// Runs `batch` twice on one device (the second pass meets the cache
+/// the first one left) and returns everything observable.
+fn observe(
+    batch: &[TransformTask],
+    kind: KernelKind,
+    streams: usize,
+    mem: u64,
+    plan: &FaultPlan,
+) -> impl PartialEq + std::fmt::Debug {
+    let mut dev = GpuDevice::new(
+        DeviceSpec {
+            device_mem_bytes: mem,
+            ..DeviceSpec::default()
+        },
+        streams,
+    );
+    let mut inj = FaultInjector::new(plan);
+    let mut rec = MemRecorder::new();
+    let mut outcomes = Vec::new();
+    for start in [SimTime::ZERO, SimTime::from_millis(500)] {
+        let out =
+            dev.execute_batch_injected(batch, kind, ExecMode::Timing, start, &mut rec, &mut inj);
+        outcomes.push((out.time, out.breakdown, out.failed));
+    }
+    let cache = dev.cache();
+    (
+        outcomes,
+        (cache.stats(), cache.bytes_used(), cache.len()),
+        rec,
+    )
 }
 
 proptest! {
@@ -91,6 +150,41 @@ proptest! {
         prop_assert_eq!(hits + misses, (n_tasks * rank * 3) as u64);
         prop_assert_eq!(misses as usize, dev.cache().len());
         prop_assert_eq!(dev.cache().bytes_used(), misses * 800);
+    }
+
+    /// Sharing-blind oracle for the device's run detection: a batch must
+    /// behave exactly like a copy whose every task owns a deep clone of
+    /// its term table (no two tasks share an allocation, so every run
+    /// has length 1 and every task walks the cache and prices its own
+    /// kernel) — outcome, cache state and journal, under tight device
+    /// memory and launch faults included.
+    #[test]
+    fn run_sharing_is_unobservable(
+        picks in proptest::collection::vec((0usize..5, 1usize..6), 1..8),
+        kind in kinds(),
+        streams in 1usize..7,
+        // 6 GB; 10 blocks (no table fits: a task evicts its own
+        // blocks); 21 blocks and change (table `a` fits alone, not
+        // beside another); 40 blocks (any two tables, not three).
+        mem in prop_oneof![Just(6u64 << 30), Just(8_000u64), Just(17_000u64), Just(32_000u64)],
+        fault in (any::<u64>(), prop_oneof![Just(0.0f64), Just(0.25f64)]),
+    ) {
+        let (seed, launch_fail_rate) = fault;
+        let plan = FaultPlan::seeded(seed)
+            .with_launch_fail_rate(launch_fail_rate)
+            .with_stream_stalls(launch_fail_rate, 40_000);
+        let shared = run_batch(&picks);
+        let unshared: Vec<TransformTask> = shared
+            .iter()
+            .map(|t| TransformTask {
+                terms: Arc::new(t.terms.as_ref().clone()),
+                ..t.clone()
+            })
+            .collect();
+        prop_assert_eq!(
+            observe(&shared, kind, streams, mem, &plan),
+            observe(&unshared, kind, streams, mem, &plan)
+        );
     }
 
     /// Full-fidelity execution is linear: executing a task with doubled

@@ -1062,6 +1062,6 @@ mod tests {
         assert_eq!(pass_tile_rows(16, 4, 4), 16);
         // The big k=30 d=3 pass tiles.
         let t = pass_tile_rows(900, 30, 30);
-        assert!(t < 900 && t % 8 == 0 && t >= 8, "tile {t}");
+        assert!(t < 900 && t.is_multiple_of(8) && t >= 8, "tile {t}");
     }
 }

@@ -172,7 +172,7 @@ mod workspace {
             .map(|i| {
                 det_tensor(
                     Shape::matrix(extents[i], outs[i]),
-                    seed ^ (i as u64 + 1) * 7919,
+                    seed ^ ((i as u64 + 1) * 7919),
                 )
             })
             .collect();
@@ -357,7 +357,7 @@ mod kernels {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                if state % 31 == 0 {
+                if state.is_multiple_of(31) {
                     0.0
                 } else {
                     ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
