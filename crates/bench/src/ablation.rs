@@ -3,21 +3,15 @@
 //! Each ablation isolates one mechanism of the paper's contribution and
 //! quantifies what it buys, over the same simulated hardware.
 
+use crate::pinned::{SPEC, TABLE1_GPU};
+use crate::report::Report;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
 use madness_cluster::workload::WorkloadSpec;
 use madness_gpusim::{
     DeviceSpec, ExecMode, GpuDevice, KernelKind, PinnedBufferPool, SimTime, TransferEngine,
     TransformTask,
 };
-
-fn spec_3d_k10() -> WorkloadSpec {
-    WorkloadSpec {
-        d: 3,
-        k: 10,
-        rank: 100,
-        rr_mean_rank: None,
-    }
-}
+use std::fmt::Write as _;
 
 /// A named before/after comparison.
 #[derive(Clone, Debug)]
@@ -138,30 +132,12 @@ pub fn ablation_hcache(n_batches: u64) -> (Ablation, u64, u64) {
 /// The optimal split `k* = n/(m+n)` vs GPU-only (naive offload).
 pub fn ablation_split(n_tasks: u64) -> Ablation {
     let node = NodeSim::new(NodeParams::default());
-    let s = spec_3d_k10();
     let hybrid = node
-        .simulate(
-            &s,
-            n_tasks,
-            ResourceMode::Hybrid {
-                compute_threads: 10,
-                data_threads: 5,
-                streams: 5,
-                kernel: KernelKind::CustomMtxmq,
-            },
-        )
+        .simulate(&SPEC, n_tasks, ResourceMode::TABLE1_HYBRID)
         .total
         .as_secs_f64();
     let gpu_only = node
-        .simulate(
-            &s,
-            n_tasks,
-            ResourceMode::GpuOnly {
-                streams: 5,
-                kernel: KernelKind::CustomMtxmq,
-                data_threads: 12,
-            },
-        )
+        .simulate(&SPEC, n_tasks, TABLE1_GPU)
         .total
         .as_secs_f64();
     Ablation {
@@ -175,7 +151,7 @@ pub fn ablation_split(n_tasks: u64) -> Ablation {
 /// effect) — returns both as a pair.
 pub fn ablation_rankred(n_tasks: u64) -> (Ablation, Ablation) {
     let node = NodeSim::new(NodeParams::default());
-    let full = spec_3d_k10();
+    let full = SPEC;
     let reduced = WorkloadSpec {
         rr_mean_rank: Some(4),
         ..full
@@ -185,19 +161,7 @@ pub fn ablation_rankred(n_tasks: u64) -> (Ablation, Ablation) {
             .total
             .as_secs_f64()
     };
-    let gpu = |s: &WorkloadSpec| {
-        node.simulate(
-            s,
-            n_tasks,
-            ResourceMode::GpuOnly {
-                streams: 5,
-                kernel: KernelKind::CustomMtxmq,
-                data_threads: 12,
-            },
-        )
-        .total
-        .as_secs_f64()
-    };
+    let gpu = |s: &WorkloadSpec| node.simulate(s, n_tasks, TABLE1_GPU).total.as_secs_f64();
     (
         Ablation {
             name: "rank reduction on CPU",
@@ -212,18 +176,35 @@ pub fn ablation_rankred(n_tasks: u64) -> (Ablation, Ablation) {
     )
 }
 
-/// Runs every ablation at a standard size.
-pub fn all_ablations() -> Vec<Ablation> {
+/// `tablegen ablations`: every ablation at a standard size.
+pub(crate) fn report() -> Report {
     let (rr_cpu, rr_gpu) = ablation_rankred(6_000);
     let (hcache, _, _) = ablation_hcache(50);
-    vec![
+    let ablations = [
         ablation_batching(6_000),
         ablation_pinned(6_000),
         hcache,
         ablation_split(6_000),
         rr_cpu,
         rr_gpu,
-    ]
+    ];
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<52}{:>12}{:>12}{:>8}",
+        "mechanism", "with (s)", "without (s)", "gain"
+    );
+    for a in ablations {
+        let _ = writeln!(
+            out,
+            "{:<52}{:>12.2}{:>12.2}{:>8.2}",
+            a.name,
+            a.with_mechanism,
+            a.without_mechanism,
+            a.gain()
+        );
+    }
+    Report::printed(out, None)
 }
 
 #[cfg(test)]

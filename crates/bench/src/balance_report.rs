@@ -6,100 +6,20 @@
 //! population the ISSUE 5 balancer exists for. The report runs that
 //! population under every [`BalanceMode`] next to an evenly partitioned
 //! control, printing makespan, cluster balance, and the migration
-//! ledger. The `steal_not_worse` flag is the contract CI gates on:
-//! the profit guard makes `Steal` structurally unable to regress below
-//! `Static`, so a `false` here is a real bug, not bench noise.
+//! ledger.
 
-use madness_cluster::balance::BalanceMode;
-use madness_cluster::cluster::ClusterSim;
-use madness_cluster::network::NetworkModel;
-use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
-use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
-use madness_gpusim::KernelKind;
+use crate::pinned::{cluster, SPEC};
+use crate::report::{gate, gate_line, Gate, Obj, Report};
+use madness_cluster::balance::{BalanceMode, BalanceReport};
+use madness_cluster::node::ResourceMode;
+use madness_cluster::workload::TaskPopulation;
 use madness_mra::procmap::CostPartitionMap;
 use madness_mra::synth::{synthesize_tree, SynthTreeParams};
 use madness_trace::NullRecorder;
+use std::fmt::Write as _;
 
-/// One `(population, mode)` outcome.
-#[derive(Clone, Debug)]
-pub struct BalanceRow {
-    /// Population label (`lumpy` / `even`).
-    pub workload: &'static str,
-    /// Balance mode label.
-    pub mode: &'static str,
-    /// Makespan (seconds).
-    pub secs: f64,
-    /// Cluster balance in `[0, 1]` (mean busy / critical busy).
-    pub balance: f64,
-    /// Committed steals.
-    pub steals: u64,
-    /// Steal attempts deferred by the in-flight cap.
-    pub blocked_steals: u64,
-    /// Epochs that moved work.
-    pub repartitions: u64,
-    /// Tasks migrated.
-    pub migrated_tasks: u64,
-    /// Bytes migrated.
-    pub migrated_bytes: u64,
-}
-
-/// The `tablegen balance` report.
-#[derive(Clone, Debug)]
-pub struct BalanceBenchReport {
-    /// Nodes in the simulated partition.
-    pub nodes: usize,
-    /// Tasks per run.
-    pub tasks: u64,
-    /// Initial imbalance (max per-node tasks / mean) of the lumpy map.
-    pub imbalance: f64,
-    /// One row per `(population, mode)`.
-    pub rows: Vec<BalanceRow>,
-}
-
-impl BalanceBenchReport {
-    fn row(&self, workload: &str, mode: &str) -> &BalanceRow {
-        self.rows
-            .iter()
-            .find(|r| r.workload == workload && r.mode == mode)
-            .expect("mode matrix is fixed")
-    }
-
-    /// Lumpy-workload makespan improvement of `Steal` over `Static`.
-    pub fn improvement(&self) -> f64 {
-        let st = self.row("lumpy", "static").secs;
-        let dy = self.row("lumpy", "steal").secs;
-        1.0 - dy / st
-    }
-
-    /// The CI contract: `Steal` never regresses below `Static` — on
-    /// either population.
-    pub fn steal_not_worse(&self) -> bool {
-        ["lumpy", "even"].iter().all(|w| {
-            // Exact SimTime comparison happened in the simulator; at
-            // this layer the seconds are already rounded through f64,
-            // so compare with the same rounding on both sides.
-            self.row(w, "steal").secs <= self.row(w, "static").secs
-        })
-    }
-}
-
-fn spec() -> WorkloadSpec {
-    WorkloadSpec {
-        d: 3,
-        k: 10,
-        rank: 100,
-        rr_mean_rank: None,
-    }
-}
-
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
+/// Nodes in the pinned cluster.
+const NODES: usize = 16;
 
 /// The lumpy population: the acceptance workload of ISSUE 5 — a
 /// depth-1 `CostPartition` map over a clustered 4,000-leaf tree on 16
@@ -118,7 +38,7 @@ fn lumpy_population(n: usize) -> TaskPopulation {
         },
     );
     let map = CostPartitionMap::build(&tree, 1, n);
-    TaskPopulation::from_tree(&tree, spec(), &map, n, 27)
+    TaskPopulation::from_tree(&tree, SPEC, &map, n, 27)
 }
 
 /// The even control: same total task count spread uniformly.
@@ -127,62 +47,95 @@ fn even_population(n: usize, total: u64) -> TaskPopulation {
     let mut per_node = vec![base; n];
     per_node[0] += total - base * n as u64;
     TaskPopulation {
-        spec: spec(),
+        spec: SPEC,
         per_node,
     }
 }
 
-fn modes() -> [(&'static str, BalanceMode); 3] {
-    [
-        ("static", BalanceMode::Static),
-        (
-            "steal",
-            BalanceMode::Steal {
-                min_batch: 60,
-                max_inflight: 8,
-            },
-        ),
-        ("repartition", BalanceMode::Repartition { epochs: 4 }),
-    ]
+/// One population under one balance mode.
+struct Row {
+    workload: &'static str,
+    mode: &'static str,
+    /// Makespan, seconds.
+    secs: f64,
+    /// Cluster balance (mean / max per-node busy time).
+    balance: f64,
+    /// The migration ledger.
+    moved: BalanceReport,
+}
+
+/// The mode matrix on the lumpy and even populations.
+struct Matrix {
+    tasks: u64,
+    /// Max / mean per-node tasks of the lumpy population.
+    imbalance: f64,
+    rows: Vec<Row>,
+}
+
+impl Matrix {
+    fn row(&self, workload: &str, mode: &str) -> &Row {
+        let found = |r: &&Row| r.workload == workload && r.mode == mode;
+        self.rows.iter().find(found).expect("mode matrix is fixed")
+    }
+
+    /// Fraction of the static lumpy makespan that stealing removes.
+    fn improvement(&self) -> f64 {
+        1.0 - self.row("lumpy", "steal").secs / self.row("lumpy", "static").secs
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        // The profit guard makes `Steal` structurally unable to regress
+        // below `Static` on either population, so a `false` here is a
+        // real bug, not bench noise. (Exact SimTime comparison happened
+        // in the simulator; here both sides went through the same f64
+        // rounding.)
+        let not_worse = |w: &&str| self.row(w, "steal").secs <= self.row(w, "static").secs;
+        vec![gate(
+            "steal_not_worse",
+            ["lumpy", "even"].iter().all(not_worse),
+        )]
+    }
 }
 
 /// Runs the mode matrix on the lumpy and even 16-node populations.
-pub fn balance_table() -> BalanceBenchReport {
-    let n = 16;
-    let lumpy = lumpy_population(n);
-    let even = even_population(n, lumpy.total());
-    let sim = ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default());
+fn matrix() -> Matrix {
+    let lumpy = lumpy_population(NODES);
+    let even = even_population(NODES, lumpy.total());
+    let sim = cluster();
+    let modes = [
+        BalanceMode::Static,
+        BalanceMode::PINNED_STEAL,
+        BalanceMode::Repartition { epochs: 4 },
+    ];
     let mut rows = Vec::new();
     for (workload, pop) in [("lumpy", &lumpy), ("even", &even)] {
-        for (mode, bmode) in modes() {
-            let (report, bal) = sim.run_balanced(pop, hybrid(), bmode, &mut NullRecorder);
-            rows.push(BalanceRow {
+        for mode in modes {
+            let (report, moved) =
+                sim.run_balanced(pop, ResourceMode::TABLE1_HYBRID, mode, &mut NullRecorder);
+            rows.push(Row {
                 workload,
-                mode,
+                mode: mode.name(),
                 secs: report.total.as_secs_f64(),
                 balance: report.balance(),
-                steals: bal.steals,
-                blocked_steals: bal.blocked_steals,
-                repartitions: bal.repartitions,
-                migrated_tasks: bal.migrated_tasks,
-                migrated_bytes: bal.migrated_bytes,
+                moved,
             });
         }
     }
-    BalanceBenchReport {
-        nodes: n,
+    Matrix {
         tasks: lumpy.total(),
         imbalance: lumpy.imbalance(),
         rows,
     }
 }
 
-/// Renders the table `tablegen balance` prints.
-pub fn render(r: &BalanceBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+/// `tablegen balance`: the matrix, its gate and `BENCH_cluster.json`.
+pub(crate) fn run() -> Report {
+    let m = matrix();
+    let gates = m.gates();
+
+    let mut text = String::new();
     let _ = writeln!(
-        out,
+        text,
         "{:<10}{:<13}{:>10}{:>9}{:>8}{:>9}{:>8}{:>11}{:>13}",
         "workload",
         "mode",
@@ -194,73 +147,62 @@ pub fn render(r: &BalanceBenchReport) -> String {
         "migrated",
         "bytes moved"
     );
-    for row in &r.rows {
+    let mut results = Vec::new();
+    for r in &m.rows {
         let _ = writeln!(
-            out,
+            text,
             "{:<10}{:<13}{:>10.3}{:>9.3}{:>8}{:>9}{:>8}{:>11}{:>13}",
-            row.workload,
-            row.mode,
-            row.secs,
-            row.balance,
-            row.steals,
-            row.blocked_steals,
-            row.repartitions,
-            row.migrated_tasks,
-            row.migrated_bytes,
+            r.workload,
+            r.mode,
+            r.secs,
+            r.balance,
+            r.moved.steals,
+            r.moved.blocked_steals,
+            r.moved.repartitions,
+            r.moved.migrated_tasks,
+            r.moved.migrated_bytes,
+        );
+        results.push(
+            Obj::new()
+                .field("workload", r.workload)
+                .field("mode", r.mode)
+                .fixed("secs", r.secs, 6)
+                .fixed("balance", r.balance, 6)
+                .field("steals", r.moved.steals)
+                .field("blocked_steals", r.moved.blocked_steals)
+                .field("repartitions", r.moved.repartitions)
+                .field("migrated_tasks", r.moved.migrated_tasks)
+                .field("migrated_bytes", r.moved.migrated_bytes),
         );
     }
     let _ = writeln!(
-        out,
+        text,
         "\n{} nodes, {} tasks; lumpy imbalance {:.2} (max/mean per-node tasks)",
-        r.nodes, r.tasks, r.imbalance
+        NODES, m.tasks, m.imbalance
     );
     let _ = writeln!(
-        out,
-        "steal vs static on lumpy: {:+.1}% makespan; steal_not_worse: {}",
-        100.0 * r.improvement(),
-        r.steal_not_worse()
+        text,
+        "steal vs static on lumpy: {:+.1}% makespan; {}",
+        100.0 * m.improvement(),
+        gate_line(&gates)
     );
-    out
-}
 
-/// Serializes the report as the `BENCH_cluster.json` trajectory point.
-pub fn to_json(r: &BalanceBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"madness-bench-cluster-v1\",\n");
-    out.push_str("  \"workload\": \"cost-partition-lumpy-16\",\n");
-    let _ = writeln!(
-        out,
-        "  \"nodes\": {},\n  \"tasks\": {},\n  \"imbalance\": {:.4},",
-        r.nodes, r.tasks, r.imbalance
-    );
-    let _ = writeln!(
-        out,
-        "  \"improvement\": {:.6},\n  \"steal_not_worse\": {},",
-        r.improvement(),
-        r.steal_not_worse()
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, row) in r.rows.iter().enumerate() {
-        let comma = if i + 1 < r.rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"secs\": {:.6}, \
-             \"balance\": {:.6}, \"steals\": {}, \"blocked_steals\": {}, \
-             \"repartitions\": {}, \"migrated_tasks\": {}, \"migrated_bytes\": {}}}{comma}",
-            row.workload,
-            row.mode,
-            row.secs,
-            row.balance,
-            row.steals,
-            row.blocked_steals,
-            row.repartitions,
-            row.migrated_tasks,
-            row.migrated_bytes,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let doc = Obj::new()
+        .field("schema", "madness-bench-cluster-v1")
+        .field("workload", "cost-partition-lumpy-16")
+        .field("nodes", NODES)
+        .field("tasks", m.tasks)
+        .fixed("imbalance", m.imbalance, 4)
+        .fixed("improvement", m.improvement(), 6)
+        .gates(&gates)
+        .field("results", results);
+    Report::bench(
+        text,
+        gates,
+        "BENCH_cluster.json",
+        "cluster trajectory point",
+        &doc,
+    )
 }
 
 #[cfg(test)]
@@ -269,36 +211,22 @@ mod tests {
 
     #[test]
     fn lumpy_matrix_meets_the_acceptance_bars() {
-        let r = balance_table();
-        assert_eq!(r.rows.len(), 6);
-        assert!(r.imbalance >= 2.0, "imbalance {:.2}", r.imbalance);
+        let m = matrix();
+        assert_eq!(m.rows.len(), 6);
+        assert!(m.imbalance >= 2.0, "imbalance {:.2}", m.imbalance);
         assert!(
-            r.improvement() >= 0.25,
+            m.improvement() >= 0.25,
             "steal improvement {:.1}% below the 25% bar",
-            100.0 * r.improvement()
+            100.0 * m.improvement()
         );
-        assert!(r.steal_not_worse());
-        let steal = r.row("lumpy", "steal");
+        assert!(m.gates().iter().all(|g| g.ok), "{:?}", m.gates());
+        let steal = m.row("lumpy", "steal");
         assert!(steal.balance > 0.9, "balance {:.3}", steal.balance);
-        assert!(steal.steals > 0 && steal.migrated_tasks > 0);
+        assert!(steal.moved.steals > 0 && steal.moved.migrated_tasks > 0);
         // The even control gives the steal path nothing profitable to
         // move, so it must tie static (guarded by steal_not_worse) and
         // static itself must already be near-balanced.
-        let even_static = r.row("even", "static");
+        let even_static = m.row("even", "static");
         assert!(even_static.balance > 0.9, "{:.3}", even_static.balance);
-    }
-
-    #[test]
-    fn json_carries_the_ci_gate_fields() {
-        let r = balance_table();
-        let json = to_json(&r);
-        assert!(json.contains("\"schema\": \"madness-bench-cluster-v1\""));
-        assert!(json.contains("\"steal_not_worse\": true"));
-        assert!(json.contains("\"improvement\": "));
-        assert!(json.contains("\"mode\": \"repartition\""));
-        let rendered = render(&r);
-        assert!(rendered.contains("steal_not_worse: true"));
-        assert!(rendered.contains("lumpy"));
-        assert!(rendered.contains("even"));
     }
 }

@@ -9,74 +9,52 @@
 //! flush was still probing. The static run's `k*` is the yardstick the
 //! trajectory should converge to.
 
+use crate::report::Report;
 use crate::tables;
 use madness_cluster::node::{NodeSim, ResourceMode};
 use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::KernelKind;
 use madness_trace::{DispatchSample, MemRecorder};
+use std::fmt::Write as _;
 
 /// The two dispatchers' results on the same workload.
-#[derive(Clone, Debug)]
-pub struct DispatchReport {
+struct Trajectory {
     /// Per-flush samples from the adaptive run, in flush order.
-    pub history: Vec<DispatchSample>,
+    history: Vec<DispatchSample>,
     /// Mean `k*` the model-informed dispatcher chose.
-    pub static_k: f64,
+    static_k: f64,
     /// Model-informed hybrid makespan (seconds).
-    pub static_secs: f64,
+    static_secs: f64,
     /// Adaptive hybrid makespan (seconds).
-    pub adaptive_secs: f64,
-    /// Total Apply tasks in the run.
-    pub tasks: u64,
-}
-
-impl DispatchReport {
-    /// Adaptive makespan relative to the model-informed one (1.0 =
-    /// learned the optimum exactly; the convergence tests pin ≤ 1.10).
-    pub fn ratio(&self) -> f64 {
-        self.adaptive_secs / self.static_secs
-    }
-}
-
-fn modes() -> (ResourceMode, ResourceMode) {
-    (
-        ResourceMode::Hybrid {
-            compute_threads: 10,
-            data_threads: 5,
-            streams: 5,
-            kernel: KernelKind::CustomMtxmq,
-        },
-        ResourceMode::AdaptiveHybrid {
-            compute_threads: 10,
-            data_threads: 5,
-            streams: 5,
-            kernel: KernelKind::CustomMtxmq,
-        },
-    )
+    adaptive_secs: f64,
 }
 
 /// Runs the Table I workload under both dispatchers.
-pub fn dispatch_table1() -> DispatchReport {
+fn trajectory() -> Trajectory {
     let s = tables::coulomb_scenario(10, 1e-8, 4_000, None);
     let n_tasks = s.total_tasks();
     let node = NodeSim::new(s.node_params.clone());
-    let (static_mode, adaptive_mode) = modes();
-    let informed = node.simulate(&s.spec, n_tasks, static_mode);
+    let informed = node.simulate(&s.spec, n_tasks, ResourceMode::TABLE1_HYBRID);
+    let adaptive = ResourceMode::AdaptiveHybrid {
+        compute_threads: 10,
+        data_threads: 5,
+        streams: 5,
+        kernel: KernelKind::CustomMtxmq,
+    };
     let mut rec = MemRecorder::new();
     let (learned, _) = node.simulate_faulty(
         &s.spec,
         n_tasks,
-        adaptive_mode,
+        adaptive,
         &FaultPlan::none(),
         RecoveryPolicy::default(),
         &mut rec,
     );
-    DispatchReport {
+    Trajectory {
         history: rec.metrics().dispatch_history().to_vec(),
         static_k: informed.mean_split_k,
         static_secs: informed.total.as_secs_f64(),
         adaptive_secs: learned.total.as_secs_f64(),
-        tasks: n_tasks,
     }
 }
 
@@ -95,9 +73,9 @@ fn rows_to_show(len: usize) -> Vec<usize> {
     rows
 }
 
-/// Renders the trajectory table `tablegen dispatch` prints.
-pub fn render(r: &DispatchReport) -> String {
-    use std::fmt::Write as _;
+/// `tablegen dispatch`: the per-flush trajectory table.
+pub(crate) fn run() -> Report {
+    let r = trajectory();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -131,9 +109,9 @@ pub fn render(r: &DispatchReport) -> String {
         r.static_k,
         r.adaptive_secs,
         r.static_secs,
-        r.ratio(),
+        r.adaptive_secs / r.static_secs,
     );
-    out
+    Report::printed(out, None)
 }
 
 #[cfg(test)]
@@ -142,8 +120,7 @@ mod tests {
 
     #[test]
     fn trajectory_probes_then_converges() {
-        let r = dispatch_table1();
-        assert!(r.tasks > 0);
+        let r = trajectory();
         assert!(!r.history.is_empty());
         assert!(r.history[0].probe, "first flush must probe");
         let final_k = r.history.last().expect("non-empty").k;
@@ -152,16 +129,9 @@ mod tests {
             "final k {final_k} vs static k* {}",
             r.static_k
         );
-        assert!(r.ratio() <= 1.10, "adaptive ratio {:.3}", r.ratio());
-    }
-
-    #[test]
-    fn render_shows_probe_steady_and_summary() {
-        let r = dispatch_table1();
-        let text = render(&r);
-        assert!(text.contains("probe"));
-        assert!(text.contains("steady"));
-        assert!(text.contains("static k*"));
+        // 1.0 = learned the model-informed optimum exactly.
+        let ratio = r.adaptive_secs / r.static_secs;
+        assert!(ratio <= 1.10, "adaptive ratio {ratio:.3}");
     }
 
     #[test]

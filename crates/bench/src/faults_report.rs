@@ -9,72 +9,55 @@
 //! re-admissions). The conservation column is the contract: every task
 //! completes exactly once under every schedule.
 
+use crate::report::Report;
 use crate::tables;
 use madness_cluster::node::{FaultSummary, NodeSim, ResourceMode};
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::KernelKind;
 use madness_trace::NullRecorder;
+use std::fmt::Write as _;
 
 /// One fault schedule's outcome on the fixed workload.
-#[derive(Clone, Debug)]
-pub struct FaultRow {
+struct FaultRow {
     /// Human label of the schedule.
-    pub label: String,
+    label: &'static str,
     /// Makespan under the schedule (seconds).
-    pub secs: f64,
+    secs: f64,
     /// Recovery ledger.
-    pub summary: FaultSummary,
+    summary: FaultSummary,
     /// Task conservation held (must always be true).
-    pub conserved: bool,
+    conserved: bool,
 }
 
-/// The `tablegen faults` degradation report.
-#[derive(Clone, Debug)]
-pub struct FaultsReport {
-    /// Fault-free hybrid makespan (seconds).
-    pub clean_secs: f64,
-    /// Apply tasks in the run.
-    pub tasks: u64,
-    /// One row per fault schedule.
-    pub rows: Vec<FaultRow>,
-}
-
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
-
-/// The schedule ladder: one fault class at a time, then everything at
-/// once. Seeds are fixed so the report is reproducible run to run.
-fn schedules() -> Vec<(String, FaultPlan)> {
+/// The schedule ladder: fault-free first (the yardstick every other
+/// row's degradation is measured against), then one fault class at a
+/// time, then everything at once. Seeds are fixed so the report is
+/// reproducible run to run.
+fn schedules() -> Vec<(&'static str, FaultPlan)> {
     vec![
+        ("(fault-free)", FaultPlan::none()),
         (
-            "launch fail 5%".into(),
+            "launch fail 5%",
             FaultPlan::seeded(101).with_launch_fail_rate(0.05),
         ),
         (
-            "launch fail 20%".into(),
+            "launch fail 20%",
             FaultPlan::seeded(102).with_launch_fail_rate(0.20),
         ),
         (
-            "transfer timeout 10%".into(),
+            "transfer timeout 10%",
             FaultPlan::seeded(103).with_transfer_timeout_rate(0.10),
         ),
         (
-            "stream stalls 10% x 2 ms".into(),
+            "stream stalls 10% x 2 ms",
             FaultPlan::seeded(104).with_stream_stalls(0.10, 2_000_000),
         ),
         (
-            "device lost @ 10 ms".into(),
+            "device lost @ 10 ms",
             FaultPlan::none().with_device_lost_at(10_000_000),
         ),
-        ("straggler 2x".into(), FaultPlan::none().with_straggler(2.0)),
+        ("straggler 2x", FaultPlan::none().with_straggler(2.0)),
         (
-            "all of the above".into(),
+            "all of the above",
             FaultPlan::seeded(105)
                 .with_launch_fail_rate(0.20)
                 .with_transfer_timeout_rate(0.10)
@@ -85,19 +68,19 @@ fn schedules() -> Vec<(String, FaultPlan)> {
     ]
 }
 
-/// Runs the ladder on the Table I workload.
-pub fn faults_table1() -> FaultsReport {
+/// Runs the ladder on the Table I workload; returns the task count of
+/// every run and one row per schedule.
+fn ladder() -> (u64, Vec<FaultRow>) {
     let s = tables::coulomb_scenario(10, 1e-8, 4_000, None);
     let n_tasks = s.total_tasks();
     let node = NodeSim::new(s.node_params.clone());
-    let clean = node.simulate(&s.spec, n_tasks, hybrid());
     let rows = schedules()
         .into_iter()
         .map(|(label, plan)| {
             let (report, summary) = node.simulate_faulty(
                 &s.spec,
                 n_tasks,
-                hybrid(),
+                ResourceMode::TABLE1_HYBRID,
                 &plan,
                 RecoveryPolicy::default(),
                 &mut NullRecorder,
@@ -110,16 +93,13 @@ pub fn faults_table1() -> FaultsReport {
             }
         })
         .collect();
-    FaultsReport {
-        clean_secs: clean.total.as_secs_f64(),
-        tasks: n_tasks,
-        rows,
-    }
+    (n_tasks, rows)
 }
 
-/// Renders the degradation table `tablegen faults` prints.
-pub fn render(r: &FaultsReport) -> String {
-    use std::fmt::Write as _;
+/// `tablegen faults`: the degradation table.
+pub(crate) fn run() -> Report {
+    let (tasks, rows) = ladder();
+    let clean_secs = rows[0].secs;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -134,19 +114,14 @@ pub fn render(r: &FaultsReport) -> String {
         "readm",
         "conserved"
     );
-    let _ = writeln!(
-        out,
-        "{:<26}{:>9.1}{:>8.2}{:>8}{:>8}{:>9}{:>6}{:>7}{:>11}",
-        "(fault-free)", r.clean_secs, 1.0, 0, 0, 0, 0, 0, "yes"
-    );
-    for row in &r.rows {
+    for row in &rows {
         let s = &row.summary;
         let _ = writeln!(
             out,
             "{:<26}{:>9.1}{:>8.2}{:>8}{:>8}{:>9}{:>6}{:>7}{:>11}",
             row.label,
             row.secs,
-            row.secs / r.clean_secs,
+            row.secs / clean_secs,
             s.gpu_task_failures,
             s.gpu_retries,
             s.cpu_fallback_tasks,
@@ -157,10 +132,9 @@ pub fn render(r: &FaultsReport) -> String {
     }
     let _ = writeln!(
         out,
-        "\n{} tasks per run; every schedule is seeded and replays bit-identically",
-        r.tasks
+        "\n{tasks} tasks per run; every schedule is seeded and replays bit-identically"
     );
-    out
+    Report::printed(out, None)
 }
 
 #[cfg(test)]
@@ -169,37 +143,27 @@ mod tests {
 
     #[test]
     fn ladder_conserves_and_degrades_sanely() {
-        let r = faults_table1();
-        assert!(r.clean_secs > 0.0);
-        assert_eq!(r.rows.len(), schedules().len());
-        for row in &r.rows {
+        let (_, rows) = ladder();
+        let clean_secs = rows[0].secs;
+        assert!(clean_secs > 0.0);
+        assert_eq!(rows[0].summary.gpu_task_failures, 0, "row 0 is fault-free");
+        for row in &rows {
             assert!(row.conserved, "{}: {:?}", row.label, row.summary);
             assert!(
-                row.secs >= r.clean_secs * 0.95,
+                row.secs >= clean_secs * 0.95,
                 "{} finished implausibly fast: {} vs clean {}",
                 row.label,
                 row.secs,
-                r.clean_secs
+                clean_secs
             );
         }
         // The straggler row must roughly double the makespan.
-        let straggler = &r.rows[5];
-        let ratio = straggler.secs / r.clean_secs;
+        let straggler = &rows[6];
+        let ratio = straggler.secs / clean_secs;
         assert!((1.5..2.5).contains(&ratio), "straggler ratio {ratio:.2}");
         // The kitchen-sink row must show actual recovery activity.
-        let sink = &r.rows[6].summary;
+        let sink = &rows[7].summary;
         assert!(sink.gpu_task_failures > 0, "{sink:?}");
         assert!(sink.quarantines >= 1, "{sink:?}");
-    }
-
-    #[test]
-    fn render_shows_ledger_and_conservation() {
-        let r = faults_table1();
-        let text = render(&r);
-        assert!(text.contains("schedule"));
-        assert!(text.contains("(fault-free)"));
-        assert!(text.contains("straggler 2x"));
-        assert!(text.contains("yes"));
-        assert!(!text.contains("LOST TASKS"));
     }
 }

@@ -9,8 +9,10 @@
 //! (cuBLAS) — the paper's original measurement ran on a GTX 480; the
 //! shape, not the absolute height, is the reproduction target.
 
+use crate::report::Report;
 use madness_gpusim::kernel::kernel_cost;
 use madness_gpusim::{DeviceSpec, KernelKind, TransformTask};
+use std::fmt::Write as _;
 
 /// One point of a kernel-GFLOPS sweep.
 #[derive(Clone, Copy, Debug)]
@@ -55,6 +57,27 @@ pub fn fig5() -> Vec<FigRow> {
 /// Figure 6: 4-D products, batches of 20 multiplications, k = 8…20.
 pub fn fig6() -> Vec<FigRow> {
     sweep(4, 5, &[8, 10, 12, 14, 16, 18, 20])
+}
+
+/// `tablegen fig5` / `fig6`: one sweep's GFLOPS table.
+pub(crate) fn sweep_report(rows: &[FigRow]) -> Report {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<6}{:>18}{:>18}{:>10}",
+        "k", "custom (GFLOPS)", "cuBLAS (GFLOPS)", "ratio"
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{:<6}{:>18.2}{:>18.2}{:>10.2}",
+            r.k,
+            r.custom_gflops,
+            r.cublas_gflops,
+            r.ratio()
+        );
+    }
+    Report::printed(out, None)
 }
 
 #[cfg(test)]

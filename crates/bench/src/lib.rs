@@ -4,43 +4,43 @@
 //! paper's evaluation, regenerated over the simulated cluster
 //! (`tablegen` binary), plus ablation studies of the design choices.
 //! Everything here reports simulated time except the span-kernel
-//! shootout ([`kernels_report`]); wall-clock performance of the real
+//! shootout (`tablegen kernels`); wall-clock performance of the real
 //! Apply path and of the simulators is measured by the standalone
 //! `benchmark/` package (`BENCHMARK.json`), not by this crate.
 //!
-//! Experiment ↔ module map (per-experiment index in DESIGN.md §4):
+//! One model serves every experiment: a row of [`EXPERIMENTS`] names it,
+//! carries its banner and runs it to a [`Report`] — printed text, named
+//! gates, and at most one file (a `BENCH_*.json` trajectory point built
+//! as an ordered JSON object and laid out by the crate's one printer,
+//! `report::Obj::pretty`). [`tablegen`] is the whole command line: it
+//! loops over the table, and its exit code is the gate (0 = everything
+//! printed, every due file written, every gate true; 1 = a write failed
+//! or a gate is false; 2 = unknown experiment name). The per-experiment
+//! index is DESIGN.md §4.
 //!
-//! | experiment | function |
-//! |---|---|
-//! | Table I    | [`tables::table1`] |
-//! | Table II   | [`tables::table2`] |
-//! | Table III  | [`tables::table3`] |
-//! | Table IV   | [`tables::table4`] |
-//! | Table V    | [`tables::table5`] |
-//! | Table VI   | [`tables::table6`] |
-//! | Figure 5   | [`figures::fig5`] |
-//! | Figure 6   | [`figures::fig6`] |
-//! | Ablations  | [`ablation`] |
-//! | Trace      | [`trace_report::trace_table1`] |
-//! | Kernels    | [`kernels_report::kernels_table`] |
-//! | Dispatch   | [`dispatch_report::dispatch_table1`] |
-//! | Faults     | [`faults_report::faults_table1`] |
-//! | Balance    | [`balance_report::balance_table`] |
-//! | Serve      | [`serve_report::serve_table`] |
-//! | Dag        | [`dag_report::dag_table`] |
-//! | Chaos      | [`chaos_report::chaos_table`] |
+//! The paper tables' and figures' *data* stay a public API
+//! ([`tables::table1`] … [`tables::table6`], [`figures::fig5`],
+//! [`figures::fig6`]): `tests/paper_goldens.rs` pins their values, and
+//! `tests/bench_goldens.rs` pins what the report experiments print and
+//! write.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ablation;
-pub mod balance_report;
-pub mod chaos_report;
-pub mod dag_report;
-pub mod dispatch_report;
-pub mod faults_report;
+mod ablation;
+mod balance_report;
+mod chaos_report;
+mod dag_report;
+mod dispatch_report;
+mod faults_report;
 pub mod figures;
-pub mod kernels_report;
-pub mod serve_report;
+mod kernels_report;
+mod pinned;
+mod registry;
+mod report;
+mod serve_report;
 pub mod tables;
-pub mod trace_report;
+mod trace_report;
+
+pub use registry::{tablegen, Experiment, EXPERIMENTS};
+pub use report::{Artifact, Gate, Report};

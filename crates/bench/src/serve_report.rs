@@ -6,164 +6,49 @@
 //! a 4-node cluster to 0.7× its calibrated capacity, with requests
 //! placed by data affinity (each `TaskKind` lives on one home node), so
 //! hot kinds make hot nodes. The mode matrix runs `Static`, `Steal`,
-//! and `Steal` with a straggler plan; the gates CI pins:
-//!
-//! * `weighted_p99_better` — weighted stealing gives the high-weight
-//!   tenant a strictly better p99 than `Static` on the same trace;
-//! * `replay_identical` — re-running the steal row with the same seed
-//!   reproduces the report *and* the trace JSON byte-for-byte;
-//! * `conserved` — `completed + rejected + shed == generated` in every
-//!   row (the fault row included);
-//! * `tail_holds_under_faults` — a straggler inflates p999, it never
-//!   loses requests.
+//! and `Steal` with a straggler plan.
 
-use madness_cluster::cluster::ClusterSim;
-use madness_cluster::network::NetworkModel;
-use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
+use crate::pinned::{calibrated_rate, cluster, ms, SPEC};
+use crate::report::{gate, gate_line, replay, Gate, Obj, Report, CONSERVED, REPLAY_IDENTICAL};
+use madness_cluster::node::ResourceMode;
 use madness_cluster::serve::{
-    RateProfile, ServeConfig, ServeReport, ShedPolicy, SurvivalConfig, TenantSpec,
+    LatencyStats, RateProfile, ServeConfig, ServeReport, ShedPolicy, SurvivalConfig, TenantSpec,
 };
-use madness_cluster::workload::WorkloadSpec;
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::{KernelKind, SimTime};
+use madness_gpusim::SimTime;
 use madness_runtime::TenantId;
-use madness_trace::{MemRecorder, NullRecorder};
+use madness_trace::NullRecorder;
+use std::fmt::Write as _;
 
 /// The interactive (high-weight) tenant.
-pub const HEAVY: TenantId = TenantId(1);
+const HEAVY: TenantId = TenantId(1);
 /// The batch (low-weight) tenant.
-pub const LIGHT: TenantId = TenantId(2);
+const LIGHT: TenantId = TenantId(2);
 
-/// One `(mode, traffic)` outcome of the serving matrix.
-#[derive(Clone, Debug)]
-pub struct ServeRow {
-    /// Mode label (`static` / `steal` / `steal+straggler`).
-    pub mode: &'static str,
-    /// The full serving outcome.
-    pub report: ServeReport,
-}
-
-/// The `tablegen serve` report.
-#[derive(Clone, Debug)]
-pub struct ServeBenchReport {
-    /// Nodes in the simulated cluster.
-    pub nodes: usize,
-    /// Aggregate offered load, requests/s.
-    pub rate_req_s: f64,
-    /// Offered load as a fraction of calibrated cluster capacity.
-    pub rho: f64,
-    /// Arrival horizon (seconds).
-    pub horizon_s: f64,
-    /// One row per mode.
-    pub rows: Vec<ServeRow>,
-    /// Re-running the steal row with the same seed reproduced the
-    /// report and the trace JSON byte-for-byte.
-    pub replay_identical: bool,
-}
-
-impl ServeBenchReport {
-    fn row(&self, mode: &str) -> &ServeRow {
-        self.rows
-            .iter()
-            .find(|r| r.mode == mode)
-            .expect("mode matrix is fixed")
-    }
-
-    /// The headline contract: weighted stealing gives the high-weight
-    /// tenant a strictly better p99 than `Static` on the same trace.
-    pub fn weighted_p99_better(&self) -> bool {
-        let stat = self
-            .row("static")
-            .report
-            .tenant(HEAVY)
-            .map(|t| t.latency.p99);
-        let steal = self
-            .row("steal")
-            .report
-            .tenant(HEAVY)
-            .map(|t| t.latency.p99);
-        matches!((stat, steal), (Some(s), Some(d)) if d < s)
-    }
-
-    /// Every row completed traffic and produced a positive, finite
-    /// p999 (sojourns are integer nanoseconds, so "finite" means the
-    /// percentile exists — the row actually completed requests).
-    pub fn p999_finite(&self) -> bool {
-        self.rows
-            .iter()
-            .all(|r| r.report.completed > 0 && r.report.overall.p999 > SimTime::ZERO)
-    }
-
-    /// The conservation law holds in every row.
-    pub fn conserved(&self) -> bool {
-        self.rows.iter().all(|r| r.report.conserved())
-    }
-
-    /// The straggler row degrades the tail (or ties) — never the
-    /// request count.
-    pub fn tail_holds_under_faults(&self) -> bool {
-        let healthy = &self.row("steal").report;
-        let faulty = &self.row("steal+straggler").report;
-        faulty.conserved() && faulty.overall.p999 >= healthy.overall.p999
-    }
-}
-
-fn spec() -> WorkloadSpec {
-    WorkloadSpec {
-        d: 3,
-        k: 10,
-        rank: 100,
-        rr_mean_rank: None,
-    }
-}
-
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
-
-fn steal_mode() -> BalanceMode {
-    BalanceMode::Steal {
-        min_batch: 60,
-        max_inflight: 8,
-    }
-}
+/// Nodes in the pinned cluster.
+const NODES: usize = 4;
+/// Offered load, as a fraction of the calibrated capacity.
+const RHO: f64 = 0.7;
 
 /// The pinned serving workload: two Poisson tenants at `rho`× the
-/// calibrated capacity of `nodes` hybrid nodes.
-pub fn pinned_config(sim: &ClusterSim, nodes: usize, rho: f64) -> (ServeConfig, f64) {
+/// calibrated capacity of `nodes` hybrid nodes. Returns the config and
+/// the aggregate offered rate (requests/s).
+pub(crate) fn pinned_config(nodes: usize, rho: f64) -> (ServeConfig, f64) {
     let tasks_per_request = 4;
-    let rate = sim.node().calibrate(
-        &spec(),
-        hybrid(),
-        &FaultPlan::none(),
-        RecoveryPolicy::default(),
-    );
+    let rate = calibrated_rate(&SPEC);
     let per_req = rate.per_task.as_secs_f64() * tasks_per_request as f64;
     let total = rho * nodes as f64 / per_req.max(1e-12);
+    let tenant = |id, weight, deadline_ms| TenantSpec {
+        id,
+        weight,
+        deadline: SimTime::from_millis(deadline_ms),
+        profile: RateProfile::Poisson { rate: total / 2.0 },
+        tasks_per_request,
+    };
     let cfg = ServeConfig {
-        spec: spec(),
-        tenants: vec![
-            TenantSpec {
-                id: HEAVY,
-                weight: 4.0,
-                deadline: SimTime::from_millis(5),
-                profile: RateProfile::Poisson { rate: total / 2.0 },
-                tasks_per_request,
-            },
-            TenantSpec {
-                id: LIGHT,
-                weight: 1.0,
-                deadline: SimTime::from_millis(20),
-                profile: RateProfile::Poisson { rate: total / 2.0 },
-                tasks_per_request,
-            },
-        ],
+        spec: SPEC,
+        tenants: vec![tenant(HEAVY, 4.0, 5), tenant(LIGHT, 1.0, 20)],
         nodes,
         seed: 0x5EBE_D0C5,
         horizon: SimTime::from_millis(100),
@@ -174,70 +59,157 @@ pub fn pinned_config(sim: &ClusterSim, nodes: usize, rho: f64) -> (ServeConfig, 
     (cfg, total)
 }
 
-/// Runs the pinned mode matrix and the replay pin.
-pub fn serve_table() -> ServeBenchReport {
-    let nodes = 4;
-    let rho = 0.7;
-    let sim = ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default());
-    let (cfg, rate_req_s) = pinned_config(&sim, nodes, rho);
+/// `"p50_ns"`, `"p99_ns"`, `"p999_ns"` of one latency summary.
+pub(crate) fn percentiles(obj: Obj, l: &LatencyStats) -> Obj {
+    obj.field("p50_ns", l.p50.as_nanos())
+        .field("p99_ns", l.p99.as_nanos())
+        .field("p999_ns", l.p999.as_nanos())
+}
 
-    let mut rows = Vec::new();
-    rows.push(ServeRow {
-        mode: "static",
-        report: sim.run_served(&cfg, hybrid(), BalanceMode::Static, &mut NullRecorder),
-    });
-    let mut rec_a = MemRecorder::new();
-    let steal_a = sim.run_served(&cfg, hybrid(), steal_mode(), &mut rec_a);
-    let mut rec_b = MemRecorder::new();
-    let steal_b = sim.run_served(&cfg, hybrid(), steal_mode(), &mut rec_b);
-    let replay_identical = steal_a == steal_b && rec_a.to_json() == rec_b.to_json();
-    rows.push(ServeRow {
-        mode: "steal",
-        report: steal_a,
-    });
-    let mut plans = vec![FaultPlan::none(); nodes];
-    plans[0] = FaultPlan::none().with_straggler(3.0);
-    rows.push(ServeRow {
-        mode: "steal+straggler",
-        report: sim.run_served_survivable(
-            &cfg,
-            hybrid(),
-            steal_mode(),
-            &plans,
-            RecoveryPolicy::default(),
-            &SurvivalConfig::default(),
-            &mut NullRecorder,
-        ),
-    });
-    ServeBenchReport {
-        nodes,
-        rate_req_s,
-        rho,
-        horizon_s: cfg.horizon.as_secs_f64(),
-        rows,
-        replay_identical,
+/// The `BENCH_serve.json` row of one mode.
+fn row_json(mode: &'static str, rep: &ServeReport) -> Obj {
+    let tenants: Vec<Obj> = rep
+        .tenants
+        .iter()
+        .map(|t| {
+            let obj = Obj::new()
+                .field("tenant", u64::from(t.tenant.0))
+                .field("generated", t.generated)
+                .field("completed", t.completed)
+                .field("rejected", t.rejected)
+                .field("shed", t.shed)
+                .fixed("slo_attainment", t.slo_attainment, 6);
+            percentiles(obj, &t.latency)
+        })
+        .collect();
+    let kinds: Vec<Obj> = rep
+        .kinds
+        .iter()
+        .map(|kl| {
+            let obj = Obj::new()
+                .field("op", kl.kind.op)
+                .field("data_hash", kl.kind.data_hash)
+                .field("tenant", u64::from(kl.kind.tenant.0))
+                .field("count", kl.latency.count);
+            percentiles(obj, &kl.latency)
+        })
+        .collect();
+    let head = Obj::new()
+        .field("mode", mode)
+        .field("generated", rep.generated)
+        .field("completed", rep.completed)
+        .field("rejected", rep.rejected)
+        .field("shed", rep.shed)
+        .field("steals", rep.steals)
+        .field("migrated_tasks", rep.migrated_tasks)
+        .br();
+    percentiles(head, &rep.overall)
+        .field("max_ns", rep.overall.max.as_nanos())
+        .br()
+        .field("tenants", tenants)
+        .br()
+        .field("kinds", kinds)
+}
+
+/// The pinned mode matrix: the same trace under `Static`, under `Steal`
+/// (with its replay pin) and under `Steal` with a straggler.
+struct Matrix {
+    rate_req_s: f64,
+    horizon: SimTime,
+    stat: ServeReport,
+    healthy: ServeReport,
+    /// Whether re-running `healthy` reproduced report and journal.
+    replayed: bool,
+    faulty: ServeReport,
+}
+
+impl Matrix {
+    fn rows(&self) -> [(&'static str, &ServeReport); 3] {
+        [
+            ("static", &self.stat),
+            ("steal", &self.healthy),
+            ("steal+straggler", &self.faulty),
+        ]
+    }
+
+    /// The gates in document order: the three the text prints first,
+    /// the JSON-only `p999_finite`, and the fault gate the text prints
+    /// last.
+    fn gates(&self) -> [Vec<Gate>; 3] {
+        let rows = self.rows();
+        let heavy_p99 = |rep: &ServeReport| rep.tenant(HEAVY).map(|t| t.latency.p99);
+        let head = vec![
+            // Weighted stealing gives the high-weight tenant a strictly
+            // better p99 than `Static` on the same trace.
+            gate(
+                "weighted_p99_better",
+                matches!((heavy_p99(&self.stat), heavy_p99(&self.healthy)), (Some(s), Some(d)) if d < s),
+            ),
+            // Re-running the steal row with the same seed reproduces the
+            // report and the trace JSON byte for byte.
+            gate(REPLAY_IDENTICAL, self.replayed),
+            // `completed + rejected + shed == generated` in every row,
+            // the fault row included.
+            gate(CONSERVED, rows.iter().all(|(_, rep)| rep.conserved())),
+        ];
+        // Every row completed traffic, so its p999 exists (sojourns are
+        // integer nanoseconds: "finite" means "positive").
+        let finite =
+            |(_, rep): &(&str, &ServeReport)| rep.completed > 0 && rep.overall.p999 > SimTime::ZERO;
+        let unprinted = vec![gate("p999_finite", rows.iter().all(finite))];
+        // A straggler inflates p999 (or ties); it never loses requests.
+        let tail = vec![gate(
+            "tail_holds_under_faults",
+            self.faulty.conserved() && self.faulty.overall.p999 >= self.healthy.overall.p999,
+        )];
+        [head, unprinted, tail]
     }
 }
 
-fn ms(t: SimTime) -> f64 {
-    t.as_secs_f64() * 1e3
+/// Runs the pinned mode matrix and the replay pin.
+fn matrix() -> Matrix {
+    let sim = cluster();
+    let (cfg, rate_req_s) = pinned_config(NODES, RHO);
+    let (hybrid, steal) = (ResourceMode::TABLE1_HYBRID, BalanceMode::PINNED_STEAL);
+
+    let stat = sim.run_served(&cfg, hybrid, BalanceMode::Static, &mut NullRecorder);
+    let (healthy, replayed) = replay(|rec| sim.run_served(&cfg, hybrid, steal, rec));
+    let plans = [FaultPlan::none().with_straggler(3.0)];
+    let faulty = sim.run_served_survivable(
+        &cfg,
+        hybrid,
+        steal,
+        &plans,
+        RecoveryPolicy::default(),
+        &SurvivalConfig::default(),
+        &mut NullRecorder,
+    );
+    Matrix {
+        rate_req_s,
+        horizon: cfg.horizon,
+        stat,
+        healthy,
+        replayed,
+        faulty,
+    }
 }
 
-/// Renders the table `tablegen serve` prints.
-pub fn render(r: &ServeBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+/// `tablegen serve`: the matrix, its gates and `BENCH_serve.json`.
+pub(crate) fn run() -> Report {
+    let m = matrix();
+    let [head, unprinted, tail] = m.gates();
+
+    let mut text = String::new();
     let _ = writeln!(
-        out,
+        text,
         "{:<17}{:>9}{:>9}{:>9}{:>11}{:>11}{:>11}{:>8}",
         "mode", "reqs", "done", "rej", "p50 (ms)", "p99 (ms)", "p999 (ms)", "steals"
     );
-    for row in &r.rows {
-        let rep = &row.report;
+    for (mode, rep) in m.rows() {
         let _ = writeln!(
-            out,
+            text,
             "{:<17}{:>9}{:>9}{:>9}{:>11.3}{:>11.3}{:>11.3}{:>8}",
-            row.mode,
+            mode,
             rep.generated,
             rep.completed,
             rep.rejected + rep.shed,
@@ -248,7 +220,7 @@ pub fn render(r: &ServeBenchReport) -> String {
         );
         for t in &rep.tenants {
             let _ = writeln!(
-                out,
+                text,
                 "  tenant {:<9}{:>9}{:>9}{:>9}{:>11.3}{:>11.3}{:>11.3}  slo {:.3}",
                 t.tenant.0,
                 t.generated,
@@ -261,110 +233,37 @@ pub fn render(r: &ServeBenchReport) -> String {
             );
         }
     }
+    let horizon_s = m.horizon.as_secs_f64();
     let _ = writeln!(
-        out,
+        text,
         "\n{} nodes, {:.0} req/s offered ({}% of calibrated capacity), {:.0} ms horizon",
-        r.nodes,
-        r.rate_req_s,
-        (r.rho * 100.0).round(),
-        r.horizon_s * 1e3
+        NODES,
+        m.rate_req_s,
+        (RHO * 100.0).round(),
+        horizon_s * 1e3
     );
-    let _ = writeln!(
-        out,
-        "weighted_p99_better: {}; replay_identical: {}; conserved: {}; \
-         tail_holds_under_faults: {}",
-        r.weighted_p99_better(),
-        r.replay_identical,
-        r.conserved(),
-        r.tail_holds_under_faults()
-    );
-    out
-}
+    let _ = writeln!(text, "{}; {}", gate_line(&head), gate_line(&tail));
 
-/// Serializes the report as the `BENCH_serve.json` trajectory point.
-pub fn to_json(r: &ServeBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"madness-bench-serve-v1\",\n");
-    out.push_str("  \"workload\": \"poisson-2tenant-0.7x-4node\",\n");
-    let _ = writeln!(
-        out,
-        "  \"nodes\": {},\n  \"rate_req_s\": {:.3},\n  \"rho\": {:.3},\n  \"horizon_s\": {:.3},",
-        r.nodes, r.rate_req_s, r.rho, r.horizon_s
-    );
-    let _ = writeln!(
-        out,
-        "  \"weighted_p99_better\": {},\n  \"replay_identical\": {},\n  \
-         \"conserved\": {},\n  \"p999_finite\": {},\n  \"tail_holds_under_faults\": {},",
-        r.weighted_p99_better(),
-        r.replay_identical,
-        r.conserved(),
-        r.p999_finite(),
-        r.tail_holds_under_faults()
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, row) in r.rows.iter().enumerate() {
-        let rep = &row.report;
-        let comma = if i + 1 < r.rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"mode\": \"{}\", \"generated\": {}, \"completed\": {}, \
-             \"rejected\": {}, \"shed\": {}, \"steals\": {}, \"migrated_tasks\": {},",
-            row.mode,
-            rep.generated,
-            rep.completed,
-            rep.rejected,
-            rep.shed,
-            rep.steals,
-            rep.migrated_tasks,
+    let gates = [head, unprinted, tail].concat();
+    let doc = Obj::new()
+        .field("schema", "madness-bench-serve-v1")
+        .field("workload", "poisson-2tenant-0.7x-4node")
+        .field("nodes", NODES)
+        .fixed("rate_req_s", m.rate_req_s, 3)
+        .fixed("rho", RHO, 3)
+        .fixed("horizon_s", horizon_s, 3)
+        .gates(&gates)
+        .field(
+            "results",
+            m.rows().map(|(mode, rep)| row_json(mode, rep)).to_vec(),
         );
-        let _ = writeln!(
-            out,
-            "     \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {},",
-            rep.overall.p50.as_nanos(),
-            rep.overall.p99.as_nanos(),
-            rep.overall.p999.as_nanos(),
-            rep.overall.max.as_nanos(),
-        );
-        out.push_str("     \"tenants\": [\n");
-        for (j, t) in rep.tenants.iter().enumerate() {
-            let tc = if j + 1 < rep.tenants.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "       {{\"tenant\": {}, \"generated\": {}, \"completed\": {}, \
-                 \"rejected\": {}, \"shed\": {}, \"slo_attainment\": {:.6}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}{tc}",
-                t.tenant.0,
-                t.generated,
-                t.completed,
-                t.rejected,
-                t.shed,
-                t.slo_attainment,
-                t.latency.p50.as_nanos(),
-                t.latency.p99.as_nanos(),
-                t.latency.p999.as_nanos(),
-            );
-        }
-        out.push_str("     ],\n     \"kinds\": [\n");
-        for (j, kl) in rep.kinds.iter().enumerate() {
-            let kc = if j + 1 < rep.kinds.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "       {{\"op\": {}, \"data_hash\": {}, \"tenant\": {}, \"count\": {}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}{kc}",
-                kl.kind.op,
-                kl.kind.data_hash,
-                kl.kind.tenant.0,
-                kl.latency.count,
-                kl.latency.p50.as_nanos(),
-                kl.latency.p99.as_nanos(),
-                kl.latency.p999.as_nanos(),
-            );
-        }
-        let _ = writeln!(out, "     ]}}{comma}");
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Report::bench(
+        text,
+        gates,
+        "BENCH_serve.json",
+        "serve trajectory point",
+        &doc,
+    )
 }
 
 #[cfg(test)]
@@ -373,43 +272,14 @@ mod tests {
 
     #[test]
     fn pinned_matrix_meets_the_acceptance_bars() {
-        let r = serve_table();
-        assert_eq!(r.rows.len(), 3);
-        assert!(r.conserved(), "conservation must hold in every row");
-        assert!(r.p999_finite(), "every row must complete traffic");
-        assert!(
-            r.weighted_p99_better(),
-            "heavy-tenant p99: static {:?} vs steal {:?}",
-            r.row("static").report.tenant(HEAVY).unwrap().latency.p99,
-            r.row("steal").report.tenant(HEAVY).unwrap().latency.p99,
-        );
-        assert!(r.replay_identical, "same seed must replay bit-identically");
-        assert!(r.tail_holds_under_faults());
-        assert!(r.row("steal").report.steals > 0);
+        let m = matrix();
+        for g in m.gates().concat() {
+            assert!(g.ok, "{} is false", g.name);
+        }
+        assert!(m.healthy.steals > 0);
         // The weight premium shows inside the steal row too: the heavy
         // tenant's SLO attainment is at least the light tenant's.
-        let steal = &r.row("steal").report;
-        assert!(
-            steal.tenant(HEAVY).unwrap().slo_attainment + 1e-12
-                >= steal.tenant(LIGHT).unwrap().slo_attainment
-        );
-    }
-
-    #[test]
-    fn json_carries_the_ci_gate_fields() {
-        let r = serve_table();
-        let json = to_json(&r);
-        assert!(json.contains("\"schema\": \"madness-bench-serve-v1\""));
-        assert!(json.contains("\"weighted_p99_better\": true"));
-        assert!(json.contains("\"replay_identical\": true"));
-        assert!(json.contains("\"conserved\": true"));
-        assert!(json.contains("\"p999_finite\": true"));
-        assert!(json.contains("\"slo_attainment\": "));
-        assert!(json.contains("\"p999_ns\": "));
-        assert!(json.contains("\"mode\": \"steal+straggler\""));
-        let rendered = render(&r);
-        assert!(rendered.contains("weighted_p99_better: true"));
-        assert!(rendered.contains("replay_identical: true"));
-        assert!(rendered.contains("slo "));
+        let slo = |id| m.healthy.tenant(id).unwrap().slo_attainment;
+        assert!(slo(HEAVY) + 1e-12 >= slo(LIGHT));
     }
 }

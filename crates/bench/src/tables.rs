@@ -5,6 +5,7 @@
 //! under reproduction — EXPERIMENTS.md records paper-vs-measured for
 //! every row.
 
+use crate::report::Report;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
 use madness_core::coulomb::CoulombApp;
 use madness_core::scenario::Scenario;
@@ -12,6 +13,7 @@ use madness_core::tdse::TdseApp;
 use madness_gpusim::KernelKind;
 use madness_mra::procmap::{EvenMap, SubtreeMap};
 use madness_runtime::hybrid_optimal_time;
+use std::fmt::Write as _;
 
 /// Deterministic seed shared by all experiments.
 pub const SEED: u64 = 0x0020_12C1;
@@ -127,11 +129,7 @@ pub fn table1() -> Table1 {
     let m = cpu_rows.iter().find(|(p, _)| *p == 10).unwrap().1;
     let n = gpu_rows.iter().find(|(st, _)| *st == 5).unwrap().1;
     let hybrid_actual = node
-        .simulate(
-            &s.spec,
-            n_tasks,
-            hybrid_mode(10, 5, 5, KernelKind::CustomMtxmq),
-        )
+        .simulate(&s.spec, n_tasks, ResourceMode::TABLE1_HYBRID)
         .total
         .as_secs_f64();
     Table1 {
@@ -376,6 +374,112 @@ pub fn table6() -> (Vec<Table6Row>, u64) {
     (rows, tasks)
 }
 
+// ---------------------------------------------------------------------
+// Printed form (`tablegen table1` … `table6`)
+// ---------------------------------------------------------------------
+
+/// `tablegen table1`: the CPU and GPU scale-up columns side by side.
+pub(crate) fn table1_report() -> Report {
+    let t = table1();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<14}{:>12}     {:<14}{:>12}",
+        "CPU threads", "time (s)", "GPU streams", "time (s)"
+    );
+    // Nine CPU rows, six GPU rows: the right-hand column runs out first.
+    for (i, (p, cpu_s)) in t.cpu_rows.iter().enumerate() {
+        let gpu = t.gpu_rows.get(i);
+        let right = gpu.map(|(st, s)| format!("{st:<14}{s:>12.1}"));
+        let _ = writeln!(
+            out,
+            "{p:<14}{cpu_s:>12.1}     {}",
+            right.unwrap_or_default()
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\nhybrid (10 threads + 5 streams): actual {:.1} s, optimal overlap {:.1} s",
+        t.hybrid_actual, t.hybrid_optimal
+    );
+    Report::printed(out, Some(t.tasks))
+}
+
+/// `tablegen table2`.
+pub(crate) fn table2_report() -> Report {
+    let t = table2();
+    let mut out = String::new();
+    let _ = writeln!(out, "CPU 16 threads        {:>10.1} s", t.cpu16);
+    let _ = writeln!(out, "GPU (cuBLAS)          {:>10.1} s", t.gpu);
+    let _ = writeln!(out, "CPU+GPU actual        {:>10.1} s", t.hybrid_actual);
+    let _ = writeln!(out, "CPU+GPU optimal       {:>10.1} s", t.hybrid_optimal);
+    Report::printed(out, Some(t.tasks))
+}
+
+/// `tablegen table3` / `table4`: custom vs cuBLAS per node count.
+pub(crate) fn shootout_report((rows, tasks): (Vec<KernelShootoutRow>, u64)) -> Report {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<8}{:>16}{:>16}{:>10}",
+        "nodes", "custom (s)", "cuBLAS (s)", "ratio"
+    );
+    for r in &rows {
+        let _ = writeln!(
+            out,
+            "{:<8}{:>16.1}{:>16.1}{:>10.2}",
+            r.nodes,
+            r.custom,
+            r.cublas,
+            r.ratio()
+        );
+    }
+    Report::printed(out, Some(tasks))
+}
+
+/// `tablegen table5`.
+pub(crate) fn table5_report() -> Report {
+    let (rows, tasks) = table5();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<8}{:>12}{:>12}{:>12}{:>12}{:>12}",
+        "nodes", "CPU rr (s)", "CPU (s)", "GPU (s)", "hybrid (s)", "optimal (s)"
+    );
+    for r in &rows {
+        let _ = writeln!(
+            out,
+            "{:<8}{:>12.1}{:>12.1}{:>12.1}{:>12.1}{:>12.1}",
+            r.nodes, r.cpu_rr, r.cpu_norr, r.gpu, r.hybrid_actual, r.hybrid_optimal
+        );
+    }
+    Report::printed(out, Some(tasks))
+}
+
+/// `tablegen table6`.
+pub(crate) fn table6_report() -> Report {
+    let (rows, tasks) = table6();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<8}{:>12}{:>12}{:>12}{:>12}{:>10}",
+        "nodes", "CPU (s)", "GPU (s)", "hybrid (s)", "optimal (s)", "speedup"
+    );
+    for r in &rows {
+        let _ = writeln!(
+            out,
+            "{:<8}{:>12.1}{:>12.1}{:>12.1}{:>12.1}{:>10.1}",
+            r.nodes,
+            r.cpu,
+            r.gpu,
+            r.hybrid_actual,
+            r.hybrid_optimal,
+            r.speedup()
+        );
+    }
+    Report::printed(out, Some(tasks))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +661,35 @@ pub fn kepler_forecast() -> KeplerForecast {
         kepler: run(&s.spec, madness_gpusim::DeviceSpec::kepler_k20x()),
         kepler_rr: run(&s_rr.spec, madness_gpusim::DeviceSpec::kepler_k20x()),
     }
+}
+
+/// `tablegen future`.
+pub(crate) fn forecast_report() -> Report {
+    let f = kepler_forecast();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Fermi M2090, full rank               {:>10.1} s",
+        f.fermi
+    );
+    let _ = writeln!(
+        out,
+        "Fermi M2090, rank-reduced            {:>10.1} s   (no effect — §II-D)",
+        f.fermi_rr
+    );
+    let _ = writeln!(
+        out,
+        "Kepler K20X, full rank               {:>10.1} s   ({:.2}× silicon)",
+        f.kepler,
+        f.fermi / f.kepler
+    );
+    let _ = writeln!(
+        out,
+        "Kepler K20X + dynamic-par. rank red. {:>10.1} s   ({:.2}× total)",
+        f.kepler_rr,
+        f.fermi / f.kepler_rr
+    );
+    Report::printed(out, None)
 }
 
 #[cfg(test)]

@@ -8,28 +8,29 @@
 //! mode's `NodeReport.total`. The hybrid journal is also exported as a
 //! JSON timeline.
 
+use crate::pinned::TABLE1_GPU;
+use crate::report::{Artifact, Report};
+use crate::tables::coulomb_scenario;
 use madness_cluster::node::{NodeReport, NodeSim, ResourceMode};
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::KernelKind;
 use madness_trace::{MemRecorder, StageBreakdown};
-
-use crate::tables::coulomb_scenario;
+use std::fmt::Write as _;
 
 /// One traced run: the report, its journal, and the stage attribution.
-pub struct TracedRun {
+struct TracedRun {
     /// Mode label for the printed table.
-    pub label: &'static str,
+    label: &'static str,
     /// The node report (`breakdown` attributes exactly `report.total`).
-    pub report: NodeReport,
+    report: NodeReport,
     /// The recorded journal + metrics.
-    pub recorder: MemRecorder,
+    recorder: MemRecorder,
     /// Sweep-line attribution of `[0, report.total)` to stages.
-    pub breakdown: StageBreakdown,
+    breakdown: StageBreakdown,
 }
 
 /// Runs the Table I workload in CPU-only, GPU-only and hybrid modes with
 /// tracing enabled; returns the three traced runs (hybrid last).
-pub fn trace_table1() -> Vec<TracedRun> {
+fn traced_runs() -> Vec<TracedRun> {
     let s = coulomb_scenario(10, 1e-8, 4_000, None);
     let n_tasks = s.total_tasks();
     let node = NodeSim::new(s.node_params.clone());
@@ -38,23 +39,8 @@ pub fn trace_table1() -> Vec<TracedRun> {
             "CPU only (16 threads)",
             ResourceMode::CpuOnly { threads: 16 },
         ),
-        (
-            "GPU only (5 streams)",
-            ResourceMode::GpuOnly {
-                streams: 5,
-                kernel: KernelKind::CustomMtxmq,
-                data_threads: 12,
-            },
-        ),
-        (
-            "hybrid (10 thr + 5 str)",
-            ResourceMode::Hybrid {
-                compute_threads: 10,
-                data_threads: 5,
-                streams: 5,
-                kernel: KernelKind::CustomMtxmq,
-            },
-        ),
+        ("GPU only (5 streams)", TABLE1_GPU),
+        ("hybrid (10 thr + 5 str)", ResourceMode::TABLE1_HYBRID),
     ];
     modes
         .into_iter()
@@ -79,30 +65,27 @@ pub fn trace_table1() -> Vec<TracedRun> {
         .collect()
 }
 
-/// Renders one traced run as the utilization table `tablegen trace`
-/// prints.
-pub fn render(run: &TracedRun) -> String {
-    use std::fmt::Write as _;
+/// Renders one traced run as a utilization table.
+fn render(run: &TracedRun) -> String {
     let mut out = String::new();
     let total_s = run.report.total.as_secs_f64();
     let _ = writeln!(out, "\n{} — total {:.1} s", run.label, total_s);
     let _ = writeln!(out, "  {:<16}{:>12}{:>9}", "stage", "time (s)", "share");
-    for (stage, ns) in run.breakdown.nonzero() {
+    let mut rows: Vec<(&str, u64)> = run
+        .breakdown
+        .nonzero()
+        .into_iter()
+        .map(|(stage, ns)| (stage.name(), ns))
+        .collect();
+    if run.breakdown.unattributed_ns > 0 {
+        rows.push(("(idle)", run.breakdown.unattributed_ns));
+    }
+    for (name, ns) in rows {
         let secs = ns as f64 / 1e9;
         let _ = writeln!(
             out,
             "  {:<16}{:>12.2}{:>8.1}%",
-            stage.name(),
-            secs,
-            100.0 * secs / total_s
-        );
-    }
-    if run.breakdown.unattributed_ns > 0 {
-        let secs = run.breakdown.unattributed_ns as f64 / 1e9;
-        let _ = writeln!(
-            out,
-            "  {:<16}{:>12.2}{:>8.1}%",
-            "(idle)",
+            name,
             secs,
             100.0 * secs / total_s
         );
@@ -137,6 +120,22 @@ pub fn render(run: &TracedRun) -> String {
     out
 }
 
+/// `tablegen trace`: the three utilization tables; the hybrid journal
+/// is offered as a JSON timeline on every run.
+pub(crate) fn run() -> Report {
+    let runs = traced_runs();
+    Report {
+        text: runs.iter().map(render).collect(),
+        artifact: runs.last().map(|hybrid| Artifact {
+            path: "target/trace-table1.json",
+            what: "hybrid timeline",
+            contents: hybrid.recorder.to_json(),
+            always: true,
+        }),
+        ..Report::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +145,7 @@ mod tests {
     /// pipeline's journal accounts for essentially the whole timeline.
     #[test]
     fn stage_times_sum_to_node_report_total() {
-        let runs = trace_table1();
+        let runs = traced_runs();
         assert_eq!(runs.len(), 3);
         for run in &runs {
             assert_eq!(

@@ -75,6 +75,14 @@ pub enum BalanceMode {
 }
 
 impl BalanceMode {
+    /// The steal configuration every pinned scenario runs: nothing
+    /// smaller than one full 60-task GPU batch moves, and at most 8
+    /// migrations are in flight cluster-wide.
+    pub const PINNED_STEAL: BalanceMode = BalanceMode::Steal {
+        min_batch: 60,
+        max_inflight: 8,
+    };
+
     /// Human-readable name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -577,7 +585,6 @@ mod tests {
     use crate::network::NetworkModel;
     use crate::node::{NodeParams, NodeSim};
     use crate::workload::WorkloadSpec;
-    use madness_gpusim::KernelKind;
     use madness_trace::{MemRecorder, NullRecorder};
 
     fn spec() -> WorkloadSpec {
@@ -593,21 +600,9 @@ mod tests {
         ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default())
     }
 
-    fn hybrid() -> ResourceMode {
-        ResourceMode::Hybrid {
-            compute_threads: 10,
-            data_threads: 5,
-            streams: 5,
-            kernel: KernelKind::CustomMtxmq,
-        }
-    }
+    const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
-    fn steal() -> BalanceMode {
-        BalanceMode::Steal {
-            min_batch: 60,
-            max_inflight: 8,
-        }
-    }
+    const STEAL: BalanceMode = BalanceMode::PINNED_STEAL;
 
     fn lumpy(n_nodes: usize, loaded: usize, tasks_each: u64) -> TaskPopulation {
         let mut per_node = vec![0u64; n_nodes];
@@ -648,7 +643,7 @@ mod tests {
         let pop = lumpy(8, 2, 24_000);
         let mode = ResourceMode::CpuOnly { threads: 16 };
         let (st, _) = s.run_balanced(&pop, mode, BalanceMode::Static, &mut NullRecorder);
-        let (dy, bal) = s.run_balanced(&pop, mode, steal(), &mut NullRecorder);
+        let (dy, bal) = s.run_balanced(&pop, mode, STEAL, &mut NullRecorder);
         assert!(bal.steals > 0, "idle nodes must steal");
         assert!(
             dy.total.as_secs_f64() < 0.5 * st.total.as_secs_f64(),
@@ -665,7 +660,7 @@ mod tests {
         let pop = TaskPopulation::even(spec(), 48_000, 8);
         let mode = ResourceMode::CpuOnly { threads: 16 };
         let (st, _) = s.run_balanced(&pop, mode, BalanceMode::Static, &mut NullRecorder);
-        let (dy, bal) = s.run_balanced(&pop, mode, steal(), &mut NullRecorder);
+        let (dy, bal) = s.run_balanced(&pop, mode, STEAL, &mut NullRecorder);
         assert!(dy.total <= st.total);
         // Whatever it stole (the ±1-task remainder spread), the result
         // must not be worse.
@@ -698,12 +693,7 @@ mod tests {
         let s = sim();
         let pop = lumpy(4, 1, 6_000);
         let mut rec = MemRecorder::new();
-        let (_, bal) = s.run_balanced(
-            &pop,
-            ResourceMode::CpuOnly { threads: 16 },
-            steal(),
-            &mut rec,
-        );
+        let (_, bal) = s.run_balanced(&pop, ResourceMode::CpuOnly { threads: 16 }, STEAL, &mut rec);
         assert!(bal.steals > 0);
         let events: Vec<_> = rec.balance_events().collect();
         assert_eq!(events.len(), bal.steals as usize);
@@ -725,11 +715,11 @@ mod tests {
         let pop = lumpy(4, 2, 6_000);
         let mut rec_a = MemRecorder::new();
         let mut rec_b = MemRecorder::new();
-        let (ra, ba) = s.run_balanced(&pop, hybrid(), steal(), &mut rec_a);
+        let (ra, ba) = s.run_balanced(&pop, HYBRID, STEAL, &mut rec_a);
         let (rb, bb, sums) = s.run_balanced_with_faults(
             &pop,
-            hybrid(),
-            steal(),
+            HYBRID,
+            STEAL,
             &[],
             RecoveryPolicy::default(),
             &mut rec_b,
@@ -764,7 +754,7 @@ mod tests {
         );
         assert_eq!(st.slowest_node, 1);
         let (dy, bal, sums) =
-            s.run_balanced_with_faults(&pop, mode, steal(), &plans, policy, &mut NullRecorder);
+            s.run_balanced_with_faults(&pop, mode, STEAL, &plans, policy, &mut NullRecorder);
         assert!(bal.steals > 0, "healthy nodes must relieve the straggler");
         assert!(
             dy.total.as_secs_f64() < 0.8 * st.total.as_secs_f64(),
@@ -793,8 +783,7 @@ mod tests {
         plans[2] = FaultPlan::seeded(7).with_launch_fail_rate(0.9);
         let policy = RecoveryPolicy::default();
         let mut rec = MemRecorder::new();
-        let (_, bal, _) =
-            s.run_balanced_with_faults(&pop, hybrid(), steal(), &plans, policy, &mut rec);
+        let (_, bal, _) = s.run_balanced_with_faults(&pop, HYBRID, STEAL, &plans, policy, &mut rec);
         assert!(bal.steals > 0, "the degraded node must be relieved");
         // Every steal takes work away from a node; the degraded node
         // must appear as a victim at least once.
@@ -809,7 +798,7 @@ mod tests {
         let s = sim();
         let pop = lumpy(16, 1, 30_000);
         let mode = ResourceMode::CpuOnly { threads: 16 };
-        let (dy, bal) = s.run_balanced(&pop, mode, steal(), &mut NullRecorder);
+        let (dy, bal) = s.run_balanced(&pop, mode, STEAL, &mut NullRecorder);
         assert!(bal.steals >= 10, "only {} steals", bal.steals);
         assert!(dy.balance() > 0.5, "balance {}", dy.balance());
         assert_eq!(dy.total_tasks, 30_000);

@@ -301,7 +301,6 @@ mod tests {
     use super::*;
     use crate::node::NodeParams;
     use crate::workload::WorkloadSpec;
-    use madness_gpusim::KernelKind;
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -316,14 +315,7 @@ mod tests {
         ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default())
     }
 
-    fn hybrid() -> ResourceMode {
-        ResourceMode::Hybrid {
-            compute_threads: 10,
-            data_threads: 5,
-            streams: 5,
-            kernel: KernelKind::CustomMtxmq,
-        }
-    }
+    const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
     #[test]
     fn even_population_scales_with_nodes() {
@@ -357,7 +349,7 @@ mod tests {
     fn network_never_dominates_at_paper_scale() {
         let s = sim();
         let pop = TaskPopulation::even(spec(), 154_468, 100);
-        let r = s.run(&pop, hybrid());
+        let r = s.run(&pop, HYBRID);
         assert!(
             r.network_time.as_secs_f64() < 0.1 * r.total.as_secs_f64(),
             "network {} vs total {}",
@@ -371,7 +363,7 @@ mod tests {
         let s = sim();
         let pop = TaskPopulation::even(spec(), 40_000, 8);
         let cpu = s.run(&pop, ResourceMode::CpuOnly { threads: 16 }).total;
-        let hyb = s.run(&pop, hybrid()).total;
+        let hyb = s.run(&pop, HYBRID).total;
         assert!(hyb < cpu, "hybrid {hyb} vs cpu {cpu}");
     }
 
@@ -379,12 +371,12 @@ mod tests {
     fn straggler_node_becomes_critical() {
         let s = sim();
         let pop = TaskPopulation::even(spec(), 12_000, 4);
-        let clean = s.run(&pop, hybrid()).total;
+        let clean = s.run(&pop, HYBRID).total;
         let mut plans = vec![FaultPlan::none(); 4];
         plans[2] = FaultPlan::none().with_straggler(3.0);
         let (r, sums) = s.run_with_faults(
             &pop,
-            hybrid(),
+            HYBRID,
             &plans,
             RecoveryPolicy::default(),
             &mut NullRecorder,
@@ -405,7 +397,7 @@ mod tests {
         let mut rec = MemRecorder::new();
         let plans = vec![FaultPlan::seeded(9).with_message_drop_rate(0.5); 2];
         let (r, sums) =
-            s.run_with_faults(&pop, hybrid(), &plans, RecoveryPolicy::default(), &mut rec);
+            s.run_with_faults(&pop, HYBRID, &plans, RecoveryPolicy::default(), &mut rec);
         let dropped: u64 = sums.iter().map(|s| s.dropped_messages).sum();
         assert!(dropped > 0, "half the messages must drop");
         assert!(rec
@@ -421,7 +413,7 @@ mod tests {
             spec: spec(),
             per_node: vec![0, 0, 60],
         };
-        let r = s.run(&pop, hybrid());
+        let r = s.run(&pop, HYBRID);
         assert!(r.total > SimTime::ZERO);
         assert_eq!(r.total_tasks, 60);
     }

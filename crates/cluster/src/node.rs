@@ -84,6 +84,18 @@ pub enum ResourceMode {
     },
 }
 
+impl ResourceMode {
+    /// The paper's Table I hybrid — 10 compute threads, 5 data threads,
+    /// 5 CUDA streams, the custom `mtxmq` kernel — and the one node
+    /// configuration every pinned cluster, serving and DAG scenario runs.
+    pub const TABLE1_HYBRID: ResourceMode = ResourceMode::Hybrid {
+        compute_threads: 10,
+        data_threads: 5,
+        streams: 5,
+        kernel: KernelKind::CustomMtxmq,
+    };
+}
+
 /// Data-intensive work (preprocess + postprocess) per task, as a
 /// fraction of that task's full CPU compute time (calibration record in
 /// EXPERIMENTS.md).
@@ -1075,24 +1087,17 @@ mod tests {
         assert_eq!(t_full, t_rr, "custom kernel must ignore rank reduction");
     }
 
-    fn hybrid() -> ResourceMode {
-        ResourceMode::Hybrid {
-            compute_threads: 10,
-            data_threads: 5,
-            streams: 5,
-            kernel: KernelKind::CustomMtxmq,
-        }
-    }
+    const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
     #[test]
     fn straggler_slows_the_whole_node() {
         let s = spec_3d_k10();
         let sm = sim();
-        let clean = sm.simulate(&s, 4_000, hybrid()).total;
+        let clean = sm.simulate(&s, 4_000, HYBRID).total;
         let (slow, sum) = sm.simulate_faulty(
             &s,
             4_000,
-            hybrid(),
+            HYBRID,
             &FaultPlan::none().with_straggler(2.0),
             RecoveryPolicy::default(),
             &mut NullRecorder,
@@ -1111,7 +1116,7 @@ mod tests {
         let (report, sum) = sim().simulate_faulty(
             &s,
             4_000,
-            hybrid(),
+            HYBRID,
             &FaultPlan::seeded(7).with_launch_fail_rate(0.2),
             RecoveryPolicy::default(),
             &mut NullRecorder,
@@ -1158,7 +1163,7 @@ mod tests {
         let (report, sum) = sim().simulate_faulty(
             &s,
             20_000,
-            hybrid(),
+            HYBRID,
             &FaultPlan::none().with_device_lost_at(1_000_000),
             RecoveryPolicy::default(),
             &mut NullRecorder,
@@ -1181,7 +1186,7 @@ mod tests {
         let (_, sum) = sim().simulate_faulty(
             &s,
             2_000,
-            hybrid(),
+            HYBRID,
             &FaultPlan::seeded(5).with_launch_fail_rate(0.3),
             RecoveryPolicy::default(),
             &mut rec,

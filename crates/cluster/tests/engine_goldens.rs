@@ -36,7 +36,7 @@ use madness_cluster::serve::{
 use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, NodeFault, NodeTimeline, RecoveryPolicy};
-use madness_gpusim::{KernelKind, SimTime};
+use madness_gpusim::SimTime;
 use madness_runtime::TenantId;
 use madness_trace::{MemRecorder, Stage};
 
@@ -215,28 +215,16 @@ fn sim() -> ClusterSim {
     ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default())
 }
 
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
+const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
-fn steal() -> BalanceMode {
-    BalanceMode::Steal {
-        min_batch: 60,
-        max_inflight: 8,
-    }
-}
+const STEAL: BalanceMode = BalanceMode::PINNED_STEAL;
 
 /// Two tenants (Poisson + OnOff) at 0.7× calibrated capacity on four
 /// nodes for 40 ms — the serve_determinism shape.
 fn serve_cfg() -> ServeConfig {
     let rate = sim().node().calibrate(
         &spec(),
-        hybrid(),
+        HYBRID,
         &FaultPlan::none(),
         RecoveryPolicy::default(),
     );
@@ -278,10 +266,10 @@ fn serve_goldens() -> Vec<Golden> {
     let mut out = Vec::new();
     for (name, bmode) in [
         ("serve static", BalanceMode::Static),
-        ("serve steal", steal()),
+        ("serve steal", STEAL),
     ] {
         let mut rec = MemRecorder::new();
-        let report = sim().run_served(&cfg, hybrid(), bmode, &mut rec);
+        let report = sim().run_served(&cfg, HYBRID, bmode, &mut rec);
         assert!(report.conserved(), "{name}: {report:?}");
         out.push((name, format!("{report:?}"), fnv1a(&rec.to_json())));
     }
@@ -297,8 +285,8 @@ fn serve_goldens() -> Vec<Golden> {
     let mut rec = MemRecorder::new();
     let report = sim().run_served_survivable(
         &cfg,
-        hybrid(),
-        steal(),
+        HYBRID,
+        STEAL,
         &plans,
         RecoveryPolicy::default(),
         &survival,
@@ -346,7 +334,7 @@ fn batch_goldens() -> Vec<Golden> {
     let node = sim().node().simulate_faulty(
         &spec(),
         6_000,
-        hybrid(),
+        HYBRID,
         &FaultPlan::seeded(0x0020_12C1).with_launch_fail_rate(0.005),
         policy,
         &mut rec,
@@ -359,7 +347,7 @@ fn batch_goldens() -> Vec<Golden> {
     ));
 
     let mut rec = MemRecorder::new();
-    let (report, _) = sim().run_with_faults(&pop, hybrid(), &[], policy, &mut rec);
+    let (report, _) = sim().run_with_faults(&pop, HYBRID, &[], policy, &mut rec);
     out.push((
         "cluster traced fault-free",
         format!("{report:?}"),
@@ -367,7 +355,7 @@ fn batch_goldens() -> Vec<Golden> {
     ));
 
     let mut rec = MemRecorder::new();
-    let faulty = sim().run_with_faults(&pop, hybrid(), &batch_plans(), policy, &mut rec);
+    let faulty = sim().run_with_faults(&pop, HYBRID, &batch_plans(), policy, &mut rec);
     assert!(
         faulty.0.slowest_node == 2 && faulty.1[4].dropped_messages > 0,
         "the faulted pin must exercise the straggler and the retransmits: {faulty:?}"
@@ -379,7 +367,7 @@ fn batch_goldens() -> Vec<Golden> {
     ));
 
     for (name, bmode) in [
-        ("balanced steal + faults", steal()),
+        ("balanced steal + faults", STEAL),
         (
             "balanced repartition + faults",
             BalanceMode::Repartition { epochs: 4 },
@@ -387,7 +375,7 @@ fn batch_goldens() -> Vec<Golden> {
     ] {
         let mut rec = MemRecorder::new();
         let balanced =
-            sim().run_balanced_with_faults(&pop, hybrid(), bmode, &batch_plans(), policy, &mut rec);
+            sim().run_balanced_with_faults(&pop, HYBRID, bmode, &batch_plans(), policy, &mut rec);
         assert!(balanced.1.migrated_tasks > 0, "{name}: {balanced:?}");
         out.push((name, format!("{balanced:?}"), fnv1a(&rec.to_json())));
     }

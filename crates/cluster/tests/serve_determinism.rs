@@ -14,7 +14,7 @@ use madness_cluster::serve::{
 use madness_cluster::workload::WorkloadSpec;
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::{KernelKind, SimTime};
+use madness_gpusim::SimTime;
 use madness_runtime::TenantId;
 use madness_trace::{MemRecorder, ServeOutcome, Stage};
 
@@ -31,27 +31,15 @@ fn sim() -> ClusterSim {
     ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default())
 }
 
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
+const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
-fn steal() -> BalanceMode {
-    BalanceMode::Steal {
-        min_batch: 60,
-        max_inflight: 8,
-    }
-}
+const STEAL: BalanceMode = BalanceMode::PINNED_STEAL;
 
 fn cfg(seed: u64) -> ServeConfig {
     let s = sim();
     let rate = s.node().calibrate(
         &spec(),
-        hybrid(),
+        HYBRID,
         &FaultPlan::none(),
         RecoveryPolicy::default(),
     );
@@ -90,7 +78,7 @@ fn cfg(seed: u64) -> ServeConfig {
 
 fn run(cfg: &ServeConfig) -> (ServeReport, MemRecorder) {
     let mut rec = MemRecorder::new();
-    let report = sim().run_served(cfg, hybrid(), steal(), &mut rec);
+    let report = sim().run_served(cfg, HYBRID, STEAL, &mut rec);
     (report, rec)
 }
 
@@ -157,8 +145,8 @@ fn faulted_run_still_replays_and_conserves() {
     let mut rec_a = MemRecorder::new();
     let a = s.run_served_survivable(
         &c,
-        hybrid(),
-        steal(),
+        HYBRID,
+        STEAL,
         &plans,
         RecoveryPolicy::default(),
         &SurvivalConfig::default(),
@@ -167,8 +155,8 @@ fn faulted_run_still_replays_and_conserves() {
     let mut rec_b = MemRecorder::new();
     let b = s.run_served_survivable(
         &c,
-        hybrid(),
-        steal(),
+        HYBRID,
+        STEAL,
         &plans,
         RecoveryPolicy::default(),
         &SurvivalConfig::default(),

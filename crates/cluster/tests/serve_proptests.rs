@@ -13,7 +13,7 @@ use madness_cluster::serve::{
 use madness_cluster::workload::WorkloadSpec;
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
-use madness_gpusim::{KernelKind, SimTime};
+use madness_gpusim::SimTime;
 use madness_runtime::TenantId;
 use madness_trace::NullRecorder;
 use proptest::prelude::*;
@@ -31,14 +31,7 @@ fn sim() -> ClusterSim {
     ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default())
 }
 
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
+const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
 fn profile(idx: u8, rate: f64) -> RateProfile {
     match idx % 3 {
@@ -90,7 +83,7 @@ proptest! {
         let s = sim();
         let rate = s.node().calibrate(
             &spec(),
-            hybrid(),
+            HYBRID,
             &FaultPlan::none(),
             RecoveryPolicy::default(),
         );
@@ -124,7 +117,7 @@ proptest! {
         plans[0] = FaultPlan::none().with_straggler(straggler);
         let report = s.run_served_survivable(
             &cfg,
-            hybrid(),
+            HYBRID,
             bmode(mode_idx),
             &plans,
             RecoveryPolicy::default(),

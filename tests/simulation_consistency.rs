@@ -15,22 +15,15 @@ fn spec() -> WorkloadSpec {
     }
 }
 
-fn hybrid() -> ResourceMode {
-    ResourceMode::Hybrid {
-        compute_threads: 10,
-        data_threads: 5,
-        streams: 5,
-        kernel: KernelKind::CustomMtxmq,
-    }
-}
+const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
 /// The whole simulation stack is deterministic: identical inputs give
 /// bit-identical simulated times.
 #[test]
 fn simulation_is_deterministic() {
     let node = NodeSim::new(NodeParams::default());
-    let a = node.simulate(&spec(), 3_000, hybrid());
-    let b = node.simulate(&spec(), 3_000, hybrid());
+    let a = node.simulate(&spec(), 3_000, HYBRID);
+    let b = node.simulate(&spec(), 3_000, HYBRID);
     assert_eq!(a.total, b.total);
     assert_eq!(a.cpu_compute, b.cpu_compute);
     assert_eq!(a.gpu_busy, b.gpu_busy);
@@ -47,7 +40,7 @@ fn time_monotone_in_tasks() {
             kernel: KernelKind::CustomMtxmq,
             data_threads: 12,
         },
-        hybrid(),
+        HYBRID,
     ] {
         let mut prev = SimTime::ZERO;
         for n in [100u64, 1_000, 5_000, 20_000] {
@@ -62,8 +55,8 @@ fn time_monotone_in_tasks() {
 #[test]
 fn large_workloads_scale_linearly() {
     let node = NodeSim::new(NodeParams::default());
-    let t1 = node.simulate(&spec(), 30_000, hybrid()).total.as_secs_f64();
-    let t2 = node.simulate(&spec(), 60_000, hybrid()).total.as_secs_f64();
+    let t1 = node.simulate(&spec(), 30_000, HYBRID).total.as_secs_f64();
+    let t2 = node.simulate(&spec(), 60_000, HYBRID).total.as_secs_f64();
     let ratio = t2 / t1;
     assert!(
         (1.9..2.1).contains(&ratio),
@@ -78,12 +71,12 @@ fn cluster_bounded_by_perfect_scaling() {
     let sim = ClusterSim::new(NodeSim::new(NodeParams::default()), NetworkModel::default());
     let total_tasks = 48_000u64;
     let single = sim
-        .run(&TaskPopulation::even(spec(), total_tasks, 1), hybrid())
+        .run(&TaskPopulation::even(spec(), total_tasks, 1), HYBRID)
         .total
         .as_secs_f64();
     for n in [4usize, 12, 24] {
         let t = sim
-            .run(&TaskPopulation::even(spec(), total_tasks, n), hybrid())
+            .run(&TaskPopulation::even(spec(), total_tasks, n), HYBRID)
             .total
             .as_secs_f64();
         assert!(
@@ -115,7 +108,7 @@ fn hybrid_dominates_at_scale() {
             },
         )
         .total;
-    let hyb = node.simulate(&spec(), n, hybrid()).total;
+    let hyb = node.simulate(&spec(), n, HYBRID).total;
     assert!(hyb < cpu.min(gpu));
 }
 
@@ -124,7 +117,7 @@ fn hybrid_dominates_at_scale() {
 #[test]
 fn resource_accounting_is_sane() {
     let node = NodeSim::new(NodeParams::default());
-    let r = node.simulate(&spec(), 6_000, hybrid());
+    let r = node.simulate(&spec(), 6_000, HYBRID);
     assert!(r.n_batches == 100);
     assert!(r.cpu_compute + r.gpu_busy > SimTime::ZERO);
     assert!(r.mean_split_k > 0.0 && r.mean_split_k < 1.0);
@@ -142,7 +135,7 @@ fn rank_reduction_never_hurts() {
     };
     for mode in [
         ResourceMode::CpuOnly { threads: 16 },
-        hybrid(),
+        HYBRID,
         ResourceMode::GpuOnly {
             streams: 5,
             kernel: KernelKind::CustomMtxmq,
