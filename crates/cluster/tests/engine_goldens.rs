@@ -1,5 +1,5 @@
-//! Cross-commit golden pins for the online engines (ISSUE 12) and the
-//! batch simulators (ISSUE 15).
+//! Cross-commit golden pins for the online engines (ISSUEs 12, 19) and
+//! the batch simulators (ISSUE 15).
 //!
 //! The replay tests elsewhere compare a run to *itself*; they cannot
 //! see a rewrite that changes every run the same way. These pins compare
@@ -13,7 +13,10 @@
 //! the fault-free identity pin of the surviving fault-aware body. Each
 //! scenario pins the full report (`{:?}`) and an FNV-1a hash of the
 //! `MemRecorder` trace JSON, so every simulated number and every journal
-//! byte is covered.
+//! byte is covered. The last three serve scenarios (partition + heal +
+//! rejoin, overload brownout, repartition) were captured before ISSUE 19
+//! made survival state unconditional and the interconnect the migration
+//! ledger.
 //!
 //! A change that *means* to move simulated numbers regenerates the
 //! table with
@@ -31,11 +34,12 @@ use madness_cluster::dag::{
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeRate, NodeSim, ResourceMode};
 use madness_cluster::serve::{
-    HedgeConfig, RateProfile, ServeConfig, ShedPolicy, SurvivalConfig, TenantSpec,
+    BrownoutConfig, HedgeConfig, RateProfile, ServeConfig, ServeReport, ShedPolicy, SurvivalConfig,
+    TenantSpec,
 };
 use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
 use madness_cluster::BalanceMode;
-use madness_faults::{FaultPlan, NodeFault, NodeTimeline, RecoveryPolicy};
+use madness_faults::{FaultAction, FaultKind, FaultPlan, NodeFault, NodeTimeline, RecoveryPolicy};
 use madness_gpusim::SimTime;
 use madness_runtime::TenantId;
 use madness_trace::{MemRecorder, Stage};
@@ -219,16 +223,16 @@ const HYBRID: ResourceMode = ResourceMode::TABLE1_HYBRID;
 
 const STEAL: BalanceMode = BalanceMode::PINNED_STEAL;
 
-/// Two tenants (Poisson + OnOff) at 0.7× calibrated capacity on four
+/// Two tenants (Poisson + OnOff) at `rho`× calibrated capacity on four
 /// nodes for 40 ms — the serve_determinism shape.
-fn serve_cfg() -> ServeConfig {
+fn serve_cfg(rho: f64) -> ServeConfig {
     let rate = sim().node().calibrate(
         &spec(),
         HYBRID,
         &FaultPlan::none(),
         RecoveryPolicy::default(),
     );
-    let total = 0.7 * 4.0 / (rate.per_task.as_secs_f64() * 4.0).max(1e-12);
+    let total = rho * 4.0 / (rate.per_task.as_secs_f64() * 4.0).max(1e-12);
     ServeConfig {
         spec: spec(),
         tenants: vec![
@@ -261,8 +265,31 @@ fn serve_cfg() -> ServeConfig {
     }
 }
 
+fn serve_run(
+    name: &'static str,
+    cfg: &ServeConfig,
+    bmode: BalanceMode,
+    plans: &[FaultPlan],
+    survival: &SurvivalConfig,
+) -> (Golden, ServeReport, MemRecorder) {
+    let mut rec = MemRecorder::new();
+    let report = sim().run_served_survivable(
+        cfg,
+        HYBRID,
+        bmode,
+        plans,
+        RecoveryPolicy::default(),
+        survival,
+        &mut rec,
+    );
+    assert!(report.conserved(), "{name}: {report:?}");
+    let golden = (name, format!("{report:?}"), fnv1a(&rec.to_json()));
+    (golden, report, rec)
+}
+
 fn serve_goldens() -> Vec<Golden> {
-    let cfg = serve_cfg();
+    let cfg = serve_cfg(0.7);
+    let inert = SurvivalConfig::default();
     let mut out = Vec::new();
     for (name, bmode) in [
         ("serve static", BalanceMode::Static),
@@ -278,30 +305,86 @@ fn serve_goldens() -> Vec<Golden> {
         FaultPlan::none().with_straggler(4.0),
         FaultPlan::none().with_node_crash_at(SimTime::from_millis(8).as_nanos()),
     ];
-    let survival = SurvivalConfig {
+    let hedging = SurvivalConfig {
         hedge: Some(HedgeConfig::default()),
         ..SurvivalConfig::default()
     };
-    let mut rec = MemRecorder::new();
-    let report = sim().run_served_survivable(
-        &cfg,
-        HYBRID,
-        STEAL,
-        &plans,
-        RecoveryPolicy::default(),
-        &survival,
-        &mut rec,
-    );
-    assert!(report.conserved(), "serve crash + hedge: {report:?}");
+    let (golden, report, _) = serve_run("serve crash + hedge", &cfg, STEAL, &plans, &hedging);
     assert!(
         report.node_crashes == 1 && report.hedges_launched > 0 && report.recovered_requests > 0,
         "the survivable pin must exercise crash recovery and hedging: {report:?}"
     );
-    out.push((
-        "serve crash + hedge",
-        format!("{report:?}"),
-        fnv1a(&rec.to_json()),
-    ));
+    out.push(golden);
+
+    // Node 0 is partitioned for ten heartbeats (declared dead after
+    // two: its frozen work is duplicated, traffic sent to it meanwhile
+    // is lost in transit, the fenced originals cancel at the heal);
+    // node 1 crashes and rejoins cold through the breaker ladder.
+    let ms = |t: u64| SimTime::from_millis(t).as_nanos();
+    let plans = vec![
+        FaultPlan::none().with_node_partition(ms(8), ms(10)),
+        FaultPlan::none()
+            .with_node_crash_at(ms(12))
+            .with_node_rejoin_at(ms(25)),
+    ];
+    let (golden, report, rec) = serve_run(
+        "serve partition + heal + rejoin",
+        &cfg,
+        STEAL,
+        &plans,
+        &inert,
+    );
+    assert!(
+        report.node_crashes == 1
+            && report.rejoins == 2
+            && report.hedges_launched > 0
+            && report.cancelled_hedges == report.hedges_launched
+            && report.recovered_requests > report.hedges_launched
+            && report.breaker_trips > 0,
+        "the partition pin must exercise duplicate-then-cancel, void relocation and both re-admissions: {report:?}"
+    );
+    for (kind, action) in [
+        (FaultKind::NodePartition, FaultAction::Hedged),
+        (FaultKind::NodePartition, FaultAction::Readmitted),
+        (FaultKind::NodeCrash, FaultAction::Recovered),
+        (FaultKind::NodeRejoin, FaultAction::Readmitted),
+    ] {
+        assert!(
+            rec.faults().any(|f| f.kind == kind && f.action == action),
+            "the partition pin never journaled {kind:?}/{action:?}"
+        );
+    }
+    out.push(golden);
+
+    // 3× overload into a 16-slot-per-node queue, no plans: brownout
+    // engages, DropOldest sheds, and no node fault is ever scheduled.
+    let mut overload = serve_cfg(3.0);
+    overload.queue_capacity = 16 * overload.nodes;
+    overload.shed = ShedPolicy::DropOldest;
+    let brownout = SurvivalConfig {
+        brownout: Some(BrownoutConfig::default()),
+        ..SurvivalConfig::default()
+    };
+    let (golden, report, _) =
+        serve_run("serve overload brownout", &overload, STEAL, &[], &brownout);
+    assert!(
+        report.brownout_engagements > 0 && report.degraded_tasks > 0 && report.shed > 0,
+        "the overload pin must brown out and shed: {report:?}"
+    );
+    out.push(golden);
+
+    let (golden, report, _) = serve_run(
+        "serve repartition",
+        &cfg,
+        BalanceMode::Repartition { epochs: 4 },
+        &[],
+        &inert,
+    );
+    assert!(
+        report.migrated_tasks > 0 && report.steals == 0,
+        "the repartition pin must move work at an epoch: {report:?}"
+    );
+    out.push(golden);
     out
 }
 
@@ -456,6 +539,21 @@ const GOLDENS: &[(&str, &str, u64)] = &[
         "serve crash + hedge",
         "ServeReport { generated: 274, admitted: 274, completed: 274, rejected: 0, shed: 0, horizon: 40.000ms, makespan: 75.707ms, overall: LatencyStats { count: 274, p50: 17.512ms, p99: 45.780ms, p999: 58.654ms, max: 58.654ms, mean: 17.833ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 139, completed: 139, rejected: 0, shed: 0, slo_met: 106, slo_attainment: 0.762589928057554, latency: LatencyStats { count: 139, p50: 3.214ms, p99: 26.161ms, p999: 28.828ms, max: 28.828ms, mean: 6.537ms } }, TenantReport { tenant: TenantId(2), generated: 135, completed: 135, rejected: 0, shed: 0, slo_met: 21, slo_attainment: 0.15555555555555556, latency: LatencyStats { count: 135, p50: 31.202ms, p99: 45.885ms, p999: 58.654ms, max: 58.654ms, mean: 29.464ms } }], kinds: [KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, latency: LatencyStats { count: 27, p50: 3.256ms, p99: 7.301ms, p999: 7.301ms, max: 7.301ms, mean: 3.395ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(2) }, latency: LatencyStats { count: 35, p50: 40.433ms, p99: 58.654ms, p999: 58.654ms, max: 58.654ms, mean: 35.539ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(1) }, latency: LatencyStats { count: 36, p50: 14.786ms, p99: 28.828ms, p999: 28.828ms, max: 28.828ms, mean: 17.094ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(2) }, latency: LatencyStats { count: 38, p50: 32.819ms, p99: 36.484ms, p999: 36.484ms, max: 36.484ms, mean: 28.610ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(1) }, latency: LatencyStats { count: 34, p50: 2.125ms, p99: 4.350ms, p999: 4.350ms, max: 4.350ms, mean: 2.391ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(2) }, latency: LatencyStats { count: 34, p50: 27.757ms, p99: 37.055ms, p999: 37.055ms, max: 37.055ms, mean: 25.152ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(1) }, latency: LatencyStats { count: 42, p50: 2.867ms, p99: 4.137ms, p999: 4.137ms, max: 4.137ms, mean: 2.865ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(2) }, latency: LatencyStats { count: 28, p50: 31.199ms, p99: 35.678ms, p999: 35.678ms, max: 35.678ms, mean: 28.265ms } }], steals: 4, blocked_steals: 0, migrated_tasks: 656, migrated_bytes: 5248000, migration_wire: 1.314ms, hedges_launched: 127, cancelled_hedges: 127, recovered_requests: 4, node_crashes: 1, rejoins: 0, breaker_trips: 2, brownout_engagements: 0, degraded_tasks: 0 }",
         0x9fc1f68da9c6b6f8,
+    ),
+    (
+        "serve partition + heal + rejoin",
+        "ServeReport { generated: 274, admitted: 274, completed: 274, rejected: 0, shed: 0, horizon: 40.000ms, makespan: 41.105ms, overall: LatencyStats { count: 274, p50: 3.664ms, p99: 15.128ms, p999: 15.675ms, max: 15.675ms, mean: 5.015ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 139, completed: 139, rejected: 0, shed: 0, slo_met: 136, slo_attainment: 0.9784172661870504, latency: LatencyStats { count: 139, p50: 2.551ms, p99: 5.344ms, p999: 5.356ms, max: 5.356ms, mean: 2.689ms } }, TenantReport { tenant: TenantId(2), generated: 135, completed: 135, rejected: 0, shed: 0, slo_met: 135, slo_attainment: 1.0, latency: LatencyStats { count: 135, p50: 7.168ms, p99: 15.138ms, p999: 15.675ms, max: 15.675ms, mean: 7.411ms } }], kinds: [KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, latency: LatencyStats { count: 27, p50: 2.651ms, p99: 4.690ms, p999: 4.690ms, max: 4.690ms, mean: 2.788ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(2) }, latency: LatencyStats { count: 35, p50: 9.219ms, p99: 11.930ms, p999: 11.930ms, max: 11.930ms, mean: 8.316ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(1) }, latency: LatencyStats { count: 36, p50: 2.941ms, p99: 4.999ms, p999: 4.999ms, max: 4.999ms, mean: 2.923ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(2) }, latency: LatencyStats { count: 38, p50: 7.016ms, p99: 12.585ms, p999: 12.585ms, max: 12.585ms, mean: 6.991ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(1) }, latency: LatencyStats { count: 34, p50: 2.083ms, p99: 3.665ms, p999: 3.665ms, max: 3.665ms, mean: 2.305ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(2) }, latency: LatencyStats { count: 34, p50: 5.027ms, p99: 15.138ms, p999: 15.138ms, max: 15.138ms, mean: 6.456ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(1) }, latency: LatencyStats { count: 42, p50: 2.296ms, p99: 5.356ms, p999: 5.356ms, max: 5.356ms, mean: 2.734ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(2) }, latency: LatencyStats { count: 28, p50: 6.699ms, p99: 15.675ms, p999: 15.675ms, max: 15.675ms, mean: 8.012ms } }], steals: 9, blocked_steals: 0, migrated_tasks: 332, migrated_bytes: 2656000, migration_wire: 561.200µs, hedges_launched: 9, cancelled_hedges: 9, recovered_requests: 24, node_crashes: 1, rejoins: 2, breaker_trips: 4, brownout_engagements: 0, degraded_tasks: 0 }",
+        0xe0c311a38b8935b7,
+    ),
+    (
+        "serve overload brownout",
+        "ServeReport { generated: 1153, admitted: 1123, completed: 393, rejected: 30, shed: 730, horizon: 40.000ms, makespan: 44.451ms, overall: LatencyStats { count: 393, p50: 3.823ms, p99: 6.611ms, p999: 7.003ms, max: 7.003ms, mean: 3.943ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 604, completed: 343, rejected: 9, shed: 252, slo_met: 284, slo_attainment: 0.47019867549668876, latency: LatencyStats { count: 343, p50: 3.734ms, p99: 6.202ms, p999: 6.630ms, max: 6.630ms, mean: 3.836ms } }, TenantReport { tenant: TenantId(2), generated: 549, completed: 50, rejected: 21, shed: 478, slo_met: 50, slo_attainment: 0.09107468123861566, latency: LatencyStats { count: 50, p50: 4.408ms, p99: 7.003ms, p999: 7.003ms, max: 7.003ms, mean: 4.682ms } }], kinds: [KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, latency: LatencyStats { count: 97, p50: 3.698ms, p99: 5.861ms, p999: 5.861ms, max: 5.861ms, mean: 3.734ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(2) }, latency: LatencyStats { count: 12, p50: 5.624ms, p99: 6.366ms, p999: 6.366ms, max: 6.366ms, mean: 5.787ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(1) }, latency: LatencyStats { count: 94, p50: 3.271ms, p99: 6.630ms, p999: 6.630ms, max: 6.630ms, mean: 3.744ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(2) }, latency: LatencyStats { count: 15, p50: 3.689ms, p99: 4.484ms, p999: 4.484ms, max: 4.484ms, mean: 3.558ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(1) }, latency: LatencyStats { count: 74, p50: 3.833ms, p99: 5.955ms, p999: 5.955ms, max: 5.955ms, mean: 3.975ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(2) }, latency: LatencyStats { count: 19, p50: 4.666ms, p99: 7.003ms, p999: 7.003ms, max: 7.003ms, mean: 5.322ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(1) }, latency: LatencyStats { count: 78, p50: 3.977ms, p99: 5.896ms, p999: 5.896ms, max: 5.896ms, mean: 3.939ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(2) }, latency: LatencyStats { count: 4, p50: 2.441ms, p99: 2.856ms, p999: 2.856ms, max: 2.856ms, mean: 2.546ms } }], steals: 6, blocked_steals: 0, migrated_tasks: 124, migrated_bytes: 992000, migration_wire: 210.400µs, hedges_launched: 0, cancelled_hedges: 0, recovered_requests: 0, node_crashes: 0, rejoins: 0, breaker_trips: 0, brownout_engagements: 6, degraded_tasks: 1304 }",
+        0x85840aff1332315d,
+    ),
+    (
+        "serve repartition",
+        "ServeReport { generated: 274, admitted: 274, completed: 274, rejected: 0, shed: 0, horizon: 40.000ms, makespan: 41.223ms, overall: LatencyStats { count: 274, p50: 2.444ms, p99: 7.987ms, p999: 8.189ms, max: 8.189ms, mean: 3.059ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 139, completed: 139, rejected: 0, shed: 0, slo_met: 139, slo_attainment: 1.0, latency: LatencyStats { count: 139, p50: 2.104ms, p99: 4.175ms, p999: 4.255ms, max: 4.255ms, mean: 2.282ms } }, TenantReport { tenant: TenantId(2), generated: 135, completed: 135, rejected: 0, shed: 0, slo_met: 135, slo_attainment: 1.0, latency: LatencyStats { count: 135, p50: 3.077ms, p99: 8.131ms, p999: 8.189ms, max: 8.189ms, mean: 3.859ms } }], kinds: [KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, latency: LatencyStats { count: 27, p50: 2.275ms, p99: 4.255ms, p999: 4.255ms, max: 4.255ms, mean: 2.405ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(2) }, latency: LatencyStats { count: 35, p50: 2.658ms, p99: 7.236ms, p999: 7.236ms, max: 7.236ms, mean: 3.540ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(1) }, latency: LatencyStats { count: 36, p50: 2.771ms, p99: 3.977ms, p999: 3.977ms, max: 3.977ms, mean: 2.630ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(2) }, latency: LatencyStats { count: 38, p50: 2.033ms, p99: 7.921ms, p999: 7.921ms, max: 7.921ms, mean: 3.168ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(1) }, latency: LatencyStats { count: 34, p50: 1.624ms, p99: 3.006ms, p999: 3.006ms, max: 3.006ms, mean: 1.759ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(2) }, latency: LatencyStats { count: 34, p50: 3.420ms, p99: 8.189ms, p999: 8.189ms, max: 8.189ms, mean: 4.270ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(1) }, latency: LatencyStats { count: 42, p50: 2.233ms, p99: 4.030ms, p999: 4.030ms, max: 4.030ms, mean: 2.327ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(2) }, latency: LatencyStats { count: 28, p50: 4.693ms, p99: 7.474ms, p999: 7.474ms, max: 7.474ms, mean: 4.694ms } }], steals: 0, blocked_steals: 0, migrated_tasks: 92, migrated_bytes: 736000, migration_wire: 167.200µs, hedges_launched: 0, cancelled_hedges: 0, recovered_requests: 0, node_crashes: 0, rejoins: 0, breaker_trips: 0, brownout_engagements: 0, degraded_tasks: 0 }",
+        0xd7379b07b80fca68,
     ),
     (
         "node hybrid 0.5% launch faults",
