@@ -29,9 +29,11 @@
 //! ([`crate::node::NodeSim::calibrate`]); after the DES settles, each
 //! node's pipeline is re-simulated on the task count it actually
 //! executed, so busy-time breakdowns and fault summaries (conservation
-//! law included) stay exact. Every migration is journaled through
-//! `madness-trace` as a [`Stage::Migrate`] span plus a [`BalanceEvent`],
-//! and fault plans compose: a quarantined-GPU or straggler node
+//! law included) stay exact. Every migration is booked, counted and
+//! journaled in one place — [`Interconnect::migrate_recorded`]: a
+//! `Stage::Migrate` span plus a `BalanceEvent` through `madness-trace`,
+//! and the tallies [`BalanceReport`]'s `migrated_*` fields are read
+//! from — and fault plans compose: a quarantined-GPU or straggler node
 //! calibrates slow and naturally becomes a steal victim.
 
 use crate::cluster::{ClusterReport, ClusterSim, NodeLoad};
@@ -42,7 +44,7 @@ use crate::workload::TaskPopulation;
 use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
-use madness_trace::{BalanceEvent, BalanceKind, Recorder, Stage};
+use madness_trace::{BalanceKind, Recorder};
 
 /// EWMA smoothing for the measured per-task cost a repartition epoch
 /// feeds into the LPT.
@@ -239,15 +241,20 @@ impl<R: Recorder> BalCluster<'_, R> {
         // congested network), fall back to a single batch.
         for a_batches in [want_batches, 1] {
             let a = a_batches * self.batch_cap;
-            let wire = self.net.model().migration_time(a, self.bytes_per_task);
-            let start = self.net.next_start(now);
-            let arrive = start + wire;
+            let (_, arrive) = self.net.quote(now, a, self.bytes_per_task);
             let t = &self.nodes[thief];
             let compute_after = t.busy_until.max(arrive) + t.rate.per_task * a;
             let thief_est = compute_after.max(self.inj(t.executed + a));
             if thief_est <= victim_est {
-                let (lane, s2, a2) = self.net.migrate(now, a, self.bytes_per_task);
-                debug_assert_eq!((s2, a2), (start, arrive));
+                let booked = self.net.migrate_recorded(
+                    self.rec,
+                    BalanceKind::Steal,
+                    (v, thief),
+                    a,
+                    self.bytes_per_task,
+                    now,
+                );
+                debug_assert_eq!(booked, arrive, "the quote must be what gets booked");
                 self.nodes[v].queue -= a;
                 self.nodes[thief].awaiting = true;
                 self.inflight += 1;
@@ -258,51 +265,13 @@ impl<R: Recorder> BalCluster<'_, R> {
                         tasks: a,
                     },
                 );
-                self.journal_migration(BalanceKind::Steal, v, thief, a, lane, start, arrive, now);
                 self.report.steals += 1;
-                self.report.migrated_tasks += a;
-                self.report.migrated_bytes += a * self.bytes_per_task;
-                self.report.migration_wire += wire;
                 return;
             }
             if a_batches == 1 {
                 break;
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn journal_migration(
-        &mut self,
-        kind: BalanceKind,
-        from: usize,
-        to: usize,
-        tasks: u64,
-        lane: usize,
-        start: SimTime,
-        arrive: SimTime,
-        decided: SimTime,
-    ) {
-        if !R::ENABLED {
-            return;
-        }
-        self.rec.span(
-            Stage::Migrate,
-            start.as_nanos(),
-            arrive.as_nanos(),
-            lane as u32,
-        );
-        self.rec.balance_event(BalanceEvent {
-            kind,
-            from_node: from as u32,
-            to_node: to as u32,
-            tasks,
-            bytes: tasks * self.bytes_per_task,
-            at_ns: decided.as_nanos(),
-        });
-        self.rec.add("migrations", 1);
-        self.rec.add("migrated_tasks", tasks);
-        self.rec.add("migrated_bytes", tasks * self.bytes_per_task);
     }
 
     /// TREES-style sync point: reassign every queued whole batch by
@@ -364,23 +333,16 @@ impl<R: Recorder> BalCluster<'_, R> {
                 let (to, need) = &mut deficit[di];
                 let b = give.min(*need);
                 let a = b * self.batch_cap;
-                let wire = self.net.model().migration_time(a, self.bytes_per_task);
-                let (lane, start, arrive) = self.net.migrate(now, a, self.bytes_per_task);
-                self.nodes[from].queue -= a;
-                self.des.schedule(arrive, Ev::Arrive { to: *to, tasks: a });
-                self.journal_migration(
+                let arrive = self.net.migrate_recorded(
+                    self.rec,
                     BalanceKind::Repartition,
-                    from,
-                    *to,
+                    (from, *to),
                     a,
-                    lane,
-                    start,
-                    arrive,
+                    self.bytes_per_task,
                     now,
                 );
-                self.report.migrated_tasks += a;
-                self.report.migrated_bytes += a * self.bytes_per_task;
-                self.report.migration_wire += wire;
+                self.nodes[from].queue -= a;
+                self.des.schedule(arrive, Ev::Arrive { to: *to, tasks: a });
                 moved_any = true;
                 give -= b;
                 *need -= b;
@@ -549,7 +511,12 @@ impl ClusterSim {
             rec,
         };
         let outcomes = cluster.run();
-        let bal = cluster.report;
+        let bal = BalanceReport {
+            migrated_tasks: cluster.net.tasks_moved(),
+            migrated_bytes: cluster.net.bytes_moved(),
+            migration_wire: cluster.net.busy_time(),
+            ..cluster.report
+        };
         debug_assert_eq!(
             outcomes.iter().map(|o| o.executed).sum::<u64>(),
             population.total(),
@@ -585,7 +552,7 @@ mod tests {
     use crate::network::NetworkModel;
     use crate::node::{NodeParams, NodeSim};
     use crate::workload::WorkloadSpec;
-    use madness_trace::{MemRecorder, NullRecorder};
+    use madness_trace::{MemRecorder, NullRecorder, Stage};
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec {

@@ -15,10 +15,13 @@
 //! * [`Interconnect`] — a stateful, contention-aware view of the same
 //!   fabric used by the cluster DES: migrations share a fixed number of
 //!   torus links ([`NetworkModel::links`]) through a FIFO resource, so
-//!   concurrent transfers queue instead of overlapping for free.
+//!   concurrent transfers queue instead of overlapping for free. Every
+//!   booking is tallied here, so it is also the run's migration ledger,
+//!   and a load-balancing move is journaled here too.
 
 use crate::des::FifoResource;
 use madness_gpusim::SimTime;
+use madness_trace::{BalanceEvent, BalanceKind, Recorder, Stage};
 
 /// Latency/bandwidth model of the interconnect (defaults approximate
 /// Titan's Cray Gemini 3-D torus).
@@ -110,11 +113,17 @@ impl NetworkModel {
 /// migration transfers are served FIFO across [`NetworkModel::links`]
 /// shared links, so simultaneous steals queue behind each other instead
 /// of each seeing an idle network.
+///
+/// It is also the run's **migration ledger**: every booking adds to
+/// [`Interconnect::tasks_moved`], [`Interconnect::bytes_moved`] and
+/// [`Interconnect::busy_time`], which is where the balance and serve
+/// reports read their `migrated_*` fields from.
 #[derive(Debug)]
 pub struct Interconnect {
     model: NetworkModel,
     links: FifoResource,
     transfers: u64,
+    tasks_moved: u64,
     bytes_moved: u64,
 }
 
@@ -126,6 +135,7 @@ impl Interconnect {
             model,
             links,
             transfers: 0,
+            tasks_moved: 0,
             bytes_moved: 0,
         }
     }
@@ -133,6 +143,18 @@ impl Interconnect {
     /// The underlying closed-form model.
     pub fn model(&self) -> &NetworkModel {
         &self.model
+    }
+
+    /// `(start, arrive)` of a migration of `tasks` tasks released at
+    /// `release`, without booking it: exactly what the next
+    /// [`Interconnect::migrate`] with the same arguments returns, so a
+    /// profit guard can price a move before committing to it.
+    pub fn quote(&self, release: SimTime, tasks: u64, bytes_per_task: u64) -> (SimTime, SimTime) {
+        let start = self.links.next_start(release);
+        (
+            start,
+            start + self.model.migration_time(tasks, bytes_per_task),
+        )
     }
 
     /// Books a migration of `tasks` tasks (`bytes_per_task` each)
@@ -148,19 +170,57 @@ impl Interconnect {
         let wire = self.model.migration_time(tasks, bytes_per_task);
         let (lane, start, end) = self.links.serve_on(release, wire);
         self.transfers += 1;
+        self.tasks_moved += tasks;
         self.bytes_moved += tasks * bytes_per_task;
         (lane, start, end)
     }
 
-    /// Earliest time a transfer released at `release` could start
-    /// (without booking it).
-    pub fn next_start(&self, release: SimTime) -> SimTime {
-        self.links.next_start(release)
+    /// [`Interconnect::migrate`] for a load-balancing move decided at
+    /// `now`, journaled where it is booked: a [`Stage::Migrate`] span on
+    /// the link, a [`BalanceEvent`] of `kind` for `route = (from, to)`,
+    /// and the `migrations` / `migrated_tasks` / `migrated_bytes`
+    /// counters. Returns the arrival time.
+    pub fn migrate_recorded<R: Recorder>(
+        &mut self,
+        rec: &mut R,
+        kind: BalanceKind,
+        route: (usize, usize),
+        tasks: u64,
+        bytes_per_task: u64,
+        now: SimTime,
+    ) -> SimTime {
+        let (lane, start, arrive) = self.migrate(now, tasks, bytes_per_task);
+        if R::ENABLED {
+            let bytes = tasks * bytes_per_task;
+            rec.span(
+                Stage::Migrate,
+                start.as_nanos(),
+                arrive.as_nanos(),
+                lane as u32,
+            );
+            rec.balance_event(BalanceEvent {
+                kind,
+                from_node: route.0 as u32,
+                to_node: route.1 as u32,
+                tasks,
+                bytes,
+                at_ns: now.as_nanos(),
+            });
+            rec.add("migrations", 1);
+            rec.add("migrated_tasks", tasks);
+            rec.add("migrated_bytes", bytes);
+        }
+        arrive
     }
 
     /// Transfers booked so far.
     pub fn transfers(&self) -> u64 {
         self.transfers
+    }
+
+    /// Total tasks migrated so far.
+    pub fn tasks_moved(&self) -> u64 {
+        self.tasks_moved
     }
 
     /// Total bytes migrated so far.
@@ -275,7 +335,35 @@ mod tests {
             assert_eq!(*end, wire);
         }
         assert_eq!(ends[links], wire * 2);
+        // The migration ledger is the sum of what was shipped.
         assert_eq!(net.transfers(), (links + 1) as u64);
+        assert_eq!(net.tasks_moved(), (links as u64 + 1) * 100);
         assert_eq!(net.bytes_moved(), (links as u64 + 1) * 100 * 8_000);
+        assert_eq!(net.busy_time(), wire * (links as u64 + 1));
+    }
+
+    #[test]
+    fn quote_is_exactly_what_the_next_migrate_books() {
+        let mut net = Interconnect::new(NetworkModel::default());
+        assert_eq!(net.model().links, 4, "the releases below assume four links");
+        // Idle fabric, then every link busy, then a release after the
+        // links have drained: the quote never books, and the booking
+        // that follows it returns the quoted times.
+        let mut moved = 0;
+        for (i, release_us) in [0, 0, 0, 0, 0, 0, 3, 3, 400, 400].into_iter().enumerate() {
+            let (release, tasks) = (SimTime::from_micros(release_us), 7 + 13 * i as u64);
+            let before = (net.transfers(), net.tasks_moved(), net.busy_time());
+            let quoted = net.quote(release, tasks, 8_000);
+            assert_eq!(quoted, net.quote(release, tasks, 8_000));
+            assert_eq!(
+                before,
+                (net.transfers(), net.tasks_moved(), net.busy_time())
+            );
+            let (_, start, arrive) = net.migrate(release, tasks, 8_000);
+            assert_eq!(quoted, (start, arrive), "transfer {i}");
+            assert_eq!(start > release, (4..8).contains(&i), "transfer {i} queues");
+            moved += tasks;
+        }
+        assert_eq!(net.tasks_moved(), moved);
     }
 }
