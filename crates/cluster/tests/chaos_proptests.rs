@@ -17,7 +17,9 @@
 use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
-use madness_cluster::serve::{RateProfile, ServeConfig, ShedPolicy, SurvivalConfig, TenantSpec};
+use madness_cluster::serve::{
+    BrownoutConfig, HedgeConfig, RateProfile, ServeConfig, ShedPolicy, SurvivalConfig, TenantSpec,
+};
 use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
 use madness_cluster::BalanceMode;
 use madness_faults::{FaultPlan, RecoveryPolicy};
@@ -333,6 +335,107 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert_eq!(ja, jb);
     }
+}
+
+/// An overlapping-fault serving scenario drawn from `case`: 2–4 nodes
+/// at 0.3–3.3× load for 30 ms, each node independently crashing,
+/// crashing and rejoining, partitioned, partitioned then crashed then
+/// rejoined, or straggling, under a drawn balance mode, queue bound,
+/// shed policy, hedging and brownout. `survivor` keeps node 0 to the
+/// straggler draw, so some node can always take recovered work.
+fn overlap_scenario(
+    sim: &ClusterSim,
+    case: u64,
+    survivor: bool,
+) -> (ServeConfig, Vec<FaultPlan>, BalanceMode, SurvivalConfig) {
+    let u = |salt: u64| madness_faults::draw(0xF0221, salt, case);
+    let ms = |x: f64| (x * 1e6) as u64;
+    let nodes = 2 + (u(1) * 3.0) as usize;
+    let mut cfg = serve_cfg(sim, nodes, 0.3 + u(2) * 3.0, case ^ 0xABCD);
+    cfg.horizon = SimTime::from_millis(30);
+    cfg.kinds_per_tenant = 3;
+    if u(3) >= 0.5 {
+        cfg.queue_capacity = 8 * nodes;
+    }
+    if u(4) >= 0.5 {
+        cfg.shed = ShedPolicy::DropOldest;
+    }
+    let plans = (0..nodes as u64)
+        .map(|i| {
+            let b = 100 + 10 * i;
+            let (at, dur) = (ms(1.0 + u(b + 1) * 28.0), ms(0.3 + u(b + 2) * 12.0));
+            let none = FaultPlan::none();
+            match (u(b) * 5.0) as u32 {
+                _ if survivor && i == 0 => none.with_straggler(1.0 + u(b + 5) * 3.0),
+                0 => none.with_node_crash_at(at),
+                1 => none.with_node_crash_at(at).with_node_rejoin_at(at + dur),
+                2 => none.with_node_partition(at, dur),
+                3 => none
+                    .with_node_partition(at, dur)
+                    .with_node_crash_at(at + ms(0.2 + u(b + 3) * 14.0))
+                    .with_node_rejoin_at(at + dur + ms(u(b + 4) * 5.0) + 1),
+                _ => none.with_straggler(1.0 + u(b + 5) * 3.0),
+            }
+        })
+        .collect();
+    let bmode = match (u(7) * 3.0) as u32 {
+        0 => BalanceMode::Static,
+        1 => BalanceMode::PINNED_STEAL,
+        _ => BalanceMode::Repartition { epochs: 4 },
+    };
+    let survival = SurvivalConfig {
+        hedge: (u(5) < 0.5).then(HedgeConfig::default),
+        brownout: (u(6) < 0.5).then(BrownoutConfig::default),
+    };
+    (cfg, plans, bmode, survival)
+}
+
+fn run_overlap(case: u64, survivor: bool) -> madness_cluster::serve::ServeReport {
+    let sim = ClusterSim::new(node(), NetworkModel::default());
+    let (cfg, plans, bmode, survival) = overlap_scenario(&sim, case, survivor);
+    sim.run_served_survivable(
+        &cfg,
+        mode(0),
+        bmode,
+        &plans,
+        RecoveryPolicy::default(),
+        &survival,
+        &mut NullRecorder,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Overlapping node faults (ISSUE 19): crashes, partitions, heals
+    /// and rejoins on several nodes at once, crossed with hedging,
+    /// brownout, shedding and every balance mode. While one node
+    /// survives, no request may be lost and — with the copy counters'
+    /// clamps replaced by `debug_assert` + plain arithmetic — no copy
+    /// may end that was never started.
+    #[test]
+    fn overlapping_node_faults_conserve_while_a_node_survives(case in any::<u64>()) {
+        let r = run_overlap(case, true);
+        prop_assert!(r.conserved(), "conservation broke: {r:?}");
+        prop_assert_eq!(r.generated, r.completed + r.rejected + r.shed);
+        prop_assert_eq!(r.cancelled_hedges, r.hedges_launched);
+    }
+}
+
+/// The known gap (ROADMAP item 4), pinned: with *every* node faulted
+/// there are windows with no balanceable survivor, and `migrated()`
+/// then lands a recovery batch in the queue of a node that has crashed
+/// but is not yet declared dead. Declaration re-executes it from the
+/// ledger and the rejoined node serves the queued copy as well, so a
+/// request ends more copies than it had (`copy_ended`'s debug-assert;
+/// the `saturating_sub` it replaced hid the miscount and the run then
+/// failed `conserved()` instead). Un-ignore when whole-cluster outages
+/// have a defined outcome.
+#[test]
+#[ignore = "known failure: no-survivor windows double-execute a landed batch (ROADMAP item 4)"]
+fn no_survivor_window_pinned_case() {
+    let r = run_overlap(199, false);
+    assert!(r.conserved(), "{r:?}");
 }
 
 /// Fixed-seed serve-crash smoke for CI's `chaos-serve-smoke` job: one

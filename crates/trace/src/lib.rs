@@ -224,7 +224,8 @@ pub enum KernelChoice {
     ScalarRuntime,
     /// Const-width scalar loop (specialized `dimj`).
     ScalarConst,
-    /// Explicit AVX const-width loop (`simd` feature).
+    /// Explicit AVX const-width loop (compiled on x86_64, chosen at
+    /// runtime where the CPU has AVX).
     SimdConst,
     /// Cache-blocked scalar loop (8-row micro-tiles, `k` outer).
     Blocked,
