@@ -1,4 +1,4 @@
-//! Cross-commit golden pins for the online engines (ISSUEs 12, 19) and
+//! Cross-commit golden pins for the online engines (ISSUEs 12, 19, 20) and
 //! the batch simulators (ISSUE 15).
 //!
 //! The replay tests elsewhere compare a run to *itself*; they cannot
@@ -17,7 +17,11 @@
 //! rejoin, overload brownout, repartition) were captured before ISSUE 19
 //! made survival state unconditional and the interconnect the migration
 //! ledger; the `serve repartition` trace hash alone was regenerated
-//! since, when its epoch moves stopped being journaled as steals.
+//! since, when its epoch moves stopped being journaled as steals. The
+//! 256-node steal run, the three-weight drop-oldest run and the
+//! `generate_requests` trace were captured before ISSUE 20 put the ready
+//! queues on heaps, the steal victims in an index and the trace through
+//! a merge.
 //!
 //! A change that *means* to move simulated numbers regenerates the
 //! table with
@@ -35,8 +39,8 @@ use madness_cluster::dag::{
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeRate, NodeSim, ResourceMode};
 use madness_cluster::serve::{
-    BrownoutConfig, HedgeConfig, RateProfile, ServeConfig, ServeReport, ShedPolicy, SurvivalConfig,
-    TenantSpec,
+    generate_requests, BrownoutConfig, HedgeConfig, RateProfile, ServeConfig, ServeReport,
+    ShedPolicy, SurvivalConfig, TenantSpec,
 };
 use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
 use madness_cluster::BalanceMode;
@@ -266,6 +270,60 @@ fn serve_cfg(rho: f64) -> ServeConfig {
     }
 }
 
+/// Three tenants at weights 4 / 2 / 1 (Poisson, OnOff, Diurnal, equal
+/// mean rates) offering `rho`× the calibrated capacity of `nodes` nodes
+/// until `horizon`, one kind per tenant per node so every node is a
+/// home — the `sim-online` shape with a third weight class.
+fn three_weight_cfg(nodes: usize, rho: f64, horizon: SimTime) -> ServeConfig {
+    let rate = sim().node().calibrate(
+        &spec(),
+        HYBRID,
+        &FaultPlan::none(),
+        RecoveryPolicy::default(),
+    );
+    let third = rho * nodes as f64 / (rate.per_task.as_secs_f64() * 4.0).max(1e-12) / 3.0;
+    let tenant = |id: u32, weight: f64, deadline_ms: u64, profile: RateProfile| TenantSpec {
+        id: TenantId(id),
+        weight,
+        deadline: SimTime::from_millis(deadline_ms),
+        profile,
+        tasks_per_request: 4,
+    };
+    ServeConfig {
+        spec: spec(),
+        tenants: vec![
+            tenant(1, 4.0, 5, RateProfile::Poisson { rate: third }),
+            tenant(
+                2,
+                2.0,
+                10,
+                RateProfile::OnOff {
+                    rate_on: 1.5 * third,
+                    rate_off: 0.5 * third,
+                    period: SimTime::from_millis(4),
+                    duty: 0.5,
+                },
+            ),
+            tenant(
+                3,
+                1.0,
+                20,
+                RateProfile::Diurnal {
+                    base: third,
+                    amplitude: 0.5 * third,
+                    period: SimTime::from_millis(5),
+                },
+            ),
+        ],
+        nodes,
+        seed: 0x0020_12C1,
+        horizon,
+        queue_capacity: 1 << 20,
+        shed: ShedPolicy::RejectNew,
+        kinds_per_tenant: nodes as u64,
+    }
+}
+
 fn serve_run(
     name: &'static str,
     cfg: &ServeConfig,
@@ -386,7 +444,72 @@ fn serve_goldens() -> Vec<Golden> {
         "the repartition pin must move work at an epoch: {report:?}"
     );
     out.push(golden);
+
+    // 256 nodes, three weight classes, ρ ≈ 0.8 under the benchmark's
+    // steal mode: many simultaneous thieves contend for eight in-flight
+    // slots and every steal orders three classes. 768 kinds, so the
+    // per-kind rows are pinned as a hash.
+    let wide = three_weight_cfg(256, 0.8, SimTime::from_millis(12));
+    let wide_steal = BalanceMode::Steal {
+        min_batch: 60,
+        max_inflight: 8,
+    };
+    let ((name, _, trace), mut report, _) =
+        serve_run("serve steal 256 nodes", &wide, wide_steal, &[], &inert);
+    assert!(
+        report.steals > 0 && report.blocked_steals > 0 && report.completed == report.generated,
+        "the wide pin must steal, block on the in-flight cap and complete: {report:?}"
+    );
+    let kinds = fnv1a(&format!("{:?}", std::mem::take(&mut report.kinds)));
+    out.push((name, format!("{report:?} kinds#{kinds:#018x}"), trace));
+
+    // 2× overload into a 16-slot-per-node queue with three weights:
+    // the shed choice (lowest weight, FIFO), the steal order and the
+    // priority dequeue all work the same queues.
+    let mut flood = three_weight_cfg(8, 2.0, SimTime::from_millis(40));
+    flood.queue_capacity = 16 * flood.nodes;
+    flood.shed = ShedPolicy::DropOldest;
+    flood.kinds_per_tenant = 4;
+    let (golden, report, _) = serve_run(
+        "serve drop-oldest three weights",
+        &flood,
+        STEAL,
+        &[],
+        &inert,
+    );
+    assert!(
+        report.shed > 0 && report.steals > 0 && report.tenants.iter().all(|t| t.completed > 0),
+        "the flood pin must shed, steal and serve every class: {report:?}"
+    );
+    out.push(golden);
     out
+}
+
+/// The request trace itself: Poisson + OnOff + Diurnal tenants declared
+/// out of id order, plus one tenant that never sends.
+fn trace_golden() -> Golden {
+    let mut cfg = three_weight_cfg(8, 0.7, SimTime::from_millis(40));
+    cfg.tenants.swap(0, 2);
+    cfg.tenants.push(TenantSpec {
+        id: TenantId(0),
+        profile: RateProfile::Poisson { rate: 0.0 },
+        ..cfg.tenants[0]
+    });
+    let trace = generate_requests(&cfg);
+    let per_tenant: Vec<usize> = (0..4)
+        .map(|t| trace.iter().filter(|r| r.tenant == TenantId(t)).count())
+        .collect();
+    assert!(per_tenant[0] == 0 && per_tenant[1..].iter().all(|&n| n > 0));
+    (
+        "generate_requests three tenants",
+        format!(
+            "{} requests, per tenant {per_tenant:?}, first {:?}, last {:?}",
+            trace.len(),
+            trace.first(),
+            trace.last()
+        ),
+        fnv1a(&format!("{trace:?}")),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -469,6 +592,7 @@ fn batch_goldens() -> Vec<Golden> {
 fn goldens() -> Vec<Golden> {
     let mut all = dag_goldens();
     all.extend(serve_goldens());
+    all.push(trace_golden());
     all.extend(batch_goldens());
     all
 }
@@ -555,6 +679,21 @@ const GOLDENS: &[(&str, &str, u64)] = &[
         "serve repartition",
         "ServeReport { generated: 274, admitted: 274, completed: 274, rejected: 0, shed: 0, horizon: 40.000ms, makespan: 41.223ms, overall: LatencyStats { count: 274, p50: 2.444ms, p99: 7.987ms, p999: 8.189ms, max: 8.189ms, mean: 3.059ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 139, completed: 139, rejected: 0, shed: 0, slo_met: 139, slo_attainment: 1.0, latency: LatencyStats { count: 139, p50: 2.104ms, p99: 4.175ms, p999: 4.255ms, max: 4.255ms, mean: 2.282ms } }, TenantReport { tenant: TenantId(2), generated: 135, completed: 135, rejected: 0, shed: 0, slo_met: 135, slo_attainment: 1.0, latency: LatencyStats { count: 135, p50: 3.077ms, p99: 8.131ms, p999: 8.189ms, max: 8.189ms, mean: 3.859ms } }], kinds: [KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, latency: LatencyStats { count: 27, p50: 2.275ms, p99: 4.255ms, p999: 4.255ms, max: 4.255ms, mean: 2.405ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(2) }, latency: LatencyStats { count: 35, p50: 2.658ms, p99: 7.236ms, p999: 7.236ms, max: 7.236ms, mean: 3.540ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(1) }, latency: LatencyStats { count: 36, p50: 2.771ms, p99: 3.977ms, p999: 3.977ms, max: 3.977ms, mean: 2.630ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(2) }, latency: LatencyStats { count: 38, p50: 2.033ms, p99: 7.921ms, p999: 7.921ms, max: 7.921ms, mean: 3.168ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(1) }, latency: LatencyStats { count: 34, p50: 1.624ms, p99: 3.006ms, p999: 3.006ms, max: 3.006ms, mean: 1.759ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(2) }, latency: LatencyStats { count: 34, p50: 3.420ms, p99: 8.189ms, p999: 8.189ms, max: 8.189ms, mean: 4.270ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(1) }, latency: LatencyStats { count: 42, p50: 2.233ms, p99: 4.030ms, p999: 4.030ms, max: 4.030ms, mean: 2.327ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(2) }, latency: LatencyStats { count: 28, p50: 4.693ms, p99: 7.474ms, p999: 7.474ms, max: 7.474ms, mean: 4.694ms } }], steals: 0, blocked_steals: 0, migrated_tasks: 92, migrated_bytes: 736000, migration_wire: 167.200µs, hedges_launched: 0, cancelled_hedges: 0, recovered_requests: 0, node_crashes: 0, rejoins: 0, breaker_trips: 0, brownout_engagements: 0, degraded_tasks: 0 }",
         0x20e7ba797ec72970,
+    ),
+    (
+        "serve steal 256 nodes",
+        "ServeReport { generated: 6063, admitted: 6063, completed: 6063, rejected: 0, shed: 0, horizon: 12.000ms, makespan: 14.442ms, overall: LatencyStats { count: 6063, p50: 2.614ms, p99: 7.452ms, p999: 9.287ms, max: 11.021ms, mean: 2.974ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 2028, completed: 2028, rejected: 0, shed: 0, slo_met: 2006, slo_attainment: 0.9891518737672583, latency: LatencyStats { count: 2028, p50: 2.178ms, p99: 5.048ms, p999: 5.539ms, max: 6.136ms, mean: 2.419ms } }, TenantReport { tenant: TenantId(2), generated: 2005, completed: 2005, rejected: 0, shed: 0, slo_met: 2004, slo_attainment: 0.9995012468827931, latency: LatencyStats { count: 2005, p50: 2.714ms, p99: 7.043ms, p999: 9.060ms, max: 10.723ms, mean: 3.046ms } }, TenantReport { tenant: TenantId(3), generated: 2030, completed: 2030, rejected: 0, shed: 0, slo_met: 2030, slo_attainment: 1.0, latency: LatencyStats { count: 2030, p50: 3.171ms, p99: 8.357ms, p999: 9.598ms, max: 11.021ms, mean: 3.458ms } }], kinds: [], steals: 615, blocked_steals: 932, migrated_tasks: 8172, migrated_bytes: 65376000, migration_wire: 14.305ms, hedges_launched: 0, cancelled_hedges: 0, recovered_requests: 0, node_crashes: 0, rejoins: 0, breaker_trips: 0, brownout_engagements: 0, degraded_tasks: 0 } kinds#0x3343e72921c0363c",
+        0xbe0dde7f8b050750,
+    ),
+    (
+        "serve drop-oldest three weights",
+        "ServeReport { generated: 1609, admitted: 1609, completed: 818, rejected: 0, shed: 791, horizon: 40.000ms, makespan: 46.713ms, overall: LatencyStats { count: 818, p50: 4.762ms, p99: 7.959ms, p999: 8.777ms, max: 8.777ms, mean: 4.719ms }, tenants: [TenantReport { tenant: TenantId(1), generated: 544, completed: 534, rejected: 0, shed: 10, slo_met: 299, slo_attainment: 0.5496323529411765, latency: LatencyStats { count: 534, p50: 4.821ms, p99: 8.013ms, p999: 8.500ms, max: 8.500ms, mean: 4.794ms } }, TenantReport { tenant: TenantId(2), generated: 563, completed: 237, rejected: 0, shed: 326, slo_met: 237, slo_attainment: 0.42095914742451157, latency: LatencyStats { count: 237, p50: 4.634ms, p99: 7.097ms, p999: 8.777ms, max: 8.777ms, mean: 4.555ms } }, TenantReport { tenant: TenantId(3), generated: 502, completed: 47, rejected: 0, shed: 455, slo_met: 47, slo_attainment: 0.09362549800796813, latency: LatencyStats { count: 47, p50: 5.198ms, p99: 7.959ms, p999: 7.959ms, max: 7.959ms, mean: 4.700ms } }], kinds: [KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, latency: LatencyStats { count: 135, p50: 3.921ms, p99: 7.627ms, p999: 7.741ms, max: 7.741ms, mean: 4.210ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(2) }, latency: LatencyStats { count: 97, p50: 4.731ms, p99: 6.573ms, p999: 6.573ms, max: 6.573ms, mean: 4.600ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(3) }, latency: LatencyStats { count: 8, p50: 2.754ms, p99: 4.501ms, p999: 4.501ms, max: 4.501ms, mean: 3.103ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(1) }, latency: LatencyStats { count: 134, p50: 5.536ms, p99: 7.371ms, p999: 7.385ms, max: 7.385ms, mean: 5.482ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(2) }, latency: LatencyStats { count: 36, p50: 5.552ms, p99: 8.777ms, p999: 8.777ms, max: 8.777ms, mean: 5.333ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 1, tenant: TenantId(3) }, latency: LatencyStats { count: 13, p50: 7.054ms, p99: 7.959ms, p999: 7.959ms, max: 7.959ms, mean: 5.488ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(1) }, latency: LatencyStats { count: 121, p50: 5.129ms, p99: 8.491ms, p999: 8.500ms, max: 8.500ms, mean: 5.370ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(2) }, latency: LatencyStats { count: 83, p50: 4.262ms, p99: 6.232ms, p999: 6.232ms, max: 6.232ms, mean: 4.231ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 2, tenant: TenantId(3) }, latency: LatencyStats { count: 18, p50: 4.990ms, p99: 6.260ms, p999: 6.260ms, max: 6.260ms, mean: 4.136ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(1) }, latency: LatencyStats { count: 144, p50: 4.220ms, p99: 6.200ms, p999: 6.251ms, max: 6.251ms, mean: 4.216ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(2) }, latency: LatencyStats { count: 21, p50: 4.184ms, p99: 6.218ms, p999: 6.218ms, max: 6.218ms, mean: 4.290ms } }, KindLatency { kind: TaskKind { op: 24082, data_hash: 3, tenant: TenantId(3) }, latency: LatencyStats { count: 8, p50: 6.345ms, p99: 6.891ms, p999: 6.891ms, max: 6.891ms, mean: 6.284ms } }], steals: 33, blocked_steals: 0, migrated_tasks: 1152, migrated_bytes: 9216000, migration_wire: 1.909ms, hedges_launched: 0, cancelled_hedges: 0, recovered_requests: 0, node_crashes: 0, rejoins: 0, breaker_trips: 0, brownout_engagements: 0, degraded_tasks: 0 }",
+        0x3f0af3d44dd94952,
+    ),
+    (
+        "generate_requests three tenants",
+        "530 requests, per tenant [0, 185, 173, 172], first Some(Request { id: 0, tenant: TenantId(1), kind: TaskKind { op: 24082, data_hash: 0, tenant: TenantId(1) }, arrival: 53.017µs, tasks: 4 }), last Some(Request { id: 529, tenant: TenantId(2), kind: TaskKind { op: 24082, data_hash: 6, tenant: TenantId(2) }, arrival: 39.708ms, tasks: 4 })",
+        0x6be0ce1e65b40e1d,
     ),
     (
         "node hybrid 0.5% launch faults",
