@@ -911,8 +911,6 @@ pub fn run_dag_survivable<R: Recorder>(
                     }
                     value_node[j] = Some(dest);
                     avail[j] = arrive;
-                    report.migrated_values += 1;
-                    report.migrated_bytes += bytes;
                     rec_end = rec_end.max(arrive);
                     report.base.makespan = report.base.makespan.max(arrive);
                 }
@@ -1119,6 +1117,8 @@ pub fn run_dag_survivable<R: Recorder>(
     }
 
     report.base.overlap_ns = stage_overlap_ns(spans.iter());
+    report.migrated_values = icn.tasks_moved();
+    report.migrated_bytes = icn.bytes_moved();
     report
 }
 

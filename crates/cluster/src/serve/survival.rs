@@ -614,6 +614,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
         n.serving = None;
         n.ready.clear();
         n.ready_tasks = 0;
+        self.backlog[node / 64] &= !(1 << (node % 64));
         n.fenced.clear();
         n.awaiting = false;
         let _ = n.batcher.drain();

@@ -172,6 +172,34 @@ proptest! {
         prop_assert_eq!(stats.p999, SimTime::from_nanos(naive(&sorted, 0.999)));
     }
 
+    /// Selection reads the same order statistics a full sort does:
+    /// the whole `LatencyStats` equals the sort-based nearest-rank
+    /// reference on populations full of ties and at the lengths where
+    /// q·n lands on an integer (1, 100, 200, 1,000, 2,000).
+    #[test]
+    fn percentiles_by_selection_equal_the_sorted_reference(
+        raw in proptest::collection::vec(any::<u64>(), 1..2400),
+        distinct in prop_oneof![Just(3u64), Just(40), Just(5_000_000)],
+        len in prop_oneof![Just(1usize), Just(100), Just(200), Just(1000), Just(2000), Just(0)],
+    ) {
+        // `len` values (0: as drawn), recycling `raw` when it is short.
+        let len = if len == 0 { raw.len() } else { len };
+        let mut ns: Vec<u64> = raw.iter().cycle().take(len).map(|x| x % distinct).collect();
+        let stats = LatencyStats::from_sojourns(ns.clone());
+        ns.sort_unstable();
+        let n = ns.len();
+        let rank = |q: f64| SimTime::from_nanos(ns[((q * n as f64).ceil() as usize).clamp(1, n) - 1]);
+        let sorted = LatencyStats {
+            count: n as u64,
+            p50: rank(0.50),
+            p99: rank(0.99),
+            p999: rank(0.999),
+            max: SimTime::from_nanos(ns[n - 1]),
+            mean: SimTime::from_nanos((ns.iter().sum::<u64>() as f64 / n as f64).round() as u64),
+        };
+        prop_assert_eq!(stats, sorted);
+    }
+
     /// Tiny populations pin the clamp boundary exactly: with one sample
     /// every percentile is that sample; with two, the median is the
     /// first and the tails are the second.

@@ -91,10 +91,9 @@ impl Default for BatcherConfig {
 #[derive(Debug)]
 pub struct Batcher<T> {
     config: BatcherConfig,
-    batches: HashMap<TaskKind, Vec<T>>,
-    /// When each pending kind's oldest task was pushed — the timer's
-    /// reference point.
-    oldest_push: HashMap<TaskKind, SimTime>,
+    /// Per pending kind: when its oldest task was pushed (the timer's
+    /// reference point) and the tasks, never empty.
+    batches: HashMap<TaskKind, (SimTime, Vec<T>)>,
     pushed: u64,
     flushed_by_size: u64,
     flushed_by_timer: u64,
@@ -111,7 +110,6 @@ impl<T> Batcher<T> {
         Batcher {
             config,
             batches: HashMap::new(),
-            oldest_push: HashMap::new(),
             pushed: 0,
             flushed_by_size: 0,
             flushed_by_timer: 0,
@@ -133,15 +131,14 @@ impl<T> Batcher<T> {
     /// against.
     pub fn push_at(&mut self, kind: TaskKind, task: T, now: SimTime) -> Option<(TaskKind, Vec<T>)> {
         self.pushed += 1;
-        let v = self.batches.entry(kind).or_default();
-        if v.is_empty() {
-            self.oldest_push.insert(kind, now);
-        }
+        let (_, v) = self
+            .batches
+            .entry(kind)
+            .or_insert_with(|| (now, Vec::new()));
         v.push(task);
         if v.len() >= self.config.max_batch {
             self.flushed_by_size += 1;
-            self.oldest_push.remove(&kind);
-            let batch = self.batches.remove(&kind).expect("just inserted");
+            let (_, batch) = self.batches.remove(&kind).expect("just inserted");
             Some((kind, batch))
         } else {
             None
@@ -153,23 +150,12 @@ impl<T> Batcher<T> {
     /// order). "Batches of compute tasks will be executed one by one at
     /// this point." Kinds younger than the timer stay pending.
     pub fn flush_expired(&mut self, now: SimTime) -> Vec<(TaskKind, Vec<T>)> {
-        let mut kinds: Vec<TaskKind> = self
-            .oldest_push
-            .iter()
-            .filter(|(_, &t0)| now.saturating_sub(t0) >= self.config.timer)
-            .map(|(&k, _)| k)
-            .collect();
-        kinds.sort_unstable();
-        let mut out = Vec::with_capacity(kinds.len());
-        for kind in kinds {
-            self.oldest_push.remove(&kind);
-            if let Some(batch) = self.batches.remove(&kind) {
-                if !batch.is_empty() {
-                    self.flushed_by_timer += 1;
-                    out.push((kind, batch));
-                }
-            }
-        }
+        let timer = self.config.timer;
+        let expired = self
+            .batches
+            .extract_if(|_, (t0, _)| now.saturating_sub(*t0) >= timer);
+        let out = Self::in_kind_order(expired);
+        self.flushed_by_timer += out.len() as u64;
         out
     }
 
@@ -177,24 +163,24 @@ impl<T> Batcher<T> {
     /// regardless of age. Counted as drains, not timer expiries, so the
     /// end-of-run remainder does not inflate `batch_flush_timer`.
     pub fn drain(&mut self) -> Vec<(TaskKind, Vec<T>)> {
-        let mut kinds: Vec<TaskKind> = self.batches.keys().copied().collect();
-        kinds.sort_unstable();
-        self.oldest_push.clear();
-        let mut out = Vec::with_capacity(kinds.len());
-        for kind in kinds {
-            if let Some(batch) = self.batches.remove(&kind) {
-                if !batch.is_empty() {
-                    self.flushed_by_drain += 1;
-                    out.push((kind, batch));
-                }
-            }
-        }
+        let out = Self::in_kind_order(self.batches.drain());
+        self.flushed_by_drain += out.len() as u64;
+        out
+    }
+
+    /// Flushed map entries as batches, sorted by kind (map order is not
+    /// deterministic).
+    fn in_kind_order(
+        flushed: impl Iterator<Item = (TaskKind, (SimTime, Vec<T>))>,
+    ) -> Vec<(TaskKind, Vec<T>)> {
+        let mut out: Vec<_> = flushed.map(|(kind, (_, batch))| (kind, batch)).collect();
+        out.sort_unstable_by_key(|&(kind, _)| kind);
         out
     }
 
     /// Tasks currently waiting across all kinds.
     pub fn pending(&self) -> usize {
-        self.batches.values().map(Vec::len).sum()
+        self.batches.values().map(|(_, v)| v.len()).sum()
     }
 
     /// Distinct kinds currently pending.
