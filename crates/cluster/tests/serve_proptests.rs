@@ -180,10 +180,11 @@ proptest! {
     fn percentiles_by_selection_equal_the_sorted_reference(
         raw in proptest::collection::vec(any::<u64>(), 1..2400),
         distinct in prop_oneof![Just(3u64), Just(40), Just(5_000_000)],
-        len in prop_oneof![Just(1usize), Just(100), Just(200), Just(1000), Just(2000), Just(0)],
+        len in prop_oneof![Just(Some(1usize)), Just(Some(100)), Just(Some(200)), Just(Some(1000)), Just(Some(2000)), Just(None)],
     ) {
-        // `len` values (0: as drawn), recycling `raw` when it is short.
-        let len = if len == 0 { raw.len() } else { len };
+        // Exactly `len` values (`None`: as many as drawn), recycling
+        // `raw` when it is short.
+        let len = len.unwrap_or(raw.len());
         let mut ns: Vec<u64> = raw.iter().cycle().take(len).map(|x| x % distinct).collect();
         let stats = LatencyStats::from_sojourns(ns.clone());
         ns.sort_unstable();
