@@ -1609,6 +1609,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "all nodes crashed with work pending")]
+    fn losing_every_node_with_work_pending_panics() {
+        // Both nodes die before the schedule can finish and nothing
+        // rejoins: the second crash leaves no survivor to reassign to.
+        let mut tl = NodeTimeline::new(2);
+        tl.add(0, NodeFault::CrashAt(100_000));
+        tl.add(1, NodeFault::CrashAt(150_000));
+        let spec = DagSurvivalSpec {
+            timeline: tl,
+            ..DagSurvivalSpec::none(2)
+        };
+        run_dag_survivable(
+            &chained(4, 4),
+            2,
+            rate(),
+            &NetworkModel::default(),
+            DagMode::Dataflow,
+            &DagFaultSpec::none(),
+            &spec,
+            &mut madness_trace::NullRecorder,
+        );
+    }
+
+    #[test]
     fn fold_back_pulls_consumers_out_of_the_ready_set_and_keeps_truncated_tasks_in() {
         // Node 0 is busy with L until 305 µs. On node 1, A finishes at
         // 85 µs — which makes B (node 0, consumes A) ready, queued

@@ -1,5 +1,5 @@
-//! Cross-commit golden pins for the online engines (ISSUEs 12, 19, 20) and
-//! the batch simulators (ISSUE 15).
+//! Cross-commit golden pins for the online engines (ISSUEs 12, 19, 20, 21)
+//! and the batch simulators (ISSUE 15).
 //!
 //! The replay tests elsewhere compare a run to *itself*; they cannot
 //! see a rewrite that changes every run the same way. These pins compare
@@ -21,7 +21,10 @@
 //! 256-node steal run, the three-weight drop-oldest run and the
 //! `generate_requests` trace were captured before ISSUE 20 put the ready
 //! queues on heaps, the steal victims in an index and the trace through
-//! a merge.
+//! a merge. The last two DAG scenarios (a second crash inside the first
+//! one's detection window with retries exhausting around it, and a
+//! speculation race the copy wins) were captured before ISSUE 21 turned
+//! `run_dag_survivable`'s one function into a `DagRun` and its arms.
 //!
 //! A change that *means* to move simulated numbers regenerates the
 //! table with
@@ -158,7 +161,43 @@ fn dag_goldens() -> Vec<Golden> {
     // Lifecycle faults land one third into the clean schedule (the
     // BENCH_dag chaos scenario's shape).
     let third_ns = makespan.as_nanos() / 3;
-    let scenarios: [(&'static str, DagMode, DagFaultSpec, DagSurvivalSpec); 5] = [
+    // Three of the four nodes die, the second 10 µs after the first —
+    // inside its 200 µs detection window, so the first recovery
+    // reassigns chains onto a node that is already doomed — and at a
+    // 30 % attempt-fault rate with one retry, exhausted attempts
+    // quarantine while a neighbour lives and rerun in place once node 3
+    // is alone.
+    let mut cascade = survival(
+        &[
+            (0, NodeFault::CrashAt(third_ns)),
+            (1, NodeFault::CrashAt(third_ns + 10_000)),
+            (2, NodeFault::CrashAt(2 * third_ns)),
+        ],
+        false,
+    );
+    cascade.detect = SimTime::from_micros(200);
+    let hot_faults = DagFaultSpec {
+        fail_rate: 0.3,
+        max_retries: 1,
+        ..attempt_faults()
+    };
+    // Long backoffs on the critical tail: the speculative copy finishes
+    // first, so the race commits the copy's attempts and cancels the
+    // primary's.
+    let tail_faults = DagFaultSpec {
+        seed: 0,
+        fail_rate: 0.1,
+        backoff: SimTime::from_micros(200),
+        max_retries: 2,
+    };
+    let no_speculation = dag_run(
+        "dag tail faults",
+        DagMode::Dataflow,
+        &tail_faults,
+        &survival(&[], false),
+    )
+    .1;
+    let scenarios: [(&'static str, DagMode, DagFaultSpec, DagSurvivalSpec); 7] = [
         ("dag clean barrier", DagMode::Barrier, none, inert.clone()),
         (
             "dag 2% attempt faults",
@@ -199,10 +238,29 @@ fn dag_goldens() -> Vec<Golden> {
                 false,
             ),
         ),
+        (
+            "dag crash during recovery + quarantine",
+            DagMode::Dataflow,
+            hot_faults,
+            cascade,
+        ),
+        (
+            "dag speculative copy wins",
+            DagMode::Dataflow,
+            tail_faults,
+            survival(&[], true),
+        ),
     ];
     let mut out = vec![clean];
     for (name, mode, faults, survival) in &scenarios {
-        out.push(dag_run(name, *mode, faults, survival).0);
+        let (golden, makespan) = dag_run(name, *mode, faults, survival);
+        if survival.speculate_tails && survival.timeline.is_inert() {
+            assert!(
+                makespan < no_speculation,
+                "{name}: the copy must win the race ({makespan:?} vs {no_speculation:?} without it)"
+            );
+        }
+        out.push(golden);
     }
     out
 }
@@ -649,6 +707,16 @@ const GOLDENS: &[(&str, &str, u64)] = &[
         "dag partition",
         "SurvivableDagReport { base: DagRunReport { makespan: 12.405ms, tasks: 320, injected: 0, retries: 0, quarantines: 0, exhausted: 0, overlap_ns: 3535172, busy_ns: 38288000, critical_path: 7.866ms, per_node_busy: [6.932ms, 8.692ms, 10.452ms, 12.212ms] }, crashes: 0, voided: 0, replayed: 0, migrated_values: 0, migrated_bytes: 0, recovery_ns: 0, speculative_copies: 0, cancelled_copies: 0, attempts_journaled: 320, last_checkpoint: FrontierSnapshot { completed: 0, frontier: [] } }",
         0xd37755450c504084,
+    ),
+    (
+        "dag crash during recovery + quarantine",
+        "SurvivableDagReport { base: DagRunReport { makespan: 47.263ms, tasks: 320, injected: 111, retries: 0, quarantines: 37, exhausted: 74, overlap_ns: 1395685, busy_ns: 53613030, critical_path: 11.556ms, per_node_busy: [3.375ms, 1.841ms, 6.207ms, 42.190ms] }, crashes: 3, voided: 14, replayed: 11, migrated_values: 6, migrated_bytes: 245760, recovery_ns: 640407, speculative_copies: 0, cancelled_copies: 0, attempts_journaled: 445, last_checkpoint: FrontierSnapshot { completed: 92, frontier: [TaskId(71), TaskId(73), TaskId(75), TaskId(79), TaskId(81), TaskId(93), TaskId(96), TaskId(99), TaskId(100)] } }",
+        0x197219d331ceb772,
+    ),
+    (
+        "dag speculative copy wins",
+        "SurvivableDagReport { base: DagRunReport { makespan: 14.835ms, tasks: 320, injected: 30, retries: 27, quarantines: 3, exhausted: 0, overlap_ns: 3827671, busy_ns: 42652000, critical_path: 9.369ms, per_node_busy: [7.992ms, 9.768ms, 11.806ms, 13.086ms] }, crashes: 0, voided: 0, replayed: 0, migrated_values: 0, migrated_bytes: 0, recovery_ns: 0, speculative_copies: 1, cancelled_copies: 1, attempts_journaled: 350, last_checkpoint: FrontierSnapshot { completed: 0, frontier: [] } }",
+        0xcbff39693df69b85,
     ),
     (
         "serve static",
