@@ -263,7 +263,7 @@ impl DagSurvivalSpec {
 }
 
 /// Outcome of one DAG execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DagRunReport {
     /// End-to-end simulated time.
     pub makespan: SimTime,
@@ -307,7 +307,7 @@ impl DagRunReport {
 
 /// Outcome of one survivable DAG execution: the base report plus the
 /// crash/recovery/speculation ledger.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SurvivableDagReport {
     /// The ordinary scheduling report (tasks, faults, overlap,
     /// critical path).
@@ -369,6 +369,44 @@ enum Piece {
     Done,
 }
 
+/// One planned attempt run of a task on a node: an optional state hop,
+/// the failing attempts with their backoff gaps, the completing attempt.
+struct Attempt {
+    node: usize,
+    /// Whether retry exhaustion moved the work off its chain's home: a
+    /// `Fail { last }` piece is then a quarantine, otherwise a rerun in
+    /// place.
+    moved: bool,
+    launch: SimTime,
+    end: SimTime,
+    /// `node`'s crash instant, when it falls strictly inside the run:
+    /// the journal truncates there and the task does not complete.
+    cut: Option<SimTime>,
+    seq: Vec<(Piece, SimTime, SimTime)>,
+}
+
+/// A task's live value.
+#[derive(Clone, Copy)]
+struct Held {
+    /// The node it sits on.
+    node: usize,
+    /// When the task that produced it finished (what a checkpoint cut
+    /// is compared against).
+    finished: SimTime,
+    /// When it can be read on `node`: `finished`, or its arrival after
+    /// a recovery migration.
+    avail: SimTime,
+}
+
+/// A whole-node lifecycle event. At one instant rejoins sort before
+/// crashes, so a simultaneous rejoin can absorb the crashed node's
+/// chains.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Lifecycle {
+    Rejoin,
+    Crash,
+}
+
 /// Failure draws for one `(task, incarnation)`: how many attempts fail
 /// before one sticks, under the given salt.
 fn failed_attempts(faults: &DagFaultSpec, task: usize, salt: u64) -> u32 {
@@ -389,18 +427,6 @@ fn salt_for(incarnation: u32) -> u64 {
     }
 }
 
-/// First alive node after `from` (cycling); `from` itself if no other
-/// node is alive — the caller detects "nowhere to move" by equality.
-fn next_alive(from: usize, nodes: usize, dead: &[bool]) -> usize {
-    for k in 1..nodes {
-        let cand = (from + k) % nodes;
-        if !dead[cand] {
-            return cand;
-        }
-    }
-    from
-}
-
 /// Earliest instant `≥ from_ns` at which `a` and `b` are simultaneously
 /// reachable, or `None` if that never happens again.
 fn both_reachable_from(tl: &NodeTimeline, a: usize, b: usize, from_ns: u64) -> Option<u64> {
@@ -415,133 +441,43 @@ fn both_reachable_from(tl: &NodeTimeline, a: usize, b: usize, from_ns: u64) -> O
     }
 }
 
-/// Builds the planned sub-span sequence for one attempt run of `task`
-/// on `node`: an optional state hop (when `node` differs from the
-/// chain's resident home), `failed` failing attempts with backoff
-/// gaps, then the completing attempt. Returns the pieces and the
-/// sequence end.
-fn build_sequence(
-    task: &DagTask,
-    start: SimTime,
-    off_home: bool,
-    failed: u32,
-    faults: &DagFaultSpec,
-    rate: NodeRate,
-    net: &NetworkModel,
-) -> (Vec<(Piece, SimTime, SimTime)>, SimTime) {
-    let dur = rate.per_task * task.cost.max(1);
-    let mut seq = Vec::with_capacity(failed as usize + 2);
-    let mut at = start;
-    if off_home {
-        let hop = net.latency + net.transfer_time(1, task.cost * BYTES_PER_COST);
-        seq.push((Piece::Wire, at, at + hop));
-        at += hop;
+/// The speculation targets: chain tails on the static critical path
+/// (longest dependency path in cost units).
+fn critical_tails(tasks: &[DagTask]) -> Vec<bool> {
+    let n = tasks.len();
+    let mut lp = vec![0u64; n];
+    let mut has_succ = vec![false; n];
+    for (i, t) in tasks.iter().enumerate() {
+        let mut base = 0;
+        for &d in &t.deps {
+            base = base.max(lp[d]);
+            has_succ[d] = true;
+        }
+        lp[i] = base + t.cost.max(1);
     }
-    for a in 0..failed {
-        let end = at + dur;
-        seq.push((
-            Piece::Fail {
-                last: a + 1 == faults.max_retries,
-            },
-            at,
-            end,
-        ));
-        at = end + faults.backoff;
-    }
-    let end = at + dur;
-    seq.push((Piece::Done, at, end));
-    (seq, end)
+    let lmax = (0..n)
+        .filter(|&i| !has_succ[i])
+        .map(|i| lp[i])
+        .max()
+        .unwrap_or(0);
+    (0..n)
+        .map(|i| !has_succ[i] && lp[i] == lmax && lmax > 0)
+        .collect()
 }
 
-/// Journals one attempt sequence, truncating at `cut` (the node's
-/// crash instant) if the sequence crosses it. Updates the fault
-/// counters (`moved` selects quarantine vs exhausted accounting for a
-/// `Fail { last }` piece) and busy time. Returns `true` when the
-/// sequence was truncated — the task did **not** complete.
-#[allow(clippy::too_many_arguments)]
-fn emit_sequence<R: Recorder>(
-    rec: &mut R,
-    spans: &mut Vec<Span>,
-    report: &mut DagRunReport,
-    attempts_journaled: &mut u64,
-    voided: &mut u64,
-    stage: Stage,
-    node: usize,
-    moved: bool,
-    seq: &[(Piece, SimTime, SimTime)],
-    cut: Option<SimTime>,
-) -> bool {
-    let mut truncated = false;
-    for &(piece, s, e) in seq {
-        if let Some(c) = cut {
-            if s >= c {
-                truncated = true;
-                break;
-            }
+/// The timeline's crashes and rejoins, in firing order.
+fn lifecycle_events(tl: &NodeTimeline) -> Vec<(SimTime, Lifecycle, usize)> {
+    let mut events = Vec::new();
+    for node in 0..tl.nodes() {
+        if let Some(r) = tl.rejoin_at(node) {
+            events.push((SimTime::from_nanos(r), Lifecycle::Rejoin, node));
         }
-        let (end, cutoff) = match cut {
-            Some(c) if e > c => (c, true),
-            _ => (e, false),
-        };
-        let wire = matches!(piece, Piece::Wire);
-        let span_stage = if wire { Stage::Migrate } else { stage };
-        if R::ENABLED {
-            rec.span(span_stage, s.as_nanos(), end.as_nanos(), node as u32);
-        }
-        if !wire {
-            spans.push(Span {
-                stage,
-                start_ns: s.as_nanos(),
-                end_ns: end.as_nanos(),
-                lane: node as u32,
-            });
-            *attempts_journaled += 1;
-            report.busy_ns += (end.saturating_sub(s)).as_nanos();
-            report.per_node_busy[node] += end.saturating_sub(s);
-        }
-        report.makespan = report.makespan.max(end);
-        if cutoff {
-            if !wire {
-                // The attempt died with its node: journaled as a
-                // partial span, balanced by the voided counter.
-                *voided += 1;
-            }
-            truncated = true;
-            break;
-        }
-        if let Piece::Fail { last } = piece {
-            report.injected += 1;
-            if R::ENABLED {
-                rec.fault(FaultEvent {
-                    kind: FaultKind::KernelLaunchFail,
-                    action: FaultAction::Injected,
-                    at_ns: end.as_nanos(),
-                    tasks: 1,
-                });
-            }
-            let (action, ctr) = if last {
-                if moved {
-                    (FaultAction::Quarantined, &mut report.quarantines)
-                } else {
-                    // Nowhere to move (1-node cluster or no alive
-                    // neighbour): the rerun stays in place.
-                    (FaultAction::Retried, &mut report.exhausted)
-                }
-            } else {
-                (FaultAction::Retried, &mut report.retries)
-            };
-            *ctr += 1;
-            if R::ENABLED {
-                rec.fault(FaultEvent {
-                    kind: FaultKind::KernelLaunchFail,
-                    action,
-                    at_ns: end.as_nanos(),
-                    tasks: 1,
-                });
-            }
+        if let Some(c) = tl.crash_at(node) {
+            events.push((SimTime::from_nanos(c), Lifecycle::Crash, node));
         }
     }
-    truncated
+    events.sort_unstable();
+    events
 }
 
 /// Executes `workload` on `nodes` simulated nodes, journaling one span
@@ -609,517 +545,572 @@ pub fn run_dag_survivable<R: Recorder>(
         "survivable execution is Dataflow-only: the barrier baseline \
          has no frontier to fold back to"
     );
+    let tasks = workload.tasks();
+    let n = tasks.len();
+    let mut steps: BTreeMap<u32, usize> = BTreeMap::new();
     if mode == DagMode::Barrier {
         assert!(
             workload.is_barrier_stratified(),
             "Barrier mode needs steps to stratify the edges: some \
              dependency shares its consumer's step (fine for Dataflow)"
         );
+        for t in tasks {
+            *steps.entry(t.step).or_default() += 1;
+        }
     }
-    let n = workload.tasks.len();
-    let mut report = SurvivableDagReport {
-        base: DagRunReport {
-            makespan: SimTime::ZERO,
-            tasks: n as u64,
-            injected: 0,
-            retries: 0,
-            quarantines: 0,
-            exhausted: 0,
-            overlap_ns: 0,
-            busy_ns: 0,
-            critical_path: SimTime::ZERO,
-            per_node_busy: vec![SimTime::ZERO; nodes],
+    let waiting: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
+    DagRun {
+        tasks,
+        nodes,
+        rate,
+        net,
+        faults,
+        survival,
+        rec,
+        report: SurvivableDagReport {
+            base: DagRunReport {
+                tasks: n as u64,
+                per_node_busy: vec![SimTime::ZERO; nodes],
+                ..Default::default()
+            },
+            ..Default::default()
         },
-        crashes: 0,
-        voided: 0,
-        replayed: 0,
-        migrated_values: 0,
-        migrated_bytes: 0,
-        recovery_ns: 0,
-        speculative_copies: 0,
-        cancelled_copies: 0,
-        attempts_journaled: 0,
-        last_checkpoint: FrontierSnapshot::default(),
-    };
-    if n == 0 {
-        return report;
+        icn: Interconnect::new(net.clone()),
+        frontier: Frontier::from_deps(tasks.iter().map(|t| t.deps.clone()).collect()),
+        spans: Vec::with_capacity(n),
+        events: lifecycle_events(&survival.timeline),
+        next_event: 0,
+        held: vec![None; n],
+        incarnation: vec![0; n],
+        cp: vec![SimTime::ZERO; n],
+        target: if survival.speculate_tails && nodes > 1 {
+            critical_tails(tasks)
+        } else {
+            vec![false; n]
+        },
+        ready: (0..n).filter(|&i| waiting[i] == 0).collect(),
+        waiting,
+        remaining: n,
+        dead: vec![false; nodes],
+        node_free: vec![rate.startup; nodes],
+        chain_home: (0..workload.chains()).map(|c| c % nodes).collect(),
+        chain_ready: vec![SimTime::ZERO; workload.chains()],
+        barrier_time: SimTime::ZERO,
+        steps,
     }
+    .run()
+}
 
-    let tl = &survival.timeline;
-    let n_chains = workload.chains();
-    let mut icn = Interconnect::new(net.clone());
-    let mut frontier = Frontier::from_deps(workload.tasks.iter().map(|t| t.deps.clone()).collect());
+/// One survivable DAG execution: the run's inputs, the ledgers it
+/// returns, and its scheduling state; the event arms are its methods.
+struct DagRun<'a, R: Recorder> {
+    tasks: &'a [DagTask],
+    nodes: usize,
+    rate: NodeRate,
+    net: &'a NetworkModel,
+    faults: &'a DagFaultSpec,
+    survival: &'a DagSurvivalSpec,
+    rec: &'a mut R,
+    /// The report the run returns, tallied as things happen.
+    report: SurvivableDagReport,
+    /// The contended fabric recovery migrations cross, and the ledger
+    /// the report's `migrated_*` fields are read from.
+    icn: Interconnect,
+    /// Completion state over the same dependency structure: the
+    /// checkpoint snapshots and the successor lists come from here.
+    frontier: Frontier,
+    /// Every journaled attempt span, for the stage-overlap sweep.
+    spans: Vec<Span>,
+    events: Vec<(SimTime, Lifecycle, usize)>,
+    next_event: usize,
+    /// Per task: the live value, if the task has completed and no
+    /// crash has voided it since.
+    held: Vec<Option<Held>>,
+    /// Per task: completions voided or attempts cut down by a crash so
+    /// far; each incarnation redraws its faults.
+    incarnation: Vec<u32>,
+    /// Per task: longest dependency path ending in it.
+    cp: Vec<SimTime>,
+    /// Per task: whether it is a speculation target.
+    target: Vec<bool>,
+    /// Per task: dependencies that hold no value. A commit releases
+    /// work through the frontier's successor lists (one entry per
+    /// edge); only a crash fold-back, which voids values, recounts.
+    waiting: Vec<usize>,
+    /// The ready frontier: value-less tasks whose dependencies all
+    /// hold values, in index order.
+    ready: BTreeSet<usize>,
+    /// Tasks without a value.
+    remaining: usize,
+    dead: Vec<bool>,
+    node_free: Vec<SimTime>,
+    /// Per chain: the node its tasks run on.
+    chain_home: Vec<usize>,
+    /// Per chain: replayed and reassigned work waits out detection.
+    chain_ready: Vec<SimTime>,
+    /// Tasks left per open step, in Barrier mode; empty in Dataflow.
+    /// The smallest key is the step currently released; closing it
+    /// raises `barrier_time` and releases the next one.
+    steps: BTreeMap<u32, usize>,
+    barrier_time: SimTime,
+}
 
-    // Static critical-path tails (cost units): the speculation targets.
-    let mut target = vec![false; n];
-    if survival.speculate_tails && nodes > 1 {
-        let mut lp = vec![0u64; n];
-        let mut has_succ = vec![false; n];
-        for (i, t) in workload.tasks.iter().enumerate() {
-            let mut base = 0;
-            for &d in &t.deps {
-                base = base.max(lp[d]);
-                has_succ[d] = true;
+impl<R: Recorder> DagRun<'_, R> {
+    /// Greedy earliest-start list scheduling: repeatedly run the ready
+    /// task that can start soonest. Candidate starts are monotone
+    /// non-decreasing, which is what lets lifecycle events interleave
+    /// at the right instants: the next one fires as soon as nothing can
+    /// start before it.
+    fn run(mut self) -> SurvivableDagReport {
+        while self.remaining > 0 {
+            let best = self.candidate();
+            if let Some(&(at, what, node)) = self.events.get(self.next_event) {
+                if best
+                    .as_ref()
+                    .is_none_or(|(_, soonest)| soonest.launch >= at)
+                {
+                    self.next_event += 1;
+                    match what {
+                        Lifecycle::Rejoin => self.rejoin(node, at),
+                        Lifecycle::Crash => self.crash(node, at),
+                    }
+                    continue;
+                }
             }
-            lp[i] = base + t.cost.max(1);
+            let (task, primary) =
+                best.expect("ready task must exist: DAG is acyclic and some node survives");
+            let stage = self.tasks[task].stage;
+            let won = match self.speculative_copy(task, &primary) {
+                Some(copy) => self.race(stage, primary, copy),
+                None => {
+                    if self.journal(stage, &primary) {
+                        // The node died mid-sequence: the task stays
+                        // ready and replays after the crash event fires
+                        // and reassigns its chain.
+                        let cut = primary.cut.expect("truncation implies a crash cut");
+                        self.node_free[primary.node] = self.node_free[primary.node].max(cut);
+                        self.incarnation[task] += 1;
+                        continue;
+                    }
+                    primary
+                }
+            };
+            self.commit(task, &won);
         }
-        let lmax = (0..n)
-            .filter(|&i| !has_succ[i])
-            .map(|i| lp[i])
-            .max()
-            .unwrap_or(0);
-        for i in 0..n {
-            target[i] = !has_succ[i] && lp[i] == lmax && lmax > 0;
-        }
+        self.report.base.overlap_ns = stage_overlap_ns(self.spans.iter());
+        self.report.migrated_values = self.icn.tasks_moved();
+        self.report.migrated_bytes = self.icn.bytes_moved();
+        self.report
     }
 
-    // Lifecycle events, time-ordered (rejoins before crashes on ties,
-    // so a simultaneous rejoin can absorb the crashed node's chains).
-    let mut events: Vec<(u64, u8, usize)> = Vec::new();
-    for node in 0..nodes {
-        if let Some(r) = tl.rejoin_at(node) {
-            events.push((r, 0, node));
-        }
-        if let Some(c) = tl.crash_at(node) {
-            events.push((c, 1, node));
-        }
-    }
-    events.sort_unstable();
-    let mut ev_idx = 0;
-
-    let mut chain_home: Vec<usize> = (0..n_chains).map(|c| c % nodes).collect();
-    let mut chain_ready: Vec<SimTime> = vec![SimTime::ZERO; n_chains];
-    let mut dead = vec![false; nodes];
-    let mut finish: Vec<Option<SimTime>> = vec![None; n];
-    let mut value_node: Vec<Option<usize>> = vec![None; n];
-    let mut avail: Vec<SimTime> = vec![SimTime::ZERO; n];
-    let mut incarnation: Vec<u32> = vec![0; n];
-    let mut node_free: Vec<SimTime> = vec![rate.startup; nodes];
-    let mut spans: Vec<Span> = Vec::with_capacity(n);
-    let mut cp: Vec<SimTime> = vec![SimTime::ZERO; n];
-    let mut remaining = n;
-
-    // Barrier mode only: per open step, (tasks left, latest finish).
-    // The smallest key is the step currently released; closing it
-    // raises `barrier_time` and releases the next one.
-    let mut barrier_time = SimTime::ZERO;
-    let mut steps: BTreeMap<u32, (usize, SimTime)> = BTreeMap::new();
-    if mode == DagMode::Barrier {
-        for t in &workload.tasks {
-            steps.entry(t.step).or_default().0 += 1;
-        }
-    }
-
-    // The ready frontier: value-less tasks whose dependencies all hold
-    // values, in index order. `waiting[i]` counts task `i`'s value-less
-    // dependencies; a commit releases work through the frontier's
-    // successor lists (built once, one entry per edge), and only a
-    // crash fold-back (which voids values) recounts.
-    let mut waiting: Vec<usize> = workload.tasks.iter().map(|t| t.deps.len()).collect();
-    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
-
-    // Greedy earliest-start list scheduling: repeatedly run the ready
-    // task that can start soonest (ties broken by index, so the
-    // schedule is deterministic). Candidate starts are monotone
-    // non-decreasing, which is what lets lifecycle events interleave
-    // at the right instants.
-    while remaining > 0 {
-        // (start, task, node, failed draws, moved-off-home)
+    /// The ready task that can start soonest (ties to the lowest index,
+    /// so the schedule is deterministic) and its planned run. A task
+    /// whose chain's home is dead is skipped: the crash event reassigns
+    /// it.
+    fn candidate(&self) -> Option<(usize, Attempt)> {
+        let open_step = self.steps.keys().next().copied();
+        // (start, task, node, failing attempts, off its chain's home)
         let mut best: Option<(SimTime, usize, usize, u32, bool)> = None;
-        let open_step = steps.keys().next().copied();
-        for &i in &ready {
-            let t = &workload.tasks[i];
-            if mode == DagMode::Barrier && Some(t.step) != open_step {
+        for &task in &self.ready {
+            let t = &self.tasks[task];
+            if open_step.is_some_and(|open| open != t.step) {
                 continue;
             }
             let chain = t.chain as usize;
-            let assigned = chain_home[chain];
-            if dead[assigned] {
-                continue; // reassigned when the crash event fires
+            let home = self.chain_home[chain];
+            if self.dead[home] {
+                continue;
             }
-            let failed = failed_attempts(faults, i, salt_for(incarnation[i]));
-            let (node, moved) = if failed == faults.max_retries {
-                let q = next_alive(assigned, nodes, &dead);
-                (q, q != assigned)
+            let failed = failed_attempts(self.faults, task, salt_for(self.incarnation[task]));
+            // Exhausted retries quarantine the assignment: the work
+            // moves to the next alive node, or reruns in place (1-node
+            // cluster, every neighbour dead).
+            let node = if failed == self.faults.max_retries {
+                (1..self.nodes)
+                    .map(|k| (home + k) % self.nodes)
+                    .find(|&cand| !self.dead[cand])
+                    .unwrap_or(home)
             } else {
-                (assigned, false)
+                home
             };
-            let mut inputs_at = SimTime::ZERO;
-            let mut ok = true;
-            for &d in &t.deps {
-                let vn = value_node[d].expect("a ready task's dependencies hold values");
-                if vn == node {
-                    inputs_at = inputs_at.max(avail[d]);
-                    continue;
-                }
-                if dead[vn] {
-                    ok = false; // migrates at crash processing
-                    break;
-                }
-                match both_reachable_from(tl, vn, node, avail[d].as_nanos()) {
-                    Some(ts) => {
-                        let hop = net.latency
-                            + net.transfer_time(1, workload.tasks[d].cost * BYTES_PER_COST);
-                        inputs_at = inputs_at.max(SimTime::from_nanos(ts) + hop);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
+            let Some(inputs) = self.inputs_at(task, node) else {
                 continue;
-            }
-            let start = inputs_at
-                .max(node_free[node])
-                .max(barrier_time)
-                .max(chain_ready[chain]);
-            match best {
-                Some((s, ..)) if s <= start => {}
-                _ => best = Some((start, i, node, failed, moved)),
+            };
+            let start = inputs
+                .max(self.node_free[node])
+                .max(self.barrier_time)
+                .max(self.chain_ready[chain]);
+            if best.is_none_or(|(soonest, ..)| start < soonest) {
+                best = Some((start, task, node, failed, node != home));
             }
         }
+        let (start, task, node, failed, moved) = best?;
+        Some((task, self.plan(task, node, start, failed, moved)))
+    }
 
-        // Fire the next lifecycle event if nothing can start before it.
-        if ev_idx < events.len() {
-            let (et, kind, en) = events[ev_idx];
-            let fire = match best {
-                None => true,
-                Some((s, ..)) => s.as_nanos() >= et,
-            };
-            if fire {
-                ev_idx += 1;
-                if kind == 0 {
-                    // Rejoin: the node comes back cold.
-                    dead[en] = false;
-                    node_free[en] = node_free[en].max(SimTime::from_nanos(et) + rate.startup);
-                    if R::ENABLED {
-                        rec.fault(FaultEvent {
-                            kind: FaultKind::NodeRejoin,
-                            action: FaultAction::Readmitted,
-                            at_ns: et,
-                            tasks: 0,
-                        });
-                    }
-                    continue;
-                }
-                // Crash: fold to the checkpoint cut, reassign the dead
-                // node's chains, migrate surviving frontier values.
-                dead[en] = true;
-                report.crashes += 1;
-                let every = survival.checkpoint_every.as_nanos().max(1);
-                let cut_ns = (et / every) * every;
-                let lost: Vec<usize> = (0..n)
-                    .filter(|&j| {
-                        value_node[j] == Some(en)
-                            && finish[j].is_some_and(|f| f.as_nanos() > cut_ns)
-                    })
-                    .collect();
-                let lost_ids: Vec<TaskId> = lost.iter().map(|&j| TaskId::from_index(j)).collect();
-                frontier.fold_back(&lost_ids);
-                for &j in &lost {
-                    finish[j] = None;
-                    value_node[j] = None;
-                    avail[j] = SimTime::ZERO;
-                    incarnation[j] += 1;
-                }
-                if !lost.is_empty() {
-                    // Voided values pull their consumers back out of
-                    // the ready set: recount from scratch.
-                    for (j, t) in workload.tasks.iter().enumerate() {
-                        waiting[j] = t.deps.iter().filter(|&&d| value_node[d].is_none()).count();
-                    }
-                    ready = (0..n)
-                        .filter(|&j| value_node[j].is_none() && waiting[j] == 0)
-                        .collect();
-                }
-                report.voided += lost.len() as u64;
-                report.replayed += lost.len() as u64;
-                remaining += lost.len();
-                if R::ENABLED {
-                    rec.fault(FaultEvent {
-                        kind: FaultKind::NodeCrash,
-                        action: FaultAction::Injected,
-                        at_ns: et,
-                        tasks: lost.len() as u64,
-                    });
-                }
-                let snap = frontier.snapshot();
-                let alive: Vec<usize> = (0..nodes).filter(|&x| !dead[x]).collect();
-                assert!(
-                    !alive.is_empty(),
-                    "all nodes crashed with work pending: the workload cannot complete"
-                );
-                let release = SimTime::from_nanos(et) + survival.detect;
-                // Reassign the dead node's chains over the survivors:
-                // LPT by pending work against each survivor's backlog.
-                let lost_chains: Vec<usize> =
-                    (0..n_chains).filter(|&c| chain_home[c] == en).collect();
-                if !lost_chains.is_empty() {
-                    let weights: Vec<u64> = lost_chains
-                        .iter()
-                        .map(|&c| {
-                            workload
-                                .tasks
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, t)| t.chain as usize == c && value_node[*j].is_none())
-                                .map(|(_, t)| t.cost.max(1))
-                                .sum::<u64>()
-                                .max(1)
-                        })
-                        .collect();
-                    let base_secs: Vec<f64> = alive
-                        .iter()
-                        .map(|&x| node_free[x].max(release).as_secs_f64())
-                        .collect();
-                    let per_unit: Vec<f64> = vec![rate.per_task.as_secs_f64(); alive.len()];
-                    let asg = lpt_assign(&weights, &base_secs, &per_unit);
-                    for (k, &c) in lost_chains.iter().enumerate() {
-                        chain_home[c] = alive[asg[k]];
-                    }
-                }
-                // Replay and reassigned work waits out detection.
-                for &j in &lost {
-                    let c = workload.tasks[j].chain as usize;
-                    chain_ready[c] = chain_ready[c].max(release);
-                }
-                for &c in &lost_chains {
-                    chain_ready[c] = chain_ready[c].max(release);
-                }
-                // Migrate checkpointed frontier values off dead nodes
-                // (durable in the cut, readable by survivors) to their
-                // chain's new home, through the contended fabric.
-                let mut rec_end = release;
-                for id in &snap.frontier {
-                    let j = id.index();
-                    let Some(vn) = value_node[j] else { continue };
-                    if !dead[vn] {
-                        continue;
-                    }
-                    let dest = chain_home[workload.tasks[j].chain as usize];
-                    let bytes = workload.tasks[j].cost * BYTES_PER_COST;
-                    let (_link, ms, arrive) = icn.migrate(release, 1, bytes);
-                    if R::ENABLED {
-                        rec.span(
-                            Stage::Recover,
-                            ms.as_nanos(),
-                            arrive.as_nanos(),
-                            dest as u32,
-                        );
-                    }
-                    value_node[j] = Some(dest);
-                    avail[j] = arrive;
-                    rec_end = rec_end.max(arrive);
-                    report.base.makespan = report.base.makespan.max(arrive);
-                }
-                report.recovery_ns += rec_end.saturating_sub(SimTime::from_nanos(et)).as_nanos();
-                if R::ENABLED {
-                    rec.fault(FaultEvent {
-                        kind: FaultKind::NodeCrash,
-                        action: FaultAction::Recovered,
-                        at_ns: rec_end.as_nanos(),
-                        tasks: lost.len() as u64,
-                    });
-                }
-                report.last_checkpoint = snap;
+    /// Wire time for `task`'s value to cross nodes.
+    fn hop(&self, task: usize) -> SimTime {
+        let bytes = self.tasks[task].cost * BYTES_PER_COST;
+        self.net.latency + self.net.transfer_time(1, bytes)
+    }
+
+    /// When every input of `task` can be read on `node`: a local value
+    /// when it is available, a remote one a hop after both ends are
+    /// next reachable. `None` while an input sits on a dead node (it
+    /// migrates when the crash is processed) or behind a partition that
+    /// never heals.
+    fn inputs_at(&self, task: usize, node: usize) -> Option<SimTime> {
+        let mut at = SimTime::ZERO;
+        for &d in &self.tasks[task].deps {
+            let v = self.held[d].expect("a ready task's dependencies hold values");
+            if v.node == node {
+                at = at.max(v.avail);
                 continue;
             }
+            if self.dead[v.node] {
+                return None;
+            }
+            let tl = &self.survival.timeline;
+            let both = both_reachable_from(tl, v.node, node, v.avail.as_nanos())?;
+            at = at.max(SimTime::from_nanos(both) + self.hop(d));
         }
+        Some(at)
+    }
 
-        let (start, i, node, failed, moved) =
-            best.expect("ready task must exist: DAG is acyclic and some node survives");
-        let t = &workload.tasks[i];
-        let chain = t.chain as usize;
-        let (seq, seq_end) = build_sequence(t, start, moved, failed, faults, rate, net);
-        let cut = tl
+    /// Plans one attempt run of `task` on `node` from `launch`: the
+    /// chain-state hop when `moved`, `failed` failing attempts with
+    /// backoff gaps, then the completing attempt.
+    fn plan(&self, task: usize, node: usize, launch: SimTime, failed: u32, moved: bool) -> Attempt {
+        let dur = self.rate.per_task * self.tasks[task].cost.max(1);
+        let mut seq = Vec::with_capacity(failed as usize + 2);
+        let mut at = launch;
+        if moved {
+            let hop = self.hop(task);
+            seq.push((Piece::Wire, at, at + hop));
+            at += hop;
+        }
+        for a in 0..failed {
+            let last = a + 1 == self.faults.max_retries;
+            seq.push((Piece::Fail { last }, at, at + dur));
+            at += dur + self.faults.backoff;
+        }
+        let end = at + dur;
+        seq.push((Piece::Done, at, end));
+        let cut = self
+            .survival
+            .timeline
             .crash_at(node)
             .map(SimTime::from_nanos)
-            .filter(|&c| start < c && c < seq_end);
+            .filter(|&c| launch < c && c < end);
+        Attempt {
+            node,
+            moved,
+            launch,
+            end,
+            cut,
+            seq,
+        }
+    }
 
-        // Tail speculation: race a copy on the least-loaded other node.
-        // (end, node, launch) of the race's winner, when one ran.
-        let mut won: Option<(SimTime, usize, SimTime)> = None;
-        if target[i] && cut.is_none() {
-            let copy_node = (0..nodes)
-                .filter(|&x| !dead[x] && x != node)
-                .min_by_key(|&x| (node_free[x], x));
-            if let Some(cn) = copy_node {
-                let mut cready = SimTime::ZERO;
-                let mut ok = true;
-                for &d in &t.deps {
-                    let vn = value_node[d].expect("deps complete");
-                    if vn == cn {
-                        cready = cready.max(avail[d]);
-                        continue;
-                    }
-                    match both_reachable_from(tl, vn, cn, avail[d].as_nanos()) {
-                        Some(ts) => {
-                            let hop = net.latency
-                                + net.transfer_time(1, workload.tasks[d].cost * BYTES_PER_COST);
-                            cready = cready.max(SimTime::from_nanos(ts) + hop);
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    let c_launch = cready.max(node_free[cn]).max(chain_ready[chain]);
-                    let c_failed =
-                        failed_attempts(faults, i, SALT_COPY.wrapping_add(incarnation[i] as u64));
-                    let (c_seq, c_end) =
-                        build_sequence(t, c_launch, true, c_failed, faults, rate, net);
-                    let copy_cut_free = tl
-                        .crash_at(cn)
-                        .map(SimTime::from_nanos)
-                        .filter(|&c| c_launch < c && c < c_end)
-                        .is_none();
-                    if copy_cut_free {
-                        // The copy launch is journaled whatever the
-                        // outcome; only the winner's spans commit.
-                        if R::ENABLED {
-                            rec.fault(FaultEvent {
-                                kind: FaultKind::SlowNode,
-                                action: FaultAction::Hedged,
-                                at_ns: c_launch.as_nanos(),
-                                tasks: 1,
-                            });
-                        }
-                        report.speculative_copies += 1;
-                        report.cancelled_copies += 1;
-                        let copy_wins = c_end < seq_end; // tie → primary
-                        let (w_seq, w_end, w_node, w_moved, w_launch) = if copy_wins {
-                            (&c_seq, c_end, cn, false, c_launch)
-                        } else {
-                            (&seq, seq_end, node, moved, start)
-                        };
-                        let (l_seq, l_end, l_node) = if copy_wins {
-                            (&seq, seq_end, node)
-                        } else {
-                            (&c_seq, c_end, cn)
-                        };
-                        let truncated = emit_sequence(
-                            rec,
-                            &mut spans,
-                            &mut report.base,
-                            &mut report.attempts_journaled,
-                            &mut report.voided,
-                            t.stage,
-                            w_node,
-                            w_moved,
-                            w_seq,
-                            None,
-                        );
-                        debug_assert!(!truncated);
-                        // The loser ran until the winner finished:
-                        // that occupancy is busy time but never
-                        // journal history.
-                        let mut l_free = node_free[l_node];
-                        for &(piece, s, e) in l_seq {
-                            if matches!(piece, Piece::Wire) {
-                                continue;
-                            }
-                            let e2 = e.min(w_end);
-                            if s < e2 {
-                                report.base.busy_ns += (e2 - s).as_nanos();
-                                report.base.per_node_busy[l_node] += e2 - s;
-                                l_free = l_free.max(e2);
-                            }
-                        }
-                        node_free[l_node] = l_free.max(l_end.min(w_end));
-                        won = Some((w_end, w_node, w_launch));
-                    }
-                }
+    /// Journals one fault event.
+    fn fault(&mut self, kind: FaultKind, action: FaultAction, at: SimTime, tasks: u64) {
+        if R::ENABLED {
+            self.rec.fault(FaultEvent {
+                kind,
+                action,
+                at_ns: at.as_nanos(),
+                tasks,
+            });
+        }
+    }
+
+    /// Journals one attempt run up to its crash cut, booking busy time
+    /// and the fault counters. Returns `true` when the run was
+    /// truncated — the task did **not** complete.
+    fn journal(&mut self, stage: Stage, a: &Attempt) -> bool {
+        for &(piece, s, e) in &a.seq {
+            if a.cut.is_some_and(|c| s >= c) {
+                return true;
+            }
+            let cut = a.cut.filter(|&c| e > c);
+            let end = cut.unwrap_or(e);
+            let wire = matches!(piece, Piece::Wire);
+            if R::ENABLED {
+                let span_stage = if wire { Stage::Migrate } else { stage };
+                self.rec
+                    .span(span_stage, s.as_nanos(), end.as_nanos(), a.node as u32);
+            }
+            if !wire {
+                self.spans.push(Span {
+                    stage,
+                    start_ns: s.as_nanos(),
+                    end_ns: end.as_nanos(),
+                    lane: a.node as u32,
+                });
+                self.report.attempts_journaled += 1;
+                self.report.base.busy_ns += (end - s).as_nanos();
+                self.report.base.per_node_busy[a.node] += end - s;
+            }
+            self.report.base.makespan = self.report.base.makespan.max(end);
+            if cut.is_some() {
+                // An attempt that died with its node is journaled as a
+                // partial span, balanced by the voided counter.
+                self.report.voided += u64::from(!wire);
+                return true;
+            }
+            if let Piece::Fail { last } = piece {
+                self.report.base.injected += 1;
+                self.fault(FaultKind::KernelLaunchFail, FaultAction::Injected, end, 1);
+                let base = &mut self.report.base;
+                let (action, counter) = match (last, a.moved) {
+                    (true, true) => (FaultAction::Quarantined, &mut base.quarantines),
+                    (true, false) => (FaultAction::Retried, &mut base.exhausted),
+                    (false, _) => (FaultAction::Retried, &mut base.retries),
+                };
+                *counter += 1;
+                self.fault(FaultKind::KernelLaunchFail, action, end, 1);
             }
         }
+        false
+    }
 
-        let (end, on, launch) = match won {
-            Some(winner) => winner,
-            None => {
-                let truncated = emit_sequence(
-                    rec,
-                    &mut spans,
-                    &mut report.base,
-                    &mut report.attempts_journaled,
-                    &mut report.voided,
-                    t.stage,
-                    node,
-                    moved,
-                    &seq,
-                    cut,
-                );
-                if truncated {
-                    // The node died mid-sequence: the task stays ready
-                    // and replays after the crash event fires and
-                    // reassigns its chain.
-                    let c = cut.expect("truncation implies a crash cut");
-                    node_free[node] = node_free[node].max(c);
-                    incarnation[i] += 1;
-                    continue;
-                }
-                (seq_end, node, start)
-            }
+    /// Tail speculation: plans a second copy of a critical-path tail on
+    /// the least-loaded other node. `None` when `task` is no target,
+    /// either run would be cut down by a crash, no other node is alive,
+    /// or an input can never reach the copy.
+    fn speculative_copy(&self, task: usize, primary: &Attempt) -> Option<Attempt> {
+        if !self.target[task] || primary.cut.is_some() {
+            return None;
+        }
+        let node = (0..self.nodes)
+            .filter(|&x| !self.dead[x] && x != primary.node)
+            .min_by_key(|&x| (self.node_free[x], x))?;
+        let launch = self
+            .inputs_at(task, node)?
+            .max(self.node_free[node])
+            .max(self.chain_ready[self.tasks[task].chain as usize]);
+        let salt = SALT_COPY.wrapping_add(self.incarnation[task] as u64);
+        let failed = failed_attempts(self.faults, task, salt);
+        // The copy pays the state hop, but it is not a quarantine: a
+        // copy that exhausts its retries reruns in place.
+        let copy = Attempt {
+            moved: false,
+            ..self.plan(task, node, launch, failed, true)
         };
+        copy.cut.is_none().then_some(copy)
+    }
 
-        // Commit: the value lives on `on` from `end`, and every
-        // successor it was the last missing input of becomes ready.
-        report.base.makespan = report.base.makespan.max(end);
-        finish[i] = Some(end);
-        value_node[i] = Some(on);
-        avail[i] = end;
-        node_free[on] = end;
-        frontier.mark_complete(TaskId::from_index(i));
-        remaining -= 1;
-        ready.remove(&i);
-        for s in frontier
-            .successors(TaskId::from_index(i))
-            .map(TaskId::index)
-        {
-            waiting[s] -= 1;
+    /// Runs `primary` against its speculative `copy`: first completion
+    /// wins (ties to the primary), only the winner's spans are
+    /// journaled, and the loser occupies its node until then. Returns
+    /// the winner.
+    fn race(&mut self, stage: Stage, primary: Attempt, copy: Attempt) -> Attempt {
+        // The copy launch is journaled whatever the outcome.
+        self.fault(FaultKind::SlowNode, FaultAction::Hedged, copy.launch, 1);
+        self.report.speculative_copies += 1;
+        self.report.cancelled_copies += 1;
+        let (winner, loser) = if copy.end < primary.end {
+            (copy, primary)
+        } else {
+            (primary, copy)
+        };
+        let truncated = self.journal(stage, &winner);
+        debug_assert!(!truncated);
+        // The loser ran until the winner finished: that occupancy is
+        // busy time but never journal history.
+        let mut free = self.node_free[loser.node];
+        for &(piece, s, e) in &loser.seq {
+            let e = e.min(winner.end);
+            if !matches!(piece, Piece::Wire) && s < e {
+                self.report.base.busy_ns += (e - s).as_nanos();
+                self.report.base.per_node_busy[loser.node] += e - s;
+                free = free.max(e);
+            }
+        }
+        self.node_free[loser.node] = free.max(loser.end.min(winner.end));
+        winner
+    }
+
+    /// `task` completed with `won`: its value lives on that node from
+    /// the run's end, and every successor it was the last missing input
+    /// of becomes ready.
+    fn commit(&mut self, task: usize, won: &Attempt) {
+        let (end, on) = (won.end, won.node);
+        self.held[task] = Some(Held {
+            node: on,
+            finished: end,
+            avail: end,
+        });
+        self.node_free[on] = end;
+        self.frontier.mark_complete(TaskId::from_index(task));
+        self.remaining -= 1;
+        self.ready.remove(&task);
+        for s in self.frontier.successors(TaskId::from_index(task)) {
+            let s = s.index();
+            self.waiting[s] -= 1;
             // A successor that kept its own value through a fold-back
             // of this one has nothing to re-run.
-            if waiting[s] == 0 && value_node[s].is_none() {
-                ready.insert(s);
+            if self.waiting[s] == 0 && self.held[s].is_none() {
+                self.ready.insert(s);
             }
         }
 
-        // Critical path: predecessors' paths + this task's total
-        // time (failed attempts, backoffs and state hops included —
-        // faults lengthen the chain no schedule can beat).
+        // Critical path: predecessors' paths + this task's total time
+        // (failed attempts, backoffs and state hops included — faults
+        // lengthen the chain no schedule can beat).
         let mut base = SimTime::ZERO;
-        for &d in &t.deps {
-            let hop = if value_node[d] == Some(on) {
-                SimTime::ZERO
-            } else {
-                net.latency + net.transfer_time(1, workload.tasks[d].cost * BYTES_PER_COST)
-            };
-            base = base.max(cp[d] + hop);
+        for &d in &self.tasks[task].deps {
+            let local = self.held[d].is_some_and(|v| v.node == on);
+            let hop = if local { SimTime::ZERO } else { self.hop(d) };
+            base = base.max(self.cp[d] + hop);
         }
-        cp[i] = base + (end.saturating_sub(launch));
-        report.base.critical_path = report.base.critical_path.max(cp[i]);
+        self.cp[task] = base + (end - won.launch);
+        self.report.base.critical_path = self.report.base.critical_path.max(self.cp[task]);
 
         // Barrier mode: close the open step once its last task finished.
-        if mode == DagMode::Barrier {
-            let mut open = steps
-                .first_entry()
-                .expect("a committed task's step is still open");
-            let (left, latest) = open.get_mut();
-            *left -= 1;
-            *latest = (*latest).max(end);
-            if *left == 0 {
-                barrier_time = barrier_time.max(*latest);
+        // Earlier steps closed before this one opened, so the latest
+        // finish so far is this step's.
+        if let Some(mut open) = self.steps.first_entry() {
+            *open.get_mut() -= 1;
+            if *open.get() == 0 {
+                self.barrier_time = self.report.base.makespan;
                 open.remove();
             }
         }
     }
 
-    report.base.overlap_ns = stage_overlap_ns(spans.iter());
-    report.migrated_values = icn.tasks_moved();
-    report.migrated_bytes = icn.bytes_moved();
-    report
+    /// `node` comes back cold.
+    fn rejoin(&mut self, node: usize, at: SimTime) {
+        self.dead[node] = false;
+        self.node_free[node] = self.node_free[node].max(at + self.rate.startup);
+        self.fault(FaultKind::NodeRejoin, FaultAction::Readmitted, at, 0);
+    }
+
+    /// `node` dies: fold its completions back to the checkpoint cut,
+    /// reassign its chains, migrate the surviving frontier values.
+    fn crash(&mut self, node: usize, at: SimTime) {
+        self.dead[node] = true;
+        self.report.crashes += 1;
+        let lost = self.fold_back(node, at);
+        let voided = lost.len() as u64;
+        self.fault(FaultKind::NodeCrash, FaultAction::Injected, at, voided);
+        let snap = self.frontier.snapshot();
+        let alive: Vec<usize> = (0..self.nodes).filter(|&x| !self.dead[x]).collect();
+        assert!(
+            !alive.is_empty(),
+            "all nodes crashed with work pending: the workload cannot complete"
+        );
+        // Replay and reassigned work waits out detection.
+        let release = at + self.survival.detect;
+        let replayed = lost.iter().map(|&j| self.tasks[j].chain as usize);
+        for c in replayed.chain(self.reassign(node, &alive, release)) {
+            self.chain_ready[c] = self.chain_ready[c].max(release);
+        }
+        let recovered = self.migrate_values(&snap, release);
+        self.report.recovery_ns += (recovered - at).as_nanos();
+        self.fault(
+            FaultKind::NodeCrash,
+            FaultAction::Recovered,
+            recovered,
+            voided,
+        );
+        self.report.last_checkpoint = snap;
+    }
+
+    /// Voids the values `node` finished after the last checkpoint
+    /// boundary at or before `at` and returns their tasks, which
+    /// re-execute with fresh fault draws.
+    fn fold_back(&mut self, node: usize, at: SimTime) -> Vec<usize> {
+        let every = self.survival.checkpoint_every.as_nanos().max(1);
+        let cut_ns = (at.as_nanos() / every) * every;
+        let lost: Vec<usize> = (0..self.tasks.len())
+            .filter(|&j| {
+                self.held[j].is_some_and(|v| v.node == node && v.finished.as_nanos() > cut_ns)
+            })
+            .collect();
+        let lost_ids: Vec<TaskId> = lost.iter().map(|&j| TaskId::from_index(j)).collect();
+        self.frontier.fold_back(&lost_ids);
+        for &j in &lost {
+            self.held[j] = None;
+            self.incarnation[j] += 1;
+        }
+        if !lost.is_empty() {
+            // Voided values pull their consumers back out of the ready
+            // set: recount from scratch.
+            for (j, t) in self.tasks.iter().enumerate() {
+                self.waiting[j] = t.deps.iter().filter(|&&d| self.held[d].is_none()).count();
+            }
+            self.ready = (0..self.tasks.len())
+                .filter(|&j| self.held[j].is_none() && self.waiting[j] == 0)
+                .collect();
+        }
+        self.report.voided += lost.len() as u64;
+        self.report.replayed += lost.len() as u64;
+        self.remaining += lost.len();
+        lost
+    }
+
+    /// Moves the chains homed on `node` onto the `alive` nodes — LPT by
+    /// pending work against each survivor's backlog — and returns them.
+    fn reassign(&mut self, node: usize, alive: &[usize], release: SimTime) -> Vec<usize> {
+        let lost_chains: Vec<usize> = (0..self.chain_home.len())
+            .filter(|&c| self.chain_home[c] == node)
+            .collect();
+        let weights: Vec<u64> = lost_chains
+            .iter()
+            .map(|&c| {
+                let pending = self.tasks.iter().zip(&self.held);
+                pending
+                    .filter(|(t, held)| t.chain as usize == c && held.is_none())
+                    .map(|(t, _)| t.cost.max(1))
+                    .sum::<u64>()
+                    .max(1)
+            })
+            .collect();
+        let base_secs: Vec<f64> = alive
+            .iter()
+            .map(|&x| self.node_free[x].max(release).as_secs_f64())
+            .collect();
+        let per_unit = vec![self.rate.per_task.as_secs_f64(); alive.len()];
+        let asg = lpt_assign(&weights, &base_secs, &per_unit);
+        for (&c, &k) in lost_chains.iter().zip(&asg) {
+            self.chain_home[c] = alive[k];
+        }
+        lost_chains
+    }
+
+    /// Migrates the checkpointed frontier values still on dead nodes
+    /// (durable in the cut, readable by survivors) to their chain's new
+    /// home through the contended fabric, from `release`. Returns the
+    /// last arrival.
+    fn migrate_values(&mut self, snap: &FrontierSnapshot, release: SimTime) -> SimTime {
+        let mut last = release;
+        for id in &snap.frontier {
+            let j = id.index();
+            let Some(v) = self.held[j].filter(|v| self.dead[v.node]) else {
+                continue;
+            };
+            let dest = self.chain_home[self.tasks[j].chain as usize];
+            let bytes = self.tasks[j].cost * BYTES_PER_COST;
+            let (_link, sent, arrive) = self.icn.migrate(release, 1, bytes);
+            if R::ENABLED {
+                self.rec.span(
+                    Stage::Recover,
+                    sent.as_nanos(),
+                    arrive.as_nanos(),
+                    dest as u32,
+                );
+            }
+            self.held[j] = Some(Held {
+                node: dest,
+                avail: arrive,
+                ..v
+            });
+            last = last.max(arrive);
+            self.report.base.makespan = self.report.base.makespan.max(arrive);
+        }
+        last
+    }
 }
 
 #[cfg(test)]
