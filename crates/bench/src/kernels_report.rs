@@ -4,8 +4,7 @@
 //! Calibrates (or reuses) the global [`madness_tensor::kernel`] table and
 //! runs a small Full-fidelity Apply with dispatch counting enabled so
 //! every shape's entry shows how often the hot path actually consulted
-//! it, and journals one [`madness_trace::KernelEvent`] per entry. The
-//! only wall-clock experiment of the harness: its one gate is
+//! it. The only wall-clock experiment of the harness: its one gate is
 //! structural, its other verdict is printed and written but not gated.
 
 use crate::report::{gate, Gate, Obj, Report};
@@ -14,37 +13,11 @@ use madness_core::coulomb::CoulombApp;
 use madness_gpusim::KernelKind;
 use madness_runtime::BatcherConfig;
 use madness_tensor::kernel::{self, KernelId, KernelTable};
-use madness_trace::{KernelChoice, KernelEvent, MemRecorder, Recorder};
 use std::fmt::Write as _;
 
 /// The Table I / Table VI Apply variants: the shapes
 /// `autotuned_beats_hardcoded` quantifies over.
 const TABLE1_SHAPES: [(usize, usize); 6] = [(3, 10), (3, 14), (3, 20), (3, 30), (4, 10), (4, 14)];
-
-/// Calibrates, counts a small Apply, snapshots the table and journals
-/// it. Returns the table (dispatch counts included), the journal — one
-/// [`KernelEvent`] per entry, in table order — and the spans the counted
-/// Apply issued through the table.
-fn shootout() -> (KernelTable, MemRecorder, u64) {
-    let (table, apply_dispatches) = counted_table();
-    let mut journal = MemRecorder::new();
-    for e in table.entries() {
-        // The trace mirror enum uses the same canonical spellings.
-        let choice = KernelChoice::from_name(e.choice.name());
-        journal.kernel_event(KernelEvent {
-            d: e.d as u32,
-            k: e.k as u32,
-            dimi: e.dimi as u64,
-            dimj: e.dimj as u64,
-            dimk: e.dimk as u64,
-            choice: choice.expect("KernelChoice mirrors KernelId"),
-            best_ns: e.time_ns(e.choice).unwrap_or(0),
-            scalar_ns: e.time_ns(KernelId::ScalarRuntime).unwrap_or(0),
-            dispatches: e.dispatches(),
-        });
-    }
-    (table, journal, apply_dispatches)
-}
 
 /// The calibrated table after one counted Apply, and the spans that
 /// Apply issued through it.
@@ -111,7 +84,7 @@ fn verdicts(table: &KernelTable) -> [Gate; 2] {
 
 /// Runs the kernel shootout and evaluates its verdicts.
 pub(crate) fn run() -> Report {
-    let (table, _journal, apply_dispatches) = shootout();
+    let (table, apply_dispatches) = counted_table();
     let simd_available = kernel::simd_available();
     let [not_slower, beats_hardcoded] = verdicts(&table);
 
@@ -193,20 +166,15 @@ mod tests {
     use super::*;
 
     /// One full shootout: every default shape (the Table I ones among
-    /// them) gets an entry and a journaled event, the structural gate
+    /// them) gets an entry, the structural gate
     /// holds, and on an AVX host so does the acceptance verdict — some
     /// Table I shape beats the hard-coded pick.
     #[test]
     fn shootout_covers_the_shapes_and_meets_its_verdicts() {
-        let (table, journal, _) = shootout();
+        let (table, _) = counted_table();
         assert!(
             table.entries().len() >= kernel::DEFAULT_SHAPES.len() - 1,
             "expected an entry per distinct default shape"
-        );
-        assert_eq!(
-            journal.kernel_events().count(),
-            table.entries().len(),
-            "one journaled KernelEvent per table entry"
         );
         for (d, k) in TABLE1_SHAPES {
             assert!(

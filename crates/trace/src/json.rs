@@ -19,8 +19,8 @@
 //! fields above are interpreted.
 
 use crate::{
-    BalanceEvent, BalanceKind, DispatchSample, FaultAction, FaultEvent, FaultKind, KernelChoice,
-    KernelEvent, MemRecorder, Record, Recorder, ServeEvent, ServeOutcome, Stage,
+    BalanceEvent, BalanceKind, DispatchSample, FaultAction, FaultEvent, FaultKind, MemRecorder,
+    Record, Recorder, ServeEvent, ServeOutcome, Stage,
 };
 use std::fmt::Write as _;
 
@@ -104,21 +104,6 @@ pub(crate) fn export(rec: &MemRecorder) -> String {
                     s.started_ns,
                     s.finished_ns,
                     s.outcome.name()
-                );
-            }
-            Record::Kernel(k) => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":\"kernel\",\"d\":{},\"k\":{},\"dimi\":{},\"dimj\":{},\"dimk\":{},\"choice\":\"{}\",\"best_ns\":{},\"scalar_ns\":{},\"dispatches\":{}}}",
-                    k.d,
-                    k.k,
-                    k.dimi,
-                    k.dimj,
-                    k.dimk,
-                    k.choice.name(),
-                    k.best_ns,
-                    k.scalar_ns,
-                    k.dispatches
                 );
             }
         }
@@ -311,27 +296,8 @@ fn replay_record(r: &Value, rec: &mut MemRecorder) -> Result<(), JsonError> {
             });
             Ok(())
         }
-        Some(Value::String(t)) if t == "kernel" => {
-            let choice = match get("choice") {
-                Some(Value::String(s)) => KernelChoice::from_name(s)
-                    .ok_or_else(|| bad(&format!("unknown kernel choice '{s}'")))?,
-                _ => return Err(bad("kernel record missing choice")),
-            };
-            rec.kernel_event(KernelEvent {
-                d: num("d")? as u32,
-                k: num("k")? as u32,
-                dimi: num("dimi")?,
-                dimj: num("dimj")?,
-                dimk: num("dimk")?,
-                choice,
-                best_ns: num("best_ns")?,
-                scalar_ns: num("scalar_ns")?,
-                dispatches: num("dispatches")?,
-            });
-            Ok(())
-        }
         _ => Err(bad(
-            "record type must be \"span\", \"event\", \"fault\", \"balance\", \"serve\" or \"kernel\"",
+            "record type must be \"span\", \"event\", \"fault\", \"balance\" or \"serve\"",
         )),
     }
 }
@@ -591,28 +557,6 @@ mod tests {
             finished_ns: 600,
             outcome: ServeOutcome::Rejected,
         });
-        rec.kernel_event(KernelEvent {
-            d: 3,
-            k: 10,
-            dimi: 100,
-            dimj: 10,
-            dimk: 10,
-            choice: KernelChoice::SimdConst,
-            best_ns: 1_466,
-            scalar_ns: 4_426,
-            dispatches: 1_800,
-        });
-        rec.kernel_event(KernelEvent {
-            d: 3,
-            k: 5,
-            dimi: 25,
-            dimj: 5,
-            dimk: 5,
-            choice: KernelChoice::ScalarRuntime,
-            best_ns: 314,
-            scalar_ns: 314,
-            dispatches: 0,
-        });
         rec.add("cache_miss", 1);
         rec.add("cache_hit", 9);
         rec.gauge_hwm("pinned_pool_hwm_bytes", 1 << 20);
@@ -675,9 +619,7 @@ mod tests {
             "{\"journal\":[{\"t\":\"serve\",\"tenant\":1,\"op\":1,\"data_hash\":0,\"tasks\":1,\"arrived_ns\":0,\"started_ns\":0,\"finished_ns\":0,\"outcome\":\"NotAnOutcome\"}]}",
             "{\"journal\":[{\"t\":\"serve\",\"tenant\":1,\"op\":1,\"data_hash\":0,\"tasks\":1,\"arrived_ns\":0,\"started_ns\":0,\"finished_ns\":0}]}",
             "{\"journal\":[{\"t\":\"serve\",\"op\":1,\"data_hash\":0,\"tasks\":1,\"arrived_ns\":0,\"started_ns\":0,\"finished_ns\":0,\"outcome\":\"Completed\"}]}",
-            "{\"journal\":[{\"t\":\"kernel\",\"d\":3,\"k\":10,\"dimi\":100,\"dimj\":10,\"dimk\":10,\"choice\":\"scalar-warp\",\"best_ns\":1,\"scalar_ns\":1,\"dispatches\":0}]}",
-            "{\"journal\":[{\"t\":\"kernel\",\"d\":3,\"k\":10,\"dimi\":100,\"dimj\":10,\"dimk\":10,\"best_ns\":1,\"scalar_ns\":1,\"dispatches\":0}]}",
-            "{\"journal\":[{\"t\":\"kernel\",\"d\":3,\"k\":10,\"dimj\":10,\"dimk\":10,\"choice\":\"blocked\",\"best_ns\":1,\"scalar_ns\":1,\"dispatches\":0}]}",
+            "{\"journal\":[{\"t\":\"kernel\",\"d\":3,\"k\":10}]}",
             "{\"counters\":{\"x\":-3}}",
             "{} trailing",
         ] {

@@ -209,78 +209,6 @@ pub enum Record {
     Balance(BalanceEvent),
     /// A serving-layer request outcome (completion, rejection, shed).
     Serve(ServeEvent),
-    /// An autotuned mtxmq-kernel selection for one pass shape.
-    Kernel(KernelEvent),
-}
-
-/// Which mtxmq inner kernel the autotuned table picked for a shape.
-///
-/// Mirrors `madness-tensor`'s `kernel::KernelId` — the vocabulary lives
-/// here too (like [`FaultKind`] does for `madness-faults`) so the
-/// journal can record kernel selections without a dependency cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum KernelChoice {
-    /// Runtime-width scalar i-k-j loop (the bit-exact reference).
-    ScalarRuntime,
-    /// Const-width scalar loop (specialized `dimj`).
-    ScalarConst,
-    /// Explicit AVX const-width loop (compiled on x86_64, chosen at
-    /// runtime where the CPU has AVX).
-    SimdConst,
-    /// Cache-blocked scalar loop (8-row micro-tiles, `k` outer).
-    Blocked,
-}
-
-impl KernelChoice {
-    /// Every choice, in declaration order.
-    pub const ALL: [KernelChoice; 4] = [
-        KernelChoice::ScalarRuntime,
-        KernelChoice::ScalarConst,
-        KernelChoice::SimdConst,
-        KernelChoice::Blocked,
-    ];
-
-    /// Stable name used in the JSON journal and reports. Matches
-    /// `madness-tensor`'s `KernelId::name` spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelChoice::ScalarRuntime => "scalar-runtime",
-            KernelChoice::ScalarConst => "scalar-const",
-            KernelChoice::SimdConst => "simd-const",
-            KernelChoice::Blocked => "blocked",
-        }
-    }
-
-    /// Inverse of [`KernelChoice::name`].
-    pub fn from_name(name: &str) -> Option<KernelChoice> {
-        KernelChoice::ALL.into_iter().find(|c| c.name() == name)
-    }
-}
-
-/// One calibrated kernel-table entry as journaled by the bench layer:
-/// which kernel won the microbenchmark for a `(d, k)` pass shape, its
-/// best time against the scalar reference, and how many Apply passes it
-/// actually served while dispatch counting was on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KernelEvent {
-    /// Transform dimensionality.
-    pub d: u32,
-    /// Polynomial order (`dimj = k` for square passes).
-    pub k: u32,
-    /// Pass rows (`k^{d-1}` fused remaining dims).
-    pub dimi: u64,
-    /// Pass width (output columns).
-    pub dimj: u64,
-    /// Contraction extent.
-    pub dimk: u64,
-    /// The measured winner.
-    pub choice: KernelChoice,
-    /// Best-of-reps nanoseconds of the winner.
-    pub best_ns: u64,
-    /// Best-of-reps nanoseconds of the scalar reference.
-    pub scalar_ns: u64,
-    /// Apply passes served by this entry under dispatch counting.
-    pub dispatches: u64,
 }
 
 /// How a serving request left the system.
@@ -691,9 +619,6 @@ pub trait Recorder {
 
     /// Journals a serving-request outcome.
     fn serve(&mut self, ev: ServeEvent);
-
-    /// Journals an autotuned kernel selection.
-    fn kernel_event(&mut self, ev: KernelEvent);
 }
 
 /// The disabled recorder: every method is a no-op and `ENABLED = false`.
@@ -721,8 +646,6 @@ impl Recorder for NullRecorder {
     fn balance_event(&mut self, _: BalanceEvent) {}
     #[inline(always)]
     fn serve(&mut self, _: ServeEvent) {}
-    #[inline(always)]
-    fn kernel_event(&mut self, _: KernelEvent) {}
 }
 
 /// In-memory recorder: journal in emission order + metrics registry.
@@ -784,14 +707,6 @@ impl MemRecorder {
     pub fn serve_events(&self) -> impl Iterator<Item = &ServeEvent> {
         self.journal.iter().filter_map(|r| match r {
             Record::Serve(s) => Some(s),
-            _ => None,
-        })
-    }
-
-    /// All kernel-selection records, in emission order.
-    pub fn kernel_events(&self) -> impl Iterator<Item = &KernelEvent> {
-        self.journal.iter().filter_map(|r| match r {
-            Record::Kernel(k) => Some(k),
             _ => None,
         })
     }
@@ -859,10 +774,6 @@ impl Recorder for MemRecorder {
 
     fn serve(&mut self, ev: ServeEvent) {
         self.journal.push(Record::Serve(ev));
-    }
-
-    fn kernel_event(&mut self, ev: KernelEvent) {
-        self.journal.push(Record::Kernel(ev));
     }
 }
 
@@ -1047,50 +958,6 @@ mod tests {
         let bd = rec.breakdown(900);
         assert_eq!(bd.stage_ns(Stage::CpuCompute), 500);
         assert_eq!(bd.stage_ns(Stage::Sojourn), 300);
-    }
-
-    #[test]
-    fn kernel_choice_names_round_trip() {
-        for c in KernelChoice::ALL {
-            assert_eq!(KernelChoice::from_name(c.name()), Some(c));
-        }
-        assert_eq!(KernelChoice::from_name("scalar-warp"), None);
-    }
-
-    #[test]
-    fn kernel_records_interleave_in_order() {
-        let mut rec = MemRecorder::new();
-        rec.span(Stage::CpuCompute, 0, 50, 0);
-        rec.kernel_event(KernelEvent {
-            d: 3,
-            k: 10,
-            dimi: 100,
-            dimj: 10,
-            dimk: 10,
-            choice: KernelChoice::SimdConst,
-            best_ns: 1_500,
-            scalar_ns: 4_400,
-            dispatches: 600,
-        });
-        rec.kernel_event(KernelEvent {
-            d: 3,
-            k: 5,
-            dimi: 25,
-            dimj: 5,
-            dimk: 5,
-            choice: KernelChoice::ScalarRuntime,
-            best_ns: 310,
-            scalar_ns: 310,
-            dispatches: 12,
-        });
-        assert_eq!(rec.kernel_events().count(), 2);
-        let ks: Vec<_> = rec.kernel_events().collect();
-        assert_eq!(ks[0].choice, KernelChoice::SimdConst);
-        assert_eq!((ks[0].d, ks[0].k, ks[0].dispatches), (3, 10, 600));
-        assert_eq!(ks[1].choice, KernelChoice::ScalarRuntime);
-        // Kernel records never leak into the stage attribution.
-        let bd = rec.breakdown(50);
-        assert_eq!(bd.attributed_total_ns(), 50);
     }
 
     #[test]
