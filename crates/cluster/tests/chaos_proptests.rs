@@ -422,7 +422,7 @@ proptest! {
     }
 }
 
-/// The known gap (ROADMAP item 4), pinned: with *every* node faulted
+/// The known gap (ROADMAP item 1), pinned: with *every* node faulted
 /// there are windows with no balanceable survivor, and `migrated()`
 /// then lands a recovery batch in the queue of a node that has crashed
 /// but is not yet declared dead. Declaration re-executes it from the
@@ -432,7 +432,7 @@ proptest! {
 /// failed `conserved()` instead). Un-ignore when whole-cluster outages
 /// have a defined outcome.
 #[test]
-#[ignore = "known failure: no-survivor windows double-execute a landed batch (ROADMAP item 4)"]
+#[ignore = "known failure: no-survivor windows double-execute a landed batch (ROADMAP item 1)"]
 fn no_survivor_window_pinned_case() {
     let r = run_overlap(199, false);
     assert!(r.conserved(), "{r:?}");
