@@ -11,8 +11,17 @@
 //! the simulated GPU by the dispatcher's `k* = n/(m+n)` rule,
 //! *postprocess* accumulates results. It is asynchronous: the calling
 //! thread dispatches and never waits for a batch — the CPU share is
-//! spawned into the executor and results commit in order as it retires.
+//! spawned into the executor in chunks cut where the source tensor
+//! changes, and results commit in order as the chunks retire.
 //! Both produce identical trees.
+//!
+//! On the host, both hand one source's displacement tasks to the tensor
+//! crate side by side (`transform_sum_accumulate_group`): neighbouring
+//! displacements keep their leading `h` blocks, so 41 of the 81 passes
+//! a source's 27 tasks make per term are run and the other 40 reuse an
+//! intermediate already there — every task's result bit for bit what it
+//! computes alone. The simulated device runs each task independently,
+//! as the paper's does.
 
 use madness_gpusim::{
     ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
@@ -24,7 +33,7 @@ use madness_mra::tree::{FunctionTree, TreeForm};
 use madness_runtime::{
     AdaptiveConfig, AdaptiveDispatcher, Batcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
 };
-use madness_tensor::{transform_sum_accumulate, Tensor, Term, TransformScratch, Workspace};
+use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, TransformScratch, Workspace};
 use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -148,7 +157,6 @@ pub fn apply_cpu_reference(op: &SeparatedConvolution, tree: &FunctionTree) -> Fu
             }
             let s = node.coeffs.as_ref()?;
             Some(Workspace::with(|ws| {
-                let mut local = Vec::new();
                 let displacements = op.displacements_at(key.level());
                 // An `h` block depends on (μ, level, 1-D displacement)
                 // only, so one fetch per source serves every one of its
@@ -161,25 +169,29 @@ pub fn apply_cpu_reference(op: &SeparatedConvolution, tree: &FunctionTree) -> Fu
                 let blocks: Vec<Arc<Tensor>> = (0..op.rank() * width)
                     .map(|ix| op.get_h(ix / width, key.level(), lo + (ix % width) as i64))
                     .collect();
-                for disp in displacements.iter() {
-                    let Some(neighbor) = key.neighbor(&disp.delta) else {
-                        continue;
-                    };
-                    // integral_operator (Algorithm 2): the Σ_μ loop as
-                    // one task-level call.
-                    let mut r = Tensor::zeros(s.shape());
-                    let blocks = &blocks;
-                    let term = |mu: usize| Term {
-                        coeff: op.terms()[mu].coeff,
-                        hs: disp.delta[..op.d()]
-                            .iter()
-                            .map(move |delta| &*blocks[mu * width + (delta - lo) as usize]),
-                        krs: None,
-                    };
-                    transform_sum_accumulate(s, op.rank(), term, ws.scratch(), &mut r);
-                    local.push((neighbor, r));
-                }
-                local
+                // integral_operator (Algorithm 2) for every live
+                // displacement of the source in one group call: the Σ_μ
+                // loops side by side, so a leading pass two neighbouring
+                // displacements have in common runs once.
+                let live: Vec<(Key, &[i64])> = displacements
+                    .iter()
+                    .filter_map(|disp| Some((key.neighbor(&disp.delta)?, &disp.delta[..op.d()])))
+                    .collect();
+                let mut rs: Vec<Tensor> = live.iter().map(|_| Tensor::zeros(s.shape())).collect();
+                let blocks = &blocks;
+                let term = |task: usize, mu: usize| Term {
+                    coeff: op.terms()[mu].coeff,
+                    hs: live[task]
+                        .1
+                        .iter()
+                        .map(move |delta| &*blocks[mu * width + (delta - lo) as usize]),
+                    krs: None,
+                };
+                transform_sum_accumulate_group(s, op.rank(), term, ws.scratch(), &mut rs);
+                live.iter()
+                    .map(|&(neighbor, _)| neighbor)
+                    .zip(rs)
+                    .collect::<Vec<_>>()
             }))
         })
         .flatten()
@@ -374,28 +386,22 @@ pub fn apply_batched_recorded<R: Recorder>(
             };
             stats.cpu_tasks += plan.cpu_tasks as u64;
             stats.gpu_tasks += plan.gpu_tasks as u64;
-            // The schedule, not split-on-demand, owns the grain.
-            let per_chunk = (CHUNK_FLOPS / task_flops.max(1)).max(1) as usize;
-
             // CPU side (honours rank reduction): ownership of the tasks
             // moves into the spawned chunk, which runs them in order
-            // inside one workspace and retires as one commit segment.
+            // inside one workspace — each run of one source as one group
+            // call — and retires as one commit segment. The schedule,
+            // not split-on-demand, owns the grain.
             let mut tasks = batch.into_iter();
             let mut cpu_left = plan.cpu_tasks;
             while cpu_left > 0 {
-                let chunk: Vec<PreparedTask> =
-                    tasks.by_ref().take(per_chunk.min(cpu_left)).collect();
+                let len = chunk_len(&tasks.as_slice()[..cpu_left], task_flops);
+                let chunk: Vec<PreparedTask> = tasks.by_ref().take(len).collect();
                 cpu_left -= chunk.len();
                 let seq = segments;
                 segments += 1;
                 scope.spawn(move |_| {
                     let t0 = Instant::now();
-                    let results: Vec<(Key, Tensor)> = Workspace::with(|ws| {
-                        chunk
-                            .iter()
-                            .map(|p| (p.neighbor, compute_cpu(&p.task, ws.scratch())))
-                            .collect()
-                    });
+                    let results = Workspace::with(|ws| compute_cpu(&chunk, ws.scratch()));
                     if let Some(tx) = sample_tx {
                         // The receiver outlives the scope; a failed send
                         // could only lose feedback, never a result.
@@ -465,9 +471,25 @@ pub fn apply_batched_recorded<R: Recorder>(
 /// Cost grain of one spawned CPU chunk, in rank-reduced FLOPs: large
 /// enough that queueing, waking and committing a chunk (a few µs) is
 /// noise against running it (a whole 16-task batch at k = 4 is one
-/// chunk), small enough that a kernel-bound task (k = 10: ≈ 2 MFLOP) is
-/// its own chunk and a batch still spreads over every worker.
+/// chunk), small enough that a batch of kernel-bound tasks (k = 10:
+/// ≈ 2 MFLOP each, so every chunk is one source's run of the batch, at
+/// most 27 tasks and ≈ 4 ms) still spreads over every worker.
 const CHUNK_FLOPS: u64 = 1_000_000;
+
+/// How many of `tasks` (the CPU share a flush has yet to spawn; not
+/// empty) the next chunk takes: chunks are cut where the source
+/// changes, so a source's displacement tasks stay side by side for the
+/// group call that shares their leading passes — the first change of
+/// source at or past [`CHUNK_FLOPS`] of work, which is at most one
+/// source's run past the grain.
+fn chunk_len(tasks: &[PreparedTask], task_flops: u64) -> usize {
+    let grain = CHUNK_FLOPS.div_ceil(task_flops.max(1)).max(1);
+    let mut len = tasks.len().min(grain as usize);
+    while len < tasks.len() && same_source(&tasks[len - 1], &tasks[len]) {
+        len += 1;
+    }
+    len
+}
 
 /// One retired CPU chunk's timing: [`ApplyResource::Adaptive`]'s CPU-side
 /// feedback, sent to the dispatcher thread.
@@ -566,12 +588,27 @@ impl Commit {
     }
 }
 
-/// CPU compute sub-task: rank-reduced when the term carries effective
-/// ranks, exact otherwise.
-fn compute_cpu(task: &TransformTask, scratch: &mut TransformScratch) -> Tensor {
-    let s = task.s.as_ref().expect("full-fidelity task");
-    let mut r = Tensor::zeros(s.shape());
-    let term = |mu| task.sum_term(mu, true);
-    transform_sum_accumulate(s, task.rank(), term, scratch, &mut r);
-    r
+/// Whether two tasks transform the same source tensor (the same `Arc`,
+/// which preprocess makes once per source).
+fn same_source(a: &PreparedTask, b: &PreparedTask) -> bool {
+    match (&a.task.s, &b.task.s) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    }
+}
+
+/// The CPU compute sub-tasks of one chunk, in order: every run of tasks
+/// over one source is one group call, rank-reduced where the terms carry
+/// effective ranks, exact otherwise.
+fn compute_cpu(chunk: &[PreparedTask], scratch: &mut TransformScratch) -> Vec<(Key, Tensor)> {
+    let mut rs: Vec<Tensor> = Vec::with_capacity(chunk.len());
+    for run in chunk.chunk_by(same_source) {
+        let first = &run[0].task;
+        let s = first.s.as_ref().expect("full-fidelity task");
+        let done = rs.len();
+        rs.extend(run.iter().map(|_| Tensor::zeros(s.shape())));
+        let term = |task: usize, mu| run[task].task.sum_term(mu, true);
+        transform_sum_accumulate_group(s, first.rank(), term, scratch, &mut rs[done..]);
+    }
+    chunk.iter().map(|p| p.neighbor).zip(rs).collect()
 }

@@ -257,7 +257,7 @@ pub fn multiply(a: &FunctionTree, b: &FunctionTree) -> FunctionTree {
     assert_eq!(b.form(), TreeForm::Reconstructed, "b must be reconstructed");
     let d = a.d();
     let k = a.k();
-    let ts = TwoScale::new(k);
+    let ts = TwoScale::for_k(k);
     let quad = Quadrature::new(k);
     // quad_phi is (q, i) = φ_i(x_q); coeffs→values needs h_{i q} = φ_i(x_q).
     let phi_t = Tensor::from_fn(Shape::matrix(k, k), |ix| {

@@ -28,7 +28,7 @@ pub fn compress(tree: &mut FunctionTree) {
         TreeForm::Reconstructed,
         "compress requires the reconstructed form"
     );
-    let ts = TwoScale::new(tree.k());
+    let ts = TwoScale::for_k(tree.k());
     let root = Key::root(tree.d());
     if tree.get(&root).is_some() {
         let s_root = compress_rec(tree, &root, &ts);
@@ -98,7 +98,7 @@ pub fn reconstruct(tree: &mut FunctionTree) {
         TreeForm::Compressed,
         "reconstruct requires the compressed form"
     );
-    let ts = TwoScale::new(tree.k());
+    let ts = TwoScale::for_k(tree.k());
     let root = Key::root(tree.d());
     let k = tree.k();
     let d = tree.d();
@@ -217,7 +217,7 @@ pub fn sum_down(tree: &mut FunctionTree) {
         TreeForm::Reconstructed,
         "sum_down requires the reconstructed form"
     );
-    let ts = TwoScale::new(tree.k());
+    let ts = TwoScale::for_k(tree.k());
     let root = Key::root(tree.d());
     if tree.contains(&root) {
         sum_down_rec(tree, &root, None, &ts);

@@ -83,7 +83,7 @@ pub fn project_adaptive(
     params: &ProjectParams,
 ) -> FunctionTree {
     let quad = Quadrature::new(k);
-    let ts = TwoScale::new(k);
+    let ts = TwoScale::for_k(k);
     let mut tree = FunctionTree::new(d, k);
     tree.set_form(TreeForm::Reconstructed);
     let produced = refine(f, &Key::root(d), &quad, &ts, params);

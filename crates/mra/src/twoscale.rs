@@ -21,6 +21,8 @@
 
 use crate::quadrature::{gauss_legendre, scaling_functions};
 use madness_tensor::{transform, Shape, Tensor};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Precomputed two-scale matrices for one polynomial order `k`.
 #[derive(Clone, Debug)]
@@ -103,6 +105,24 @@ impl TwoScale {
         }
         let wt = Tensor::from_fn(Shape::matrix(two_k, two_k), |ix| w.at(&[ix[1], ix[0]]));
         TwoScale { k, w, wt }
+    }
+
+    /// The two-scale matrices for order `k`, built by [`TwoScale::new`]
+    /// the first time the process asks for that order and shared from
+    /// then on: every tree operation needs them, none changes them.
+    ///
+    /// # Panics
+    /// As [`TwoScale::new`].
+    pub fn for_k(k: usize) -> Arc<TwoScale> {
+        static MEMO: Mutex<BTreeMap<usize, Arc<TwoScale>>> = Mutex::new(BTreeMap::new());
+        let memo = || MEMO.lock().expect("nothing panics holding the memo");
+        if let Some(ts) = memo().get(&k) {
+            return Arc::clone(ts);
+        }
+        // Built outside the lock; a racing second build of the same
+        // order yields the same values and loses to the first insert.
+        let ts = Arc::new(TwoScale::new(k));
+        Arc::clone(memo().entry(k).or_insert(ts))
     }
 
     /// Polynomial order `k`.
@@ -319,6 +339,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn for_k_shares_one_build_per_order_with_news_values() {
+        let ts = TwoScale::for_k(7);
+        assert!(Arc::ptr_eq(&ts, &TwoScale::for_k(7)));
+        assert!(!Arc::ptr_eq(&ts, &TwoScale::for_k(5)));
+        let fresh = TwoScale::new(7);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ts.w()), bits(fresh.w()));
+        assert_eq!(bits(ts.wt()), bits(fresh.wt()));
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! * [`transform_sum_accumulate`] — the task-level kernel: the whole
 //!   rank-`M` Σ_μ loop of Formula 1 in one call, with the last dimension
 //!   of a chunk of terms contracted in one long span;
+//! * [`transform_sum_accumulate_group`] — the same loop over every
+//!   displacement task of one source at once: a leading pass whose
+//!   inputs the previous task already contracted is not run again
+//!   (41 of a source's 81 passes per term are), bit for bit the
+//!   one-task results;
 //! * [`kernel`] — the per-`(d, k)` autotuned kernel table: candidate span
 //!   kernels (runtime-width scalar, const-width scalar, row-blocked AVX
 //!   where the host has it, cache-blocked) microbenchmarked at startup
@@ -61,7 +66,8 @@ pub use tensor::Tensor;
 pub use transform::{
     general_transform, transform, transform_accumulate, transform_accumulate_scaled, transform_dim,
     transform_dim_into, transform_into, transform_rr, transform_rr_accumulate,
-    transform_rr_accumulate_scaled, transform_sum_accumulate, Term, TransformScratch, Workspace,
+    transform_rr_accumulate_scaled, transform_sum_accumulate, transform_sum_accumulate_group, Term,
+    TransformScratch, Workspace,
 };
 
 /// Maximum tensor dimensionality supported by [`Shape`].

@@ -19,7 +19,6 @@ use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::MAX_DIMS;
 use std::cell::RefCell;
-use std::ops::Deref;
 
 /// Reusable scratch buffers for [`transform`]-family calls.
 ///
@@ -28,9 +27,14 @@ use std::ops::Deref;
 /// guides are emphatic about).
 #[derive(Default, Debug)]
 pub struct TransformScratch {
-    /// Ping-pong intermediates of the leading passes.
-    ping: Vec<f64>,
-    pong: Vec<f64>,
+    /// `coeff · t`: the operand of pass 0.
+    staged: Vec<f64>,
+    /// The open chunk's intermediates after leading pass `p`, one per
+    /// term slot, for every leading pass but the last (whose output is
+    /// the slot's place in `stack`).
+    levels: [Vec<f64>; MAX_DIMS - 2],
+    /// What each term slot of the open chunk holds.
+    slots: Vec<Slot>,
     /// The open chunk's last-pass operands, term after term: the
     /// intermediates entering the last pass…
     stack: Vec<f64>,
@@ -44,22 +48,43 @@ pub struct TransformScratch {
 /// Tasks whose single intermediate exceeds it run one term per chunk.
 const STACK_ELEMS: usize = 4096;
 
+/// The inputs that produced one term slot's leading intermediates: the
+/// next task of a group skips leading pass `p` iff everything that
+/// determines its output — the coefficient and, for every pass `≤ p`,
+/// the operator block and the contraction rows — is what is recorded
+/// here (and, for the pass that writes the stack, the rows are still
+/// where the fused final span will look for them).
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    /// Whether a task of the open chunk has filled the slot yet.
+    filled: bool,
+    coeff_bits: u64,
+    /// `(address of the block, contraction rows)` of each leading pass.
+    /// Blocks are `&Tensor`s borrowed for the whole group call, so an
+    /// equal address is the same, unchanged tensor.
+    passes: [(usize, usize); MAX_DIMS],
+    /// First stack row of the slot, and how many the last pass reads.
+    row: usize,
+    kr_last: usize,
+}
+
 impl TransformScratch {
     /// Creates empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pre-sizes every buffer for cube tensors of `len` elements (the
-    /// chunk buffers to their upper bound: a full 32 KiB chunk or one
-    /// term, whichever is larger).
+    /// Pre-sizes the buffers every rank uses for cube tensors of `len`
+    /// elements (the chunk buffers to their upper bound: a full 32 KiB
+    /// chunk or one term, whichever is larger); the per-level buffers
+    /// of rank ≥ 3 depend on the rank and grow on first use.
     pub fn with_capacity(len: usize) -> Self {
         let chunk = len.max(STACK_ELEMS);
         TransformScratch {
-            ping: Vec::with_capacity(len),
-            pong: Vec::with_capacity(len),
+            staged: Vec::with_capacity(len),
             stack: Vec::with_capacity(chunk),
             panel: Vec::with_capacity(chunk),
+            ..Self::default()
         }
     }
 }
@@ -212,9 +237,8 @@ pub struct Term<'a, I> {
     /// the source tensor.
     pub coeff: f64,
     /// The operator blocks `h^{(μ,1)} … h^{(μ,d)}`, one per dimension in
-    /// order. Items are anything that derefs to a [`Tensor`] (`&Tensor`,
-    /// `Arc<Tensor>`); each is fetched as its pass starts and dropped
-    /// when the pass ends.
+    /// order, each borrowed for the whole call: a group call tells that
+    /// two tasks contract with the same block by its address.
     pub hs: I,
     /// Rank reduction (paper §II-D, Fig. 4): if `Some`, pass `p`
     /// contracts only the first `krs[p]` rows.
@@ -239,6 +263,7 @@ pub struct Term<'a, I> {
 /// [`transform_accumulate_scaled`] / [`transform_rr_accumulate_scaled`]
 /// calls produce — the result is bit-identical to that loop, while
 /// `out` is loaded and stored once per chunk instead of once per term.
+/// It is the one-task case of [`transform_sum_accumulate_group`].
 ///
 /// Allocation-free once `scratch` has reached its high-water size.
 ///
@@ -246,21 +271,21 @@ pub struct Term<'a, I> {
 /// Panics if `out`'s rank differs from `t`'s, a term does not yield
 /// exactly one `(t.dim(p), out.dim(p))` matrix per dimension `p`, or
 /// `krs` does not have one entry per dimension.
-pub fn transform_sum_accumulate<'a, H, I>(
+pub fn transform_sum_accumulate<'a, I>(
     t: &Tensor,
     n_terms: usize,
-    term: impl FnMut(usize) -> Term<'a, I>,
+    mut term: impl FnMut(usize) -> Term<'a, I>,
     scratch: &mut TransformScratch,
     out: &mut Tensor,
 ) where
-    I: IntoIterator<Item = H>,
-    H: Deref<Target = Tensor>,
+    I: IntoIterator<Item = &'a Tensor>,
 {
-    sum_terms(t, n_terms, term, scratch, out);
+    let outs = std::slice::from_mut(out);
+    transform_sum_accumulate_group(t, n_terms, |_, mu| term(mu), scratch, outs);
 }
 
-/// The one-term case of [`sum_terms`] behind the slice-of-operators
-/// entry points.
+/// The one-term, one-task case of [`transform_sum_accumulate_group`]
+/// behind the slice-of-operators entry points.
 fn one_term(
     t: &Tensor,
     coeff: f64,
@@ -274,7 +299,17 @@ fn one_term(
         hs: hs.iter().copied(),
         krs,
     };
-    sum_terms(t, 1, term, scratch, out);
+    transform_sum_accumulate(t, 1, term, scratch, out);
+}
+
+/// The staging copy `dst = coeff · t`, folding the separated-expansion
+/// coefficient into the operand of the first pass: the same elementwise
+/// product as materializing a scaled temporary, so results stay
+/// bit-identical.
+fn stage(coeff: f64, t: &Tensor, dst: &mut [f64]) {
+    for (x, &s) in dst.iter_mut().zip(t.as_slice()) {
+        *x = coeff * s;
+    }
 }
 
 /// Geometry of pass `p`, fixed for the task: it contracts the current
@@ -312,26 +347,63 @@ impl Pass {
     }
 }
 
-/// The one pass loop behind every `transform*` entry point; see
-/// [`transform_sum_accumulate`] for the contract.
-fn sum_terms<'a, H, I>(
+/// A *group* of [`transform_sum_accumulate`] tasks over one source
+/// tensor: `outs[task] += Σ_μ c_μ · transform(t, h^{(task,μ,·)})` for
+/// every task, each output bit-identical to its own one-task call.
+/// This is the one pass loop behind every `transform*` entry point.
+///
+/// The tasks of one Apply source differ only in their displacement, and
+/// consecutive displacements mostly keep their leading blocks, so the
+/// loop runs chunk-of-terms outer, task inner and keeps, for each term
+/// slot of the open chunk, the intermediate after every leading pass
+/// `0 … d−2`. The next task skips pass `p` of a term iff the term's
+/// coefficient and, for every pass `≤ p`, its block (the same
+/// `&Tensor`) and contraction rows are the ones that produced what the
+/// slot holds — and, for pass `d−2`, whose output is the slot's place
+/// in the stacked last-pass operand, iff the task packs the slot at the
+/// same row with the same last-pass rows and has not run over it (a
+/// rank-reduced slot starts `kr` rows after its predecessor, inside the
+/// predecessor's full intermediate). A skipped pass would have written
+/// the values already there from the same inputs by the same chain, so
+/// what reaches each `out` element is the one-task call's `(μ, k)`-
+/// ascending chain exactly. A source's 27 radius-1 displacements in
+/// `(δx, δy, δz)` order need 4 + 10 of their 2 × 27 leading passes per
+/// term.
+///
+/// `term(task, μ)` is called once per pair: for each chunk of terms in
+/// order, for each task in order, for each `μ` of the chunk in order.
+/// With no outputs the call does nothing.
+///
+/// Allocation-free once `scratch` has reached its high-water size.
+///
+/// # Panics
+/// As [`transform_sum_accumulate`] for every task, and if the outputs
+/// differ in shape.
+pub fn transform_sum_accumulate_group<'a, I>(
     t: &Tensor,
     n_terms: usize,
-    mut term: impl FnMut(usize) -> Term<'a, I>,
+    mut term: impl FnMut(usize, usize) -> Term<'a, I>,
     scratch: &mut TransformScratch,
-    out: &mut Tensor,
+    outs: &mut [Tensor],
 ) where
-    I: IntoIterator<Item = H>,
-    H: Deref<Target = Tensor>,
+    I: IntoIterator<Item = &'a Tensor>,
 {
+    let Some(out) = outs.first() else {
+        return;
+    };
     let d = t.ndim();
     assert_eq!(out.ndim(), d, "output rank must match the tensor's");
+    let out_shape = out.shape();
+    assert!(
+        outs.iter().all(|out| out.shape() == out_shape),
+        "the outputs of a group must share one shape"
+    );
 
     // After pass p the intermediate has dims (n_{p+1}, …, n_d, m_1, …,
     // m_p): pass p sees it as a (n_p, len / n_p) matrix.
     let pass_at = |p: usize, len: usize| {
         let dimk = t.shape().dim(p);
-        let (dimi, dimj) = (len / dimk, out.shape().dim(p));
+        let (dimi, dimj) = (len / dimk, out_shape.dim(p));
         Pass {
             dimk,
             dimi,
@@ -341,104 +413,125 @@ fn sum_terms<'a, H, I>(
         }
     };
     let mut passes = [pass_at(0, t.len()); MAX_DIMS];
-    let mut max_len = t.len();
     for p in 1..d {
-        let len = passes[p - 1].dimi * passes[p - 1].dimj;
-        passes[p] = pass_at(p, len);
-        max_len = max_len.max(len);
+        passes[p] = pass_at(p, passes[p - 1].dimi * passes[p - 1].dimj);
     }
     let last = passes[d - 1];
     let term_len = last.dimk * last.dimi;
     let chunk = (STACK_ELEMS / term_len).clamp(1, n_terms.max(1));
 
     let TransformScratch {
-        ping,
-        pong,
+        staged,
+        levels,
+        slots,
         stack,
         panel,
     } = scratch;
-    grow(ping, max_len);
-    grow(pong, max_len);
+    grow(staged, t.len());
+    for (level, pass) in levels.iter_mut().zip(&passes[..d.saturating_sub(2)]) {
+        grow(level, chunk * pass.dimi * pass.dimj);
+    }
+    if slots.len() < chunk {
+        slots.resize(chunk, Slot::default());
+    }
     grow(stack, chunk * term_len);
     grow(panel, chunk * last.dimk * last.dimj);
 
-    let out = out.as_mut_slice();
-    // Contraction rows stacked so far in the open chunk.
-    let mut rows = 0;
-    for mu in 0..n_terms {
-        let Term { coeff, hs, krs } = term(mu);
-        if let Some(krs) = krs {
-            assert_eq!(krs.len(), d, "need one effective rank per dimension");
+    for chunk_start in (0..n_terms).step_by(chunk) {
+        let chunk_terms = chunk_start..(chunk_start + chunk).min(n_terms);
+        // A new chunk of terms takes over the slots.
+        for slot in &mut slots[..chunk_terms.len()] {
+            slot.filled = false;
         }
-        let kr_of = |p: usize| krs.map_or(passes[p].dimk, |krs| krs[p].min(passes[p].dimk));
-        let mut hs = hs.into_iter();
-        let mut block = |p: usize| {
-            let h = hs
-                .next()
-                .unwrap_or_else(|| panic!("need one operator matrix per dimension ({d}), got {p}"));
-            assert_eq!(h.ndim(), 2, "operator {p} must be a matrix");
-            assert_eq!(
-                h.shape().dim(0),
-                passes[p].dimk,
-                "operator {p} rows must match tensor dim {p}"
-            );
-            assert_eq!(
-                h.shape().dim(1),
-                passes[p].dimj,
-                "operator {p} columns must match output dim {p}"
-            );
-            h
-        };
+        for (task, out) in outs.iter_mut().enumerate() {
+            // Contraction rows stacked so far, and the end of the stack
+            // rows this task has rewritten.
+            let (mut rows, mut rewritten) = (0, 0);
+            for (ix, slot) in slots[..chunk_terms.len()].iter_mut().enumerate() {
+                let Term { coeff, hs, krs } = term(task, chunk_terms.start + ix);
+                if let Some(krs) = krs {
+                    assert_eq!(krs.len(), d, "need one effective rank per dimension");
+                }
+                let kr_of = |p: usize| krs.map_or(passes[p].dimk, |krs| krs[p].min(passes[p].dimk));
+                let mut hs = hs.into_iter();
+                let mut block = |p: usize| {
+                    let h = hs.next().unwrap_or_else(|| {
+                        panic!("need one operator matrix per dimension ({d}), got {p}")
+                    });
+                    assert_eq!(h.ndim(), 2, "operator {p} must be a matrix");
+                    assert_eq!(
+                        h.shape().dim(0),
+                        passes[p].dimk,
+                        "operator {p} rows must match tensor dim {p}"
+                    );
+                    assert_eq!(
+                        h.shape().dim(1),
+                        passes[p].dimj,
+                        "operator {p} columns must match output dim {p}"
+                    );
+                    h
+                };
 
-        // This term's slot in the stack: where its last-pass operand
-        // lands, written by the staging copy (d = 1) or by pass d−1.
-        let slot = rows * last.dimi..rows * last.dimi + term_len;
-        // Fold the separated-expansion coefficient into the staging
-        // copy: the same elementwise product as materializing a scaled
-        // temporary, so results stay bit-identical.
-        let staged = if d == 1 {
-            &mut stack[slot.clone()]
-        } else {
-            &mut ping[..t.len()]
-        };
-        for (x, &s) in staged.iter_mut().zip(t.as_slice()) {
-            *x = coeff * s;
-        }
-        let mut src_is_ping = true;
-        for (p, pass) in passes[..d - 1].iter().enumerate() {
-            let h = block(p);
-            let (src, dst) = if src_is_ping {
-                (&ping[..], &mut pong[..])
-            } else {
-                (&pong[..], &mut ping[..])
-            };
-            let dst = if p + 2 == d {
-                &mut stack[slot.clone()]
-            } else {
-                &mut dst[..pass.dimi * pass.dimj]
-            };
-            let src = &src[..pass.dimk * pass.dimi];
-            pass.run(kr_of(p), pass.tile, false, src, h.as_slice(), dst);
-            src_is_ping = !src_is_ping;
-        }
+                // This term's place in the stack: where its last-pass
+                // operand lands, written by the staging copy (d = 1) or
+                // by pass d−2.
+                let place = rows * last.dimi..rows * last.dimi + term_len;
+                let kr_last = kr_of(d - 1);
+                let mut held = slot.filled && slot.coeff_bits == coeff.to_bits();
+                for (p, pass) in passes[..d - 1].iter().enumerate() {
+                    let h = block(p);
+                    let key = (std::ptr::from_ref(h) as usize, kr_of(p));
+                    held &= slot.passes[p] == key;
+                    if p + 2 == d {
+                        held &= (slot.row, slot.kr_last) == (rows, kr_last) && rows >= rewritten;
+                    }
+                    if held {
+                        continue;
+                    }
+                    slot.passes[p] = key;
+                    let (below, at) = levels.split_at_mut(p);
+                    let src_len = pass.dimk * pass.dimi;
+                    let src = match below.last() {
+                        Some(level) => &level[ix * src_len..][..src_len],
+                        None => {
+                            stage(coeff, t, staged);
+                            &staged[..src_len]
+                        }
+                    };
+                    let dst = if p + 2 == d {
+                        rewritten = rows + last.dimk;
+                        &mut stack[place.clone()]
+                    } else {
+                        let dst_len = pass.dimi * pass.dimj;
+                        &mut at[0][ix * dst_len..][..dst_len]
+                    };
+                    pass.run(key.1, pass.tile, false, src, h.as_slice(), dst);
+                }
+                if d == 1 {
+                    stage(coeff, t, &mut stack[place]);
+                }
+                *slot = Slot {
+                    filled: true,
+                    coeff_bits: coeff.to_bits(),
+                    row: rows,
+                    kr_last,
+                    ..*slot
+                };
 
-        let h = block(d - 1);
-        assert!(
-            hs.next().is_none(),
-            "need one operator matrix per dimension ({d}), got more"
-        );
-        let kr = kr_of(d - 1);
-        panel[rows * last.dimj..(rows + kr) * last.dimj]
-            .copy_from_slice(&h.as_slice()[..kr * last.dimj]);
-        rows += kr;
-
-        if (mu + 1) % chunk == 0 || mu + 1 == n_terms {
+                let h = block(d - 1);
+                assert!(
+                    hs.next().is_none(),
+                    "need one operator matrix per dimension ({d}), got more"
+                );
+                panel[rows * last.dimj..(rows + kr_last) * last.dimj]
+                    .copy_from_slice(&h.as_slice()[..kr_last * last.dimj]);
+                rows += kr_last;
+            }
             // The chunk's fused final pass: one (μ, k)-ascending chain
             // per output element, straight into `out`.
             let tile = kernel::pass_tile_rows(last.dimi, last.dimj, rows);
             let (a, b) = (&stack[..rows * last.dimi], &panel[..rows * last.dimj]);
-            last.run(rows, tile, true, a, b, out);
-            rows = 0;
+            last.run(rows, tile, true, a, b, out.as_mut_slice());
         }
     }
 }

@@ -490,7 +490,7 @@ mod task_kernel {
     use madness_tensor::kernel::{self, KernelId};
     use madness_tensor::{
         transform_accumulate_scaled, transform_rr_accumulate_scaled, transform_sum_accumulate,
-        Shape, Tensor, Term, TransformScratch,
+        transform_sum_accumulate_group, Shape, Tensor, Term, TransformScratch,
     };
     use proptest::prelude::*;
 
@@ -664,5 +664,217 @@ mod task_kernel {
                 "sum diverged from the scalar reference: ins {:?} outs {:?} rank {}", ins, outs, rank
             );
         }
+
+        /// One group call equals one `transform_sum_accumulate` call per
+        /// task — and the independent scalar pipeline — bit for bit.
+        /// Every task picks each dimension's block from that
+        /// dimension's small pool, as a displacement does, so in sorted
+        /// order neighbouring tasks share long prefixes and in shuffled
+        /// order some, a few or none; ranks 1 to 4, cubes and
+        /// rectangular operands, term counts on both sides of the chunk
+        /// length, ranks exact, uniformly reduced or reduced per block
+        /// or per task (which moves the slots' places in the stacked
+        /// operand from task to task), and coefficients per term or per
+        /// task and term.
+        #[test]
+        fn group_equals_one_task_calls_bit_for_bit(
+            d in 1usize..5,
+            cube in any::<bool>(),
+            k_ix in 0usize..ORDERS.len(),
+            n_tasks in 0usize..31,
+            pool in 1usize..4,
+            terms_at in 0usize..6,
+            kr_mode in 0usize..4,
+            sorted in any::<bool>(),
+            task_coeffs in any::<bool>(),
+            specials in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xorshift::new(seed);
+            let (ins, outs): (Vec<usize>, Vec<usize>) = if cube {
+                (vec![ORDERS[k_ix]; d], vec![ORDERS[k_ix]; d])
+            } else {
+                let top = if d == 4 { 5 } else { 9 };
+                (0..d).map(|_| (1 + rng.below(top), 1 + rng.below(top))).unzip()
+            };
+            // The loop's chunk length: STACK_ELEMS over one last-pass
+            // operand.
+            let term_len = ins[d - 1] * outs[..d - 1].iter().product::<usize>();
+            let chunk = (4096 / term_len).max(1);
+            let n_terms = [1, chunk.saturating_sub(1), chunk, chunk + 1, 2 * chunk + 1, 1 + rng.below(7)]
+                [terms_at];
+            // Keep a case under ~30M multiply-adds.
+            let len: usize = ins.iter().product::<usize>().max(outs.iter().product());
+            let widest = ins.iter().chain(&outs).copied().max().unwrap_or(1);
+            let n_terms = n_terms.min((1_000_000 / (len * widest * d)).max(2)).min(600);
+            let one_in = if specials { 23 } else { usize::MAX };
+
+            let s = Tensor::from_fn(Shape::new(&ins), |_| rng.value(one_in));
+            // blocks[mu][p][j], with the rows a rank-reduced pass keeps.
+            let blocks: Vec<Vec<Vec<(Tensor, usize)>>> = (0..n_terms)
+                .map(|_| {
+                    (0..d)
+                        .map(|p| {
+                            (0..pool)
+                                .map(|_| {
+                                    let h = Tensor::from_fn(Shape::matrix(ins[p], outs[p]), |_| {
+                                        rng.value(one_in)
+                                    });
+                                    (h, 1 + rng.below(ins[p]))
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let coeffs: Vec<f64> = (0..n_terms).map(|_| rng.value(usize::MAX) * 4.0).collect();
+            let scales: Vec<f64> = (0..n_tasks)
+                .map(|_| if task_coeffs && rng.below(2) == 0 { -2.0 } else { 1.0 })
+                .collect();
+            let uniform: Vec<usize> = ins.iter().map(|&n| 1 + rng.below(n)).collect();
+            let mut picks: Vec<Vec<usize>> = (0..n_tasks)
+                .map(|_| (0..d).map(|_| rng.below(pool)).collect())
+                .collect();
+            if sorted {
+                picks.sort();
+            }
+            let krs: Vec<Vec<Vec<usize>>> = picks
+                .iter()
+                .map(|pick| {
+                    (0..n_terms)
+                        .map(|mu| {
+                            (0..d)
+                                .map(|p| match kr_mode {
+                                    3 => 1 + rng.below(ins[p]),
+                                    _ => blocks[mu][p][pick[p]].1,
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let (blocks, picks) = (&blocks, &picks);
+            let term = |task: usize, mu: usize| Term {
+                coeff: coeffs[mu] * scales[task],
+                hs: (0..d).map(move |p| &blocks[mu][p][picks[task][p]].0),
+                krs: match kr_mode {
+                    0 => None,
+                    1 => Some(&uniform[..]),
+                    _ => Some(&krs[task][mu][..]),
+                },
+            };
+            let bases: Vec<Tensor> = (0..n_tasks)
+                .map(|_| Tensor::from_fn(Shape::new(&outs), |_| rng.value(usize::MAX)))
+                .collect();
+
+            let mut scratch = TransformScratch::new();
+            let mut grouped = bases.clone();
+            transform_sum_accumulate_group(&s, n_terms, term, &mut scratch, &mut grouped);
+
+            for (task, base) in bases.iter().enumerate() {
+                let mut single = base.clone();
+                transform_sum_accumulate(&s, n_terms, |mu| term(task, mu), &mut scratch, &mut single);
+                prop_assert!(
+                    same_bits(grouped[task].as_slice(), single.as_slice()),
+                    "task {} of {} diverged from its one-task call: ins {:?} outs {:?} terms {} picks {:?}",
+                    task, n_tasks, ins, outs, n_terms, picks
+                );
+                let mut reference = base.clone();
+                for mu in 0..n_terms {
+                    let Term { coeff, hs, krs } = term(task, mu);
+                    let term = TaskTerm {
+                        coeff,
+                        hs: hs.cloned().collect(),
+                        krs: krs.map(<[usize]>::to_vec),
+                    };
+                    reference_term(&s, &term, reference.as_mut_slice());
+                }
+                prop_assert!(
+                    same_bits(grouped[task].as_slice(), reference.as_slice()),
+                    "task {} of {} diverged from the scalar reference: ins {:?} outs {:?} terms {}",
+                    task, n_tasks, ins, outs, n_terms
+                );
+            }
+        }
+    }
+
+    /// A rank-3 cube source, `n` blocks per dimension and a base output.
+    fn cube_case(k: usize, n: usize) -> (Tensor, Vec<Tensor>, Tensor) {
+        let mut rng = Xorshift::new(k as u64 * 31 + n as u64);
+        let s = Tensor::from_fn(Shape::cube(3, k), |_| rng.value(usize::MAX));
+        let hs = (0..n)
+            .map(|_| Tensor::from_fn(Shape::matrix(k, k), |_| rng.value(usize::MAX)))
+            .collect();
+        let base = Tensor::from_fn(Shape::cube(3, k), |_| rng.value(usize::MAX));
+        (s, hs, base)
+    }
+
+    #[test]
+    fn a_group_of_no_tasks_does_nothing() {
+        let (s, _, _) = cube_case(4, 0);
+        let mut scratch = TransformScratch::new();
+        let term = |_, _| -> Term<'_, std::iter::Empty<&Tensor>> {
+            panic!("no task, no term");
+        };
+        transform_sum_accumulate_group(&s, 5, term, &mut scratch, &mut []);
+    }
+
+    #[test]
+    fn a_group_of_one_task_is_the_one_task_call() {
+        let (s, hs, base) = cube_case(5, 6);
+        let term = |_, mu: usize| Term {
+            coeff: 0.5 + mu as f64,
+            hs: hs[mu * 3..][..3].iter(),
+            krs: None,
+        };
+        let mut scratch = TransformScratch::new();
+        let mut grouped = [base.clone()];
+        transform_sum_accumulate_group(&s, 2, term, &mut scratch, &mut grouped);
+        let mut reference = base;
+        for mu in 0..2 {
+            let term = TaskTerm {
+                coeff: 0.5 + mu as f64,
+                hs: hs[mu * 3..][..3].to_vec(),
+                krs: None,
+            };
+            reference_term(&s, &term, reference.as_mut_slice());
+        }
+        assert!(same_bits(grouped[0].as_slice(), reference.as_slice()));
+    }
+
+    #[test]
+    #[should_panic(expected = "operator 1 rows must match tensor dim 1")]
+    fn a_shape_mismatch_in_the_second_task_panics() {
+        let (s, hs, base) = cube_case(4, 3);
+        let wrong = Tensor::zeros(Shape::matrix(3, 4));
+        let term = |task: usize, _| Term {
+            coeff: 1.0,
+            hs: [&hs[0], if task == 1 { &wrong } else { &hs[1] }, &hs[2]],
+            krs: None,
+        };
+        let mut outs = [base.clone(), base];
+        transform_sum_accumulate_group(&s, 1, term, &mut TransformScratch::new(), &mut outs);
+    }
+
+    /// Blocks are told apart by address, never by value: two tensors
+    /// with equal contents are two blocks, and a task using the copies
+    /// still gets its own one-task result. (That the copies share no
+    /// pass is a count: `crates/core/tests/shared_pass_count.rs`.)
+    #[test]
+    fn equal_contents_in_distinct_tensors_are_distinct_blocks() {
+        let (s, hs, base) = cube_case(4, 3);
+        let copies = hs.clone();
+        let term = |task: usize, _| Term {
+            coeff: -1.25,
+            hs: if task == 0 { hs.iter() } else { copies.iter() },
+            krs: None,
+        };
+        let mut scratch = TransformScratch::new();
+        let mut grouped = [base.clone(), base.clone()];
+        transform_sum_accumulate_group(&s, 1, term, &mut scratch, &mut grouped);
+        let mut single = base;
+        transform_sum_accumulate(&s, 1, |mu| term(0, mu), &mut scratch, &mut single);
+        assert!(same_bits(grouped[0].as_slice(), single.as_slice()));
+        assert!(same_bits(grouped[1].as_slice(), single.as_slice()));
     }
 }
