@@ -21,6 +21,14 @@
 //!   device so small that every task's own blocks evict each other (the
 //!   case the run shortcut must *not* take).
 //!
+//! `RECOVERY_GOLDENS` (ISSUE 23) is a second capture, taken on the commit
+//! before `NodeSim::simulate_device` became `NodeRun`: the recovery arms
+//! the first table never reaches — retry exhaustion and CPU fallback,
+//! quarantine and probing readmission, a device loss, whole-batch
+//! transfer aborts, a windowed plan — in all three pipelined modes, and
+//! traced `gpu5` / `adaptive` journals that carry the recovery events
+//! and the learned dispatcher's samples.
+//!
 //! A change that *means* to move simulated numbers regenerates the
 //! table with
 //!
@@ -35,7 +43,7 @@ use madness::cluster::workload::WorkloadSpec;
 use madness::gpusim::KernelKind;
 use madness::trace::{MemRecorder, NullRecorder};
 use madness_bench::{figures, tables};
-use madness_faults::{FaultPlan, RecoveryPolicy};
+use madness_faults::{FaultAction, FaultPlan, RecoveryPolicy};
 
 /// `(scenario, FNV-1a of the pinned value's `{:?}`)`.
 type Golden = (String, u64);
@@ -135,7 +143,7 @@ fn modes() -> Vec<(String, ResourceMode)> {
 }
 
 fn launch_and_stall_plan() -> FaultPlan {
-    FaultPlan::seeded(0x0020_12C1)
+    FaultPlan::seeded(FAULT_SEED)
         .with_launch_fail_rate(0.01)
         .with_stream_stalls(0.05, 200_000)
 }
@@ -217,6 +225,121 @@ fn traced_goldens() -> Vec<Golden> {
     out
 }
 
+/// Seed of every faulted plan in this file.
+const FAULT_SEED: u64 = 0x0020_12C1;
+
+fn launch_20_plan() -> FaultPlan {
+    FaultPlan::seeded(FAULT_SEED).with_launch_fail_rate(0.2)
+}
+
+/// `d3 k10` under the custom kernel in the three pipelined modes.
+fn pipelined_custom_modes() -> Vec<(String, ResourceMode)> {
+    modes()
+        .into_iter()
+        .filter(|(name, _)| name.ends_with("custom"))
+        .collect()
+}
+
+/// The recovery arms `plans()` is too mild to reach. Each plan asserts
+/// the counters it exists for, so a pin cannot go inert silently.
+fn recovery_goldens() -> Vec<Golden> {
+    let node = NodeSim::new(NodeParams::default());
+    let (sname, spec) = specs()[0];
+    let mut out = Vec::new();
+    for (mname, mode) in pipelined_custom_modes() {
+        // Fault instants are placed relative to the mode's own fault-free
+        // makespan, so they land mid-run in every mode.
+        let clean = node.simulate(&spec, NODE_TASKS, mode).total.as_nanos();
+        let plans = [
+            ("launch20", launch_20_plan()),
+            (
+                "lost@clean/3",
+                FaultPlan::seeded(FAULT_SEED).with_device_lost_at(clean / 3),
+            ),
+            (
+                "transfer30",
+                FaultPlan::seeded(FAULT_SEED).with_transfer_timeout_rate(0.3),
+            ),
+            (
+                "launch20 windowed",
+                launch_20_plan().with_window(clean / 4, clean / 2),
+            ),
+        ];
+        for (pname, plan) in plans {
+            let run = node.simulate_faulty(
+                &spec,
+                NODE_TASKS,
+                mode,
+                &plan,
+                RecoveryPolicy::default(),
+                &mut NullRecorder,
+            );
+            let sum = run.1;
+            let what = format!("{sname} {mname} {pname}: {sum:?}");
+            eprintln!("DBG {what} total={}", run.0.total);
+            assert!(sum.conserved(NODE_TASKS), "{what}");
+            assert!(sum.gpu_task_failures > 0, "{what}");
+            out.push(pin(format!("recovery {sname} {mname} {pname}"), &run));
+        }
+    }
+    out
+}
+
+/// Traced `gpu5` and `adaptive` runs of the 20 % launch plan: the
+/// report, the counters and a journal with every recovery action in it.
+fn traced_recovery_goldens() -> Vec<Golden> {
+    let node = NodeSim::new(NodeParams::default());
+    let (sname, spec) = specs()[0];
+    let mut out = Vec::new();
+    for (mname, mode) in pipelined_custom_modes() {
+        if mname.starts_with("hybrid") {
+            continue; // `traced_goldens` is the Hybrid journal
+        }
+        let mut rec = MemRecorder::new();
+        let run = node.simulate_faulty(
+            &spec,
+            NODE_TASKS,
+            mode,
+            &launch_20_plan(),
+            RecoveryPolicy::default(),
+            &mut rec,
+        );
+        for action in [
+            FaultAction::Injected,
+            FaultAction::Retried,
+            FaultAction::CpuFallback,
+            FaultAction::Quarantined,
+            FaultAction::Readmitted,
+        ] {
+            assert!(
+                rec.faults().any(|e| e.action == action),
+                "{mname}: no {action:?} event in the journal"
+            );
+        }
+        let m = rec.metrics();
+        assert_eq!(
+            m.dispatch_history().is_empty(),
+            !mname.starts_with("adaptive"),
+            "{mname}: dispatch samples"
+        );
+        let counters = [
+            "tasks_gpu",
+            "tasks_cpu",
+            "kernel_launches",
+            "bytes_h2d",
+            "bytes_d2h",
+            "batch_flush_size",
+            "batch_flush_drain",
+        ]
+        .map(|c| (c, m.counter(c)));
+        out.push(pin(
+            format!("traced recovery {sname} {mname} launch20"),
+            &(run, counters, fnv1a(&rec.to_json())),
+        ));
+    }
+    out
+}
+
 fn check(actual: &[Golden], golden: &[(&str, u64)]) {
     assert_eq!(actual.len(), golden.len(), "scenario count changed");
     for ((name, hash), &(g_name, g_hash)) in actual.iter().zip(golden) {
@@ -237,13 +360,26 @@ fn node_pipeline_matches_the_per_task_modelling_commit() {
     check(&actual, NODE_GOLDENS);
 }
 
-/// Prints both golden tables for pasting below.
+#[test]
+fn node_recovery_matches_the_commit_before_node_run() {
+    let mut actual = recovery_goldens();
+    actual.extend(traced_recovery_goldens());
+    check(&actual, RECOVERY_GOLDENS);
+}
+
+/// Prints the golden tables for pasting below.
 #[test]
 #[ignore = "regenerates the golden tables; run with --ignored --nocapture"]
 fn print_goldens() {
     let mut node = node_goldens();
     node.extend(traced_goldens());
-    for (table, rows) in [("TABLE_GOLDENS", table_goldens()), ("NODE_GOLDENS", node)] {
+    let mut recovery = recovery_goldens();
+    recovery.extend(traced_recovery_goldens());
+    for (table, rows) in [
+        ("TABLE_GOLDENS", table_goldens()),
+        ("NODE_GOLDENS", node),
+        ("RECOVERY_GOLDENS", recovery),
+    ] {
         println!("const {table}: &[(&str, u64)] = &[");
         for (name, hash) in rows {
             println!("    ({name:?}, {hash:#018x}),");
@@ -375,4 +511,54 @@ const NODE_GOLDENS: &[(&str, u64)] = &[
     ("traced 100kB d3 k10", 0x67beff9662547d8e),
     ("traced 100kB d3 k20", 0xe7dc23d76a6c5aaa),
     ("traced 100kB d4 k14 rr6", 0xf118b02539aa3c78),
+];
+
+const RECOVERY_GOLDENS: &[(&str, u64)] = &[
+    ("recovery d3 k10 gpu5 custom launch20", 0xbfbf91dcfacbb181),
+    (
+        "recovery d3 k10 gpu5 custom lost@clean/3",
+        0x3c009746b082177a,
+    ),
+    ("recovery d3 k10 gpu5 custom transfer30", 0xd134331f217bc2ce),
+    (
+        "recovery d3 k10 gpu5 custom launch20 windowed",
+        0x5eaff982b3407457,
+    ),
+    ("recovery d3 k10 hybrid custom launch20", 0xa3c8b13f33ecb231),
+    (
+        "recovery d3 k10 hybrid custom lost@clean/3",
+        0x5d5e8626c29c30e9,
+    ),
+    (
+        "recovery d3 k10 hybrid custom transfer30",
+        0xda6ac9a541749118,
+    ),
+    (
+        "recovery d3 k10 hybrid custom launch20 windowed",
+        0x66bf5751e226c3e6,
+    ),
+    (
+        "recovery d3 k10 adaptive custom launch20",
+        0xf1121767b95717bc,
+    ),
+    (
+        "recovery d3 k10 adaptive custom lost@clean/3",
+        0x1f475dffd264d9de,
+    ),
+    (
+        "recovery d3 k10 adaptive custom transfer30",
+        0x95cc55e3e3b20139,
+    ),
+    (
+        "recovery d3 k10 adaptive custom launch20 windowed",
+        0x88da1d8e68facf2a,
+    ),
+    (
+        "traced recovery d3 k10 gpu5 custom launch20",
+        0xa51f0d946a976f40,
+    ),
+    (
+        "traced recovery d3 k10 adaptive custom launch20",
+        0xab114756e392ff32,
+    ),
 ];
