@@ -40,9 +40,9 @@ impl SimTime {
     /// (inter-arrival = 1/rate) a zero rate yields `+∞` and a 0/0 yields
     /// `NaN`, and the bare `f64 as u64` cast would silently turn those
     /// into `u64::MAX` and 0 ns with no signal. Debug builds panic;
-    /// release builds clamp like `dispatch::sanitize_time`: `NaN` reads
-    /// as "no information" = [`SimTime::ZERO`], `+∞` as "astronomically
-    /// slow" = saturation at `u64::MAX` nanoseconds.
+    /// release builds clamp: `NaN` reads as "no information" =
+    /// [`SimTime::ZERO`], `+∞` as "astronomically slow" = saturation at
+    /// `u64::MAX` nanoseconds.
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(
             s.is_finite(),

@@ -6,25 +6,15 @@
 //! The optimal CPU-GPU work overlap is achieved when `mk = n(1−k)`, so
 //! `k = n/(m+n)`. The minimal runtime is thus `m·n/(m+n)`." (paper §II-A)
 
-/// Ceiling substituted for an infinite time estimate: ~31 years in
-/// nanoseconds — beyond any simulated horizon, still safely inside f64's
-/// exact-integer range so the closed form stays well-conditioned.
-const TIME_CEILING: f64 = 1e18;
-
-/// Clamps a time estimate into the closed form's domain: `NaN` (a
-/// poisoned EWMA — e.g. 0/0 on an empty probe) reads as "no information"
-/// = 0, `+∞` (a model that diverged or a division by a zero rate) reads
-/// as "astronomically slow" = [`TIME_CEILING`]. Negative values —
-/// including `-∞` — pass through to the caller's non-negativity check:
-/// a negative duration is a caller bug, not a numerical artifact.
-fn sanitize_time(t: f64) -> f64 {
-    if t.is_nan() {
-        0.0
-    } else if t == f64::INFINITY {
-        TIME_CEILING
-    } else {
-        t
-    }
+/// The closed form's domain. Every caller derives `m` and `n` from `u64`
+/// nanoseconds (model batch times, EWMA'd measurements), so a NaN, an
+/// infinity or a negative duration is a caller bug, not a numerical
+/// artifact to be clamped away.
+fn assert_times(m: f64, n: f64) {
+    assert!(
+        m.is_finite() && n.is_finite() && m >= 0.0 && n >= 0.0,
+        "times must be finite and non-negative: m = {m}, n = {n}"
+    );
 }
 
 /// Optimal fraction `k* = n/(m+n)` of tasks to send to the **CPU**, given
@@ -32,16 +22,13 @@ fn sanitize_time(t: f64) -> f64 {
 ///
 /// Degenerate inputs: if both are zero the split is irrelevant (returns
 /// 0.5); a zero `m` sends everything to the CPU (it is infinitely fast),
-/// and symmetrically for `n`. Non-finite inputs are clamped rather than
-/// propagated — `NaN` to 0, `+∞` to a huge finite ceiling — so a
-/// poisoned online estimate degrades the split instead of poisoning `k`
-/// (the returned fraction is always in `[0, 1]`).
+/// and symmetrically for `n`. The returned fraction is always in
+/// `[0, 1]`.
 ///
 /// # Panics
-/// Panics on negative inputs.
+/// Panics on negative or non-finite inputs.
 pub fn optimal_split(m: f64, n: f64) -> f64 {
-    let (m, n) = (sanitize_time(m), sanitize_time(n));
-    assert!(m >= 0.0 && n >= 0.0, "times must be non-negative");
+    assert_times(m, n);
     if m + n == 0.0 {
         return 0.5;
     }
@@ -58,20 +45,16 @@ pub fn optimal_split(m: f64, n: f64) -> f64 {
 /// as "very fast" instead, so the split stays strictly inside `(0, 1)`
 /// and a degenerate probe can never starve a backend forever.
 ///
-/// Non-finite measurements are clamped like [`optimal_split`]'s — and a
-/// `NaN` (→ 0) is then floored, so a poisoned estimate reads "very
-/// fast" rather than wedging the split at an extreme.
-///
 /// # Panics
-/// Panics on a non-positive or non-finite floor, or on negative times
-/// (same contract as [`optimal_split`]).
+/// Panics on a non-positive or non-finite floor, or on negative or
+/// non-finite times (same contract as [`optimal_split`] — checked
+/// before flooring, which would otherwise turn a NaN into the floor).
 pub fn measured_split(m: f64, n: f64, floor: f64) -> f64 {
     assert!(
         floor > 0.0 && floor.is_finite(),
         "measurement floor must be positive and finite"
     );
-    let (m, n) = (sanitize_time(m), sanitize_time(n));
-    assert!(m >= 0.0 && n >= 0.0, "times must be non-negative");
+    assert_times(m, n);
     optimal_split(m.max(floor), n.max(floor))
 }
 
@@ -79,7 +62,7 @@ pub fn measured_split(m: f64, n: f64, floor: f64) -> f64 {
 /// compute-intensive workload — the tables' "Optimal CPU-GPU Overlap"
 /// column, which real runs sometimes beat and sometimes miss).
 pub fn hybrid_optimal_time(m: f64, n: f64) -> f64 {
-    assert!(m >= 0.0 && n >= 0.0, "times must be non-negative");
+    assert_times(m, n);
     if m + n == 0.0 {
         return 0.0;
     }
@@ -227,40 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_inputs_clamp_instead_of_poisoning() {
-        // NaN reads as "no information": like a zero measurement.
-        assert_eq!(optimal_split(f64::NAN, f64::NAN), 0.5);
-        assert_eq!(optimal_split(f64::NAN, 5.0), 1.0);
-        assert_eq!(optimal_split(5.0, f64::NAN), 0.0);
-        // +∞ reads as "astronomically slow": the other side takes all.
-        let k = optimal_split(f64::INFINITY, 5.0);
-        assert!(k < 1e-15, "infinitely slow CPU must get ~nothing: {k}");
-        let k = optimal_split(5.0, f64::INFINITY);
-        assert!(k > 1.0 - 1e-15, "infinitely slow GPU gives CPU ~all: {k}");
-        assert_eq!(optimal_split(f64::INFINITY, f64::INFINITY), 0.5);
-        // Whatever comes in, k never escapes [0, 1] and is never NaN.
-        for m in [0.0, 1.0, f64::NAN, f64::INFINITY] {
-            for n in [0.0, 1.0, f64::NAN, f64::INFINITY] {
-                let k = optimal_split(m, n);
-                assert!((0.0..=1.0).contains(&k), "k poisoned: {k} for {m}, {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn measured_split_floors_non_finite_inputs() {
-        // A NaN measurement is clamped to 0 and then floored — "very
-        // fast", strictly inside (0, 1), never a wedge at an extreme.
-        let k = measured_split(f64::NAN, 5_000.0, 50.0);
-        assert!(k > 0.98 && k < 1.0, "{k}");
-        let k = measured_split(5_000.0, f64::INFINITY, 50.0);
-        assert!(k > 1.0 - 1e-12 && k <= 1.0, "{k}");
-        assert!(!measured_split(f64::NAN, f64::NAN, 50.0).is_nan());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_infinity_still_rejected() {
-        let _ = optimal_split(f64::NEG_INFINITY, 1.0);
+    #[should_panic(expected = "finite and non-negative")]
+    fn non_finite_time_rejected() {
+        // Checked before flooring: `NaN.max(floor)` would read as `floor`.
+        let _ = measured_split(f64::NAN, 5_000.0, 50.0);
     }
 }
