@@ -26,9 +26,9 @@ use crate::des::FifoResource;
 use crate::workload::WorkloadSpec;
 use madness_faults::{
     FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, GpuGate, HealthTracker,
-    RecoveryPolicy,
+    RecoveryPolicy, TaskError,
 };
-use madness_gpusim::kernel::kernel_cost;
+use madness_gpusim::kernel::{kernel_cost, KernelCost};
 use madness_gpusim::{
     DeviceSpec, ExecMode, GpuDevice, KernelKind, PinnedBufferPool, SimTime, TransferEngine,
     TransformTask,
@@ -208,11 +208,16 @@ pub struct NodeRate {
 struct FaultCtx {
     inj: FaultInjector,
     health: HealthTracker,
-    policy: RecoveryPolicy,
     summary: FaultSummary,
-    /// False under an inert plan (the fault-free entry points): all
-    /// recovery machinery (gates, watchdog, timeout detection) is
-    /// bypassed so those runs stay bit-identical to before it existed.
+    /// False under an inert plan (the fault-free entry points): gates,
+    /// watchdog and timeout detection are bypassed. The fork guards real
+    /// behaviour: the learned dispatcher's timeout detector fires on
+    /// healthy devices (ROADMAP item 1, finding (a) — a one-task GPU
+    /// share costs a whole kernel, over 4 × what a per-task EWMA learned
+    /// from a stream-filling probe expects), so without it a fault-free
+    /// `AdaptiveHybrid` run can journal a `StreamStall / Detected` with
+    /// nothing injected. `tests/fault_free_identity.rs` pins such a run
+    /// (`armed_plan_that_never_fires_still_detects_a_timeout`).
     active: bool,
 }
 
@@ -223,7 +228,6 @@ impl FaultCtx {
             active: !inj.is_inert(),
             inj,
             health: HealthTracker::new(policy),
-            policy,
             summary: FaultSummary::default(),
         }
     }
@@ -237,6 +241,17 @@ fn shape_task(spec: &WorkloadSpec) -> TransformTask {
         Some(kr) => TransformTask::shape_only_rr(spec.d, spec.k, spec.rank, 0, kr),
         None => TransformTask::shape_only(spec.d, spec.k, spec.rank, 0),
     }
+}
+
+/// What the three pipelined modes hand [`NodeRun`].
+struct Lanes {
+    /// CPU compute threads; `None` for GPU-only.
+    compute_threads: Option<usize>,
+    data_threads: usize,
+    streams: usize,
+    kernel: KernelKind,
+    /// The learned dispatcher instead of the a-priori model split.
+    adaptive: bool,
 }
 
 /// Simulator for a single compute node.
@@ -337,6 +352,8 @@ impl NodeSim {
         NodeRate { startup, per_task }
     }
 
+    /// GPU-only and the two hybrids share the pipelined path
+    /// ([`NodeRun`]); CPU-only is a closed form.
     fn simulate_inner<R: Recorder>(
         &self,
         spec: &WorkloadSpec,
@@ -348,58 +365,41 @@ impl NodeSim {
         if n_tasks == 0 {
             return NodeReport::default();
         }
-        match mode {
+        let lanes = match mode {
             ResourceMode::CpuOnly { threads } => {
-                self.simulate_cpu_only(spec, n_tasks, threads, rec, ctx)
+                return self.simulate_cpu_only(spec, n_tasks, threads, rec, ctx)
             }
             ResourceMode::GpuOnly {
                 streams,
                 kernel,
                 data_threads,
-            } => self.simulate_device(
-                spec,
-                n_tasks,
-                None,
+            } => Lanes {
+                compute_threads: None,
                 data_threads,
                 streams,
                 kernel,
-                false,
-                rec,
-                ctx,
-            ),
+                adaptive: false,
+            },
             ResourceMode::Hybrid {
                 compute_threads,
                 data_threads,
                 streams,
                 kernel,
-            } => self.simulate_device(
-                spec,
-                n_tasks,
-                Some(compute_threads),
-                data_threads,
-                streams,
-                kernel,
-                false,
-                rec,
-                ctx,
-            ),
-            ResourceMode::AdaptiveHybrid {
+            }
+            | ResourceMode::AdaptiveHybrid {
                 compute_threads,
                 data_threads,
                 streams,
                 kernel,
-            } => self.simulate_device(
-                spec,
-                n_tasks,
-                Some(compute_threads),
+            } => Lanes {
+                compute_threads: Some(compute_threads),
                 data_threads,
                 streams,
                 kernel,
-                true,
-                rec,
-                ctx,
-            ),
-        }
+                adaptive: matches!(mode, ResourceMode::AdaptiveHybrid { .. }),
+            },
+        };
+        NodeRun::new(self, spec, lanes, rec, ctx).run(n_tasks)
     }
 
     /// CPU-only: data work and compute share the same worker threads, so
@@ -456,400 +456,475 @@ impl NodeSim {
             ..NodeReport::default()
         }
     }
+}
 
-    /// GPU-only and the two hybrids share the pipelined path;
-    /// `compute_threads` is `None` for GPU-only, and `adaptive` selects
-    /// the learned dispatcher over the a-priori model split.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_device<R: Recorder>(
-        &self,
-        spec: &WorkloadSpec,
-        n_tasks: u64,
-        compute_threads: Option<usize>,
-        data_threads: usize,
-        streams: usize,
-        kernel: KernelKind,
-        adaptive: bool,
-        rec: &mut R,
-        ctx: &mut FaultCtx,
-    ) -> NodeReport {
-        let p = &self.params;
-        // A straggler node runs everything slower — data threads,
-        // dispatcher, device, CPU workers. `scale(1.0)` is bit-exact
-        // identity, so a non-straggler plan perturbs nothing.
+/// Kind key of the learned dispatcher's cost model: the simulated
+/// population is homogeneous, so every flush shares one.
+const SIM_KIND: TaskKind = TaskKind::new(0x51D, 0);
+
+/// One run of the pipelined modes: Fig. 3's stages as methods over the
+/// run's inputs, what is derived from them once, the resources the
+/// stages book and the ledgers the [`NodeReport`] is read from.
+struct NodeRun<'a, R: Recorder> {
+    params: &'a NodeParams,
+    spec: &'a WorkloadSpec,
+    lanes: Lanes,
+    rec: &'a mut R,
+    ctx: &'a mut FaultCtx,
+
+    /// A straggler node runs everything slower — data threads,
+    /// dispatcher, device, CPU workers. `scale(1.0)` is bit-exact
+    /// identity, so a non-straggler plan perturbs nothing.
+    straggler: f64,
+    /// When the pinned staging buffers are page-locked — once, up front,
+    /// on the device-management thread, concurrently with CPU-side work.
+    /// Only the dispatcher's packing into those buffers (and hence
+    /// everything downstream on the GPU) waits for it; preprocess and
+    /// the CPU compute share never do. (Charging the setup to the whole
+    /// pipeline made hybrid mode pay a 2 ms entry fee on microscopic
+    /// workloads the dispatcher routes entirely to the CPU — the
+    /// committed cc 48b56d… proptest regression.)
+    pool_ready: SimTime,
+    /// Per-task preprocess / postprocess time on one data lane.
+    pre_each: SimTime,
+    post_each: SimTime,
+    flops_cpu: u64,
+    /// The population is homogeneous: one shape task, built once, and
+    /// every simulated GPU task is a clone of it — an `Arc` bump on its
+    /// term table, which is also what lets the device see each flush as
+    /// one run. The buffer is reused across flushes and retries.
+    shape: TransformTask,
+    gpu_tasks: Vec<TransformTask>,
+    /// Steady-state estimate of a GPU batch (h blocks assumed cached) —
+    /// what the a-priori dispatcher "knows" about relative GPU
+    /// performance.
+    est_cost: KernelCost,
+    est_conc: u64,
+    est_engine: TransferEngine,
+
+    data_res: FifoResource,
+    dispatcher: FifoResource,
+    /// Batches serialize on the device.
+    gpu_res: FifoResource,
+    /// CPU compute is one fluid lane.
+    cpu_res: FifoResource,
+    device: GpuDevice,
+    /// Learned-dispatcher state (`AdaptiveHybrid` only).
+    learned: AdaptiveDispatcher,
+    /// Most recent fault cause — labels device-lifecycle journal entries
+    /// (quarantine, readmission) with what provoked them.
+    last_fault_kind: FaultKind,
+
+    n_batches: u64,
+    split_acc: f64,
+    cpu_busy: SimTime,
+    gpu_busy: SimTime,
+    /// `(ready at, tasks)` of every compute share awaiting postprocess.
+    post_release: Vec<(SimTime, u64)>,
+}
+
+impl<'a, R: Recorder> NodeRun<'a, R> {
+    fn new(
+        node: &'a NodeSim,
+        spec: &'a WorkloadSpec,
+        lanes: Lanes,
+        rec: &'a mut R,
+        ctx: &'a mut FaultCtx,
+    ) -> Self {
+        let p = &node.params;
         let straggler = ctx.inj.straggler_multiplier();
-        let mut device = GpuDevice::new(p.gpu.clone(), streams.max(1));
-        // Pinned staging buffers are page-locked once up front — on the
-        // device-management thread, concurrently with CPU-side work.
-        // Only the dispatcher's packing into those buffers (and hence
-        // everything downstream on the GPU) waits for the page-locks;
-        // preprocess and the CPU compute share never do. (Charging the
-        // setup to the whole pipeline made hybrid mode pay a 2 ms entry
-        // fee on microscopic workloads the dispatcher routes entirely to
-        // the CPU — the committed cc 48b56d… proptest regression.)
+        let device = GpuDevice::new(p.gpu.clone(), lanes.streams.max(1));
         let pool = PinnedBufferPool::new(&p.gpu, 4, 32 << 20);
         let pool_ready = pool.setup_cost().scale(straggler);
         if R::ENABLED {
             // The page-lock DMA setup occupies the transfer path up front.
             rec.span(Stage::Transfer, 0, pool_ready.as_nanos(), 0);
             rec.gauge_hwm("pinned_pool_capacity_bytes", pool.capacity());
-            rec.add("tasks_total", n_tasks);
         }
-
-        let data_each = self.data_per_task(spec);
-        let pre_each = data_each * 0.6;
-        let post_each = data_each * 0.4;
-        let data_lanes = data_threads.clamp(1, DATA_THREADS_CAP);
+        let data_each = node.data_per_task(spec);
+        let data_lanes = lanes.data_threads.clamp(1, DATA_THREADS_CAP);
         // Memory-bound data threads: lanes beyond the cap add nothing;
         // contention inside the cap comes from the CPU model.
-        let lane_slowdown = data_lanes as f64 / self.params.cpu.effective_threads(data_lanes);
-
-        let mut data_res = FifoResource::new(data_lanes);
-        let mut dispatcher = FifoResource::new(1);
-        let mut gpu_res = FifoResource::new(1); // batches serialize on the device
-        let mut cpu_res = FifoResource::new(1); // CPU compute = one fluid lane
-
-        let batch_cap = p.batch.max_batch as u64;
-        let mut remaining = n_tasks;
-        let mut n_batches = 0u64;
-        let mut split_acc = 0.0f64;
-        let mut cpu_busy = SimTime::ZERO;
-        let mut gpu_busy = SimTime::ZERO;
-        let mut post_release = Vec::new();
-        let pre_each_eff = (pre_each * lane_slowdown).scale(straggler);
-        let post_each_eff = (post_each * lane_slowdown).scale(straggler);
-        // Learned-dispatcher state (AdaptiveHybrid only). The simulated
-        // workload is homogeneous, so all batches share one kind.
-        let mut learned = AdaptiveDispatcher::new(AdaptiveConfig::default());
-        const SIM_KIND: TaskKind = TaskKind::new(0x51D, 0);
-        // Most recent fault cause — labels device-lifecycle journal
-        // entries (quarantine, readmission) with what provoked them.
-        let mut last_fault_kind = FaultKind::StreamStall;
-        // The population is homogeneous: one shape task, built once, and
-        // every simulated GPU task is a clone of it — an `Arc` bump on
-        // its term table, which is also what lets the device see each
-        // flush as one run. The buffer is reused across flushes and
-        // retries.
+        let lane_slowdown = data_lanes as f64 / p.cpu.effective_threads(data_lanes);
         let shape = shape_task(spec);
-        let mut gpu_tasks: Vec<TransformTask> = Vec::new();
-        let flops_cpu = spec.task_flops_cpu();
-        let cpu_batch_time = |n: u64, threads: usize| {
-            p.cpu
-                .batch_time(n as usize, flops_cpu, spec.d, spec.k, spec.rank, threads)
-        };
-        // Steady-state estimate of a GPU batch (h blocks assumed cached)
-        // — what the dispatcher "knows" about relative GPU performance.
-        let est_cost = kernel_cost(&p.gpu, kernel, &shape);
-        let est_conc = device.concurrency(est_cost.sms_used) as u64;
-        let est_engine = TransferEngine::new(&p.gpu);
-        let estimate_gpu_batch = |b: u64| {
-            est_cost.duration * b / est_conc
-                + est_engine.transfer_time(shape.s_bytes() * b, true) * 2u64
-        };
+        let est_cost = kernel_cost(&p.gpu, lanes.kernel, &shape);
+        NodeRun {
+            straggler,
+            pool_ready,
+            pre_each: (data_each * 0.6 * lane_slowdown).scale(straggler),
+            post_each: (data_each * 0.4 * lane_slowdown).scale(straggler),
+            flops_cpu: spec.task_flops_cpu(),
+            shape,
+            gpu_tasks: Vec::new(),
+            est_conc: device.concurrency(est_cost.sms_used) as u64,
+            est_cost,
+            est_engine: TransferEngine::new(&p.gpu),
+            data_res: FifoResource::new(data_lanes),
+            dispatcher: FifoResource::new(1),
+            gpu_res: FifoResource::new(1),
+            cpu_res: FifoResource::new(1),
+            device,
+            learned: AdaptiveDispatcher::new(AdaptiveConfig::default()),
+            last_fault_kind: FaultKind::StreamStall,
+            n_batches: 0,
+            split_acc: 0.0,
+            cpu_busy: SimTime::ZERO,
+            gpu_busy: SimTime::ZERO,
+            post_release: Vec::new(),
+            params: p,
+            spec,
+            lanes,
+            rec,
+            ctx,
+        }
+    }
 
+    /// Runs `n_tasks > 0` (the caller answers an empty run itself)
+    /// through the pipeline and reads the report off the ledgers. The
+    /// loop is the one place a flush size is chosen: one kind today, so
+    /// full batches and an end-of-run drain (ROADMAP item 6 (b)'s
+    /// per-kind flush goes here).
+    fn run(mut self, n_tasks: u64) -> NodeReport {
+        if R::ENABLED {
+            self.rec.add("tasks_total", n_tasks);
+        }
+        let batch_cap = self.params.batch.max_batch as u64;
+        let mut remaining = n_tasks;
         while remaining > 0 {
             let b = remaining.min(batch_cap);
             remaining -= b;
-            n_batches += 1;
-            // Preprocess the batch's tasks on the data lanes.
-            let mut release = SimTime::ZERO;
-            for _ in 0..b {
-                let (lane, start, end) = data_res.serve_on(SimTime::ZERO, pre_each_eff);
-                if R::ENABLED {
-                    rec.span(
-                        Stage::Preprocess,
-                        start.as_nanos(),
-                        end.as_nanos(),
-                        lane as u32,
-                    );
-                }
-                release = release.max(end);
-            }
+            self.flush(b, b == batch_cap);
+        }
+        self.ctx.summary.quarantines = self.ctx.health.quarantines();
+        self.ctx.summary.readmissions = self.ctx.health.readmissions();
+        self.postprocess();
+        NodeReport {
+            total: self
+                .data_res
+                .makespan()
+                .max(self.dispatcher.makespan())
+                .max(self.gpu_res.makespan())
+                .max(self.cpu_res.makespan()),
+            cpu_compute: self.cpu_busy,
+            gpu_busy: self.gpu_busy,
+            data_busy: self.data_res.busy_time(),
+            dispatch_busy: self.dispatcher.busy_time(),
+            n_batches: self.n_batches,
+            mean_split_k: self.split_acc / self.n_batches as f64,
+        }
+    }
+
+    /// One batch of `b` tasks through Fig. 3: preprocess → health gate →
+    /// dispatcher split → GPU share ∥ CPU share → learned feedback. The
+    /// GPU share is booked first: a remainder it hands back queues on
+    /// the CPU lane ahead of this flush's planned share.
+    fn flush(&mut self, b: u64, full: bool) {
+        self.n_batches += 1;
+        let release = self.preprocess(b, full);
+        let gate = self.gate(release);
+        let plan = self.split(b, release, gate);
+        let (gpu_done, gpu_ns) = self.gpu_share(release, plan.gpu_tasks as u64);
+        // The CPU share is handed straight to the worker queue — it
+        // never touches the transfer buffers, so it costs the
+        // dispatcher nothing.
+        let cpu_ns = if plan.cpu_tasks > 0 {
             if R::ENABLED {
-                // The batch flushes when its last input is preprocessed —
-                // by the size trigger at a full batch; the end-of-run
-                // remainder is a shutdown drain, not a timer expiry.
-                rec.event(Stage::Batch, release.as_nanos(), b);
-                rec.add(
-                    if b == batch_cap {
-                        "batch_flush_size"
-                    } else {
-                        "batch_flush_drain"
-                    },
-                    1,
+                self.rec.add("tasks_cpu", plan.cpu_tasks as u64);
+            }
+            self.cpu_share(release, plan.cpu_tasks as u64).as_nanos()
+        } else {
+            0
+        };
+        if self.lanes.adaptive {
+            // Close the loop: this flush's simulated batch times are the
+            // dispatcher's measurements for the next one. Only tasks
+            // that actually completed on the GPU count as GPU samples —
+            // a flush whose GPU share all failed teaches the health
+            // tracker, not the cost model.
+            self.learned
+                .record(SIM_KIND, plan.cpu_tasks, cpu_ns, gpu_done as usize, gpu_ns);
+        }
+    }
+
+    /// Preprocesses the batch's tasks on the data lanes; returns when the
+    /// last input is ready, which is when the batch flushes — by the
+    /// size trigger at a `full` batch; the end-of-run remainder is a
+    /// shutdown drain, not a timer expiry.
+    fn preprocess(&mut self, b: u64, full: bool) -> SimTime {
+        let mut release = SimTime::ZERO;
+        for _ in 0..b {
+            let (lane, start, end) = self.data_res.serve_on(SimTime::ZERO, self.pre_each);
+            if R::ENABLED {
+                self.rec.span(
+                    Stage::Preprocess,
+                    start.as_nanos(),
+                    end.as_nanos(),
+                    lane as u32,
                 );
             }
+            release = release.max(end);
+        }
+        if R::ENABLED {
+            self.rec.event(Stage::Batch, release.as_nanos(), b);
+            self.rec.add(
+                if full {
+                    "batch_flush_size"
+                } else {
+                    "batch_flush_drain"
+                },
+                1,
+            );
+        }
+        release
+    }
 
-            // Device-health gate (fault-aware runs only): the queue-depth
-            // watchdog catches a device backpressure failed to drain; a
-            // quarantine closes the GPU; an expired quarantine admits one
-            // probe task. A lost device is revived (driver reset) when
-            // its quarantine expires.
-            let gate = if ctx.active {
-                if adaptive {
-                    let depth = device.queue_depth(release);
-                    if learned.queue_watchdog(depth) {
-                        let at = release.as_nanos();
-                        ctx.health.force_quarantine(at);
-                        rec.fault(FaultEvent {
-                            kind: last_fault_kind,
-                            action: FaultAction::Quarantined,
-                            at_ns: at,
-                            tasks: 0,
-                        });
-                    }
-                }
-                let g = ctx.health.gate(release.as_nanos());
-                if g != GpuGate::Closed && device.is_lost() {
-                    device.revive();
-                }
-                g
-            } else {
-                GpuGate::Open
+    /// Device-health gate (fault-aware runs only): the queue-depth
+    /// watchdog catches a device backpressure failed to drain; a
+    /// quarantine closes the GPU; an expired quarantine admits one probe
+    /// task. A lost device is revived (driver reset) when its quarantine
+    /// expires.
+    fn gate(&mut self, release: SimTime) -> GpuGate {
+        if !self.ctx.active {
+            return GpuGate::Open;
+        }
+        let at = release.as_nanos();
+        if self.lanes.adaptive
+            && self
+                .learned
+                .queue_watchdog(self.device.queue_depth(release))
+        {
+            self.ctx.health.force_quarantine(at);
+            self.fault(FaultAction::Quarantined, at, 0);
+        }
+        let gate = self.ctx.health.gate(at);
+        if gate != GpuGate::Closed && self.device.is_lost() {
+            self.device.revive();
+        }
+        gate
+    }
+
+    /// Split decision at batch-flush time: the learned dispatcher
+    /// consulted with the device's in-flight queue depth (it is never
+    /// told `m` or `n`, and applies the gate itself), else the gate's
+    /// override — Closed routes the flush to the CPU (one emergency host
+    /// thread when the mode has no compute threads), Probe sends a
+    /// single canary task to the GPU — else the a-priori model split, or
+    /// everything to the GPU when the mode has no compute threads.
+    fn split(&mut self, b: u64, release: SimTime, gate: GpuGate) -> SplitPlan {
+        let n = b as usize;
+        let (plan, k) = if self.lanes.adaptive {
+            let depth = self.device.queue_depth(release);
+            let decision = self.learned.plan_gated(SIM_KIND, n, depth, gate);
+            if R::ENABLED {
+                self.rec.observe_dispatch(decision.sample());
+            }
+            (decision.plan, decision.k)
+        } else if let Some(gated) = SplitPlan::gated(gate, n) {
+            gated
+        } else if self.lanes.compute_threads.is_some() {
+            let m = self.cpu_batch_time(b).as_secs_f64();
+            let dma = self
+                .est_engine
+                .transfer_time(self.shape.s_bytes() * b, true);
+            let gpu = self.est_cost.duration * b / self.est_conc + dma * 2u64;
+            let k = madness_runtime::optimal_split(m, gpu.as_secs_f64());
+            (SplitPlan::for_share(n, k), k)
+        } else {
+            (SplitPlan::all_gpu(n), 0.0)
+        };
+        self.split_acc += k;
+        if R::ENABLED && self.lanes.compute_threads.is_some() {
+            self.rec.observe_split(k);
+        }
+        plan
+    }
+
+    /// The GPU share: the dispatcher rearranges it into the pinned
+    /// transfer buffers (it must wait for the page-locks), then the
+    /// device runs it. Under faults a batch may come back with failed
+    /// tasks: those retry (whole failed remainder, after a jittered
+    /// backoff) up to the policy's cap — unless the failure quarantined
+    /// the device — then fall back to the CPU so no task is ever lost.
+    /// Returns `(tasks completed on the GPU, device nanoseconds)`, the
+    /// learned dispatcher's sample.
+    fn gpu_share(&mut self, release: SimTime, gpu_n: u64) -> (u64, u64) {
+        if gpu_n == 0 {
+            return (0, 0);
+        }
+        let (disp_start, disp_end) = self.dispatcher.serve(
+            release.max(self.pool_ready),
+            (DISPATCH_PER_TASK * gpu_n).scale(self.straggler),
+        );
+        if R::ENABLED {
+            self.rec.span(
+                Stage::Dispatch,
+                disp_start.as_nanos(),
+                disp_end.as_nanos(),
+                0,
+            );
+            self.rec.add("tasks_gpu", gpu_n);
+        }
+        let mut pending = gpu_n;
+        let mut submit = disp_end;
+        let mut attempt = 0u32;
+        let mut done = 0u64;
+        let mut busy_ns = 0u64;
+        loop {
+            let (gend, gtime, failed) = self.attempt(pending, submit);
+            busy_ns += gtime.as_nanos();
+            let n_failed = failed.len() as u64;
+            if n_failed < pending {
+                done += pending - n_failed;
+                self.post_release.push((gend, pending - n_failed));
+            }
+            let Some(&(_, cause)) = failed.first() else {
+                self.batch_ok(gend, pending, gtime);
+                break;
             };
-
-            // Split decision at batch-flush time: the a-priori model
-            // split (Hybrid), or the learned dispatcher consulted with
-            // the device's in-flight queue depth at flush time
-            // (AdaptiveHybrid — it is never told `m` or `n`). The gate
-            // overrides both: Closed routes the flush to the CPU (one
-            // emergency host thread when the mode has no compute
-            // threads), Probe sends a single canary task to the GPU.
-            let (cpu_n, gpu_n, k) = match compute_threads {
-                Some(_) if adaptive => {
-                    let depth = device.queue_depth(release);
-                    let decision = learned.plan_gated(SIM_KIND, b as usize, depth, gate);
-                    if R::ENABLED {
-                        rec.observe_dispatch(decision.sample());
-                    }
-                    (
-                        decision.plan.cpu_tasks as u64,
-                        decision.plan.gpu_tasks as u64,
-                        decision.k,
-                    )
-                }
-                _ if gate == GpuGate::Closed => (b, 0u64, 1.0),
-                _ if gate == GpuGate::Probe => (b - 1, 1u64, (b - 1) as f64 / b as f64),
-                None => (0u64, b, 0.0),
-                Some(ct) => {
-                    let m = cpu_batch_time(b, ct).as_secs_f64();
-                    let n = estimate_gpu_batch(b).as_secs_f64();
-                    let plan = SplitPlan::for_times(b as usize, m, n);
-                    (
-                        plan.cpu_tasks as u64,
-                        plan.gpu_tasks as u64,
-                        madness_runtime::optimal_split(m, n),
-                    )
-                }
-            };
-            split_acc += k;
-            if R::ENABLED && compute_threads.is_some() {
-                rec.observe_split(k);
+            self.ctx.summary.gpu_task_failures += n_failed;
+            self.last_fault_kind = cause.kind();
+            let at = gend.as_nanos();
+            let quarantined = self.batch_failed(at, n_failed);
+            let policy = *self.ctx.health.policy();
+            if !quarantined && attempt < policy.max_retries {
+                self.fault(FaultAction::Retried, at, n_failed);
+                self.ctx.summary.gpu_retries += 1;
+                submit = gend + SimTime::from_nanos(policy.backoff_ns(attempt, self.n_batches));
+                attempt += 1;
+                pending = n_failed;
+                continue;
             }
-            let mut flush_gpu_ns = 0u64;
-            let mut flush_cpu_ns = 0u64;
-            let mut flush_gpu_done = 0u64;
+            self.fault(FaultAction::CpuFallback, at, n_failed);
+            self.ctx.summary.cpu_fallback_tasks += n_failed;
+            self.cpu_share(gend, n_failed);
+            break;
+        }
+        self.ctx.summary.completed_gpu += done;
+        (done, busy_ns)
+    }
 
-            // GPU part: the dispatcher rearranges the GPU share into the
-            // pinned transfer buffers (it must wait for the page-locks),
-            // then transfers + kernels run through the real device model
-            // (its write-once cache makes the first batch pay for the h
-            // blocks and later batches ride free). The CPU share is
-            // handed straight to the worker queue — it never touches the
-            // transfer buffers, so it costs the dispatcher nothing.
-            //
-            // Under faults the batch may come back with failed tasks:
-            // those retry (whole failed remainder, after a jittered
-            // backoff) up to the policy's cap, then fall back to the
-            // CPU. A batch that completes but blows the cost model's
-            // timeout expectation is *detected* — health penalty only,
-            // never re-run: its tasks finished, re-executing them would
-            // break conservation.
-            if gpu_n > 0 {
-                let (disp_start, disp_end) = dispatcher.serve(
-                    release.max(pool_ready),
-                    (DISPATCH_PER_TASK * gpu_n).scale(straggler),
-                );
-                if R::ENABLED {
-                    rec.span(
-                        Stage::Dispatch,
-                        disp_start.as_nanos(),
-                        disp_end.as_nanos(),
-                        0,
-                    );
-                    rec.add("tasks_gpu", gpu_n);
-                }
-                let mut pending = gpu_n;
-                let mut submit = disp_end;
-                let mut attempt = 0u32;
-                loop {
-                    gpu_tasks.resize(pending as usize, shape.clone());
-                    // The device journals its own transfer/kernel spans;
-                    // it needs the batch's absolute start, which for the
-                    // 1-lane GPU resource is what `serve` will hand back
-                    // below.
-                    let batch_start = gpu_res.next_start(submit);
-                    let out = device.execute_batch_injected(
-                        &gpu_tasks,
-                        kernel,
-                        ExecMode::Timing,
-                        batch_start,
-                        rec,
-                        &mut ctx.inj,
-                    );
-                    let gtime = out.time.scale(straggler);
-                    gpu_busy += gtime;
-                    let (gstart, gend) = gpu_res.serve(submit, gtime);
-                    debug_assert_eq!(gstart, batch_start);
-                    if R::ENABLED {
-                        rec.gauge_hwm(
-                            "pinned_pool_hwm_bytes",
-                            out.breakdown.bytes_s + out.breakdown.bytes_h,
-                        );
-                    }
-                    if adaptive {
-                        flush_gpu_ns += gtime.as_nanos();
-                        device.note_inflight(gstart, gend);
-                    }
-                    let n_failed = out.failed.len() as u64;
-                    let n_ok = pending - n_failed;
-                    if n_ok > 0 {
-                        flush_gpu_done += n_ok;
-                        post_release.push((gend, n_ok));
-                    }
-                    if n_failed == 0 {
-                        if ctx.active {
-                            let at = gend.as_nanos();
-                            let timed_out = adaptive
-                                && learned.batch_timed_out(
-                                    SIM_KIND,
-                                    pending as usize,
-                                    gtime.as_nanos(),
-                                );
-                            if timed_out {
-                                ctx.summary.timeouts_detected += 1;
-                                rec.fault(FaultEvent {
-                                    kind: FaultKind::StreamStall,
-                                    action: FaultAction::Detected,
-                                    at_ns: at,
-                                    tasks: pending,
-                                });
-                                ctx.health.on_batch_failed(at);
-                            } else if ctx.health.on_batch_ok(at) {
-                                rec.fault(FaultEvent {
-                                    kind: last_fault_kind,
-                                    action: FaultAction::Readmitted,
-                                    at_ns: at,
-                                    tasks: pending,
-                                });
-                                if adaptive {
-                                    // The device behind the old n̂ was
-                                    // reset; re-probe it.
-                                    learned.reset_gpu_model(SIM_KIND);
-                                }
-                            }
-                        }
-                        break;
-                    }
+    /// One device attempt at `pending` tasks submitted at `submit`,
+    /// through the real device model (its write-once cache makes the
+    /// first batch pay for the h blocks and later batches ride free).
+    /// Returns when it ended, how long it held the device, and the
+    /// tasks that did not complete.
+    fn attempt(
+        &mut self,
+        pending: u64,
+        submit: SimTime,
+    ) -> (SimTime, SimTime, Vec<(usize, TaskError)>) {
+        self.gpu_tasks.resize(pending as usize, self.shape.clone());
+        // The device journals its own transfer/kernel spans; it needs
+        // the batch's absolute start, which for the 1-lane GPU resource
+        // is what `serve` will hand back below.
+        let batch_start = self.gpu_res.next_start(submit);
+        let out = self.device.execute_batch_injected(
+            &self.gpu_tasks,
+            self.lanes.kernel,
+            ExecMode::Timing,
+            batch_start,
+            self.rec,
+            &mut self.ctx.inj,
+        );
+        let gtime = out.time.scale(self.straggler);
+        self.gpu_busy += gtime;
+        let (gstart, gend) = self.gpu_res.serve(submit, gtime);
+        debug_assert_eq!(gstart, batch_start);
+        if R::ENABLED {
+            self.rec.gauge_hwm(
+                "pinned_pool_hwm_bytes",
+                out.breakdown.bytes_s + out.breakdown.bytes_h,
+            );
+        }
+        if self.lanes.adaptive {
+            self.device.note_inflight(gstart, gend);
+        }
+        (gend, gtime, out.failed)
+    }
 
-                    // --- recovery: retry with backoff, else CPU --------
-                    ctx.summary.gpu_task_failures += n_failed;
-                    last_fault_kind = out.failed[0].1.kind();
-                    let at = gend.as_nanos();
-                    let q_before = ctx.health.quarantines();
-                    if device.is_lost() {
-                        ctx.health.force_quarantine(at);
-                    } else {
-                        ctx.health.on_batch_failed(at);
-                    }
-                    if ctx.health.quarantines() > q_before {
-                        rec.fault(FaultEvent {
-                            kind: last_fault_kind,
-                            action: FaultAction::Quarantined,
-                            at_ns: at,
-                            tasks: n_failed,
-                        });
-                    }
-                    let quarantined = ctx.health.quarantines() > q_before;
-                    if !quarantined && attempt < ctx.policy.max_retries {
-                        attempt += 1;
-                        ctx.summary.gpu_retries += 1;
-                        let backoff =
-                            SimTime::from_nanos(ctx.policy.backoff_ns(attempt - 1, n_batches));
-                        rec.fault(FaultEvent {
-                            kind: last_fault_kind,
-                            action: FaultAction::Retried,
-                            at_ns: at,
-                            tasks: n_failed,
-                        });
-                        submit = gend + backoff;
-                        pending = n_failed;
-                        continue;
-                    }
-                    // Retries exhausted (or the device just got
-                    // quarantined): the failed remainder falls back to
-                    // the host so no task is ever lost.
-                    rec.fault(FaultEvent {
-                        kind: last_fault_kind,
-                        action: FaultAction::CpuFallback,
-                        at_ns: at,
-                        tasks: n_failed,
-                    });
-                    ctx.summary.cpu_fallback_tasks += n_failed;
-                    let dur =
-                        cpu_batch_time(n_failed, compute_threads.unwrap_or(1)).scale(straggler);
-                    cpu_busy += dur;
-                    let (fstart, fend) = cpu_res.serve(gend, dur);
-                    if R::ENABLED {
-                        rec.span(Stage::CpuCompute, fstart.as_nanos(), fend.as_nanos(), 0);
-                    }
-                    ctx.summary.completed_cpu += n_failed;
-                    post_release.push((fend, n_failed));
-                    break;
-                }
-                ctx.summary.completed_gpu += flush_gpu_done;
-            }
-            // CPU part.
-            if cpu_n > 0 {
-                let dur = cpu_batch_time(cpu_n, compute_threads.unwrap_or(1)).scale(straggler);
-                cpu_busy += dur;
-                let (cstart, cend) = cpu_res.serve(release, dur);
-                if R::ENABLED {
-                    rec.span(Stage::CpuCompute, cstart.as_nanos(), cend.as_nanos(), 0);
-                    rec.add("tasks_cpu", cpu_n);
-                }
-                if adaptive {
-                    flush_cpu_ns = dur.as_nanos();
-                }
-                ctx.summary.completed_cpu += cpu_n;
-                post_release.push((cend, cpu_n));
-            }
-            if adaptive {
-                // Close the loop: this flush's simulated batch times are
-                // the dispatcher's measurements for the next one. Only
-                // tasks that actually completed on the GPU count as GPU
-                // samples — a flush whose GPU share all failed teaches
-                // the health tracker, not the cost model.
-                learned.record(
-                    SIM_KIND,
-                    cpu_n as usize,
-                    flush_cpu_ns,
-                    flush_gpu_done as usize,
-                    flush_gpu_ns,
-                );
+    /// A whole batch of `tasks` came back at `gend` (fault-aware runs
+    /// only). One that blew the learned cost model's expectation is
+    /// *detected* — a health penalty only, never a re-run: its tasks
+    /// finished, re-executing them would break conservation. Any other
+    /// counts as a success, which readmits a probing device.
+    fn batch_ok(&mut self, gend: SimTime, tasks: u64, gtime: SimTime) {
+        if !self.ctx.active {
+            return;
+        }
+        let at_ns = gend.as_nanos();
+        if self.lanes.adaptive
+            && self
+                .learned
+                .batch_timed_out(SIM_KIND, tasks as usize, gtime.as_nanos())
+        {
+            self.ctx.summary.timeouts_detected += 1;
+            self.rec.fault(FaultEvent {
+                kind: FaultKind::StreamStall,
+                action: FaultAction::Detected,
+                at_ns,
+                tasks,
+            });
+            self.ctx.health.on_batch_failed(at_ns);
+        } else if self.ctx.health.on_batch_ok(at_ns) {
+            self.fault(FaultAction::Readmitted, at_ns, tasks);
+            if self.lanes.adaptive {
+                // The device behind the old n̂ was reset; re-probe it.
+                self.learned.reset_gpu_model(SIM_KIND);
             }
         }
-        if ctx.active {
-            ctx.summary.quarantines = ctx.health.quarantines();
-            ctx.summary.readmissions = ctx.health.readmissions();
-        }
+    }
 
-        // Postprocess accumulations on the data lanes.
-        for (release, count) in post_release {
+    /// A batch came back at `at_ns` with `n_failed` failures: a lost
+    /// device is quarantined at once, any other failure counts toward
+    /// the threshold. True when this one closed the gate.
+    fn batch_failed(&mut self, at_ns: u64, n_failed: u64) -> bool {
+        let before = self.ctx.health.quarantines();
+        if self.device.is_lost() {
+            self.ctx.health.force_quarantine(at_ns);
+        } else {
+            self.ctx.health.on_batch_failed(at_ns);
+        }
+        let quarantined = self.ctx.health.quarantines() > before;
+        if quarantined {
+            self.fault(FaultAction::Quarantined, at_ns, n_failed);
+        }
+        quarantined
+    }
+
+    /// The one CPU-lane booking: `n` tasks handed to the workers at `at`
+    /// — a flush's planned share, or a remainder the GPU gave up on.
+    /// Returns the time booked.
+    fn cpu_share(&mut self, at: SimTime, n: u64) -> SimTime {
+        let dur = self.cpu_batch_time(n).scale(self.straggler);
+        self.cpu_busy += dur;
+        let (start, end) = self.cpu_res.serve(at, dur);
+        if R::ENABLED {
+            self.rec
+                .span(Stage::CpuCompute, start.as_nanos(), end.as_nanos(), 0);
+        }
+        self.ctx.summary.completed_cpu += n;
+        self.post_release.push((end, n));
+        dur
+    }
+
+    /// Model time of `n` tasks on the mode's compute threads (one
+    /// emergency host thread when it has none).
+    fn cpu_batch_time(&self, n: u64) -> SimTime {
+        let s = self.spec;
+        let threads = self.lanes.compute_threads.unwrap_or(1);
+        self.params
+            .cpu
+            .batch_time(n as usize, self.flops_cpu, s.d, s.k, s.rank, threads)
+    }
+
+    /// Postprocess accumulations on the data lanes, each share's from
+    /// when its compute finished.
+    fn postprocess(&mut self) {
+        for &(release, count) in &self.post_release {
             for _ in 0..count {
-                let (lane, start, end) = data_res.serve_on(release, post_each_eff);
+                let (lane, start, end) = self.data_res.serve_on(release, self.post_each);
                 if R::ENABLED {
-                    rec.span(
+                    self.rec.span(
                         Stage::Postprocess,
                         start.as_nanos(),
                         end.as_nanos(),
@@ -858,25 +933,16 @@ impl NodeSim {
                 }
             }
         }
+    }
 
-        let total = data_res
-            .makespan()
-            .max(dispatcher.makespan())
-            .max(gpu_res.makespan())
-            .max(cpu_res.makespan());
-        NodeReport {
-            total,
-            cpu_compute: cpu_busy,
-            gpu_busy,
-            data_busy: data_res.busy_time(),
-            dispatch_busy: dispatcher.busy_time(),
-            n_batches,
-            mean_split_k: if n_batches > 0 {
-                split_acc / n_batches as f64
-            } else {
-                0.0
-            },
-        }
+    /// Journals a recovery action under the most recent fault cause.
+    fn fault(&mut self, action: FaultAction, at_ns: u64, tasks: u64) {
+        self.rec.fault(FaultEvent {
+            kind: self.last_fault_kind,
+            action,
+            at_ns,
+            tasks,
+        });
     }
 }
 

@@ -14,11 +14,13 @@
 //! flush walks every earlier window. It gets an absolute budget instead
 //! of a ratio; whoever fixes (d) moves it into the ratio loop.
 //!
-//! Measured by this test on the 2-vCPU sandbox (release, best of three
-//! runs each) on the commit before `simulate_device` became `NodeRun`,
-//! ns / task at 200 k → 2 M and the 2 M run's seconds: `GpuOnly`
-//! 51 → 53 (0.11 s), `Hybrid` 43 → 44 (0.09 s), `AdaptiveHybrid`
-//! 85 → 488 (0.98 s).
+//! Measured by this test on the 2-vCPU sandbox (release, best of five
+//! runs each, three sessions), ns / task at 200 k → 2 M tasks and the
+//! 2 M run's seconds. On the commit before `simulate_device` became
+//! `NodeRun`: `GpuOnly` 53–56 → 52–55 (0.10–0.11 s), `Hybrid` 43–44 → 44
+//! (0.09 s), `AdaptiveHybrid` 85–86 → 461–467 (0.92–0.93 s). After it:
+//! 48–50 → 48–51 (0.10 s), 40–41 → 40–42 (0.08 s), 82 → 442–473
+//! (0.88–0.95 s).
 //!
 //! Wall-clock assertions do not belong in the default test run:
 //!
@@ -44,9 +46,10 @@ const SPEC: WorkloadSpec = WorkloadSpec {
     rr_mean_rank: None,
 };
 
-/// Best of three runs: `(host time, ns per simulated task)`.
+/// Best of five runs (the sandbox shares its cores): `(host time, ns per
+/// simulated task)`.
 fn cost(node: &NodeSim, n_tasks: u64, mode: ResourceMode) -> (Duration, f64) {
-    let took = (0..3)
+    let took = (0..5)
         .map(|_| {
             let t0 = Instant::now();
             let report = node.simulate(&SPEC, n_tasks, mode);
@@ -55,7 +58,7 @@ fn cost(node: &NodeSim, n_tasks: u64, mode: ResourceMode) -> (Duration, f64) {
             took
         })
         .min()
-        .expect("three runs");
+        .expect("five runs");
     (took, took.as_nanos() as f64 / n_tasks as f64)
 }
 

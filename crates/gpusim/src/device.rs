@@ -83,6 +83,27 @@ impl BatchOutcome {
     pub fn all_ok(&self) -> bool {
         self.failed.is_empty()
     }
+
+    /// A batch of `n` tasks that failed as a whole after `time`: no
+    /// results, every task handed back with `err`.
+    fn aborted(n: usize, time: SimTime, breakdown: CostBreakdown, err: TaskError) -> Self {
+        BatchOutcome {
+            results: vec![None; n],
+            time,
+            breakdown,
+            failed: (0..n).map(|i| (i, err)).collect(),
+        }
+    }
+}
+
+/// Journals a fault the injector fired at `at_ns` on `tasks` tasks.
+fn injected<R: Recorder>(rec: &mut R, kind: FaultKind, at_ns: u64, tasks: usize) {
+    rec.fault(FaultEvent {
+        kind,
+        action: FaultAction::Injected,
+        at_ns,
+        tasks: tasks as u64,
+    });
 }
 
 /// The simulated device: spec + transfer engine + persistent block cache.
@@ -263,18 +284,8 @@ impl GpuDevice {
         // --- device lost before the batch even starts -------------------
         if self.lost || inj.device_lost(t0) {
             self.lost = true;
-            rec.fault(FaultEvent {
-                kind: FaultKind::DeviceLost,
-                action: FaultAction::Injected,
-                at_ns: t0,
-                tasks: n as u64,
-            });
-            return BatchOutcome {
-                results: vec![None; n],
-                time: DEVICE_LOST_DETECT,
-                breakdown: br,
-                failed: (0..n).map(|i| (i, TaskError::DeviceLost)).collect(),
-            };
+            injected(rec, FaultKind::DeviceLost, t0, n);
+            return BatchOutcome::aborted(n, DEVICE_LOST_DETECT, br, TaskError::DeviceLost);
         }
 
         // --- transfers in ---------------------------------------------
@@ -305,30 +316,15 @@ impl GpuDevice {
             // The aggregated DMA timed out: the timeout window is the
             // transfer's own length, then it is re-issued — in-transfer
             // cost doubles.
-            rec.fault(FaultEvent {
-                kind: FaultKind::TransferTimeout,
-                action: FaultAction::Injected,
-                at_ns: t0,
-                tasks: n as u64,
-            });
+            injected(rec, FaultKind::TransferTimeout, t0, n);
             br.transfer_in_s = br.transfer_in_s * 2;
             br.transfer_in_h = br.transfer_in_h * 2;
             if inj.transfer(t0).is_some() {
                 // The re-issue timed out too: abort the batch, hand the
                 // tasks back to the caller.
-                rec.fault(FaultEvent {
-                    kind: FaultKind::TransferTimeout,
-                    action: FaultAction::Injected,
-                    at_ns: t0,
-                    tasks: n as u64,
-                });
+                injected(rec, FaultKind::TransferTimeout, t0, n);
                 let wasted = br.transfer_in_s + br.transfer_in_h;
-                return BatchOutcome {
-                    results: vec![None; n],
-                    time: wasted,
-                    breakdown: br,
-                    failed: (0..n).map(|i| (i, TaskError::TransferTimedOut)).collect(),
-                };
+                return BatchOutcome::aborted(n, wasted, br, TaskError::TransferTimedOut);
             }
         }
         if R::ENABLED {
@@ -381,12 +377,12 @@ impl GpuDevice {
             lane_load[idx] += c.duration;
         }
         if !failed.is_empty() {
-            rec.fault(FaultEvent {
-                kind: FaultKind::KernelLaunchFail,
-                action: FaultAction::Injected,
-                at_ns: compute_begin,
-                tasks: failed.len() as u64,
-            });
+            injected(
+                rec,
+                FaultKind::KernelLaunchFail,
+                compute_begin,
+                failed.len(),
+            );
         }
         if R::ENABLED {
             rec.add("kernel_launches", br.launches);
@@ -398,12 +394,7 @@ impl GpuDevice {
         if let Some(stall_ns) = inj.stream_stall(compute_begin) {
             // All streams wedge for the stall window before draining;
             // the batch completes, late. Detection is the caller's job.
-            rec.fault(FaultEvent {
-                kind: FaultKind::StreamStall,
-                action: FaultAction::Injected,
-                at_ns: compute_begin,
-                tasks: n as u64,
-            });
+            injected(rec, FaultKind::StreamStall, compute_begin, n);
             br.compute += SimTime::from_nanos(stall_ns);
         }
 
@@ -434,18 +425,9 @@ impl GpuDevice {
             // everything in flight is gone, including tasks whose
             // kernels had finished.
             self.lost = true;
-            rec.fault(FaultEvent {
-                kind: FaultKind::DeviceLost,
-                action: FaultAction::Injected,
-                at_ns: t0 + br.total().as_nanos(),
-                tasks: n as u64,
-            });
-            return BatchOutcome {
-                results: vec![None; n],
-                time: br.total() + DEVICE_LOST_DETECT,
-                breakdown: br,
-                failed: (0..n).map(|i| (i, TaskError::DeviceLost)).collect(),
-            };
+            injected(rec, FaultKind::DeviceLost, t0 + br.total().as_nanos(), n);
+            let time = br.total() + DEVICE_LOST_DETECT;
+            return BatchOutcome::aborted(n, time, br, TaskError::DeviceLost);
         }
 
         // --- arithmetic --------------------------------------------------

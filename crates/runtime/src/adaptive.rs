@@ -226,50 +226,28 @@ impl AdaptiveDispatcher {
         gpu_queue_depth: usize,
         gate: GpuGate,
     ) -> DispatchDecision {
-        match gate {
-            GpuGate::Open => {}
-            GpuGate::Closed => {
-                let model = self.models.entry(kind).or_default();
-                return DispatchDecision {
-                    plan: SplitPlan::all_cpu(n_tasks),
-                    k: 1.0,
-                    m_hat_ns: model.m_hat.unwrap_or(0.0),
-                    n_hat_ns: model.n_hat.unwrap_or(0.0),
-                    phase: DispatchPhase::Quarantined,
-                };
-            }
-            GpuGate::Probe => {
-                let model = self.models.entry(kind).or_default();
-                let plan = if n_tasks == 0 {
-                    SplitPlan::all_cpu(0)
-                } else {
-                    SplitPlan {
-                        cpu_tasks: n_tasks - 1,
-                        gpu_tasks: 1,
-                    }
-                };
-                return DispatchDecision {
-                    plan,
-                    k: if n_tasks == 0 {
-                        1.0
-                    } else {
-                        (n_tasks - 1) as f64 / n_tasks as f64
-                    },
-                    m_hat_ns: model.m_hat.unwrap_or(0.0),
-                    n_hat_ns: model.n_hat.unwrap_or(0.0),
-                    phase: DispatchPhase::Readmitting,
-                };
-            }
-        }
         let cfg = self.config;
         let model = self.models.entry(kind).or_default();
         let m_hat_ns = model.m_hat.unwrap_or(0.0);
         let n_hat_ns = model.n_hat.unwrap_or(0.0);
+        if let Some((plan, k)) = SplitPlan::gated(gate, n_tasks) {
+            return DispatchDecision {
+                plan,
+                k,
+                m_hat_ns,
+                n_hat_ns,
+                phase: if gate == GpuGate::Closed {
+                    DispatchPhase::Quarantined
+                } else {
+                    DispatchPhase::Readmitting
+                },
+            };
+        }
 
         if model.m_hat.is_none() || model.n_hat.is_none() {
             // --- probe phase -------------------------------------------
             let k = 0.5;
-            let mut plan = split_for_k(n_tasks, k);
+            let mut plan = SplitPlan::for_share(n_tasks, k);
             if n_tasks == 1 {
                 // Can't probe both sides; feed the unmeasured one.
                 plan = if model.m_hat.is_none() {
@@ -300,7 +278,7 @@ impl AdaptiveDispatcher {
             .clamp(0.0, 1.0);
         model.k_prev = k;
 
-        let mut plan = split_for_k(n_tasks, k);
+        let mut plan = SplitPlan::for_share(n_tasks, k);
         // Starvation refresh: rounding may zero out a side for many
         // flushes; hand it one task before its estimate fossilizes.
         if n_tasks >= 2 {
@@ -420,16 +398,6 @@ fn ewma(prev: Option<f64>, sample: f64, alpha: f64) -> f64 {
     match prev {
         None => sample,
         Some(p) => alpha * sample + (1.0 - alpha) * p,
-    }
-}
-
-/// Rounds the continuous CPU share `k` into a conserving task split.
-fn split_for_k(n_tasks: usize, k: f64) -> SplitPlan {
-    let cpu = ((n_tasks as f64) * k).round() as usize;
-    let cpu = cpu.min(n_tasks);
-    SplitPlan {
-        cpu_tasks: cpu,
-        gpu_tasks: n_tasks - cpu,
     }
 }
 

@@ -6,6 +6,8 @@
 //! The optimal CPU-GPU work overlap is achieved when `mk = n(1−k)`, so
 //! `k = n/(m+n)`. The minimal runtime is thus `m·n/(m+n)`." (paper §II-A)
 
+use madness_faults::GpuGate;
+
 /// The closed form's domain. Every caller derives `m` and `n` from `u64`
 /// nanoseconds (model batch times, EWMA'd measurements), so a NaN, an
 /// infinity or a negative duration is a caller bug, not a numerical
@@ -80,15 +82,44 @@ pub struct SplitPlan {
 
 impl SplitPlan {
     /// Splits `n_tasks` by the optimal ratio for batch times `m` (CPU)
-    /// and `n` (GPU), rounding the CPU share to the nearest task.
+    /// and `n` (GPU).
     pub fn for_times(n_tasks: usize, m: f64, n: f64) -> SplitPlan {
-        let k = optimal_split(m, n);
-        let cpu = ((n_tasks as f64) * k).round() as usize;
-        let cpu = cpu.min(n_tasks);
+        SplitPlan::for_share(n_tasks, optimal_split(m, n))
+    }
+
+    /// Rounds the continuous CPU share `k` to the nearest task — the one
+    /// place a fraction becomes a conserving task split.
+    pub fn for_share(n_tasks: usize, k: f64) -> SplitPlan {
+        let cpu = (((n_tasks as f64) * k).round() as usize).min(n_tasks);
         SplitPlan {
             cpu_tasks: cpu,
             gpu_tasks: n_tasks - cpu,
         }
+    }
+
+    /// A device-health gate's override of whatever a dispatcher would
+    /// plan, with the CPU share it amounts to: [`GpuGate::Closed`] routes
+    /// the whole flush to the CPU, [`GpuGate::Probe`] sends exactly one
+    /// canary task to the GPU, [`GpuGate::Open`] overrides nothing.
+    pub fn gated(gate: GpuGate, n_tasks: usize) -> Option<(SplitPlan, f64)> {
+        let gpu_tasks = match gate {
+            GpuGate::Open => return None,
+            GpuGate::Closed => 0,
+            GpuGate::Probe => n_tasks.min(1),
+        };
+        let cpu_tasks = n_tasks - gpu_tasks;
+        let k = if n_tasks == 0 {
+            1.0
+        } else {
+            cpu_tasks as f64 / n_tasks as f64
+        };
+        Some((
+            SplitPlan {
+                cpu_tasks,
+                gpu_tasks,
+            },
+            k,
+        ))
     }
 
     /// Everything on the CPU.
@@ -181,6 +212,33 @@ mod tests {
         );
         let p = SplitPlan::for_times(10, 5.0, 0.0);
         assert_eq!(p.cpu_tasks, 0);
+    }
+
+    #[test]
+    fn gate_overrides_the_plan() {
+        assert_eq!(SplitPlan::gated(GpuGate::Open, 60), None);
+        assert_eq!(
+            SplitPlan::gated(GpuGate::Closed, 60),
+            Some((SplitPlan::all_cpu(60), 1.0))
+        );
+        let probe = SplitPlan {
+            cpu_tasks: 59,
+            gpu_tasks: 1,
+        };
+        assert_eq!(
+            SplitPlan::gated(GpuGate::Probe, 60),
+            Some((probe, 59.0 / 60.0))
+        );
+        // A batch of one probes with its only task; an empty batch has
+        // nothing to send.
+        assert_eq!(
+            SplitPlan::gated(GpuGate::Probe, 1),
+            Some((SplitPlan::all_gpu(1), 0.0))
+        );
+        assert_eq!(
+            SplitPlan::gated(GpuGate::Probe, 0),
+            Some((SplitPlan::all_cpu(0), 1.0))
+        );
     }
 
     #[test]
