@@ -3,7 +3,7 @@
 //! Each ablation isolates one mechanism of the paper's contribution and
 //! quantifies what it buys, over the same simulated hardware.
 
-use crate::pinned::{SPEC, TABLE1_GPU};
+use crate::pinned::{node_secs, SPEC, TABLE1_GPU};
 use crate::report::Report;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
 use madness_cluster::workload::WorkloadSpec;
@@ -99,30 +99,28 @@ pub fn ablation_hcache(n_batches: u64) -> (Ablation, u64, u64) {
     let batch: Vec<TransformTask> = (0..60)
         .map(|_| TransformTask::shape_only(3, 10, 100, 0))
         .collect();
-    // With cache: persistent device across batches.
-    let mut device = GpuDevice::new(DeviceSpec::default(), 5);
-    let mut with = SimTime::ZERO;
-    let mut bytes_with = 0u64;
-    for _ in 0..n_batches {
-        let out = device.execute_batch(&batch, KernelKind::CustomMtxmq, ExecMode::Timing);
-        with += out.time;
-        bytes_with += out.breakdown.bytes_h;
-    }
-    // Without: cache cleared before every batch.
-    let mut device2 = GpuDevice::new(DeviceSpec::default(), 5);
-    let mut without = SimTime::ZERO;
-    let mut bytes_without = 0u64;
-    for _ in 0..n_batches {
-        device2.reset();
-        let out = device2.execute_batch(&batch, KernelKind::CustomMtxmq, ExecMode::Timing);
-        without += out.time;
-        bytes_without += out.breakdown.bytes_h;
-    }
+    // With the cache the device persists across batches; without, it
+    // is cleared before every batch.
+    let run = |cached: bool| {
+        let mut device = GpuDevice::new(DeviceSpec::default(), 5);
+        let (mut time, mut bytes_h) = (SimTime::ZERO, 0u64);
+        for _ in 0..n_batches {
+            if !cached {
+                device.reset();
+            }
+            let out = device.execute_batch(&batch, KernelKind::CustomMtxmq, ExecMode::Timing);
+            time += out.time;
+            bytes_h += out.breakdown.bytes_h;
+        }
+        (time.as_secs_f64(), bytes_h)
+    };
+    let (with_mechanism, bytes_with) = run(true);
+    let (without_mechanism, bytes_without) = run(false);
     (
         Ablation {
             name: "write-once device h-cache (vs re-transfer)",
-            with_mechanism: with.as_secs_f64(),
-            without_mechanism: without.as_secs_f64(),
+            with_mechanism,
+            without_mechanism,
         },
         bytes_with,
         bytes_without,
@@ -132,18 +130,10 @@ pub fn ablation_hcache(n_batches: u64) -> (Ablation, u64, u64) {
 /// The optimal split `k* = n/(m+n)` vs GPU-only (naive offload).
 pub fn ablation_split(n_tasks: u64) -> Ablation {
     let node = NodeSim::new(NodeParams::default());
-    let hybrid = node
-        .simulate(&SPEC, n_tasks, ResourceMode::TABLE1_HYBRID)
-        .total
-        .as_secs_f64();
-    let gpu_only = node
-        .simulate(&SPEC, n_tasks, TABLE1_GPU)
-        .total
-        .as_secs_f64();
     Ablation {
         name: "optimal CPU-GPU split (vs GPU-only offload)",
-        with_mechanism: hybrid,
-        without_mechanism: gpu_only,
+        with_mechanism: node_secs(&node, &SPEC, n_tasks, ResourceMode::TABLE1_HYBRID),
+        without_mechanism: node_secs(&node, &SPEC, n_tasks, TABLE1_GPU),
     }
 }
 
@@ -156,12 +146,9 @@ pub fn ablation_rankred(n_tasks: u64) -> (Ablation, Ablation) {
         rr_mean_rank: Some(4),
         ..full
     };
-    let cpu = |s: &WorkloadSpec| {
-        node.simulate(s, n_tasks, ResourceMode::CpuOnly { threads: 16 })
-            .total
-            .as_secs_f64()
-    };
-    let gpu = |s: &WorkloadSpec| node.simulate(s, n_tasks, TABLE1_GPU).total.as_secs_f64();
+    let cpu =
+        |s: &WorkloadSpec| node_secs(&node, s, n_tasks, ResourceMode::CpuOnly { threads: 16 });
+    let gpu = |s: &WorkloadSpec| node_secs(&node, s, n_tasks, TABLE1_GPU);
     (
         Ablation {
             name: "rank reduction on CPU",

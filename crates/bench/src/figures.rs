@@ -38,12 +38,12 @@ fn sweep(d: usize, rank: usize, ks: &[usize]) -> Vec<FigRow> {
         .map(|&k| {
             let task = TransformTask::shape_only(d, k, rank, 0);
             let flops = task.flops() as f64;
-            let custom = kernel_cost(&spec, KernelKind::CustomMtxmq, &task);
-            let cublas = kernel_cost(&spec, KernelKind::CublasLike, &task);
+            let gflops =
+                |kind| flops / kernel_cost(&spec, kind, &task).duration.as_secs_f64() / 1e9;
             FigRow {
                 k,
-                custom_gflops: flops / custom.duration.as_secs_f64() / 1e9,
-                cublas_gflops: flops / cublas.duration.as_secs_f64() / 1e9,
+                custom_gflops: gflops(KernelKind::CustomMtxmq),
+                cublas_gflops: gflops(KernelKind::CublasLike),
             }
         })
         .collect()

@@ -1,5 +1,6 @@
 //! What the pinned scenarios share: the Table I task shape and GPU-only
-//! mode, the default cluster and the millisecond unit of their tables.
+//! mode, the default cluster, the seconds a node or a scenario run takes
+//! and the millisecond unit of their tables.
 //! (The hybrid node configuration and the steal mode they share are
 //! `ResourceMode::TABLE1_HYBRID` and `BalanceMode::PINNED_STEAL`.)
 
@@ -7,8 +8,10 @@ use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::{NodeParams, NodeRate, NodeSim, ResourceMode};
 use madness_cluster::workload::WorkloadSpec;
+use madness_core::scenario::Scenario;
 use madness_faults::{FaultPlan, RecoveryPolicy};
 use madness_gpusim::{KernelKind, SimTime};
+use madness_mra::procmap::ProcessMap;
 
 /// The Table I task shape: 3-D, `k = 10`, rank 100, no rank reduction.
 pub(crate) const SPEC: WorkloadSpec = WorkloadSpec {
@@ -37,6 +40,26 @@ pub(crate) fn calibrated_rate(spec: &WorkloadSpec) -> NodeRate {
     let node = NodeSim::new(NodeParams::default());
     let (healthy, policy) = (FaultPlan::none(), RecoveryPolicy::default());
     node.calibrate(spec, ResourceMode::TABLE1_HYBRID, &healthy, policy)
+}
+
+/// Simulated seconds `node` takes for `n_tasks` tasks of `spec` in `mode`.
+pub(crate) fn node_secs(
+    node: &NodeSim,
+    spec: &WorkloadSpec,
+    n_tasks: u64,
+    mode: ResourceMode,
+) -> f64 {
+    node.simulate(spec, n_tasks, mode).total.as_secs_f64()
+}
+
+/// Simulated seconds scenario `s` takes on `nodes` nodes under `map`.
+pub(crate) fn run_secs(
+    s: &Scenario,
+    nodes: usize,
+    map: &dyn ProcessMap,
+    mode: ResourceMode,
+) -> f64 {
+    s.run(nodes, map, mode).total.as_secs_f64()
 }
 
 /// Simulated time in milliseconds.

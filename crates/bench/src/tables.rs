@@ -5,6 +5,7 @@
 //! under reproduction — EXPERIMENTS.md records paper-vs-measured for
 //! every row.
 
+use crate::pinned::{node_secs, run_secs};
 use crate::report::Report;
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
 use madness_core::coulomb::CoulombApp;
@@ -105,37 +106,20 @@ pub fn table1() -> Table1 {
     let s = coulomb_scenario(10, 1e-8, 4_000, None);
     let n_tasks = s.total_tasks();
     let node = NodeSim::new(s.node_params.clone());
+    let secs = |mode| node_secs(&node, &s.spec, n_tasks, mode);
     let cpu_rows: Vec<(usize, f64)> = [1usize, 2, 4, 6, 8, 10, 12, 14, 16]
         .iter()
-        .map(|&p| {
-            (
-                p,
-                node.simulate(&s.spec, n_tasks, ResourceMode::CpuOnly { threads: p })
-                    .total
-                    .as_secs_f64(),
-            )
-        })
+        .map(|&p| (p, secs(ResourceMode::CpuOnly { threads: p })))
         .collect();
     let gpu_rows: Vec<(usize, f64)> = (1..=6)
-        .map(|streams| {
-            (
-                streams,
-                node.simulate(&s.spec, n_tasks, gpu_mode(streams, KernelKind::CustomMtxmq))
-                    .total
-                    .as_secs_f64(),
-            )
-        })
+        .map(|streams| (streams, secs(gpu_mode(streams, KernelKind::CustomMtxmq))))
         .collect();
     let m = cpu_rows.iter().find(|(p, _)| *p == 10).unwrap().1;
     let n = gpu_rows.iter().find(|(st, _)| *st == 5).unwrap().1;
-    let hybrid_actual = node
-        .simulate(&s.spec, n_tasks, ResourceMode::TABLE1_HYBRID)
-        .total
-        .as_secs_f64();
     Table1 {
+        hybrid_actual: secs(ResourceMode::TABLE1_HYBRID),
         cpu_rows,
         gpu_rows,
-        hybrid_actual,
         hybrid_optimal: hybrid_optimal_time(m, n),
         tasks: n_tasks,
     }
@@ -166,30 +150,13 @@ pub fn table2() -> Table2 {
     let s = coulomb_scenario(20, 1e-10, 1_500, None);
     let n_tasks = s.total_tasks();
     let node = NodeSim::new(s.node_params.clone());
-    let cpu16 = node
-        .simulate(&s.spec, n_tasks, ResourceMode::CpuOnly { threads: 16 })
-        .total
-        .as_secs_f64();
-    let gpu = node
-        .simulate(
-            &s.spec,
-            n_tasks,
-            gpu_mode_with(5, KernelKind::CublasLike, 15),
-        )
-        .total
-        .as_secs_f64();
-    let hybrid_actual = node
-        .simulate(
-            &s.spec,
-            n_tasks,
-            hybrid_mode(11, 4, 5, KernelKind::CublasLike),
-        )
-        .total
-        .as_secs_f64();
+    let secs = |mode| node_secs(&node, &s.spec, n_tasks, mode);
+    let cpu16 = secs(ResourceMode::CpuOnly { threads: 16 });
+    let gpu = secs(gpu_mode_with(5, KernelKind::CublasLike, 15));
     Table2 {
         cpu16,
         gpu,
-        hybrid_actual,
+        hybrid_actual: secs(hybrid_mode(11, 4, 5, KernelKind::CublasLike)),
         hybrid_optimal: hybrid_optimal_time(cpu16, gpu),
         tasks: n_tasks,
     }
@@ -223,14 +190,8 @@ fn kernel_shootout(s: &Scenario, node_counts: &[usize]) -> Vec<KernelShootoutRow
         .iter()
         .map(|&n| KernelShootoutRow {
             nodes: n,
-            custom: s
-                .run(n, &EvenMap, gpu_mode(5, KernelKind::CustomMtxmq))
-                .total
-                .as_secs_f64(),
-            cublas: s
-                .run(n, &EvenMap, gpu_mode(5, KernelKind::CublasLike))
-                .total
-                .as_secs_f64(),
+            custom: run_secs(s, n, &EvenMap, gpu_mode(5, KernelKind::CustomMtxmq)),
+            cublas: run_secs(s, n, &EvenMap, gpu_mode(5, KernelKind::CublasLike)),
         })
         .collect()
 }
@@ -285,28 +246,14 @@ pub fn table5() -> (Vec<Table5Row>, u64) {
     let rows = [2usize, 4, 6, 8]
         .iter()
         .map(|&n| {
-            let cpu_rr = s_rr
-                .run(n, &map, ResourceMode::CpuOnly { threads: 16 })
-                .total
-                .as_secs_f64();
-            let cpu_norr = s_norr
-                .run(n, &map, ResourceMode::CpuOnly { threads: 16 })
-                .total
-                .as_secs_f64();
-            let gpu = s_norr
-                .run(n, &map, gpu_mode_with(6, kernel, 15))
-                .total
-                .as_secs_f64();
-            let hybrid_actual = s_norr
-                .run(n, &map, hybrid_mode(11, 4, 6, kernel))
-                .total
-                .as_secs_f64();
+            let cpu_norr = run_secs(&s_norr, n, &map, ResourceMode::CpuOnly { threads: 16 });
+            let gpu = run_secs(&s_norr, n, &map, gpu_mode_with(6, kernel, 15));
             Table5Row {
                 nodes: n,
-                cpu_rr,
+                cpu_rr: run_secs(&s_rr, n, &map, ResourceMode::CpuOnly { threads: 16 }),
                 cpu_norr,
                 gpu,
-                hybrid_actual,
+                hybrid_actual: run_secs(&s_norr, n, &map, hybrid_mode(11, 4, 6, kernel)),
                 hybrid_optimal: hybrid_optimal_time(cpu_norr, gpu),
             }
         })
@@ -350,23 +297,13 @@ pub fn table6() -> (Vec<Table6Row>, u64) {
         .iter()
         .map(|&n| {
             let map = madness_mra::procmap::CostPartitionMap::build(&s.tree, 4, n);
-            let cpu = s
-                .run(n, &map, ResourceMode::CpuOnly { threads: 16 })
-                .total
-                .as_secs_f64();
-            let gpu = s
-                .run(n, &map, gpu_mode_with(5, kernel, 14))
-                .total
-                .as_secs_f64();
-            let hybrid_actual = s
-                .run(n, &map, hybrid_mode(9, 6, 5, kernel))
-                .total
-                .as_secs_f64();
+            let cpu = run_secs(&s, n, &map, ResourceMode::CpuOnly { threads: 16 });
+            let gpu = run_secs(&s, n, &map, gpu_mode_with(5, kernel, 14));
             Table6Row {
                 nodes: n,
                 cpu,
                 gpu,
-                hybrid_actual,
+                hybrid_actual: run_secs(&s, n, &map, hybrid_mode(9, 6, 5, kernel)),
                 hybrid_optimal: hybrid_optimal_time(cpu, gpu),
             }
         })
@@ -651,9 +588,7 @@ pub fn kepler_forecast() -> KeplerForecast {
             gpu,
             ..NodeParams::default()
         });
-        node.simulate(spec, n_tasks, gpu_mode(5, KernelKind::CustomMtxmq))
-            .total
-            .as_secs_f64()
+        node_secs(&node, spec, n_tasks, gpu_mode(5, KernelKind::CustomMtxmq))
     };
     KeplerForecast {
         fermi: run(&s.spec, madness_gpusim::DeviceSpec::default()),
