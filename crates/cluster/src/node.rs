@@ -6,7 +6,8 @@
 //! * **preprocess** (data-intensive: resolve neighbor + `h` addresses) —
 //!   data threads; memory-bound, so its parallelism is capped;
 //! * **batching** — compute inputs accumulate per kind; a batch flushes
-//!   at `max_batch` tasks (or the end-of-run timer flush);
+//!   at `max_batch` tasks, and the end-of-run remainder is a shutdown
+//!   drain (`batch_flush_drain` in the journal — no timer fires here);
 //! * **dispatcher** — a dedicated CPU thread that rearranges each batch
 //!   into the transfer buffers and splits it CPU/GPU at
 //!   `k* = n/(m+n)` from the model-estimated batch times;
@@ -14,6 +15,9 @@
 //!   ([`madness_gpusim::GpuDevice`], which models streams, transfers and
 //!   the write-once cache);
 //! * **postprocess** (accumulate results into the tree) — data threads.
+//!
+//! The pipelined modes run as one private `NodeRun` whose methods are
+//! these stages (DESIGN.md §9); CPU-only is a closed form.
 //!
 //! The report separates compute, data, dispatch and transfer time so the
 //! experiment harness can print the paper's "Actual" and "Optimal
@@ -28,7 +32,7 @@ use madness_faults::{
     FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, GpuGate, HealthTracker,
     RecoveryPolicy, TaskError,
 };
-use madness_gpusim::kernel::{kernel_cost, KernelCost};
+use madness_gpusim::kernel::kernel_cost;
 use madness_gpusim::{
     DeviceSpec, ExecMode, GpuDevice, KernelKind, PinnedBufferPool, SimTime, TransferEngine,
     TransformTask,
@@ -498,7 +502,7 @@ struct NodeRun<'a, R: Recorder> {
     /// Steady-state estimate of a GPU batch (h blocks assumed cached) —
     /// what the a-priori dispatcher "knows" about relative GPU
     /// performance.
-    est_cost: KernelCost,
+    est_kernel: SimTime,
     est_conc: u64,
     est_engine: TransferEngine,
 
@@ -556,8 +560,8 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             flops_cpu: spec.task_flops_cpu(),
             shape,
             gpu_tasks: Vec::new(),
+            est_kernel: est_cost.duration,
             est_conc: device.concurrency(est_cost.sms_used) as u64,
-            est_cost,
             est_engine: TransferEngine::new(&p.gpu),
             data_res: FifoResource::new(data_lanes),
             dispatcher: FifoResource::new(1),
@@ -726,7 +730,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             let dma = self
                 .est_engine
                 .transfer_time(self.shape.s_bytes() * b, true);
-            let gpu = self.est_cost.duration * b / self.est_conc + dma * 2u64;
+            let gpu = self.est_kernel * b / self.est_conc + dma * 2u64;
             let k = madness_runtime::optimal_split(m, gpu.as_secs_f64());
             (SplitPlan::for_share(n, k), k)
         } else {
@@ -777,13 +781,13 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
                 done += pending - n_failed;
                 self.post_release.push((gend, pending - n_failed));
             }
+            let at = gend.as_nanos();
             let Some(&(_, cause)) = failed.first() else {
-                self.batch_ok(gend, pending, gtime);
+                self.batch_ok(at, pending, gtime);
                 break;
             };
             self.ctx.summary.gpu_task_failures += n_failed;
             self.last_fault_kind = cause.kind();
-            let at = gend.as_nanos();
             let quarantined = self.batch_failed(at, n_failed);
             let policy = *self.ctx.health.policy();
             if !quarantined && attempt < policy.max_retries {
@@ -842,16 +846,15 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         (gend, gtime, out.failed)
     }
 
-    /// A whole batch of `tasks` came back at `gend` (fault-aware runs
+    /// A whole batch of `tasks` came back at `at_ns` (fault-aware runs
     /// only). One that blew the learned cost model's expectation is
     /// *detected* — a health penalty only, never a re-run: its tasks
     /// finished, re-executing them would break conservation. Any other
     /// counts as a success, which readmits a probing device.
-    fn batch_ok(&mut self, gend: SimTime, tasks: u64, gtime: SimTime) {
+    fn batch_ok(&mut self, at_ns: u64, tasks: u64, gtime: SimTime) {
         if !self.ctx.active {
             return;
         }
-        let at_ns = gend.as_nanos();
         if self.lanes.adaptive
             && self
                 .learned

@@ -13,7 +13,7 @@
 
 use madness_cluster::cluster::ClusterSim;
 use madness_cluster::network::NetworkModel;
-use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
+use madness_cluster::node::{FaultSummary, NodeParams, NodeSim, ResourceMode};
 use madness_cluster::workload::{TaskPopulation, WorkloadSpec};
 use madness_faults::{FaultAction, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy};
 use madness_gpusim::{ExecMode, GpuDevice, KernelKind, SimTime, TransformTask};
@@ -130,12 +130,8 @@ fn armed_plan_that_never_fires_still_detects_a_timeout() {
         "finding (a): the one event is a detection with no injection behind it"
     );
     assert_eq!(
-        (armed_sum.timeouts_detected, armed_sum.gpu_task_failures),
-        (1, 0)
-    );
-    assert_eq!(
         armed_sum,
-        madness_cluster::node::FaultSummary {
+        FaultSummary {
             timeouts_detected: 1,
             ..clean_sum
         }

@@ -38,7 +38,7 @@
 //!
 //! and says why in its PR.
 
-use madness::cluster::node::{NodeParams, NodeSim, ResourceMode};
+use madness::cluster::node::{FaultSummary, NodeParams, NodeSim, ResourceMode};
 use madness::cluster::workload::WorkloadSpec;
 use madness::gpusim::KernelKind;
 use madness::trace::{MemRecorder, NullRecorder};
@@ -240,6 +240,9 @@ fn pipelined_custom_modes() -> Vec<(String, ResourceMode)> {
         .collect()
 }
 
+/// `(label, plan, "the run reached the arm this plan is for")`.
+type RecoveryPlan = (&'static str, FaultPlan, fn(&FaultSummary) -> bool);
+
 /// The recovery arms `plans()` is too mild to reach. Each plan asserts
 /// the counters it exists for, so a pin cannot go inert silently.
 fn recovery_goldens() -> Vec<Golden> {
@@ -250,22 +253,37 @@ fn recovery_goldens() -> Vec<Golden> {
         // Fault instants are placed relative to the mode's own fault-free
         // makespan, so they land mid-run in every mode.
         let clean = node.simulate(&spec, NODE_TASKS, mode).total.as_nanos();
-        let plans = [
-            ("launch20", launch_20_plan()),
+        let plans: [RecoveryPlan; 4] = [
+            // Retry exhaustion, fallback, quarantine, a probe that
+            // readmits.
+            ("launch20", launch_20_plan(), |s| {
+                s.gpu_retries > 0
+                    && s.cpu_fallback_tasks > 0
+                    && s.quarantines > 0
+                    && s.readmissions > 0
+            }),
+            // A lost device is quarantined at once and never retried; the
+            // batch in flight falls back. (That the quarantine never
+            // expires is ROADMAP item 1, finding (b) — pinned by the
+            // hash, not asserted.)
             (
                 "lost@clean/3",
                 FaultPlan::seeded(FAULT_SEED).with_device_lost_at(clean / 3),
+                |s| s.quarantines == 1 && s.gpu_retries == 0 && s.cpu_fallback_tasks > 0,
             ),
+            // Whole-batch aborts, every one cured by a retry.
             (
                 "transfer30",
                 FaultPlan::seeded(FAULT_SEED).with_transfer_timeout_rate(0.3),
+                |s| s.gpu_retries > 0 && s.cpu_fallback_tasks == 0,
             ),
             (
                 "launch20 windowed",
                 launch_20_plan().with_window(clean / 4, clean / 2),
+                |s| s.gpu_retries > 0 && s.quarantines > 0,
             ),
         ];
-        for (pname, plan) in plans {
+        for (pname, plan, reaches_its_arm) in plans {
             let run = node.simulate_faulty(
                 &spec,
                 NODE_TASKS,
@@ -276,9 +294,8 @@ fn recovery_goldens() -> Vec<Golden> {
             );
             let sum = run.1;
             let what = format!("{sname} {mname} {pname}: {sum:?}");
-            eprintln!("DBG {what} total={}", run.0.total);
             assert!(sum.conserved(NODE_TASKS), "{what}");
-            assert!(sum.gpu_task_failures > 0, "{what}");
+            assert!(sum.gpu_task_failures > 0 && reaches_its_arm(&sum), "{what}");
             out.push(pin(format!("recovery {sname} {mname} {pname}"), &run));
         }
     }
@@ -292,7 +309,7 @@ fn traced_recovery_goldens() -> Vec<Golden> {
     let (sname, spec) = specs()[0];
     let mut out = Vec::new();
     for (mname, mode) in pipelined_custom_modes() {
-        if mname.starts_with("hybrid") {
+        if matches!(mode, ResourceMode::Hybrid { .. }) {
             continue; // `traced_goldens` is the Hybrid journal
         }
         let mut rec = MemRecorder::new();
@@ -319,7 +336,7 @@ fn traced_recovery_goldens() -> Vec<Golden> {
         let m = rec.metrics();
         assert_eq!(
             m.dispatch_history().is_empty(),
-            !mname.starts_with("adaptive"),
+            !matches!(mode, ResourceMode::AdaptiveHybrid { .. }),
             "{mname}: dispatch samples"
         );
         let counters = [
