@@ -108,11 +108,53 @@ fn scenarios(app: &str, op: &SeparatedConvolution, tree: &FunctionTree) -> Vec<G
     out
 }
 
+/// The `ApplyConfig` values the table above fixes (`kernel`, `streams`,
+/// `threads`) or reaches only where they are inert (`rank_reduce_eps`),
+/// one row each, captured before `apply_batched_recorded` became
+/// `ApplyRun`. All `Hybrid` at `max_batch = 60`: at 16 every variant
+/// rounds to one GPU task a batch and pins nothing.
+fn variants(coulomb: &CoulombApp, tdse: &TdseApp) -> Vec<Golden> {
+    let c = ("coulomb-d3", &coulomb.op, &coulomb.tree);
+    let t = ("tdse-d4", &tdse.op, &tdse.tree);
+    let hybrid = |eps| config(ApplyResource::Hybrid, 60, eps);
+    let with_kernel = |kernel| ApplyConfig {
+        kernel,
+        ..hybrid(None)
+    };
+    let cublas = Some(KernelKind::CublasLike);
+    let streams_2 = ApplyConfig {
+        streams: 2,
+        ..hybrid(None)
+    };
+    let threads_4 = ApplyConfig {
+        threads: 4,
+        ..hybrid(None)
+    };
+    let gpu_rr = config(ApplyResource::Gpu, 16, Some(1e-8));
+    [
+        (c, "Hybrid b60 cublas", with_kernel(cublas)),
+        (c, "Hybrid b60 kernel-auto", with_kernel(None)),
+        (t, "Hybrid b60 cublas", with_kernel(cublas)),
+        (t, "Hybrid b60 kernel-auto", with_kernel(None)),
+        (c, "Hybrid b60 streams-2", streams_2),
+        (c, "Hybrid b60 threads-4", threads_4),
+        (c, "Hybrid b60 rank-reduced", hybrid(Some(1e-8))),
+        (c, "Gpu b16 rank-reduced", gpu_rr),
+    ]
+    .into_iter()
+    .map(|((app, op, tree), row, cfg)| {
+        let (result, stats) = apply_batched(op, tree, &cfg);
+        (format!("{app} {row}"), tree_hash(&result), pinned(&stats))
+    })
+    .collect()
+}
+
 fn compute() -> Vec<Golden> {
     let coulomb = CoulombApp::small(5, 1e-4);
     let tdse = TdseApp::small(4, 4);
     let mut out = scenarios("coulomb-d3", &coulomb.op, &coulomb.tree);
     out.extend(scenarios("tdse-d4", &tdse.op, &tdse.tree));
+    out.extend(variants(&coulomb, &tdse));
     out
 }
 
@@ -138,6 +180,14 @@ const GOLDENS: &[(&str, u64, &str)] = &[
     ("tdse-d4 Hybrid b16", 0x7bd290132d7304a8, "tasks=1474 batches=93 cpu=1382 gpu=92 device_cache=(1448, 24, 0)"),
     ("tdse-d4 Hybrid b60", 0x7bd290132d7304a8, "tasks=1474 batches=25 cpu=1351 gpu=123 device_cache=(1944, 24, 0)"),
     ("tdse-d4 Cpu b16 rank-reduced", 0x7bd290132d7304a8, "tasks=1474 batches=93 cpu=1474 gpu=0 device_cache=(0, 0, 0)"),
+    ("coulomb-d3 Hybrid b60 cublas", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=20524 gpu=708 device_cache=(72012, 204, 0)"),
+    ("coulomb-d3 Hybrid b60 kernel-auto", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=19463 gpu=1769 device_cache=(180234, 204, 0)"),
+    ("tdse-d4 Hybrid b60 cublas", 0x7bd290132d7304a8, "tasks=1474 batches=25 cpu=1424 gpu=50 device_cache=(776, 24, 0)"),
+    ("tdse-d4 Hybrid b60 kernel-auto", 0x7bd290132d7304a8, "tasks=1474 batches=25 cpu=1424 gpu=50 device_cache=(776, 24, 0)"),
+    ("coulomb-d3 Hybrid b60 streams-2", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=20524 gpu=708 device_cache=(72012, 204, 0)"),
+    ("coulomb-d3 Hybrid b60 threads-4", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=18401 gpu=2831 device_cache=(288558, 204, 0)"),
+    ("coulomb-d3 Hybrid b60 rank-reduced", 0xd529a33186e77869, "tasks=21232 batches=355 cpu=20018 gpu=1214 device_cache=(123624, 204, 0)"),
+    ("coulomb-d3 Gpu b16 rank-reduced", 0xc3f0d9dc29733c86, "tasks=21232 batches=1327 cpu=0 gpu=21232 device_cache=(2165460, 204, 0)"),
 ];
 
 #[test]
@@ -151,6 +201,42 @@ fn batched_apply_matches_the_pre_pipeline_commit_bit_for_bit() {
             hash, g_hash,
             "{name}: result coefficients differ from the golden commit"
         );
+    }
+}
+
+/// What each [`variants`] row is there for, read off the constants (the
+/// test above ties them to the code): the two `kernel: None` rows are
+/// `KernelKind::auto_select`'s pick, the device never rank-reduces, and
+/// every other variant moves the split away from its `CustomMtxmq`,
+/// 5-stream, 10-thread, exact twin — a pin cannot go inert silently.
+#[test]
+fn variant_rows_pin_what_they_are_for() {
+    let golden = |name: &str| {
+        let row = GOLDENS.iter().find(|(g_name, ..)| *g_name == name);
+        let (_, hash, stats) = row.unwrap_or_else(|| panic!("no golden row {name:?}"));
+        (*hash, *stats)
+    };
+    for (auto, picked) in [
+        ("coulomb-d3 Hybrid b60 kernel-auto", "coulomb-d3 Hybrid b60"),
+        (
+            "tdse-d4 Hybrid b60 kernel-auto",
+            "tdse-d4 Hybrid b60 cublas",
+        ),
+        ("coulomb-d3 Gpu b16 rank-reduced", "coulomb-d3 Gpu b16"),
+    ] {
+        assert_eq!(golden(auto), golden(picked), "{auto} != {picked}");
+    }
+    for (variant, twin) in [
+        ("coulomb-d3 Hybrid b60 cublas", "coulomb-d3 Hybrid b60"),
+        ("tdse-d4 Hybrid b60 cublas", "tdse-d4 Hybrid b60"),
+        ("coulomb-d3 Hybrid b60 streams-2", "coulomb-d3 Hybrid b60"),
+        ("coulomb-d3 Hybrid b60 threads-4", "coulomb-d3 Hybrid b60"),
+        (
+            "coulomb-d3 Hybrid b60 rank-reduced",
+            "coulomb-d3 Hybrid b60",
+        ),
+    ] {
+        assert_ne!(golden(variant).1, golden(twin).1, "{variant} is inert");
     }
 }
 
