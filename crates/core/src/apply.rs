@@ -12,8 +12,10 @@
 //! *postprocess* accumulates results. It is asynchronous: the calling
 //! thread dispatches and never waits for a batch — the CPU share is
 //! spawned into the executor in chunks cut where the source tensor
-//! changes, and results commit in order as the chunks retire.
-//! Both produce identical trees.
+//! changes, and results commit in order as the chunks retire. One run
+//! is an `ApplyRun` whose methods are those stages: `preprocess` →
+//! `dispatch` → `flush` = `split` → `cpu_share` ∥ `gpu_share`, with
+//! `Commit` as postprocess. Both produce identical trees.
 //!
 //! On the host, both hand one source's displacement tasks to the tensor
 //! crate side by side (`transform_sum_accumulate_group`): neighbouring
@@ -23,6 +25,7 @@
 //! computes alone. The simulated device runs each task independently,
 //! as the paper's does.
 
+use madness_gpusim::kernel::kernel_cost;
 use madness_gpusim::{
     ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
 };
@@ -36,7 +39,8 @@ use madness_runtime::{
 use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, TransformScratch, Workspace};
 use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -131,6 +135,26 @@ fn h_block_id(mu: usize, level: u8, disp: i64) -> u64 {
 /// "The memory address of the compute function" for the Apply kind.
 const APPLY_OP_ID: u64 = 0xA991;
 
+/// The operand contract both entry points share, and the hot-path
+/// warm-up (one-time; a no-op afterwards): the executor and the
+/// autotuned mtxmq kernel table are ready before any transform runs, so
+/// the reference walk and the batched variants run on the same kernels
+/// and their speedup ratios are kernel-for-kernel comparisons.
+fn check_operands(op: &SeparatedConvolution, tree: &FunctionTree) {
+    assert_eq!(tree.form(), TreeForm::Reconstructed, "Apply needs leaves");
+    assert_eq!(tree.d(), op.d(), "operator/tree dimensionality mismatch");
+    assert_eq!(tree.k(), op.k(), "operator/tree order mismatch");
+    madness_runtime::initialize_hot_path();
+}
+
+/// The sources of an Apply — every leaf that carries coefficients — in
+/// key order: the deterministic task order of both entry points.
+fn sources(tree: &FunctionTree) -> Vec<(&Key, &Tensor)> {
+    let mut sources: Vec<_> = tree.leaves().collect();
+    sources.sort_unstable_by_key(|&(key, _)| *key);
+    sources
+}
+
 /// Algorithm 1: the unmodified CPU walk. Returns the reconstructed
 /// result tree (after `sum_down` of mixed-level accumulations).
 ///
@@ -138,24 +162,12 @@ const APPLY_OP_ID: u64 = 0xA991;
 /// Panics if the tree is not reconstructed or shapes mismatch the
 /// operator.
 pub fn apply_cpu_reference(op: &SeparatedConvolution, tree: &FunctionTree) -> FunctionTree {
-    assert_eq!(tree.form(), TreeForm::Reconstructed, "Apply needs leaves");
-    assert_eq!(tree.d(), op.d(), "operator/tree dimensionality mismatch");
-    assert_eq!(tree.k(), op.k(), "operator/tree order mismatch");
-    // Same hot-path warm-up as the batched path: the reference walk and
-    // the batched variants must run on the same autotuned kernels for
-    // the speedup ratios to be kernel-for-kernel comparisons.
-    madness_runtime::initialize_hot_path();
-
-    // Deterministic task order (sorted keys), parallel across sources.
-    let keys = tree.sorted_keys();
-    let contributions: Vec<(Key, Tensor)> = keys
+    check_operands(op, tree);
+    // Parallel across sources (`filter_map`: what the executor's
+    // `flatten` comes after).
+    let contributions: Vec<(Key, Tensor)> = sources(tree)
         .par_iter()
-        .filter_map(|key| {
-            let node = tree.get(key)?;
-            if !node.is_leaf() {
-                return None;
-            }
-            let s = node.coeffs.as_ref()?;
+        .filter_map(|&(key, s)| {
             Some(Workspace::with(|ws| {
                 let displacements = op.displacements_at(key.level());
                 // An `h` block depends on (μ, level, 1-D displacement)
@@ -231,241 +243,305 @@ pub fn apply_batched_recorded<R: Recorder>(
     config: &ApplyConfig,
     rec: &mut R,
 ) -> (FunctionTree, ApplyStats) {
-    assert_eq!(tree.form(), TreeForm::Reconstructed, "Apply needs leaves");
-    assert_eq!(tree.d(), op.d(), "operator/tree dimensionality mismatch");
-    assert_eq!(tree.k(), op.k(), "operator/tree order mismatch");
-    // Warm the executor and the autotuned mtxmq kernel table before any
-    // transform runs (one-time; no-op afterwards).
-    madness_runtime::initialize_hot_path();
-    let d = op.d();
-    let k = op.k();
-    let kernel = config
-        .kernel
-        .unwrap_or_else(|| KernelKind::auto_select(d, k));
-    let mut device = GpuDevice::new(madness_gpusim::DeviceSpec::default(), config.streams);
-    let cpu_model = CpuModel::default();
-    let mut stats = ApplyStats::default();
-    // The operator's cache counters are cumulative across its lifetime;
-    // snapshot them so the stats report *this run's* hits/misses.
-    let host_cache_before = op.cache_stats();
+    check_operands(op, tree);
+    let commit = Commit::new(FunctionTree::new(op.d(), op.k()));
+    let stats = ApplyRun::new(op, config, rec, &commit).run(tree);
+    // Postprocess tail (Algorithm 6): accumulation overlapped compute;
+    // only the segments that retired while another thread held the tree
+    // are left, then `sum_down`.
+    let mut result_tree = commit.finish();
+    sum_down(&mut result_tree);
+    (result_tree, stats)
+}
 
-    // ---- preprocess (Algorithm 4): parallel, data-intensive ------------
-    // A term table depends only on (level, displacement) — never on the
-    // source key — so build each one once and share it (`Arc`) across all
-    // tasks at that level/displacement. This removes the dominant
-    // preprocess cost: `M` term allocations plus `M × d` block lookups
-    // per task collapse to one table per distinct (level, displacement).
-    let keys = tree.sorted_keys();
-    let leaf_levels: std::collections::BTreeSet<u8> = keys
-        .iter()
-        .filter_map(|key| {
-            let node = tree.get(key)?;
-            (node.is_leaf() && node.coeffs.is_some()).then(|| key.level())
-        })
-        .collect();
-    let mut term_tables: std::collections::HashMap<(u8, usize), Arc<Vec<TransformTerm>>> =
-        std::collections::HashMap::new();
-    for &level in &leaf_levels {
-        for (di, disp) in op.displacements_at(level).iter().enumerate() {
-            let terms: Vec<TransformTerm> = (0..op.rank())
-                .map(|mu| {
-                    let hs: Vec<HBlock> = (0..d)
-                        .map(|dim| {
-                            let delta = disp.delta[dim];
-                            HBlock::new(h_block_id(mu, level, delta), op.get_h(mu, level, delta))
-                        })
-                        .collect();
-                    let effective_ranks = config.rank_reduce_eps.map(|eps| {
-                        (0..d)
-                            .map(|dim| op.effective_rank(mu, level, disp.delta[dim], eps))
-                            .collect()
-                    });
-                    TransformTerm {
-                        coeff: op.terms()[mu].coeff,
-                        hs,
-                        effective_ranks,
-                    }
-                })
-                .collect();
-            term_tables.insert((level, di), Arc::new(terms));
+/// One batched Apply: Fig. 3's stages as methods — under the names the
+/// simulated clock's `NodeRun` (`madness-cluster`) gives them — over
+/// what they share.
+struct ApplyRun<'a, R: Recorder> {
+    op: &'a SeparatedConvolution,
+    config: &'a ApplyConfig,
+    rec: &'a mut R,
+    kernel: KernelKind,
+    device: GpuDevice,
+    stats: ApplyStats,
+    /// The postprocess stage. Borrowed, not owned: every spawned chunk
+    /// retires into it while the dispatcher holds `self` mutably.
+    commit: &'a Commit,
+    /// `Some` iff [`ApplyResource::Adaptive`].
+    learned: Option<Learned>,
+}
+
+/// [`ApplyResource::Adaptive`]'s feedback state.
+struct Learned {
+    dispatcher: AdaptiveDispatcher,
+    /// The simulated clock the in-flight stream-queue windows live on: it
+    /// advances by each retired CPU chunk's throughput-equivalent time
+    /// (the CPU keeps streaming), so a GPU batch whose simulated time
+    /// outlives the CPU work dispatched beside it stays queued and builds
+    /// the backpressure the dispatcher shrinks the GPU share on.
+    sim_now: SimTime,
+    workers: u64,
+    /// Every spawned chunk sends its timing; `split` drains them.
+    sample_tx: mpsc::Sender<ChunkSample>,
+    sample_rx: mpsc::Receiver<ChunkSample>,
+}
+
+impl<'a, R: Recorder> ApplyRun<'a, R> {
+    fn new(
+        op: &'a SeparatedConvolution,
+        config: &'a ApplyConfig,
+        rec: &'a mut R,
+        commit: &'a Commit,
+    ) -> Self {
+        ApplyRun {
+            kernel: config
+                .kernel
+                .unwrap_or_else(|| KernelKind::auto_select(op.d(), op.k())),
+            device: GpuDevice::new(madness_gpusim::DeviceSpec::default(), config.streams),
+            stats: ApplyStats::default(),
+            learned: matches!(config.resource, ApplyResource::Adaptive).then(|| {
+                let (sample_tx, sample_rx) = mpsc::channel();
+                Learned {
+                    dispatcher: AdaptiveDispatcher::new(AdaptiveConfig::default()),
+                    sim_now: SimTime::ZERO,
+                    workers: rayon::configured_worker_threads().max(1) as u64,
+                    sample_tx,
+                    sample_rx,
+                }
+            }),
+            op,
+            config,
+            rec,
+            commit,
         }
     }
-    let prepared: Vec<PreparedTask> = keys
-        .par_iter()
-        .filter_map(|key| {
-            let node = tree.get(key)?;
-            if !node.is_leaf() {
-                return None;
-            }
-            let s = node.coeffs.as_ref()?;
-            let s = Arc::new(s.clone());
-            let mut local = Vec::new();
-            let displacements = op.displacements_at(key.level());
-            for (di, disp) in displacements.iter().enumerate() {
-                let Some(neighbor) = key.neighbor(&disp.delta) else {
-                    continue;
-                };
-                local.push(PreparedTask {
-                    neighbor,
-                    task: TransformTask {
-                        d,
-                        k,
-                        s: Some(Arc::clone(&s)),
-                        terms: Arc::clone(&term_tables[&(key.level(), di)]),
-                    },
-                });
-            }
-            Some(local)
-        })
-        .flatten()
-        .collect();
-    stats.tasks = prepared.len() as u64;
 
-    // ---- batch per kind, dispatch, compute, postprocess ------------------
-    // This thread is the paper's dispatcher: per flush it plans the split,
-    // runs the GPU share on the simulated device itself (flush order, so
-    // the device's cache and stream clocks see the same sequence whatever
-    // the executor does) and *spawns* the CPU share in cost-grained
-    // chunks — then moves on to the next push without waiting. Every
-    // chunk and every GPU share is one segment of the commit order.
-    let commit = Commit::new(FunctionTree::new(d, k));
-    let mut segments = 0usize;
-    // Adaptive mode's feedback state. `sim_now` is the simulated clock the
-    // in-flight stream-queue windows live on: it advances by each retired
-    // CPU chunk's throughput-equivalent time (the CPU keeps streaming), so
-    // a GPU batch whose simulated time outlives the CPU work dispatched
-    // beside it stays queued and builds the backpressure the dispatcher
-    // shrinks the GPU share on.
-    let adaptive = matches!(config.resource, ApplyResource::Adaptive);
-    let mut dispatcher = AdaptiveDispatcher::new(AdaptiveConfig::default());
-    let mut sim_now = SimTime::ZERO;
-    let workers = rayon::configured_worker_threads().max(1) as u64;
-    let (sample_tx, sample_rx) = mpsc::channel::<ChunkSample>();
-    let sample_tx = adaptive.then_some(&sample_tx);
-    let mut batcher: Batcher<PreparedTask> = Batcher::new(config.batch);
+    /// Preprocess, then this thread is the paper's dispatcher: per flush
+    /// it plans the split, runs the GPU share on the simulated device
+    /// itself and *spawns* the CPU share — then moves on to the next push
+    /// without waiting; the scope ends when the last chunk has retired.
+    fn run(mut self, tree: &FunctionTree) -> ApplyStats {
+        // The operator's cache counters are cumulative across its
+        // lifetime; snapshot them so the stats report *this run's*
+        // hits/misses.
+        let (hits, misses) = self.op.cache_stats();
+        let prepared = self.preprocess(tree);
+        self.stats.tasks = prepared.len() as u64;
+        rayon::scope(|scope| self.dispatch(scope, prepared));
+        let (hits_after, misses_after) = self.op.cache_stats();
+        self.stats.host_cache = (hits_after - hits, misses_after - misses);
+        self.stats.device_cache = self.device.cache().stats();
+        self.stats
+    }
 
-    rayon::scope(|scope| {
-        let commit = &commit;
-        let mut flush = |kind: TaskKind, batch: Vec<PreparedTask>| {
-            stats.batches += 1;
-            // A batch is one kind: its first task's cost stands for all.
-            let task_flops = batch.first().map_or(0, |p| p.task.flops_rank_reduced());
-            let plan = match config.resource {
-                ApplyResource::Cpu => SplitPlan::all_cpu(batch.len()),
-                ApplyResource::Gpu => SplitPlan::all_gpu(batch.len()),
-                ApplyResource::Hybrid => {
-                    let m = cpu_model
-                        .batch_time(batch.len(), task_flops, d, k, op.rank(), config.threads)
-                        .as_secs_f64();
-                    let gcost = batch
-                        .first()
-                        .map(|p| {
-                            madness_gpusim::kernel::kernel_cost(device.spec(), kernel, &p.task)
-                        })
-                        .unwrap_or_default();
-                    let conc = device.concurrency(gcost.sms_used).max(1) as f64;
-                    let n = gcost.duration.as_secs_f64() * batch.len() as f64 / conc;
-                    SplitPlan::for_times(batch.len(), m, n)
+    /// Algorithm 4, parallel and data-intensive: resolves every source's
+    /// neighbors and operator-block addresses. A term table depends only
+    /// on (level, displacement) — never on the source key — so each one
+    /// is built once and shared (`Arc`) across all tasks at that
+    /// level/displacement. This removes the dominant preprocess cost:
+    /// `M` term allocations plus `M × d` block lookups per task collapse
+    /// to one table per distinct (level, displacement).
+    fn preprocess(&self, tree: &FunctionTree) -> Vec<PreparedTask> {
+        let (op, d) = (self.op, self.op.d());
+        let sources = sources(tree);
+        let levels: BTreeSet<u8> = sources.iter().map(|(key, _)| key.level()).collect();
+        let mut term_tables: HashMap<(u8, usize), Arc<Vec<TransformTerm>>> = HashMap::new();
+        for level in levels {
+            for (di, disp) in op.displacements_at(level).iter().enumerate() {
+                let terms = self.term_table(level, &disp.delta[..d]);
+                term_tables.insert((level, di), Arc::new(terms));
+            }
+        }
+        // (`filter_map`: what the executor's `flatten` comes after.)
+        sources
+            .par_iter()
+            .filter_map(|&(key, s)| {
+                let s = Arc::new(s.clone());
+                let mut local = Vec::new();
+                let displacements = op.displacements_at(key.level());
+                for (di, disp) in displacements.iter().enumerate() {
+                    let Some(neighbor) = key.neighbor(&disp.delta) else {
+                        continue;
+                    };
+                    local.push(PreparedTask {
+                        neighbor,
+                        task: TransformTask {
+                            d,
+                            k: op.k(),
+                            s: Some(Arc::clone(&s)),
+                            terms: Arc::clone(&term_tables[&(key.level(), di)]),
+                        },
+                    });
                 }
-                ApplyResource::Adaptive => {
-                    // CPU feedback arrives whenever a chunk retires: a
-                    // chunk's busy time over the executor's width is what
-                    // the CPU side as a whole needs per task — the same
-                    // quantity a fork-join's wall time used to measure.
-                    for sample in sample_rx.try_iter() {
-                        let cpu_ns = sample.busy_ns / workers;
-                        dispatcher.record(sample.kind, sample.tasks, cpu_ns, 0, 0);
-                        sim_now += SimTime::from_nanos(cpu_ns);
-                    }
-                    let depth = device.queue_depth(sim_now);
-                    let decision = dispatcher.plan(kind, batch.len(), depth);
-                    rec.observe_split(decision.k);
-                    rec.observe_dispatch(decision.sample());
-                    decision.plan
-                }
-            };
-            stats.cpu_tasks += plan.cpu_tasks as u64;
-            stats.gpu_tasks += plan.gpu_tasks as u64;
-            // CPU side (honours rank reduction): ownership of the tasks
-            // moves into the spawned chunk, which runs them in order
-            // inside one workspace — each run of one source as one group
-            // call — and retires as one commit segment. The schedule,
-            // not split-on-demand, owns the grain.
-            let mut tasks = batch.into_iter();
-            let mut cpu_left = plan.cpu_tasks;
-            while cpu_left > 0 {
-                let len = chunk_len(&tasks.as_slice()[..cpu_left], task_flops);
-                let chunk: Vec<PreparedTask> = tasks.by_ref().take(len).collect();
-                cpu_left -= chunk.len();
-                let seq = segments;
-                segments += 1;
-                scope.spawn(move |_| {
-                    let t0 = Instant::now();
-                    let results = Workspace::with(|ws| compute_cpu(&chunk, ws.scratch()));
-                    if let Some(tx) = sample_tx {
-                        // The receiver outlives the scope; a failed send
-                        // could only lose feedback, never a result.
-                        let _ = tx.send(ChunkSample {
-                            kind,
-                            tasks: chunk.len(),
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                        });
-                    }
-                    drop(chunk);
-                    commit.retire(seq, results);
-                });
-            }
+                Some(local)
+            })
+            .flatten()
+            .collect()
+    }
 
-            // GPU side: the rest of the batch, after the CPU segments in
-            // commit order — the exact pre-pipeline accumulation order
-            // (bit-identical trees).
-            if plan.gpu_tasks > 0 {
-                let (neighbors, gpu_tasks): (Vec<Key>, Vec<TransformTask>) =
-                    tasks.map(|p| (p.neighbor, p.task)).unzip();
-                let out = device.execute_batch(&gpu_tasks, kernel, ExecMode::Full);
-                if adaptive {
-                    // Simulated GPU batch time feeds the cost model, and
-                    // the batch occupies the stream queue for that long.
-                    let gpu_ns = out.time.as_nanos();
-                    dispatcher.record(kind, 0, 0, plan.gpu_tasks, gpu_ns);
-                    device.note_inflight(sim_now, sim_now + SimTime::from_nanos(gpu_ns));
-                }
-                let results = neighbors
-                    .into_iter()
-                    .zip(out.results)
-                    .map(|(neighbor, r)| (neighbor, r.expect("full mode returns results")))
-                    .collect();
-                let seq = segments;
-                segments += 1;
-                commit.retire(seq, results);
-            }
-        };
+    /// The `Σ_μ` terms of every task at `level` displaced by `delta`.
+    fn term_table(&self, level: u8, delta: &[i64]) -> Vec<TransformTerm> {
+        let op = self.op;
+        (0..op.rank())
+            .map(|mu| TransformTerm {
+                coeff: op.terms()[mu].coeff,
+                hs: delta
+                    .iter()
+                    .map(|&dl| HBlock::new(h_block_id(mu, level, dl), op.get_h(mu, level, dl)))
+                    .collect(),
+                effective_ranks: self.config.rank_reduce_eps.map(|eps| {
+                    delta
+                        .iter()
+                        .map(|&dl| op.effective_rank(mu, level, dl, eps))
+                        .collect()
+                }),
+            })
+            .collect()
+    }
 
+    /// Batch per kind — the one place a flush is triggered: by the size
+    /// trigger at a full batch, then the end-of-run drain.
+    fn dispatch(&mut self, scope: &rayon::Scope<'a>, prepared: Vec<PreparedTask>) {
+        let mut batcher: Batcher<PreparedTask> = Batcher::new(self.config.batch);
         for p in prepared {
             let kind = TaskKind::new(APPLY_OP_ID, p.neighbor.level() as u64);
-            if let Some((flushed_kind, full)) = batcher.push(kind, p) {
-                flush(flushed_kind, full);
+            if let Some((kind, full)) = batcher.push(kind, p) {
+                self.flush(scope, kind, full);
             }
         }
-        for (flushed_kind, rest) in batcher.drain() {
-            flush(flushed_kind, rest);
+        for (kind, rest) in batcher.drain() {
+            self.flush(scope, kind, rest);
         }
-    });
+    }
 
-    // ---- postprocess tail (Algorithm 6) ---------------------------------
-    // Accumulation overlapped compute; only the segments that retired
-    // while another thread held the tree are left, then `sum_down`.
-    let mut result_tree = commit.finish(segments);
-    sum_down(&mut result_tree);
+    /// One batch through Fig. 3: dispatcher split → CPU share ∥ GPU
+    /// share. The CPU chunks come first in commit order, then the GPU
+    /// share — the exact pre-pipeline accumulation order (bit-identical
+    /// trees).
+    fn flush(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, batch: Vec<PreparedTask>) {
+        self.stats.batches += 1;
+        // A batch is one kind: its first task's cost stands for all.
+        let task_flops = batch.first().map_or(0, |p| p.task.flops_rank_reduced());
+        let plan = self.split(kind, &batch, task_flops);
+        self.stats.cpu_tasks += plan.cpu_tasks as u64;
+        self.stats.gpu_tasks += plan.gpu_tasks as u64;
+        let mut tasks = batch.into_iter();
+        self.cpu_share(scope, kind, &mut tasks, plan.cpu_tasks, task_flops);
+        if plan.gpu_tasks > 0 {
+            self.gpu_share(kind, tasks);
+        }
+    }
 
-    let host_cache_after = op.cache_stats();
-    stats.host_cache = (
-        host_cache_after.0 - host_cache_before.0,
-        host_cache_after.1 - host_cache_before.1,
-    );
-    let (h, m, e) = device.cache().stats();
-    stats.device_cache = (h, m, e);
-    (result_tree, stats)
+    /// Split decision at batch-flush time: everything to one side, the
+    /// a-priori `k* = n/(m+n)` from the calibrated CPU model and the
+    /// device's kernel cost model, or the learned dispatcher consulted
+    /// with the device's in-flight queue depth (it is never told `m` or
+    /// `n`).
+    fn split(&mut self, kind: TaskKind, batch: &[PreparedTask], task_flops: u64) -> SplitPlan {
+        let n = batch.len();
+        match self.config.resource {
+            ApplyResource::Cpu => SplitPlan::all_cpu(n),
+            ApplyResource::Gpu => SplitPlan::all_gpu(n),
+            ApplyResource::Hybrid => {
+                let (op, threads) = (self.op, self.config.threads);
+                let m = CpuModel::default()
+                    .batch_time(n, task_flops, op.d(), op.k(), op.rank(), threads)
+                    .as_secs_f64();
+                let gcost = batch
+                    .first()
+                    .map(|p| kernel_cost(self.device.spec(), self.kernel, &p.task))
+                    .unwrap_or_default();
+                let conc = self.device.concurrency(gcost.sms_used).max(1) as f64;
+                let gpu = gcost.duration.as_secs_f64() * n as f64 / conc;
+                SplitPlan::for_times(n, m, gpu)
+            }
+            ApplyResource::Adaptive => {
+                let learned = self.learned.as_mut().expect("Adaptive carries its state");
+                // CPU feedback arrives whenever a chunk retires: a
+                // chunk's busy time over the executor's width is what
+                // the CPU side as a whole needs per task — the same
+                // quantity a fork-join's wall time used to measure.
+                for sample in learned.sample_rx.try_iter() {
+                    let cpu_ns = sample.busy_ns / learned.workers;
+                    learned
+                        .dispatcher
+                        .record(sample.kind, sample.tasks, cpu_ns, 0, 0);
+                    learned.sim_now += SimTime::from_nanos(cpu_ns);
+                }
+                let depth = self.device.queue_depth(learned.sim_now);
+                let decision = learned.dispatcher.plan(kind, n, depth);
+                self.rec.observe_split(decision.k);
+                self.rec.observe_dispatch(decision.sample());
+                decision.plan
+            }
+        }
+    }
+
+    /// The CPU share (honours rank reduction), the first `share` of
+    /// `tasks`: ownership of the tasks moves into spawned chunks, each of
+    /// which runs its tasks in order inside one workspace — each run of
+    /// one source as one group call — and retires as one commit segment.
+    /// The schedule, not split-on-demand, owns the grain.
+    fn cpu_share(
+        &mut self,
+        scope: &rayon::Scope<'a>,
+        kind: TaskKind,
+        tasks: &mut std::vec::IntoIter<PreparedTask>,
+        mut share: usize,
+        task_flops: u64,
+    ) {
+        while share > 0 {
+            let len = chunk_len(&tasks.as_slice()[..share], task_flops);
+            let chunk: Vec<PreparedTask> = tasks.by_ref().take(len).collect();
+            share -= chunk.len();
+            let (commit, seq) = (self.commit, self.commit.segment());
+            let sample_tx = self.learned.as_ref().map(|l| l.sample_tx.clone());
+            scope.spawn(move |_| {
+                let t0 = Instant::now();
+                let results = Workspace::with(|ws| compute_cpu(&chunk, ws.scratch()));
+                if let Some(tx) = sample_tx {
+                    // The receiver outlives the scope; a failed send
+                    // could only lose feedback, never a result.
+                    let _ = tx.send(ChunkSample {
+                        kind,
+                        tasks: chunk.len(),
+                        busy_ns: t0.elapsed().as_nanos() as u64,
+                    });
+                }
+                drop(chunk);
+                commit.retire(seq, results);
+            });
+        }
+    }
+
+    /// The GPU share, the rest of the batch: on the simulated device, on
+    /// this (the dispatcher's) thread and so in flush order — the
+    /// device's cache and stream clocks see the same sequence whatever
+    /// the executor does.
+    fn gpu_share(&mut self, kind: TaskKind, tasks: impl Iterator<Item = PreparedTask>) {
+        let (neighbors, gpu_tasks): (Vec<Key>, Vec<TransformTask>) =
+            tasks.map(|p| (p.neighbor, p.task)).unzip();
+        let out = self
+            .device
+            .execute_batch(&gpu_tasks, self.kernel, ExecMode::Full);
+        if let Some(learned) = &mut self.learned {
+            // Simulated GPU batch time feeds the cost model, and the
+            // batch occupies the stream queue for that long.
+            let gpu_ns = out.time.as_nanos();
+            learned
+                .dispatcher
+                .record(kind, 0, 0, gpu_tasks.len(), gpu_ns);
+            let now = learned.sim_now;
+            self.device
+                .note_inflight(now, now + SimTime::from_nanos(gpu_ns));
+        }
+        let results = neighbors
+            .into_iter()
+            .zip(out.results)
+            .map(|(neighbor, r)| (neighbor, r.expect("full mode returns results")))
+            .collect();
+        self.commit.retire(self.commit.segment(), results);
+    }
 }
 
 /// Cost grain of one spawned CPU chunk, in rank-reduced FLOPs: large
@@ -504,6 +580,8 @@ struct ChunkSample {
 /// within), whatever order the segments finish in, so every target keeps
 /// its accumulation order and the tree is bit-identical to a serial run.
 struct Commit {
+    /// Segments handed out so far; only the dispatcher thread mints.
+    minted: AtomicUsize,
     ready: Mutex<ReadySegments>,
     /// Held by whoever is committing; never waited on while computing.
     tree: Mutex<FunctionTree>,
@@ -519,12 +597,18 @@ struct ReadySegments {
 impl Commit {
     fn new(tree: FunctionTree) -> Self {
         Commit {
+            minted: AtomicUsize::new(0),
             ready: Mutex::new(ReadySegments {
                 next: 0,
                 done: BTreeMap::new(),
             }),
             tree: Mutex::new(tree),
         }
+    }
+
+    /// The next place in the commit order, for a share about to run.
+    fn segment(&self) -> usize {
+        self.minted.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Hands in segment `seq` and commits whatever is now in order —
@@ -574,8 +658,9 @@ impl Commit {
     /// The final drain, once every segment has retired: returns the tree.
     ///
     /// # Panics
-    /// Panics unless exactly `segments` segments were committed.
-    fn finish(self, segments: usize) -> FunctionTree {
+    /// Panics unless every minted segment was committed.
+    fn finish(self) -> FunctionTree {
+        let segments = self.minted.into_inner();
         let mut tree = self.tree.into_inner().expect("commit panicked");
         Self::drain(&self.ready, &mut tree);
         let ready = self.ready.into_inner().expect("commit queue poisoned");
@@ -611,4 +696,146 @@ fn compute_cpu(chunk: &[PreparedTask], scratch: &mut TransformScratch) -> Vec<(K
         transform_sum_accumulate_group(s, first.rank(), term, scratch, &mut rs[done..]);
     }
     chunk.iter().map(|p| p.neighbor).zip(rs).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coulomb::CoulombApp;
+    use madness_mra::tree::Node;
+    use madness_tensor::Shape;
+    use std::sync::Barrier;
+
+    /// One source per entry of `runs`, with that many tasks each.
+    fn tasks_of(runs: &[usize]) -> Vec<PreparedTask> {
+        let run = |&n: &usize| {
+            let s = Arc::new(Tensor::zeros(Shape::cube(1, 1)));
+            (0..n).map(move |_| PreparedTask {
+                neighbor: Key::root(1),
+                task: TransformTask {
+                    d: 1,
+                    k: 1,
+                    s: Some(Arc::clone(&s)),
+                    terms: Arc::new(Vec::new()),
+                },
+            })
+        };
+        runs.iter().flat_map(run).collect()
+    }
+
+    #[test]
+    fn chunk_len_cuts_at_the_first_change_of_source_past_the_grain() {
+        let tasks = tasks_of(&[27, 27, 27]);
+        // Under the grain: the whole remainder, whatever its sources —
+        // and a task that claims no work does not divide by zero.
+        for task_flops in [0, 1, CHUNK_FLOPS / 82] {
+            assert_eq!(chunk_len(&tasks, task_flops), 81);
+            assert_eq!(chunk_len(&tasks[40..], task_flops), 41);
+        }
+        // A grain that ends inside a source runs on to its end …
+        assert_eq!(chunk_len(&tasks, CHUNK_FLOPS / 10), 27);
+        assert_eq!(chunk_len(&tasks, CHUNK_FLOPS.div_ceil(28)), 54);
+        assert_eq!(chunk_len(&tasks[20..], 2 * CHUNK_FLOPS), 7);
+        // … and one that ends on a change of source stops there.
+        assert_eq!(chunk_len(&tasks, CHUNK_FLOPS.div_ceil(27)), 27);
+        // Never empty, never past the remainder.
+        for task_flops in [0, 1, CHUNK_FLOPS / 30, CHUNK_FLOPS, u64::MAX] {
+            for rest in 0..tasks.len() {
+                let len = chunk_len(&tasks[rest..], task_flops);
+                assert!((1..=tasks.len() - rest).contains(&len));
+            }
+        }
+    }
+
+    /// What segment `seq` hands in: three tensors over two targets, their
+    /// magnitudes spread so that the order of a sum shows in its bits.
+    fn segment_results(seq: usize) -> Vec<(Key, Tensor)> {
+        let result = |j: usize| {
+            let x = ((3 * seq + j) as f64).sin() * 10f64.powi((seq % 7) as i32 - 3);
+            let r = Tensor::from_vec(Shape::cube(1, 2), vec![x, 1.0 / x]);
+            (Key::new(1, &[((seq + j) % 2) as i64]), r)
+        };
+        (0..3).map(result).collect()
+    }
+
+    fn serial_tree(order: impl Iterator<Item = usize>) -> Vec<(Key, Vec<u64>)> {
+        let mut tree = FunctionTree::new(1, 2);
+        for (neighbor, r) in order.flat_map(segment_results) {
+            tree.accumulate(neighbor, 1.0, &r);
+        }
+        bits(&tree)
+    }
+
+    fn bits(tree: &FunctionTree) -> Vec<(Key, Vec<u64>)> {
+        let bits =
+            |(key, t): (&Key, &Tensor)| (*key, t.as_slice().iter().map(|x| x.to_bits()).collect());
+        sources(tree).into_iter().map(bits).collect()
+    }
+
+    #[test]
+    fn commit_keeps_segment_order_whatever_order_segments_retire_in() {
+        const SEGMENTS: usize = 32;
+        let commit = Commit::new(FunctionTree::new(1, 2));
+        let minted: Vec<usize> = (0..SEGMENTS).map(|_| commit.segment()).collect();
+        assert_eq!(minted, (0..SEGMENTS).collect::<Vec<_>>());
+        // Four threads retire the segments last to first, four at a time.
+        let round = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (commit, round) = (&commit, &round);
+                s.spawn(move || {
+                    for r in 0..SEGMENTS / 4 {
+                        round.wait();
+                        let seq = SEGMENTS - 1 - (4 * r + t);
+                        commit.retire(seq, segment_results(seq));
+                    }
+                });
+            }
+        });
+        let committed = bits(&commit.finish());
+        assert_eq!(committed, serial_tree(0..SEGMENTS));
+        assert_ne!(
+            committed,
+            serial_tree((0..SEGMENTS).rev()),
+            "order is inert"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "committed 1 of 2 segments")]
+    fn commit_finish_panics_when_a_minted_segment_never_retired() {
+        let commit = Commit::new(FunctionTree::new(1, 2));
+        let (first, _lost) = (commit.segment(), commit.segment());
+        commit.retire(first, segment_results(first));
+        commit.finish();
+    }
+
+    #[test]
+    fn sources_are_the_coefficient_leaves_in_key_order() {
+        let leaf = || Node::leaf(Tensor::zeros(Shape::cube(1, 2)));
+        let mut tree = FunctionTree::new(1, 2);
+        for l in [3, 0, 2] {
+            tree.insert(Key::new(2, &[l]), leaf());
+        }
+        let mut bare = leaf();
+        bare.coeffs = None;
+        tree.insert(Key::new(2, &[1]), bare);
+        // An interior node may carry coefficients; it is still no source.
+        let parent = tree.get_mut(&Key::new(1, &[0])).expect("connected");
+        parent.coeffs = leaf().coeffs;
+        let keys = |tree: &FunctionTree| -> Vec<Key> {
+            sources(tree).iter().map(|&(key, _)| *key).collect()
+        };
+        assert_eq!(keys(&tree), [0, 2, 3].map(|l| Key::new(2, &[l])));
+
+        // On a real tree: the filter over `sorted_keys()` it replaced.
+        let tree = CoulombApp::small(4, 1e-3).tree;
+        let mut old = tree.sorted_keys();
+        old.retain(|key| {
+            let node = tree.get(key).expect("listed key");
+            node.is_leaf() && node.coeffs.is_some()
+        });
+        assert_eq!(keys(&tree), old);
+        assert!(old.len() > 100 && old.len() < tree.len());
+    }
 }
