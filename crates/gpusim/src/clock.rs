@@ -34,23 +34,20 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// From (fractional) seconds; saturates at zero for negatives.
+    /// From (fractional) seconds; saturates at zero for negatives and at
+    /// `u64::MAX` nanoseconds for finite values past it.
     ///
-    /// Non-finite input is a caller bug — under serving-rate arithmetic
-    /// (inter-arrival = 1/rate) a zero rate yields `+∞` and a 0/0 yields
-    /// `NaN`, and the bare `f64 as u64` cast would silently turn those
-    /// into `u64::MAX` and 0 ns with no signal. Debug builds panic;
-    /// release builds clamp: `NaN` reads as "no information" =
-    /// [`SimTime::ZERO`], `+∞` as "astronomically slow" = saturation at
-    /// `u64::MAX` nanoseconds.
+    /// # Panics
+    /// Panics on non-finite input, in every build profile: it is a
+    /// caller bug — under serving-rate arithmetic (inter-arrival =
+    /// 1/rate) a zero rate yields `+∞` and a 0/0 yields `NaN`, and the
+    /// bare `f64 as u64` cast would silently turn those into `u64::MAX`
+    /// and 0 ns with no signal.
     pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(
+        assert!(
             s.is_finite(),
             "SimTime::from_secs_f64: non-finite seconds ({s})"
         );
-        if s.is_nan() {
-            return SimTime::ZERO;
-        }
         SimTime((s.max(0.0) * 1e9).round().min(u64::MAX as f64) as u64)
     }
 
@@ -93,18 +90,16 @@ impl SimTime {
     /// break the "no faults ⇒ bit-identical timings" invariant when a
     /// straggler multiplier of 1.0 is applied.
     ///
-    /// A `NaN` or negative factor is a caller bug (a poisoned slowdown
-    /// estimate): debug builds panic; release builds clamp — `NaN`
-    /// reads as "no information" = identity, a negative factor as 0.
+    /// # Panics
+    /// Panics on a `NaN` or negative factor, in every build profile: it
+    /// is a caller bug (a poisoned slowdown estimate).
     pub fn scale(self, factor: f64) -> SimTime {
-        debug_assert!(
+        assert!(
             !factor.is_nan() && factor >= 0.0,
             "SimTime::scale: factor must be non-negative ({factor})"
         );
-        if factor == 1.0 || factor.is_nan() {
+        if factor == 1.0 {
             self
-        } else if factor < 0.0 {
-            SimTime::ZERO
         } else {
             self * factor
         }
@@ -238,49 +233,32 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(-0.0), SimTime::ZERO);
     }
 
-    #[cfg(debug_assertions)]
+    #[test]
+    fn huge_finite_seconds_saturate_at_max() {
+        assert_eq!(SimTime::from_secs_f64(1e30).as_nanos(), u64::MAX);
+    }
+
     #[test]
     #[should_panic(expected = "non-finite seconds")]
-    fn nan_seconds_panic_in_debug() {
+    fn nan_seconds_panic() {
         let _ = SimTime::from_secs_f64(f64::NAN);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-finite seconds")]
-    fn infinite_seconds_panic_in_debug() {
+    fn infinite_seconds_panic() {
         let _ = SimTime::from_secs_f64(f64::INFINITY);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "factor must be non-negative")]
-    fn nan_scale_panics_in_debug() {
+    fn nan_scale_panics() {
         let _ = SimTime::from_nanos(10).scale(f64::NAN);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "factor must be non-negative")]
-    fn negative_scale_panics_in_debug() {
+    fn negative_scale_panics() {
         let _ = SimTime::from_nanos(10).scale(-2.0);
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn non_finite_seconds_clamp_in_release() {
-        // NaN reads as "no information" = ZERO; +∞ as "astronomically
-        // slow" = saturation — never a silent wrap or poisoned value.
-        assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
-        assert_eq!(SimTime::from_secs_f64(f64::INFINITY).as_nanos(), u64::MAX);
-        assert_eq!(SimTime::from_secs_f64(f64::NEG_INFINITY), SimTime::ZERO);
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn degenerate_scale_clamps_in_release() {
-        let t = SimTime::from_nanos(123_456_789);
-        assert_eq!(t.scale(f64::NAN), t); // identity, not poison
-        assert_eq!(t.scale(-1.0), SimTime::ZERO);
     }
 }
