@@ -15,13 +15,14 @@
 //! * [`Tensor`] — an owned, contiguous, row-major `f64` tensor of up to
 //!   [`MAX_DIMS`] dimensions;
 //! * [`mtxmq`] — the transpose-times-matrix kernel
-//!   `C(i,j) += Σ_k A(k,i)·B(k,j)` with cache-friendly loop order, plus a
-//!   rank-reduced variant ([`mtxmq_rr`]) implementing the paper's
-//!   *rank reduction* optimization (Fig. 4);
+//!   `C(i,j) = Σ_k A(k,i)·B(k,j)` with cache-friendly loop order;
 //! * [`transform`] — applies one `(k,k)` matrix per dimension by cycling
-//!   `mtxmq` `d` times (Formula 1 of the paper for a single rank-`μ` term),
-//!   cache-blocked so large `(k^{d-1}, k)` passes stream through L2 in
-//!   row tiles;
+//!   `mtxmq`-shaped passes `d` times (Formula 1 of the paper for a single
+//!   rank-`μ` term), cache-blocked so large `(k^{d-1}, k)` passes stream
+//!   through L2 in row tiles; [`transform_accumulate_scaled`] and its
+//!   rank-reduced twin [`transform_rr_accumulate_scaled`] (the paper's
+//!   *rank reduction*, Fig. 4: a pass contracts only the leading rows)
+//!   are the one-term `out += c_μ · …` statement;
 //! * [`transform_sum_accumulate`] — the task-level kernel: the whole
 //!   rank-`M` Σ_μ loop of Formula 1 in one call, with the last dimension
 //!   of a chunk of terms contracted in one long span;
@@ -60,14 +61,12 @@ pub mod transform;
 
 pub use flops::{mtxmq_flops, transform_flops};
 pub use kernel::{KernelId, KernelTable};
-pub use mtxmq::{mtxmq, mtxmq_acc, mtxmq_rr, mtxmq_rr_acc};
+pub use mtxmq::mtxmq;
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use transform::{
-    general_transform, transform, transform_accumulate, transform_accumulate_scaled, transform_dim,
-    transform_dim_into, transform_into, transform_rr, transform_rr_accumulate,
-    transform_rr_accumulate_scaled, transform_sum_accumulate, transform_sum_accumulate_group, Term,
-    TransformScratch, Workspace,
+    transform, transform_accumulate_scaled, transform_rr_accumulate_scaled,
+    transform_sum_accumulate, transform_sum_accumulate_group, Term, TransformScratch, Workspace,
 };
 
 /// Maximum tensor dimensionality supported by [`Shape`].

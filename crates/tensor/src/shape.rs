@@ -126,8 +126,8 @@ impl Shape {
         off
     }
 
-    /// The shape with dimension 0 moved to the end (what one cycle of
-    /// [`crate::transform_dim`] produces).
+    /// The shape with dimension 0 moved to the end (what one pass of a
+    /// square [`crate::transform()`] produces).
     pub fn rotated(&self) -> Self {
         let n = self.ndim();
         let mut d = [0usize; MAX_DIMS];

@@ -1,5 +1,7 @@
 //! Multidimensional transforms built from cycling [`mtxmq`] passes.
 //!
+//! [`mtxmq`]: crate::mtxmq::mtxmq
+//!
 //! One rank-`μ` term of the paper's Formula 1,
 //!
 //! ```text
@@ -14,7 +16,6 @@
 //! `(k^{d-1}, k) × (k, k)` multiplications.
 
 use crate::kernel::{self, SpanKernel};
-use crate::mtxmq::mtxmq;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::MAX_DIMS;
@@ -158,52 +159,29 @@ fn out_shape(t: &Tensor, hs: &[&Tensor]) -> Shape {
 /// (`r_{i…} = Σ t_{j…} Π h^{(dim)}_{j i}`), returning a fresh tensor.
 ///
 /// Operators may be rectangular `(n_dim, m_dim)`; the result dimension
-/// `dim` then has extent `m_dim`.
+/// `dim` then has extent `m_dim`. The common Apply case is every `h`
+/// `(k, k)`.
 ///
 /// # Panics
 /// Panics if `hs.len() != t.ndim()` or operator rows mismatch extents.
-pub fn general_transform(t: &Tensor, hs: &[&Tensor]) -> Tensor {
+pub fn transform(t: &Tensor, hs: &[&Tensor]) -> Tensor {
     let mut out = Tensor::zeros(out_shape(t, hs));
-    transform_accumulate(t, hs, &mut TransformScratch::new(), &mut out);
+    transform_accumulate_scaled(t, 1.0, hs, &mut TransformScratch::new(), &mut out);
     out
 }
 
-/// Square-operator transform returning a fresh tensor; the common Apply
-/// case where every `h` is `(k, k)`.
-///
-/// # Panics
-/// Same contract as [`general_transform`].
-pub fn transform(t: &Tensor, hs: &[&Tensor]) -> Tensor {
-    general_transform(t, hs)
-}
-
-/// `out += transform(t, hs)` without allocating the intermediate result.
-///
-/// This is Algorithm 5's inner statement: each rank-`μ` term accumulates
-/// into the result tensor `r`.
-///
-/// # Panics
-/// Panics if `out` does not match the transform's output shape, or on the
-/// operand mismatches of [`general_transform`].
-pub fn transform_accumulate(
-    t: &Tensor,
-    hs: &[&Tensor],
-    scratch: &mut TransformScratch,
-    out: &mut Tensor,
-) {
-    one_term(t, 1.0, hs, None, scratch, out);
-}
-
-/// `out += transform(coeff · t, hs)` with the coefficient multiply fused
-/// into the scratch staging copy: the Σ_μ inner statement of Algorithm 5
+/// `out += transform(coeff · t, hs)` without allocating the intermediate
+/// result, the coefficient multiply fused into the scratch staging copy:
+/// the Σ_μ inner statement of Algorithm 5
 /// (`r += c_μ · Π h^{(μ,dim)} s`) without materializing `c_μ · s`.
 ///
-/// Bit-identical to scaling `t` elementwise first and then calling
-/// [`transform_accumulate`]. A whole Σ_μ loop of these is one
+/// Bit-identical to scaling `t` elementwise first and then calling this
+/// with `coeff = 1.0`. A whole Σ_μ loop of these is one
 /// [`transform_sum_accumulate`] call.
 ///
 /// # Panics
-/// Same contract as [`transform_accumulate`].
+/// Panics if `out` does not match the transform's output shape, or on the
+/// operand mismatches of [`transform`].
 pub fn transform_accumulate_scaled(
     t: &Tensor,
     coeff: f64,
@@ -212,22 +190,6 @@ pub fn transform_accumulate_scaled(
     out: &mut Tensor,
 ) {
     one_term(t, coeff, hs, None, scratch, out);
-}
-
-/// Overwriting scratch-buffer transform: `out = transform(t, hs)` with
-/// every intermediate kept in `scratch`.
-///
-/// # Panics
-/// Panics if `out`'s shape does not match the transform output, or on
-/// the operand mismatches of [`general_transform`].
-pub fn transform_into(
-    t: &Tensor,
-    hs: &[&Tensor],
-    scratch: &mut TransformScratch,
-    out: &mut Tensor,
-) {
-    out.as_mut_slice().fill(0.0);
-    one_term(t, 1.0, hs, None, scratch, out);
 }
 
 /// One separated-rank term `c_μ · Π_dim h^{(μ,dim)}` of a
@@ -536,96 +498,15 @@ pub fn transform_sum_accumulate_group<'a, I>(
     }
 }
 
-/// Contracts dimension 0 of `t` with `h` and rotates it to the end:
-/// `r_{j2…jd,i} = Σ_{j1} t_{j1 j2…jd} h_{j1 i}`.
-///
-/// Exposed for callers (e.g. the GPU-kernel simulators) that pipeline the
-/// passes themselves.
-///
-/// # Panics
-/// Panics if `h` is not a matrix with rows matching `t`'s dim 0.
-pub fn transform_dim(t: &Tensor, h: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(transform_dim_shape(t, h));
-    transform_dim_into(t, h, &mut out);
-    out
-}
-
-/// The rotated output shape of [`transform_dim`], computed without
-/// heap allocation (the old `to_vec` + `push` pair ran once per pass on
-/// the warm path).
-fn transform_dim_shape(t: &Tensor, h: &Tensor) -> Shape {
-    assert_eq!(h.ndim(), 2, "operator must be a matrix");
-    let dimk = t.shape().dim(0);
-    assert_eq!(h.shape().dim(0), dimk, "operator rows mismatch dim 0");
-    let d = t.ndim();
-    let mut dims = [0usize; crate::MAX_DIMS];
-    dims[..d - 1].copy_from_slice(&t.shape().dims()[1..]);
-    dims[d - 1] = h.shape().dim(1);
-    Shape::new(&dims[..d])
-}
-
-/// Allocation-free [`transform_dim`]: contracts dimension 0 of `t` with
-/// `h` into the caller-provided `out`.
+/// `out += transform(coeff · t, hs)` rank-reduced (paper §II-D, Fig. 4):
+/// pass `p` contracts only the first `krs[p]` entries of the
+/// corresponding dimension (at most its extent), skipping the negligible
+/// rows of `s` and `h`. Output shape is unchanged. The rank-reduced
+/// counterpart of [`transform_accumulate_scaled`].
 ///
 /// # Panics
-/// Panics if `h` is not a matrix with rows matching `t`'s dim 0, or if
-/// `out`'s shape is not `t`'s shape rotated with the new extent
-/// appended.
-pub fn transform_dim_into(t: &Tensor, h: &Tensor, out: &mut Tensor) {
-    let want = transform_dim_shape(t, h);
-    assert_eq!(
-        out.shape(),
-        want,
-        "transform_dim_into target shape mismatch"
-    );
-    let dimk = t.shape().dim(0);
-    let dimi = t.len() / dimk;
-    let dimj = h.shape().dim(1);
-    mtxmq(
-        dimi,
-        dimj,
-        dimk,
-        t.as_slice(),
-        h.as_slice(),
-        out.as_mut_slice(),
-    );
-}
-
-/// Rank-reduced transform (paper §II-D, Fig. 4): pass `p` contracts only
-/// the first `krs[p]` entries of the corresponding dimension, skipping the
-/// negligible rows of `s` and `h`. Output shape is unchanged.
-///
-/// # Panics
-/// Panics if `krs.len() != t.ndim()`, any `krs[p]` exceeds the dimension
-/// extent, or on the operand mismatches of [`general_transform`].
-pub fn transform_rr(t: &Tensor, hs: &[&Tensor], krs: &[usize]) -> Tensor {
-    let mut out = Tensor::zeros(out_shape(t, hs));
-    transform_rr_accumulate(t, hs, krs, &mut TransformScratch::new(), &mut out);
-    out
-}
-
-/// `out += transform_rr(t, hs, krs)` without allocating: the rank-reduced
-/// counterpart of [`transform_accumulate`].
-///
-/// # Panics
-/// Same contract as [`transform_rr`], plus `out` must match the output
-/// shape.
-pub fn transform_rr_accumulate(
-    t: &Tensor,
-    hs: &[&Tensor],
-    krs: &[usize],
-    scratch: &mut TransformScratch,
-    out: &mut Tensor,
-) {
-    one_term(t, 1.0, hs, Some(krs), scratch, out);
-}
-
-/// `out += transform_rr(coeff · t, hs, krs)` with the coefficient fused
-/// into the staging copy: the rank-reduced counterpart of
+/// Panics if `krs.len() != t.ndim()`, or as
 /// [`transform_accumulate_scaled`].
-///
-/// # Panics
-/// Same contract as [`transform_rr_accumulate`].
 pub fn transform_rr_accumulate_scaled(
     t: &Tensor,
     coeff: f64,
@@ -683,6 +564,13 @@ mod tests {
         })
     }
 
+    /// `transform(t, hs)` with pass `p` contracting `krs[p]` rows.
+    fn transform_rr(t: &Tensor, hs: &[&Tensor], krs: &[usize]) -> Tensor {
+        let mut out = Tensor::zeros(out_shape(t, hs));
+        transform_rr_accumulate_scaled(t, 1.0, hs, krs, &mut TransformScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn transform_matches_reference_3d() {
         let k = 5;
@@ -713,7 +601,7 @@ mod tests {
         let t = det_tensor(Shape::new(&[3, 4]), 5);
         let h1 = det_tensor(Shape::matrix(3, 6), 6);
         let h2 = det_tensor(Shape::matrix(4, 2), 8);
-        let got = general_transform(&t, &[&h1, &h2]);
+        let got = transform(&t, &[&h1, &h2]);
         assert_eq!(got.shape().dims(), &[6, 2]);
         let want = reference_transform(&t, &[&h1, &h2]);
         assert!(got.distance(&want) < 1e-12);
@@ -729,22 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn transform_dim_rotates_axes() {
-        let t = det_tensor(Shape::new(&[2, 3, 4]), 21);
-        let h = Tensor::identity(2);
-        let r = transform_dim(&t, &h);
-        assert_eq!(r.shape().dims(), &[3, 4, 2]);
-        // r_{j2 j3 i} = t_{i j2 j3} for identity h.
-        for a in 0..2 {
-            for b in 0..3 {
-                for c in 0..4 {
-                    assert_eq!(r.at(&[b, c, a]), t.at(&[a, b, c]));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn accumulate_adds_to_existing() {
         let k = 4;
         let t = det_tensor(Shape::cube(3, k), 2);
@@ -755,7 +627,7 @@ mod tests {
         let base = det_tensor(Shape::cube(3, k), 99);
         let mut acc = base.clone();
         let mut scratch = TransformScratch::new();
-        transform_accumulate(&t, &hr, &mut scratch, &mut acc);
+        transform_accumulate_scaled(&t, 1.0, &hr, &mut scratch, &mut acc);
         let want = &base + &transform(&t, &hr);
         assert!(acc.distance(&want) < 1e-12);
     }
@@ -772,8 +644,8 @@ mod tests {
         let hr: Vec<&Tensor> = hs.iter().collect();
         let mut out1 = Tensor::zeros(Shape::cube(3, k));
         let mut out2 = Tensor::zeros(Shape::cube(3, k));
-        transform_accumulate(&t1, &hr, &mut scratch, &mut out1);
-        transform_accumulate(&t2, &hr, &mut scratch, &mut out2);
+        transform_accumulate_scaled(&t1, 1.0, &hr, &mut scratch, &mut out1);
+        transform_accumulate_scaled(&t2, 1.0, &hr, &mut scratch, &mut out2);
         assert!(out2.distance(&transform(&t2, &hr)) < 1e-12);
     }
 
@@ -819,16 +691,39 @@ mod tests {
     }
 
     #[test]
+    fn rank_reduced_ignores_tail_rows() {
+        // Both passes contract two rows: what lies past them in the
+        // source, the intermediate and the blocks is never read.
+        let krs = [2, 2];
+        let mut t = det_tensor(Shape::new(&[4, 3]), 61);
+        let mut h1 = det_tensor(Shape::matrix(4, 3), 62);
+        let mut h2 = det_tensor(Shape::matrix(3, 3), 63);
+        let want = transform_rr(&t, &[&h1, &h2], &krs);
+        for col in 0..3 {
+            for row in 2..4 {
+                *t.at_mut(&[row, col]) = f64::NAN;
+                *h1.at_mut(&[row, col]) = f64::NAN;
+            }
+            *h2.at_mut(&[2, col]) = f64::NAN;
+        }
+        // Column 2 of the source is row 2 of the intermediate.
+        *t.at_mut(&[0, 2]) = f64::NAN;
+        *t.at_mut(&[1, 2]) = f64::NAN;
+        let got = transform_rr(&t, &[&h1, &h2], &krs);
+        assert_eq!(got.as_slice(), want.as_slice());
+    }
+
+    #[test]
     fn rank_reduced_rectangular_operators_grow_intermediates() {
         // Regression: growing intermediates (rectangular operators) used
-        // to overflow transform_rr's scratch, which was sized per pass
+        // to overflow the rank-reduced scratch, which was sized per pass
         // against the original tensor instead of cumulatively.
         let t = det_tensor(Shape::cube(3, 2), 77);
         let hs: Vec<Tensor> = (0..3)
             .map(|i| det_tensor(Shape::matrix(2, 4), 80 + i))
             .collect();
         let hr: Vec<&Tensor> = hs.iter().collect();
-        let full = general_transform(&t, &hr);
+        let full = transform(&t, &hr);
         let rr = transform_rr(&t, &hr, &[2, 2, 2]);
         assert_eq!(rr.shape().dims(), &[4, 4, 4]);
         assert!(full.distance(&rr) < 1e-12);
@@ -845,7 +740,7 @@ mod tests {
         let base = det_tensor(Shape::cube(3, k), 5);
         let mut acc = base.clone();
         let mut scratch = TransformScratch::new();
-        transform_rr_accumulate(&t, &hr, &[2, 3, 4], &mut scratch, &mut acc);
+        transform_rr_accumulate_scaled(&t, 1.0, &hr, &[2, 3, 4], &mut scratch, &mut acc);
         let want = &base + &transform_rr(&t, &hr, &[2, 3, 4]);
         assert!(acc.distance(&want) < 1e-12);
     }
@@ -860,12 +755,12 @@ mod tests {
         let hr: Vec<&Tensor> = hs.iter().collect();
         let coeff = -1.75;
         let mut scratch = TransformScratch::new();
-        // Old path: materialize scaled = coeff * t, then accumulate.
+        // Materialize scaled = coeff * t, then accumulate.
         let mut scaled = t.clone();
         scaled.scale(coeff);
         let mut want = det_tensor(Shape::cube(3, k), 8);
         let mut got = want.clone();
-        transform_accumulate(&scaled, &hr, &mut scratch, &mut want);
+        transform_accumulate_scaled(&scaled, 1.0, &hr, &mut scratch, &mut want);
         transform_accumulate_scaled(&t, coeff, &hr, &mut scratch, &mut got);
         assert_eq!(got.as_slice(), want.as_slice(), "must be bit-identical");
     }
@@ -885,35 +780,9 @@ mod tests {
         scaled.scale(coeff);
         let mut want = det_tensor(Shape::cube(3, k), 4);
         let mut got = want.clone();
-        transform_rr_accumulate(&scaled, &hr, &krs, &mut scratch, &mut want);
+        transform_rr_accumulate_scaled(&scaled, 1.0, &hr, &krs, &mut scratch, &mut want);
         transform_rr_accumulate_scaled(&t, coeff, &hr, &krs, &mut scratch, &mut got);
         assert_eq!(got.as_slice(), want.as_slice(), "must be bit-identical");
-    }
-
-    #[test]
-    fn transform_into_matches_allocating_transform() {
-        let k = 4;
-        let t = det_tensor(Shape::cube(3, k), 33);
-        let hs: Vec<Tensor> = (0..3)
-            .map(|i| det_tensor(Shape::matrix(k, k), 200 + i))
-            .collect();
-        let hr: Vec<&Tensor> = hs.iter().collect();
-        let mut scratch = TransformScratch::new();
-        let mut out = det_tensor(Shape::cube(3, k), 77); // garbage to overwrite
-        transform_into(&t, &hr, &mut scratch, &mut out);
-        let want = transform(&t, &hr);
-        assert_eq!(out.as_slice(), want.as_slice());
-    }
-
-    #[test]
-    fn transform_dim_into_matches_allocating() {
-        let t = det_tensor(Shape::new(&[2, 3, 4]), 41);
-        let h = det_tensor(Shape::matrix(2, 5), 42);
-        let want = transform_dim(&t, &h);
-        let mut out = Tensor::zeros(Shape::new(&[3, 4, 5]));
-        transform_dim_into(&t, &h, &mut out);
-        assert_eq!(out.as_slice(), want.as_slice());
-        assert_eq!(out.shape().dims(), &[3, 4, 5]);
     }
 
     #[test]
@@ -929,11 +798,11 @@ mod tests {
             // Re-entrant borrow on the same thread must not panic.
             let inner = Workspace::with(|ws2| {
                 let mut out = Tensor::zeros(Shape::cube(3, k));
-                transform_into(&t, &hr, ws2.scratch(), &mut out);
+                transform_accumulate_scaled(&t, 1.0, &hr, ws2.scratch(), &mut out);
                 out
             });
             let mut out = Tensor::zeros(Shape::cube(3, k));
-            transform_into(&t, &hr, ws.scratch(), &mut out);
+            transform_accumulate_scaled(&t, 1.0, &hr, ws.scratch(), &mut out);
             assert_eq!(inner.as_slice(), out.as_slice());
             out
         });

@@ -1,7 +1,9 @@
 //! Property-based tests for the tensor kernels.
 
 use madness_tensor::mtxmq::mtxmq_reference;
-use madness_tensor::{general_transform, mtxmq, mtxmq_acc, mtxmq_rr, transform, Shape, Tensor};
+use madness_tensor::{
+    mtxmq, transform, transform_rr_accumulate_scaled, Shape, Tensor, TransformScratch,
+};
 use proptest::prelude::*;
 
 fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
@@ -36,22 +38,9 @@ proptest! {
         prop_assert!(close(&c, &r, 1e-10));
     }
 
-    /// `mtxmq` then `mtxmq_acc` equals doubling the product.
-    #[test]
-    fn acc_is_additive(dim in 1usize..12) {
-        let n = dim * dim;
-        let a: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let mut c = vec![0.0; n];
-        mtxmq(dim, dim, dim, &a, &b, &mut c);
-        let single = c.clone();
-        mtxmq_acc(dim, dim, dim, &a, &b, &mut c);
-        let doubled: Vec<f64> = single.iter().map(|x| 2.0 * x).collect();
-        prop_assert!(close(&c, &doubled, 1e-12));
-    }
-
-    /// Rank reduction at full rank is exact; at partial rank it equals
-    /// the reference sum truncated to `kr` terms.
+    /// A rank-reduced pass at full rank is exact; at partial rank it
+    /// equals the reference sum truncated to `kr` terms. (The second
+    /// pass is a full-rank identity: it only rotates the product back.)
     #[test]
     fn rank_reduction_truncates_contraction(
         dimi in 1usize..10,
@@ -62,10 +51,15 @@ proptest! {
         let kr = ((dimk as f64 * frac) as usize).clamp(1, dimk);
         let a: Vec<f64> = (0..dimk * dimi).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
         let b: Vec<f64> = (0..dimk * dimj).map(|i| ((i * 5 + 1) % 13) as f64 - 6.0).collect();
-        let mut c = vec![0.0; dimi * dimj];
-        mtxmq_rr(dimi, dimj, dimk, kr, &a, &b, &mut c);
-        // Reference: contract only kr rows.
+        let t = Tensor::from_vec(Shape::matrix(dimk, dimi), a.clone());
+        let h = Tensor::from_vec(Shape::matrix(dimk, dimj), b.clone());
+        let mut c = Tensor::zeros(Shape::matrix(dimj, dimi));
+        transform_rr_accumulate_scaled(
+            &t, 1.0, &[&h, &Tensor::identity(dimi)], &[kr, dimi], &mut TransformScratch::new(), &mut c,
+        );
+        // Reference: contract only kr rows; `c` holds its transpose.
         let r = mtxmq_reference(dimi, dimj, kr, &a[..kr * dimi], &b[..kr * dimj]);
+        let c: Vec<f64> = (0..dimi * dimj).map(|ij| c.at(&[ij % dimj, ij / dimj])).collect();
         prop_assert!(close(&c, &r, 1e-12));
     }
 
@@ -117,7 +111,7 @@ proptest! {
         let t = Tensor::full(Shape::new(&[n, p]), 1.0);
         let h1 = Tensor::full(Shape::matrix(n, m), 0.5);
         let h2 = Tensor::full(Shape::matrix(p, q), 0.25);
-        let r = general_transform(&t, &[&h1, &h2]);
+        let r = transform(&t, &[&h1, &h2]);
         let shape = r.shape();
         prop_assert_eq!(shape.dims(), &[m, q][..]);
         // Every entry is n*p * 1 * 0.5 * 0.25.
@@ -141,9 +135,8 @@ proptest! {
 
 mod workspace {
     use madness_tensor::{
-        transform, transform_accumulate, transform_accumulate_scaled, transform_dim,
-        transform_dim_into, transform_into, transform_rr, transform_rr_accumulate,
-        transform_rr_accumulate_scaled, Shape, Tensor, TransformScratch, Workspace,
+        transform, transform_accumulate_scaled, transform_rr_accumulate_scaled, Shape, Tensor,
+        TransformScratch, Workspace,
     };
     use proptest::prelude::*;
 
@@ -182,11 +175,11 @@ mod workspace {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `transform_into` + reused scratch is bit-identical to the
-        /// allocating `transform` across dims, shapes, and rectangular
+        /// A reused scratch is bit-identical to the allocating
+        /// `transform` (a fresh one) across dims, shapes, and rectangular
         /// operators — including back-to-back reuse of the same scratch.
         #[test]
-        fn transform_into_bit_identical_across_shapes(
+        fn scratch_reuse_bit_identical_across_shapes(
             d in 1usize..5,
             e1 in 1usize..6, e2 in 1usize..6, e3 in 1usize..6, e4 in 1usize..6,
             o1 in 1usize..6, o2 in 1usize..6, o3 in 1usize..6, o4 in 1usize..6,
@@ -200,9 +193,9 @@ mod workspace {
             for round in 0..2u64 {
                 let (t, hs) = random_problem(d, &extents, &outs, seed ^ round);
                 let hr: Vec<&Tensor> = hs.iter().collect();
-                let want = madness_tensor::general_transform(&t, &hr);
-                let mut got = det_tensor(want.shape(), !seed ^ round); // garbage
-                transform_into(&t, &hr, &mut scratch, &mut got);
+                let want = transform(&t, &hr);
+                let mut got = Tensor::zeros(want.shape());
+                transform_accumulate_scaled(&t, 1.0, &hr, &mut scratch, &mut got);
                 prop_assert_eq!(got.as_slice(), want.as_slice());
             }
         }
@@ -227,7 +220,7 @@ mod workspace {
             let base = det_tensor(Shape::cube(d, k), seed ^ 0xABCD);
             let mut want = base.clone();
             let mut got = base.clone();
-            transform_accumulate(&scaled, &hr, &mut scratch, &mut want);
+            transform_accumulate_scaled(&scaled, 1.0, &hr, &mut scratch, &mut want);
             transform_accumulate_scaled(&t, coeff, &hr, &mut scratch, &mut got);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
@@ -255,48 +248,9 @@ mod workspace {
             let base = det_tensor(Shape::cube(d, k), seed ^ 0x1234);
             let mut want = base.clone();
             let mut got = base.clone();
-            transform_rr_accumulate(&scaled, &hr, krs, &mut scratch, &mut want);
+            transform_rr_accumulate_scaled(&scaled, 1.0, &hr, krs, &mut scratch, &mut want);
             transform_rr_accumulate_scaled(&t, coeff, &hr, krs, &mut scratch, &mut got);
             prop_assert_eq!(got.as_slice(), want.as_slice());
-        }
-
-        /// Rank-reduced scratch path matches the allocating rank-reduced
-        /// API bit for bit.
-        #[test]
-        fn rr_accumulate_matches_allocating_rr(
-            d in 1usize..5,
-            k in 2usize..6,
-            kr in 1usize..6,
-            seed in any::<u64>(),
-        ) {
-            let kr = kr.min(k);
-            let t = det_tensor(Shape::cube(d, k), seed);
-            let hs: Vec<Tensor> = (0..d)
-                .map(|i| det_tensor(Shape::matrix(k, k), seed ^ (i as u64 + 29)))
-                .collect();
-            let hr: Vec<&Tensor> = hs.iter().collect();
-            let krs = vec![kr; d];
-            let want = transform_rr(&t, &hr, &krs);
-            let mut got = Tensor::zeros(Shape::cube(d, k));
-            let mut scratch = TransformScratch::new();
-            transform_rr_accumulate(&t, &hr, &krs, &mut scratch, &mut got);
-            prop_assert_eq!(got.as_slice(), want.as_slice());
-        }
-
-        /// `transform_dim_into` matches the allocating `transform_dim`
-        /// bit for bit for rectangular operators.
-        #[test]
-        fn transform_dim_into_bit_identical(
-            e1 in 1usize..6, e2 in 1usize..6, e3 in 1usize..6,
-            cols in 1usize..6,
-            seed in any::<u64>(),
-        ) {
-            let t = det_tensor(Shape::new(&[e1, e2, e3]), seed);
-            let h = det_tensor(Shape::matrix(e1, cols), seed ^ 99);
-            let want = transform_dim(&t, &h);
-            let mut out = Tensor::zeros(want.shape());
-            transform_dim_into(&t, &h, &mut out);
-            prop_assert_eq!(out.as_slice(), want.as_slice());
         }
 
         /// The thread-local `Workspace` gives the same bits as a fresh
@@ -321,7 +275,7 @@ mod workspace {
             let whr: Vec<&Tensor> = whs.iter().collect();
             Workspace::with(|ws| {
                 let mut out = Tensor::zeros(Shape::cube(warm_d, warm_k));
-                transform_into(&wt, &whr, ws.scratch(), &mut out);
+                transform_accumulate_scaled(&wt, 1.0, &whr, ws.scratch(), &mut out);
             });
             // Now the real check.
             let t = det_tensor(Shape::cube(d, k), seed);
@@ -332,7 +286,7 @@ mod workspace {
             let want = transform(&t, &hr);
             let got = Workspace::with(|ws| {
                 let mut out = Tensor::zeros(Shape::cube(d, k));
-                transform_into(&t, &hr, ws.scratch(), &mut out);
+                transform_accumulate_scaled(&t, 1.0, &hr, ws.scratch(), &mut out);
                 out
             });
             prop_assert_eq!(got.as_slice(), want.as_slice());
