@@ -201,34 +201,24 @@ impl ScfApp {
                     })
                 })
                 .collect();
-            if barrier {
-                // The barrier between Apply and Update phases.
+            // The barrier between Apply and Update phases: a join task
+            // every update waits on as well.
+            let sync = barrier.then(|| {
                 let ids: Vec<_> = applies.iter().map(|a| a.id()).collect();
-                let sync = g.spawn(&ids, || ());
-                // Update phase waits on the sync task below.
-                for (o, y) in applies.iter().enumerate() {
-                    let next = self.spawn_update(
-                        &mut g,
-                        &[y.id(), state[o].id(), sync.id()],
-                        state[o].clone(),
-                        y.clone(),
-                        Arc::clone(&flags[o]),
-                    );
-                    steps[o].push(next.clone());
-                    state[o] = next;
-                }
-            } else {
-                for (o, y) in applies.iter().enumerate() {
-                    let next = self.spawn_update(
-                        &mut g,
-                        &[y.id(), state[o].id()],
-                        state[o].clone(),
-                        y.clone(),
-                        Arc::clone(&flags[o]),
-                    );
-                    steps[o].push(next.clone());
-                    state[o] = next;
-                }
+                g.spawn(&ids, || ()).id()
+            });
+            for (o, y) in applies.iter().enumerate() {
+                let mut deps = vec![y.id(), state[o].id()];
+                deps.extend(sync);
+                let next = self.spawn_update(
+                    &mut g,
+                    &deps,
+                    state[o].clone(),
+                    y.clone(),
+                    Arc::clone(&flags[o]),
+                );
+                steps[o].push(next.clone());
+                state[o] = next;
             }
         }
 
