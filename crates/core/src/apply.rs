@@ -108,7 +108,12 @@ pub struct ApplyStats {
     pub cpu_tasks: u64,
     /// Tasks the GPU side computed.
     pub gpu_tasks: u64,
-    /// Host-side operator-cache hits/misses ((h) blocks).
+    /// Host-side operator-cache hits/misses ((h) blocks): the growth of
+    /// the operator's counters over this run. Those counters are
+    /// cumulative over the operator's lifetime and shared by everything
+    /// that uses it, so concurrent runs on one operator (every SCF step
+    /// applies the same one to all its orbitals at once) see each
+    /// other's lookups.
     pub host_cache: (u64, u64),
     /// Device-side write-once cache hits/misses/evictions.
     pub device_cache: (u64, u64, u64),
@@ -767,9 +772,11 @@ mod tests {
     }
 
     fn bits(tree: &FunctionTree) -> Vec<(Key, Vec<u64>)> {
-        let bits =
-            |(key, t): (&Key, &Tensor)| (*key, t.as_slice().iter().map(|x| x.to_bits()).collect());
-        sources(tree).into_iter().map(bits).collect()
+        let of = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect();
+        sources(tree)
+            .into_iter()
+            .map(|(key, t)| (*key, of(t)))
+            .collect()
     }
 
     #[test]

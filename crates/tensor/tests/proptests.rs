@@ -51,14 +51,15 @@ proptest! {
         let kr = ((dimk as f64 * frac) as usize).clamp(1, dimk);
         let a: Vec<f64> = (0..dimk * dimi).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
         let b: Vec<f64> = (0..dimk * dimj).map(|i| ((i * 5 + 1) % 13) as f64 - 6.0).collect();
-        let t = Tensor::from_vec(Shape::matrix(dimk, dimi), a.clone());
-        let h = Tensor::from_vec(Shape::matrix(dimk, dimj), b.clone());
+        let t = Tensor::from_vec(Shape::matrix(dimk, dimi), a);
+        let h = Tensor::from_vec(Shape::matrix(dimk, dimj), b);
         let mut c = Tensor::zeros(Shape::matrix(dimj, dimi));
         transform_rr_accumulate_scaled(
             &t, 1.0, &[&h, &Tensor::identity(dimi)], &[kr, dimi], &mut TransformScratch::new(), &mut c,
         );
         // Reference: contract only kr rows; `c` holds its transpose.
-        let r = mtxmq_reference(dimi, dimj, kr, &a[..kr * dimi], &b[..kr * dimj]);
+        let (a, b) = (&t.as_slice()[..kr * dimi], &h.as_slice()[..kr * dimj]);
+        let r = mtxmq_reference(dimi, dimj, kr, a, b);
         let c: Vec<f64> = (0..dimi * dimj).map(|ij| c.at(&[ij % dimj, ij / dimj])).collect();
         prop_assert!(close(&c, &r, 1e-12));
     }
