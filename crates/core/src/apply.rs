@@ -10,12 +10,14 @@
 //! *compute* tasks batch per kind and are split between CPU threads and
 //! the simulated GPU by the dispatcher's `k* = n/(m+n)` rule,
 //! *postprocess* accumulates results. It is asynchronous: the calling
-//! thread dispatches and never waits for a batch — the CPU share is
-//! spawned into the executor in chunks cut where the source tensor
-//! changes, and results commit in order as the chunks retire. One run
-//! is an `ApplyRun` whose methods are those stages: `preprocess` →
-//! `dispatch` → `flush` = `split` → `cpu_share` ∥ `gpu_share`, with
-//! `Commit` as postprocess. Both produce identical trees.
+//! thread prepares each source's tasks as it pushes them and never waits
+//! for a batch — the CPU share is spawned into the executor in chunks
+//! cut where the source tensor changes, so a chunk may span flushes but
+//! never cuts a source, and results commit in order as the chunks
+//! retire. One run is an `ApplyRun` whose methods are those stages:
+//! `dispatch` (preprocess fused into the push loop) → `flush` = `split`
+//! → `cpu_share` ∥ `gpu_share`, with `Commit` as postprocess. Both
+//! produce identical trees.
 //!
 //! On the host, both hand one source's displacement tasks to the tensor
 //! crate side by side (`transform_sum_accumulate_group`): neighbouring
@@ -39,7 +41,7 @@ use madness_runtime::{
 use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, TransformScratch, Workspace};
 use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
@@ -108,6 +110,9 @@ pub struct ApplyStats {
     pub cpu_tasks: u64,
     /// Tasks the GPU side computed.
     pub gpu_tasks: u64,
+    /// CPU chunks spawned: one executor job (run inline without a pool)
+    /// and one commit segment each.
+    pub chunks: u64,
     /// Host-side operator-cache hits/misses ((h) blocks): the growth of
     /// the operator's counters over this run. Those counters are
     /// cumulative over the operator's lifetime and shared by everything
@@ -119,7 +124,7 @@ pub struct ApplyStats {
     pub device_cache: (u64, u64, u64),
 }
 
-/// One preprocessed compute task: Algorithm 4's output.
+/// One prepared compute task: Algorithm 4's output.
 struct PreparedTask {
     neighbor: Key,
     task: TransformTask,
@@ -272,8 +277,22 @@ struct ApplyRun<'a, R: Recorder> {
     /// The postprocess stage. Borrowed, not owned: every spawned chunk
     /// retires into it while the dispatcher holds `self` mutably.
     commit: &'a Commit,
+    /// The CPU share no chunk holds yet.
+    pending: PendingRun,
     /// `Some` iff [`ApplyResource::Adaptive`].
     learned: Option<Learned>,
+}
+
+/// CPU tasks flushes have handed over that no chunk holds yet: one
+/// kind's, in task order. Chunks come off its front where
+/// [`chunk_len`] cuts at a change of source; the tail — a source the
+/// next flush may go on with — waits until the run is spawned whole.
+struct PendingRun {
+    /// `None` until the first flush.
+    kind: Option<TaskKind>,
+    /// What one of the kind's tasks costs: the grain's unit.
+    task_flops: u64,
+    tasks: Vec<PreparedTask>,
 }
 
 /// [`ApplyResource::Adaptive`]'s feedback state.
@@ -304,6 +323,11 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 .unwrap_or_else(|| KernelKind::auto_select(op.d(), op.k())),
             device: GpuDevice::new(madness_gpusim::DeviceSpec::default(), config.streams),
             stats: ApplyStats::default(),
+            pending: PendingRun {
+                kind: None,
+                task_flops: 0,
+                tasks: Vec::new(),
+            },
             learned: matches!(config.resource, ApplyResource::Adaptive).then(|| {
                 let (sample_tx, sample_rx) = mpsc::channel();
                 Learned {
@@ -321,67 +345,21 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         }
     }
 
-    /// Preprocess, then this thread is the paper's dispatcher: per flush
-    /// it plans the split, runs the GPU share on the simulated device
-    /// itself and *spawns* the CPU share — then moves on to the next push
-    /// without waiting; the scope ends when the last chunk has retired.
+    /// This thread is the paper's dispatcher: it prepares each source's
+    /// tasks as it pushes them, per flush plans the split, runs the GPU
+    /// share on the simulated device itself and *spawns* the CPU share —
+    /// then moves on to the next push without waiting; the scope ends
+    /// when the last chunk has retired.
     fn run(mut self, tree: &FunctionTree) -> ApplyStats {
         // The operator's cache counters are cumulative across its
         // lifetime; snapshot them so the stats report *this run's*
         // hits/misses.
         let (hits, misses) = self.op.cache_stats();
-        let prepared = self.preprocess(tree);
-        self.stats.tasks = prepared.len() as u64;
-        rayon::scope(|scope| self.dispatch(scope, prepared));
+        rayon::scope(|scope| self.dispatch(scope, tree));
         let (hits_after, misses_after) = self.op.cache_stats();
         self.stats.host_cache = (hits_after - hits, misses_after - misses);
         self.stats.device_cache = self.device.cache().stats();
         self.stats
-    }
-
-    /// Algorithm 4, parallel and data-intensive: resolves every source's
-    /// neighbors and operator-block addresses. A term table depends only
-    /// on (level, displacement) — never on the source key — so each one
-    /// is built once and shared (`Arc`) across all tasks at that
-    /// level/displacement. This removes the dominant preprocess cost:
-    /// `M` term allocations plus `M × d` block lookups per task collapse
-    /// to one table per distinct (level, displacement).
-    fn preprocess(&self, tree: &FunctionTree) -> Vec<PreparedTask> {
-        let (op, d) = (self.op, self.op.d());
-        let sources = sources(tree);
-        let levels: BTreeSet<u8> = sources.iter().map(|(key, _)| key.level()).collect();
-        let mut term_tables: HashMap<(u8, usize), Arc<Vec<TransformTerm>>> = HashMap::new();
-        for level in levels {
-            for (di, disp) in op.displacements_at(level).iter().enumerate() {
-                let terms = self.term_table(level, &disp.delta[..d]);
-                term_tables.insert((level, di), Arc::new(terms));
-            }
-        }
-        // (`filter_map`: what the executor's `flatten` comes after.)
-        sources
-            .par_iter()
-            .filter_map(|&(key, s)| {
-                let s = Arc::new(s.clone());
-                let mut local = Vec::new();
-                let displacements = op.displacements_at(key.level());
-                for (di, disp) in displacements.iter().enumerate() {
-                    let Some(neighbor) = key.neighbor(&disp.delta) else {
-                        continue;
-                    };
-                    local.push(PreparedTask {
-                        neighbor,
-                        task: TransformTask {
-                            d,
-                            k: op.k(),
-                            s: Some(Arc::clone(&s)),
-                            terms: Arc::clone(&term_tables[&(key.level(), di)]),
-                        },
-                    });
-                }
-                Some(local)
-            })
-            .flatten()
-            .collect()
     }
 
     /// The `Σ_μ` terms of every task at `level` displaced by `delta`.
@@ -404,34 +382,88 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             .collect()
     }
 
-    /// Batch per kind — the one place a flush is triggered: by the size
-    /// trigger at a full batch, then the end-of-run drain.
-    fn dispatch(&mut self, scope: &rayon::Scope<'a>, prepared: Vec<PreparedTask>) {
+    /// Algorithm 4 fused into batch per kind: each source's tasks —
+    /// neighbors and operator-block addresses resolved — are built as one
+    /// unit and pushed as they are built, so the first batches compute
+    /// while later sources are still being prepared. A term table depends
+    /// only on (level, displacement), never on the source key, so it is
+    /// built the first time its pair comes up and shared (`Arc`) by every
+    /// task with that pair: `M` term allocations plus `M × d` block
+    /// lookups a task collapse to one table a pair. The one place a flush
+    /// is triggered: by the size trigger at a full batch, then the
+    /// end-of-run drain, after which what is pending is spawned whole.
+    fn dispatch(&mut self, scope: &rayon::Scope<'a>, tree: &FunctionTree) {
+        let (op, d) = (self.op, self.op.d());
         let mut batcher: Batcher<PreparedTask> = Batcher::new(self.config.batch);
-        for p in prepared {
-            let kind = TaskKind::new(APPLY_OP_ID, p.neighbor.level() as u64);
-            if let Some((kind, full)) = batcher.push(kind, p) {
-                self.flush(scope, kind, full);
+        let mut term_tables: BTreeMap<u8, Vec<Option<Arc<Vec<TransformTerm>>>>> = BTreeMap::new();
+        for (key, s) in sources(tree) {
+            let level = key.level();
+            let kind = TaskKind::new(APPLY_OP_ID, level as u64);
+            let displacements = op.displacements_at(level);
+            let tables = term_tables
+                .entry(level)
+                .or_insert_with(|| vec![None; displacements.len()]);
+            let s = Arc::new(s.clone());
+            for (disp, table) in displacements.iter().zip(tables.iter_mut()) {
+                let Some(neighbor) = key.neighbor(&disp.delta) else {
+                    continue;
+                };
+                let terms =
+                    table.get_or_insert_with(|| Arc::new(self.term_table(level, &disp.delta[..d])));
+                let task = TransformTask {
+                    d,
+                    k: op.k(),
+                    s: Some(Arc::clone(&s)),
+                    terms: Arc::clone(terms),
+                };
+                self.stats.tasks += 1;
+                if let Some((kind, full)) = batcher.push(kind, PreparedTask { neighbor, task }) {
+                    self.flush(scope, kind, full);
+                }
             }
         }
         for (kind, rest) in batcher.drain() {
             self.flush(scope, kind, rest);
         }
+        self.cpu_share(scope, true);
     }
 
     /// One batch through Fig. 3: dispatcher split → CPU share ∥ GPU
-    /// share. The CPU chunks come first in commit order, then the GPU
-    /// share — the exact pre-pipeline accumulation order (bit-identical
-    /// trees).
+    /// share.
     fn flush(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, batch: Vec<PreparedTask>) {
         self.stats.batches += 1;
         // A batch is one kind: its first task's cost stands for all.
         let task_flops = batch.first().map_or(0, |p| p.task.flops_rank_reduced());
         let plan = self.split(kind, &batch, task_flops);
+        self.hand_over(scope, kind, task_flops, batch, plan);
+    }
+
+    /// The split batch to its two sides: the first `plan.cpu_tasks` join
+    /// the pending run, the rest are the GPU share. Commit order stays
+    /// task order — the exact pre-pipeline accumulation order
+    /// (bit-identical trees) — because the pending run is spawned whole
+    /// before another kind joins it and before a GPU share mints its
+    /// segment; otherwise only chunks that end at a change of source go.
+    fn hand_over(
+        &mut self,
+        scope: &rayon::Scope<'a>,
+        kind: TaskKind,
+        task_flops: u64,
+        batch: Vec<PreparedTask>,
+        plan: SplitPlan,
+    ) {
         self.stats.cpu_tasks += plan.cpu_tasks as u64;
         self.stats.gpu_tasks += plan.gpu_tasks as u64;
+        if self.pending.kind != Some(kind) {
+            self.cpu_share(scope, true);
+            self.pending.kind = Some(kind);
+            self.pending.task_flops = task_flops;
+        }
         let mut tasks = batch.into_iter();
-        self.cpu_share(scope, kind, &mut tasks, plan.cpu_tasks, task_flops);
+        self.pending
+            .tasks
+            .extend(tasks.by_ref().take(plan.cpu_tasks));
+        self.cpu_share(scope, plan.gpu_tasks > 0);
         if plan.gpu_tasks > 0 {
             self.gpu_share(kind, tasks);
         }
@@ -482,23 +514,30 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         }
     }
 
-    /// The CPU share (honours rank reduction), the first `share` of
-    /// `tasks`: ownership of the tasks moves into spawned chunks, each of
-    /// which runs its tasks in order inside one workspace — each run of
-    /// one source as one group call — and retires as one commit segment.
-    /// The schedule, not split-on-demand, owns the grain.
-    fn cpu_share(
-        &mut self,
-        scope: &rayon::Scope<'a>,
-        kind: TaskKind,
-        tasks: &mut std::vec::IntoIter<PreparedTask>,
-        mut share: usize,
-        task_flops: u64,
-    ) {
-        while share > 0 {
-            let len = chunk_len(&tasks.as_slice()[..share], task_flops);
-            let chunk: Vec<PreparedTask> = tasks.by_ref().take(len).collect();
-            share -= chunk.len();
+    /// The CPU share (honours rank reduction): chunks off the front of
+    /// the pending run — every one [`chunk_len`] ends at a change of
+    /// source, and with `whole` the tail too. Ownership of the tasks
+    /// moves into spawned chunks, each of which runs its tasks in order
+    /// inside one workspace — each run of one source as one group call —
+    /// and retires as one commit segment. The schedule, not
+    /// split-on-demand, owns the grain.
+    fn cpu_share(&mut self, scope: &rayon::Scope<'a>, whole: bool) {
+        let PendingRun {
+            kind,
+            task_flops,
+            tasks,
+        } = &mut self.pending;
+        let Some(kind) = *kind else {
+            return;
+        };
+        while !tasks.is_empty() {
+            let len = chunk_len(tasks, *task_flops);
+            if len == tasks.len() && !whole {
+                // Its last source may go on in the next flush.
+                return;
+            }
+            let chunk: Vec<PreparedTask> = tasks.drain(..len).collect();
+            self.stats.chunks += 1;
             let (commit, seq) = (self.commit, self.commit.segment());
             let sample_tx = self.learned.as_ref().map(|l| l.sample_tx.clone());
             scope.spawn(move |_| {
@@ -551,18 +590,20 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
 
 /// Cost grain of one spawned CPU chunk, in rank-reduced FLOPs: large
 /// enough that queueing, waking and committing a chunk (a few µs) is
-/// noise against running it (a whole 16-task batch at k = 4 is one
-/// chunk), small enough that a batch of kernel-bound tasks (k = 10:
-/// ≈ 2 MFLOP each, so every chunk is one source's run of the batch, at
-/// most 27 tasks and ≈ 4 ms) still spreads over every worker.
+/// noise against running it (at k = 4, rank 22, the grain is 20 tasks,
+/// run on to the end of their last source — ≈ 28 a chunk on `apply-k4`
+/// — however many flushes they came in), small enough that kernel-bound
+/// tasks (k = 10: ≈ 2 MFLOP
+/// each, so every chunk is one source's run, at most 27 tasks and
+/// ≈ 4 ms) still spread over every worker.
 const CHUNK_FLOPS: u64 = 1_000_000;
 
-/// How many of `tasks` (the CPU share a flush has yet to spawn; not
-/// empty) the next chunk takes: chunks are cut where the source
-/// changes, so a source's displacement tasks stay side by side for the
-/// group call that shares their leading passes — the first change of
-/// source at or past [`CHUNK_FLOPS`] of work, which is at most one
-/// source's run past the grain.
+/// How many of `tasks` (a pending run; not empty) the next chunk takes:
+/// chunks are cut where the source changes, so a source's displacement
+/// tasks stay side by side for the group call that shares their leading
+/// passes — the first change of source at or past [`CHUNK_FLOPS`] of
+/// work, which is at most one source's run past the grain. All of
+/// `tasks` when there is no such change.
 fn chunk_len(tasks: &[PreparedTask], task_flops: u64) -> usize {
     let grain = CHUNK_FLOPS.div_ceil(task_flops.max(1)).max(1);
     let mut len = tasks.len().min(grain as usize);
@@ -581,9 +622,11 @@ struct ChunkSample {
 }
 
 /// The postprocess stage: results enter the result tree in segment order
-/// (flush order; a flush's CPU chunks before its GPU share; task order
-/// within), whatever order the segments finish in, so every target keeps
-/// its accumulation order and the tree is bit-identical to a serial run.
+/// (the order the dispatcher minted them: a kind's tasks in task order,
+/// whether a chunk spans flushes or a GPU share follows the chunks that
+/// hold the CPU tasks before it), whatever order the segments finish in,
+/// so every target keeps its accumulation order and the tree is
+/// bit-identical to a serial run.
 struct Commit {
     /// Segments handed out so far; only the dispatcher thread mints.
     minted: AtomicUsize,
@@ -679,7 +722,7 @@ impl Commit {
 }
 
 /// Whether two tasks transform the same source tensor (the same `Arc`,
-/// which preprocess makes once per source).
+/// which `dispatch` makes once per source).
 fn same_source(a: &PreparedTask, b: &PreparedTask) -> bool {
     match (&a.task.s, &b.task.s) {
         (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -750,6 +793,101 @@ mod tests {
                 assert!((1..=tasks.len() - rest).contains(&len));
             }
         }
+    }
+
+    /// One single-task source per value, every task `r = s` into one
+    /// target (d = 1, k = 1, one term, `h = [1]`).
+    fn valued(values: &[f64]) -> Vec<PreparedTask> {
+        let terms = Arc::new(vec![TransformTerm {
+            coeff: 1.0,
+            hs: vec![HBlock::new(0, Arc::new(Tensor::identity(1)))],
+            effective_ranks: None,
+        }]);
+        let task = |&x: &f64| PreparedTask {
+            neighbor: Key::root(1),
+            task: TransformTask {
+                d: 1,
+                k: 1,
+                s: Some(Arc::new(Tensor::full(Shape::cube(1, 1), x))),
+                terms: Arc::clone(&terms),
+            },
+        };
+        values.iter().map(task).collect()
+    }
+
+    fn config(resource: ApplyResource) -> ApplyConfig {
+        ApplyConfig {
+            resource,
+            kernel: Some(KernelKind::CustomMtxmq),
+            ..ApplyConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_pending_run_is_spawned_whole_before_a_gpu_share_mints_its_segment() {
+        let op = SeparatedConvolution::gaussian_sum(1, 1, 1, 1.0, 1.0);
+        let config = config(ApplyResource::Hybrid);
+        let commit = Commit::new(FunctionTree::new(1, 1));
+        let mut rec = NullRecorder;
+        let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
+        let kind = TaskKind::new(APPLY_OP_ID, 0);
+        let minted = || commit.minted.load(Ordering::Relaxed);
+        rayon::scope(|scope| {
+            // Under the grain: the first flush's CPU share waits …
+            run.hand_over(scope, kind, 1, valued(&[1.0, 1e16]), SplitPlan::all_cpu(2));
+            assert_eq!((run.pending.tasks.len(), minted()), (2, 0));
+            // … until a GPU share comes: then it goes first.
+            run.hand_over(scope, kind, 1, valued(&[-1e16, 1.0]), SplitPlan::all_gpu(2));
+            assert_eq!((run.pending.tasks.len(), minted()), (0, 2));
+        });
+        assert_eq!(
+            (run.stats.chunks, run.stats.cpu_tasks, run.stats.gpu_tasks),
+            (1, 2, 2)
+        );
+        drop(run);
+        // Task order, ((1 + 1e16) − 1e16) + 1; with the GPU share first
+        // the sum would be 0.
+        let tree = commit.finish();
+        let sum = tree.get(&Key::root(1)).and_then(|n| n.coeffs.as_ref());
+        assert_eq!(sum.map(|t| t.as_slice()[0]), Some(1.0));
+    }
+
+    #[test]
+    fn a_pending_run_is_spawned_whole_on_a_change_of_kind() {
+        let op = SeparatedConvolution::gaussian_sum(1, 1, 1, 1.0, 1.0);
+        let config = config(ApplyResource::Adaptive);
+        let commit = Commit::new(FunctionTree::new(1, 1));
+        let mut rec = NullRecorder;
+        let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
+        let (a, b) = (TaskKind::new(APPLY_OP_ID, 2), TaskKind::new(APPLY_OP_ID, 3));
+        // A grain of 10 tasks over sources of 27: chunks end only where
+        // the source changes, and the last source waits for more.
+        let grain_10 = CHUNK_FLOPS / 10;
+        rayon::scope(|scope| {
+            run.hand_over(
+                scope,
+                a,
+                grain_10,
+                tasks_of(&[27, 27, 27]),
+                SplitPlan::all_cpu(81),
+            );
+            assert_eq!((run.pending.tasks.len(), run.stats.chunks), (27, 2));
+            // Another kind: the run goes whole, under its own grain, and
+            // the new kind's tasks open a run with theirs.
+            run.hand_over(scope, b, 1, tasks_of(&[2, 3]), SplitPlan::all_cpu(5));
+            assert_eq!((run.pending.kind, run.pending.task_flops), (Some(b), 1));
+            assert_eq!((run.pending.tasks.len(), run.stats.chunks), (5, 3));
+            run.cpu_share(scope, true);
+        });
+        // Every chunk is one kind's, so Adaptive's samples stay per kind.
+        let learned = run.learned.as_ref().expect("Adaptive");
+        let mut samples: Vec<_> = learned
+            .sample_rx
+            .try_iter()
+            .map(|s| (s.kind, s.tasks))
+            .collect();
+        samples.sort_unstable();
+        assert_eq!(samples, [(a, 27), (a, 27), (a, 27), (b, 5)]);
     }
 
     /// What segment `seq` hands in: three tensors over two targets, their

@@ -7,7 +7,7 @@
 //! rank. Runs as its own integration binary so the `#[global_allocator]`
 //! swap cannot perturb other tests.
 
-use madness_core::apply::{apply_batched, ApplyConfig, ApplyResource};
+use madness_core::apply::{apply_batched, ApplyConfig, ApplyResource, ApplyStats};
 use madness_core::coulomb::CoulombApp;
 use madness_mra::convolution::SeparatedConvolution;
 use madness_mra::tree::FunctionTree;
@@ -33,33 +33,41 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `(allocations, tasks, batches)` of one steady-state pass: the minimum
-/// over several, since unrelated lazy initialisation can only inflate a
-/// count.
+/// `(allocations, stats)` of one steady-state `max_batch = 16` pass: the
+/// fewest allocations over several, since unrelated lazy initialisation
+/// can only inflate a count. The chunk count is checked against the
+/// executor's: with a pool every chunk is one queued job and nothing
+/// else is; inline (`RAYON_NUM_THREADS=1`) no job is queued.
 fn steady_pass(
     op: &SeparatedConvolution,
     tree: &FunctionTree,
-    max_batch: usize,
-) -> (u64, u64, u64) {
+    rank_reduce_eps: Option<f64>,
+) -> (u64, ApplyStats) {
     let cfg = ApplyConfig {
         resource: ApplyResource::Cpu,
         batch: BatcherConfig {
-            max_batch,
+            max_batch: 16,
             ..BatcherConfig::default()
         },
+        rank_reduce_eps,
         ..ApplyConfig::default()
     };
     // Warm: operator block cache, kernel table, executor, workspaces.
     apply_batched(op, tree, &cfg);
-    let mut best = (u64::MAX, 0, 0);
+    let mut best: Option<(u64, ApplyStats)> = None;
     for _ in 0..3 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let (before, jobs_before) = (ALLOCS.load(Ordering::Relaxed), rayon::executor_stats());
         let (result, stats) = apply_batched(op, tree, &cfg);
         let after = ALLOCS.load(Ordering::Relaxed);
+        let jobs = rayon::executor_stats();
         drop(result);
-        best = best.min((after - before, stats.tasks, stats.batches));
+        let queued = if jobs.workers > 0 { stats.chunks } else { 0 };
+        assert_eq!(jobs.tasks - jobs_before.tasks, queued, "executor jobs");
+        if best.is_none_or(|(fewest, _)| after - before < fewest) {
+            best = Some((after - before, stats));
+        }
     }
-    best
+    best.expect("three passes")
 }
 
 #[test]
@@ -68,37 +76,50 @@ fn batched_cpu_pass_allocates_one_tensor_per_task_plus_constant_per_chunk() {
     let low = SeparatedConvolution::gaussian_sum(3, 4, 4, 1.0, 100.0);
     let high = SeparatedConvolution::gaussian_sum(3, 4, 16, 1.0, 100.0);
 
-    let (a_low, tasks, chunks) = steady_pass(&low, &tree, 16);
-    let (a_high, tasks_high, _) = steady_pass(&high, &tree, 16);
-    // At k = 4 a 16-task batch is under the chunk grain: one chunk a
-    // batch, so `max_batch = 1` turns every task into its own chunk and
-    // the difference between the two passes is pure per-chunk cost.
-    let (a_single, _, singles) = steady_pass(&low, &tree, 1);
-    assert_eq!(tasks, tasks_high);
-    assert_eq!(singles, tasks);
-
+    // Per chunk: rank reduction at eps = 1 keeps one row of every block,
+    // so a task costs a fraction of what it does at eps = 0 (every row),
+    // the grain holds more tasks and the pass spawns fewer chunks — and
+    // nothing else differs: the same tasks, sources, targets, flushes and
+    // tables, each table carrying its effective ranks.
+    let (a_full, full) = steady_pass(&high, &tree, Some(0.0));
+    let (a_thin, thin) = steady_pass(&high, &tree, Some(1.0));
+    assert_eq!((full.tasks, full.batches), (thin.tasks, thin.batches));
+    assert!(
+        2 * thin.chunks < full.chunks,
+        "{} chunks at eps 1 against {} at eps 0",
+        thin.chunks,
+        full.chunks
+    );
     // O(1) per chunk: the spawned job, the chunk's task vector, its
     // result vector and its commit slot.
-    let per_chunk = (a_single - a_low) as f64 / (singles - chunks) as f64;
+    let per_chunk = (a_full as f64 - a_thin as f64) / (full.chunks - thin.chunks) as f64;
     assert!(
         per_chunk <= 6.0,
-        "{per_chunk:.2} allocations per chunk ({a_low} at {chunks} chunks, {a_single} at {singles})"
+        "{per_chunk:.2} allocations per chunk ({a_thin} at {} chunks, {a_full} at {})",
+        thin.chunks,
+        full.chunks
     );
+
     // Per task: the result tensor. What is left once the per-chunk cost
     // is taken out also holds everything per source (the shared `Arc`
-    // copy), per target (tree nodes) and per term table, which together
-    // stay under one more allocation a task — a `Box` or `Vec` per task
-    // on the spawn path would not.
-    let rest = a_low as f64 - per_chunk * chunks as f64;
+    // copy), per target (tree nodes), per flush and per term table,
+    // which together stay under one more allocation a task — a `Box` or
+    // `Vec` per task on the spawn path would not.
+    let (a_low, low_stats) = steady_pass(&low, &tree, None);
+    let tasks = low_stats.tasks as f64;
+    let rest = a_low as f64 - per_chunk * low_stats.chunks as f64;
     assert!(
-        rest <= 2.0 * tasks as f64,
+        rest <= 2.0 * tasks,
         "{:.2} allocations per task outside the per-chunk cost",
-        rest / tasks as f64
+        rest / tasks
     );
-    // Independent of rank: 4× the terms only grows the shared term
-    // tables, never anything per task.
+    // Independent of rank: 4× the terms grows the shared term tables and,
+    // through the grain, the chunk count — never anything per task.
+    let (a_high, high_stats) = steady_pass(&high, &tree, None);
+    assert_eq!(high_stats.tasks, low_stats.tasks);
+    let rest_high = a_high as f64 - per_chunk * high_stats.chunks as f64;
     assert!(
-        a_high <= a_low + tasks / 4,
-        "allocations scale with rank: {a_low} at rank 4, {a_high} at rank 16, {tasks} tasks"
+        rest_high <= rest + tasks / 4.0,
+        "allocations scale with rank: {rest:.0} at rank 4, {rest_high:.0} at rank 16, {tasks} tasks"
     );
 }

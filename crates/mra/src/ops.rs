@@ -205,9 +205,9 @@ fn truncate_rec(tree: &mut FunctionTree, key: &Key, tol: f64) -> bool {
 }
 
 /// SumDown: pushes scaling coefficients stored at interior nodes down to
-/// the leaves (two-scale upsampling with zero wavelet part), restoring the
-/// reconstructed-form invariant after Apply has accumulated contributions
-/// at mixed levels.
+/// the leaves (two-scale upsampling with zero wavelet part,
+/// [`TwoScale::push_down`]), restoring the reconstructed-form invariant
+/// after Apply has accumulated contributions at mixed levels.
 ///
 /// # Panics
 /// Panics if the tree is not in reconstructed form.
@@ -225,8 +225,6 @@ pub fn sum_down(tree: &mut FunctionTree) {
 }
 
 fn sum_down_rec(tree: &mut FunctionTree, key: &Key, inherited: Option<Tensor>, ts: &TwoScale) {
-    let k = tree.k();
-    let d = key.ndim();
     // Combine anything stored here with what the parent pushed down.
     let own = tree.get_mut(key).and_then(|n| n.coeffs.take());
     let combined = match (own, inherited) {
@@ -246,19 +244,18 @@ fn sum_down_rec(tree: &mut FunctionTree, key: &Key, inherited: Option<Tensor>, t
         return;
     }
     // Interior: upsample combined s (d = 0) and push to children.
-    let child_blocks: Option<Vec<Tensor>> = combined.map(|s| {
-        let mut block = Tensor::zeros(Shape::cube(d, 2 * k));
-        insert_s_corner(k, &mut block, &s);
-        scatter_children(k, &ts.unfilter(&block))
-    });
-    for (which, ckey) in key.children().enumerate() {
-        let push = child_blocks.as_ref().map(|b| b[which].clone());
+    let mut pushes = combined
+        .map_or_else(Vec::new, |s| ts.push_down(&s))
+        .into_iter();
+    for ckey in key.children() {
+        let push = pushes.next();
         if tree.contains(&ckey) {
             sum_down_rec(tree, &ckey, push, ts);
         } else if let Some(p) = push {
             // Contribution lands in a box the tree never refined: create
-            // the leaf so no mass is lost.
-            if p.normf() > 0.0 {
+            // the leaf so no mass is lost — poisoned mass included (a NaN
+            // norm is not `> 0`, but it is `!= 0`).
+            if p.normf() != 0.0 {
                 tree.insert(ckey, Node::leaf(p));
             }
         }
@@ -389,6 +386,34 @@ mod tests {
                 assert!(node.coeffs.is_none());
             }
         }
+    }
+
+    #[test]
+    fn sum_down_pushes_non_finite_mass_into_an_unrefined_box() {
+        // The root and its lower child carry coefficients; the upper
+        // child was never refined.
+        let (lower, upper) = (Key::new(1, &[0]), Key::new(1, &[1]));
+        let tree_with = |root: Tensor| {
+            let mut t = FunctionTree::new(1, 2);
+            t.accumulate(Key::root(1), 1.0, &root);
+            t.accumulate(lower, 1.0, &Tensor::full(Shape::cube(1, 2), 1.0));
+            assert!(!t.contains(&upper));
+            sum_down(&mut t);
+            t
+        };
+        let coeffs = |t: &FunctionTree, key: &Key| t.get(key).and_then(|n| n.coeffs.clone());
+        let mut poisoned = Tensor::zeros(Shape::cube(1, 2));
+        poisoned.as_mut_slice()[0] = f64::NAN;
+        let t = tree_with(poisoned);
+        // Both halves get the NaN: the existing child and a new leaf.
+        for key in [lower, upper] {
+            let c = coeffs(&t, &key).expect("a leaf holding the push");
+            assert!(c.as_slice().iter().any(|x| x.is_nan()), "{key:?}");
+        }
+        assert!(t.check_invariants().is_ok());
+        // A push of exact zeros still makes no leaf.
+        let t = tree_with(Tensor::full(Shape::cube(1, 2), -0.0));
+        assert!(coeffs(&t, &lower).is_some() && !t.contains(&upper));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! holds identically.
 
 use crate::quadrature::{gauss_legendre, scaling_functions};
-use madness_tensor::{transform, Shape, Tensor};
+use madness_tensor::{transform, transform_sum_accumulate_group, Shape, Tensor, Term, Workspace};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -32,6 +32,10 @@ pub struct TwoScale {
     w: Tensor,
     /// `Wᵀ`.
     wt: Tensor,
+    /// `h0` and `h1`, the two k × k column halves of `H`: what `unfilter`
+    /// applies to a parent's `s` along a dimension in which the child is
+    /// the lower or the upper half.
+    h_halves: [Tensor; 2],
 }
 
 impl TwoScale {
@@ -104,7 +108,14 @@ impl TwoScale {
             }
         }
         let wt = Tensor::from_fn(Shape::matrix(two_k, two_k), |ix| w.at(&[ix[1], ix[0]]));
-        TwoScale { k, w, wt }
+        let half =
+            |c: usize| Tensor::from_fn(Shape::matrix(k, k), |ix| w.at(&[ix[0], c * k + ix[1]]));
+        TwoScale {
+            k,
+            h_halves: [half(0), half(1)],
+            w,
+            wt,
+        }
     }
 
     /// The two-scale matrices for order `k`, built by [`TwoScale::new`]
@@ -172,6 +183,40 @@ impl TwoScale {
         );
         let hs: Vec<&Tensor> = (0..sd_block.ndim()).map(|_| &self.w).collect();
         transform(sd_block, &hs)
+    }
+
+    /// The `2^d` child blocks of a parent whose scaling coefficients are
+    /// `s` and whose wavelet part is zero, in [`crate::key::Key::child`]
+    /// order: `scatter_children(k, unfilter(s in a zero (2k)^d block))`
+    /// bit for bit, without the block. The kernels skip exact-zero
+    /// operands (`a == 0.0`), so the full unfilter only ever adds `s`
+    /// terms, through `H`'s column half for the child's side in each
+    /// dimension, in the order this runs them. One group call on the
+    /// thread's workspace: the children go dimension 0's half slowest,
+    /// so neighbours share their leading passes — 2 + 4 + … + 2^d passes
+    /// in all.
+    ///
+    /// # Panics
+    /// Panics unless `s` is a `k^d` cube.
+    pub fn push_down(&self, s: &Tensor) -> Vec<Tensor> {
+        assert!(s.shape().is_cube(self.k), "s must be k^d");
+        let d = s.ndim();
+        // Task `t` is the child whose dimension-`p` bit is `t`'s bit
+        // `d − 1 − p`; the map is its own inverse.
+        let child = move |t: usize| t.reverse_bits() >> (usize::BITS as usize - d);
+        let term = |t: usize, _| Term {
+            coeff: 1.0,
+            hs: (0..d).map(move |p| &self.h_halves[(child(t) >> p) & 1]),
+            krs: None,
+        };
+        let mut pushes = vec![Tensor::zeros(s.shape()); 1 << d];
+        Workspace::with(|ws| transform_sum_accumulate_group(s, 1, term, ws.scratch(), &mut pushes));
+        for t in 0..pushes.len() {
+            if t < child(t) {
+                pushes.swap(t, child(t));
+            }
+        }
+        pushes
     }
 }
 
@@ -436,6 +481,72 @@ mod tests {
         // And the parent s-corner carries the whole norm.
         let s = extract_s_corner(k, &sd);
         assert!((s.normf() - block.normf()).abs() < 1e-12);
+    }
+
+    /// The upsample `sum_down` ran before [`TwoScale::push_down`]: `s`
+    /// into the corner of a zero `(2k)^d` block, the full unfilter, the
+    /// children cut out.
+    fn upsample(ts: &TwoScale, s: &Tensor) -> Vec<Tensor> {
+        let (k, d) = (ts.k(), s.ndim());
+        let mut block = Tensor::zeros(Shape::cube(d, 2 * k));
+        insert_s_corner(k, &mut block, s);
+        scatter_children(k, &ts.unfilter(&block))
+    }
+
+    #[test]
+    fn push_down_is_the_upsample_bit_for_bit() {
+        const SPECIAL: [f64; 7] = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            -5e-324,
+        ];
+        // NaN payloads are IEEE-unspecified: every NaN reads as one.
+        let bits = |ts: &[Tensor]| -> Vec<u64> {
+            let of = |x: &f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+            ts.iter()
+                .flat_map(|t| t.as_slice().iter().map(of))
+                .collect()
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for k in (1..=10).chain([14]) {
+            let ts = TwoScale::new(k);
+            for d in 1..=4 {
+                let shape = Shape::cube(d, k);
+                // Plain values; every special value scattered through
+                // them (one each); one special value alone; each special
+                // value everywhere.
+                let mut cases = vec![Tensor::from_fn(shape, |_| uniform())];
+                let mut scattered = Tensor::from_fn(shape, |_| uniform());
+                let n = scattered.len();
+                for (i, &x) in SPECIAL.iter().enumerate() {
+                    scattered.as_mut_slice()[(i * 7919 + 3) % n] = x;
+                }
+                cases.push(scattered);
+                for &x in &SPECIAL {
+                    let mut alone = Tensor::from_fn(shape, |_| uniform());
+                    alone.as_mut_slice()[n / 2] = x;
+                    cases.push(alone);
+                    cases.push(Tensor::full(shape, x));
+                }
+                for s in &cases {
+                    assert_eq!(
+                        bits(&ts.push_down(s)),
+                        bits(&upsample(&ts, s)),
+                        "k = {k}, d = {d}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
