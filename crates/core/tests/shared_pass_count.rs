@@ -8,18 +8,37 @@
 use madness_core::apply::{apply_batched, apply_cpu_reference, ApplyConfig, ApplyResource};
 use madness_core::coulomb::CoulombApp;
 use madness_mra::convolution::SeparatedConvolution;
+use madness_mra::ops::sum_down;
+use madness_mra::tree::FunctionTree;
 use madness_runtime::BatcherConfig;
 use madness_tensor::kernel::{self, KernelTable};
 use madness_tensor::{transform_sum_accumulate_group, Shape, Tensor, Term, Workspace};
 
 /// `CoulombApp::small(4, 1e-3).tree`'s compute tasks, and the span
-/// dispatches of its `Cpu` passes: batched at `max_batch` 16 and 60, and
-/// the walk. CI runs this file under `RAYON_NUM_THREADS=1` as well, so
-/// the same numbers hold with every spawn inline.
+/// dispatches of its `Cpu` passes. CI runs this file under
+/// `RAYON_NUM_THREADS=1` as well, so the same numbers hold with every
+/// spawn inline.
 const TASKS: u64 = 16_696;
-const BATCH_16: u64 = 385_630;
-const BATCH_60: u64 = 347_618;
-const WALK: u64 = 335_208;
+/// An unshared task: (d − 1) leading spans a term at rank 34, and at
+/// k = 4 the whole rank is one chunk, so one fused final span.
+const ALONE: u64 = 69;
+/// The Apply's own spans with every source's tasks side by side: the
+/// walk's one group call a source, and the batched pass's whenever no
+/// chunk cuts a source.
+const APPLY: u64 = 335_208;
+/// `sum_down`'s spans on the result: 2 + 4 + 8 a node it pushes through
+/// (on the calibrated (16, 4) shape, like the Apply's).
+const SUM_DOWN: u64 = 2_016;
+/// The batched pass at `max_batch = 60`, `sum_down` included: the
+/// end-of-run drain hands over each level's remainder after the next
+/// level has started, so the pending run is spawned whole wherever that
+/// remainder begins — inside a source, where leading passes run again:
+/// three a term here (at 16 those cuts happen to cost none).
+const BATCH_60: u64 = APPLY + SUM_DOWN + 3 * 34;
+// The control is arithmetic — every task alone — and sharing saves more
+// than half of it; a push is 2 + 4 + 8 spans.
+const _: () = assert!(ALONE * TASKS == 1_152_024 && 2 * APPLY <= ALONE * TASKS);
+const _: () = assert!(SUM_DOWN.is_multiple_of(2 + 4 + 8));
 
 /// Span dispatches `f` issues on the calibrated shapes.
 fn dispatches(table: &KernelTable, f: impl FnOnce()) -> u64 {
@@ -30,15 +49,28 @@ fn dispatches(table: &KernelTable, f: impl FnOnce()) -> u64 {
     table.entries().iter().map(|e| e.dispatches()).sum()
 }
 
+/// The result tree an Apply of `op` on `tree` hands `sum_down`: a
+/// coefficient block at every target. Its values are not the Apply's,
+/// but `sum_down` runs the same spans on any values.
+fn targets(op: &SeparatedConvolution, tree: &FunctionTree) -> FunctionTree {
+    let mut targets = FunctionTree::new(tree.d(), tree.k());
+    for (key, s) in tree.leaves() {
+        for disp in op.displacements_at(key.level()).iter() {
+            if let Some(neighbor) = key.neighbor(&disp.delta) {
+                targets.accumulate(neighbor, 1.0, s);
+            }
+        }
+    }
+    targets
+}
+
 #[test]
 fn a_sources_tasks_share_their_leading_passes() {
     let (d, k) = (3, 4);
     let op = SeparatedConvolution::coulomb(d, k, 1e-4, 1e-2);
     let tree = CoulombApp::small(k, 1e-3).tree;
-    // An unshared task: (d − 1) leading spans a term, and at k = 4 the
-    // whole rank is one chunk, so one fused final span.
     assert_eq!(op.rank(), 34);
-    let alone = ((d - 1) * op.rank() + 1) as u64;
+    assert_eq!(ALONE, ((d - 1) * op.rank() + 1) as u64);
 
     madness_runtime::initialize_hot_path();
     let table = kernel::global().expect("a kernel table is installed unless MADNESS_AUTOTUNE=off");
@@ -57,25 +89,25 @@ fn a_sources_tasks_share_their_leading_passes() {
         (count, tasks)
     };
 
-    // The control that bypasses the mechanism: one task a batch, so no
-    // two tasks of a source ever meet in a chunk.
-    let (single, tasks) = batched(1);
-    assert_eq!(tasks, TASKS);
-    assert_eq!(single, alone * tasks);
+    // `sum_down` apart, so the Apply's own count stays in view.
+    let mut result = targets(&op, &tree);
+    assert_eq!(dispatches(table, || sum_down(&mut result)), SUM_DOWN);
 
     // An interior source needs 4 + 10 of its 2 × 27 leading passes a
-    // term, a corner source 2 + 4 of 2 × 8. The exact values are the
-    // same under any pool: the dispatcher thread alone cuts the chunks.
+    // term, a corner source 2 + 4 of 2 × 8. CPU chunks span flushes and
+    // are cut only where the source changes, so one task a batch shares
+    // exactly as much as sixteen do — and as the walk. The dispatcher
+    // thread alone cuts the chunks, so the values hold under any pool.
+    let (b1, tasks) = batched(1);
+    assert_eq!(tasks, TASKS);
     let (b16, _) = batched(16);
     let (b60, _) = batched(60);
     let walk = dispatches(table, || drop(apply_cpu_reference(&op, &tree)));
-    assert_eq!((b16, b60, walk), (BATCH_16, BATCH_60, WALK));
-    for count in [b16, b60, walk] {
-        assert!(
-            2 * count <= single,
-            "{count} dispatches against {single} unshared"
-        );
-    }
+    assert_eq!(
+        (b1, b16, walk),
+        (APPLY + SUM_DOWN, APPLY + SUM_DOWN, APPLY + SUM_DOWN)
+    );
+    assert_eq!(b60, BATCH_60);
 
     // Blocks are told apart by address: a second task over the same
     // three `&Tensor`s adds only its final span, one over equal-valued
