@@ -2,7 +2,7 @@
 
 use crate::cache::DeviceHCache;
 use crate::clock::SimTime;
-use crate::kernel::{execute_task, kernel_cost, KernelKind};
+use crate::kernel::{execute_tasks, kernel_cost, KernelKind};
 use crate::spec::DeviceSpec;
 use crate::task::TransformTask;
 use crate::transfer::TransferEngine;
@@ -10,7 +10,6 @@ use madness_faults::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPla
 use madness_tensor::{Tensor, Workspace};
 use madness_trace::{NullRecorder, Recorder, Stage};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::iter::repeat_n;
 use std::sync::Arc;
@@ -23,8 +22,8 @@ const DEVICE_LOST_DETECT: SimTime = SimTime::from_micros(50);
 /// time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Execute the tensor math on the host (results returned, timings
-    /// simulated) — used by correctness tests and small experiments.
+    /// Also execute the tensor math, on the calling thread (results
+    /// returned) — asked for only by tests and the benchmark's probe.
     Full,
     /// Account simulated time only (no results) — used by 100–500-node
     /// cluster sweeps.
@@ -401,11 +400,10 @@ impl GpuDevice {
         // --- transfer out ----------------------------------------------
         // Result blocks have the source shape; launch-failed tasks
         // produced nothing to copy back.
-        br.bytes_out = tasks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !failed.iter().any(|&(j, _)| j == *i))
-            .map(|(_, t)| t.s_bytes())
+        let launched = |i: usize| !failed.iter().any(|&(j, _)| j == i);
+        br.bytes_out = (0..n)
+            .filter(|&i| launched(i))
+            .map(|i| tasks[i].s_bytes())
             .sum();
         br.transfer_out = self.engine.transfer_time(br.bytes_out, self.pinned);
         if R::ENABLED {
@@ -432,21 +430,15 @@ impl GpuDevice {
 
         // --- arithmetic --------------------------------------------------
         let results: Vec<Option<Tensor>> = match mode {
-            ExecMode::Timing => vec![None; tasks.len()],
+            ExecMode::Timing => vec![None; n],
             ExecMode::Full => {
-                let live: Vec<Option<&TransformTask>> = tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        if failed.iter().any(|&(j, _)| j == i) {
-                            None
-                        } else {
-                            Some(t)
-                        }
-                    })
-                    .collect();
-                live.par_iter()
-                    .map(|t| t.and_then(|t| Workspace::with(|ws| execute_task(t, ws.scratch()))))
+                let computes = |i: usize| launched(i) && tasks[i].s.is_some();
+                let live: Vec<&TransformTask> =
+                    (0..n).filter(|&i| computes(i)).map(|i| &tasks[i]).collect();
+                let mut rs =
+                    Workspace::with(|ws| execute_tasks(&live, false, ws.scratch())).into_iter();
+                (0..n)
+                    .map(|i| if computes(i) { rs.next() } else { None })
                     .collect()
             }
         };
@@ -679,6 +671,89 @@ mod tests {
         assert!(out.results[1].is_none(), "failed task must not return data");
         assert!(out.results[2].is_some());
         assert_eq!(out.failed, vec![(1, TaskError::LaunchFailed)]);
+    }
+
+    #[test]
+    fn full_batch_groups_source_runs_bit_for_bit() {
+        let k = 4;
+        let blocks: Vec<Arc<Tensor>> = (0..4)
+            .map(|b| {
+                Arc::new(Tensor::from_fn(Shape::matrix(k, k), |ix| {
+                    ((b * 16 + ix[0] * k + ix[1]) as f64 * 0.37).sin()
+                }))
+            })
+            .collect();
+        // Table `j`'s terms keep their first block and change the later
+        // ones with `j`, as neighbouring displacements do, so a group
+        // has leading passes to share; `krs` makes the terms rank-reduced.
+        let table = |j: usize, krs: Option<Vec<usize>>| {
+            let term = |mu: usize| TransformTerm {
+                coeff: 1.0 / (mu + 1) as f64,
+                hs: [mu, mu + j / 2, mu + j]
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &b)| HBlock::new((p * 4 + b % 4) as u64, Arc::clone(&blocks[b % 4])))
+                    .collect(),
+                effective_ranks: krs.clone(),
+            };
+            Arc::new((0..3).map(term).collect::<Vec<_>>())
+        };
+        let source = |seed: usize| {
+            Arc::new(Tensor::from_fn(Shape::cube(3, k), |ix| {
+                ((seed * 64 + ix[0] * 16 + ix[1] * 4 + ix[2]) as f64 * 0.71).cos()
+            }))
+        };
+        let task = |s: &Arc<Tensor>, terms| TransformTask {
+            d: 3,
+            k,
+            s: Some(Arc::clone(s)),
+            terms,
+        };
+        let (s1, s2, s3) = (source(1), source(2), source(3));
+        let batch: Vec<TransformTask> = (0..4)
+            .map(|j| task(&s1, table(j, None)))
+            .chain([task(&s2, table(0, None))])
+            .chain((0..3).map(|j| task(&s3, table(j, Some(vec![2, 3, 4])))))
+            .chain([task(&s1, table(5, Some(vec![4, 1, 3])))])
+            .collect();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = madness_tensor::TransformScratch::new();
+        for rank_reduced in [false, true] {
+            let grouped = execute_tasks(&batch, rank_reduced, &mut scratch);
+            for (task, r) in batch.iter().zip(&grouped) {
+                let alone = execute_tasks(&[task], rank_reduced, &mut scratch);
+                assert_eq!(bits(r), bits(&alone[0]), "rank_reduced {rank_reduced}");
+            }
+        }
+
+        // A launch that fails inside `s1`'s run costs that task its
+        // result and leaves every other task's bits alone.
+        let run = |plan: &FaultPlan| {
+            device(3).execute_batch_injected(
+                &batch,
+                KernelKind::CustomMtxmq,
+                ExecMode::Full,
+                SimTime::ZERO,
+                &mut madness_trace::NullRecorder,
+                &mut FaultInjector::new(plan),
+            )
+        };
+        let clean = run(&FaultPlan::none());
+        let exact = execute_tasks(&batch, false, &mut scratch);
+        let plan =
+            FaultPlan::none().with_injection(FaultKind::KernelLaunchFail, Trigger::AtCount(2));
+        let faulted = run(&plan);
+        assert_eq!(faulted.failed, vec![(2, TaskError::LaunchFailed)]);
+        for (i, want) in exact.iter().enumerate() {
+            let clean = clean.results[i]
+                .as_ref()
+                .expect("a clean run computes every task");
+            assert_eq!(bits(clean), bits(want));
+            assert_eq!(faulted.results[i].is_none(), i == 2, "task {i}");
+            if let Some(r) = &faulted.results[i] {
+                assert_eq!(bits(r), bits(want), "task {i}");
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //!   multiplication step** (`M × d` launches per task), each spread over
 //!   all 16 SMs, with occupancy (efficiency) growing with the GEMM size.
 //!
-//! Both kinds compute *identical* numerics ([`execute_task`] — the real
-//! arithmetic, shared); only their time models differ.
+//! Both kinds compute *identical* numerics ([`execute_tasks`], Formula
+//! 1's one host implementation); only their time models differ.
 
 use crate::clock::SimTime;
 use crate::spec::DeviceSpec;
 use crate::task::TransformTask;
-use madness_tensor::{transform_sum_accumulate, Shape, Tensor, TransformScratch};
+use madness_tensor::{transform_sum_accumulate_group, Tensor, TransformScratch};
+use std::borrow::Borrow;
 
 /// Which kernel implementation services a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -115,28 +116,40 @@ pub fn kernel_cost(spec: &DeviceSpec, kind: KernelKind, task: &TransformTask) ->
     }
 }
 
-/// Executes the task's arithmetic (Formula 1): `r = Σ_μ c_μ ·
-/// transform(s, h^{(μ,·)})`. Returns `None` for timing-only tasks.
-///
-/// The result is identical for both kernel kinds — the paper's kernels
-/// compute the same answer, only faster or slower.
+/// Executes every task's arithmetic (Formula 1): `r = Σ_μ c_μ ·
+/// transform(s, h^{(μ,·)})`, results in task order. Each run of
+/// consecutive tasks of one rank over one source
+/// ([`TransformTask::same_source`]) is one
+/// [`transform_sum_accumulate_group`] call: they share leading passes,
+/// and each result is bit for bit what the task computes alone.
+/// `rank_reduced` passes effective ranks on (the CPU path; paper §II-D).
 ///
 /// # Panics
-/// Panics if a full-fidelity task is missing block data.
-pub fn execute_task(task: &TransformTask, scratch: &mut TransformScratch) -> Option<Tensor> {
-    let s = task.s.as_ref()?;
-    let mut r = Tensor::zeros(Shape::cube(task.d, task.k));
-    // One task-level call: the CPU stand-in for the custom kernel's
-    // single launch with the whole rank-M loop embedded.
-    let term = |mu| task.sum_term(mu, false);
-    transform_sum_accumulate(s, task.rank(), term, scratch, &mut r);
-    Some(r)
+/// Panics on a timing-only task.
+pub fn execute_tasks<T: Borrow<TransformTask>>(
+    tasks: &[T],
+    rank_reduced: bool,
+    scratch: &mut TransformScratch,
+) -> Vec<Tensor> {
+    let mut rs: Vec<Tensor> = Vec::with_capacity(tasks.len());
+    let same_run =
+        |a: &T, b: &T| a.borrow().same_source(b.borrow()) && a.borrow().rank() == b.borrow().rank();
+    for run in tasks.chunk_by(same_run) {
+        let first = run[0].borrow();
+        let s = first.s.as_ref().expect("a timing-only task has no source");
+        let done = rs.len();
+        rs.extend(run.iter().map(|_| Tensor::zeros(s.shape())));
+        let term = |task: usize, mu| run[task].borrow().sum_term(mu, rank_reduced);
+        transform_sum_accumulate_group(s, first.rank(), term, scratch, &mut rs[done..]);
+    }
+    rs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::{HBlock, TransformTerm};
+    use madness_tensor::Shape;
     use std::sync::Arc;
 
     fn paper_task_3d_k10() -> TransformTask {
@@ -322,14 +335,26 @@ mod tests {
             terms: Arc::new(vec![mk_term(2.0), mk_term(3.0)]),
         };
         let mut scratch = TransformScratch::new();
-        let r = execute_task(&task, &mut scratch).unwrap();
+        let r = execute_tasks(&[task], false, &mut scratch);
         let want = &*s * 5.0;
-        assert!(r.distance(&want) < 1e-12);
+        assert!(r[0].distance(&want) < 1e-12);
     }
 
     #[test]
     fn timing_only_task_returns_none() {
-        let mut scratch = TransformScratch::new();
-        assert!(execute_task(&paper_task_3d_k10(), &mut scratch).is_none());
+        // `execute_tasks` has nothing to compute a timing-only task from;
+        // a `Full` batch hands it back without a result.
+        let out = crate::GpuDevice::new(DeviceSpec::default(), 5).execute_batch(
+            &[paper_task_3d_k10()],
+            KernelKind::CustomMtxmq,
+            crate::ExecMode::Full,
+        );
+        assert!(out.all_ok() && out.results[0].is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "a timing-only task has no source")]
+    fn execute_tasks_rejects_a_timing_only_task() {
+        execute_tasks(&[paper_task_3d_k10()], false, &mut TransformScratch::new());
     }
 }

@@ -20,10 +20,10 @@
 //! * **the write-once device cache** for `h` operator blocks, avoiding
 //!   redundant transfers.
 //!
-//! Simulated kernels **execute the real arithmetic** (via
-//! `madness-tensor`) in `Full` fidelity, so CPU and "GPU" results are
-//! bit-comparable; `Timing` fidelity accounts costs without touching
-//! floats, enabling 500-node cluster sweeps.
+//! `Full` fidelity runs the real arithmetic, [`kernel::execute_tasks`] —
+//! which the real Apply pipeline runs for its CPU and GPU shares alike —
+//! so CPU and "GPU" results are bit-comparable; `Timing` fidelity
+//! accounts the same costs without touching floats (500-node sweeps).
 //!
 //! Every constant in [`spec::DeviceSpec`] is documented with its source
 //! (vendor datasheet or a measured figure quoted in the paper).

@@ -102,8 +102,14 @@ impl TransformTask {
         8 * (self.k as u64).pow(2)
     }
 
-    /// Term `mu` as the tensor crate's Σ_μ task kernel
-    /// ([`madness_tensor::transform_sum_accumulate`]) takes it.
+    /// Whether both tasks transform the same source `Arc` (equal values
+    /// do not count; timing-only tasks share nothing).
+    pub fn same_source(&self, other: &TransformTask) -> bool {
+        matches!((&self.s, &other.s), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Term `mu` as the tensor crate's Σ_μ group kernel
+    /// ([`madness_tensor::transform_sum_accumulate_group`]) takes it.
     /// `rank_reduced` passes the term's effective ranks on (the CPU
     /// path); the GPU kernels never rank-reduce (paper §II-D).
     ///

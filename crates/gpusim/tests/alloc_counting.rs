@@ -1,10 +1,10 @@
 //! Counting-allocator proof of the zero-allocation hot path: once the
-//! thread-local scratch is warm, `execute_task` performs a number of heap
-//! allocations that is **independent of the separation rank `M`** — i.e.
-//! zero allocations per rank term. Runs as its own integration binary so
-//! the `#[global_allocator]` swap cannot perturb other tests.
+//! thread-local scratch is warm, `execute_tasks` performs a number of
+//! heap allocations that is **independent of the separation rank `M`** —
+//! i.e. zero allocations per rank term. Runs as its own integration
+//! binary so the `#[global_allocator]` swap cannot perturb other tests.
 
-use madness_gpusim::kernel::execute_task;
+use madness_gpusim::kernel::execute_tasks;
 use madness_gpusim::{HBlock, TransformTask, TransformTerm};
 use madness_tensor::{Shape, Tensor, TransformScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -59,8 +59,8 @@ fn full_task(rank: usize) -> TransformTask {
 
 /// The acceptance criterion of the zero-allocation Apply hot path: a
 /// rank-40 task must allocate exactly as much as a rank-4 task (the
-/// result tensor only), because every per-term temporary lives in the
-/// reusable [`TransformScratch`].
+/// result tensor and the `Vec` that holds it), because every per-term
+/// temporary lives in the reusable [`TransformScratch`].
 #[test]
 fn steady_state_allocations_do_not_scale_with_rank() {
     let small = full_task(4);
@@ -68,12 +68,11 @@ fn steady_state_allocations_do_not_scale_with_rank() {
     let mut scratch = TransformScratch::new();
 
     // Warm the scratch to its steady-state (largest) capacity.
-    execute_task(&big, &mut scratch).unwrap();
-    execute_task(&small, &mut scratch).unwrap();
+    execute_tasks(&[&big, &small], false, &mut scratch);
 
     let count = |task: &TransformTask, scratch: &mut TransformScratch| {
         let before = ALLOCS.load(Ordering::Relaxed);
-        let r = execute_task(task, scratch).unwrap();
+        let r = execute_tasks(&[task], false, scratch);
         let after = ALLOCS.load(Ordering::Relaxed);
         drop(r);
         after - before
@@ -85,9 +84,10 @@ fn steady_state_allocations_do_not_scale_with_rank() {
         small_allocs, big_allocs,
         "allocations scale with rank: rank-4 made {small_allocs}, rank-40 made {big_allocs}"
     );
-    // The only steady-state allocation is the result tensor itself.
+    // The only steady-state allocations are the result tensor and the
+    // result `Vec`.
     assert!(
         big_allocs <= 2,
-        "expected only the result-tensor allocation, saw {big_allocs}"
+        "expected only the result allocations, saw {big_allocs}"
     );
 }

@@ -7,7 +7,7 @@
 //! the `#[global_allocator]` swap and the process-global table install
 //! cannot perturb other tests.
 
-use madness_gpusim::kernel::execute_task;
+use madness_gpusim::kernel::execute_tasks;
 use madness_gpusim::{HBlock, TransformTask, TransformTerm};
 use madness_tensor::{Shape, Tensor, TransformScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -65,7 +65,7 @@ fn full_task_of_order(k: usize, rank: usize) -> TransformTask {
 
 fn count_once(task: &TransformTask, scratch: &mut TransformScratch) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
-    let r = execute_task(task, scratch).unwrap();
+    let r = execute_tasks(&[task], false, scratch);
     let after = ALLOCS.load(Ordering::Relaxed);
     drop(r);
     after - before
@@ -80,7 +80,7 @@ fn count_steady(task: &TransformTask, scratch: &mut TransformScratch) -> u64 {
 }
 
 /// Installing the autotuned table (and enabling its dispatch counting)
-/// must not change the steady-state allocation count of `execute_task`
+/// must not change the steady-state allocation count of `execute_tasks`
 /// — the table lookup lives on the hot path of every transform pass,
 /// so any per-pass allocation here would multiply across the tree.
 #[test]
@@ -90,8 +90,8 @@ fn autotuned_table_adds_zero_steady_state_allocations() {
 
     // Steady state on the heuristic (no-table) path first: warm, then
     // measure. Nothing in this binary has installed a table yet.
-    execute_task(&task, &mut scratch).unwrap();
-    execute_task(&task, &mut scratch).unwrap();
+    execute_tasks(&[&task], false, &mut scratch);
+    execute_tasks(&[&task], false, &mut scratch);
     let without_table = count_steady(&task, &mut scratch);
 
     // Calibrate + install the global table (allocates freely — that is
@@ -101,7 +101,7 @@ fn autotuned_table_adds_zero_steady_state_allocations() {
     if let Some(table) = madness_tensor::kernel::global() {
         table.set_counting(true);
     }
-    execute_task(&task, &mut scratch).unwrap();
+    execute_tasks(&[&task], false, &mut scratch);
     let with_table = count_steady(&task, &mut scratch);
     if let Some(table) = madness_tensor::kernel::global() {
         table.set_counting(false);
@@ -116,9 +116,10 @@ fn autotuned_table_adds_zero_steady_state_allocations() {
         "autotuned table changed the steady-state allocation count: \
          {without_table} without vs {with_table} with"
     );
+    // The result tensor and the result `Vec`.
     assert!(
         with_table <= 2,
-        "expected only the result-tensor allocation, saw {with_table}"
+        "expected only the result allocations, saw {with_table}"
     );
 
     // The task-level Σ_μ kernel's chunk buffers (the stack of last-pass
@@ -133,7 +134,7 @@ fn autotuned_table_adds_zero_steady_state_allocations() {
         .map(|(k, rank)| full_task_of_order(k, rank))
         .into();
     for task in &tasks {
-        execute_task(task, &mut scratch).unwrap();
+        execute_tasks(&[task], false, &mut scratch);
     }
     for round in 0..2 {
         for task in &tasks {

@@ -2,7 +2,7 @@
 //! accounting invariants.
 
 use madness_faults::{FaultInjector, FaultPlan};
-use madness_gpusim::kernel::{execute_task, kernel_cost};
+use madness_gpusim::kernel::{execute_tasks, kernel_cost};
 use madness_gpusim::{
     DeviceSpec, ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
 };
@@ -208,10 +208,9 @@ proptest! {
             }]),
         };
         let mut scratch = TransformScratch::new();
-        let r1 = execute_task(&mk(c1), &mut scratch).unwrap();
-        let r2 = execute_task(&mk(2.0 * c1), &mut scratch).unwrap();
-        let want = &r1 * 2.0;
-        prop_assert!(r2.distance(&want) < 1e-9 * (1.0 + want.normf()));
+        let r = execute_tasks(&[mk(c1), mk(2.0 * c1)], false, &mut scratch);
+        let want = &r[0] * 2.0;
+        prop_assert!(r[1].distance(&want) < 1e-9 * (1.0 + want.normf()));
     }
 
     /// SimTime arithmetic respects ordering.
