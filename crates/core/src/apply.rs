@@ -24,10 +24,11 @@
 //! displacements keep their leading `h` blocks, so 41 of the 81 passes
 //! a source's 27 tasks make per term are run and the other 40 reuse an
 //! intermediate already there — every task's result bit for bit what it
-//! computes alone. The simulated device runs each task independently,
-//! as the paper's does.
+//! computes alone. The walk makes that call itself; every job of the
+//! pipeline, CPU chunk or GPU share, makes it through
+//! `gpusim::kernel::execute_tasks`. The device still prices each task.
 
-use madness_gpusim::kernel::kernel_cost;
+use madness_gpusim::kernel::{execute_tasks, kernel_cost};
 use madness_gpusim::{
     ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
 };
@@ -38,7 +39,7 @@ use madness_mra::tree::{FunctionTree, TreeForm};
 use madness_runtime::{
     AdaptiveConfig, AdaptiveDispatcher, Batcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
 };
-use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, TransformScratch, Workspace};
+use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, Workspace};
 use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -111,7 +112,7 @@ pub struct ApplyStats {
     /// Tasks the GPU side computed.
     pub gpu_tasks: u64,
     /// CPU chunks spawned: one executor job (run inline without a pool)
-    /// and one commit segment each.
+    /// and one commit segment each. A GPU share's job is not a chunk.
     pub chunks: u64,
     /// Host-side operator-cache hits/misses ((h) blocks): the growth of
     /// the operator's counters over this run. Those counters are
@@ -128,6 +129,12 @@ pub struct ApplyStats {
 struct PreparedTask {
     neighbor: Key,
     task: TransformTask,
+}
+
+impl std::borrow::Borrow<TransformTask> for PreparedTask {
+    fn borrow(&self) -> &TransformTask {
+        &self.task
+    }
 }
 
 /// Stable id for an `h` block: (μ, level, 1-D displacement), packed into
@@ -346,10 +353,10 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     }
 
     /// This thread is the paper's dispatcher: it prepares each source's
-    /// tasks as it pushes them, per flush plans the split, runs the GPU
-    /// share on the simulated device itself and *spawns* the CPU share —
-    /// then moves on to the next push without waiting; the scope ends
-    /// when the last chunk has retired.
+    /// tasks as it pushes them, per flush plans the split, prices the GPU
+    /// share on the simulated device itself and *spawns* the arithmetic
+    /// of both shares — then moves on to the next push without waiting;
+    /// the scope ends when the last job has retired.
     fn run(mut self, tree: &FunctionTree) -> ApplyStats {
         // The operator's cache counters are cumulative across its
         // lifetime; snapshot them so the stats report *this run's*
@@ -465,7 +472,7 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             .extend(tasks.by_ref().take(plan.cpu_tasks));
         self.cpu_share(scope, plan.gpu_tasks > 0);
         if plan.gpu_tasks > 0 {
-            self.gpu_share(kind, tasks);
+            self.gpu_share(scope, kind, tasks.collect());
         }
     }
 
@@ -516,86 +523,84 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
 
     /// The CPU share (honours rank reduction): chunks off the front of
     /// the pending run — every one [`chunk_len`] ends at a change of
-    /// source, and with `whole` the tail too. Ownership of the tasks
-    /// moves into spawned chunks, each of which runs its tasks in order
-    /// inside one workspace — each run of one source as one group call —
-    /// and retires as one commit segment. The schedule, not
+    /// source, and with `whole` the tail too — each [`ApplyRun::spawn`]ed
+    /// with a [`ChunkSample`] of its kind. The schedule, not
     /// split-on-demand, owns the grain.
     fn cpu_share(&mut self, scope: &rayon::Scope<'a>, whole: bool) {
-        let PendingRun {
-            kind,
-            task_flops,
-            tasks,
-        } = &mut self.pending;
-        let Some(kind) = *kind else {
+        let Some(kind) = self.pending.kind else {
             return;
         };
-        while !tasks.is_empty() {
-            let len = chunk_len(tasks, *task_flops);
-            if len == tasks.len() && !whole {
+        while !self.pending.tasks.is_empty() {
+            let len = chunk_len(&self.pending.tasks, self.pending.task_flops);
+            if len == self.pending.tasks.len() && !whole {
                 // Its last source may go on in the next flush.
                 return;
             }
-            let chunk: Vec<PreparedTask> = tasks.drain(..len).collect();
+            let chunk: Vec<PreparedTask> = self.pending.tasks.drain(..len).collect();
             self.stats.chunks += 1;
-            let (commit, seq) = (self.commit, self.commit.segment());
-            let sample_tx = self.learned.as_ref().map(|l| l.sample_tx.clone());
-            scope.spawn(move |_| {
-                let t0 = Instant::now();
-                let results = Workspace::with(|ws| compute_cpu(&chunk, ws.scratch()));
-                if let Some(tx) = sample_tx {
-                    // The receiver outlives the scope; a failed send
-                    // could only lose feedback, never a result.
-                    let _ = tx.send(ChunkSample {
-                        kind,
-                        tasks: chunk.len(),
-                        busy_ns: t0.elapsed().as_nanos() as u64,
-                    });
-                }
-                drop(chunk);
-                commit.retire(seq, results);
-            });
+            self.spawn(scope, chunk, true, Some(kind));
         }
     }
 
-    /// The GPU share, the rest of the batch: on the simulated device, on
-    /// this (the dispatcher's) thread and so in flush order — the
-    /// device's cache and stream clocks see the same sequence whatever
-    /// the executor does.
-    fn gpu_share(&mut self, kind: TaskKind, tasks: impl Iterator<Item = PreparedTask>) {
-        let (neighbors, gpu_tasks): (Vec<Key>, Vec<TransformTask>) =
-            tasks.map(|p| (p.neighbor, p.task)).unzip();
+    /// The GPU share, the rest of the batch: priced (`Timing`) on the
+    /// simulated device on this, the dispatcher's, thread — so in flush
+    /// order, whatever the executor does — and its exact arithmetic
+    /// [`ApplyRun::spawn`]ed with no sample (the model reads sim time).
+    fn gpu_share(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, tasks: Vec<PreparedTask>) {
+        let priced: Vec<TransformTask> = tasks.iter().map(|p| p.task.clone()).collect();
         let out = self
             .device
-            .execute_batch(&gpu_tasks, self.kernel, ExecMode::Full);
+            .execute_batch(&priced, self.kernel, ExecMode::Timing);
         if let Some(learned) = &mut self.learned {
             // Simulated GPU batch time feeds the cost model, and the
             // batch occupies the stream queue for that long.
             let gpu_ns = out.time.as_nanos();
-            learned
-                .dispatcher
-                .record(kind, 0, 0, gpu_tasks.len(), gpu_ns);
+            learned.dispatcher.record(kind, 0, 0, tasks.len(), gpu_ns);
             let now = learned.sim_now;
             self.device
                 .note_inflight(now, now + SimTime::from_nanos(gpu_ns));
         }
-        let results = neighbors
-            .into_iter()
-            .zip(out.results)
-            .map(|(neighbor, r)| (neighbor, r.expect("full mode returns results")))
-            .collect();
-        self.commit.retire(self.commit.segment(), results);
+        self.spawn(scope, tasks, false, None);
+    }
+
+    /// Mints the next commit segment and spawns one job that runs `tasks`
+    /// inside one workspace ([`execute_tasks`]) and retires the segment;
+    /// with `sample`, an `Adaptive` run's job reports its busy time.
+    fn spawn(
+        &self,
+        scope: &rayon::Scope<'a>,
+        tasks: Vec<PreparedTask>,
+        rank_reduced: bool,
+        sample: Option<TaskKind>,
+    ) {
+        let (commit, seq) = (self.commit, self.commit.segment());
+        let sample = sample.and_then(|kind| Some((kind, self.learned.as_ref()?.sample_tx.clone())));
+        scope.spawn(move |_| {
+            let t0 = Instant::now();
+            let results = Workspace::with(|ws| execute_tasks(&tasks, rank_reduced, ws.scratch()));
+            if let Some((kind, tx)) = sample {
+                // The receiver outlives the scope; a failed send could
+                // only lose feedback, never a result.
+                let _ = tx.send(ChunkSample {
+                    kind,
+                    tasks: tasks.len(),
+                    busy_ns: t0.elapsed().as_nanos() as u64,
+                });
+            }
+            let neighbors = tasks.into_iter().map(|p| p.neighbor);
+            commit.retire(seq, neighbors.zip(results).collect());
+        });
     }
 }
 
 /// Cost grain of one spawned CPU chunk, in rank-reduced FLOPs: large
 /// enough that queueing, waking and committing a chunk (a few µs) is
-/// noise against running it (at k = 4, rank 22, the grain is 20 tasks,
-/// run on to the end of their last source — ≈ 28 a chunk on `apply-k4`
-/// — however many flushes they came in), small enough that kernel-bound
-/// tasks (k = 10: ≈ 2 MFLOP
-/// each, so every chunk is one source's run, at most 27 tasks and
-/// ≈ 4 ms) still spread over every worker.
+/// noise against running it (at k = 4, rank 34, 52,224 FLOPs a task,
+/// the grain is 20 tasks, run on to the end of their last source — ≈ 28
+/// a chunk on `apply-k4` — however many flushes they came in), small
+/// enough that kernel-bound tasks (k = 10: ≈ 2 MFLOP each, so every
+/// chunk is one source's run, at most 27 tasks and ≈ 4 ms) still spread
+/// over every worker.
 const CHUNK_FLOPS: u64 = 1_000_000;
 
 /// How many of `tasks` (a pending run; not empty) the next chunk takes:
@@ -607,7 +612,7 @@ const CHUNK_FLOPS: u64 = 1_000_000;
 fn chunk_len(tasks: &[PreparedTask], task_flops: u64) -> usize {
     let grain = CHUNK_FLOPS.div_ceil(task_flops.max(1)).max(1);
     let mut len = tasks.len().min(grain as usize);
-    while len < tasks.len() && same_source(&tasks[len - 1], &tasks[len]) {
+    while len < tasks.len() && tasks[len - 1].task.same_source(&tasks[len].task) {
         len += 1;
     }
     len
@@ -719,31 +724,6 @@ impl Commit {
         );
         tree
     }
-}
-
-/// Whether two tasks transform the same source tensor (the same `Arc`,
-/// which `dispatch` makes once per source).
-fn same_source(a: &PreparedTask, b: &PreparedTask) -> bool {
-    match (&a.task.s, &b.task.s) {
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        _ => false,
-    }
-}
-
-/// The CPU compute sub-tasks of one chunk, in order: every run of tasks
-/// over one source is one group call, rank-reduced where the terms carry
-/// effective ranks, exact otherwise.
-fn compute_cpu(chunk: &[PreparedTask], scratch: &mut TransformScratch) -> Vec<(Key, Tensor)> {
-    let mut rs: Vec<Tensor> = Vec::with_capacity(chunk.len());
-    for run in chunk.chunk_by(same_source) {
-        let first = &run[0].task;
-        let s = first.s.as_ref().expect("full-fidelity task");
-        let done = rs.len();
-        rs.extend(run.iter().map(|_| Tensor::zeros(s.shape())));
-        let term = |task: usize, mu| run[task].task.sum_term(mu, true);
-        transform_sum_accumulate_group(s, first.rank(), term, scratch, &mut rs[done..]);
-    }
-    chunk.iter().map(|p| p.neighbor).zip(rs).collect()
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The shared leading passes, pinned as a count: how many span
-//! dispatches a `Cpu` Apply pass issues when one source's displacement
-//! tasks run side by side, against the same pass with every task alone.
+//! dispatches an Apply pass issues when one source's displacement tasks
+//! run side by side, against the same pass with every task alone — on
+//! the `Cpu`, `Gpu` and `Hybrid` paths, which run one arithmetic.
 //! A count, not a time — it repeats exactly, whatever the pool does.
 //! Runs as its own integration binary (and as one test) because it
 //! flips the process-wide kernel table's counting switch.
@@ -15,7 +16,7 @@ use madness_tensor::kernel::{self, KernelTable};
 use madness_tensor::{transform_sum_accumulate_group, Shape, Tensor, Term, Workspace};
 
 /// `CoulombApp::small(4, 1e-3).tree`'s compute tasks, and the span
-/// dispatches of its `Cpu` passes. CI runs this file under
+/// dispatches of its passes. CI runs this file under
 /// `RAYON_NUM_THREADS=1` as well, so the same numbers hold with every
 /// spawn inline.
 const TASKS: u64 = 16_696;
@@ -35,9 +36,21 @@ const SUM_DOWN: u64 = 2_016;
 /// remainder begins — inside a source, where leading passes run again:
 /// three a term here (at 16 those cuts happen to cost none).
 const BATCH_60: u64 = APPLY + SUM_DOWN + 3 * 34;
+/// A `Gpu` pass at `max_batch` 16 and 60, `sum_down` included: each
+/// flush is one GPU share and one job, so a 27-task source is cut
+/// wherever a flush ends inside it and runs its leading passes again
+/// there. At `max_batch` 1 every task is alone.
+const GPU_16: u64 = 385_630 + SUM_DOWN;
+const GPU_60: u64 = 347_618 + SUM_DOWN;
+/// A `Hybrid` pass at 60: a flush's CPU share joins the pending run and
+/// its GPU share is a job of its own, so sources are cut where the
+/// split falls as well as where the flush ends.
+const HYBRID_60: u64 = 362_170 + SUM_DOWN;
 // The control is arithmetic — every task alone — and sharing saves more
 // than half of it; a push is 2 + 4 + 8 spans.
 const _: () = assert!(ALONE * TASKS == 1_152_024 && 2 * APPLY <= ALONE * TASKS);
+const _: () = assert!(APPLY + SUM_DOWN < GPU_60 && GPU_60 < HYBRID_60 && HYBRID_60 < GPU_16);
+const _: () = assert!(GPU_16 < ALONE * TASKS);
 const _: () = assert!(SUM_DOWN.is_multiple_of(2 + 4 + 8));
 
 /// Span dispatches `f` issues on the calibrated shapes.
@@ -75,9 +88,9 @@ fn a_sources_tasks_share_their_leading_passes() {
     madness_runtime::initialize_hot_path();
     let table = kernel::global().expect("a kernel table is installed unless MADNESS_AUTOTUNE=off");
 
-    let batched = |max_batch: usize| {
+    let batched_on = |resource: ApplyResource, max_batch: usize| {
         let cfg = ApplyConfig {
-            resource: ApplyResource::Cpu,
+            resource,
             batch: BatcherConfig {
                 max_batch,
                 ..BatcherConfig::default()
@@ -88,6 +101,7 @@ fn a_sources_tasks_share_their_leading_passes() {
         let count = dispatches(table, || tasks = apply_batched(&op, &tree, &cfg).1.tasks);
         (count, tasks)
     };
+    let batched = |max_batch| batched_on(ApplyResource::Cpu, max_batch);
 
     // `sum_down` apart, so the Apply's own count stays in view.
     let mut result = targets(&op, &tree);
@@ -97,7 +111,8 @@ fn a_sources_tasks_share_their_leading_passes() {
     // term, a corner source 2 + 4 of 2 × 8. CPU chunks span flushes and
     // are cut only where the source changes, so one task a batch shares
     // exactly as much as sixteen do — and as the walk. The dispatcher
-    // thread alone cuts the chunks, so the values hold under any pool.
+    // thread alone cuts the chunks and the GPU shares, so the values
+    // hold under any pool.
     let (b1, tasks) = batched(1);
     assert_eq!(tasks, TASKS);
     let (b16, _) = batched(16);
@@ -108,6 +123,12 @@ fn a_sources_tasks_share_their_leading_passes() {
         (APPLY + SUM_DOWN, APPLY + SUM_DOWN, APPLY + SUM_DOWN)
     );
     assert_eq!(b60, BATCH_60);
+
+    // The device's share runs the same group call per source run: a GPU
+    // share keeps what its flush holds of a source together.
+    let gpu = [1, 16, 60].map(|b| batched_on(ApplyResource::Gpu, b).0);
+    assert_eq!(gpu, [ALONE * TASKS + SUM_DOWN, GPU_16, GPU_60]);
+    assert_eq!(batched_on(ApplyResource::Hybrid, 60).0, HYBRID_60);
 
     // Blocks are told apart by address: a second task over the same
     // three `&Tensor`s adds only its final span, one over equal-valued
