@@ -29,7 +29,7 @@
 use crate::des::FifoResource;
 use crate::workload::WorkloadSpec;
 use madness_faults::{
-    FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, GpuGate, HealthTracker,
+    CircuitBreaker, FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, GpuGate,
     RecoveryPolicy, TaskError,
 };
 use madness_gpusim::kernel::kernel_cost;
@@ -211,7 +211,9 @@ pub struct NodeRate {
 /// Everything the fault-aware pipeline threads through one run.
 struct FaultCtx {
     inj: FaultInjector,
-    health: HealthTracker,
+    policy: RecoveryPolicy,
+    /// The device's health ladder: quarantine, probe, re-admission.
+    health: CircuitBreaker,
     summary: FaultSummary,
     /// False under an inert plan (the fault-free entry points): the
     /// timeout detector in [`NodeRun::batch_ok`] is bypassed, and nothing
@@ -228,11 +230,13 @@ struct FaultCtx {
 
 impl FaultCtx {
     fn new(plan: &FaultPlan, policy: RecoveryPolicy) -> Self {
+        policy.validate();
         let inj = FaultInjector::new(plan);
         FaultCtx {
             active: !inj.is_inert(),
             inj,
-            health: HealthTracker::new(policy),
+            policy,
+            health: CircuitBreaker::new(),
             summary: FaultSummary::default(),
         }
     }
@@ -587,7 +591,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     /// Runs `n_tasks > 0` (the caller answers an empty run itself)
     /// through the pipeline and reads the report off the ledgers. The
     /// loop is the one place a flush size is chosen: one kind today, so
-    /// full batches and an end-of-run drain (ROADMAP item 6 (b)'s
+    /// full batches and an end-of-run drain (ROADMAP item 7 (b)'s
     /// per-kind flush goes here).
     fn run(mut self, n_tasks: u64) -> NodeReport {
         if R::ENABLED {
@@ -600,8 +604,8 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             remaining -= b;
             self.flush(b, b == batch_cap);
         }
-        self.ctx.summary.quarantines = self.ctx.health.quarantines();
-        self.ctx.summary.readmissions = self.ctx.health.readmissions();
+        self.ctx.summary.quarantines = self.ctx.health.trips();
+        self.ctx.summary.readmissions = self.ctx.health.closes();
         self.postprocess();
         NodeReport {
             total: self
@@ -645,7 +649,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             // dispatcher's measurements for the next one. Only tasks
             // that actually completed on the GPU count as GPU samples —
             // a flush whose GPU share all failed teaches the health
-            // tracker, not the cost model.
+            // ladder, not the cost model.
             self.learned
                 .record(SIM_KIND, plan.cpu_tasks, cpu_ns, gpu_done as usize, gpu_ns);
         }
@@ -683,10 +687,11 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         release
     }
 
-    /// Device-health gate: a quarantine closes the GPU; an expired
-    /// quarantine admits one probe task. A lost device is revived (driver
-    /// reset) when its quarantine expires. Under an inert plan the
-    /// tracker never leaves `Healthy` and the device is never lost, so
+    /// Device-health gate, asked of the ladder at `release`: a
+    /// quarantine (open breaker) closes the GPU; an expired one
+    /// (half-open) admits one probe task. A lost device is revived
+    /// (driver reset) when its quarantine expires. Under an inert plan
+    /// the breaker never leaves closed and the device is never lost, so
     /// this answers `Open`.
     fn gate(&mut self, release: SimTime) -> GpuGate {
         let gate = self.ctx.health.gate(release.as_nanos());
@@ -778,7 +783,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             self.ctx.summary.gpu_task_failures += n_failed;
             self.last_fault_kind = cause.kind();
             let quarantined = self.batch_failed(at, n_failed);
-            let policy = *self.ctx.health.policy();
+            let policy = self.ctx.policy;
             if !quarantined && attempt < policy.max_retries {
                 self.fault(FaultAction::Retried, at, n_failed);
                 self.ctx.summary.gpu_retries += 1;
@@ -853,8 +858,8 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
                 at_ns,
                 tasks,
             });
-            self.ctx.health.on_batch_failed(at_ns);
-        } else if self.ctx.health.on_batch_ok(at_ns) {
+            self.ctx.health.on_failure(at_ns);
+        } else if self.ctx.health.on_success(at_ns) {
             self.fault(FaultAction::Readmitted, at_ns, tasks);
             if self.lanes.adaptive {
                 // The device behind the old n̂ was reset; re-probe it.
@@ -867,13 +872,13 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     /// device is quarantined at once, any other failure counts toward
     /// the threshold. True when this one closed the gate.
     fn batch_failed(&mut self, at_ns: u64, n_failed: u64) -> bool {
-        let before = self.ctx.health.quarantines();
+        let before = self.ctx.health.trips();
         if self.device.is_lost() {
-            self.ctx.health.force_quarantine(at_ns);
+            self.ctx.health.trip(at_ns);
         } else {
-            self.ctx.health.on_batch_failed(at_ns);
+            self.ctx.health.on_failure(at_ns);
         }
-        let quarantined = self.ctx.health.quarantines() > before;
+        let quarantined = self.ctx.health.trips() > before;
         if quarantined {
             self.fault(FaultAction::Quarantined, at_ns, n_failed);
         }
@@ -1231,6 +1236,22 @@ mod tests {
             "device must do work again after re-admission: {sum:?}"
         );
         assert!(report.total > SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter must be in [0, 1]")]
+    fn invalid_policy_rejected() {
+        sim().simulate_faulty(
+            &spec_3d_k10(),
+            10,
+            HYBRID,
+            &FaultPlan::none(),
+            RecoveryPolicy {
+                jitter: 2.0,
+                ..RecoveryPolicy::default()
+            },
+            &mut NullRecorder,
+        );
     }
 
     #[test]

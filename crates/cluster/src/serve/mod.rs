@@ -46,7 +46,8 @@
 //!   the shared LPT placement — journaled as [`Stage::Recover`] spans;
 //! * rejoining nodes come back cold (startup paid again) and re-admit
 //!   through a per-(tenant, node)
-//!   [`CircuitBreaker`](madness_faults::CircuitBreaker) probe ladder;
+//!   [`CircuitBreaker`](madness_faults::CircuitBreaker) — the same
+//!   health ladder that quarantines a node's GPU device;
 //! * [`HedgeConfig`] launches a duplicate attempt on another node once
 //!   a request overstays its kind's p99-tracking latency budget —
 //!   first completion wins, the loser is accounted as

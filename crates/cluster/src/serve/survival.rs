@@ -15,9 +15,7 @@ use crate::cluster::ClusterSim;
 use crate::des::Des;
 use crate::node::{NodeRate, ResourceMode};
 use crate::workload::WorkloadSpec;
-use madness_faults::{
-    BreakerMap, BreakerPolicy, FaultAction, FaultKind, FaultPlan, NodeFault, RecoveryPolicy,
-};
+use madness_faults::{BreakerMap, FaultAction, FaultKind, FaultPlan, NodeFault, RecoveryPolicy};
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_runtime::TaskKind;
@@ -48,8 +46,10 @@ const BROWNOUT_DISENGAGE: f64 = 0.5;
 
 /// Heartbeat interval: each beat folds the lineage delta journal into
 /// the epoch-boundary checkpoint and counts missed beats for
-/// unreachable nodes. (Re-admission after a declared death runs on
-/// [`BreakerPolicy::default`].)
+/// unreachable nodes. (Re-admission after a declared death runs on the
+/// one health ladder, [`CircuitBreaker`](madness_faults::CircuitBreaker),
+/// and its constants: a 5 ms hold, then one probe per (tenant, node)
+/// whose delivery closes the breaker.)
 const HEARTBEAT: SimTime = SimTime::from_millis(1);
 
 /// Missed heartbeats after which an unreachable node is declared dead
@@ -143,7 +143,7 @@ impl Ledger {
         des.schedule(HEARTBEAT, Ev::Heartbeat);
         // Prewarm every (tenant, node) breaker so `trip_node` at
         // detection time finds them all.
-        let mut breakers = BreakerMap::new(BreakerPolicy::default());
+        let mut breakers = BreakerMap::default();
         for t in &cfg.tenants {
             for j in 0..cfg.nodes {
                 let _ = breakers.get(t.id.0, j as u32);

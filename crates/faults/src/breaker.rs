@@ -1,119 +1,96 @@
-//! Per-(tenant, node) circuit breakers for the serving layer.
+//! The health ladder: closed → open → half-open, one copy for the
+//! whole workspace.
 //!
-//! [`HealthTracker`](crate::HealthTracker) guards one *device* behind one
-//! dispatcher; the serving cluster needs the same closed → open →
-//! half-open ladder per **(tenant, node)** pair, because a node that is
-//! dead for everyone and a node that only one tenant's kind keeps
-//! crashing on are different failures. [`CircuitBreaker`] is that
-//! generalization: a deterministic state machine with counted half-open
-//! probe admission (the first `half_open_probes` admission queries after
-//! the open window expires are probes; `probe_successes` consecutive
-//! successes close the breaker, any failure re-opens it with a doubled
-//! window up to a cap). No RNG anywhere — the same call sequence always
-//! walks the same states, preserving bit-identical replay.
+//! [`CircuitBreaker`] gates the node pipeline's GPU device (`NodeRun`
+//! asks [`CircuitBreaker::gate`] before every flush) and, one per
+//! **(tenant, node)** pair in a [`BreakerMap`], the serving cluster's
+//! routing after a declared node death — a node that is dead for
+//! everyone and a node that only one tenant's kind keeps crashing on are
+//! different failures. Its values are constants, the same for every
+//! caller:
+//!
+//! * [`QUARANTINE_AFTER`] consecutive failures while closed trip it
+//!   open, and a success resets the count;
+//! * the first open hold is [`HOLD_NS`]; when it expires the breaker is
+//!   half-open and lets **one** probe through per round;
+//! * a failed probe re-opens it with the hold doubled, up to
+//!   [`HOLD_CAP_NS`];
+//! * **one** success closes it and resets the hold.
+//!
+//! No RNG anywhere — the same call sequence always walks the same
+//! states, preserving bit-identical replay.
 
-/// Tuning for a [`CircuitBreaker`].
+use std::collections::BTreeMap;
+
+/// Consecutive failures (while closed) that trip the breaker open.
+const QUARANTINE_AFTER: u32 = 3;
+
+/// Length of the first open hold, simulated nanoseconds (5 ms).
+const HOLD_NS: u64 = 5_000_000;
+
+/// Ceiling on the doubling hold (80 ms: four failed probes in a row).
+const HOLD_CAP_NS: u64 = 80_000_000;
+
+/// What the dispatcher may send to the device right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Consecutive failures (while closed) that trip the breaker open.
-    pub failure_threshold: u32,
-    /// Length of the first open window, simulated nanoseconds.
-    pub open_ns: u64,
-    /// Ceiling on the (doubling) open window.
-    pub open_cap_ns: u64,
-    /// Admission queries allowed through per half-open round.
-    pub half_open_probes: u32,
-    /// Consecutive probe successes required to close the breaker.
-    pub probe_successes: u32,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            failure_threshold: 3,
-            open_ns: 5_000_000,      // 5 ms, matches the quarantine base
-            open_cap_ns: 80_000_000, // 80 ms
-            half_open_probes: 1,
-            probe_successes: 1,
-        }
-    }
-}
-
-impl BreakerPolicy {
-    /// Checks internal consistency.
-    ///
-    /// # Panics
-    /// Panics when a field is out of range (zero threshold, zero or
-    /// capless open window, zero probe counts).
-    pub fn validate(&self) {
-        assert!(self.failure_threshold > 0, "failure threshold must be > 0");
-        assert!(self.open_ns > 0, "open window must be positive");
-        assert!(self.open_cap_ns >= self.open_ns, "open cap below window");
-        assert!(self.half_open_probes > 0, "need at least one probe slot");
-        assert!(self.probe_successes > 0, "need at least one probe success");
-    }
+pub enum GpuGate {
+    /// Full service: plan the normal GPU share.
+    Open,
+    /// Quarantine expired: send one small probe batch only.
+    Probe,
+    /// Quarantined: send nothing to the GPU.
+    Closed,
 }
 
 /// Where a [`CircuitBreaker`] is in its ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Traffic flows; failures accumulate toward the threshold.
     Closed,
-    /// Tripped: every admission is refused until the window expires.
+    /// Tripped: every admission is refused until the hold expires.
     Open {
         /// Simulated nanosecond at which half-open probing may begin.
         until_ns: u64,
     },
-    /// Window expired: a bounded number of probe admissions decide
-    /// whether to close again or re-open with a doubled window.
+    /// Hold expired: one probe decides whether to close again or
+    /// re-open with a doubled hold.
     HalfOpen,
 }
 
 /// One closed → open → half-open breaker.
 ///
-/// Drive it with [`CircuitBreaker::admit`] before sending work and
-/// [`CircuitBreaker::on_success`] / [`CircuitBreaker::on_failure`] when
-/// the work's outcome is known. [`CircuitBreaker::trip`] force-opens it
-/// (node declared dead). Deterministic: state depends only on the call
-/// sequence and the clock values passed in.
+/// A dispatcher asks [`CircuitBreaker::gate`] what the device may take;
+/// a router asks [`CircuitBreaker::admit`] whether one unit of work may
+/// go. Report outcomes with [`CircuitBreaker::on_success`] /
+/// [`CircuitBreaker::on_failure`]; [`CircuitBreaker::trip`] force-opens
+/// it (device lost, node declared dead). Deterministic: state depends
+/// only on the call sequence and the clock values passed in.
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
-    policy: BreakerPolicy,
     state: BreakerState,
-    window_ns: u64,
+    hold_ns: u64,
     consecutive_failures: u32,
-    probes_in_flight: u32,
-    probe_successes: u32,
+    probe_in_flight: bool,
     trips: u64,
     closes: u64,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker under `policy`.
-    ///
-    /// # Panics
-    /// Panics if the policy fails [`BreakerPolicy::validate`].
-    pub fn new(policy: BreakerPolicy) -> Self {
-        policy.validate();
+    /// A closed breaker with the base hold.
+    pub fn new() -> Self {
         CircuitBreaker {
-            window_ns: policy.open_ns,
-            policy,
             state: BreakerState::Closed,
+            hold_ns: HOLD_NS,
             consecutive_failures: 0,
-            probes_in_flight: 0,
-            probe_successes: 0,
+            probe_in_flight: false,
             trips: 0,
             closes: 0,
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &BreakerPolicy {
-        &self.policy
-    }
-
-    /// Current state (after resolving an expired open window at `now_ns`).
-    pub fn state(&mut self, now_ns: u64) -> BreakerState {
+    /// Current state (after resolving an expired hold at `now_ns`).
+    #[cfg(test)]
+    fn state(&mut self, now_ns: u64) -> BreakerState {
         self.refresh(now_ns);
         self.state
     }
@@ -132,29 +109,32 @@ impl CircuitBreaker {
         if let BreakerState::Open { until_ns } = self.state {
             if now_ns >= until_ns {
                 self.state = BreakerState::HalfOpen;
-                self.probes_in_flight = 0;
-                self.probe_successes = 0;
+                self.probe_in_flight = false;
             }
         }
     }
 
+    /// What a dispatcher may send at `now_ns`: closed is
+    /// [`GpuGate::Open`], open is [`GpuGate::Closed`], half-open is
+    /// [`GpuGate::Probe`] — sticky until an outcome is reported.
+    pub fn gate(&mut self, now_ns: u64) -> GpuGate {
+        self.refresh(now_ns);
+        match self.state {
+            BreakerState::Closed => GpuGate::Open,
+            BreakerState::Open { .. } => GpuGate::Closed,
+            BreakerState::HalfOpen => GpuGate::Probe,
+        }
+    }
+
     /// Whether one unit of work may be sent at `now_ns`. Closed admits
-    /// everything; open admits nothing; half-open admits exactly
-    /// `half_open_probes` queries per round (deterministic counting, no
-    /// coin flips) and refuses the rest.
+    /// everything; open admits nothing; half-open admits the first query
+    /// of the round (the probe) and refuses the rest.
     pub fn admit(&mut self, now_ns: u64) -> bool {
         self.refresh(now_ns);
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open { .. } => false,
-            BreakerState::HalfOpen => {
-                if self.probes_in_flight < self.policy.half_open_probes {
-                    self.probes_in_flight += 1;
-                    true
-                } else {
-                    false
-                }
-            }
+            BreakerState::HalfOpen => !std::mem::replace(&mut self.probe_in_flight, true),
         }
     }
 
@@ -162,51 +142,42 @@ impl CircuitBreaker {
     ///
     /// Returns `true` when this success *closes* a previously tripped
     /// breaker (callers reset cost models / mark the node warm again).
+    /// A success while nominally open (work already in flight when the
+    /// breaker tripped) is evidence the target lives: it closes too.
     pub fn on_success(&mut self, now_ns: u64) -> bool {
         self.refresh(now_ns);
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_failures = 0;
-                false
-            }
-            // A success while nominally open (work already in flight
-            // when the breaker tripped) is evidence the target lives:
-            // treat it like a successful probe round.
-            BreakerState::Open { .. } | BreakerState::HalfOpen => {
-                self.probe_successes += 1;
-                if self.probe_successes >= self.policy.probe_successes {
-                    self.state = BreakerState::Closed;
-                    self.consecutive_failures = 0;
-                    self.window_ns = self.policy.open_ns;
-                    self.closes += 1;
-                    true
-                } else {
-                    false
-                }
-            }
+        self.consecutive_failures = 0;
+        if self.state == BreakerState::Closed {
+            return false;
         }
+        self.state = BreakerState::Closed;
+        self.hold_ns = HOLD_NS;
+        self.closes += 1;
+        true
     }
 
-    /// Records a failed unit of work.
+    /// Records a failed unit of work. A failure while open changes
+    /// nothing: the hold runs to its end.
     pub fn on_failure(&mut self, now_ns: u64) {
         self.refresh(now_ns);
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.policy.failure_threshold {
+                if self.consecutive_failures >= QUARANTINE_AFTER {
                     self.open(now_ns);
                 }
             }
-            // A failed probe re-opens with a doubled window.
+            // A failed probe re-opens with a doubled hold.
             BreakerState::HalfOpen => {
-                self.window_ns = (self.window_ns * 2).min(self.policy.open_cap_ns);
+                self.hold_ns = (self.hold_ns * 2).min(HOLD_CAP_NS);
                 self.open(now_ns);
             }
             BreakerState::Open { .. } => {}
         }
     }
 
-    /// Force-opens the breaker (the cluster declared the node dead).
+    /// Force-opens the breaker at the current hold (device lost, node
+    /// declared dead).
     pub fn trip(&mut self, now_ns: u64) {
         self.refresh(now_ns);
         self.open(now_ns);
@@ -214,12 +185,17 @@ impl CircuitBreaker {
 
     fn open(&mut self, now_ns: u64) {
         self.state = BreakerState::Open {
-            until_ns: now_ns.saturating_add(self.window_ns),
+            until_ns: now_ns.saturating_add(self.hold_ns),
         };
         self.consecutive_failures = 0;
-        self.probes_in_flight = 0;
-        self.probe_successes = 0;
+        self.probe_in_flight = false;
         self.trips += 1;
+    }
+}
+
+impl Default for CircuitBreaker {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -227,26 +203,13 @@ impl CircuitBreaker {
 /// created closed on first touch.
 #[derive(Clone, Debug, Default)]
 pub struct BreakerMap {
-    policy: Option<BreakerPolicy>,
-    breakers: std::collections::BTreeMap<(u32, u32), CircuitBreaker>,
+    breakers: BTreeMap<(u32, u32), CircuitBreaker>,
 }
 
 impl BreakerMap {
-    /// An empty map handing out breakers under `policy`.
-    pub fn new(policy: BreakerPolicy) -> Self {
-        policy.validate();
-        BreakerMap {
-            policy: Some(policy),
-            breakers: std::collections::BTreeMap::new(),
-        }
-    }
-
     /// The breaker for `(tenant, node)`, created closed if absent.
     pub fn get(&mut self, tenant: u32, node: u32) -> &mut CircuitBreaker {
-        let policy = self.policy.unwrap_or_default();
-        self.breakers
-            .entry((tenant, node))
-            .or_insert_with(|| CircuitBreaker::new(policy))
+        self.breakers.entry((tenant, node)).or_default()
     }
 
     /// Trips every breaker targeting `node` (whole-node death).
@@ -270,11 +233,13 @@ mod tests {
 
     #[test]
     fn trips_after_threshold_and_blocks_while_open() {
-        let mut cb = CircuitBreaker::new(BreakerPolicy::default());
+        let mut cb = CircuitBreaker::new();
+        assert_eq!(cb.gate(0), GpuGate::Open);
         assert!(cb.admit(0));
         cb.on_failure(10);
         cb.on_failure(20);
         assert!(cb.admit(25), "below threshold still admits");
+        assert_eq!(cb.gate(25), GpuGate::Open, "below threshold still serves");
         cb.on_failure(30);
         assert_eq!(cb.trips(), 1);
         assert_eq!(
@@ -284,67 +249,129 @@ mod tests {
             }
         );
         assert!(!cb.admit(31));
+        assert_eq!(cb.gate(31), GpuGate::Closed);
         assert!(!cb.admit(5_000_029), "one ns before expiry: still open");
     }
 
     #[test]
-    fn half_open_admits_exactly_the_probe_quota() {
-        let pol = BreakerPolicy {
-            half_open_probes: 2,
-            probe_successes: 2,
-            ..BreakerPolicy::default()
-        };
-        let mut cb = CircuitBreaker::new(pol);
+    fn success_resets_the_consecutive_count() {
+        let mut cb = CircuitBreaker::new();
+        cb.on_failure(0);
+        cb.on_failure(1);
+        assert!(!cb.on_success(2), "plain success is not a close");
+        // The count restarted: two more failures don't trip it.
+        cb.on_failure(3);
+        cb.on_failure(4);
+        assert_eq!(cb.gate(5), GpuGate::Open);
+        assert_eq!(cb.trips(), 0);
+        cb.on_failure(6);
+        assert_eq!(cb.gate(7), GpuGate::Closed, "the third in a row trips");
+    }
+
+    #[test]
+    fn probe_is_sticky_and_readmits() {
+        let mut cb = CircuitBreaker::new();
         cb.trip(0);
-        let open_end = pol.open_ns;
-        assert_eq!(cb.state(open_end), BreakerState::HalfOpen);
-        assert!(cb.admit(open_end), "probe 1");
-        assert!(cb.admit(open_end), "probe 2");
-        assert!(!cb.admit(open_end), "quota exhausted");
-        assert!(!cb.on_success(open_end + 1), "one of two successes");
-        assert!(cb.on_success(open_end + 2), "second success closes");
-        assert_eq!(cb.state(open_end + 3), BreakerState::Closed);
+        assert_eq!(cb.gate(HOLD_NS - 1), GpuGate::Closed);
+        assert_eq!(cb.gate(HOLD_NS), GpuGate::Probe);
+        assert_eq!(cb.gate(HOLD_NS + 1), GpuGate::Probe, "probe is sticky");
+        assert!(cb.on_success(HOLD_NS + 100), "probe success closes");
+        assert_eq!(cb.closes(), 1);
+        assert_eq!(cb.gate(HOLD_NS + 101), GpuGate::Open);
+    }
+
+    #[test]
+    fn gate_flips_exactly_at_hold_end() {
+        let mut cb = CircuitBreaker::new();
+        cb.trip(1_000);
+        let until = 1_000 + HOLD_NS;
+        assert_eq!(cb.state(1_000), BreakerState::Open { until_ns: until });
+        assert_eq!(cb.gate(until - 1), GpuGate::Closed, "one ns early: closed");
+        assert_eq!(cb.gate(until), GpuGate::Probe, "hold end is inclusive");
+    }
+
+    #[test]
+    fn ok_at_probe_instant_readmits_with_zero_length_window() {
+        // The probe completes at the very instant the gate opened: a
+        // zero-length probe window must still close the breaker and
+        // reset the (doubled) hold back to base.
+        let mut cb = CircuitBreaker::new();
+        cb.trip(0);
+        assert_eq!(cb.gate(HOLD_NS), GpuGate::Probe);
+        cb.on_failure(HOLD_NS); // failed probe doubles the hold
+        let until = 3 * HOLD_NS;
+        assert_eq!(cb.state(HOLD_NS), BreakerState::Open { until_ns: until });
+        assert_eq!(cb.gate(until), GpuGate::Probe);
+        assert!(cb.on_success(until), "zero-length probe still closes");
+        assert_eq!(cb.state(until), BreakerState::Closed);
+        assert_eq!(cb.gate(until), GpuGate::Open);
+        assert_eq!((cb.trips(), cb.closes()), (2, 1));
+        // The hold was reset: the next trip uses the base hold.
+        cb.trip(100_000_000);
+        assert_eq!(
+            cb.state(100_000_000),
+            BreakerState::Open {
+                until_ns: 100_000_000 + HOLD_NS
+            }
+        );
+    }
+
+    #[test]
+    fn failed_probe_doubles_the_hold_up_to_cap() {
+        let mut cb = CircuitBreaker::new();
+        cb.trip(0);
+        let mut now = 0;
+        let mut holds = Vec::new();
+        for _ in 0..6 {
+            let BreakerState::Open { until_ns } = cb.state(now) else {
+                panic!("not open at {now}");
+            };
+            holds.push((until_ns - now) / 1_000_000);
+            now = until_ns;
+            assert_eq!(cb.gate(now), GpuGate::Probe);
+            now += 100;
+            cb.on_failure(now);
+        }
+        assert_eq!(holds, [5, 10, 20, 40, 80, 80], "ms, doubled then capped");
+        // Closing resets the hold to base.
+        assert_eq!(cb.gate(now + HOLD_CAP_NS), GpuGate::Probe);
+        assert!(cb.on_success(now + HOLD_CAP_NS));
+        cb.trip(now + HOLD_CAP_NS);
+        assert_eq!(
+            cb.state(now + HOLD_CAP_NS),
+            BreakerState::Open {
+                until_ns: now + HOLD_CAP_NS + HOLD_NS
+            }
+        );
+    }
+
+    #[test]
+    fn half_open_admits_exactly_one_probe() {
+        let mut cb = CircuitBreaker::new();
+        cb.trip(0);
+        assert_eq!(cb.state(HOLD_NS), BreakerState::HalfOpen);
+        assert!(cb.admit(HOLD_NS), "the probe");
+        assert!(!cb.admit(HOLD_NS), "only one per round");
+        assert!(!cb.admit(HOLD_NS + 1));
+        assert!(cb.on_success(HOLD_NS + 2), "one success closes");
+        assert_eq!(cb.state(HOLD_NS + 3), BreakerState::Closed);
         assert_eq!(cb.closes(), 1);
     }
 
     #[test]
-    fn failed_probe_doubles_the_open_window_up_to_cap() {
-        let pol = BreakerPolicy {
-            open_ns: 1_000,
-            open_cap_ns: 3_000,
-            ..BreakerPolicy::default()
-        };
-        let mut cb = CircuitBreaker::new(pol);
+    fn failure_while_open_does_not_lift_the_hold() {
+        let mut cb = CircuitBreaker::new();
         cb.trip(0);
-        assert!(cb.admit(1_000), "first probe admitted");
-        cb.on_failure(1_100);
-        assert_eq!(
-            cb.state(1_101),
-            BreakerState::Open {
-                until_ns: 1_100 + 2_000
-            },
-            "doubled"
-        );
-        assert!(cb.admit(3_100));
-        cb.on_failure(3_200);
-        assert_eq!(
-            cb.state(3_201),
-            BreakerState::Open {
-                until_ns: 3_200 + 3_000
-            },
-            "capped"
-        );
-        // Closing resets the window to base.
-        assert!(cb.admit(6_200));
-        assert!(cb.on_success(6_300));
-        cb.trip(10_000);
-        assert_eq!(cb.state(10_001), BreakerState::Open { until_ns: 11_000 });
+        cb.on_failure(1);
+        assert_eq!(cb.state(2), BreakerState::Open { until_ns: HOLD_NS });
+        assert_eq!(cb.gate(2), GpuGate::Closed);
+        assert_eq!(cb.trips(), 1);
     }
 
     #[test]
     fn deterministic_probe_admission_replays_identically() {
         let run = || {
-            let mut cb = CircuitBreaker::new(BreakerPolicy::default());
+            let mut cb = CircuitBreaker::new();
             let mut decisions = Vec::new();
             cb.trip(0);
             for t in (0..20_000_000).step_by(1_000_000) {
@@ -365,7 +392,7 @@ mod tests {
 
     #[test]
     fn breaker_map_keys_per_tenant_node_and_trips_whole_nodes() {
-        let mut map = BreakerMap::new(BreakerPolicy::default());
+        let mut map = BreakerMap::default();
         assert!(map.get(1, 0).admit(0));
         assert!(map.get(2, 0).admit(0));
         assert!(map.get(1, 1).admit(0));
@@ -376,12 +403,76 @@ mod tests {
         assert_eq!(map.total_trips(), 2);
     }
 
-    #[test]
-    #[should_panic(expected = "failure threshold must be > 0")]
-    fn invalid_breaker_policy_rejected() {
-        CircuitBreaker::new(BreakerPolicy {
-            failure_threshold: 0,
-            ..BreakerPolicy::default()
-        });
+    mod interleavings {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            Gate,
+            Admit,
+            Success,
+            Failure,
+            Trip,
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                Just(Op::Gate),
+                Just(Op::Admit),
+                Just(Op::Success),
+                Just(Op::Failure),
+                Just(Op::Trip),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Counters are monotone under any interleaving at any
+            /// (nondecreasing) clock, closes never outrun trips, and a
+            /// Probe gate (or a half-open admission) only appears after
+            /// a trip.
+            #[test]
+            fn counters_monotone_under_interleaving(
+                ops in proptest::collection::vec((op_strategy(), 0u64..4_000_000), 1..80),
+            ) {
+                let mut cb = CircuitBreaker::new();
+                let mut now = 0u64;
+                let (mut last_t, mut last_c) = (0u64, 0u64);
+                for (op, dt) in ops {
+                    now += dt;
+                    match op {
+                        Op::Gate => {
+                            if cb.gate(now) == GpuGate::Probe {
+                                prop_assert!(cb.trips() > 0);
+                            }
+                        }
+                        Op::Admit => {
+                            let half_open = cb.state(now) == BreakerState::HalfOpen;
+                            if cb.admit(now) && half_open {
+                                prop_assert!(cb.trips() > 0);
+                            }
+                        }
+                        Op::Success => {
+                            if cb.on_success(now) {
+                                prop_assert_eq!(cb.closes(), last_c + 1);
+                            }
+                            prop_assert_eq!(cb.state(now), BreakerState::Closed);
+                        }
+                        Op::Failure => cb.on_failure(now),
+                        Op::Trip => {
+                            cb.trip(now);
+                            prop_assert_eq!(cb.gate(now), GpuGate::Closed);
+                        }
+                    }
+                    prop_assert!(cb.trips() >= last_t, "trips decreased");
+                    prop_assert!(cb.closes() >= last_c, "closes decreased");
+                    prop_assert!(cb.closes() <= cb.trips(), "closed more often than tripped");
+                    last_t = cb.trips();
+                    last_c = cb.closes();
+                }
+            }
+        }
     }
 }

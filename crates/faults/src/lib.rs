@@ -19,16 +19,16 @@
 //!   a given plan produces the **same faults at the same places on every
 //!   run**, independent of query order — chaos tests are replayable and
 //!   failures bisectable;
-//! * [`TaskError`], [`RecoveryPolicy`], [`DeviceHealth`] and
-//!   [`HealthTracker`] are the error-path vocabulary the runtime layers
-//!   share: per-task failure causes, capped exponential backoff with
-//!   deterministic jitter, and the quarantine → probing re-admission
-//!   state machine;
+//! * [`TaskError`] and [`RecoveryPolicy`] are the error-path vocabulary
+//!   the runtime layers share: per-task failure causes and capped
+//!   exponential backoff with deterministic jitter;
+//! * [`CircuitBreaker`] is the one health ladder — closed → open →
+//!   half-open, with its thresholds, hold and cap as constants. It
+//!   gates the node pipeline's GPU device (its [`GpuGate`] is the
+//!   dispatcher's input) and, one per `(tenant, node)` pair in a
+//!   [`BreakerMap`], the serving cluster's routing;
 //! * [`NodeFault`] scales the taxonomy from devices to whole nodes
-//!   (crash / partition / rejoin at planned instants), and
-//!   [`CircuitBreaker`] generalizes the health ladder to per-
-//!   `(tenant, node)` closed → open → half-open gating with
-//!   deterministic probe admission for the serving cluster.
+//!   (crash / partition / rejoin at planned instants).
 //!
 //! The cardinal invariant: an **empty plan is inert**. Every injector
 //! query on [`FaultPlan::none`] returns "no fault" without perturbing any
@@ -49,10 +49,10 @@ mod plan;
 mod recovery;
 mod timeline;
 
-pub use breaker::{BreakerMap, BreakerPolicy, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerMap, CircuitBreaker, GpuGate};
 pub use madness_trace::{FaultAction, FaultEvent, FaultKind};
 pub use plan::{FaultInjector, FaultPlan, Injection, NodeFault, TaskError, Trigger};
-pub use recovery::{DeviceHealth, GpuGate, HealthTracker, RecoveryPolicy};
+pub use recovery::RecoveryPolicy;
 pub use timeline::NodeTimeline;
 
 /// Stateless deterministic draw in `[0, 1)` for `(seed, salt, index)`.

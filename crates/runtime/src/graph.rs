@@ -352,19 +352,7 @@ impl TaskGraph {
     /// with nothing completed yet. Take it before [`TaskGraph::run`]
     /// consumes the graph.
     pub fn frontier(&self) -> Frontier {
-        let n = self.nodes.len();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                succs[d].push(i);
-            }
-        }
-        Frontier {
-            deps: self.nodes.iter().map(|n| n.deps.clone()).collect(),
-            succs,
-            done: vec![false; n],
-            completed: 0,
-        }
+        Frontier::from_deps(self.nodes.iter().map(|n| n.deps.clone()).collect())
     }
 
     /// Spawns a task that runs `f` once every task in `deps` has
