@@ -320,6 +320,43 @@ pub fn run_span(
     }
 }
 
+/// The most outputs one fan span feeds: the widest `N`-output AVX body
+/// the 16 `ymm` registers hold (width 4, `N = 3`, four rows a block).
+pub(crate) const FAN: usize = 3;
+
+/// Runs kernel `id` over the row span `i0..i1` of `cs.len()` passes
+/// that share the operand `a`: pass `n` contracts `a` with `bs[n]` into
+/// `cs[n]`, each bit-identical to its own [`run_span`]. Where `id` is
+/// [`KernelId::SimdConst`] and the host and width have an `N`-output
+/// AVX body, one pass over `a` feeds every output (a *fan*); otherwise
+/// the outputs run one span each. Returns whether the fan ran as one
+/// span.
+///
+/// # Panics
+/// Panics if `bs` and `cs` differ in length or a slice does not cover
+/// the stated span.
+#[allow(clippy::too_many_arguments)] // span geometry is irreducible
+pub(crate) fn run_fan(
+    id: KernelId,
+    dimi: usize,
+    i0: usize,
+    i1: usize,
+    dimj: usize,
+    kr: usize,
+    a: &[f64],
+    bs: &[&[f64]],
+    cs: &mut [&mut [f64]],
+) -> bool {
+    assert_eq!(bs.len(), cs.len(), "one B per output");
+    if id == KernelId::SimdConst && crate::simd::fan_span(dimi, i0, i1, dimj, kr, a, bs, cs) {
+        return true;
+    }
+    for (b, c) in bs.iter().zip(cs.iter_mut()) {
+        run_span(id, dimi, i0, i1, dimj, kr, a, b, c);
+    }
+    false
+}
+
 /// Rows per tile for a pass of shape `(dimi, dimj)` contracting `dimk`
 /// rows: sized so one tile's working set (strided `A` reads + the `C`
 /// rows; `B` is shared) streams through ~256 KiB of cache, rounded to a
@@ -369,9 +406,14 @@ impl KernelEntry {
     /// counting was enabled: one per [`run_span`] the `mtxmq` and
     /// transform entry points make, not one per [`select`] (a task
     /// selects each pass shape once and then issues many spans). A
-    /// rank-`M` Apply task of dimension `d` issues `(d−1)·M` spans for
-    /// the leading passes plus one per chunk of terms (× row tiles) for
-    /// the fused final pass.
+    /// rank-`M` Apply task of dimension `d` alone issues `(d−1)·M`
+    /// spans for the leading passes plus one per chunk of terms (× row
+    /// tiles) for the fused final pass. In a group call the tasks of a
+    /// *fan* (consecutive tasks whose stacked operands are identical, at
+    /// most three of them) share that final span where the width has
+    /// an `N`-output AVX body (width 4): one dispatch on this per-output
+    /// shape for the whole fan. A fan of any other width counts one
+    /// span per task.
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
     }
@@ -807,6 +849,34 @@ impl SpanKernel {
         }
         run_span(self.id, dimi, i0, i1, dimj, kr, a, b, c);
     }
+
+    /// [`run_fan`] with the resolved kernel: one dispatch if the fan
+    /// ran as one span, one per output otherwise.
+    #[allow(clippy::too_many_arguments)] // span geometry is irreducible
+    pub(crate) fn run_fan(
+        &self,
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        dimj: usize,
+        kr: usize,
+        a: &[f64],
+        bs: &[&[f64]],
+        cs: &mut [&mut [f64]],
+    ) {
+        let fused = run_fan(self.id, dimi, i0, i1, dimj, kr, a, bs, cs);
+        if let Some(counter) = self.counter {
+            let spans = if fused { 1 } else { cs.len() };
+            counter.fetch_add(spans as u64, Ordering::Relaxed);
+        }
+    }
+}
+
+/// An uncounted [`SpanKernel`] running `id`, for tests that pin a
+/// candidate.
+#[cfg(test)]
+pub(crate) fn pinned(id: KernelId) -> SpanKernel {
+    SpanKernel { id, counter: None }
 }
 
 #[cfg(test)]
@@ -872,13 +942,71 @@ mod tests {
         }
     }
 
+    /// Bit for bit, except that two NaNs match whatever their payloads.
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+    }
+
+    /// The contraction row [`skip_case`] plants its zeros and specials
+    /// in.
+    const SKIP_K: usize = 4;
+
+    /// A `(dimk, dimi)` operand whose row [`SKIP_K`] is an exact zero
+    /// (alternating sign) at every row `i ≥ i0` with `(i − i0) % 8 ==
+    /// zero_at`, so every block of 2, 4 or 8 rows starting at `i0` has
+    /// one zero at `zero_at` modulo its size and the other rows none;
+    /// and `(dimk, dimj)` operands whose row [`SKIP_K`] is ±∞ and NaN,
+    /// which only a skipped coefficient keeps out of `c`.
+    fn skip_case(
+        dimi: usize,
+        dimj: usize,
+        dimk: usize,
+        i0: usize,
+        zero_at: usize,
+        seed: u64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        const SPECIAL: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut a = det_fill(dimk * dimi, seed);
+        for i in 0..dimi {
+            let x = &mut a[SKIP_K * dimi + i];
+            if i >= i0 && (i - i0) % 8 == zero_at {
+                *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+            } else if *x == 0.0 {
+                *x = 0.25;
+            }
+        }
+        let mut b = det_fill(dimk * dimj, seed + 1);
+        for j in 0..dimj {
+            b[SKIP_K * dimj + j] = SPECIAL[(j + zero_at) % SPECIAL.len()];
+        }
+        (a, b)
+    }
+
+    /// A span's starting `c`: −0.0 in every other element (which a
+    /// zero product must not turn into +0.0), values elsewhere.
+    fn signed_zero_init(len: usize, seed: u64) -> Vec<f64> {
+        let mut c = det_fill(len, seed);
+        for x in c.iter_mut().step_by(2) {
+            *x = -0.0;
+        }
+        c
+    }
+
     /// The row-blocked AVX body on spans that do not line up with its
     /// row blocks: a start row in mid-pass and every remainder `r < R`
     /// (R is at most 8), so full blocks and the one-row tail both run.
+    /// Then once per row position of a block, with an exact zero at that
+    /// position at one `k`, ±∞ / NaN in that row of `b` and −0.0 in `c`:
+    /// the blocks test their coefficients with one vector compare, so
+    /// that `k` takes the per-row path and every other `k` the path
+    /// with no per-row branch.
     #[test]
     fn row_blocked_spans_match_scalar_off_the_block_grid() {
+        let (dimi, dimk, i0) = (37usize, 9usize, 3usize);
         for dimj in SPECIALIZED_WIDTHS {
-            let (dimi, dimk, i0) = (37usize, 9usize, 3usize);
             let a = det_fill(dimk * dimi, 7 + dimj as u64);
             let b = det_fill(dimk * dimj, 70 + dimj as u64);
             for rows in 1..=2 * 8 + 7 {
@@ -899,6 +1027,79 @@ mod tests {
                     &mut got,
                 );
                 assert!(bits_equal(&got, &want), "width {dimj}, rows {i0}..{i1}");
+            }
+            for zero_at in 0..8 {
+                let (a, b) = skip_case(dimi, dimj, dimk, i0, zero_at, dimj as u64);
+                for rows in 1..=2 * 8 + 7 {
+                    let i1 = i0 + rows;
+                    let init = signed_zero_init(rows * dimj, rows as u64);
+                    let mut want = init.clone();
+                    scalar_span(dimi, i0, i1, dimj, dimk, &a, &b, &mut want);
+                    let mut got = init;
+                    let id = KernelId::SimdConst;
+                    run_span(id, dimi, i0, i1, dimj, dimk, &a, &b, &mut got);
+                    assert!(
+                        same_bits(&got, &want),
+                        "width {dimj}, rows {i0}..{i1}, zero at {zero_at}"
+                    );
+                    // The skipped rows stay finite.
+                    let kept = (0..rows).filter(|r| r % 8 == zero_at);
+                    assert!(kept
+                        .flat_map(|r| &want[r * dimj..(r + 1) * dimj])
+                        .all(|x| x.is_finite()));
+                }
+            }
+        }
+    }
+
+    /// A fan equals one scalar span per output, under every candidate:
+    /// every `N`-output body (`N` = 2 and 3 at width 4) and the
+    /// one-span-per-output fallback of every other width and of `N` = 1,
+    /// over spans off the block grid (every remainder of a 4-row block,
+    /// one block and two), with a zero at each row position of a block
+    /// at one `k` and ±∞ / NaN in every output's `b` row there.
+    #[test]
+    fn fan_spans_match_one_scalar_span_per_output() {
+        let (dimi, dimk, i0) = (37usize, 9usize, 3usize);
+        for dimj in SPECIALIZED_WIDTHS {
+            for zero_at in 0..4 {
+                let (a, b0) = skip_case(dimi, dimj, dimk, i0, zero_at, 11 + dimj as u64);
+                for n in 1..=FAN {
+                    let bs: Vec<Vec<f64>> = (0..n)
+                        .map(|g| {
+                            let mut b = det_fill(dimk * dimj, 90 + g as u64);
+                            b[SKIP_K * dimj..][..dimj]
+                                .copy_from_slice(&b0[SKIP_K * dimj..][..dimj]);
+                            b
+                        })
+                        .collect();
+                    let bs: Vec<&[f64]> = bs.iter().map(Vec::as_slice).collect();
+                    for rows in 1..=2 * 4 + 3 {
+                        let i1 = i0 + rows;
+                        let inits: Vec<Vec<f64>> = (0..n)
+                            .map(|g| signed_zero_init(rows * dimj, (rows * FAN + g) as u64))
+                            .collect();
+                        let mut want = inits.clone();
+                        for (b, c) in bs.iter().zip(&mut want) {
+                            scalar_span(dimi, i0, i1, dimj, dimk, &a, b, c);
+                        }
+                        for id in KernelId::ALL {
+                            let mut got = inits.clone();
+                            let mut cs: Vec<&mut [f64]> =
+                                got.iter_mut().map(Vec::as_mut_slice).collect();
+                            let fused = run_fan(id, dimi, i0, i1, dimj, dimk, &a, &bs, &mut cs);
+                            let wide = dimj == 4 && n > 1 && simd_available();
+                            assert_eq!(fused, id == KernelId::SimdConst && wide);
+                            for (g, (got, want)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same_bits(got, want),
+                                    "{}: width {dimj}, fan {n}, output {g}, rows {i0}..{i1}, zero at {zero_at}",
+                                    id.name()
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

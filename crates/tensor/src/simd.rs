@@ -9,7 +9,20 @@
 //! latency that a single row's chain exposes. `R` is picked so the
 //! accumulators, one row of `B` and a broadcast fit the 16 `ymm`
 //! registers: 8 / 4 / 4 / 2 rows for 1 / 2 / 3 / ≥ 4 vectors per row;
-//! the rows left over after the last full block run with `R = 1`.
+//! the rows left over after the last full block run with `R = 1`. With
+//! an even `R` one vector compare tells whether any of the block's `R`
+//! coefficients at this `k` is zero; when none is, the rows run with no
+//! per-row branch, otherwise each row is tested on its own.
+//!
+//! A **fan** body serves `N` passes that share the operand `A` (the
+//! stacked last-pass operand of `N` tasks whose stacks are identical,
+//! each with its own `B` panel and its own `C`): per `k` it loads the
+//! `N` rows of `B` once and broadcasts each coefficient once for all `N`
+//! accumulators, so one pass over `A` feeds every output. It has to fit
+//! `R·N·vectors + N·vectors + 1 ≤ 16` registers, which only width 4
+//! does usefully: `N = 2, 3` at `R = 4` (at width 3 × 4 + 3 + 1 = 16).
+//! It keeps the per-row zero test: a vector compare's extra register
+//! would spill at `N = 3`.
 //!
 //! Per element the kernel performs exactly the scalar loop's
 //! `c[j] += a[k*dimi+i] * b[k*dimj+j]` — one IEEE multiply followed by
@@ -17,11 +30,12 @@
 //! rows. FMA is deliberately **not** used: a fused multiply-add rounds
 //! once where the scalar loop rounds twice, and the kernel-table
 //! contract is that every candidate is bit-identical to the scalar
-//! reference. Vectorizing across `j` and blocking across `i` reorder no
-//! element's accumulation chain, so the results match the scalar
-//! kernels bit for bit — including signed zeros, infinities and NaNs (a
-//! zero `a(k,i)` is skipped before any lane of its row touches `b`,
-//! same as the scalar loops).
+//! reference. Vectorizing across `j`, blocking across `i` and fanning
+//! across outputs reorder no element's accumulation chain, so the
+//! results match the scalar kernels bit for bit — including signed
+//! zeros, infinities and NaNs (a zero `a(k,i)` is skipped before any
+//! lane of its row touches `b`, same as the scalar loops; the vector
+//! compare is ordered, so a NaN coefficient is not zero there either).
 //!
 //! This module is the only place in the crate allowed to use `unsafe`
 //! (AVX intrinsics and the raw-pointer loads/stores behind them); the
@@ -31,9 +45,10 @@
 #[cfg(target_arch = "x86_64")]
 mod imp {
     use core::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_setzero_pd,
-        _mm_storeu_pd,
+        __m128d, __m256d, _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd,
+        _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd,
+        _mm_cmpeq_pd, _mm_loadu_pd, _mm_movemask_pd, _mm_mul_pd, _mm_set1_pd, _mm_setzero_pd,
+        _mm_storeu_pd, _CMP_EQ_OQ,
     };
     use std::sync::OnceLock;
 
@@ -41,6 +56,70 @@ mod imp {
     pub(crate) fn available() -> bool {
         static AVX: OnceLock<bool> = OnceLock::new();
         *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
+    }
+
+    /// One row's step `c += aki · b`: one IEEE multiply, then one IEEE
+    /// add, on every lane of the row's `V` vectors (and its tail).
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn axpy<const V: usize, const TAIL: bool>(
+        acc: &mut [__m256d; V],
+        tac: &mut __m128d,
+        aki: f64,
+        vb: &[__m256d; V],
+        tb: __m128d,
+    ) {
+        let va = _mm256_set1_pd(aki);
+        for v in 0..V {
+            acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(va, vb[v]));
+        }
+        if TAIL {
+            *tac = _mm_add_pd(*tac, _mm_mul_pd(_mm_set1_pd(aki), tb));
+        }
+    }
+
+    /// Row `k` of a width-`4·V (+ 2 if TAIL)` `B`: its `V` vectors and
+    /// its tail (zero without one).
+    ///
+    /// # Safety
+    /// AVX must be available and `bp` must cover one row.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn load_row<const V: usize, const TAIL: bool>(
+        bp: *const f64,
+    ) -> ([__m256d; V], __m128d) {
+        let mut vb = [_mm256_setzero_pd(); V];
+        for v in 0..V {
+            vb[v] = unsafe { _mm256_loadu_pd(bp.add(4 * v)) };
+        }
+        let tb = if TAIL {
+            unsafe { _mm_loadu_pd(bp.add(4 * V)) }
+        } else {
+            _mm_setzero_pd()
+        };
+        (vb, tb)
+    }
+
+    /// Whether any of the `R` (even) coefficients at `ap` is an exact
+    /// zero of either sign, four and then two lanes to a compare.
+    ///
+    /// # Safety
+    /// AVX must be available and `ap` must cover `R` elements.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn any_zero<const R: usize>(ap: *const f64) -> bool {
+        let mut mask = 0;
+        let mut r = 0;
+        while r + 4 <= R {
+            let v = unsafe { _mm256_loadu_pd(ap.add(r)) };
+            mask |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(v, _mm256_setzero_pd()));
+            r += 4;
+        }
+        if r < R {
+            let v = unsafe { _mm_loadu_pd(ap.add(r)) };
+            mask |= _mm_movemask_pd(_mm_cmpeq_pd(v, _mm_setzero_pd()));
+        }
+        mask != 0
     }
 
     /// One block of `R` rows (`i .. i + R`) of a pass of width
@@ -80,27 +159,20 @@ mod imp {
         let mut bp = b;
         for _ in 0..kr {
             // Row k of B: loaded once, shared by the block's R rows.
-            let mut vb = [_mm256_setzero_pd(); V];
-            for v in 0..V {
-                vb[v] = unsafe { _mm256_loadu_pd(bp.add(4 * v)) };
-            }
-            let tb = if TAIL {
-                unsafe { _mm_loadu_pd(bp.add(4 * V)) }
+            let (vb, tb) = unsafe { load_row::<V, TAIL>(bp) };
+            if R.is_multiple_of(2) && !unsafe { any_zero::<R>(ap) } {
+                // No coefficient of the block is zero: no row skips.
+                for r in 0..R {
+                    axpy::<V, TAIL>(&mut acc[r], &mut tac[r], unsafe { *ap.add(r) }, &vb, tb);
+                }
             } else {
-                _mm_setzero_pd()
-            };
-            for r in 0..R {
-                let aki = unsafe { *ap.add(r) };
-                // Same sparsity skip as the scalar loops: a zero
-                // coefficient contributes nothing and must not turn a
-                // NaN/∞ in b into a NaN in c.
-                if aki != 0.0 {
-                    let va = _mm256_set1_pd(aki);
-                    for v in 0..V {
-                        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(va, vb[v]));
-                    }
-                    if TAIL {
-                        tac[r] = _mm_add_pd(tac[r], _mm_mul_pd(_mm_set1_pd(aki), tb));
+                for r in 0..R {
+                    let aki = unsafe { *ap.add(r) };
+                    // Same sparsity skip as the scalar loops: a zero
+                    // coefficient contributes nothing and must not turn
+                    // a NaN/∞ in b into a NaN in c.
+                    if aki != 0.0 {
+                        axpy::<V, TAIL>(&mut acc[r], &mut tac[r], aki, &vb, tb);
                     }
                 }
             }
@@ -113,6 +185,66 @@ mod imp {
             }
             if TAIL {
                 unsafe { _mm_storeu_pd(c.add(r * w + 4 * V), tac[r]) };
+            }
+        }
+    }
+
+    /// One block of `R` rows of `N` passes over the same `a`: pass `n`
+    /// reads `b[n]` and accumulates into `c[n]` (each pointing at the
+    /// block's first row). Per `k` the `N` rows of `B` are loaded once
+    /// and each coefficient is read and tested once for all `N` outputs.
+    ///
+    /// # Safety
+    /// As [`block`], for every `b[n]` and `c[n]`.
+    #[target_feature(enable = "avx")]
+    unsafe fn fan_block<const V: usize, const TAIL: bool, const R: usize, const N: usize>(
+        dimi: usize,
+        i: usize,
+        kr: usize,
+        a: *const f64,
+        b: [*const f64; N],
+        c: [*mut f64; N],
+    ) {
+        let w = 4 * V + if TAIL { 2 } else { 0 };
+        // SAFETY (every load/store below): as in `block`, per output.
+        let mut acc = [[[_mm256_setzero_pd(); V]; R]; N];
+        let mut tac = [[_mm_setzero_pd(); R]; N];
+        for n in 0..N {
+            for r in 0..R {
+                for v in 0..V {
+                    acc[n][r][v] = unsafe { _mm256_loadu_pd(c[n].add(r * w + 4 * v)) };
+                }
+                if TAIL {
+                    tac[n][r] = unsafe { _mm_loadu_pd(c[n].add(r * w + 4 * V)) };
+                }
+            }
+        }
+        let mut ap = unsafe { a.add(i) };
+        let mut vb = [[_mm256_setzero_pd(); V]; N];
+        let mut tb = [_mm_setzero_pd(); N];
+        for k in 0..kr {
+            // Row k of each output's B: loaded once, shared by R rows.
+            for n in 0..N {
+                (vb[n], tb[n]) = unsafe { load_row::<V, TAIL>(b[n].add(k * w)) };
+            }
+            for r in 0..R {
+                let aki = unsafe { *ap.add(r) };
+                if aki != 0.0 {
+                    for n in 0..N {
+                        axpy::<V, TAIL>(&mut acc[n][r], &mut tac[n][r], aki, &vb[n], tb[n]);
+                    }
+                }
+            }
+            ap = unsafe { ap.add(dimi) };
+        }
+        for n in 0..N {
+            for r in 0..R {
+                for v in 0..V {
+                    unsafe { _mm256_storeu_pd(c[n].add(r * w + 4 * v), acc[n][r][v]) };
+                }
+                if TAIL {
+                    unsafe { _mm_storeu_pd(c[n].add(r * w + 4 * V), tac[n][r]) };
+                }
             }
         }
     }
@@ -149,6 +281,56 @@ mod imp {
         }
     }
 
+    /// [`span_body`] for `N` outputs sharing `a`, through [`fan_block`].
+    ///
+    /// # Safety
+    /// As [`span_body`], for every `b[n]` and `c[n]`.
+    #[target_feature(enable = "avx")]
+    unsafe fn fan_body<const V: usize, const TAIL: bool, const R: usize, const N: usize>(
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        kr: usize,
+        a: *const f64,
+        b: [*const f64; N],
+        c: [*mut f64; N],
+    ) {
+        let w = 4 * V + if TAIL { 2 } else { 0 };
+        let at = |i: usize| c.map(|cn| unsafe { cn.add((i - i0) * w) });
+        let mut i = i0;
+        // SAFETY: as in `span_body`, output by output.
+        while i + R <= i1 {
+            unsafe { fan_block::<V, TAIL, R, N>(dimi, i, kr, a, b, at(i)) };
+            i += R;
+        }
+        while i < i1 {
+            unsafe { fan_block::<V, TAIL, 1, N>(dimi, i, kr, a, b, at(i)) };
+            i += 1;
+        }
+    }
+
+    /// Asserts that `a`, `b` and `c` cover rows `i0..i1` of a
+    /// `(kr, dimi) × (kr, dimj)` pass.
+    #[allow(clippy::too_many_arguments)] // span geometry is irreducible
+    fn check(
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        dimj: usize,
+        kr: usize,
+        a: &[f64],
+        b: &[f64],
+        c: &[f64],
+    ) {
+        let covers = |len: usize, rows: usize, width: usize| {
+            rows.checked_mul(width).is_some_and(|n| len >= n)
+        };
+        assert!(i0 <= i1 && i1 <= dimi, "row span out of range");
+        assert!(covers(a.len(), kr, dimi), "A must cover (kr, dimi)");
+        assert!(covers(b.len(), kr, dimj), "B must cover (kr, dimj)");
+        assert!(covers(c.len(), i1 - i0, dimj), "C must cover the span rows");
+    }
+
     /// Safe entry: accumulate rows `i0..i1` of a width-`dimj` pass into
     /// `c` (which covers exactly those rows). Returns `false` — having
     /// touched nothing — if AVX is unavailable or `dimj` has no
@@ -170,16 +352,10 @@ mod imp {
         if !available() {
             return false;
         }
-        let covers = |len: usize, rows: usize, width: usize| {
-            rows.checked_mul(width).is_some_and(|n| len >= n)
-        };
-        assert!(i0 <= i1 && i1 <= dimi, "row span out of range");
-        assert!(covers(a.len(), kr, dimi), "A must cover (kr, dimi)");
-        assert!(covers(b.len(), kr, dimj), "B must cover (kr, dimj)");
-        assert!(covers(c.len(), i1 - i0, dimj), "C must cover the span rows");
+        check(dimi, i0, i1, dimj, kr, a, b, c);
         let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        // SAFETY: AVX was detected above, the asserts above establish
-        // the extents `span_body` requires, and each arm's `4·V (+ 2)`
+        // SAFETY: AVX was detected above, `check` establishes the
+        // extents `span_body` requires, and each arm's `4·V (+ 2)`
         // equals the `dimj` it serves.
         unsafe {
             match dimj {
@@ -190,6 +366,61 @@ mod imp {
                 14 => span_body::<3, true, 2>(dimi, i0, i1, kr, a, b, c),
                 20 => span_body::<5, false, 2>(dimi, i0, i1, kr, a, b, c),
                 _ => return false,
+            }
+        }
+        true
+    }
+
+    /// Safe entry for a fan: rows `i0..i1` of `bs.len()` width-`dimj`
+    /// passes over the one operand `a`, pass `n` reading `bs[n]` and
+    /// accumulating into `cs[n]`. Returns `false` — having touched
+    /// nothing — if AVX is unavailable or `(dimj, N)` has no fan body.
+    ///
+    /// # Panics
+    /// Panics if `bs` and `cs` differ in length or a slice does not
+    /// cover the stated span.
+    #[allow(clippy::too_many_arguments)] // span geometry is irreducible
+    pub(crate) fn fan_span(
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        dimj: usize,
+        kr: usize,
+        a: &[f64],
+        bs: &[&[f64]],
+        cs: &mut [&mut [f64]],
+    ) -> bool {
+        if !available() || dimj != 4 || !matches!(cs.len(), 2 | 3) {
+            return false;
+        }
+        assert_eq!(bs.len(), cs.len(), "one B per output");
+        for (b, c) in bs.iter().zip(cs.iter()) {
+            check(dimi, i0, i1, dimj, kr, a, b, c);
+        }
+        let a = a.as_ptr();
+        // SAFETY: AVX was detected above, `check` establishes every
+        // output's extents, and `4·V` is the width 4 both arms serve.
+        unsafe {
+            match cs {
+                [c0, c1] => fan_body::<1, false, 4, 2>(
+                    dimi,
+                    i0,
+                    i1,
+                    kr,
+                    a,
+                    [bs[0].as_ptr(), bs[1].as_ptr()],
+                    [c0.as_mut_ptr(), c1.as_mut_ptr()],
+                ),
+                [c0, c1, c2] => fan_body::<1, false, 4, 3>(
+                    dimi,
+                    i0,
+                    i1,
+                    kr,
+                    a,
+                    [bs[0].as_ptr(), bs[1].as_ptr(), bs[2].as_ptr()],
+                    [c0.as_mut_ptr(), c1.as_mut_ptr(), c2.as_mut_ptr()],
+                ),
+                _ => unreachable!("fan widths 2 and 3 only"),
             }
         }
         true
@@ -217,6 +448,21 @@ mod imp {
     ) -> bool {
         false
     }
+
+    /// Always `false`: the caller runs one span per output.
+    #[allow(clippy::too_many_arguments)] // span geometry is irreducible
+    pub(crate) fn fan_span(
+        _dimi: usize,
+        _i0: usize,
+        _i1: usize,
+        _dimj: usize,
+        _kr: usize,
+        _a: &[f64],
+        _bs: &[&[f64]],
+        _cs: &mut [&mut [f64]],
+    ) -> bool {
+        false
+    }
 }
 
-pub(crate) use imp::{available, span};
+pub(crate) use imp::{available, fan_span, span};

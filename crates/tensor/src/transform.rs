@@ -15,7 +15,7 @@
 //! axis order. Each pass is exactly one of the paper's
 //! `(k^{d-1}, k) × (k, k)` multiplications.
 
-use crate::kernel::{self, SpanKernel};
+use crate::kernel::{self, SpanKernel, FAN};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::MAX_DIMS;
@@ -39,7 +39,8 @@ pub struct TransformScratch {
     /// The open chunk's last-pass operands, term after term: the
     /// intermediates entering the last pass…
     stack: Vec<f64>,
-    /// …and the matching rows of each term's last operator block.
+    /// …and the matching rows of each term's last operator block, one
+    /// region per task of the pending fan.
     panel: Vec<f64>,
 }
 
@@ -77,14 +78,15 @@ impl TransformScratch {
 
     /// Pre-sizes the buffers every rank uses for cube tensors of `len`
     /// elements (the chunk buffers to their upper bound: a full 32 KiB
-    /// chunk or one term, whichever is larger); the per-level buffers
-    /// of rank ≥ 3 depend on the rank and grow on first use.
+    /// chunk or one term, whichever is larger, and a panel region that
+    /// size per task of a fan); the per-level buffers of rank ≥ 3
+    /// depend on the rank and grow on first use.
     pub fn with_capacity(len: usize) -> Self {
         let chunk = len.max(STACK_ELEMS);
         TransformScratch {
             staged: Vec::with_capacity(len),
             stack: Vec::with_capacity(chunk),
-            panel: Vec::with_capacity(chunk),
+            panel: Vec::with_capacity(FAN * chunk),
             ..Self::default()
         }
     }
@@ -288,22 +290,42 @@ struct Pass {
 }
 
 impl Pass {
-    /// Runs the pass over `kr` contraction rows as consecutive row
-    /// tiles, zeroing each tile of `c` first unless `accumulate`. Small
-    /// shapes are a single tile; tiles run in row order and every
-    /// candidate kernel preserves the per-element k-ascending chain, so
-    /// the result is bit-identical to one untiled span — and to every
-    /// other candidate.
-    fn run(&self, kr: usize, tile: usize, accumulate: bool, a: &[f64], b: &[f64], c: &mut [f64]) {
+    /// Runs the pass over `kr` contraction rows into `c` as consecutive
+    /// row tiles, zeroing each tile first. Small shapes are a single
+    /// tile; tiles run in row order and every candidate kernel preserves
+    /// the per-element k-ascending chain, so the result is bit-identical
+    /// to one untiled span — and to every other candidate.
+    fn run(&self, kr: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
         let (dimi, dimj) = (self.dimi, self.dimj);
         let mut i0 = 0;
         while i0 < dimi {
-            let i1 = (i0 + tile).min(dimi);
+            let i1 = (i0 + self.tile).min(dimi);
             let span = &mut c[i0 * dimj..i1 * dimj];
-            if !accumulate {
-                span.fill(0.0);
-            }
+            span.fill(0.0);
             self.kernel.run_span(dimi, i0, i1, dimj, kr, a, b, span);
+            i0 = i1;
+        }
+    }
+
+    /// The fused final pass of a fan: `outs[g] += A · B_g` over `kr`
+    /// contraction rows of the shared operand `a`, with `B_g` the `kr`
+    /// rows at region `g` of `panel`. Row tiles as in [`Pass::run`];
+    /// each tile is one span for every output where the kernel has a
+    /// body that wide.
+    fn run_fan(&self, kr: usize, a: &[f64], panel: &[f64], region: usize, outs: &mut [Tensor]) {
+        let (dimi, dimj, n) = (self.dimi, self.dimj, outs.len());
+        let tile = kernel::pass_tile_rows(dimi, dimj, kr);
+        let a = &a[..kr * dimi];
+        let bs: [&[f64]; FAN] = std::array::from_fn(|g| &panel[g * region..][..kr * dimj]);
+        let mut i0 = 0;
+        while i0 < dimi {
+            let i1 = (i0 + tile).min(dimi);
+            let mut cs: [&mut [f64]; FAN] = Default::default();
+            for (c, out) in cs.iter_mut().zip(outs.iter_mut()) {
+                *c = &mut out.as_mut_slice()[i0 * dimj..i1 * dimj];
+            }
+            self.kernel
+                .run_fan(dimi, i0, i1, dimj, kr, a, &bs[..n], &mut cs[..n]);
             i0 = i1;
         }
     }
@@ -329,8 +351,22 @@ impl Pass {
 /// the values already there from the same inputs by the same chain, so
 /// what reaches each `out` element is the one-task call's `(μ, k)`-
 /// ascending chain exactly. A source's 27 radius-1 displacements in
-/// `(δx, δy, δz)` order need 4 + 10 of their 2 × 27 leading passes per
-/// term.
+/// Apply's `(∞-norm, δx, δy, δz)` order need 4 + 10 of their 2 × 27
+/// leading passes per term.
+///
+/// A task whose every slot is held through pass `d−2` finds the stack
+/// exactly as the previous task left it, so consecutive such tasks form
+/// a *fan* (at most three) whose fused final passes run as one span:
+/// one pass over the shared stack feeds each task's own `out` from its
+/// own panel region (or one span per task where the span kernel has no
+/// body that wide; either way each element's chain is the one-task
+/// call's). The pending fan's final pass runs just before a task would
+/// rewrite the stack — that task's panel rows so far move to region 0
+/// and it starts the next fan — when the fan is full, and at the end of
+/// the chunk. `d = 1` never fans: its staging copy rewrites the stack
+/// every task. The 27 displacements then need 10 final spans per chunk
+/// instead of 27: `(0,0,0)` alone, eight `δz` triples and the
+/// `(0,0,±1)` pair.
 ///
 /// `term(task, μ)` is called once per pair: for each chunk of terms in
 /// order, for each task in order, for each `μ` of the chunk in order.
@@ -344,9 +380,24 @@ impl Pass {
 pub fn transform_sum_accumulate_group<'a, I>(
     t: &Tensor,
     n_terms: usize,
+    term: impl FnMut(usize, usize) -> Term<'a, I>,
+    scratch: &mut TransformScratch,
+    outs: &mut [Tensor],
+) where
+    I: IntoIterator<Item = &'a Tensor>,
+{
+    group(t, n_terms, term, scratch, outs, kernel::resolve);
+}
+
+/// [`transform_sum_accumulate_group`] with the span kernel of each pass
+/// shape `(dimi, dimj)` from `resolve`.
+fn group<'a, I>(
+    t: &Tensor,
+    n_terms: usize,
     mut term: impl FnMut(usize, usize) -> Term<'a, I>,
     scratch: &mut TransformScratch,
     outs: &mut [Tensor],
+    resolve: fn(usize, usize) -> SpanKernel,
 ) where
     I: IntoIterator<Item = &'a Tensor>,
 {
@@ -371,7 +422,7 @@ pub fn transform_sum_accumulate_group<'a, I>(
             dimi,
             dimj,
             tile: kernel::pass_tile_rows(dimi, dimj, dimk),
-            kernel: kernel::resolve(dimi, dimj),
+            kernel: resolve(dimi, dimj),
         }
     };
     let mut passes = [pass_at(0, t.len()); MAX_DIMS];
@@ -381,6 +432,8 @@ pub fn transform_sum_accumulate_group<'a, I>(
     let last = passes[d - 1];
     let term_len = last.dimk * last.dimi;
     let chunk = (STACK_ELEMS / term_len).clamp(1, n_terms.max(1));
+    // The panel rows of one task's chunk, at most.
+    let region = chunk * last.dimk * last.dimj;
 
     let TransformScratch {
         staged,
@@ -397,7 +450,7 @@ pub fn transform_sum_accumulate_group<'a, I>(
         slots.resize(chunk, Slot::default());
     }
     grow(stack, chunk * term_len);
-    grow(panel, chunk * last.dimk * last.dimj);
+    grow(panel, FAN * region);
 
     for chunk_start in (0..n_terms).step_by(chunk) {
         let chunk_terms = chunk_start..(chunk_start + chunk).min(n_terms);
@@ -405,7 +458,10 @@ pub fn transform_sum_accumulate_group<'a, I>(
         for slot in &mut slots[..chunk_terms.len()] {
             slot.filled = false;
         }
-        for (task, out) in outs.iter_mut().enumerate() {
+        // The pending fan is tasks `fan..task`, task `fan + g` with its
+        // panel in region `g`; each packs `fan_rows` contraction rows.
+        let (mut fan, mut fan_rows) = (0, 0);
+        for task in 0..outs.len() {
             // Contraction rows stacked so far, and the end of the stack
             // rows this task has rewritten.
             let (mut rows, mut rewritten) = (0, 0);
@@ -461,13 +517,21 @@ pub fn transform_sum_accumulate_group<'a, I>(
                         }
                     };
                     let dst = if p + 2 == d {
+                        if task > fan {
+                            // The pending fan still reads the stack this
+                            // task is about to rewrite.
+                            last.run_fan(fan_rows, stack, panel, region, &mut outs[fan..task]);
+                            let g = (task - fan) * region;
+                            panel.copy_within(g..g + rows * last.dimj, 0);
+                            fan = task;
+                        }
                         rewritten = rows + last.dimk;
                         &mut stack[place.clone()]
                     } else {
                         let dst_len = pass.dimi * pass.dimj;
                         &mut at[0][ix * dst_len..][..dst_len]
                     };
-                    pass.run(key.1, pass.tile, false, src, h.as_slice(), dst);
+                    pass.run(key.1, src, h.as_slice(), dst);
                 }
                 if d == 1 {
                     stage(coeff, t, &mut stack[place]);
@@ -485,15 +549,21 @@ pub fn transform_sum_accumulate_group<'a, I>(
                     hs.next().is_none(),
                     "need one operator matrix per dimension ({d}), got more"
                 );
-                panel[rows * last.dimj..(rows + kr_last) * last.dimj]
+                let at = (task - fan) * region + rows * last.dimj;
+                panel[at..at + kr_last * last.dimj]
                     .copy_from_slice(&h.as_slice()[..kr_last * last.dimj]);
                 rows += kr_last;
             }
+            fan_rows = rows;
             // The chunk's fused final pass: one (μ, k)-ascending chain
-            // per output element, straight into `out`.
-            let tile = kernel::pass_tile_rows(last.dimi, last.dimj, rows);
-            let (a, b) = (&stack[..rows * last.dimi], &panel[..rows * last.dimj]);
-            last.run(rows, tile, true, a, b, out.as_mut_slice());
+            // per output element, straight into each `out` of the fan.
+            if d == 1 || task + 1 - fan == FAN {
+                last.run_fan(rows, stack, panel, region, &mut outs[fan..=task]);
+                fan = task + 1;
+            }
+        }
+        if fan < outs.len() {
+            last.run_fan(fan_rows, stack, panel, region, &mut outs[fan..]);
         }
     }
 }
@@ -521,6 +591,7 @@ pub fn transform_rr_accumulate_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelId;
 
     /// Direct O(k^{2d}) evaluation of Formula 1 for one μ.
     fn reference_transform(t: &Tensor, hs: &[&Tensor]) -> Tensor {
@@ -807,6 +878,230 @@ mod tests {
             out
         });
         assert_eq!(got.as_slice(), want.as_slice());
+    }
+
+    /// `group`'s resolver pinned to each candidate kernel in turn.
+    const PINNED: [fn(usize, usize) -> SpanKernel; 4] = [
+        |_, _| kernel::pinned(KernelId::ScalarRuntime),
+        |_, _| kernel::pinned(KernelId::ScalarConst),
+        |_, _| kernel::pinned(KernelId::SimdConst),
+        |_, _| kernel::pinned(KernelId::Blocked),
+    ];
+
+    /// What the tests plant in panels and prior outputs.
+    const SPECIALS: [f64; 5] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    /// Bit for bit, except that two NaNs match whatever their payloads.
+    fn same_bits(x: &Tensor, y: &Tensor) -> bool {
+        let (x, y) = (x.as_slice(), y.as_slice());
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+    }
+
+    /// One task of a group, term by term: the coefficient, the block of
+    /// each dimension (an index into the pool) and the rank reduction.
+    type Task = Vec<(f64, Vec<usize>, Option<Vec<usize>>)>;
+
+    /// Runs `tasks` over `s` as one group call under every candidate
+    /// kernel and under the installed table, and checks each output
+    /// against the task's own one-task call, bit for bit.
+    fn check_group(s: &Tensor, pool: &[Tensor], tasks: &[Task]) {
+        let n_terms = tasks[0].len();
+        let term = |task: usize, mu: usize| {
+            let (coeff, hs, krs) = &tasks[task][mu];
+            Term {
+                coeff: *coeff,
+                hs: hs.iter().map(|&b| &pool[b]),
+                krs: krs.as_deref(),
+            }
+        };
+        let d = s.ndim();
+        let out_shape = out_shape(
+            s,
+            &(0..d).map(|p| &pool[tasks[0][0].1[p]]).collect::<Vec<_>>(),
+        );
+        // Prior outputs with every special value in them.
+        let bases: Vec<Tensor> = (0..tasks.len())
+            .map(|task| {
+                let mut base = det_tensor(out_shape, 500 + task as u64);
+                for (ix, x) in base.as_mut_slice().iter_mut().enumerate().step_by(7) {
+                    *x = SPECIALS[(ix / 7 + task) % SPECIALS.len()];
+                }
+                base
+            })
+            .collect();
+        let mut scratch = TransformScratch::new();
+        let want: Vec<Tensor> = bases
+            .iter()
+            .enumerate()
+            .map(|(task, base)| {
+                let mut out = base.clone();
+                transform_sum_accumulate(s, n_terms, |mu| term(task, mu), &mut scratch, &mut out);
+                out
+            })
+            .collect();
+        for (pick, resolve) in PINNED.into_iter().chain([kernel::resolve as _]).enumerate() {
+            let mut outs = bases.clone();
+            group(s, n_terms, term, &mut scratch, &mut outs, resolve);
+            for (task, (got, want)) in outs.iter().zip(&want).enumerate() {
+                assert!(same_bits(got, want), "kernel {pick}, task {task}");
+            }
+        }
+    }
+
+    /// A `d = 3`, `k = 4` source and a pool of `3 · d` blocks per term
+    /// (`δ = 0, 1, 2` in each dimension, as a radius-1 Apply has): block
+    /// `(μ, p, δ)` is `pool[(μ·d + p)·3 + δ]`. Term `μ`'s stack is an
+    /// exact zero at every row `i ≡ μ (mod 4)` — its second blocks have
+    /// that column zeroed — so over four terms every row position of a
+    /// 4-row block has one. The source's last-dimension slab 1 is zero,
+    /// so is stack row 1 of every term, and that is the one row of the
+    /// last blocks (the panel) that carries ±0, NaN and ±∞.
+    fn displacement_case(rank: usize, seed: u64) -> (Tensor, Vec<Tensor>) {
+        let (d, k, slab) = (3, 4, 1);
+        let mut s = det_tensor(Shape::cube(d, k), seed);
+        for (ix, x) in s.as_mut_slice().iter_mut().enumerate() {
+            if ix % k == slab {
+                *x = if ix % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let mut pool: Vec<Tensor> = (0..rank * d * 3)
+            .map(|ix| det_tensor(Shape::matrix(k, k), seed + 1 + ix as u64))
+            .collect();
+        for mu in 0..rank {
+            for delta in 0..3 {
+                let h = &mut pool[(mu * d + 1) * 3 + delta];
+                for r in 0..k {
+                    *h.at_mut(&[r, mu % k]) = if r % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let h = &mut pool[(mu * d + 2) * 3 + delta];
+                for c in 0..k {
+                    *h.at_mut(&[slab, c]) = SPECIALS[(mu + delta + c) % SPECIALS.len()];
+                }
+            }
+        }
+        (s, pool)
+    }
+
+    /// The task of displacement `δ` over [`displacement_case`]'s pool.
+    fn displacement_task(
+        rank: usize,
+        delta: [usize; 3],
+        krs: impl Fn(usize) -> Option<Vec<usize>>,
+    ) -> Task {
+        (0..rank)
+            .map(|mu| {
+                let hs = (0..3).map(|p| (mu * 3 + p) * 3 + delta[p]).collect();
+                (0.75 - 0.125 * mu as f64, hs, krs(mu))
+            })
+            .collect()
+    }
+
+    /// Displacements in Apply's order make fans of one, three, two and
+    /// one: every fan width, each output its one-task call's bits.
+    #[test]
+    fn fans_of_one_two_and_three_match_one_task_calls() {
+        let rank = 6;
+        let (s, pool) = displacement_case(rank, 100);
+        let deltas = [
+            [1, 1, 1],
+            [0, 0, 0],
+            [0, 0, 1],
+            [0, 0, 2],
+            [0, 1, 0],
+            [0, 1, 2],
+            [2, 2, 2],
+        ];
+        let tasks: Vec<Task> = deltas
+            .iter()
+            .map(|&delta| displacement_task(rank, delta, |_| None))
+            .collect();
+        check_group(&s, &pool, &tasks);
+    }
+
+    /// Rank-reduced siblings whose last-pass rows differ — in the last
+    /// term, where nothing after it moves a slot, and in a middle one —
+    /// do not share a stack, so the fan breaks there.
+    #[test]
+    fn siblings_with_other_last_pass_rows_break_the_fan() {
+        let rank = 5;
+        let (s, pool) = displacement_case(rank, 200);
+        let krs = |last_at: usize, kr: usize| {
+            move |mu: usize| Some(vec![4, 3, if mu == last_at { kr } else { 4 }])
+        };
+        let tasks = [
+            displacement_task(rank, [0, 0, 0], krs(rank - 1, 4)),
+            displacement_task(rank, [0, 0, 1], krs(rank - 1, 2)),
+            displacement_task(rank, [0, 0, 2], krs(rank - 1, 2)),
+            displacement_task(rank, [0, 0, 0], krs(2, 3)),
+            displacement_task(rank, [0, 0, 1], krs(2, 3)),
+            displacement_task(rank, [0, 0, 2], krs(2, 1)),
+        ];
+        check_group(&s, &pool, &tasks);
+    }
+
+    /// A pending fan of two is cut in the middle of the next task, at
+    /// the first term whose stack that task rewrites: the fan must see
+    /// the stack as it was, and the task's panel rows written so far
+    /// move to region 0. The cut lands on a middle term, then on the
+    /// last.
+    #[test]
+    fn a_fan_cut_mid_task_by_a_stack_rewrite() {
+        let rank = 6;
+        let (s, pool) = displacement_case(rank, 300);
+        // Task `δ` with term `μ`'s block of dimension `p` swapped, for
+        // each `(μ, p)` of `swaps`.
+        let swapped = |delta: [usize; 3], swaps: &[(usize, usize)]| {
+            let mut task = displacement_task(rank, delta, |_| None);
+            for &(mu, p) in swaps {
+                task[mu].1[p] = (mu * 3 + p) * 3 + (delta[p] + 1) % 3;
+            }
+            task
+        };
+        let (mid, last) = ((3, 0), (rank - 1, 1));
+        let tasks = [
+            swapped([0, 0, 0], &[]),
+            swapped([0, 0, 1], &[]),
+            swapped([0, 0, 2], &[mid]),
+            swapped([0, 0, 0], &[mid]),
+            swapped([0, 0, 1], &[mid, last]),
+            swapped([0, 0, 2], &[mid, last]),
+        ];
+        check_group(&s, &pool, &tasks);
+    }
+
+    /// At k = 10 a chunk holds four terms, so rank 34 is nine chunks,
+    /// and width 10 has no fan body: each fan runs one span per task.
+    #[test]
+    fn a_k10_group_over_nine_chunks_takes_single_spans() {
+        let (d, k, rank) = (3, 10, 34usize);
+        assert_eq!(rank.div_ceil(STACK_ELEMS / (k * k * k)), 9);
+        let pool: Vec<Tensor> = (0..rank * d * 3)
+            .map(|ix| det_tensor(Shape::matrix(k, k), 400 + ix as u64))
+            .collect();
+        let s = det_tensor(Shape::cube(d, k), 4);
+        let deltas = [
+            [0, 0, 0],
+            [0, 0, 1],
+            [0, 0, 2],
+            [1, 0, 0],
+            [1, 0, 1],
+            [2, 1, 2],
+        ];
+        let tasks: Vec<Task> = deltas
+            .iter()
+            .map(|&delta| {
+                (0..rank)
+                    .map(|mu| {
+                        let hs = (0..d).map(|p| (mu * d + p) * 3 + delta[p]).collect();
+                        (1.0 + mu as f64, hs, None)
+                    })
+                    .collect()
+            })
+            .collect();
+        check_group(&s, &pool, &tasks);
     }
 
     #[test]
