@@ -1,7 +1,8 @@
-//! The shared leading passes, pinned as a count: how many span
-//! dispatches an Apply pass issues when one source's displacement tasks
-//! run side by side, against the same pass with every task alone — on
-//! the `Cpu`, `Gpu` and `Hybrid` paths, which run one arithmetic.
+//! The shared leading passes and fanned final spans, pinned as a count:
+//! how many span dispatches an Apply pass issues when one source's
+//! displacement tasks run side by side, against the same pass with every
+//! task alone — on the `Cpu`, `Gpu` and `Hybrid` paths, which run one
+//! arithmetic.
 //! A count, not a time — it repeats exactly, whatever the pool does.
 //! Runs as its own integration binary (and as one test) because it
 //! flips the process-wide kernel table's counting switch.
@@ -23,35 +24,52 @@ const TASKS: u64 = 16_696;
 /// An unshared task: (d − 1) leading spans a term at rank 34, and at
 /// k = 4 the whole rank is one chunk, so one fused final span.
 const ALONE: u64 = 69;
+/// The leading spans of the Apply with every source's tasks side by
+/// side: an interior source runs 4 + 10 of its 2 × 27 a term. Before
+/// fans the Apply issued these plus one final span a task, 335,208.
+const LEADING: u64 = 318_512;
+/// One fused final span a *fan*: consecutive tasks of a source whose
+/// stacks are identical (same `(δx, δy)`), at most three. An interior
+/// source's 27 tasks make 10 — `(0,0,0)`, eight `δz` triples, the
+/// `(0,0,±1)` pair. Over the tree's 736 sources: 440 interior × 10;
+/// with 18 live neighbours 144 × 7 + 72 × 10; with 12, 6 × 4 + 18 × 5
+/// + 48 × 7; with 8, 2 × 4 + 6 × 5.
+const FANS: u64 = 440 * 10 + 144 * 7 + 72 * 10 + 6 * 4 + 18 * 5 + 48 * 7 + 2 * 4 + 6 * 5;
 /// The Apply's own spans with every source's tasks side by side: the
 /// walk's one group call a source, and the batched pass's whenever no
 /// chunk cuts a source.
-const APPLY: u64 = 335_208;
-/// `sum_down`'s spans on the result: 2 + 4 + 8 a node it pushes through
-/// (on the calibrated (16, 4) shape, like the Apply's).
-const SUM_DOWN: u64 = 2_016;
+const APPLY: u64 = LEADING + FANS;
+/// `sum_down`'s spans on the result: 2 + 4 + 4 a node it pushes through
+/// (on the calibrated (16, 4) shape, like the Apply's) — the 8 children
+/// are 4 fans of two, siblings in the last dimension.
+const SUM_DOWN: u64 = 144 * (2 + 4 + 4);
 /// The batched pass at `max_batch = 60`, `sum_down` included: the
 /// end-of-run drain hands over each level's remainder after the next
 /// level has started, so the pending run is spawned whole wherever that
-/// remainder begins — inside a source, where leading passes run again:
-/// three a term here (at 16 those cuts happen to cost none).
-const BATCH_60: u64 = APPLY + SUM_DOWN + 3 * 34;
+/// remainder begins — inside a source, where leading passes run again
+/// (three a term here) and the fan the cut lands in splits in two (one
+/// more final span). At 16 those cuts happen to cost none.
+const BATCH_60: u64 = APPLY + SUM_DOWN + 3 * 34 + 1;
 /// A `Gpu` pass at `max_batch` 16 and 60, `sum_down` included: each
 /// flush is one GPU share and one job, so a 27-task source is cut
-/// wherever a flush ends inside it and runs its leading passes again
-/// there. At `max_batch` 1 every task is alone.
-const GPU_16: u64 = 385_630 + SUM_DOWN;
-const GPU_60: u64 = 347_618 + SUM_DOWN;
+/// wherever a flush ends inside it, runs its leading passes again there
+/// and splits the fan the cut lands in. Each is its leading spans
+/// (before fans, 385,630 / 347,618 less one final span a task) plus its
+/// fans, 627 / 135 more than the walk's. At `max_batch` 1 every task is
+/// alone.
+const GPU_16: u64 = (385_630 - TASKS) + (FANS + 627) + SUM_DOWN;
+const GPU_60: u64 = (347_618 - TASKS) + (FANS + 135) + SUM_DOWN;
 /// A `Hybrid` pass at 60: a flush's CPU share joins the pending run and
 /// its GPU share is a job of its own, so sources are cut where the
-/// split falls as well as where the flush ends.
-const HYBRID_60: u64 = 362_170 + SUM_DOWN;
+/// split falls as well as where the flush ends. Built like `GPU_60`
+/// from 362,170 before fans; its cuts split 321 fans.
+const HYBRID_60: u64 = (362_170 - TASKS) + (FANS + 321) + SUM_DOWN;
 // The control is arithmetic — every task alone — and sharing saves more
-// than half of it; a push is 2 + 4 + 8 spans.
+// than half of it; before fans each task had its own final span.
+const _: () = assert!(LEADING + TASKS == 335_208 && FANS == 6_616);
 const _: () = assert!(ALONE * TASKS == 1_152_024 && 2 * APPLY <= ALONE * TASKS);
 const _: () = assert!(APPLY + SUM_DOWN < GPU_60 && GPU_60 < HYBRID_60 && HYBRID_60 < GPU_16);
 const _: () = assert!(GPU_16 < ALONE * TASKS);
-const _: () = assert!(SUM_DOWN.is_multiple_of(2 + 4 + 8));
 
 /// Span dispatches `f` issues on the calibrated shapes.
 fn dispatches(table: &KernelTable, f: impl FnOnce()) -> u64 {
@@ -131,8 +149,8 @@ fn a_sources_tasks_share_their_leading_passes() {
     assert_eq!(batched_on(ApplyResource::Hybrid, 60).0, HYBRID_60);
 
     // Blocks are told apart by address: a second task over the same
-    // three `&Tensor`s adds only its final span, one over equal-valued
-    // copies runs every pass again.
+    // three `&Tensor`s adds no span (it holds every slot, so it fans with
+    // the first), one over equal-valued copies runs every pass again.
     let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] + 2 * ix[1]) as f64);
     let hs = vec![Tensor::identity(k); d];
     let copies = hs.clone();
@@ -151,6 +169,6 @@ fn a_sources_tasks_share_their_leading_passes() {
         assert_eq!(outs[0], outs[1]);
         count
     };
-    assert_eq!(pair(&hs), 2 + 1 + 1);
+    assert_eq!(pair(&hs), 2 + 1);
     assert_eq!(pair(&copies), 2 * (2 + 1));
 }
