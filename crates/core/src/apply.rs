@@ -21,12 +21,15 @@
 //!
 //! On the host, both hand one source's displacement tasks to the tensor
 //! crate side by side (`transform_sum_accumulate_group`): neighbouring
-//! displacements keep their leading `h` blocks, so 41 of the 81 passes
-//! a source's 27 tasks make per term are run and the other 40 reuse an
-//! intermediate already there — every task's result bit for bit what it
-//! computes alone. The walk makes that call itself; every job of the
-//! pipeline, CPU chunk or GPU share, makes it through
-//! `gpusim::kernel::execute_tasks`. The device still prices each task.
+//! displacements keep their leading `h` blocks, so 4 + 10 of the 54
+//! leading passes a source's 27 tasks make per term are run and the
+//! others reuse an intermediate already there, and the `δz` siblings,
+//! whose stacked last-pass operands are then identical, share one fused
+//! final span (10 spans instead of 27 a chunk of terms) — every task's
+//! result bit for bit what it computes alone. The walk makes that call
+//! itself; every job of the pipeline, CPU chunk or GPU share, makes it
+//! through `gpusim::kernel::execute_tasks`. The device still prices
+//! each task.
 
 use madness_gpusim::kernel::{execute_tasks, kernel_cost};
 use madness_gpusim::{

@@ -193,8 +193,9 @@ impl TwoScale {
     /// terms, through `H`'s column half for the child's side in each
     /// dimension, in the order this runs them. One group call on the
     /// thread's workspace: the children go dimension 0's half slowest,
-    /// so neighbours share their leading passes — 2 + 4 + … + 2^d passes
-    /// in all.
+    /// so neighbours share their leading passes (2 + 4 + … + 2^{d−1}),
+    /// and for d ≥ 2 the two children that differ only in the last
+    /// dimension share one fused final span — 2 + 4 + 4 spans at d = 3.
     ///
     /// # Panics
     /// Panics unless `s` is a `k^d` cube.

@@ -29,7 +29,9 @@
 //! * [`transform_sum_accumulate_group`] — the same loop over every
 //!   displacement task of one source at once: a leading pass whose
 //!   inputs the previous task already contracted is not run again
-//!   (41 of a source's 81 passes per term are), bit for bit the
+//!   (4 + 10 of a source's 2 × 27 leading passes per term are), and
+//!   tasks whose stacked operands are identical share their fused final
+//!   span (10 of a source's 27 per chunk of terms), bit for bit the
 //!   one-task results;
 //! * [`kernel`] — the per-`(d, k)` autotuned kernel table: candidate span
 //!   kernels (runtime-width scalar, const-width scalar, row-blocked AVX

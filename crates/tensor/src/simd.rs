@@ -20,9 +20,10 @@
 //! `N` rows of `B` once and broadcasts each coefficient once for all `N`
 //! accumulators, so one pass over `A` feeds every output. It has to fit
 //! `R·N·vectors + N·vectors + 1 ≤ 16` registers, which only width 4
-//! does usefully: `N = 2, 3` at `R = 4` (at width 3 × 4 + 3 + 1 = 16).
-//! It keeps the per-row zero test: a vector compare's extra register
-//! would spill at `N = 3`.
+//! does usefully: `N = 2, 3` at `R = 4` (`N = 3`: 12 accumulators, 3
+//! rows of `B` and a broadcast). It keeps the per-row zero test: a
+//! vector compare's extra register would spill at `N = 3`. Wider rows
+//! (width 10 needs 2 vectors and a tail) run one span per output.
 //!
 //! Per element the kernel performs exactly the scalar loop's
 //! `c[j] += a[k*dimi+i] * b[k*dimj+j]` — one IEEE multiply followed by
@@ -88,6 +89,8 @@ mod imp {
     unsafe fn load_row<const V: usize, const TAIL: bool>(
         bp: *const f64,
     ) -> ([__m256d; V], __m128d) {
+        // SAFETY (both loads): the row's `4·V (+ 2)` elements are the
+        // ones the caller guarantees `bp` covers.
         let mut vb = [_mm256_setzero_pd(); V];
         for v in 0..V {
             vb[v] = unsafe { _mm256_loadu_pd(bp.add(4 * v)) };
@@ -104,10 +107,14 @@ mod imp {
     /// zero of either sign, four and then two lanes to a compare.
     ///
     /// # Safety
-    /// AVX must be available and `ap` must cover `R` elements.
+    /// AVX must be available, `R` must be even and `ap` must cover `R`
+    /// elements.
     #[inline]
     #[target_feature(enable = "avx")]
     unsafe fn any_zero<const R: usize>(ap: *const f64) -> bool {
+        // SAFETY (both loads): lanes `r .. r + 4 <= R` and, `R` being
+        // even, `r .. r + 2 == R`, which the caller guarantees `ap`
+        // covers.
         let mut mask = 0;
         let mut r = 0;
         while r + 4 <= R {
@@ -296,9 +303,11 @@ mod imp {
         c: [*mut f64; N],
     ) {
         let w = 4 * V + if TAIL { 2 } else { 0 };
+        // SAFETY (the offsets and both block calls): as in `span_body`,
+        // output by output — row `i < i1` of every `c[n]` is inside the
+        // `(i1 - i0) * W` elements the caller guarantees.
         let at = |i: usize| c.map(|cn| unsafe { cn.add((i - i0) * w) });
         let mut i = i0;
-        // SAFETY: as in `span_body`, output by output.
         while i + R <= i1 {
             unsafe { fan_block::<V, TAIL, R, N>(dimi, i, kr, a, b, at(i)) };
             i += R;

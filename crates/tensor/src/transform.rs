@@ -519,7 +519,8 @@ fn group<'a, I>(
                     let dst = if p + 2 == d {
                         if task > fan {
                             // The pending fan still reads the stack this
-                            // task is about to rewrite.
+                            // task is about to rewrite: it runs first, and
+                            // this task starts the next fan at region 0.
                             last.run_fan(fan_rows, stack, panel, region, &mut outs[fan..task]);
                             let g = (task - fan) * region;
                             panel.copy_within(g..g + rows * last.dimj, 0);
