@@ -879,6 +879,17 @@ pub(crate) fn pinned(id: KernelId) -> SpanKernel {
     SpanKernel { id, counter: None }
 }
 
+/// Bit for bit, except that two NaNs match whatever their payloads
+/// (which operand's payload an add of two NaNs keeps is the code
+/// generator's choice, not part of the chain contract).
+#[cfg(test)]
+pub(crate) fn same_bits(x: &[f64], y: &[f64]) -> bool {
+    x.len() == y.len()
+        && x.iter()
+            .zip(y)
+            .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -940,14 +951,6 @@ mod tests {
             }
             assert!(bits_equal(&c, &want), "{} span split diverged", id.name());
         }
-    }
-
-    /// Bit for bit, except that two NaNs match whatever their payloads.
-    fn same_bits(x: &[f64], y: &[f64]) -> bool {
-        x.len() == y.len()
-            && x.iter()
-                .zip(y)
-                .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
     }
 
     /// The contraction row [`skip_case`] plants its zeros and specials

@@ -892,15 +892,6 @@ mod tests {
     /// What the tests plant in panels and prior outputs.
     const SPECIALS: [f64; 5] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
-    /// Bit for bit, except that two NaNs match whatever their payloads.
-    fn same_bits(x: &Tensor, y: &Tensor) -> bool {
-        let (x, y) = (x.as_slice(), y.as_slice());
-        x.len() == y.len()
-            && x.iter()
-                .zip(y)
-                .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
-    }
-
     /// One task of a group, term by term: the coefficient, the block of
     /// each dimension (an index into the pool) and the rank reduction.
     type Task = Vec<(f64, Vec<usize>, Option<Vec<usize>>)>;
@@ -918,15 +909,11 @@ mod tests {
                 krs: krs.as_deref(),
             }
         };
-        let d = s.ndim();
-        let out_shape = out_shape(
-            s,
-            &(0..d).map(|p| &pool[tasks[0][0].1[p]]).collect::<Vec<_>>(),
-        );
-        // Prior outputs with every special value in them.
+        // Prior outputs (the source's shape: every block is square) with
+        // every special value in them.
         let bases: Vec<Tensor> = (0..tasks.len())
             .map(|task| {
-                let mut base = det_tensor(out_shape, 500 + task as u64);
+                let mut base = det_tensor(s.shape(), 500 + task as u64);
                 for (ix, x) in base.as_mut_slice().iter_mut().enumerate().step_by(7) {
                     *x = SPECIALS[(ix / 7 + task) % SPECIALS.len()];
                 }
@@ -947,7 +934,8 @@ mod tests {
             let mut outs = bases.clone();
             group(s, n_terms, term, &mut scratch, &mut outs, resolve);
             for (task, (got, want)) in outs.iter().zip(&want).enumerate() {
-                assert!(same_bits(got, want), "kernel {pick}, task {task}");
+                let same = kernel::same_bits(got.as_slice(), want.as_slice());
+                assert!(same, "kernel {pick}, task {task}");
             }
         }
     }
