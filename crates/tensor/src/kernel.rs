@@ -9,8 +9,9 @@
 //!
 //! * **Candidates** — [`KernelId`]: the runtime-width scalar loop, the
 //!   const-width scalar loop (specialized `dimj`), the row-blocked AVX
-//!   const-width loop (x86_64, detected at runtime — no cargo feature),
-//!   and a cache-blocked scalar loop that re-tiles the `i` dimension.
+//!   const-width loop with its AVX-512 fan body at width 10 (x86_64, each
+//!   detected at runtime — no cargo feature), and a cache-blocked scalar
+//!   loop that re-tiles the `i` dimension.
 //! * **Calibration** — [`KernelTable::calibrate`] microbenchmarks every
 //!   available candidate on each requested `(d, k)` pass shape with
 //!   deterministic data, verifies the candidates are **bit-identical**
@@ -50,7 +51,11 @@ pub enum KernelId {
     ScalarConst,
     /// The explicit AVX const-width loop (x86_64 with runtime AVX
     /// detection). A block of 2–8 rows of `C` lives in 256-bit
-    /// registers across the whole `k` loop.
+    /// registers across the whole `k` loop. A fan of 2 or 3 outputs runs
+    /// as one span at width 4 on AVX and, where the host has AVX-512F,
+    /// at width 10, packed side by side in 512-bit registers; so width
+    /// 10 is served by two bodies, the AVX single-output one and the
+    /// AVX-512 fan.
     SimdConst,
     /// Cache-blocked scalar loop: `i` re-tiled in micro-tiles of 8 rows
     /// with `k` outermost inside the tile, so each strided `A` row
@@ -320,15 +325,17 @@ pub fn run_span(
     }
 }
 
-/// The most outputs one fan span feeds: the widest `N`-output AVX body
-/// the 16 `ymm` registers hold (width 4, `N = 3`, four rows a block).
+/// The most outputs one fan span feeds: the widest `N`-output body,
+/// `N = 3` — at width 4 in 16 `ymm` registers (four rows a block), and
+/// at width 10 packed into 4 `zmm` a row (30 of 32 lanes).
 pub(crate) const FAN: usize = 3;
 
 /// Runs kernel `id` over the row span `i0..i1` of `cs.len()` passes
 /// that share the operand `a`: pass `n` contracts `a` with `bs[n]` into
 /// `cs[n]`, each bit-identical to its own [`run_span`]. Where `id` is
 /// [`KernelId::SimdConst`] and the host and width have an `N`-output
-/// AVX body, one pass over `a` feeds every output (a *fan*); otherwise
+/// body (AVX at width 4, AVX-512 at width 10), one pass over `a` feeds
+/// every output (a *fan*); otherwise
 /// the outputs run one span each. Returns whether the fan ran as one
 /// span.
 ///
@@ -411,9 +418,9 @@ impl KernelEntry {
     /// tiles) for the fused final pass. In a group call the tasks of a
     /// *fan* (consecutive tasks whose stacked operands are identical, at
     /// most three of them) share that final span where the width has
-    /// an `N`-output AVX body (width 4): one dispatch on this per-output
-    /// shape for the whole fan. A fan of any other width counts one
-    /// span per task.
+    /// an `N`-output body on this host (width 4 with AVX, width 10 with
+    /// AVX-512F): one dispatch on this per-output shape for the whole
+    /// fan. A fan of any other width counts one span per task.
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
     }
@@ -998,107 +1005,135 @@ mod tests {
         c
     }
 
-    /// The row-blocked AVX body on spans that do not line up with its
-    /// row blocks: a start row in mid-pass and every remainder `r < R`
-    /// (R is at most 8), so full blocks and the one-row tail both run.
-    /// Then once per row position of a block, with an exact zero at that
-    /// position at one `k`, ±∞ / NaN in that row of `b` and −0.0 in `c`:
-    /// the blocks test their coefficients with one vector compare, so
-    /// that `k` takes the per-row path and every other `k` the path
+    /// The row-blocked single-output bodies of every instruction set the
+    /// host has, each through its own entry (so the AVX width-10 body is
+    /// covered on an AVX-512 host as well), on spans that do not line up
+    /// with their row blocks: a start row in mid-pass and every remainder
+    /// `r < R` (R is at most 8), so full blocks and the one-row tail both
+    /// run. Then once per row position of a block, with an exact zero at
+    /// that position at one `k`, ±∞ / NaN in that row of `b` and −0.0 in
+    /// `c`: the blocks test their coefficients with one vector compare,
+    /// so that `k` takes the per-row path and every other `k` the path
     /// with no per-row branch.
     #[test]
     fn row_blocked_spans_match_scalar_off_the_block_grid() {
         let (dimi, dimk, i0) = (37usize, 9usize, 3usize);
-        for dimj in SPECIALIZED_WIDTHS {
-            let a = det_fill(dimk * dimi, 7 + dimj as u64);
-            let b = det_fill(dimk * dimj, 70 + dimj as u64);
-            for rows in 1..=2 * 8 + 7 {
-                let i1 = i0 + rows;
-                let init = det_fill(rows * dimj, rows as u64);
-                let mut want = init.clone();
-                scalar_span(dimi, i0, i1, dimj, dimk, &a, &b, &mut want);
-                let mut got = init;
-                run_span(
-                    KernelId::SimdConst,
-                    dimi,
-                    i0,
-                    i1,
-                    dimj,
-                    dimk,
-                    &a,
-                    &b,
-                    &mut got,
-                );
-                assert!(bits_equal(&got, &want), "width {dimj}, rows {i0}..{i1}");
-            }
-            for zero_at in 0..8 {
-                let (a, b) = skip_case(dimi, dimj, dimk, i0, zero_at, dimj as u64);
+        for isa in crate::simd::ISAS.iter().filter(|isa| (isa.present)()) {
+            let Some(span) = isa.span else {
+                continue;
+            };
+            for dimj in SPECIALIZED_WIDTHS {
+                let a = det_fill(dimk * dimi, 7 + dimj as u64);
+                let b = det_fill(dimk * dimj, 70 + dimj as u64);
                 for rows in 1..=2 * 8 + 7 {
                     let i1 = i0 + rows;
-                    let init = signed_zero_init(rows * dimj, rows as u64);
+                    let init = det_fill(rows * dimj, rows as u64);
                     let mut want = init.clone();
                     scalar_span(dimi, i0, i1, dimj, dimk, &a, &b, &mut want);
                     let mut got = init;
-                    let id = KernelId::SimdConst;
-                    run_span(id, dimi, i0, i1, dimj, dimk, &a, &b, &mut got);
+                    assert!(span(dimi, i0, i1, dimj, dimk, &a, &b, &mut got));
+                    let isa = isa.name;
                     assert!(
-                        same_bits(&got, &want),
-                        "width {dimj}, rows {i0}..{i1}, zero at {zero_at}"
+                        bits_equal(&got, &want),
+                        "{isa}: width {dimj}, rows {i0}..{i1}"
                     );
-                    // The skipped rows stay finite.
-                    let kept = (0..rows).filter(|r| r % 8 == zero_at);
-                    assert!(kept
-                        .flat_map(|r| &want[r * dimj..(r + 1) * dimj])
-                        .all(|x| x.is_finite()));
+                }
+                for zero_at in 0..8 {
+                    let (a, b) = skip_case(dimi, dimj, dimk, i0, zero_at, dimj as u64);
+                    for rows in 1..=2 * 8 + 7 {
+                        let i1 = i0 + rows;
+                        let init = signed_zero_init(rows * dimj, rows as u64);
+                        let mut want = init.clone();
+                        scalar_span(dimi, i0, i1, dimj, dimk, &a, &b, &mut want);
+                        let mut got = init;
+                        assert!(span(dimi, i0, i1, dimj, dimk, &a, &b, &mut got));
+                        assert!(
+                            same_bits(&got, &want),
+                            "{}: width {dimj}, rows {i0}..{i1}, zero at {zero_at}",
+                            isa.name
+                        );
+                        // The skipped rows stay finite.
+                        let kept = (0..rows).filter(|r| r % 8 == zero_at);
+                        assert!(kept
+                            .flat_map(|r| &want[r * dimj..(r + 1) * dimj])
+                            .all(|x| x.is_finite()));
+                    }
                 }
             }
         }
     }
 
-    /// A fan equals one scalar span per output, under every candidate:
-    /// every `N`-output body (`N` = 2 and 3 at width 4) and the
-    /// one-span-per-output fallback of every other width and of `N` = 1,
-    /// over spans off the block grid (every remainder of a 4-row block,
-    /// one block and two), with a zero at each row position of a block
-    /// at one `k` and ±∞ / NaN in every output's `b` row there.
+    /// A fan equals one scalar span per output: through [`run_fan`] under
+    /// every candidate — one span for the fan where the host has an
+    /// `N`-output body (width 4 with AVX, width 10 with AVX-512), one
+    /// span per output at every other width and at `N` = 1 — and through
+    /// the fan entry of every instruction set the host has. Spans lie off
+    /// the block grid (every remainder of an 8-row block, one block and
+    /// two), with a zero at each row position of a block at one `k` and
+    /// ±∞ / NaN in every output's `b` row there; the contraction is
+    /// short, then longer than [`crate::simd::PACK_ROWS`], so the packed
+    /// fan runs in two `k` blocks. The panels are windows of one buffer
+    /// whose region after the fan's holds ±∞ / NaN — at `N` = 2 the
+    /// packed fan's pad lanes are the third panel's place — and the
+    /// outputs are windows of one buffer whose guard after them must come
+    /// through untouched.
     #[test]
     fn fan_spans_match_one_scalar_span_per_output() {
-        let (dimi, dimk, i0) = (37usize, 9usize, 3usize);
-        for dimj in SPECIALIZED_WIDTHS {
-            for zero_at in 0..4 {
-                let (a, b0) = skip_case(dimi, dimj, dimk, i0, zero_at, 11 + dimj as u64);
-                for n in 1..=FAN {
-                    let bs: Vec<Vec<f64>> = (0..n)
-                        .map(|g| {
-                            let mut b = det_fill(dimk * dimj, 90 + g as u64);
+        const SPECIAL: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let (dimi, i0) = (37usize, 3usize);
+        let isas = || crate::simd::ISAS.iter().filter(|isa| (isa.present)());
+        for dimk in [9, crate::simd::PACK_ROWS + 5] {
+            for dimj in SPECIALIZED_WIDTHS {
+                let fans_here = isas().any(|isa| isa.fan_width == dimj);
+                let region = dimk * dimj;
+                for zero_at in 0..8 {
+                    let (a, b0) = skip_case(dimi, dimj, dimk, i0, zero_at, 11 + dimj as u64);
+                    for n in 1..=FAN {
+                        let mut panels: Vec<f64> = SPECIAL
+                            .iter()
+                            .cycle()
+                            .take((n + 1) * region)
+                            .copied()
+                            .collect();
+                        for (g, b) in panels.chunks_mut(region).take(n).enumerate() {
+                            b.copy_from_slice(&det_fill(region, 90 + g as u64));
                             b[SKIP_K * dimj..][..dimj]
                                 .copy_from_slice(&b0[SKIP_K * dimj..][..dimj]);
-                            b
-                        })
-                        .collect();
-                    let bs: Vec<&[f64]> = bs.iter().map(Vec::as_slice).collect();
-                    for rows in 1..=2 * 4 + 3 {
-                        let i1 = i0 + rows;
-                        let inits: Vec<Vec<f64>> = (0..n)
-                            .map(|g| signed_zero_init(rows * dimj, (rows * FAN + g) as u64))
-                            .collect();
-                        let mut want = inits.clone();
-                        for (b, c) in bs.iter().zip(&mut want) {
-                            scalar_span(dimi, i0, i1, dimj, dimk, &a, b, c);
                         }
-                        for id in KernelId::ALL {
-                            let mut got = inits.clone();
-                            let mut cs: Vec<&mut [f64]> =
-                                got.iter_mut().map(Vec::as_mut_slice).collect();
-                            let fused = run_fan(id, dimi, i0, i1, dimj, dimk, &a, &bs, &mut cs);
-                            let wide = dimj == 4 && n > 1 && simd_available();
-                            assert_eq!(fused, id == KernelId::SimdConst && wide);
-                            for (g, (got, want)) in got.iter().zip(&want).enumerate() {
-                                assert!(
-                                    same_bits(got, want),
-                                    "{}: width {dimj}, fan {n}, output {g}, rows {i0}..{i1}, zero at {zero_at}",
-                                    id.name()
+                        let bs: Vec<&[f64]> = (0..n).map(|g| &panels[g * region..]).collect();
+                        for rows in 1..=2 * 8 + 7 {
+                            let i1 = i0 + rows;
+                            let len = rows * dimj;
+                            let mut init: Vec<f64> = (0..n)
+                                .flat_map(|g| signed_zero_init(len, (rows * FAN + g) as u64))
+                                .collect();
+                            init.extend(SPECIAL.iter().cycle().take(dimj));
+                            let mut want = init.clone();
+                            for (b, c) in bs.iter().zip(want.chunks_mut(len)) {
+                                scalar_span(dimi, i0, i1, dimj, dimk, &a, b, c);
+                            }
+                            let run = |fan: &dyn Fn(&mut [&mut [f64]]) -> bool, what: &str| {
+                                let mut got = init.clone();
+                                let mut cs: Vec<&mut [f64]> = got.chunks_mut(len).take(n).collect();
+                                let fused = fan(&mut cs);
+                                let case = format!(
+                                    "{what}: width {dimj}, kr {dimk}, fan {n}, rows {i0}..{i1}, zero at {zero_at}"
                                 );
+                                assert!(same_bits(&got, &want), "{case}");
+                                fused
+                            };
+                            for id in KernelId::ALL {
+                                let fan = |cs: &mut [&mut [f64]]| {
+                                    run_fan(id, dimi, i0, i1, dimj, dimk, &a, &bs, cs)
+                                };
+                                let fused = run(&fan, id.name());
+                                assert_eq!(fused, id == KernelId::SimdConst && n > 1 && fans_here);
+                            }
+                            for isa in isas().filter(|isa| isa.fan_width == dimj && n > 1) {
+                                let fan = |cs: &mut [&mut [f64]]| {
+                                    (isa.fan_span)(dimi, i0, i1, dimj, dimk, &a, &bs, cs)
+                                };
+                                assert!(run(&fan, isa.name), "{} has a width-{dimj} fan", isa.name);
                             }
                         }
                     }

@@ -1,29 +1,55 @@
-//! Explicit AVX vectorization of the `mtxmq` span kernel (x86_64 only,
-//! chosen at runtime by `is_x86_feature_detected!("avx")`).
+//! Explicit AVX and AVX-512 vectorization of the `mtxmq` span kernel
+//! (x86_64 only, each instruction set chosen at runtime by
+//! `is_x86_feature_detected!`).
 //!
 //! The kernel is **row-blocked**: `R` consecutive rows of `C` live in
 //! vector registers across the whole `k` loop. Per `k` it loads row `k`
 //! of `B` once and reads the `R` contiguous coefficients
 //! `a[k·dimi + i .. i + R]`, so `B` traffic drops by `R×` against a
 //! row-at-a-time loop and the `R` independent add chains hide the add
-//! latency that a single row's chain exposes. `R` is picked so the
-//! accumulators, one row of `B` and a broadcast fit the 16 `ymm`
-//! registers: 8 / 4 / 4 / 2 rows for 1 / 2 / 3 / ≥ 4 vectors per row;
-//! the rows left over after the last full block run with `R = 1`. With
-//! an even `R` one vector compare tells whether any of the block's `R`
-//! coefficients at this `k` is zero; when none is, the rows run with no
-//! per-row branch, otherwise each row is tested on its own.
+//! latency that a single row's chain exposes. With an even `R` one vector
+//! compare tells whether any of the block's `R` coefficients at this `k`
+//! is zero; when none is, the rows run with no per-row branch, otherwise
+//! each row is tested on its own. The rows left over after the last full
+//! block run with `R = 1`.
+//!
+//! **AVX** (16 `ymm` registers) serves every single-output span. A row of
+//! `C` takes `n` registers — its 256-bit vectors, plus one for a 128-bit
+//! tail when the width is not a multiple of 4 — and `R` is picked so the
+//! `R·n` accumulators, one row of `B`, the broadcast and the zero compare
+//! fit: `R·n + n + 2 ≤ 16`, which gives 8 / 4 / 2 rows for 1 / 2 / 3–4
+//! registers a row (width 20, five registers, runs 2 rows one over).
+//! Width 10 is two vectors and a tail, so 2 rows: at 4 its 12
+//! accumulators, 3-register `B` row, broadcast and compare spill.
 //!
 //! A **fan** body serves `N` passes that share the operand `A` (the
 //! stacked last-pass operand of `N` tasks whose stacks are identical,
 //! each with its own `B` panel and its own `C`): per `k` it loads the
 //! `N` rows of `B` once and broadcasts each coefficient once for all `N`
-//! accumulators, so one pass over `A` feeds every output. It has to fit
-//! `R·N·vectors + N·vectors + 1 ≤ 16` registers, which only width 4
-//! does usefully: `N = 2, 3` at `R = 4` (`N = 3`: 12 accumulators, 3
-//! rows of `B` and a broadcast). It keeps the per-row zero test: a
-//! vector compare's extra register would spill at `N = 3`. Wider rows
-//! (width 10 needs 2 vectors and a tail) run one span per output.
+//! accumulators, so one pass over `A` feeds every output.
+//!
+//! * The **AVX fan** keeps the outputs apart and has to fit
+//!   `R·N·n + N·n + 1 ≤ 16` registers, which only width 4 does usefully:
+//!   `N = 2, 3` at `R = 4` (`N = 3`: 12 accumulators, 3 rows of `B` and a
+//!   broadcast). It keeps the per-row zero test: a vector compare's extra
+//!   register would spill at `N = 3`.
+//! * The **AVX-512 fan** (`avx512f`, 32 `zmm` registers) serves width 10,
+//!   `N = 2, 3`. It **packs** the `N` outputs' rows side by side as `N·10`
+//!   contiguous lanes of `V = ⌈N·10 / 8⌉` `zmm`: 20 of 24 lanes do work
+//!   at `N = 2`, 30 of 32 at `N = 3`, so a row of all `N` outputs is `V`
+//!   registers where kept apart it would be `3·N` `ymm`. Once per span
+//!   the `N` panel rows of each `k` are packed into a `(kr, 8·V)` stack
+//!   buffer whose pad lanes are zero, [`PACK_ROWS`] contraction rows at a
+//!   time (a longer `kr` runs in `k` blocks, `C` going through memory
+//!   between them — an exact round trip); at block entry and exit each
+//!   row of `C` goes through an `8·V`-lane tile. The pad lanes only ever
+//!   accumulate products with zero and are never stored. The budget is
+//!   `R·V + V + 2 ≤ 32`: `R = 8` at `N = 2` (29 registers), `R = 4` at
+//!   `N = 3` (22; `R = 6` fits as well but measured slower).
+//!
+//! A single width-10 span stays on AVX: a one-`zmm`-one-`xmm` row body
+//! measured about 7 % slower than the AVX body's 2 rows on a Xeon
+//! (Sapphire Rapids) host — only the packed fan fills the wide lanes.
 //!
 //! Per element the kernel performs exactly the scalar loop's
 //! `c[j] += a[k*dimi+i] * b[k*dimj+j]` — one IEEE multiply followed by
@@ -31,32 +57,72 @@
 //! rows. FMA is deliberately **not** used: a fused multiply-add rounds
 //! once where the scalar loop rounds twice, and the kernel-table
 //! contract is that every candidate is bit-identical to the scalar
-//! reference. Vectorizing across `j`, blocking across `i` and fanning
-//! across outputs reorder no element's accumulation chain, so the
-//! results match the scalar kernels bit for bit — including signed
-//! zeros, infinities and NaNs (a zero `a(k,i)` is skipped before any
-//! lane of its row touches `b`, same as the scalar loops; the vector
-//! compare is ordered, so a NaN coefficient is not zero there either).
+//! reference. Vectorizing across `j`, blocking across `i`, packing and
+//! fanning across outputs and cutting `k` into blocks reorder no
+//! element's accumulation chain, so the results match the scalar kernels
+//! bit for bit — including signed zeros, infinities and NaNs (a zero
+//! `a(k,i)` is skipped before any lane of its row touches `b`, same as
+//! the scalar loops; the vector compare is ordered, so a NaN coefficient
+//! is not zero there either).
 //!
 //! This module is the only place in the crate allowed to use `unsafe`
-//! (AVX intrinsics and the raw-pointer loads/stores behind them); the
-//! crate root denies `unsafe_code` everywhere else.
+//! (AVX / AVX-512 intrinsics and the raw-pointer loads/stores behind
+//! them); the crate root denies `unsafe_code` everywhere else.
 #![allow(unsafe_code)]
+
+/// Contraction rows the AVX-512 fan packs at a time (10 KiB of stack at
+/// `N = 3`); a longer `kr` runs in blocks of this many. A `d = 3`,
+/// `k = 10` chunk of terms contracts 40 rows, so the Apply's final passes
+/// pack in one block.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) const PACK_ROWS: usize = 40;
+
+/// One instruction set's span entry points, for tests that run every
+/// body the host has (the dispatching [`span`] and [`fan_span`] pick one
+/// instruction set per width).
+#[cfg(test)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) struct Isa {
+    pub(crate) name: &'static str,
+    /// Whether the host can run it.
+    pub(crate) present: fn() -> bool,
+    /// [`span`] through this instruction set's bodies alone, if it has
+    /// single-output bodies.
+    #[allow(clippy::type_complexity)]
+    pub(crate) span:
+        Option<fn(usize, usize, usize, usize, usize, &[f64], &[f64], &mut [f64]) -> bool>,
+    /// [`fan_span`] through this instruction set's bodies alone.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fan_span:
+        fn(usize, usize, usize, usize, usize, &[f64], &[&[f64]], &mut [&mut [f64]]) -> bool,
+    /// The width its fan body serves (for `N = 2, 3`).
+    pub(crate) fan_width: usize,
+}
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
+    use super::PACK_ROWS;
     use core::arch::x86_64::{
-        __m128d, __m256d, _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd,
-        _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd,
-        _mm_cmpeq_pd, _mm_loadu_pd, _mm_movemask_pd, _mm_mul_pd, _mm_set1_pd, _mm_setzero_pd,
-        _mm_storeu_pd, _CMP_EQ_OQ,
+        __m128d, __m256d, __m512d, _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd,
+        _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+        _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_pd,
+        _mm512_storeu_pd, _mm_add_pd, _mm_cmpeq_pd, _mm_loadu_pd, _mm_movemask_pd, _mm_mul_pd,
+        _mm_set1_pd, _mm_setzero_pd, _mm_storeu_pd, _CMP_EQ_OQ,
     };
+    use std::ptr::copy_nonoverlapping;
     use std::sync::OnceLock;
 
     /// Whether the host can run the AVX kernel (cached after first call).
     pub(crate) fn available() -> bool {
         static AVX: OnceLock<bool> = OnceLock::new();
         *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
+    }
+
+    /// Whether the host can run the AVX-512 fan (cached after first
+    /// call).
+    fn avx512_available() -> bool {
+        static AVX512: OnceLock<bool> = OnceLock::new();
+        *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
     }
 
     /// One row's step `c += aki · b`: one IEEE multiply, then one IEEE
@@ -76,6 +142,16 @@ mod imp {
         }
         if TAIL {
             *tac = _mm_add_pd(*tac, _mm_mul_pd(_mm_set1_pd(aki), tb));
+        }
+    }
+
+    /// [`axpy`] on a row of `V` 512-bit vectors.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn axpy512<const V: usize>(acc: &mut [__m512d; V], aki: f64, vb: &[__m512d; V]) {
+        let va = _mm512_set1_pd(aki);
+        for v in 0..V {
+            acc[v] = _mm512_add_pd(acc[v], _mm512_mul_pd(va, vb[v]));
         }
     }
 
@@ -256,6 +332,84 @@ mod imp {
         }
     }
 
+    /// The width the AVX-512 fan serves.
+    const FAN512_WIDTH: usize = 10;
+
+    /// One block of `R` rows of `N` width-10 passes over the same `a`,
+    /// packed: the block's rows of every `c[n]` are copied side by side
+    /// into a tile of `8·V` lanes a row (pad lanes zero), accumulated as
+    /// `R × V` 512-bit registers against the packed `B` at `pack` (row
+    /// `k` is lanes `k·8·V ..`), and copied back; pad lanes are never
+    /// stored.
+    ///
+    /// # Safety
+    /// AVX-512F must be available and `N·10 <= 8·V`; `a` must cover
+    /// `kr * dimi` elements with `i + R <= dimi`, `pack` must cover `kr`
+    /// rows of `8·V` and every `c[n]` must cover `R * 10` elements.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn fan_block512<const V: usize, const R: usize, const N: usize>(
+        dimi: usize,
+        i: usize,
+        kr: usize,
+        a: *const f64,
+        pack: *const f64,
+        c: [*mut f64; N],
+    ) {
+        const W: usize = FAN512_WIDTH;
+        let lanes = 8 * V;
+        let mut tile = [[[0.0f64; 8]; V]; R];
+        let tp = tile.as_mut_ptr().cast::<f64>();
+        // SAFETY (every copy, load and store below): row `r < R` of
+        // `c[n]` is the caller's `r*10 .. (r+1)*10`, and its lanes in the
+        // tile, `r*lanes + n*10 .. + 10` with `N·10 <= lanes`, lie inside
+        // the tile's `R` rows; pack row `k < kr` spans `k*lanes ..
+        // (k+1)*lanes` and `a[k*dimi + i + r]` has `k < kr`, `i + r <
+        // dimi`.
+        for r in 0..R {
+            for n in 0..N {
+                unsafe { copy_nonoverlapping(c[n].add(r * W), tp.add(r * lanes + n * W), W) };
+            }
+        }
+        let mut acc = [[_mm512_setzero_pd(); V]; R];
+        for r in 0..R {
+            for v in 0..V {
+                acc[r][v] = unsafe { _mm512_loadu_pd(tp.add(r * lanes + 8 * v)) };
+            }
+        }
+        let mut ap = unsafe { a.add(i) };
+        let mut bp = pack;
+        for _ in 0..kr {
+            // Packed row k of every output's B: loaded once, shared by
+            // the block's R rows.
+            let mut vb = [_mm512_setzero_pd(); V];
+            for v in 0..V {
+                vb[v] = unsafe { _mm512_loadu_pd(bp.add(8 * v)) };
+            }
+            if R.is_multiple_of(2) && !unsafe { any_zero::<R>(ap) } {
+                for r in 0..R {
+                    axpy512::<V>(&mut acc[r], unsafe { *ap.add(r) }, &vb);
+                }
+            } else {
+                for r in 0..R {
+                    let aki = unsafe { *ap.add(r) };
+                    if aki != 0.0 {
+                        axpy512::<V>(&mut acc[r], aki, &vb);
+                    }
+                }
+            }
+            ap = unsafe { ap.add(dimi) };
+            bp = unsafe { bp.add(lanes) };
+        }
+        for r in 0..R {
+            for v in 0..V {
+                unsafe { _mm512_storeu_pd(tp.add(r * lanes + 8 * v), acc[r][v]) };
+            }
+            for n in 0..N {
+                unsafe { copy_nonoverlapping(tp.add(r * lanes + n * W), c[n].add(r * W), W) };
+            }
+        }
+    }
+
     /// Rows `i0..i1` of the pass in blocks of `R`, the remainder one row
     /// at a time.
     ///
@@ -318,6 +472,59 @@ mod imp {
         }
     }
 
+    /// Rows `i0..i1` of `N` width-10 passes sharing `a`, through
+    /// [`fan_block512`]: for each block of up to [`PACK_ROWS`]
+    /// contraction rows, the `N` panels' rows are packed side by side
+    /// into a stack buffer, then every row block of the span runs over
+    /// them.
+    ///
+    /// # Safety
+    /// AVX-512F must be available and `N·10 <= 8·V`; `a` must cover
+    /// `kr * dimi` elements with `i1 <= dimi`, every `b[n]` must cover
+    /// `kr * 10` and every `c[n]` `(i1 - i0) * 10`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn fan_body512<const V: usize, const R: usize, const N: usize>(
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        kr: usize,
+        a: *const f64,
+        b: [*const f64; N],
+        c: [*mut f64; N],
+    ) {
+        const W: usize = FAN512_WIDTH;
+        let lanes = 8 * V;
+        let mut pack = [[[0.0f64; 8]; V]; PACK_ROWS];
+        let pp = pack.as_mut_ptr().cast::<f64>();
+        // SAFETY (the offsets, every copy and both block calls): rows
+        // `k0 + k < kr` of every `b[n]`, rows `i < i1` of every `c[n]`
+        // and rows `k0 ..` of `a` are inside the extents the caller
+        // guarantees; pack row `k < kb <= PACK_ROWS` has lanes
+        // `n*10 .. + 10 <= 8·V`, and its pad lanes stay zero.
+        let at = |i: usize| c.map(|cn| unsafe { cn.add((i - i0) * W) });
+        let mut k0 = 0;
+        while k0 < kr {
+            let kb = (kr - k0).min(PACK_ROWS);
+            for k in 0..kb {
+                for n in 0..N {
+                    let src = unsafe { b[n].add((k0 + k) * W) };
+                    unsafe { copy_nonoverlapping(src, pp.add(k * lanes + n * W), W) };
+                }
+            }
+            let ak = unsafe { a.add(k0 * dimi) };
+            let mut i = i0;
+            while i + R <= i1 {
+                unsafe { fan_block512::<V, R, N>(dimi, i, kb, ak, pp, at(i)) };
+                i += R;
+            }
+            while i < i1 {
+                unsafe { fan_block512::<V, 1, N>(dimi, i, kb, ak, pp, at(i)) };
+                i += 1;
+            }
+            k0 += kb;
+        }
+    }
+
     /// Asserts that `a`, `b` and `c` cover rows `i0..i1` of a
     /// `(kr, dimi) × (kr, dimj)` pass.
     #[allow(clippy::too_many_arguments)] // span geometry is irreducible
@@ -338,6 +545,24 @@ mod imp {
         assert!(covers(a.len(), kr, dimi), "A must cover (kr, dimi)");
         assert!(covers(b.len(), kr, dimj), "B must cover (kr, dimj)");
         assert!(covers(c.len(), i1 - i0, dimj), "C must cover the span rows");
+    }
+
+    /// [`check`] for every output of a fan.
+    #[allow(clippy::too_many_arguments)] // span geometry is irreducible
+    fn check_fan(
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        dimj: usize,
+        kr: usize,
+        a: &[f64],
+        bs: &[&[f64]],
+        cs: &[&mut [f64]],
+    ) {
+        assert_eq!(bs.len(), cs.len(), "one B per output");
+        for (b, c) in bs.iter().zip(cs) {
+            check(dimi, i0, i1, dimj, kr, a, b, c);
+        }
     }
 
     /// Safe entry: accumulate rows `i0..i1` of a width-`dimj` pass into
@@ -371,7 +596,7 @@ mod imp {
                 4 => span_body::<1, false, 8>(dimi, i0, i1, kr, a, b, c),
                 6 => span_body::<1, true, 4>(dimi, i0, i1, kr, a, b, c),
                 8 => span_body::<2, false, 4>(dimi, i0, i1, kr, a, b, c),
-                10 => span_body::<2, true, 4>(dimi, i0, i1, kr, a, b, c),
+                10 => span_body::<2, true, 2>(dimi, i0, i1, kr, a, b, c),
                 14 => span_body::<3, true, 2>(dimi, i0, i1, kr, a, b, c),
                 20 => span_body::<5, false, 2>(dimi, i0, i1, kr, a, b, c),
                 _ => return false,
@@ -382,8 +607,9 @@ mod imp {
 
     /// Safe entry for a fan: rows `i0..i1` of `bs.len()` width-`dimj`
     /// passes over the one operand `a`, pass `n` reading `bs[n]` and
-    /// accumulating into `cs[n]`. Returns `false` — having touched
-    /// nothing — if AVX is unavailable or `(dimj, N)` has no fan body.
+    /// accumulating into `cs[n]`, through the AVX-512 fan (width 10) or
+    /// the AVX fan (width 4). Returns `false` — having touched nothing —
+    /// if `(dimj, N)` has no fan body on this host.
     ///
     /// # Panics
     /// Panics if `bs` and `cs` differ in length or a slice does not
@@ -399,41 +625,117 @@ mod imp {
         bs: &[&[f64]],
         cs: &mut [&mut [f64]],
     ) -> bool {
-        if !available() || dimj != 4 || !matches!(cs.len(), 2 | 3) {
+        fan_span_avx512(dimi, i0, i1, dimj, kr, a, bs, cs)
+            || fan_span_avx(dimi, i0, i1, dimj, kr, a, bs, cs)
+    }
+
+    /// [`fan_span`] through the AVX fan alone (width 4).
+    #[allow(clippy::too_many_arguments)] // span geometry is irreducible
+    fn fan_span_avx(
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        dimj: usize,
+        kr: usize,
+        a: &[f64],
+        bs: &[&[f64]],
+        cs: &mut [&mut [f64]],
+    ) -> bool {
+        if dimj != 4 || !matches!(cs.len(), 2 | 3) || !available() {
             return false;
         }
-        assert_eq!(bs.len(), cs.len(), "one B per output");
-        for (b, c) in bs.iter().zip(cs.iter()) {
-            check(dimi, i0, i1, dimj, kr, a, b, c);
-        }
+        check_fan(dimi, i0, i1, dimj, kr, a, bs, cs);
         let a = a.as_ptr();
-        // SAFETY: AVX was detected above, `check` establishes every
+        // SAFETY: AVX was detected above, `check_fan` establishes every
         // output's extents, and `4·V` is the width 4 both arms serve.
         unsafe {
-            match cs {
-                [c0, c1] => fan_body::<1, false, 4, 2>(
+            match cs.len() {
+                2 => fan_body::<1, false, 4, 2>(
                     dimi,
                     i0,
                     i1,
                     kr,
                     a,
-                    [bs[0].as_ptr(), bs[1].as_ptr()],
-                    [c0.as_mut_ptr(), c1.as_mut_ptr()],
+                    std::array::from_fn(|n| bs[n].as_ptr()),
+                    std::array::from_fn(|n| cs[n].as_mut_ptr()),
                 ),
-                [c0, c1, c2] => fan_body::<1, false, 4, 3>(
+                _ => fan_body::<1, false, 4, 3>(
                     dimi,
                     i0,
                     i1,
                     kr,
                     a,
-                    [bs[0].as_ptr(), bs[1].as_ptr(), bs[2].as_ptr()],
-                    [c0.as_mut_ptr(), c1.as_mut_ptr(), c2.as_mut_ptr()],
+                    std::array::from_fn(|n| bs[n].as_ptr()),
+                    std::array::from_fn(|n| cs[n].as_mut_ptr()),
                 ),
-                _ => unreachable!("fan widths 2 and 3 only"),
             }
         }
         true
     }
+
+    /// [`fan_span`] through the AVX-512 packed fan alone (width 10).
+    #[allow(clippy::too_many_arguments)] // span geometry is irreducible
+    fn fan_span_avx512(
+        dimi: usize,
+        i0: usize,
+        i1: usize,
+        dimj: usize,
+        kr: usize,
+        a: &[f64],
+        bs: &[&[f64]],
+        cs: &mut [&mut [f64]],
+    ) -> bool {
+        if dimj != FAN512_WIDTH || !matches!(cs.len(), 2 | 3) || !avx512_available() {
+            return false;
+        }
+        check_fan(dimi, i0, i1, dimj, kr, a, bs, cs);
+        let a = a.as_ptr();
+        // SAFETY: AVX-512F was detected above, `check_fan` establishes
+        // every output's extents, and each arm's `N·10` lanes fit its
+        // `8·V`: 20 <= 24, 30 <= 32.
+        unsafe {
+            match cs.len() {
+                2 => fan_body512::<3, 8, 2>(
+                    dimi,
+                    i0,
+                    i1,
+                    kr,
+                    a,
+                    std::array::from_fn(|n| bs[n].as_ptr()),
+                    std::array::from_fn(|n| cs[n].as_mut_ptr()),
+                ),
+                _ => fan_body512::<4, 4, 3>(
+                    dimi,
+                    i0,
+                    i1,
+                    kr,
+                    a,
+                    std::array::from_fn(|n| bs[n].as_ptr()),
+                    std::array::from_fn(|n| cs[n].as_mut_ptr()),
+                ),
+            }
+        }
+        true
+    }
+
+    /// The AVX and AVX-512 entries, each on its own bodies.
+    #[cfg(test)]
+    pub(crate) const ISAS: [super::Isa; 2] = [
+        super::Isa {
+            name: "avx",
+            present: available,
+            span: Some(span),
+            fan_span: fan_span_avx,
+            fan_width: 4,
+        },
+        super::Isa {
+            name: "avx512",
+            present: avx512_available,
+            span: None,
+            fan_span: fan_span_avx512,
+            fan_width: FAN512_WIDTH,
+        },
+    ];
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -472,6 +774,12 @@ mod imp {
     ) -> bool {
         false
     }
+
+    /// No instruction set to test on this architecture.
+    #[cfg(test)]
+    pub(crate) const ISAS: [super::Isa; 0] = [];
 }
 
+#[cfg(test)]
+pub(crate) use imp::ISAS;
 pub(crate) use imp::{available, fan_span, span};

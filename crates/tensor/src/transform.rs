@@ -1061,10 +1061,12 @@ mod tests {
         check_group(&s, &pool, &tasks);
     }
 
-    /// At k = 10 a chunk holds four terms, so rank 34 is nine chunks,
-    /// and width 10 has no fan body: each fan runs one span per task.
+    /// At k = 10 a chunk holds four terms, so rank 34 is nine chunks of
+    /// up to 40 contraction rows, and the `δz` siblings fan: on an
+    /// AVX-512 host each fan of two or three runs as one packed span,
+    /// elsewhere as one span per task.
     #[test]
-    fn a_k10_group_over_nine_chunks_takes_single_spans() {
+    fn a_k10_group_over_nine_chunks_fans_on_avx512_hosts() {
         let (d, k, rank) = (3, 10, 34usize);
         assert_eq!(rank.div_ceil(STACK_ELEMS / (k * k * k)), 9);
         let pool: Vec<Tensor> = (0..rank * d * 3)
