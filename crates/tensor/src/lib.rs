@@ -31,13 +31,14 @@
 //!   inputs the previous task already contracted is not run again
 //!   (4 + 10 of a source's 2 × 27 leading passes per term are), and
 //!   tasks whose stacked operands are identical share their fused final
-//!   span (10 of a source's 27 per chunk of terms), bit for bit the
-//!   one-task results;
+//!   span (10 of a source's 27 per chunk of terms: an AVX body at
+//!   k = 4, a packed AVX-512 body at k = 10), bit for bit the one-task
+//!   results;
 //! * [`kernel`] — the per-`(d, k)` autotuned kernel table: candidate span
 //!   kernels (runtime-width scalar, const-width scalar, row-blocked AVX
-//!   where the host has it, cache-blocked) microbenchmarked at startup
-//!   with the pick dispatched per pass shape — all candidates
-//!   bit-identical;
+//!   — with AVX-512 fans at width 10 — where the host has it,
+//!   cache-blocked) microbenchmarked at startup with the pick dispatched
+//!   per pass shape — all candidates bit-identical;
 //! * FLOP accounting ([`flops`]) used by the simulators' cost models.
 //!
 //! All arithmetic is deterministic `f64`; the simulated-GPU crate executes
@@ -46,7 +47,7 @@
 #![warn(missing_docs)]
 // `unsafe` is denied everywhere except the explicitly-vectorized
 // kernels: `src/simd.rs` (and only that module) opts back in for the
-// AVX intrinsic loads/stores.
+// AVX and AVX-512 intrinsic loads/stores.
 #![deny(unsafe_code)]
 // Index loops over multiple parallel arrays are the clearest idiom for
 // the numeric kernels here; the iterator rewrites clippy suggests hurt
