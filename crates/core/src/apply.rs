@@ -11,13 +11,16 @@
 //! the simulated GPU by the dispatcher's `k* = n/(m+n)` rule,
 //! *postprocess* accumulates results. It is asynchronous: the calling
 //! thread prepares each source's tasks as it pushes them and never waits
-//! for a batch — the CPU share is spawned into the executor in chunks
-//! cut where the source tensor changes, so a chunk may span flushes but
-//! never cuts a source, and results commit in order as the chunks
-//! retire. One run is an `ApplyRun` whose methods are those stages:
-//! `dispatch` (preprocess fused into the push loop) → `flush` = `split`
-//! → `cpu_share` ∥ `gpu_share`, with `Commit` as postprocess. Both
-//! produce identical trees.
+//! for a batch. The device's share is only priced: on a host-executed
+//! device the split decides a task's simulated cost and whether its
+//! arithmetic is rank-reduced, nothing else. Every task of both shares
+//! joins one pending run in task order, which is spawned into the
+//! executor in chunks cut where the source tensor changes, so a chunk may
+//! span flushes and shares but never cuts a source, and results commit
+//! in order as the chunks retire. One run is an `ApplyRun` whose methods
+//! are those stages: `dispatch` (preprocess fused into the push loop) →
+//! `flush` = `split` → `hand_over` (`gpu_share` prices, `cpu_share`
+//! spawns), with `Commit` as postprocess. Both produce identical trees.
 //!
 //! On the host, both hand one source's displacement tasks to the tensor
 //! crate side by side (`transform_sum_accumulate_group`): neighbouring
@@ -27,9 +30,9 @@
 //! whose stacked last-pass operands are then identical, share one fused
 //! final span (10 spans instead of 27 a chunk of terms) — every task's
 //! result bit for bit what it computes alone. The walk makes that call
-//! itself; every job of the pipeline, CPU chunk or GPU share, makes it
-//! through `gpusim::kernel::execute_tasks`. The device still prices
-//! each task.
+//! itself; every chunk of the pipeline makes it through
+//! `gpusim::kernel::execute_tasks`, once per run of tasks with equal
+//! rank-reduction flags.
 
 use madness_gpusim::kernel::{execute_tasks, kernel_cost};
 use madness_gpusim::{
@@ -114,8 +117,9 @@ pub struct ApplyStats {
     pub cpu_tasks: u64,
     /// Tasks the GPU side computed.
     pub gpu_tasks: u64,
-    /// CPU chunks spawned: one executor job (run inline without a pool)
-    /// and one commit segment each. A GPU share's job is not a chunk.
+    /// Chunks spawned: one executor job (run inline without a pool) and
+    /// one commit segment each, whichever shares their tasks came from.
+    /// They are every job the run spawns.
     pub chunks: u64,
     /// Host-side operator-cache hits/misses ((h) blocks): the growth of
     /// the operator's counters over this run. Those counters are
@@ -132,6 +136,9 @@ pub struct ApplyStats {
 struct PreparedTask {
     neighbor: Key,
     task: TransformTask,
+    /// Set by the split: a CPU-share task with rank reduction in force.
+    /// The device's share stays exact (paper §II-D).
+    rank_reduced: bool,
 }
 
 impl std::borrow::Borrow<TransformTask> for PreparedTask {
@@ -287,14 +294,14 @@ struct ApplyRun<'a, R: Recorder> {
     /// The postprocess stage. Borrowed, not owned: every spawned chunk
     /// retires into it while the dispatcher holds `self` mutably.
     commit: &'a Commit,
-    /// The CPU share no chunk holds yet.
+    /// The tasks no chunk holds yet.
     pending: PendingRun,
     /// `Some` iff [`ApplyResource::Adaptive`].
     learned: Option<Learned>,
 }
 
-/// CPU tasks flushes have handed over that no chunk holds yet: one
-/// kind's, in task order. Chunks come off its front where
+/// Tasks flushes have handed over, from either share, that no chunk
+/// holds yet: one kind's, in task order. Chunks come off its front where
 /// [`chunk_len`] cuts at a change of source; the tail — a source the
 /// next flush may go on with — waits until the run is spawned whole.
 struct PendingRun {
@@ -309,10 +316,10 @@ struct PendingRun {
 struct Learned {
     dispatcher: AdaptiveDispatcher,
     /// The simulated clock the in-flight stream-queue windows live on: it
-    /// advances by each retired CPU chunk's throughput-equivalent time
-    /// (the CPU keeps streaming), so a GPU batch whose simulated time
-    /// outlives the CPU work dispatched beside it stays queued and builds
-    /// the backpressure the dispatcher shrinks the GPU share on.
+    /// advances by each retired chunk's throughput-equivalent time (the
+    /// host keeps streaming), so a GPU batch whose simulated time
+    /// outlives the host work dispatched beside it stays queued and
+    /// builds the backpressure the dispatcher shrinks the GPU share on.
     sim_now: SimTime,
     /// Every GPU share's `(submit, complete)` window on `sim_now`'s
     /// clock, in flush order; [`queue_depth`] prunes and counts them.
@@ -362,8 +369,8 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     /// This thread is the paper's dispatcher: it prepares each source's
     /// tasks as it pushes them, per flush plans the split, prices the GPU
     /// share on the simulated device itself and *spawns* the arithmetic
-    /// of both shares — then moves on to the next push without waiting;
-    /// the scope ends when the last job has retired.
+    /// of both shares as one job stream — then moves on to the next push
+    /// without waiting; the scope ends when the last job has retired.
     fn run(mut self, tree: &FunctionTree) -> ApplyStats {
         // The operator's cache counters are cumulative across its
         // lifetime; snapshot them so the stats report *this run's*
@@ -431,7 +438,12 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                     terms: Arc::clone(terms),
                 };
                 self.stats.tasks += 1;
-                if let Some((kind, full)) = batcher.push(kind, PreparedTask { neighbor, task }) {
+                let prepared = PreparedTask {
+                    neighbor,
+                    task,
+                    rank_reduced: false,
+                };
+                if let Some((kind, full)) = batcher.push(kind, prepared) {
                     self.flush(scope, kind, full);
                 }
             }
@@ -442,8 +454,8 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         self.cpu_share(scope, true);
     }
 
-    /// One batch through Fig. 3: dispatcher split → CPU share ∥ GPU
-    /// share.
+    /// One batch through Fig. 3: dispatcher split → both shares handed
+    /// over.
     fn flush(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, batch: Vec<PreparedTask>) {
         self.stats.batches += 1;
         // A batch is one kind: its first task's cost stands for all.
@@ -452,18 +464,19 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         self.hand_over(scope, kind, task_flops, batch, plan);
     }
 
-    /// The split batch to its two sides: the first `plan.cpu_tasks` join
-    /// the pending run, the rest are the GPU share. Commit order stays
-    /// task order — the exact pre-pipeline accumulation order
-    /// (bit-identical trees) — because the pending run is spawned whole
-    /// before another kind joins it and before a GPU share mints its
-    /// segment; otherwise only chunks that end at a change of source go.
+    /// The split batch to the pending run, whole: the first
+    /// `plan.cpu_tasks` are the CPU share (rank-reduced when reduction is
+    /// on), the rest the GPU share, priced here. Commit order stays task
+    /// order — the exact pre-pipeline accumulation order (bit-identical
+    /// trees) — because the pending run is spawned whole before another
+    /// kind joins it; otherwise only chunks that end at a change of
+    /// source go.
     fn hand_over(
         &mut self,
         scope: &rayon::Scope<'a>,
         kind: TaskKind,
         task_flops: u64,
-        batch: Vec<PreparedTask>,
+        mut batch: Vec<PreparedTask>,
         plan: SplitPlan,
     ) {
         self.stats.cpu_tasks += plan.cpu_tasks as u64;
@@ -473,14 +486,14 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             self.pending.kind = Some(kind);
             self.pending.task_flops = task_flops;
         }
-        let mut tasks = batch.into_iter();
-        self.pending
-            .tasks
-            .extend(tasks.by_ref().take(plan.cpu_tasks));
-        self.cpu_share(scope, plan.gpu_tasks > 0);
-        if plan.gpu_tasks > 0 {
-            self.gpu_share(scope, kind, tasks.collect());
+        let (cpu, gpu) = batch.split_at_mut(plan.cpu_tasks);
+        let rank_reduced = self.config.rank_reduce_eps.is_some();
+        cpu.iter_mut().for_each(|p| p.rank_reduced = rank_reduced);
+        if !gpu.is_empty() {
+            self.gpu_share(kind, gpu);
         }
+        self.pending.tasks.append(&mut batch);
+        self.cpu_share(scope, false);
     }
 
     /// Split decision at batch-flush time: everything to one side, the
@@ -528,11 +541,10 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         }
     }
 
-    /// The CPU share (honours rank reduction): chunks off the front of
-    /// the pending run — every one [`chunk_len`] ends at a change of
-    /// source, and with `whole` the tail too — each [`ApplyRun::spawn`]ed
-    /// with a [`ChunkSample`] of its kind. The schedule, not
-    /// split-on-demand, owns the grain.
+    /// The host's jobs, for both shares: chunks off the front of the
+    /// pending run — every one [`chunk_len`] ends at a change of source,
+    /// and with `whole` the tail too — each [`ApplyRun::spawn`]ed. The
+    /// schedule, not split-on-demand, owns the grain.
     fn cpu_share(&mut self, scope: &rayon::Scope<'a>, whole: bool) {
         let Some(kind) = self.pending.kind else {
             return;
@@ -545,15 +557,15 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             }
             let chunk: Vec<PreparedTask> = self.pending.tasks.drain(..len).collect();
             self.stats.chunks += 1;
-            self.spawn(scope, chunk, true, Some(kind));
+            self.spawn(scope, chunk, kind);
         }
     }
 
     /// The GPU share, the rest of the batch: priced (`Timing`) on the
     /// simulated device on this, the dispatcher's, thread — so in flush
-    /// order, whatever the executor does — and its exact arithmetic
-    /// [`ApplyRun::spawn`]ed with no sample (the model reads sim time).
-    fn gpu_share(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, tasks: Vec<PreparedTask>) {
+    /// order, whatever the executor does. Its arithmetic rides the
+    /// pending run.
+    fn gpu_share(&mut self, kind: TaskKind, tasks: &[PreparedTask]) {
         let priced: Vec<TransformTask> = tasks.iter().map(|p| p.task.clone()).collect();
         let out = self
             .device
@@ -568,25 +580,29 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 .windows
                 .push_back((now, now + SimTime::from_nanos(gpu_ns)));
         }
-        self.spawn(scope, tasks, false, None);
     }
 
     /// Mints the next commit segment and spawns one job that runs `tasks`
-    /// inside one workspace ([`execute_tasks`]) and retires the segment;
-    /// with `sample`, an `Adaptive` run's job reports its busy time.
-    fn spawn(
-        &self,
-        scope: &rayon::Scope<'a>,
-        tasks: Vec<PreparedTask>,
-        rank_reduced: bool,
-        sample: Option<TaskKind>,
-    ) {
+    /// inside one workspace — one [`execute_tasks`] call per run of equal
+    /// rank-reduction flags — and retires the segment. Under `Adaptive`
+    /// the job reports its busy time for every task: the host runs each
+    /// one's arithmetic, whichever share priced it.
+    fn spawn(&self, scope: &rayon::Scope<'a>, tasks: Vec<PreparedTask>, kind: TaskKind) {
         let (commit, seq) = (self.commit, self.commit.segment());
-        let sample = sample.and_then(|kind| Some((kind, self.learned.as_ref()?.sample_tx.clone())));
+        let sample_tx = self.learned.as_ref().map(|l| l.sample_tx.clone());
         scope.spawn(move |_| {
             let t0 = Instant::now();
-            let results = Workspace::with(|ws| execute_tasks(&tasks, rank_reduced, ws.scratch()));
-            if let Some((kind, tx)) = sample {
+            let results = Workspace::with(|ws| {
+                tasks
+                    .chunk_by(|a, b| a.rank_reduced == b.rank_reduced)
+                    .map(|run| execute_tasks(run, run[0].rank_reduced, ws.scratch()))
+                    .reduce(|mut rs, more| {
+                        rs.extend(more);
+                        rs
+                    })
+                    .unwrap_or_default()
+            });
+            if let Some(tx) = sample_tx {
                 // The receiver outlives the scope; a failed send could
                 // only lose feedback, never a result.
                 let _ = tx.send(ChunkSample {
@@ -634,7 +650,7 @@ fn queue_depth(windows: &mut VecDeque<(SimTime, SimTime)>, now: SimTime) -> usiz
     windows.iter().filter(|&&(submit, _)| submit <= now).count()
 }
 
-/// One retired CPU chunk's timing: [`ApplyResource::Adaptive`]'s CPU-side
+/// One retired chunk's timing: [`ApplyResource::Adaptive`]'s CPU-side
 /// feedback, sent to the dispatcher thread.
 struct ChunkSample {
     kind: TaskKind,
@@ -644,10 +660,9 @@ struct ChunkSample {
 
 /// The postprocess stage: results enter the result tree in segment order
 /// (the order the dispatcher minted them: a kind's tasks in task order,
-/// whether a chunk spans flushes or a GPU share follows the chunks that
-/// hold the CPU tasks before it), whatever order the segments finish in,
-/// so every target keeps its accumulation order and the tree is
-/// bit-identical to a serial run.
+/// however many flushes and shares a chunk holds), whatever order the
+/// segments finish in, so every target keeps its accumulation order and
+/// the tree is bit-identical to a serial run.
 struct Commit {
     /// Segments handed out so far; only the dispatcher thread mints.
     minted: AtomicUsize,
@@ -762,6 +777,7 @@ mod tests {
                     s: Some(Arc::clone(&s)),
                     terms: Arc::new(Vec::new()),
                 },
+                rank_reduced: false,
             })
         };
         runs.iter().flat_map(run).collect()
@@ -821,6 +837,7 @@ mod tests {
                 s: Some(Arc::new(Tensor::full(Shape::cube(1, 1), x))),
                 terms: Arc::clone(&terms),
             },
+            rank_reduced: false,
         };
         values.iter().map(task).collect()
     }
@@ -834,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn a_pending_run_is_spawned_whole_before_a_gpu_share_mints_its_segment() {
+    fn a_gpu_share_joins_the_pending_run() {
         let op = SeparatedConvolution::gaussian_sum(1, 1, 1, 1.0, 1.0);
         let config = config(ApplyResource::Hybrid);
         let commit = Commit::new(FunctionTree::new(1, 1));
@@ -846,9 +863,11 @@ mod tests {
             // Under the grain: the first flush's CPU share waits …
             run.hand_over(scope, kind, 1, valued(&[1.0, 1e16]), SplitPlan::all_cpu(2));
             assert_eq!((run.pending.tasks.len(), minted()), (2, 0));
-            // … until a GPU share comes: then it goes first.
+            // … and a GPU share joins it behind, minting nothing.
             run.hand_over(scope, kind, 1, valued(&[-1e16, 1.0]), SplitPlan::all_gpu(2));
-            assert_eq!((run.pending.tasks.len(), minted()), (0, 2));
+            assert_eq!((run.pending.tasks.len(), minted()), (4, 0));
+            run.cpu_share(scope, true);
+            assert_eq!((run.pending.tasks.len(), minted()), (0, 1));
         });
         assert_eq!(
             (run.stats.chunks, run.stats.cpu_tasks, run.stats.gpu_tasks),
@@ -873,23 +892,25 @@ mod tests {
         // A grain of 10 tasks over sources of 27: chunks end only where
         // the source changes, and the last source waits for more.
         let grain_10 = CHUNK_FLOPS / 10;
+        // A split inside the second source: its GPU tasks ride the same
+        // chunk as its CPU ones.
+        let split = SplitPlan {
+            cpu_tasks: 40,
+            gpu_tasks: 41,
+        };
         rayon::scope(|scope| {
-            run.hand_over(
-                scope,
-                a,
-                grain_10,
-                tasks_of(&[27, 27, 27]),
-                SplitPlan::all_cpu(81),
-            );
+            run.hand_over(scope, a, grain_10, tasks_of(&[27, 27, 27]), split);
             assert_eq!((run.pending.tasks.len(), run.stats.chunks), (27, 2));
             // Another kind: the run goes whole, under its own grain, and
             // the new kind's tasks open a run with theirs.
-            run.hand_over(scope, b, 1, tasks_of(&[2, 3]), SplitPlan::all_cpu(5));
+            run.hand_over(scope, b, 1, tasks_of(&[2, 3]), SplitPlan::all_gpu(5));
             assert_eq!((run.pending.kind, run.pending.task_flops), (Some(b), 1));
             assert_eq!((run.pending.tasks.len(), run.stats.chunks), (5, 3));
             run.cpu_share(scope, true);
         });
-        // Every chunk is one kind's, so Adaptive's samples stay per kind.
+        assert_eq!((run.stats.cpu_tasks, run.stats.gpu_tasks), (40, 46));
+        // Every chunk is one kind's, so Adaptive's samples stay per kind,
+        // and each counts its GPU-planned tasks too: the host ran them.
         let learned = run.learned.as_ref().expect("Adaptive");
         let mut samples: Vec<_> = learned
             .sample_rx
@@ -898,6 +919,59 @@ mod tests {
             .collect();
         samples.sort_unstable();
         assert_eq!(samples, [(a, 27), (a, 27), (a, 27), (b, 5)]);
+    }
+
+    #[test]
+    fn a_chunk_runs_each_task_under_its_own_rank_reduction_flag() {
+        let (d, k) = (2, 6);
+        let op = SeparatedConvolution::gaussian_sum(d, k, 4, 1.0, 100.0);
+        let config = ApplyConfig {
+            rank_reduce_eps: Some(1e-2),
+            ..config(ApplyResource::Hybrid)
+        };
+        let commit = Commit::new(FunctionTree::new(d, k));
+        let mut rec = NullRecorder;
+        let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
+        // One source's tasks at four displacements: the first two are the
+        // CPU share, rank-reduced, the last two the device's, exact.
+        let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] * k + ix[1]) as f64);
+        let s = Some(Arc::new(s));
+        let tasks: Vec<PreparedTask> = (0..4)
+            .map(|l| PreparedTask {
+                neighbor: Key::new(2, &[l, 0]),
+                task: TransformTask {
+                    d,
+                    k,
+                    s: s.clone(),
+                    terms: Arc::new(run.term_table(2, &[l, 0])),
+                },
+                rank_reduced: false,
+            })
+            .collect();
+        let alone = |p: &PreparedTask, rank_reduced| {
+            let task = std::slice::from_ref(p);
+            Workspace::with(|ws| execute_tasks(task, rank_reduced, ws.scratch())).remove(0)
+        };
+        let mut expected = FunctionTree::new(d, k);
+        for (l, p) in tasks.iter().enumerate() {
+            expected.accumulate(p.neighbor, 1.0, &alone(p, l < 2));
+        }
+        assert_ne!(
+            alone(&tasks[1], true),
+            alone(&tasks[1], false),
+            "inert flag"
+        );
+        let split = SplitPlan {
+            cpu_tasks: 2,
+            gpu_tasks: 2,
+        };
+        rayon::scope(|scope| {
+            run.hand_over(scope, TaskKind::new(APPLY_OP_ID, 2), 1, tasks, split);
+            run.cpu_share(scope, true);
+        });
+        assert_eq!(run.stats.chunks, 1);
+        drop(run);
+        assert_eq!(bits(&commit.finish()), bits(&expected));
     }
 
     /// What segment `seq` hands in: three tensors over two targets, their
