@@ -115,7 +115,8 @@ pub struct ApplyStats {
     pub batches: u64,
     /// Tasks the CPU side computed.
     pub cpu_tasks: u64,
-    /// Tasks the GPU side computed.
+    /// Tasks the split gave the GPU side: priced on the simulated device,
+    /// computed exactly in the same jobs as the CPU side's.
     pub gpu_tasks: u64,
     /// Chunks spawned: one executor job (run inline without a pool) and
     /// one commit segment each, whichever shares their tasks came from.
