@@ -15,8 +15,8 @@
 //! device the split decides a task's simulated cost and whether its
 //! arithmetic is rank-reduced, nothing else. Every task of both shares
 //! joins one pending run in task order, which is spawned into the
-//! executor in chunks cut where the source tensor changes, so a chunk may
-//! span flushes and shares but never cuts a source, and results commit
+//! executor in chunks cut between *stack groups* (below), so a chunk may
+//! span flushes and shares but never cuts a group, and results commit
 //! in order as the chunks retire. One run is an `ApplyRun` whose methods
 //! are those stages: `dispatch` (preprocess fused into the push loop) →
 //! `flush` = `split` → `hand_over` (`gpu_share` prices, `cpu_share`
@@ -30,11 +30,18 @@
 //! whose stacked last-pass operands are then identical, share one fused
 //! final span (10 spans instead of 27 a chunk of terms) — every task's
 //! result bit for bit what it computes alone. The walk makes that call
-//! itself; every chunk of the pipeline makes it through
-//! `gpusim::kernel::execute_tasks`, once per run of tasks with equal
-//! rank-reduction flags.
+//! itself, one source at a time: it is the reference. The pipeline is
+//! the paper's batch: every chunk makes the call through
+//! `gpusim::kernel::execute_tasks` (once per run of tasks with equal
+//! rank-reduction flags), which *stacks* up to eight consecutive
+//! same-level sources whose task lists are identical — a term table
+//! depends only on (level, displacement), so such sources use the same
+//! blocks, coefficients and effective ranks — into one call. The stacked
+//! sources share every leading span and every per-term step, so an
+//! interior source's 476 leading spans at k = 4 are run once for up to
+//! eight sources; boundary sources, with other lists, run alone.
 
-use madness_gpusim::kernel::{execute_tasks, kernel_cost};
+use madness_gpusim::kernel::{execute_tasks, kernel_cost, stack_groups};
 use madness_gpusim::{
     ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
 };
@@ -227,7 +234,7 @@ pub fn apply_cpu_reference(op: &SeparatedConvolution, tree: &FunctionTree) -> Fu
                         .map(move |delta| &*blocks[mu * width + (delta - lo) as usize]),
                     krs: None,
                 };
-                transform_sum_accumulate_group(s, op.rank(), term, ws.scratch(), &mut rs);
+                transform_sum_accumulate_group(&[s], op.rank(), term, ws.scratch(), &mut rs);
                 live.iter()
                     .map(|&(neighbor, _)| neighbor)
                     .zip(rs)
@@ -303,8 +310,9 @@ struct ApplyRun<'a, R: Recorder> {
 
 /// Tasks flushes have handed over, from either share, that no chunk
 /// holds yet: one kind's, in task order. Chunks come off its front where
-/// [`chunk_len`] cuts at a change of source; the tail — a source the
-/// next flush may go on with — waits until the run is spawned whole.
+/// [`chunk_len`] cuts between stack groups; the tail — a source the next
+/// flush may go on with, and the group it may join — waits until the run
+/// is spawned whole.
 struct PendingRun {
     /// `None` until the first flush.
     kind: Option<TaskKind>,
@@ -470,8 +478,8 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     /// on), the rest the GPU share, priced here. Commit order stays task
     /// order — the exact pre-pipeline accumulation order (bit-identical
     /// trees) — because the pending run is spawned whole before another
-    /// kind joins it; otherwise only chunks that end at a change of
-    /// source go.
+    /// kind joins it; otherwise only chunks that end between stack groups
+    /// go.
     fn hand_over(
         &mut self,
         scope: &rayon::Scope<'a>,
@@ -543,7 +551,7 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     }
 
     /// The host's jobs, for both shares: chunks off the front of the
-    /// pending run — every one [`chunk_len`] ends at a change of source,
+    /// pending run — every one [`chunk_len`] ends between stack groups,
     /// and with `whole` the tail too — each [`ApplyRun::spawn`]ed. The
     /// schedule, not split-on-demand, owns the grain.
     fn cpu_share(&mut self, scope: &rayon::Scope<'a>, whole: bool) {
@@ -551,9 +559,10 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             return;
         };
         while !self.pending.tasks.is_empty() {
-            let len = chunk_len(&self.pending.tasks, self.pending.task_flops);
+            let len = chunk_len(&self.pending.tasks, self.pending.task_flops, whole);
             if len == self.pending.tasks.len() && !whole {
-                // Its last source may go on in the next flush.
+                // Its last source, or the group that source may join,
+                // may go on in the next flush.
                 return;
             }
             let chunk: Vec<PreparedTask> = self.pending.tasks.drain(..len).collect();
@@ -621,24 +630,30 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
 /// Cost grain of one spawned CPU chunk, in rank-reduced FLOPs: large
 /// enough that queueing, waking and committing a chunk (a few µs) is
 /// noise against running it (at k = 4, rank 34, 52,224 FLOPs a task,
-/// the grain is 20 tasks, run on to the end of their last source — ≈ 28
-/// a chunk on `apply-k4` — however many flushes they came in), small
-/// enough that kernel-bound tasks (k = 10: ≈ 2 MFLOP each, so every
-/// chunk is one source's run, at most 27 tasks and ≈ 4 ms) still spread
-/// over every worker.
+/// the grain is 20 tasks, run on to the end of their last stack group —
+/// up to eight interior sources, 216 tasks; ≈ 119 a chunk on `apply-k4`
+/// — however many flushes they came in), small enough that kernel-bound
+/// tasks (k = 10: ≈ 2 MFLOP each, never stacked, so every chunk is one
+/// source's run, at most 27 tasks and ≈ 4 ms) still spread over every
+/// worker.
 const CHUNK_FLOPS: u64 = 1_000_000;
 
 /// How many of `tasks` (a pending run; not empty) the next chunk takes:
-/// chunks are cut where the source changes, so a source's displacement
-/// tasks stay side by side for the group call that shares their leading
-/// passes — the first change of source at or past [`CHUNK_FLOPS`] of
-/// work, which is at most one source's run past the grain. All of
-/// `tasks` when there is no such change.
-fn chunk_len(tasks: &[PreparedTask], task_flops: u64) -> usize {
+/// chunks are cut between stack groups ([`stack_groups`], the cut
+/// [`execute_tasks`] makes), so the sources of a group stay side by side
+/// for the group call that stacks them — the first group boundary at or
+/// past [`CHUNK_FLOPS`] of work, which is at most one group past the
+/// grain. Unless the run is `whole`, its last source may go on in the
+/// next flush, so a group it may still join does not end. All of `tasks`
+/// when there is no such boundary.
+fn chunk_len(tasks: &[PreparedTask], task_flops: u64, whole: bool) -> usize {
     let grain = CHUNK_FLOPS.div_ceil(task_flops.max(1)).max(1);
-    let mut len = tasks.len().min(grain as usize);
-    while len < tasks.len() && tasks[len - 1].task.same_source(&tasks[len].task) {
-        len += 1;
+    let mut len = 0;
+    for group in stack_groups(tasks, !whole) {
+        len += group.len();
+        if len as u64 >= grain {
+            break;
+        }
     }
     len
 }
@@ -786,26 +801,94 @@ mod tests {
 
     #[test]
     fn chunk_len_cuts_at_the_first_change_of_source_past_the_grain() {
+        // Three sources whose task lists differ: three stack groups.
         let tasks = tasks_of(&[27, 27, 27]);
-        // Under the grain: the whole remainder, whatever its sources —
-        // and a task that claims no work does not divide by zero.
-        for task_flops in [0, 1, CHUNK_FLOPS / 82] {
-            assert_eq!(chunk_len(&tasks, task_flops), 81);
-            assert_eq!(chunk_len(&tasks[40..], task_flops), 41);
+        for whole in [false, true] {
+            // Under the grain: the whole remainder, whatever its sources
+            // — and a task that claims no work does not divide by zero.
+            for task_flops in [0, 1, CHUNK_FLOPS / 82] {
+                assert_eq!(chunk_len(&tasks, task_flops, whole), 81);
+                assert_eq!(chunk_len(&tasks[40..], task_flops, whole), 41);
+            }
+            // A grain that ends inside a source runs on to its end …
+            assert_eq!(chunk_len(&tasks, CHUNK_FLOPS / 10, whole), 27);
+            assert_eq!(chunk_len(&tasks[20..], 2 * CHUNK_FLOPS, whole), 7);
+            assert_eq!(chunk_len(&tasks, CHUNK_FLOPS.div_ceil(28), whole), 54);
+            // … and one that ends on a change of source stops there.
+            assert_eq!(chunk_len(&tasks, CHUNK_FLOPS.div_ceil(27), whole), 27);
         }
-        // A grain that ends inside a source runs on to its end …
-        assert_eq!(chunk_len(&tasks, CHUNK_FLOPS / 10), 27);
-        assert_eq!(chunk_len(&tasks, CHUNK_FLOPS.div_ceil(28)), 54);
-        assert_eq!(chunk_len(&tasks[20..], 2 * CHUNK_FLOPS), 7);
-        // … and one that ends on a change of source stops there.
-        assert_eq!(chunk_len(&tasks, CHUNK_FLOPS.div_ceil(27)), 27);
         // Never empty, never past the remainder.
         for task_flops in [0, 1, CHUNK_FLOPS / 30, CHUNK_FLOPS, u64::MAX] {
             for rest in 0..tasks.len() {
-                let len = chunk_len(&tasks[rest..], task_flops);
-                assert!((1..=tasks.len() - rest).contains(&len));
+                for whole in [false, true] {
+                    let len = chunk_len(&tasks[rest..], task_flops, whole);
+                    assert!((1..=tasks.len() - rest).contains(&len));
+                }
             }
         }
+    }
+
+    /// One source per entry of `lists`, source `i` running task list
+    /// `lists[i]`: list `l` has `LISTS[l]` tasks, and every source on
+    /// it shares their term tables.
+    fn listed(lists: &[usize]) -> Vec<PreparedTask> {
+        const LISTS: [usize; 3] = [27, 18, 5];
+        let tables: Vec<Vec<Arc<Vec<TransformTerm>>>> = LISTS
+            .iter()
+            .map(|&n| (0..n).map(|_| Arc::new(Vec::new())).collect())
+            .collect();
+        let tables = &tables;
+        let source = |&l: &usize| {
+            let s = Arc::new(Tensor::zeros(Shape::cube(1, 1)));
+            tables[l].iter().map(move |terms| PreparedTask {
+                neighbor: Key::root(1),
+                task: TransformTask {
+                    d: 1,
+                    k: 1,
+                    s: Some(Arc::clone(&s)),
+                    terms: Arc::clone(terms),
+                },
+                rank_reduced: false,
+            })
+        };
+        lists.iter().flat_map(source).collect()
+    }
+
+    #[test]
+    fn chunk_len_never_splits_a_stack_group() {
+        // Three interior sources, a boundary one, ten interior — more
+        // than one group holds — and two of a third list.
+        let lists = [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2];
+        let tasks = listed(&lists);
+        let ends: Vec<usize> = stack_groups(&tasks, false)
+            .scan(0, |end, group| {
+                *end += group.len();
+                Some(*end)
+            })
+            .collect();
+        let s_max = madness_gpusim::kernel::S_MAX;
+        let big = 99 + s_max * 27;
+        assert_eq!(ends, [81, 99, big, 369, 379]);
+        for task_flops in [0, 1, CHUNK_FLOPS / 100, CHUNK_FLOPS / 30, CHUNK_FLOPS] {
+            for whole in [false, true] {
+                let mut rest = 0;
+                while rest < tasks.len() {
+                    rest += chunk_len(&tasks[rest..], task_flops, whole);
+                    assert!(ends.contains(&rest), "a chunk ends at {rest}");
+                }
+            }
+        }
+        // A source still going on may join the group before it while its
+        // tasks so far are a prefix of the group's list: only a whole run
+        // cuts there …
+        let pending = &tasks[99..99 + 2 * 27 + 10];
+        assert_eq!(chunk_len(pending, CHUNK_FLOPS, false), pending.len());
+        assert_eq!(chunk_len(pending, CHUNK_FLOPS, true), 2 * 27);
+        // … and once they are not, or the group is full, it cannot.
+        let boundary = &tasks[54..99];
+        assert_eq!(chunk_len(boundary, CHUNK_FLOPS, false), 27);
+        let full = &tasks[99..big + 10];
+        assert_eq!(chunk_len(full, CHUNK_FLOPS, false), s_max * 27);
     }
 
     #[test]
@@ -890,8 +973,9 @@ mod tests {
         let mut rec = NullRecorder;
         let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
         let (a, b) = (TaskKind::new(APPLY_OP_ID, 2), TaskKind::new(APPLY_OP_ID, 3));
-        // A grain of 10 tasks over sources of 27: chunks end only where
-        // the source changes, and the last source waits for more.
+        // A grain of 10 tasks over sources of 27 whose task lists differ:
+        // chunks end only where the source changes, and the last source
+        // waits for more.
         let grain_10 = CHUNK_FLOPS / 10;
         // A split inside the second source: its GPU tasks ride the same
         // chunk as its CPU ones.

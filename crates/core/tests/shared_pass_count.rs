@@ -147,7 +147,7 @@ fn a_sources_tasks_share_their_leading_passes() {
         };
         let count = dispatches(table, || {
             Workspace::with(|ws| {
-                transform_sum_accumulate_group(&s, 1, term, ws.scratch(), &mut outs)
+                transform_sum_accumulate_group(&[&s], 1, term, ws.scratch(), &mut outs)
             })
         });
         assert_eq!(outs[0], outs[1]);

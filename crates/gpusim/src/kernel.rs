@@ -17,6 +17,7 @@ use crate::spec::DeviceSpec;
 use crate::task::TransformTask;
 use madness_tensor::{transform_sum_accumulate_group, Tensor, TransformScratch};
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// Which kernel implementation services a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -116,13 +117,81 @@ pub fn kernel_cost(spec: &DeviceSpec, kind: KernelKind, task: &TransformTask) ->
     }
 }
 
+/// The most sources one [`transform_sum_accumulate_group`] call of
+/// [`execute_tasks`] stacks. Picked by a microbench of an `apply-k4`-sized
+/// `Cpu` pass over 2, 4, 6 and 8: 8 was the fastest, 4 and 6 within 5 %.
+pub const S_MAX: usize = 8;
+
+/// The most source elements one stack group holds: `S_MAX` `k = 4`,
+/// `d = 3` cubes (4 KiB). Stacking pays where one source's spans are too
+/// short to carry their set-up; a `k = 10` cube (1,000 elements) is
+/// never stacked, since its spans are not, and at `S = 8` each pass's
+/// stacked intermediate left L1 and `apply-k10` ran ≈ 5 % slower.
+const STACK_LEN: usize = S_MAX * 64;
+
+/// How many of `tasks` the first *run* holds: consecutive tasks of one
+/// rank over one source ([`TransformTask::same_source`]). 0 if empty.
+fn run_len<T: Borrow<TransformTask>>(tasks: &[T]) -> usize {
+    let Some(first) = tasks.first().map(Borrow::borrow) else {
+        return 0;
+    };
+    let same_run = |t: &&TransformTask| first.same_source(t) && first.rank() == t.rank();
+    1 + tasks[1..]
+        .iter()
+        .map(Borrow::borrow)
+        .take_while(same_run)
+        .count()
+}
+
+/// `tasks` cut into *stack groups*, in order: a run and the runs right
+/// after it whose task lists are identical to its own — as long, with
+/// pointer-equal `terms` in the same order — up to [`S_MAX`] runs and
+/// `STACK_LEN` source elements. A term table depends only on (level,
+/// displacement), so the runs of a group are same-level sources with the
+/// same live displacements; a source with another list (a boundary
+/// source, with fewer live neighbours) is a group of its own.
+/// [`execute_tasks`] makes one group call a group, and the Apply pipeline
+/// cuts its chunks only between groups.
+///
+/// With `open`, the last run may still go on (a source whose tasks are
+/// not all there yet): it joins the group before it while its tasks so
+/// far are a prefix of that group's list, so a group that may still grow
+/// ends at the end of `tasks`.
+pub fn stack_groups<T: Borrow<TransformTask>>(
+    mut tasks: &[T],
+    open: bool,
+) -> impl Iterator<Item = &[T]> {
+    std::iter::from_fn(move || {
+        let list = run_len(tasks);
+        if list == 0 {
+            return None;
+        }
+        let first = tasks[0].borrow();
+        let most = S_MAX.min(STACK_LEN / first.k.pow(first.d as u32)).max(1);
+        let mut len = list;
+        while len < most * list {
+            let next = &tasks[len..];
+            let run = run_len(next);
+            let fits = run == list || (open && run == next.len() && (1..list).contains(&run));
+            let same_terms = |(a, b): (&T, &T)| Arc::ptr_eq(&a.borrow().terms, &b.borrow().terms);
+            if !fits || !tasks[..list].iter().zip(&next[..run]).all(same_terms) {
+                break;
+            }
+            len += run;
+        }
+        let (group, rest) = tasks.split_at(len);
+        tasks = rest;
+        Some(group)
+    })
+}
+
 /// Executes every task's arithmetic (Formula 1): `r = Σ_μ c_μ ·
-/// transform(s, h^{(μ,·)})`, results in task order. Each run of
-/// consecutive tasks of one rank over one source
-/// ([`TransformTask::same_source`]) is one
-/// [`transform_sum_accumulate_group`] call: they share leading passes,
-/// and each result is bit for bit what the task computes alone.
-/// `rank_reduced` passes effective ranks on (the CPU path; paper §II-D).
+/// transform(s, h^{(μ,·)})`, results in task order. Each stack group
+/// ([`stack_groups`]) is one [`transform_sum_accumulate_group`] call: a
+/// run's tasks share leading passes, the group's sources, stacked, share
+/// every leading span, and each result is bit for bit what the task
+/// computes alone. `rank_reduced` passes effective ranks on (the CPU
+/// path; paper §II-D).
 ///
 /// # Panics
 /// Panics on a timing-only task.
@@ -131,16 +200,23 @@ pub fn execute_tasks<T: Borrow<TransformTask>>(
     rank_reduced: bool,
     scratch: &mut TransformScratch,
 ) -> Vec<Tensor> {
+    fn source<T: Borrow<TransformTask>>(run: &[T]) -> &Tensor {
+        let s = run[0].borrow().s.as_deref();
+        s.expect("a timing-only task has no source")
+    }
     let mut rs: Vec<Tensor> = Vec::with_capacity(tasks.len());
-    let same_run =
-        |a: &T, b: &T| a.borrow().same_source(b.borrow()) && a.borrow().rank() == b.borrow().rank();
-    for run in tasks.chunk_by(same_run) {
-        let first = run[0].borrow();
-        let s = first.s.as_ref().expect("a timing-only task has no source");
+    for group in stack_groups(tasks, false) {
+        let list = &group[..run_len(group)];
+        let mut sources = [source(group); S_MAX];
+        for (slot, run) in sources.iter_mut().zip(group.chunks(list.len())) {
+            *slot = source(run);
+        }
+        let sources = &sources[..group.len() / list.len()];
         let done = rs.len();
-        rs.extend(run.iter().map(|_| Tensor::zeros(s.shape())));
-        let term = |task: usize, mu| run[task].borrow().sum_term(mu, rank_reduced);
-        transform_sum_accumulate_group(s, first.rank(), term, scratch, &mut rs[done..]);
+        rs.extend(group.iter().map(|_| Tensor::zeros(sources[0].shape())));
+        let term = |task: usize, mu| list[task].borrow().sum_term(mu, rank_reduced);
+        let rank = list[0].borrow().rank();
+        transform_sum_accumulate_group(sources, rank, term, scratch, &mut rs[done..]);
     }
     rs
 }
@@ -338,6 +414,108 @@ mod tests {
         let r = execute_tasks(&[task], false, &mut scratch);
         let want = &*s * 5.0;
         assert!(r[0].distance(&want) < 1e-12);
+    }
+
+    /// A slice as the Apply pipeline hands `execute_tasks` one: interior
+    /// sources on one task list, a boundary source between them on a
+    /// shorter list that shares some of its tables, a source whose terms
+    /// have another rank, and a run of interior sources longer than
+    /// `S_MAX`. Each stack group is what the lists say, and every result,
+    /// in task order, is bit for bit that task's own call — exact and
+    /// rank-reduced.
+    #[test]
+    fn stacked_sources_match_one_call_per_task() {
+        let k = 4;
+        let tensor = |seed: usize, shape: Shape| {
+            Tensor::from_fn(shape, |ix| {
+                let ix = ix.iter().fold(seed, |acc, &i| acc * 7 + i);
+                ((ix as f64) * 0.37).sin()
+            })
+        };
+        let blocks: Vec<Arc<Tensor>> = (0..6)
+            .map(|b| Arc::new(tensor(100 + b, Shape::matrix(k, k))))
+            .collect();
+        // Table `j` of rank `rank`: its first block is shared, its later
+        // ones move with `j`, as neighbouring displacements' do.
+        let table = |j: usize, rank: usize| {
+            let term = |mu: usize| TransformTerm {
+                coeff: 1.0 / (mu + 1) as f64,
+                hs: [mu, mu + j / 2, mu + j]
+                    .iter()
+                    .map(|&b| HBlock::new(b as u64, Arc::clone(&blocks[b % 6])))
+                    .collect(),
+                effective_ranks: Some(vec![4, 3, 1 + (j + mu) % 4]),
+            };
+            Arc::new((0..rank).map(term).collect::<Vec<_>>())
+        };
+        let interior: Vec<_> = (0..5).map(|j| table(j, 3)).collect();
+        let boundary = [0, 2, 4].map(|j| Arc::clone(&interior[j]));
+        let other_rank: Vec<_> = (0..5).map(|j| table(j, 2)).collect();
+        let source = |list: &[Arc<Vec<TransformTerm>>], seed: usize| {
+            let s = Arc::new(tensor(seed, Shape::cube(3, k)));
+            list.iter()
+                .map(|terms| TransformTask {
+                    d: 3,
+                    k,
+                    s: Some(Arc::clone(&s)),
+                    terms: Arc::clone(terms),
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut batch = Vec::new();
+        for seed in 0..3 {
+            batch.extend(source(&interior, seed));
+        }
+        batch.extend(source(&boundary, 3));
+        batch.extend(source(&interior, 4));
+        batch.extend(source(&other_rank, 5));
+        for seed in 6..6 + S_MAX + 2 {
+            batch.extend(source(&interior, seed));
+        }
+        let groups: Vec<usize> = stack_groups(&batch, false).map(<[_]>::len).collect();
+        assert_eq!(groups, [3 * 5, 3, 5, 5, S_MAX * 5, 2 * 5]);
+
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = TransformScratch::new();
+        for rank_reduced in [false, true] {
+            let stacked = execute_tasks(&batch, rank_reduced, &mut scratch);
+            assert_eq!(stacked.len(), batch.len());
+            for (ix, (task, r)) in batch.iter().zip(&stacked).enumerate() {
+                let alone = execute_tasks(&[task], rank_reduced, &mut scratch);
+                assert_eq!(
+                    bits(r),
+                    bits(&alone[0]),
+                    "task {ix}, rank_reduced {rank_reduced}"
+                );
+            }
+        }
+    }
+
+    /// An open last run joins the group before it while its tasks so far
+    /// are a prefix of the group's list; a shut one, a longer one or one
+    /// off the list does not.
+    #[test]
+    fn an_open_last_run_joins_a_group_it_may_complete() {
+        let terms: Vec<_> = (0..3).map(|_| Arc::new(Vec::new())).collect();
+        let source = |n: usize, first: usize| {
+            let s = Arc::new(Tensor::zeros(Shape::cube(3, 4)));
+            (first..first + n)
+                .map(|j| TransformTask {
+                    d: 3,
+                    k: 4,
+                    s: Some(Arc::clone(&s)),
+                    terms: Arc::clone(&terms[j % 3]),
+                })
+                .collect::<Vec<_>>()
+        };
+        let lens = |tasks: &[TransformTask], open| -> Vec<usize> {
+            stack_groups(tasks, open).map(<[_]>::len).collect()
+        };
+        let with = |last: Vec<TransformTask>| [source(3, 0), last].concat();
+        assert_eq!(lens(&with(source(2, 0)), true), [5]);
+        assert_eq!(lens(&with(source(2, 0)), false), [3, 2]);
+        assert_eq!(lens(&with(source(2, 1)), true), [3, 2]);
+        assert_eq!(lens(&with(source(4, 0)), true), [3, 4]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the `#[global_allocator]` swap and the process-global table install
 //! cannot perturb other tests.
 
-use madness_gpusim::kernel::execute_tasks;
+use madness_gpusim::kernel::{execute_tasks, S_MAX};
 use madness_gpusim::{HBlock, TransformTask, TransformTerm};
 use madness_tensor::{Shape, Tensor, TransformScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -145,6 +145,42 @@ fn autotuned_table_adds_zero_steady_state_allocations() {
                 "round {round}: a k = {} rank-{} task allocated {allocs} times in steady state",
                 task.k,
                 task.rank()
+            );
+        }
+    }
+
+    // A stack group's buffers — the interleaved staging copy and every
+    // per-pass intermediate, `S` times one source's — reach theirs once
+    // as well: after one group of `S_MAX` k = 4 sources on one task list,
+    // smaller groups and a source alone allocate their results (a tensor
+    // each) and the result `Vec`, nothing else.
+    let list = full_task_of_order(4, 37);
+    let stacked: Vec<TransformTask> = (0..S_MAX)
+        .map(|j| TransformTask {
+            s: Some(Arc::new(Tensor::from_fn(Shape::cube(3, 4), |ix| {
+                (j + ix[0] + 2 * ix[1] + 3 * ix[2]) as f64 * 0.1
+            }))),
+            ..list.clone()
+        })
+        .collect();
+    execute_tasks(&stacked, false, &mut scratch);
+    for round in 0..2 {
+        for n in [S_MAX, 2, 1, 5] {
+            let group = &stacked[..n];
+            let allocs = (0..5)
+                .map(|_| {
+                    let before = ALLOCS.load(Ordering::Relaxed);
+                    let r = execute_tasks(group, false, &mut scratch);
+                    let after = ALLOCS.load(Ordering::Relaxed);
+                    drop(r);
+                    after - before
+                })
+                .min()
+                .unwrap();
+            assert_eq!(
+                allocs,
+                n as u64 + 1,
+                "round {round}: a stack of {n} sources allocated {allocs} times in steady state"
             );
         }
     }

@@ -211,7 +211,9 @@ impl TwoScale {
             krs: None,
         };
         let mut pushes = vec![Tensor::zeros(s.shape()); 1 << d];
-        Workspace::with(|ws| transform_sum_accumulate_group(s, 1, term, ws.scratch(), &mut pushes));
+        Workspace::with(|ws| {
+            transform_sum_accumulate_group(&[s], 1, term, ws.scratch(), &mut pushes)
+        });
         for t in 0..pushes.len() {
             if t < child(t) {
                 pushes.swap(t, child(t));

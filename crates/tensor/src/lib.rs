@@ -32,8 +32,10 @@
 //!   (4 + 10 of a source's 2 × 27 leading passes per term are), and
 //!   tasks whose stacked operands are identical share their fused final
 //!   span (10 of a source's 27 per chunk of terms: an AVX body at
-//!   k = 4, a packed AVX-512 body at k = 10), bit for bit the one-task
-//!   results;
+//!   k = 4, a packed AVX-512 body at k = 10) — and over `S` sources
+//!   running one task list, stacked with the source index innermost so
+//!   that they share every leading span and every per-term step; bit for
+//!   bit the one-task results;
 //! * [`kernel`] — the per-`(d, k)` autotuned kernel table: candidate span
 //!   kernels (runtime-width scalar, const-width scalar, row-blocked AVX
 //!   — with AVX-512 fans at width 10 — where the host has it,

@@ -20,6 +20,7 @@ use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::MAX_DIMS;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Reusable scratch buffers for [`transform`]-family calls.
 ///
@@ -44,9 +45,10 @@ pub struct TransformScratch {
     panel: Vec<f64>,
 }
 
-/// Budget, in `f64`s, for the stack of last-pass intermediates a chunk
-/// of terms builds before its fused final span: 32 KiB, so the stack
-/// the span streams as its `A` operand is still in L1 when it runs.
+/// Budget, in `f64`s, for one source's stack of last-pass intermediates
+/// a chunk of terms builds before its fused final span: 32 KiB, so the
+/// rows a source's span streams as its `A` operand are still in L1 when
+/// it runs (a group of `S` sources stacks `S` such budgets side by side).
 /// Tasks whose single intermediate exceeds it run one term per chunk.
 const STACK_ELEMS: usize = 4096;
 
@@ -245,7 +247,7 @@ pub fn transform_sum_accumulate<'a, I>(
     I: IntoIterator<Item = &'a Tensor>,
 {
     let outs = std::slice::from_mut(out);
-    transform_sum_accumulate_group(t, n_terms, |_, mu| term(mu), scratch, outs);
+    transform_sum_accumulate_group(&[t], n_terms, |_, mu| term(mu), scratch, outs);
 }
 
 /// The one-term, one-task case of [`transform_sum_accumulate_group`]
@@ -266,26 +268,41 @@ fn one_term(
     transform_sum_accumulate(t, 1, term, scratch, out);
 }
 
-/// The staging copy `dst = coeff · t`, folding the separated-expansion
-/// coefficient into the operand of the first pass: the same elementwise
-/// product as materializing a scaled temporary, so results stay
-/// bit-identical.
-fn stage(coeff: f64, t: &Tensor, dst: &mut [f64]) {
-    for (x, &s) in dst.iter_mut().zip(t.as_slice()) {
-        *x = coeff * s;
+/// The staging copy `dst = coeff · t` of every source, interleaved with
+/// the source index innermost (`dst[x·S + s] = coeff · t_s[x]`), folding
+/// the separated-expansion coefficient into the operand of the first
+/// pass: the same elementwise product as materializing a scaled
+/// temporary, so results stay bit-identical.
+fn stage(coeff: f64, sources: &[&Tensor], dst: &mut [f64]) {
+    let n = sources.len();
+    for (s, t) in sources.iter().enumerate() {
+        if n == 1 {
+            // The contiguous copy vectorizes; a strided one does not.
+            for (x, &v) in dst.iter_mut().zip(t.as_slice()) {
+                *x = coeff * v;
+            }
+        } else {
+            for (row, &v) in dst.chunks_exact_mut(n).zip(t.as_slice()) {
+                row[s] = coeff * v;
+            }
+        }
     }
 }
 
-/// Geometry of pass `p`, fixed for the task: it contracts the current
-/// leading dimension (`dimk` rows of the `(dimk, dimi)` intermediate)
-/// with a `(dimk, dimj)` block and rotates the new extent to the end.
+/// Geometry of pass `p`, fixed for the group: it contracts the current
+/// leading dimension (`dimk` rows of the `(dimk, dimi)` intermediate of
+/// every source, stacked) with a `(dimk, dimj)` block and rotates the new
+/// extent to the end.
 #[derive(Clone, Copy)]
 struct Pass {
     dimk: usize,
+    /// Rows of all the group's sources: `S` times one source's.
     dimi: usize,
     dimj: usize,
     /// Row tile for a full-rank pass (see [`kernel::pass_tile_rows`]).
     tile: usize,
+    /// Resolved on one source's shape `(dimi / S, dimj)`, the calibrated
+    /// entry, whose dispatch counter each span bumps once.
     kernel: SpanKernel,
 }
 
@@ -307,34 +324,61 @@ impl Pass {
         }
     }
 
-    /// The fused final pass of a fan: `outs[g] += A · B_g` over `kr`
-    /// contraction rows of the shared operand `a`, with `B_g` the `kr`
-    /// rows at region `g` of `panel`. Row tiles as in [`Pass::run`];
-    /// each tile is one span for every output where the kernel has a
-    /// body that wide.
-    fn run_fan(&self, kr: usize, a: &[f64], panel: &[f64], region: usize, outs: &mut [Tensor]) {
-        let (dimi, dimj, n) = (self.dimi, self.dimj, outs.len());
-        let tile = kernel::pass_tile_rows(dimi, dimj, kr);
-        let a = &a[..kr * dimi];
+    /// The fused final pass of a fan, for every source: `outs[s][g] +=
+    /// A_s · B_g` over `kr` contraction rows of the shared operand `a`,
+    /// with `A_s` source `s`'s row block of it, `outs[s]` that source's
+    /// outputs of the fan and `B_g` the `kr` rows at region `g` of
+    /// `panel`. Each source's rows go straight into its own outputs, in
+    /// row tiles as in [`Pass::run`]; each tile is one span for every
+    /// output where the kernel has a body that wide.
+    fn run_fan<'o>(
+        &self,
+        kr: usize,
+        a: &[f64],
+        panel: &[f64],
+        region: usize,
+        outs: impl ExactSizeIterator<Item = &'o mut [Tensor]>,
+    ) {
+        let (dimj, rows) = (self.dimj, self.dimi / outs.len());
+        let tile = kernel::pass_tile_rows(rows, dimj, kr);
+        let a = &a[..kr * self.dimi];
         let bs: [&[f64]; FAN] = std::array::from_fn(|g| &panel[g * region..][..kr * dimj]);
-        let mut i0 = 0;
-        while i0 < dimi {
-            let i1 = (i0 + tile).min(dimi);
-            let mut cs: [&mut [f64]; FAN] = Default::default();
-            for (c, out) in cs.iter_mut().zip(outs.iter_mut()) {
-                *c = &mut out.as_mut_slice()[i0 * dimj..i1 * dimj];
+        for (s, outs) in outs.enumerate() {
+            let n = outs.len();
+            let mut r0 = 0;
+            while r0 < rows {
+                let r1 = (r0 + tile).min(rows);
+                let mut cs: [&mut [f64]; FAN] = Default::default();
+                for (c, out) in cs.iter_mut().zip(outs.iter_mut()) {
+                    *c = &mut out.as_mut_slice()[r0 * dimj..r1 * dimj];
+                }
+                let (i0, i1) = (s * rows + r0, s * rows + r1);
+                self.kernel
+                    .run_fan(self.dimi, i0, i1, dimj, kr, a, &bs[..n], &mut cs[..n]);
+                r0 = r1;
             }
-            self.kernel
-                .run_fan(dimi, i0, i1, dimj, kr, a, &bs[..n], &mut cs[..n]);
-            i0 = i1;
         }
     }
 }
 
-/// A *group* of [`transform_sum_accumulate`] tasks over one source
-/// tensor: `outs[task] += Σ_μ c_μ · transform(t, h^{(task,μ,·)})` for
-/// every task, each output bit-identical to its own one-task call.
-/// This is the one pass loop behind every `transform*` entry point.
+/// A *group* of [`transform_sum_accumulate`] tasks over `S` source
+/// tensors of one shape, every source running the same task list:
+/// `outs[s·T + task] += Σ_μ c_μ · transform(t_s, h^{(task,μ,·)})` for
+/// each source `s` and each of the `T = outs.len() / S` tasks (outputs
+/// source-major), each output bit-identical to its own one-task call.
+/// This is the one pass loop behind every `transform*` entry point; they
+/// and most callers pass one source.
+///
+/// The sources are *stacked*: the staging copy interleaves them with the
+/// source index innermost, `(n_1, …, n_d, S)`. Each pass moves the
+/// dimension it contracts to the end, so the source index rides through
+/// every pass — each pass is one `(n_p, S·rest)` operand, `S` times the
+/// rows of one source's — and comes out leading, `(S, m_1, …, m_d)`: the
+/// fused final pass runs each source's row block straight into that
+/// source's outputs. An element of a stacked pass is the same chain over
+/// the same values as in its own source's pass, so everything below
+/// holds per source, while all `S` share every leading span and every
+/// per-term step.
 ///
 /// The tasks of one Apply source differ only in their displacement, and
 /// consecutive displacements mostly keep their leading blocks, so the
@@ -368,17 +412,19 @@ impl Pass {
 /// instead of 27: `(0,0,0)` alone, eight `δz` triples and the
 /// `(0,0,±1)` pair.
 ///
-/// `term(task, μ)` is called once per pair: for each chunk of terms in
-/// order, for each task in order, for each `μ` of the chunk in order.
-/// With no outputs the call does nothing.
+/// `term(task, μ)` is called once per pair — whatever `S` is: for each
+/// chunk of terms in order, for each task in order, for each `μ` of the
+/// chunk in order. With no outputs the call does nothing.
 ///
-/// Allocation-free once `scratch` has reached its high-water size.
+/// Allocation-free once `scratch` has reached its high-water size (which
+/// grows with `S`).
 ///
 /// # Panics
-/// As [`transform_sum_accumulate`] for every task, and if the outputs
-/// differ in shape.
+/// As [`transform_sum_accumulate`] for every task, if the sources or the
+/// outputs differ in shape, and unless there is a source and the outputs
+/// are a whole number of tasks per source.
 pub fn transform_sum_accumulate_group<'a, I>(
-    t: &Tensor,
+    sources: &[&Tensor],
     n_terms: usize,
     term: impl FnMut(usize, usize) -> Term<'a, I>,
     scratch: &mut TransformScratch,
@@ -386,13 +432,13 @@ pub fn transform_sum_accumulate_group<'a, I>(
 ) where
     I: IntoIterator<Item = &'a Tensor>,
 {
-    group(t, n_terms, term, scratch, outs, kernel::resolve);
+    group(sources, n_terms, term, scratch, outs, kernel::resolve);
 }
 
 /// [`transform_sum_accumulate_group`] with the span kernel of each pass
 /// shape `(dimi, dimj)` from `resolve`.
 fn group<'a, I>(
-    t: &Tensor,
+    sources: &[&Tensor],
     n_terms: usize,
     mut term: impl FnMut(usize, usize) -> Term<'a, I>,
     scratch: &mut TransformScratch,
@@ -404,6 +450,20 @@ fn group<'a, I>(
     let Some(out) = outs.first() else {
         return;
     };
+    let (&t, n_src) = (
+        sources.first().expect("a group needs a source"),
+        sources.len(),
+    );
+    assert!(
+        outs.len().is_multiple_of(n_src),
+        "{} outputs are not one task list for each of {n_src} sources",
+        outs.len()
+    );
+    assert!(
+        sources.iter().all(|s| s.shape() == t.shape()),
+        "the sources of a group must share one shape"
+    );
+    let n_tasks = outs.len() / n_src;
     let d = t.ndim();
     assert_eq!(out.ndim(), d, "output rank must match the tensor's");
     let out_shape = out.shape();
@@ -412,8 +472,9 @@ fn group<'a, I>(
         "the outputs of a group must share one shape"
     );
 
-    // After pass p the intermediate has dims (n_{p+1}, …, n_d, m_1, …,
-    // m_p): pass p sees it as a (n_p, len / n_p) matrix.
+    // After pass p a source's intermediate has dims (n_{p+1}, …, n_d, m_1,
+    // …, m_p), and the stack's (n_{p+1}, …, n_d, S, m_1, …, m_p): pass p
+    // sees it as a (n_p, len / n_p) matrix.
     let pass_at = |p: usize, len: usize| {
         let dimk = t.shape().dim(p);
         let (dimi, dimj) = (len / dimk, out_shape.dim(p));
@@ -422,18 +483,29 @@ fn group<'a, I>(
             dimi,
             dimj,
             tile: kernel::pass_tile_rows(dimi, dimj, dimk),
-            kernel: resolve(dimi, dimj),
+            kernel: resolve(dimi / n_src, dimj),
         }
     };
-    let mut passes = [pass_at(0, t.len()); MAX_DIMS];
+    let mut passes = [pass_at(0, n_src * t.len()); MAX_DIMS];
     for p in 1..d {
         passes[p] = pass_at(p, passes[p - 1].dimi * passes[p - 1].dimj);
     }
     let last = passes[d - 1];
     let term_len = last.dimk * last.dimi;
-    let chunk = (STACK_ELEMS / term_len).clamp(1, n_terms.max(1));
+    // The budget holds one source's chunk, so a chunk has as many terms,
+    // and a source as many final spans, whatever `S` is.
+    let chunk = (STACK_ELEMS / (term_len / n_src)).clamp(1, n_terms.max(1));
     // The panel rows of one task's chunk, at most.
     let region = chunk * last.dimk * last.dimj;
+    // Each source's outputs of the tasks `fan`, source by source.
+    fn fans(
+        outs: &mut [Tensor],
+        n_tasks: usize,
+        fan: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = &mut [Tensor]> {
+        outs.chunks_mut(n_tasks)
+            .map(move |outs| &mut outs[fan.clone()])
+    }
 
     let TransformScratch {
         staged,
@@ -442,7 +514,7 @@ fn group<'a, I>(
         stack,
         panel,
     } = scratch;
-    grow(staged, t.len());
+    grow(staged, n_src * t.len());
     for (level, pass) in levels.iter_mut().zip(&passes[..d.saturating_sub(2)]) {
         grow(level, chunk * pass.dimi * pass.dimj);
     }
@@ -461,7 +533,7 @@ fn group<'a, I>(
         // The pending fan is tasks `fan..task`, task `fan + g` with its
         // panel in region `g`; each packs `fan_rows` contraction rows.
         let (mut fan, mut fan_rows) = (0, 0);
-        for task in 0..outs.len() {
+        for task in 0..n_tasks {
             // Contraction rows stacked so far, and the end of the stack
             // rows this task has rewritten.
             let (mut rows, mut rewritten) = (0, 0);
@@ -512,7 +584,7 @@ fn group<'a, I>(
                     let src = match below.last() {
                         Some(level) => &level[ix * src_len..][..src_len],
                         None => {
-                            stage(coeff, t, staged);
+                            stage(coeff, sources, staged);
                             &staged[..src_len]
                         }
                     };
@@ -521,7 +593,8 @@ fn group<'a, I>(
                             // The pending fan still reads the stack this
                             // task is about to rewrite: it runs first, and
                             // this task starts the next fan at region 0.
-                            last.run_fan(fan_rows, stack, panel, region, &mut outs[fan..task]);
+                            let outs = fans(outs, n_tasks, fan..task);
+                            last.run_fan(fan_rows, stack, panel, region, outs);
                             let g = (task - fan) * region;
                             panel.copy_within(g..g + rows * last.dimj, 0);
                             fan = task;
@@ -535,7 +608,7 @@ fn group<'a, I>(
                     pass.run(key.1, src, h.as_slice(), dst);
                 }
                 if d == 1 {
-                    stage(coeff, t, &mut stack[place]);
+                    stage(coeff, sources, &mut stack[place]);
                 }
                 *slot = Slot {
                     filled: true,
@@ -559,12 +632,14 @@ fn group<'a, I>(
             // The chunk's fused final pass: one (μ, k)-ascending chain
             // per output element, straight into each `out` of the fan.
             if d == 1 || task + 1 - fan == FAN {
-                last.run_fan(rows, stack, panel, region, &mut outs[fan..=task]);
+                let outs = fans(outs, n_tasks, fan..task + 1);
+                last.run_fan(rows, stack, panel, region, outs);
                 fan = task + 1;
             }
         }
-        if fan < outs.len() {
-            last.run_fan(fan_rows, stack, panel, region, &mut outs[fan..]);
+        if fan < n_tasks {
+            let outs = fans(outs, n_tasks, fan..n_tasks);
+            last.run_fan(fan_rows, stack, panel, region, outs);
         }
     }
 }
@@ -896,11 +971,38 @@ mod tests {
     /// each dimension (an index into the pool) and the rank reduction.
     type Task = Vec<(f64, Vec<usize>, Option<Vec<usize>>)>;
 
-    /// Runs `tasks` over `s` as one group call under every candidate
-    /// kernel and under the installed table, and checks each output
-    /// against the task's own one-task call, bit for bit.
+    /// The most sources [`check_group`] stacks.
+    const STACKED: usize = 8;
+
+    /// `n` sources of `s`'s shape for a stacked call: `s` itself, then
+    /// sources of their own values, source `j` with its own zero slabs
+    /// (±0) — slab `j mod n_d` of the last dimension and slab `j mod n_1`
+    /// of the first — so the stacked spans meet a different pattern of
+    /// zero coefficients in each source's rows, and a source whose zero
+    /// slab is not the one facing the panel's specials takes them in.
+    fn sources_like(s: &Tensor, n: usize) -> Vec<Tensor> {
+        let shape = s.shape();
+        let (first, last) = (shape.dim(0), shape.dim(s.ndim() - 1));
+        let slab_len = s.len() / first;
+        let own = |j: usize| {
+            let mut t = det_tensor(shape, 700 + j as u64);
+            for (ix, x) in t.as_mut_slice().iter_mut().enumerate() {
+                if ix % last == j % last || ix / slab_len == j % first {
+                    *x = if ix % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            t
+        };
+        std::iter::once(s.clone()).chain((1..n).map(own)).collect()
+    }
+
+    /// Runs `tasks` as one group call under every candidate kernel and
+    /// under the installed table, over `s` alone and then stacked over
+    /// `S` = 2..=8 distinct sources (`s` and [`sources_like`] it), and
+    /// checks each source's output of each task against that task's own
+    /// one-task call on that source, bit for bit.
     fn check_group(s: &Tensor, pool: &[Tensor], tasks: &[Task]) {
-        let n_terms = tasks[0].len();
+        let (n_terms, n_tasks) = (tasks[0].len(), tasks.len());
         let term = |task: usize, mu: usize| {
             let (coeff, hs, krs) = &tasks[task][mu];
             Term {
@@ -909,13 +1011,14 @@ mod tests {
                 krs: krs.as_deref(),
             }
         };
-        // Prior outputs (the source's shape: every block is square) with
-        // every special value in them.
-        let bases: Vec<Tensor> = (0..tasks.len())
-            .map(|task| {
-                let mut base = det_tensor(s.shape(), 500 + task as u64);
+        let sources = sources_like(s, STACKED);
+        // Prior outputs, source-major (the source's shape: every block
+        // is square) with every special value in them.
+        let bases: Vec<Tensor> = (0..STACKED * n_tasks)
+            .map(|out| {
+                let mut base = det_tensor(s.shape(), 500 + out as u64);
                 for (ix, x) in base.as_mut_slice().iter_mut().enumerate().step_by(7) {
-                    *x = SPECIALS[(ix / 7 + task) % SPECIALS.len()];
+                    *x = SPECIALS[(ix / 7 + out) % SPECIALS.len()];
                 }
                 base
             })
@@ -924,18 +1027,34 @@ mod tests {
         let want: Vec<Tensor> = bases
             .iter()
             .enumerate()
-            .map(|(task, base)| {
+            .map(|(out, base)| {
+                let (source, task) = (&sources[out / n_tasks], out % n_tasks);
                 let mut out = base.clone();
-                transform_sum_accumulate(s, n_terms, |mu| term(task, mu), &mut scratch, &mut out);
+                let term = |mu| term(task, mu);
+                transform_sum_accumulate(source, n_terms, term, &mut scratch, &mut out);
                 out
             })
             .collect();
+        let sources: Vec<&Tensor> = sources.iter().collect();
         for (pick, resolve) in PINNED.into_iter().chain([kernel::resolve as _]).enumerate() {
-            let mut outs = bases.clone();
-            group(s, n_terms, term, &mut scratch, &mut outs, resolve);
-            for (task, (got, want)) in outs.iter().zip(&want).enumerate() {
-                let same = kernel::same_bits(got.as_slice(), want.as_slice());
-                assert!(same, "kernel {pick}, task {task}");
+            for n_src in 1..=STACKED {
+                let mut outs = bases[..n_src * n_tasks].to_vec();
+                group(
+                    &sources[..n_src],
+                    n_terms,
+                    term,
+                    &mut scratch,
+                    &mut outs,
+                    resolve,
+                );
+                for (out, (got, want)) in outs.iter().zip(&want).enumerate() {
+                    let (source, task) = (out / n_tasks, out % n_tasks);
+                    let same = kernel::same_bits(got.as_slice(), want.as_slice());
+                    assert!(
+                        same,
+                        "kernel {pick}, {n_src} sources: source {source}, task {task}"
+                    );
+                }
             }
         }
     }
@@ -1093,6 +1212,74 @@ mod tests {
             })
             .collect();
         check_group(&s, &pool, &tasks);
+    }
+
+    /// A final pass too tall for one tile runs each source's row block
+    /// in tiles of its own: at `(100, 200) × 200` a tile is 80 rows, so
+    /// every source's block is two spans, the second starting mid-block.
+    #[test]
+    fn a_stacked_final_pass_tiles_inside_each_sources_rows() {
+        let (ins, outs) = ([2, 200], [100, 200]);
+        assert_eq!(kernel::pass_tile_rows(outs[0], outs[1], ins[1]), 80);
+        let s = det_tensor(Shape::new(&ins), 31);
+        let pool: Vec<Tensor> = (0..2)
+            .map(|p| det_tensor(Shape::matrix(ins[p], outs[p]), 32 + p as u64))
+            .collect();
+        let term = |_, _| Term {
+            coeff: 0.5,
+            hs: pool.iter(),
+            krs: None,
+        };
+        let sources = sources_like(&s, 3);
+        let mut scratch = TransformScratch::new();
+        let want: Vec<Tensor> = sources
+            .iter()
+            .map(|source| {
+                let mut out = det_tensor(Shape::new(&outs), 33);
+                transform_sum_accumulate(source, 1, |mu| term(0, mu), &mut scratch, &mut out);
+                out
+            })
+            .collect();
+        let mut got = vec![det_tensor(Shape::new(&outs), 33); 3];
+        let sources: Vec<&Tensor> = sources.iter().collect();
+        transform_sum_accumulate_group(&sources, 1, term, &mut scratch, &mut got);
+        for (source, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                kernel::same_bits(got.as_slice(), want.as_slice()),
+                "source {source}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "5 outputs are not one task list for each of 2 sources")]
+    fn outputs_that_are_not_whole_task_lists_panic() {
+        let t = Tensor::zeros(Shape::cube(2, 3));
+        let h = Tensor::identity(3);
+        let term = |_, _| Term {
+            coeff: 1.0,
+            hs: [&h, &h],
+            krs: None,
+        };
+        let mut outs = vec![t.clone(); 5];
+        transform_sum_accumulate_group(&[&t, &t], 1, term, &mut TransformScratch::new(), &mut outs);
+    }
+
+    #[test]
+    #[should_panic(expected = "the sources of a group must share one shape")]
+    fn sources_of_two_shapes_panic() {
+        let (t, u) = (
+            Tensor::zeros(Shape::cube(2, 3)),
+            Tensor::zeros(Shape::new(&[3, 2])),
+        );
+        let h = Tensor::identity(3);
+        let term = |_, _| Term {
+            coeff: 1.0,
+            hs: [&h, &h],
+            krs: None,
+        };
+        let mut outs = vec![t.clone(); 2];
+        transform_sum_accumulate_group(&[&t, &u], 1, term, &mut TransformScratch::new(), &mut outs);
     }
 
     #[test]

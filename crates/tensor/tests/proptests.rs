@@ -724,7 +724,7 @@ mod task_kernel {
 
             let mut scratch = TransformScratch::new();
             let mut grouped = bases.clone();
-            transform_sum_accumulate_group(&s, n_terms, term, &mut scratch, &mut grouped);
+            transform_sum_accumulate_group(&[&s], n_terms, term, &mut scratch, &mut grouped);
 
             for (task, base) in bases.iter().enumerate() {
                 let mut single = base.clone();
@@ -751,6 +751,105 @@ mod task_kernel {
                 );
             }
         }
+
+        /// A stacked group call equals one `transform_sum_accumulate`
+        /// call per source and task, bit for bit: `S` = 1 to 8 sources of
+        /// one cube shape (d = 2 or 3; k = 4 or 10, the widths with fan
+        /// bodies), each with its own random zero pattern — ±0 slabs of
+        /// the first and last dimensions, each there or not, and
+        /// scattered zeros, NaN and ±∞ — over one task list whose blocks
+        /// come from a radius-1 pool in sorted order, as Apply's
+        /// displacements do, with term counts about the chunk length and
+        /// ranks exact, uniformly reduced or reduced per block.
+        #[test]
+        fn stacked_group_equals_one_source_calls_bit_for_bit(
+            n_src in 1usize..9,
+            d in 2usize..4,
+            wide in any::<bool>(),
+            n_tasks in 1usize..9,
+            terms_at in 0usize..4,
+            kr_mode in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xorshift::new(seed);
+            let k = if wide { 10 } else { 4 };
+            let shape = Shape::cube(d, k);
+            let chunk = (4096 / shape.len()).max(1);
+            let n_terms = [1, chunk, chunk + 1, 1 + rng.below(2 * chunk + 1)][terms_at].min(60);
+            let slab_len = shape.len() / k;
+            let sources: Vec<Tensor> = (0..n_src)
+                .map(|_| {
+                    let mut t = Tensor::from_fn(shape, |_| rng.value(23));
+                    let first = (rng.below(2) == 0).then(|| rng.below(k));
+                    let last = (rng.below(2) == 0).then(|| rng.below(k));
+                    for (ix, x) in t.as_mut_slice().iter_mut().enumerate() {
+                        if first == Some(ix / slab_len) || last == Some(ix % k) {
+                            *x = if ix % 2 == 0 { 0.0 } else { -0.0 };
+                        }
+                    }
+                    t
+                })
+                .collect();
+            // blocks[mu][p][δ], with the rows a rank-reduced pass keeps.
+            let blocks: Vec<Vec<Vec<(Tensor, usize)>>> = (0..n_terms)
+                .map(|_| {
+                    (0..d)
+                        .map(|_| {
+                            (0..3)
+                                .map(|_| {
+                                    let h = Tensor::from_fn(Shape::matrix(k, k), |_| rng.value(23));
+                                    (h, 1 + rng.below(k))
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let coeffs: Vec<f64> = (0..n_terms).map(|_| rng.value(usize::MAX) * 4.0).collect();
+            let uniform: Vec<usize> = (0..d).map(|_| 1 + rng.below(k)).collect();
+            let mut picks: Vec<Vec<usize>> = (0..n_tasks)
+                .map(|_| (0..d).map(|_| rng.below(3)).collect())
+                .collect();
+            picks.sort();
+            let krs: Vec<Vec<Vec<usize>>> = picks
+                .iter()
+                .map(|pick| {
+                    (0..n_terms)
+                        .map(|mu| (0..d).map(|p| blocks[mu][p][pick[p]].1).collect())
+                        .collect()
+                })
+                .collect();
+            let (blocks, picks) = (&blocks, &picks);
+            let term = |task: usize, mu: usize| Term {
+                coeff: coeffs[mu],
+                hs: (0..d).map(move |p| &blocks[mu][p][picks[task][p]].0),
+                krs: match kr_mode {
+                    0 => None,
+                    1 => Some(&uniform[..]),
+                    _ => Some(&krs[task][mu][..]),
+                },
+            };
+            let bases: Vec<Tensor> = (0..n_src * n_tasks)
+                .map(|_| Tensor::from_fn(shape, |_| rng.value(usize::MAX)))
+                .collect();
+
+            let sources: Vec<&Tensor> = sources.iter().collect();
+            let mut scratch = TransformScratch::new();
+            let mut stacked = bases.clone();
+            transform_sum_accumulate_group(&sources, n_terms, term, &mut scratch, &mut stacked);
+
+            for (out, base) in bases.iter().enumerate() {
+                let (source, task) = (out / n_tasks, out % n_tasks);
+                let mut single = base.clone();
+                let term = |mu| term(task, mu);
+                transform_sum_accumulate(sources[source], n_terms, term, &mut scratch, &mut single);
+                prop_assert!(
+                    same_bits(stacked[out].as_slice(), single.as_slice()),
+                    "source {} of {}, task {} of {} diverged from its one-task call: d {} k {} terms {} kr_mode {}",
+                    source, n_src, task, n_tasks, d, k, n_terms, kr_mode
+                );
+            }
+        }
     }
 
     /// A rank-3 cube source, `n` blocks per dimension and a base output.
@@ -771,7 +870,7 @@ mod task_kernel {
         let term = |_, _| -> Term<'_, std::iter::Empty<&Tensor>> {
             panic!("no task, no term");
         };
-        transform_sum_accumulate_group(&s, 5, term, &mut scratch, &mut []);
+        transform_sum_accumulate_group(&[&s], 5, term, &mut scratch, &mut []);
     }
 
     #[test]
@@ -784,7 +883,7 @@ mod task_kernel {
         };
         let mut scratch = TransformScratch::new();
         let mut grouped = [base.clone()];
-        transform_sum_accumulate_group(&s, 2, term, &mut scratch, &mut grouped);
+        transform_sum_accumulate_group(&[&s], 2, term, &mut scratch, &mut grouped);
         let mut reference = base;
         for mu in 0..2 {
             let term = TaskTerm {
@@ -808,7 +907,7 @@ mod task_kernel {
             krs: None,
         };
         let mut outs = [base.clone(), base];
-        transform_sum_accumulate_group(&s, 1, term, &mut TransformScratch::new(), &mut outs);
+        transform_sum_accumulate_group(&[&s], 1, term, &mut TransformScratch::new(), &mut outs);
     }
 
     /// Blocks are told apart by address, never by value: two tensors
@@ -826,7 +925,7 @@ mod task_kernel {
         };
         let mut scratch = TransformScratch::new();
         let mut grouped = [base.clone(), base.clone()];
-        transform_sum_accumulate_group(&s, 1, term, &mut scratch, &mut grouped);
+        transform_sum_accumulate_group(&[&s], 1, term, &mut scratch, &mut grouped);
         let mut single = base;
         transform_sum_accumulate(&s, 1, |mu| term(0, mu), &mut scratch, &mut single);
         assert!(same_bits(grouped[0].as_slice(), single.as_slice()));
