@@ -1,9 +1,11 @@
-//! The shared leading passes and fanned final spans, pinned as a count:
-//! how many span dispatches an Apply pass issues when one source's
-//! displacement tasks run side by side, against the same pass with every
-//! task alone — on the `Cpu`, `Gpu` and `Hybrid` paths, which run one job
-//! stream: the split only prices, so each issues the `Cpu` pass's spans.
-//! A count, not a time — it repeats exactly, whatever the pool does.
+//! The shared leading passes, fanned final spans and stacked sources,
+//! pinned as a count: how many span dispatches an Apply pass issues when
+//! one source's displacement tasks run side by side (the walk), and when
+//! same-level sources with identical task lists are stacked as well (the
+//! batched pass), against the same pass with every task alone — on the
+//! `Cpu`, `Gpu` and `Hybrid` paths, which run one job stream: the split
+//! only prices, so each issues the `Cpu` pass's spans. A count, not a
+//! time — it repeats exactly, whatever the pool does.
 //! Runs as its own integration binary (and as one test) because it
 //! flips the process-wide kernel table's counting switch.
 
@@ -35,10 +37,24 @@ const LEADING: u64 = 318_512;
 /// with 18 live neighbours 144 × 7 + 72 × 10; with 12, 6 × 4 + 18 × 5
 /// + 48 × 7; with 8, 2 × 4 + 6 × 5.
 const FANS: u64 = 440 * 10 + 144 * 7 + 72 * 10 + 6 * 4 + 18 * 5 + 48 * 7 + 2 * 4 + 6 * 5;
-/// The Apply's own spans with every source's tasks side by side: the
-/// walk's one group call a source, and the batched pass's whenever no
-/// chunk cuts a source.
+/// The Apply's own spans with every source's tasks side by side, one
+/// source at a time: the walk's one group call a source.
 const APPLY: u64 = LEADING + FANS;
+/// The leading spans of the batched Apply, which stacks same-level
+/// sources whose task lists are identical, up to `S_MAX` = 8 a group
+/// call (`gpusim::kernel::stack_groups`): a group runs its list's leading
+/// spans once for all its sources, 34 × the list's leading passes a
+/// term (14 for an interior source). In key order the tree's 736 sources
+/// form 224 groups. By leading passes a term:
+/// - 14: 140 groups — the 440 interior sources, in one run of 256 (32
+///   groups of 8), 28 runs of 6 and 8 of 2, and 72 sources alone with
+///   18 live neighbours;
+/// - 11: 36; 10: 18; 9: 18; 8: 6; 7: 3; 6: 3 — boundary sources, alone or
+///   in runs of 6 along a face.
+const STACKED_LEADING: u64 = 34 * (140 * 14 + 36 * 11 + 18 * 10 + 18 * 9 + 6 * 8 + 3 * 7 + 3 * 6);
+/// The batched Apply's own spans whenever no chunk cuts a stack group:
+/// the final spans stay one a fan for each source.
+const STACKED: u64 = STACKED_LEADING + FANS;
 /// `sum_down`'s spans on the result: 2 + 4 + 4 a node it pushes through
 /// (on the calibrated (16, 4) shape, like the Apply's) — the 8 children
 /// are 4 fans of two, siblings in the last dimension.
@@ -46,14 +62,19 @@ const SUM_DOWN: u64 = 144 * (2 + 4 + 4);
 /// The batched pass at `max_batch = 60`, `sum_down` included: the
 /// end-of-run drain hands over each level's remainder after the next
 /// level has started, so the pending run is spawned whole wherever that
-/// remainder begins — inside a source, where leading passes run again
-/// (three a term here) and the fan the cut lands in splits in two (one
-/// more final span). At 16 those cuts happen to cost none.
-const BATCH_60: u64 = APPLY + SUM_DOWN + 3 * 34 + 1;
+/// remainder begins. One cut lands inside the last source of a group of
+/// eight interior sources: its two parts run three leading passes a term
+/// more than it does whole, the rest of its group runs the list's 14
+/// again without it, and the fan the cut lands in splits in two (one
+/// more final span). The other cuts a corner source between its `δx`
+/// halves, which costs none; at 16 the cuts happen to cost none.
+const BATCH_60: u64 = STACKED + SUM_DOWN + (3 + 14) * 34 + 1;
 // The control is arithmetic — every task alone — and sharing saves more
 // than half of it; before fans each task had its own final span.
+// Stacking saves two thirds of what is left.
 const _: () = assert!(LEADING + TASKS == 335_208 && FANS == 6_616);
 const _: () = assert!(ALONE * TASKS == 1_152_024 && 2 * APPLY <= ALONE * TASKS);
+const _: () = assert!(STACKED_LEADING == 94_690 && 3 * STACKED <= APPLY);
 
 /// Span dispatches `f` issues on the calibrated shapes.
 fn dispatches(table: &KernelTable, f: impl FnOnce()) -> u64 {
@@ -110,23 +131,22 @@ fn a_sources_tasks_share_their_leading_passes() {
     assert_eq!(dispatches(table, || sum_down(&mut result)), SUM_DOWN);
 
     // An interior source needs 4 + 10 of its 2 × 27 leading passes a
-    // term, a corner source 2 + 4 of 2 × 8. Chunks span flushes and are
-    // cut only where the source changes, so one task a batch shares
-    // exactly as much as sixteen do — and as the walk. The dispatcher
-    // thread alone cuts the chunks, so the values hold under any pool.
+    // term, a corner source 2 + 4 of 2 × 8 — and the walk, one source at
+    // a time, runs exactly those. The batched pass stacks: chunks span
+    // flushes and are cut only between stack groups, so one task a batch
+    // shares exactly as much as sixteen do. The dispatcher thread alone
+    // cuts the chunks, so the values hold under any pool.
+    let walk = dispatches(table, || drop(apply_cpu_reference(&op, &tree)));
+    assert_eq!(walk, APPLY + SUM_DOWN);
     let (b1, tasks) = batched(1);
     assert_eq!(tasks, TASKS);
     let (b16, _) = batched(16);
     let (b60, _) = batched(60);
-    let walk = dispatches(table, || drop(apply_cpu_reference(&op, &tree)));
-    assert_eq!(
-        (b1, b16, walk),
-        (APPLY + SUM_DOWN, APPLY + SUM_DOWN, APPLY + SUM_DOWN)
-    );
+    assert_eq!((b1, b16), (STACKED + SUM_DOWN, STACKED + SUM_DOWN));
     assert_eq!(b60, BATCH_60);
 
     // The device's share is only priced: its tasks join the same pending
-    // run in task order, so neither a flush nor a split cuts a source.
+    // run in task order, so neither a flush nor a split cuts a group.
     let gpu = [1, 16, 60].map(|b| batched_on(ApplyResource::Gpu, b).0);
     assert_eq!(gpu, [b1, b16, b60]);
     let hybrid = [16, 60].map(|b| batched_on(ApplyResource::Hybrid, b).0);
