@@ -125,8 +125,8 @@ pub const S_MAX: usize = 8;
 /// The most source elements one stack group holds: `S_MAX` `k = 4`,
 /// `d = 3` cubes (4 KiB). Stacking pays where one source's spans are too
 /// short to carry their set-up; a `k = 10` cube (1,000 elements) is
-/// never stacked, since its spans are not, and at `S = 8` each pass's
-/// stacked intermediate left L1 and `apply-k10` ran ≈ 5 % slower.
+/// never stacked, since its spans are not: stacking 2 to 8 of them
+/// measured no faster, and a stacked intermediate outgrows L1.
 const STACK_LEN: usize = S_MAX * 64;
 
 /// How many of `tasks` the first *run* holds: consecutive tasks of one
@@ -162,19 +162,19 @@ pub fn stack_groups<T: Borrow<TransformTask>>(
     open: bool,
 ) -> impl Iterator<Item = &[T]> {
     std::iter::from_fn(move || {
-        let list = run_len(tasks);
-        if list == 0 {
+        let list_len = run_len(tasks);
+        if list_len == 0 {
             return None;
         }
         let first = tasks[0].borrow();
         let most = S_MAX.min(STACK_LEN / first.k.pow(first.d as u32)).max(1);
-        let mut len = list;
-        while len < most * list {
+        let mut len = list_len;
+        while len < most * list_len {
             let next = &tasks[len..];
             let run = run_len(next);
-            let fits = run == list || (open && run == next.len() && (1..list).contains(&run));
+            let open_run = open && run == next.len() && (1..list_len).contains(&run);
             let same_terms = |(a, b): (&T, &T)| Arc::ptr_eq(&a.borrow().terms, &b.borrow().terms);
-            if !fits || !tasks[..list].iter().zip(&next[..run]).all(same_terms) {
+            if !(run == list_len || open_run) || !tasks.iter().zip(&next[..run]).all(same_terms) {
                 break;
             }
             len += run;
