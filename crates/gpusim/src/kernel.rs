@@ -122,12 +122,12 @@ pub fn kernel_cost(spec: &DeviceSpec, kind: KernelKind, task: &TransformTask) ->
 /// `Cpu` pass over 2, 4, 6 and 8: 8 was the fastest, 4 and 6 within 5 %.
 pub const S_MAX: usize = 8;
 
-/// The most source elements one stack group holds: `S_MAX` `k = 4`,
-/// `d = 3` cubes (4 KiB). Stacking pays where one source's spans are too
-/// short to carry their set-up; a `k = 10` cube (1,000 elements) is
-/// never stacked, since its spans are not: stacking 2 to 8 of them
-/// measured no faster, and a stacked intermediate outgrows L1.
-const STACK_LEN: usize = S_MAX * 64;
+/// The largest source, in elements, that stacks: a `k = 4`, `d = 3`
+/// cube, the one size measured faster stacked (`apply-k4`, where one
+/// source's spans are too short to carry their set-up). A `k = 10` cube
+/// (1,000 elements) measured no faster stacked 2 to 8 deep, and no size
+/// between was measured, so a larger source is a group of its own.
+const STACK_SOURCE_LEN: usize = 64;
 
 /// How many of `tasks` the first *run* holds: consecutive tasks of one
 /// rank over one source ([`TransformTask::same_source`]). 0 if empty.
@@ -145,13 +145,14 @@ fn run_len<T: Borrow<TransformTask>>(tasks: &[T]) -> usize {
 
 /// `tasks` cut into *stack groups*, in order: a run and the runs right
 /// after it whose task lists are identical to its own — as long, with
-/// pointer-equal `terms` in the same order — up to [`S_MAX`] runs and
-/// `STACK_LEN` source elements. A term table depends only on (level,
-/// displacement), so the runs of a group are same-level sources with the
-/// same live displacements; a source with another list (a boundary
-/// source, with fewer live neighbours) is a group of its own.
-/// [`execute_tasks`] makes one group call a group, and the Apply pipeline
-/// cuts its chunks only between groups.
+/// pointer-equal `terms` in the same order — up to [`S_MAX`] runs, of
+/// sources of at most `STACK_SOURCE_LEN` elements (a larger source runs
+/// alone). A term table depends only on (level, displacement), so the
+/// runs of a group are same-level sources with the same live
+/// displacements; a source with another list (a boundary source, with
+/// fewer live neighbours) is a group of its own. [`execute_tasks`] makes
+/// one group call a group, and the Apply pipeline cuts its chunks only
+/// between groups.
 ///
 /// With `open`, the last run may still go on (a source whose tasks are
 /// not all there yet): it joins the group before it while its tasks so
@@ -167,7 +168,8 @@ pub fn stack_groups<T: Borrow<TransformTask>>(
             return None;
         }
         let first = tasks[0].borrow();
-        let most = S_MAX.min(STACK_LEN / first.k.pow(first.d as u32)).max(1);
+        let stacks = first.k.pow(first.d as u32) <= STACK_SOURCE_LEN;
+        let most = if stacks { S_MAX } else { 1 };
         let mut len = list_len;
         while len < most * list_len {
             let next = &tasks[len..];
@@ -516,6 +518,29 @@ mod tests {
         assert_eq!(lens(&with(source(2, 0)), false), [3, 2]);
         assert_eq!(lens(&with(source(2, 1)), true), [3, 2]);
         assert_eq!(lens(&with(source(4, 0)), true), [3, 4]);
+    }
+
+    /// Only sources of at most `STACK_SOURCE_LEN` elements stack: k = 4
+    /// and k = 8 in 2-D do, k = 5 (ScfApp's default) and k = 10 do not.
+    #[test]
+    fn only_small_sources_stack() {
+        let groups = |d: usize, k: usize| -> Vec<usize> {
+            let terms = Arc::new(Vec::new());
+            let tasks: Vec<_> = (0..3)
+                .map(|_| TransformTask {
+                    d,
+                    k,
+                    s: Some(Arc::new(Tensor::zeros(Shape::cube(d, k)))),
+                    terms: Arc::clone(&terms),
+                })
+                .collect();
+            stack_groups(&tasks, false).map(<[_]>::len).collect()
+        };
+        assert_eq!(groups(3, 4), [3]);
+        assert_eq!(groups(2, 8), [3]);
+        assert_eq!(groups(3, 5), [1, 1, 1]);
+        assert_eq!(groups(2, 10), [1, 1, 1]);
+        assert_eq!(groups(3, 10), [1, 1, 1]);
     }
 
     #[test]
