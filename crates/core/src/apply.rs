@@ -631,11 +631,14 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
 /// enough that queueing, waking and committing a chunk (a few µs) is
 /// noise against running it (at k = 4, rank 34, 52,224 FLOPs a task,
 /// the grain is 20 tasks, run on to the end of their last stack group —
-/// up to eight interior sources, 216 tasks; ≈ 119 a chunk on `apply-k4`
-/// — however many flushes they came in), small enough that kernel-bound
+/// however many flushes they came in), small enough that kernel-bound
 /// tasks (k = 10: ≈ 2 MFLOP each, never stacked, so every chunk is one
 /// source's run, at most 27 tasks and ≈ 4 ms) still spread over every
-/// worker.
+/// worker. A chunk may overshoot the grain by up to a whole group: at
+/// k = 4 a group of eight interior sources is 216 tasks, ≈ 11 MFLOP, so
+/// `apply-k4` runs ≈ 119 tasks a chunk, 159 chunks a pass. It was
+/// measured with two workers; whether that many chunks keep more
+/// workers busy was not.
 const CHUNK_FLOPS: u64 = 1_000_000;
 
 /// How many of `tasks` (a pending run; not empty) the next chunk takes:
