@@ -23,12 +23,14 @@
 //! spawns), with `Commit` as postprocess. Both produce identical trees.
 //!
 //! On the host, both hand one source's displacement tasks to the tensor
-//! crate side by side (`transform_sum_accumulate_group`): neighbouring
-//! displacements keep their leading `h` blocks, so 4 + 10 of the 54
-//! leading passes a source's 27 tasks make per term are run and the
-//! others reuse an intermediate already there, and the `δz` siblings,
-//! whose stacked last-pass operands are then identical, share one fused
-//! final span (10 spans instead of 27 a chunk of terms) — every task's
+//! crate side by side (`transform_sum_accumulate_group`): the operator
+//! lists displacements lexicographically, `δx` slowest — the order of
+//! the passes — so neighbouring tasks keep their leading `h` blocks, 3 + 9
+//! of the 54 leading passes a source's 27 tasks make per term are run
+//! (one a distinct `δx` and `(δx, δy)`) and the others reuse an
+//! intermediate already there, and the `δz` siblings, whose stacked
+//! last-pass operands are then identical, share one fused final span (9
+//! spans instead of 27 a chunk of terms) — every task's
 //! result bit for bit what it computes alone. The walk makes that call
 //! itself, one source at a time: it is the reference. The pipeline is
 //! the paper's batch: every chunk makes the call through
@@ -38,7 +40,7 @@
 //! depends only on (level, displacement), so such sources use the same
 //! blocks, coefficients and effective ranks — into one call. The stacked
 //! sources share every leading span and every per-term step, so an
-//! interior source's 476 leading spans at k = 4 are run once for up to
+//! interior source's 408 leading spans at k = 4 are run once for up to
 //! eight sources; boundary sources, with other lists, run alone.
 
 use madness_gpusim::kernel::{execute_tasks, kernel_cost, stack_groups};

@@ -39,13 +39,6 @@ pub struct Displacement {
     pub delta: Vec<i64>,
 }
 
-impl Displacement {
-    /// ∞-norm of the displacement.
-    pub fn linf(&self) -> i64 {
-        self.delta.iter().map(|d| d.abs()).max().unwrap_or(0)
-    }
-}
-
 /// Cache key for one 1-D operator block: (level, 1-D displacement, term).
 type HKey = (u8, i64, u32);
 
@@ -366,8 +359,12 @@ impl SeparatedConvolution {
     /// All displacements at the policy's level-0 behaviour (for a fixed
     /// policy this is the complete list; prefer
     /// [`SeparatedConvolution::displacements_at`] for level-aware
-    /// screening). Sorted by ∞-norm then lexicographically —
-    /// deterministic task order.
+    /// screening), in lexicographic order, `δ_1` slowest: the order of a
+    /// transform's passes, so a source's tasks run side by side in it
+    /// compute each distinct leading intermediate once a term (3 + 9 of
+    /// the 2 × 27 leading passes of a radius-1 box at d = 3) and fan every
+    /// `δ_d` triple. Screening filters this list whole, so nothing gains
+    /// from a distance order.
     pub fn displacements(&self) -> Vec<Displacement> {
         self.displacements_at(0).as_ref().clone()
     }
@@ -414,22 +411,25 @@ impl SeparatedConvolution {
         }
     }
 
-    /// The full ∞-norm-radius-`r` displacement box, sorted.
+    /// The full ∞-norm-radius-`r` displacement box in lexicographic order,
+    /// `δ_1` slowest and `δ_d` fastest. That is the order of a transform's
+    /// passes (pass `p` contracts dimension `p` with the block of `δ_p`),
+    /// so every prefix `(δ_1 … δ_p)` is contiguous: a group call runs each
+    /// distinct leading intermediate once a term, and the `δ_d` siblings
+    /// are adjacent for its fans.
     fn box_displacements(&self, r: i64) -> Vec<Displacement> {
-        let mut out = Vec::new();
         let side = (2 * r + 1) as usize;
-        let total = side.pow(self.d as u32);
-        for flat in 0..total {
-            let mut rem = flat;
-            let mut delta = Vec::with_capacity(self.d);
-            for _ in 0..self.d {
-                delta.push((rem % side) as i64 - r);
-                rem /= side;
-            }
-            out.push(Displacement { delta });
-        }
-        out.sort_by_key(|d| (d.linf(), d.delta.clone()));
-        out
+        (0..side.pow(self.d as u32))
+            .map(|flat| {
+                let mut rem = flat;
+                let mut delta = vec![0; self.d];
+                for dl in delta.iter_mut().rev() {
+                    *dl = (rem % side) as i64 - r;
+                    rem /= side;
+                }
+                Displacement { delta }
+            })
+            .collect()
     }
 
     /// Effective rank of the block for *rank reduction* (paper §II-D,
@@ -624,8 +624,9 @@ mod tests {
         let op = SeparatedConvolution::gaussian_sum(3, 4, 1, 1.0, 1.0);
         let disps = op.displacements();
         assert_eq!(disps.len(), 27);
-        assert_eq!(disps[0].delta, vec![0, 0, 0]); // sorted: self first
-        assert!(disps.iter().all(|d| d.linf() <= 1));
+        // Strictly lexicographic, `δ_1` slowest: the order of the passes.
+        assert!(disps.windows(2).all(|w| w[0].delta < w[1].delta));
+        assert!(disps.iter().flat_map(|d| &d.delta).all(|dl| dl.abs() <= 1));
     }
 
     #[test]
@@ -706,7 +707,25 @@ mod policy_tests {
         });
         // At level 2 there are only 4 boxes per dim: radius clamps to 4.
         let d2 = op.displacements_at(2);
-        assert!(d2.iter().all(|d| d.linf() <= 4));
+        assert!(d2.iter().all(|d| d.delta[0].abs() <= 4));
+    }
+
+    #[test]
+    fn norm_cutoff_lists_stay_sorted_subsets_of_the_box() {
+        // Screening only removes displacements from the box, so a
+        // screened list keeps the box's lexicographic order.
+        let mut op = SeparatedConvolution::gaussian_sum(3, 4, 1, 400.0, 400.0);
+        op.set_displacement_policy(DisplacementPolicy::NormCutoff {
+            cutoff: 1e-6,
+            max_radius: 32,
+        });
+        for level in [2, 4] {
+            let list = op.displacements_at(level);
+            let r = 1i64 << level;
+            assert!(list.len() < (2 * r as usize + 1).pow(3), "level {level}: nothing screened");
+            assert!(list.iter().flat_map(|d| &d.delta).all(|dl| dl.abs() <= r));
+            assert!(list.windows(2).all(|w| w[0].delta < w[1].delta), "level {level}");
+        }
     }
 
     #[test]

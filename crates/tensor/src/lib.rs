@@ -29,9 +29,10 @@
 //! * [`transform_sum_accumulate_group`] — the same loop over every
 //!   displacement task of one source at once: a leading pass whose
 //!   inputs the previous task already contracted is not run again
-//!   (4 + 10 of a source's 2 × 27 leading passes per term are), and
-//!   tasks whose stacked operands are identical share their fused final
-//!   span (10 of a source's 27 per chunk of terms: an AVX body at
+//!   (with Apply's displacements in lexicographic order, 3 + 9 of a
+//!   source's 2 × 27 leading passes per term are), and tasks whose
+//!   stacked operands are identical share their fused final span (9 of
+//!   a source's 27 per chunk of terms: an AVX body at
 //!   k = 4, a packed AVX-512 body at k = 10) — and over `S` sources
 //!   running one task list, stacked with the source index innermost so
 //!   that they share every leading span and every per-term step; bit for

@@ -394,9 +394,11 @@ impl Pass {
 /// predecessor's full intermediate). A skipped pass would have written
 /// the values already there from the same inputs by the same chain, so
 /// what reaches each `out` element is the one-task call's `(μ, k)`-
-/// ascending chain exactly. A source's 27 radius-1 displacements in
-/// Apply's `(∞-norm, δx, δy, δz)` order need 4 + 10 of their 2 × 27
-/// leading passes per term.
+/// ascending chain exactly. Apply lists a source's displacements
+/// lexicographically, `δx` slowest — the order of the passes — so every
+/// prefix `(δx)`, `(δx, δy)` is contiguous and each distinct leading
+/// intermediate is computed once a term: a source's 27 radius-1
+/// displacements need 3 + 9 of their 2 × 27 leading passes.
 ///
 /// A task whose every slot is held through pass `d−2` finds the stack
 /// exactly as the previous task left it, so consecutive such tasks form
@@ -408,9 +410,8 @@ impl Pass {
 /// rewrite the stack — that task's panel rows so far move to region 0
 /// and it starts the next fan — when the fan is full, and at the end of
 /// the chunk. `d = 1` never fans: its staging copy rewrites the stack
-/// every task. The 27 displacements then need 10 final spans per chunk
-/// instead of 27: `(0,0,0)` alone, eight `δz` triples and the
-/// `(0,0,±1)` pair.
+/// every task. The 27 displacements then need 9 final spans per chunk
+/// instead of 27: one `δz` triple a `(δx, δy)`.
 ///
 /// `term(task, μ)` is called once per pair — whatever `S` is: for each
 /// chunk of terms in order, for each task in order, for each `μ` of the
@@ -1107,8 +1108,8 @@ mod tests {
             .collect()
     }
 
-    /// Displacements in Apply's order make fans of one, three, two and
-    /// one: every fan width, each output its one-task call's bits.
+    /// Runs of `δz` siblings one, three, two and one long make fans of
+    /// every width, each output its one-task call's bits.
     #[test]
     fn fans_of_one_two_and_three_match_one_task_calls() {
         let rank = 6;
