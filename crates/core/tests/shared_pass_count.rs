@@ -27,16 +27,27 @@ const TASKS: u64 = 16_696;
 /// k = 4 the whole rank is one chunk, so one fused final span.
 const ALONE: u64 = 69;
 /// The leading spans of the Apply with every source's tasks side by
-/// side: an interior source runs 4 + 10 of its 2 × 27 a term. Before
-/// fans the Apply issued these plus one final span a task, 335,208.
-const LEADING: u64 = 318_512;
+/// side. The operator lists displacements lexicographically, `δx`
+/// slowest — the order of the passes — so a source runs one pass 0 a
+/// term for each `δx` it has live and one pass 1 for each `(δx, δy)`. Its
+/// live displacements are a box of `a × b × c` values of `(δx, δy, δz)`,
+/// each 2 on a face of the domain and 3 off it, so it runs `a + a·b` of
+/// its `2·a·b·c`: an interior source 3 + 9 of 2 × 27. Over the tree's
+/// 736 sources, by live neighbours:
+/// - 27: 440, and 18 with `c = 2`: 72 — 12 each;
+/// - 18 with `a = 2`: 72 — 8; with `b = 2`: 72 — 9;
+/// - 12, `(a, b)` = (2, 2), (2, 3) and (3, 2): 24 each — 6, 8 and 9;
+/// - 8: the 8 corners — 6.
+///
+/// Before fans the Apply issued these plus one final span a task, 287,608.
+const LEADING: u64 = 34 * (512 * 12 + 72 * 8 + 72 * 9 + 24 * 6 + 24 * 8 + 24 * 9 + 8 * 6);
 /// One fused final span a *fan*: consecutive tasks of a source whose
-/// stacks are identical (same `(δx, δy)`), at most three. An interior
-/// source's 27 tasks make 10 — `(0,0,0)`, eight `δz` triples, the
-/// `(0,0,±1)` pair. Over the tree's 736 sources: 440 interior × 10;
-/// with 18 live neighbours 144 × 7 + 72 × 10; with 12, 6 × 4 + 18 × 5
-/// + 48 × 7; with 8, 2 × 4 + 6 × 5.
-const FANS: u64 = 440 * 10 + 144 * 7 + 72 * 10 + 6 * 4 + 18 * 5 + 48 * 7 + 2 * 4 + 6 * 5;
+/// stacks are identical (same `(δx, δy)`), at most three. The `δz`
+/// siblings of a `(δx, δy)` are adjacent and at most three, so a source
+/// makes `a·b` fans — an interior source's 27 tasks nine `δz` triples.
+/// Over the tree: 512 × 9 (27 live and 18 with `c = 2`), 144 × 6 (the
+/// other 18), 24 × 4 + 48 × 6 (12), 8 × 4 (the corners).
+const FANS: u64 = 512 * 9 + 144 * 6 + 24 * 4 + 48 * 6 + 8 * 4;
 /// The Apply's own spans with every source's tasks side by side, one
 /// source at a time: the walk's one group call a source.
 const APPLY: u64 = LEADING + FANS;
@@ -44,14 +55,14 @@ const APPLY: u64 = LEADING + FANS;
 /// sources whose task lists are identical, up to `S_MAX` = 8 a group
 /// call (`gpusim::kernel::stack_groups`): a group runs its list's leading
 /// spans once for all its sources, 34 × the list's leading passes a
-/// term (14 for an interior source). In key order the tree's 736 sources
+/// term (12 for an interior source). In key order the tree's 736 sources
 /// form 224 groups. By leading passes a term:
-/// - 14: 140 groups — the 440 interior sources, in one run of 256 (32
-///   groups of 8), 28 runs of 6 and 8 of 2, and 72 sources alone with
-///   18 live neighbours;
-/// - 11: 36; 10: 18; 9: 18; 8: 6; 7: 3; 6: 3 — boundary sources, alone or
-///   in runs of 6 along a face.
-const STACKED_LEADING: u64 = 34 * (140 * 14 + 36 * 11 + 18 * 10 + 18 * 9 + 6 * 8 + 3 * 7 + 3 * 6);
+/// - 12: 140 groups — the 440 interior sources, in one run of 256 (32
+///   groups of 8), 28 runs of 6 and 8 of 2, and the 72 sources with 18
+///   live neighbours and `c = 2`, alone;
+/// - 9: 36; 8: 36; 6: 12 — the other boundary sources, alone or in runs
+///   of 6 along a face.
+const STACKED_LEADING: u64 = 34 * (140 * 12 + 36 * 9 + 36 * 8 + 12 * 6);
 /// The batched Apply's own spans whenever no chunk cuts a stack group:
 /// the final spans stay one a fan for each source.
 const STACKED: u64 = STACKED_LEADING + FANS;
@@ -63,18 +74,19 @@ const SUM_DOWN: u64 = 144 * (2 + 4 + 4);
 /// end-of-run drain hands over each level's remainder after the next
 /// level has started, so the pending run is spawned whole wherever that
 /// remainder begins. One cut lands inside the last source of a group of
-/// eight interior sources: its two parts run three leading passes a term
-/// more than it does whole, the rest of its group runs the list's 14
-/// again without it, and the fan the cut lands in splits in two (one
-/// more final span). The other cuts a corner source between its `δx`
-/// halves, which costs none; at 16 the cuts happen to cost none.
-const BATCH_60: u64 = STACKED + SUM_DOWN + (3 + 14) * 34 + 1;
+/// eight interior sources, after its 15th task: between the `(0, 0)` and
+/// `(0, 1)` triples of `δx = 0`, so no fan splits, and its two parts run
+/// one leading pass a term more than it does whole (pass 0 at `δx = 0`,
+/// once in each), while the rest of its group runs the list's 12 again
+/// without it. The other cuts a corner source between its `δx` halves,
+/// which costs none; at 16 the cuts happen to cost none.
+const BATCH_60: u64 = STACKED + SUM_DOWN + (1 + 12) * 34;
 // The control is arithmetic — every task alone — and sharing saves more
-// than half of it; before fans each task had its own final span.
-// Stacking saves two thirds of what is left.
-const _: () = assert!(LEADING + TASKS == 335_208 && FANS == 6_616);
-const _: () = assert!(ALONE * TASKS == 1_152_024 && 2 * APPLY <= ALONE * TASKS);
-const _: () = assert!(STACKED_LEADING == 94_690 && 3 * STACKED <= APPLY);
+// than three quarters of it; before fans each task had its own final
+// span. Stacking saves two thirds of what is left.
+const _: () = assert!(LEADING + TASKS == 287_608 && FANS == 5_888);
+const _: () = assert!(ALONE * TASKS == 1_152_024 && 4 * APPLY <= ALONE * TASKS);
+const _: () = assert!(STACKED_LEADING == 80_376 && 3 * STACKED <= APPLY);
 
 /// Span dispatches `f` issues on the calibrated shapes.
 fn dispatches(table: &KernelTable, f: impl FnOnce()) -> u64 {
@@ -98,6 +110,35 @@ fn targets(op: &SeparatedConvolution, tree: &FunctionTree) -> FunctionTree {
         }
     }
     targets
+}
+
+/// Span dispatches of one group call over a d = 3, k = 4 source's full
+/// radius-`r` box, its tasks in the operator's order.
+fn full_box(table: &KernelTable, r: i64) -> u64 {
+    let (d, k, level) = (3, 4, 3);
+    let mut op = SeparatedConvolution::coulomb(d, k, 1e-4, 1e-2);
+    op.set_max_disp(r);
+    let disps = op.displacements_at(level);
+    let width = (2 * r + 1) as usize;
+    let blocks: Vec<_> = (0..op.rank() * width)
+        .map(|ix| op.get_h(ix / width, level, (ix % width) as i64 - r))
+        .collect();
+    let blocks = &blocks;
+    let term = |task: usize, mu: usize| Term {
+        coeff: op.terms()[mu].coeff,
+        hs: disps[task]
+            .delta
+            .iter()
+            .map(move |&dl| &*blocks[mu * width + (dl + r) as usize]),
+        krs: None,
+    };
+    let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] + 2 * ix[1] + 3 * ix[2]) as f64);
+    let mut outs = vec![Tensor::zeros(Shape::cube(d, k)); disps.len()];
+    dispatches(table, || {
+        Workspace::with(|ws| {
+            transform_sum_accumulate_group(&[&s], op.rank(), term, ws.scratch(), &mut outs)
+        })
+    })
 }
 
 #[test]
@@ -126,11 +167,21 @@ fn a_sources_tasks_share_their_leading_passes() {
     };
     let batched = |max_batch| batched_on(ApplyResource::Cpu, max_batch);
 
+    // One source's full radius-`r` box: each of its `2r + 1` distinct
+    // `δx` and `(2r + 1)²` distinct `(δx, δy)` prefixes runs once a term,
+    // the minimum, and the `δz` siblings of each `(δx, δy)` fan in threes.
+    // At rank 34 and k = 4 the whole rank is one chunk.
+    for r in [1, 2] {
+        let side = 2 * r as u64 + 1;
+        let spans = 34 * (side + side * side) + side * side * side.div_ceil(3);
+        assert_eq!(full_box(table, r), spans, "radius {r}");
+    }
+
     // `sum_down` apart, so the Apply's own count stays in view.
     let mut result = targets(&op, &tree);
     assert_eq!(dispatches(table, || sum_down(&mut result)), SUM_DOWN);
 
-    // An interior source needs 4 + 10 of its 2 × 27 leading passes a
+    // An interior source needs 3 + 9 of its 2 × 27 leading passes a
     // term, a corner source 2 + 4 of 2 × 8 — and the walk, one source at
     // a time, runs exactly those. The batched pass stacks: chunks span
     // flushes and are cut only between stack groups, so one task a batch
