@@ -12,6 +12,12 @@
 //! CPU path. They must hold under any executor width, including
 //! `RAYON_NUM_THREADS=1` (every chunk inline on the dispatcher).
 //!
+//! Two rows were re-pinned since, when the operator's displacements
+//! became lexicographic and so changed which tasks end a batch:
+//! `tdse-d4 Hybrid b16`'s `device_cache` (the GPU share is each batch's
+//! tail) and `coulomb-d3 Hybrid b60 rank-reduced`'s hash (which tasks
+//! the CPU share rank-reduces). Every exact tree kept its bits.
+//!
 //! `Adaptive`'s split is fed by wall-clock samples, so it has no golden
 //! hash; it is pinned by task accounting here and by
 //! `apply_equivalence.rs` against the walk.
@@ -177,7 +183,7 @@ const GOLDENS: &[(&str, u64, &str)] = &[
     ("tdse-d4 Gpu b16", 0x7bd290132d7304a8, "tasks=1474 batches=93 cpu=0 gpu=1474 device_cache=(23560, 24, 0)"),
     ("tdse-d4 Gpu b60", 0x7bd290132d7304a8, "tasks=1474 batches=25 cpu=0 gpu=1474 device_cache=(23560, 24, 0)"),
     ("tdse-d4 Hybrid b1", 0x7bd290132d7304a8, "tasks=1474 batches=1474 cpu=1474 gpu=0 device_cache=(0, 0, 0)"),
-    ("tdse-d4 Hybrid b16", 0x7bd290132d7304a8, "tasks=1474 batches=93 cpu=1382 gpu=92 device_cache=(1448, 24, 0)"),
+    ("tdse-d4 Hybrid b16", 0x7bd290132d7304a8, "tasks=1474 batches=93 cpu=1382 gpu=92 device_cache=(1452, 20, 0)"),
     ("tdse-d4 Hybrid b60", 0x7bd290132d7304a8, "tasks=1474 batches=25 cpu=1351 gpu=123 device_cache=(1944, 24, 0)"),
     ("tdse-d4 Cpu b16 rank-reduced", 0x7bd290132d7304a8, "tasks=1474 batches=93 cpu=1474 gpu=0 device_cache=(0, 0, 0)"),
     ("coulomb-d3 Hybrid b60 cublas", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=20524 gpu=708 device_cache=(72012, 204, 0)"),
