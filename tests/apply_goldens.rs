@@ -192,7 +192,7 @@ const GOLDENS: &[(&str, u64, &str)] = &[
     ("tdse-d4 Hybrid b60 kernel-auto", 0x7bd290132d7304a8, "tasks=1474 batches=25 cpu=1424 gpu=50 device_cache=(776, 24, 0)"),
     ("coulomb-d3 Hybrid b60 streams-2", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=20524 gpu=708 device_cache=(72012, 204, 0)"),
     ("coulomb-d3 Hybrid b60 threads-4", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=18401 gpu=2831 device_cache=(288558, 204, 0)"),
-    ("coulomb-d3 Hybrid b60 rank-reduced", 0xd529a33186e77869, "tasks=21232 batches=355 cpu=20018 gpu=1214 device_cache=(123624, 204, 0)"),
+    ("coulomb-d3 Hybrid b60 rank-reduced", 0x41729fcb1473e49d, "tasks=21232 batches=355 cpu=20018 gpu=1214 device_cache=(123624, 204, 0)"),
     ("coulomb-d3 Gpu b16 rank-reduced", 0xc3f0d9dc29733c86, "tasks=21232 batches=1327 cpu=0 gpu=21232 device_cache=(2165460, 204, 0)"),
 ];
 
