@@ -132,7 +132,9 @@ fn full_box(table: &KernelTable, r: i64) -> u64 {
             .map(move |&dl| &*blocks[mu * width + (dl + r) as usize]),
         krs: None,
     };
-    let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] + 2 * ix[1] + 3 * ix[2]) as f64);
+    let s = Tensor::from_fn(Shape::cube(d, k), |ix| {
+        (1 + ix[0] + 2 * ix[1] + 3 * ix[2]) as f64
+    });
     let mut outs = vec![Tensor::zeros(Shape::cube(d, k)); disps.len()];
     dispatches(table, || {
         Workspace::with(|ws| {

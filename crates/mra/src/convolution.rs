@@ -722,9 +722,15 @@ mod policy_tests {
         for level in [2, 4] {
             let list = op.displacements_at(level);
             let r = 1i64 << level;
-            assert!(list.len() < (2 * r as usize + 1).pow(3), "level {level}: nothing screened");
+            assert!(
+                list.len() < (2 * r as usize + 1).pow(3),
+                "level {level}: nothing screened"
+            );
             assert!(list.iter().flat_map(|d| &d.delta).all(|dl| dl.abs() <= r));
-            assert!(list.windows(2).all(|w| w[0].delta < w[1].delta), "level {level}");
+            assert!(
+                list.windows(2).all(|w| w[0].delta < w[1].delta),
+                "level {level}"
+            );
         }
     }
 
