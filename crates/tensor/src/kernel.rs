@@ -886,6 +886,16 @@ pub(crate) fn pinned(id: KernelId) -> SpanKernel {
     SpanKernel { id, counter: None }
 }
 
+/// A [`SpanKernel`] running `id` that counts its dispatches in
+/// `counter`, for tests that pin a span count.
+#[cfg(test)]
+pub(crate) fn counted(id: KernelId, counter: &'static AtomicU64) -> SpanKernel {
+    SpanKernel {
+        id,
+        counter: Some(counter),
+    }
+}
+
 /// Bit for bit, except that two NaNs match whatever their payloads
 /// (which operand's payload an add of two NaNs keeps is the code
 /// generator's choice, not part of the chain contract).

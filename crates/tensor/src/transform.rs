@@ -29,45 +29,68 @@ use std::ops::Range;
 /// guides are emphatic about).
 #[derive(Default, Debug)]
 pub struct TransformScratch {
-    /// `coeff · t`: the operand of pass 0.
+    /// `coeff · t`: the operand of pass 0, staged once a leading fan.
     staged: Vec<f64>,
-    /// The open chunk's intermediates after leading pass `p`, one per
-    /// term slot, for every leading pass but the last (whose output is
-    /// the slot's place in `stack`).
+    /// The open chunk's intermediates after leading pass `p`, for every
+    /// leading pass but the last (whose output goes to `stack`): [`FAN`]
+    /// regions a term slot, one for each task of a leading fan.
     levels: [Vec<f64>; MAX_DIMS - 2],
-    /// What each term slot of the open chunk holds.
-    slots: Vec<Slot>,
-    /// The open chunk's last-pass operands, term after term: the
-    /// intermediates entering the last pass…
+    /// What each region of each term slot's leading levels holds:
+    /// `slots[ix · (d − 1) + p][g]` is region `g` of slot `ix` after
+    /// pass `p`.
+    slots: Vec<[Slot; FAN]>,
+    /// The last stamp a [`Slot`] took.
+    stamp: u64,
+    /// Whether a stack region has taken a slot away from its full-rank
+    /// place in the open chunk: a rank-reduced slot starts inside its
+    /// predecessor's full rows, so a rewrite of one slot may overwrite
+    /// a neighbour's. Until then no two slots of the region overlap.
+    ragged: [bool; FAN],
+    /// The stamp of the last write to each row of each stack region,
+    /// kept while it is ragged: a slot of a ragged region still holds
+    /// its rows iff they all carry its stamp.
+    row_stamps: Vec<u64>,
+    /// The open chunk's last-pass operands, in [`FAN`] regions (one for
+    /// each task of a leading fan of the last leading pass), each term
+    /// after term: the intermediates entering the last pass…
     stack: Vec<f64>,
     /// …and the matching rows of each term's last operator block, one
-    /// region per task of the pending fan.
+    /// region per task of the pending final fan.
     panel: Vec<f64>,
 }
 
-/// Budget, in `f64`s, for one source's stack of last-pass intermediates
-/// a chunk of terms builds before its fused final span: 32 KiB, so the
-/// rows a source's span streams as its `A` operand are still in L1 when
-/// it runs (a group of `S` sources stacks `S` such budgets side by side).
-/// Tasks whose single intermediate exceeds it run one term per chunk.
+/// Budget, in `f64`s, for one source's stack region of last-pass
+/// intermediates a chunk of terms builds before its fused final span:
+/// 32 KiB, so a group of `S` sources stacks `S` such budgets side by
+/// side, and the stack's [`FAN`] regions are three times that — 96 KiB
+/// at `S = 1`, in L2 rather than L1 when a final span streams one as
+/// its `A` operand. Tasks whose single intermediate exceeds it run one
+/// term per chunk.
 const STACK_ELEMS: usize = 4096;
 
-/// The inputs that produced one term slot's leading intermediates: the
-/// next task of a group skips leading pass `p` iff everything that
-/// determines its output — the coefficient and, for every pass `≤ p`,
-/// the operator block and the contraction rows — is what is recorded
-/// here (and, for the pass that writes the stack, the rows are still
-/// where the fused final span will look for them).
+/// What one region of one term slot holds after leading pass `p`. A
+/// task finds its intermediate there iff the region records its input
+/// to pass `p` — the stamp of the region it reads, or at pass 0 its
+/// coefficient — and its block and contraction rows at `p`; and, at the
+/// pass that writes the stack, the row the task packs the slot at and
+/// the rows its last pass reads. Every write takes a fresh stamp, so a
+/// slot whose input region has been rewritten since never matches: a
+/// match is the task's whole chain of inputs, pass by pass.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
-    /// Whether a task of the open chunk has filled the slot yet.
-    filled: bool,
-    coeff_bits: u64,
-    /// `(address of the block, contraction rows)` of each leading pass.
-    /// Blocks are `&Tensor`s borrowed for the whole group call, so an
-    /// equal address is the same, unchanged tensor.
-    passes: [(usize, usize); MAX_DIMS],
-    /// First stack row of the slot, and how many the last pass reads.
+    /// Which write filled the region: unique and increasing within a
+    /// scratch, so a slot written before the open chunk began holds
+    /// nothing of it.
+    stamp: u64,
+    /// The stamp of the region pass `p` read, or the coefficient's bits
+    /// at pass 0.
+    input: u64,
+    /// `(address of the block, contraction rows)` of pass `p`. Blocks
+    /// are `&Tensor`s borrowed for the whole group call, so an equal
+    /// address is the same, unchanged tensor.
+    pass: (usize, usize),
+    /// In a stack region: the slot's first row, and how many the last
+    /// pass reads.
     row: usize,
     kr_last: usize,
 }
@@ -79,15 +102,15 @@ impl TransformScratch {
     }
 
     /// Pre-sizes the buffers every rank uses for cube tensors of `len`
-    /// elements (the chunk buffers to their upper bound: a full 32 KiB
-    /// chunk or one term, whichever is larger, and a panel region that
-    /// size per task of a fan); the per-level buffers of rank ≥ 3
-    /// depend on the rank and grow on first use.
+    /// elements (the stack and the panel to their upper bound: three
+    /// regions of a full 32 KiB chunk or of one term, whichever is
+    /// larger); the per-level buffers of rank ≥ 3 depend on the rank and
+    /// grow on first use.
     pub fn with_capacity(len: usize) -> Self {
         let chunk = len.max(STACK_ELEMS);
         TransformScratch {
             staged: Vec::with_capacity(len),
-            stack: Vec::with_capacity(chunk),
+            stack: Vec::with_capacity(FAN * chunk),
             panel: Vec::with_capacity(FAN * chunk),
             ..Self::default()
         }
@@ -216,7 +239,9 @@ pub struct Term<'a, I> {
 /// of the paper's custom GPU kernel, which embeds the same loop in one
 /// launch).
 ///
-/// `term(μ)` is called once for each `μ < n_terms`, in order. Shapes
+/// `term(μ)` must be pure, as the group call's `term` must (it may ask
+/// for a pair ahead of order or again); one task asks for each
+/// `μ < n_terms` once, in order. Shapes
 /// are validated, the span kernels selected and the scratch sized once
 /// per task rather than once per term. Each term runs its passes
 /// `1..d−1` alone; the **last** dimension of a whole chunk of terms is
@@ -307,19 +332,29 @@ struct Pass {
 }
 
 impl Pass {
-    /// Runs the pass over `kr` contraction rows into `c` as consecutive
-    /// row tiles, zeroing each tile first. Small shapes are a single
-    /// tile; tiles run in row order and every candidate kernel preserves
-    /// the per-element k-ascending chain, so the result is bit-identical
-    /// to one untiled span — and to every other candidate.
-    fn run(&self, kr: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        let (dimi, dimj) = (self.dimi, self.dimj);
+    /// Runs the pass over `kr` contraction rows of the shared operand
+    /// `a` into every `cs[n]`, contracting with `bs[n]` (a *leading
+    /// fan*), as consecutive row tiles, zeroing each tile first. Small
+    /// shapes are a single tile; each tile is one span for every output
+    /// where the kernel has a body that wide. Tiles run in row order and
+    /// every candidate kernel and fan body preserves the per-element
+    /// k-ascending chain, so each output is bit-identical to one untiled
+    /// span of its own — and to every other candidate's.
+    fn run(&self, kr: usize, a: &[f64], bs: &[&[f64]], cs: &mut [&mut [f64]]) {
+        let (dimi, dimj, n) = (self.dimi, self.dimj, cs.len());
         let mut i0 = 0;
         while i0 < dimi {
             let i1 = (i0 + self.tile).min(dimi);
-            let span = &mut c[i0 * dimj..i1 * dimj];
-            span.fill(0.0);
-            self.kernel.run_span(dimi, i0, i1, dimj, kr, a, b, span);
+            let mut tiles: [&mut [f64]; FAN] = Default::default();
+            for (tile, c) in tiles.iter_mut().zip(cs.iter_mut()) {
+                *tile = &mut c[i0 * dimj..i1 * dimj];
+                tile.fill(0.0);
+            }
+            match &mut tiles[..n] {
+                // One output: the span itself, without the fan's detour.
+                [c] => self.kernel.run_span(dimi, i0, i1, dimj, kr, a, bs[0], c),
+                tiles => self.kernel.run_fan(dimi, i0, i1, dimj, kr, a, bs, tiles),
+            }
             i0 = i1;
         }
     }
@@ -380,42 +415,56 @@ impl Pass {
 /// holds per source, while all `S` share every leading span and every
 /// per-term step.
 ///
-/// The tasks of one Apply source differ only in their displacement, and
-/// consecutive displacements mostly keep their leading blocks, so the
-/// loop runs chunk-of-terms outer, task inner and keeps, for each term
-/// slot of the open chunk, the intermediate after every leading pass
-/// `0 … d−2`. The next task skips pass `p` of a term iff the term's
-/// coefficient and, for every pass `≤ p`, its block (the same
-/// `&Tensor`) and contraction rows are the ones that produced what the
-/// slot holds — and, for pass `d−2`, whose output is the slot's place
-/// in the stacked last-pass operand, iff the task packs the slot at the
-/// same row with the same last-pass rows and has not run over it (a
-/// rank-reduced slot starts `kr` rows after its predecessor, inside the
-/// predecessor's full intermediate). A skipped pass would have written
-/// the values already there from the same inputs by the same chain, so
-/// what reaches each `out` element is the one-task call's `(μ, k)`-
-/// ascending chain exactly. Apply lists a source's displacements
-/// lexicographically, `δx` slowest — the order of the passes — so every
-/// prefix `(δx)`, `(δx, δy)` is contiguous and each distinct leading
-/// intermediate is computed once a term: a source's 27 radius-1
-/// displacements need 3 + 9 of their 2 × 27 leading passes.
+/// The tasks of one Apply source differ only in their displacement, so
+/// many share a leading intermediate. The loop runs chunk-of-terms
+/// outer, task inner and keeps, for each term slot of the open chunk and
+/// each leading pass `0 … d−2`, three *regions* of intermediates, each
+/// recording what it holds. A task skips pass `p` of a
+/// term iff a region holds the output of its coefficient and, for every
+/// pass `≤ p`, its block (the same `&Tensor`) and contraction rows — and,
+/// for pass `d−2`, whose output is the slot's place in a stack region
+/// (the stacked last-pass operand), iff it also packs the slot at the
+/// same row with the same last-pass rows and nothing has run over those
+/// rows since (a rank-reduced slot starts `kr` rows after its
+/// predecessor, inside the predecessor's full intermediate). A skipped
+/// pass would have written the values already there from the same
+/// inputs by the same chain, so what reaches each `out` element is the
+/// one-task call's `(μ, k)`-ascending chain exactly.
 ///
-/// A task whose every slot is held through pass `d−2` finds the stack
-/// exactly as the previous task left it, so consecutive such tasks form
-/// a *fan* (at most three) whose fused final passes run as one span:
-/// one pass over the shared stack feeds each task's own `out` from its
-/// own panel region (or one span per task where the span kernel has no
-/// body that wide; either way each element's chain is the one-task
-/// call's). The pending fan's final pass runs just before a task would
-/// rewrite the stack — that task's panel rows so far move to region 0
-/// and it starts the next fan — when the fan is full, and at the end of
-/// the chunk. `d = 1` never fans: its staging copy rewrites the stack
-/// every task. The 27 displacements then need 9 final spans per chunk
-/// instead of 27: one `δz` triple a `(δx, δy)`.
+/// When a task has to run pass `p`, it runs it as a *leading fan*: one
+/// pass over the shared input for itself and the later tasks (two at
+/// most) of the list that contract the same input with the same rows through
+/// blocks not yet in the fan, each output in a region of its own (one
+/// span for all where the span kernel has a body that wide; each
+/// output's chain is still its single span's), and the later tasks find
+/// theirs there. A task's slots all sit in one stack region — where its
+/// first slot is found, else region 0 — and a slot it does not find
+/// there it rewrites there. Apply lists a source's displacements
+/// lexicographically, `δx` slowest — the order of the passes — so a
+/// term's `δx` siblings share one pass-0 fan and each `δx`'s `δy`
+/// siblings one pass-1 fan: a source's 27 radius-1 displacements run
+/// their 2 × 27 leading passes a term as 1 + 3 spans (as 3 + 9 if each
+/// distinct pass ran alone), and `coeff · s` is staged once a fan.
 ///
-/// `term(task, μ)` is called once per pair — whatever `S` is: for each
-/// chunk of terms in order, for each task in order, for each `μ` of the
-/// chunk in order. With no outputs the call does nothing.
+/// A task whose every slot is held through pass `d−2` in the stack
+/// region the previous task used finds that region exactly as the
+/// previous task left it, so consecutive such tasks form a *final fan*
+/// (at most three) whose fused final passes run as one span: one pass
+/// over the shared stack region feeds each task's own `out` from its own
+/// panel region (or one span per task where the span kernel has no body
+/// that wide; either way each element's chain is the one-task call's).
+/// The pending final fan runs just before a task would rewrite its
+/// region — that task's panel rows so far move to panel region 0 and it
+/// starts the next fan — when a task's slots sit in another region, when
+/// the fan is full, and at the end of the chunk. `d = 1` never fans: its
+/// staging copy rewrites the stack every task. The 27 displacements then
+/// need 9 final spans per chunk instead of 27: one `δz` triple a
+/// `(δx, δy)`.
+///
+/// `term(task, μ)` may be called ahead of order and more than once a
+/// pair — a leading fan asks later tasks for their term `μ` — so it must
+/// be pure: the same pair always yields the same coefficient, blocks and
+/// ranks. With no outputs the call does nothing.
 ///
 /// Allocation-free once `scratch` has reached its high-water size (which
 /// grows with `S`).
@@ -512,114 +561,203 @@ fn group<'a, I>(
         staged,
         levels,
         slots,
+        stamp,
+        ragged,
+        row_stamps,
         stack,
         panel,
     } = scratch;
+    // The leading passes, the last of which writes the stack.
+    let lead = d - 1;
+    let (stack_len, stack_rows) = (chunk * term_len, chunk * last.dimk);
+    // Regions a level: one for each task of a leading fan, which needs a
+    // leading pass and two tasks.
+    let spread = if n_tasks > 1 && d > 1 { FAN } else { 1 };
     grow(staged, n_src * t.len());
     for (level, pass) in levels.iter_mut().zip(&passes[..d.saturating_sub(2)]) {
-        grow(level, chunk * pass.dimi * pass.dimj);
+        grow(level, spread * chunk * pass.dimi * pass.dimj);
     }
-    if slots.len() < chunk {
-        slots.resize(chunk, Slot::default());
+    if slots.len() < chunk * lead {
+        slots.resize(chunk * lead, Default::default());
     }
-    grow(stack, chunk * term_len);
+    grow(stack, spread * stack_len);
     grow(panel, FAN * region);
+
+    let passes = &passes[..d];
 
     for chunk_start in (0..n_terms).step_by(chunk) {
         let chunk_terms = chunk_start..(chunk_start + chunk).min(n_terms);
-        // A new chunk of terms takes over the slots.
-        for slot in &mut slots[..chunk_terms.len()] {
-            slot.filled = false;
-        }
-        // The pending fan is tasks `fan..task`, task `fan + g` with its
-        // panel in region `g`; each packs `fan_rows` contraction rows.
-        let (mut fan, mut fan_rows) = (0, 0);
+        // A new chunk of terms takes over the slots: only what is
+        // written from here on, with a later stamp, counts.
+        let fresh = *stamp;
+        *ragged = [false; FAN];
+        // The pending final fan is tasks `fan..task`, task `fan + g` with
+        // its panel in region `g`; each packs `fan_rows` contraction rows
+        // of stack region `fan_region`.
+        let (mut fan, mut fan_rows, mut fan_region) = (0, 0, 0);
         for task in 0..n_tasks {
-            // Contraction rows stacked so far, and the end of the stack
-            // rows this task has rewritten.
-            let (mut rows, mut rewritten) = (0, 0);
-            for (ix, slot) in slots[..chunk_terms.len()].iter_mut().enumerate() {
-                let Term { coeff, hs, krs } = term(task, chunk_terms.start + ix);
-                if let Some(krs) = krs {
-                    assert_eq!(krs.len(), d, "need one effective rank per dimension");
-                }
-                let kr_of = |p: usize| krs.map_or(passes[p].dimk, |krs| krs[p].min(passes[p].dimk));
+            // Contraction rows stacked so far, and the task's stack region.
+            let (mut rows, mut home) = (0, 0);
+            // Each leading pass's fan hint: the tasks that joined this
+            // task's last fan there, and whether it has had one.
+            let mut hints = [([0; FAN - 1], 0, false); MAX_DIMS];
+            for (ix, mu) in chunk_terms.clone().enumerate() {
+                let Term { coeff, hs, krs } = term(task, mu);
                 let mut hs = hs.into_iter();
-                let mut block = |p: usize| {
-                    let h = hs.next().unwrap_or_else(|| {
-                        panic!("need one operator matrix per dimension ({d}), got {p}")
-                    });
-                    assert_eq!(h.ndim(), 2, "operator {p} must be a matrix");
-                    assert_eq!(
-                        h.shape().dim(0),
-                        passes[p].dimk,
-                        "operator {p} rows must match tensor dim {p}"
-                    );
-                    assert_eq!(
-                        h.shape().dim(1),
-                        passes[p].dimj,
-                        "operator {p} columns must match output dim {p}"
-                    );
-                    h
-                };
-
-                // This term's place in the stack: where its last-pass
-                // operand lands, written by the staging copy (d = 1) or
-                // by pass d−2.
+                // This term's place in a stack region: where its last-pass
+                // operand lands, written by the staging copy (d = 1) or by
+                // pass d−2.
                 let place = rows * last.dimi..rows * last.dimi + term_len;
-                let kr_last = kr_of(d - 1);
-                let mut held = slot.filled && slot.coeff_bits == coeff.to_bits();
-                for (p, pass) in passes[..d - 1].iter().enumerate() {
-                    let h = block(p);
-                    let key = (std::ptr::from_ref(h) as usize, kr_of(p));
-                    held &= slot.passes[p] == key;
-                    if p + 2 == d {
-                        held &= (slot.row, slot.kr_last) == (rows, kr_last) && rows >= rewritten;
+                let kr_last = kr_of(krs, d - 1, passes);
+                // The task's block and rows at each leading pass, and the
+                // input of the next: the stamp of the region it reads (the
+                // coefficient's bits at pass 0) and that region.
+                let mut keys = [(0, 0); MAX_DIMS];
+                let (mut input, mut from) = (coeff.to_bits(), 0);
+                let mut ran = false;
+                for (p, pass) in passes[..lead].iter().enumerate() {
+                    let h = block(hs.next(), p, passes);
+                    keys[p] = (address(h), kr_of(krs, p, passes));
+                    let at_stack = p + 1 == lead;
+                    let (row, kr_read) = if at_stack { (rows, kr_last) } else { (0, 0) };
+                    let holds = |slot: &Slot| {
+                        slot.stamp > fresh
+                            && (slot.input, slot.pass) == (input, keys[p])
+                            && (slot.row, slot.kr_last) == (row, kr_read)
+                    };
+                    // A task's slots all sit in its stack region: where its
+                    // first slot is found, else region 0.
+                    let level = &slots[ix * lead + p];
+                    let intact = |g: usize| {
+                        !ragged[g]
+                            || row_stamps[g * stack_rows + row..][..kr_read]
+                                .iter()
+                                .all(|&s| s == level[g].stamp)
+                    };
+                    // An input just written is nowhere else yet.
+                    let found = if ran {
+                        None
+                    } else if at_stack && ix > 0 {
+                        (holds(&level[home]) && intact(home)).then_some(home)
+                    } else if at_stack {
+                        (0..spread).find(|&g| holds(&level[g]) && intact(g))
+                    } else {
+                        level[..spread].iter().position(holds)
+                    };
+                    if at_stack && ix == 0 {
+                        home = found.unwrap_or(0);
+                        if task > fan && home != fan_region {
+                            // The pending fan reads another region, so this
+                            // task cannot join it: it runs now.
+                            let a = &stack[fan_region * stack_len..][..stack_len];
+                            let outs = fans(outs, n_tasks, fan..task);
+                            last.run_fan(fan_rows, a, panel, region, outs);
+                            fan = task;
+                        }
+                        fan_region = home;
                     }
-                    if held {
+                    if let Some(g) = found {
+                        (input, from) = (level[g].stamp, g);
                         continue;
                     }
-                    slot.passes[p] = key;
+
+                    // A leading fan needs two tasks.
+                    let mut members = [(h, keys[p].1, kr_last); FAN];
+                    let n = if spread > 1 {
+                        let lead = Lead {
+                            coeff: coeff.to_bits(),
+                            keys: &keys[..=p],
+                            kr_last,
+                            at_stack,
+                        };
+                        let later = task + 1..n_tasks;
+                        let term = &mut term as &mut dyn FnMut(usize, usize) -> Term<'a, I>;
+                        leading_fan(term, mu, later, &lead, passes, &mut hints[p], &mut members)
+                    } else {
+                        1
+                    };
+
+                    // Member `j` writes region `first + j` (mod spread): the
+                    // task its own stack region, at every other level
+                    // region 0 first.
+                    let first = if at_stack { home } else { 0 };
                     let (below, at) = levels.split_at_mut(p);
                     let src_len = pass.dimk * pass.dimi;
                     let src = match below.last() {
-                        Some(level) => &level[ix * src_len..][..src_len],
+                        Some(level) => &level[(from * chunk + ix) * src_len..][..src_len],
                         None => {
                             stage(coeff, sources, staged);
                             &staged[..src_len]
                         }
                     };
-                    let dst = if p + 2 == d {
+                    // Member `j`'s output: region `first + j` of `spread`
+                    // regions, `stride` apart, at `range` within each.
+                    let (buf, stride, range) = if at_stack {
                         if task > fan {
-                            // The pending fan still reads the stack this
+                            // The pending fan still reads the region this
                             // task is about to rewrite: it runs first, and
-                            // this task starts the next fan at region 0.
+                            // this task starts the next fan at panel region 0.
+                            let a = &stack[home * stack_len..][..stack_len];
                             let outs = fans(outs, n_tasks, fan..task);
-                            last.run_fan(fan_rows, stack, panel, region, outs);
+                            last.run_fan(fan_rows, a, panel, region, outs);
                             let g = (task - fan) * region;
                             panel.copy_within(g..g + rows * last.dimj, 0);
                             fan = task;
                         }
-                        rewritten = rows + last.dimk;
-                        &mut stack[place.clone()]
+                        (&mut stack[..], stack_len, place.clone())
                     } else {
                         let dst_len = pass.dimi * pass.dimj;
-                        &mut at[0][ix * dst_len..][..dst_len]
+                        (
+                            &mut at[0][..],
+                            chunk * dst_len,
+                            ix * dst_len..(ix + 1) * dst_len,
+                        )
                     };
-                    pass.run(key.1, src, h.as_slice(), dst);
+                    let mut cs: [&mut [f64]; FAN] = Default::default();
+                    if n == 1 {
+                        cs[0] = &mut buf[first * stride..][range];
+                    } else {
+                        let regions = buf[..spread * stride].chunks_exact_mut(stride);
+                        for (g, r) in regions.enumerate() {
+                            cs[(g + spread - first) % spread] = &mut r[range.clone()];
+                        }
+                    }
+                    let mut bs: [&[f64]; FAN] = [&[]; FAN];
+                    for (b, &(h, _, _)) in bs.iter_mut().zip(&members[..n]) {
+                        *b = h.as_slice();
+                    }
+                    pass.run(keys[p].1, src, &bs[..n], &mut cs[..n]);
+
+                    for (j, &(h, kr, kr_read)) in members[..n].iter().enumerate() {
+                        let g = (first + j) % spread;
+                        *stamp += 1;
+                        if at_stack {
+                            // The rewrite covers `last.dimk` rows from `row`.
+                            if !ragged[g] && row != ix * last.dimk {
+                                ragged[g] = true;
+                                if row_stamps.len() < spread * stack_rows {
+                                    row_stamps.resize(spread * stack_rows, 0);
+                                }
+                            }
+                            if ragged[g] {
+                                row_stamps[g * stack_rows + row..][..last.dimk].fill(*stamp);
+                            }
+                        }
+                        slots[ix * lead + p][g] = Slot {
+                            stamp: *stamp,
+                            input,
+                            pass: (address(h), kr),
+                            row,
+                            kr_last: if at_stack { kr_read } else { 0 },
+                        };
+                    }
+                    (input, from, ran) = (slots[ix * lead + p][first].stamp, first, true);
                 }
                 if d == 1 {
                     stage(coeff, sources, &mut stack[place]);
                 }
-                *slot = Slot {
-                    filled: true,
-                    coeff_bits: coeff.to_bits(),
-                    row: rows,
-                    kr_last,
-                    ..*slot
-                };
 
-                let h = block(d - 1);
+                let h = block(hs.next(), d - 1, passes);
                 assert!(
                     hs.next().is_none(),
                     "need one operator matrix per dimension ({d}), got more"
@@ -633,16 +771,151 @@ fn group<'a, I>(
             // The chunk's fused final pass: one (μ, k)-ascending chain
             // per output element, straight into each `out` of the fan.
             if d == 1 || task + 1 - fan == FAN {
+                let a = &stack[fan_region * stack_len..][..stack_len];
                 let outs = fans(outs, n_tasks, fan..task + 1);
-                last.run_fan(rows, stack, panel, region, outs);
+                last.run_fan(rows, a, panel, region, outs);
                 fan = task + 1;
             }
         }
         if fan < n_tasks {
+            let a = &stack[fan_region * stack_len..][..stack_len];
             let outs = fans(outs, n_tasks, fan..n_tasks);
-            last.run_fan(fan_rows, stack, panel, region, outs);
+            last.run_fan(fan_rows, a, panel, region, outs);
         }
     }
+}
+
+/// Operator `p` of a term, checked against the shape of pass `p` of
+/// `passes` (one per dimension).
+fn block<'a>(h: Option<&'a Tensor>, p: usize, passes: &[Pass]) -> &'a Tensor {
+    let d = passes.len();
+    let h = h.unwrap_or_else(|| panic!("need one operator matrix per dimension ({d}), got {p}"));
+    assert_eq!(h.ndim(), 2, "operator {p} must be a matrix");
+    assert_eq!(
+        h.shape().dim(0),
+        passes[p].dimk,
+        "operator {p} rows must match tensor dim {p}"
+    );
+    assert_eq!(
+        h.shape().dim(1),
+        passes[p].dimj,
+        "operator {p} columns must match output dim {p}"
+    );
+    h
+}
+
+/// The rows pass `p` of `passes` contracts under the rank reduction
+/// `krs`.
+fn kr_of(krs: Option<&[usize]>, p: usize, passes: &[Pass]) -> usize {
+    krs.map_or(passes[p].dimk, |krs| {
+        assert_eq!(
+            krs.len(),
+            passes.len(),
+            "need one effective rank per dimension"
+        );
+        krs[p].min(passes[p].dimk)
+    })
+}
+
+/// A block's identity within a group call.
+fn address(h: &Tensor) -> usize {
+    std::ptr::from_ref(h) as usize
+}
+
+/// What a task that runs leading pass `p` of a term asks of the tasks
+/// that would join its fan there.
+struct Lead<'k> {
+    /// The term's coefficient, as bits.
+    coeff: u64,
+    /// `(address of the block, contraction rows)` of passes `0..=p`.
+    keys: &'k [(usize, usize)],
+    /// The rows the task's last pass reads.
+    kr_last: usize,
+    /// Whether pass `p` writes the stack.
+    at_stack: bool,
+}
+
+/// The tasks that joined a task's last leading fan at one pass, how many
+/// there were, and whether it has had one.
+type Hint = ([usize; FAN - 1], usize, bool);
+
+/// Fills `members[1..n]` with the `(block, rows, last-pass rows)` of the
+/// tasks of `later` that join a leading fan at pass `p = lead.keys.len()
+/// − 1` of term `mu`, whose first member is the asking task, and returns
+/// `n`. A task joins if it contracts the same input with the same rows,
+/// with a block not yet in the fan — and at the stack's level only with
+/// as many last-pass rows, so that a rank reduction set by the
+/// displacement alone packs the slot at the asking task's row. The
+/// tasks that joined the asking task's last fan at `p` (its `hint`) are
+/// asked first; only if one no longer joins are the later tasks
+/// scanned, while they share the input. Kept out of line: the group
+/// loop's own call of `term` stays its only inlined one.
+#[inline(never)]
+fn leading_fan<'a, I>(
+    term: &mut dyn FnMut(usize, usize) -> Term<'a, I>,
+    mu: usize,
+    later: Range<usize>,
+    lead: &Lead,
+    passes: &[Pass],
+    hint: &mut Hint,
+    members: &mut [(&'a Tensor, usize, usize); FAN],
+) -> usize
+where
+    I: IntoIterator<Item = &'a Tensor>,
+{
+    let p = lead.keys.len() - 1;
+    // `None` once task `next` no longer shares the input, else its
+    // member entry if it joins `fan`.
+    let mut join = |next: usize, fan: &[(&'a Tensor, usize, usize)]| {
+        let other = term(next, mu);
+        if other.coeff.to_bits() != lead.coeff {
+            return None;
+        }
+        let mut hs = other.hs.into_iter();
+        let mut key = |q: usize| {
+            let h = block(hs.next(), q, passes);
+            (h, (address(h), kr_of(other.krs, q, passes)))
+        };
+        if (0..p).any(|q| key(q).1 != lead.keys[q]) {
+            return None;
+        }
+        let (h, (at, kr)) = key(p);
+        let kr_last = kr_of(other.krs, passes.len() - 1, passes);
+        let joins = kr == lead.keys[p].1
+            && (!lead.at_stack || kr_last == lead.kr_last)
+            && fan.iter().all(|&(h, _, _)| address(h) != at);
+        Some(joins.then_some((h, kr, kr_last)))
+    };
+    let (joined, n_joined, known) = hint;
+    let mut n = 1;
+    if *known {
+        for &next in &joined[..*n_joined] {
+            let Some(Some(member)) = join(next, &members[..n]) else {
+                break;
+            };
+            members[n] = member;
+            n += 1;
+        }
+        if n == 1 + *n_joined {
+            return n;
+        }
+    }
+    n = 1;
+    for next in later {
+        if n == FAN {
+            break;
+        }
+        match join(next, &members[..n]) {
+            None => break,
+            Some(None) => {}
+            Some(Some(member)) => {
+                (members[n], joined[n - 1]) = (member, next);
+                n += 1;
+            }
+        }
+    }
+    (*n_joined, *known) = (n - 1, true);
+    n
 }
 
 /// `out += transform(coeff · t, hs)` rank-reduced (paper §II-D, Fig. 4):
@@ -1212,6 +1485,154 @@ mod tests {
                     .collect()
             })
             .collect();
+        check_group(&s, &pool, &tasks);
+    }
+
+    /// A `d`-dimensional, `k = 4` source and a pool of `width` blocks a
+    /// term and dimension (`δ = 0 … width − 1`, as a radius-`(width −
+    /// 1)/2` Apply has): block `(μ, p, δ)` is `pool[(μ·d + p)·width + δ]`.
+    /// The source's first slab is an exact zero, which every pass meets.
+    fn box_case(d: usize, rank: usize, width: usize, seed: u64) -> (Tensor, Vec<Tensor>) {
+        let k = 4;
+        let mut s = det_tensor(Shape::cube(d, k), seed);
+        let slab = s.len() / k;
+        for (ix, x) in s.as_mut_slice()[..slab].iter_mut().enumerate() {
+            *x = if ix % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let pool = (0..rank * d * width)
+            .map(|ix| det_tensor(Shape::matrix(k, k), seed + 1 + ix as u64))
+            .collect();
+        (s, pool)
+    }
+
+    /// The task of every displacement of a `width`-wide `d`-box that
+    /// `keep` keeps, `δ_1` slowest as Apply lists them, over
+    /// [`box_case`]'s pool, with the rank reduction `krs(μ, δ)`.
+    fn box_tasks(
+        d: usize,
+        rank: usize,
+        width: usize,
+        keep: impl Fn(&[usize]) -> bool,
+        krs: impl Fn(usize, &[usize]) -> Option<Vec<usize>>,
+    ) -> Vec<Task> {
+        let deltas = (0..width.pow(d as u32)).map(|ix| {
+            let digit = |p: usize| ix / width.pow((d - 1 - p) as u32) % width;
+            (0..d).map(digit).collect::<Vec<_>>()
+        });
+        deltas
+            .filter(|delta| keep(delta))
+            .map(|delta| {
+                let term = |mu: usize| {
+                    let hs = (0..d).map(|p| (mu * d + p) * width + delta[p]).collect();
+                    (0.5 + 0.25 * mu as f64, hs, krs(mu, &delta))
+                };
+                (0..rank).map(term).collect()
+            })
+            .collect()
+    }
+
+    /// Span dispatches of one group call over `tasks` on `s` alone under
+    /// the SIMD kernel, which runs a width-4 fan as one span on an AVX
+    /// host (`None` elsewhere).
+    fn simd_spans(s: &Tensor, pool: &[Tensor], tasks: &[Task]) -> Option<u64> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Mutex;
+        static SPANS: AtomicU64 = AtomicU64::new(0);
+        static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+        if !kernel::simd_available() {
+            return None;
+        }
+        let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+        let term = |task: usize, mu: usize| {
+            let (coeff, hs, krs) = &tasks[task][mu];
+            Term {
+                coeff: *coeff,
+                hs: hs.iter().map(|&b| &pool[b]),
+                krs: krs.as_deref(),
+            }
+        };
+        let mut outs = vec![Tensor::zeros(s.shape()); tasks.len()];
+        let mut scratch = TransformScratch::new();
+        let counted = |_, _| kernel::counted(KernelId::SimdConst, &SPANS);
+        SPANS.store(0, Ordering::Relaxed);
+        group(&[s], tasks[0].len(), term, &mut scratch, &mut outs, counted);
+        Some(SPANS.load(Ordering::Relaxed))
+    }
+
+    /// A full box at d = 2, 3 and 4: each leading pass runs its `width`
+    /// siblings as fans of three — `⌈w/3⌉` spans at pass 0, `w·⌈w/3⌉`
+    /// at pass 1, `w²·⌈w/3⌉` at pass 2 — and each output keeps its
+    /// one-task call's bits, every source of a stack.
+    #[test]
+    fn leading_fans_over_full_boxes_at_d2_d3_d4() {
+        let (rank, w) = (3, 3u64);
+        for d in 2..=4 {
+            let (s, pool) = box_case(d, rank, w as usize, 10 * d as u64);
+            let tasks = box_tasks(d, rank, w as usize, |_| true, |_, _| None);
+            check_group(&s, &pool, &tasks);
+            // One chunk of terms at k = 4; a `δ_d` triple a final fan.
+            let leading: u64 = (0..d as u32 - 1).map(|p| w.pow(p)).sum();
+            let want = rank as u64 * leading + w.pow(d as u32 - 1);
+            if let Some(spans) = simd_spans(&s, &pool, &tasks) {
+                assert_eq!(spans, want, "d = {d}");
+            }
+        }
+    }
+
+    /// A radius-2 box has five siblings a pass, more than a fan holds:
+    /// a fan of three and one of two, the second reusing the regions the
+    /// first filled once its tasks are done with them.
+    #[test]
+    fn a_radius_2_box_reuses_the_regions() {
+        let (d, rank, w) = (3, 2, 5);
+        let (s, pool) = box_case(d, rank, w, 40);
+        let tasks = box_tasks(d, rank, w, |_| true, |_, _| None);
+        check_group(&s, &pool, &tasks);
+        if let Some(spans) = simd_spans(&s, &pool, &tasks) {
+            assert_eq!(spans, (rank * (2 + w * 2) + w * w * 2) as u64);
+        }
+    }
+
+    /// Rank-reduced siblings contract as many rows as their own
+    /// displacement keeps: where two siblings' rows differ at a pass they
+    /// run apart, and where their last-pass rows differ they pack their
+    /// stacks apart; the rest still fan. In a list with holes.
+    #[test]
+    fn rank_reduced_siblings_fan_only_with_their_own_rows() {
+        let (d, rank, w) = (3, 5, 3);
+        let (s, pool) = box_case(d, rank, w, 50);
+        let krs = |mu: usize, delta: &[usize]| {
+            let kr = |p: usize| {
+                if (delta[p] + mu + p).is_multiple_of(3) {
+                    2
+                } else {
+                    4 - delta[p] % 2
+                }
+            };
+            Some((0..d).map(kr).collect())
+        };
+        let holes = |delta: &[usize]| delta != [1, 1, 1] && delta != [2, 0, 1];
+        let tasks = box_tasks(d, rank, w, holes, krs);
+        check_group(&s, &pool, &tasks);
+    }
+
+    /// Sibling runs that do not line up across terms: in term 1 the
+    /// `δ = 1` and `δ = 2` blocks of the first two dimensions are one
+    /// tensor, so that term's fans are narrower than the others', and a
+    /// task's fan mates of one term are not those of the next.
+    #[test]
+    fn sibling_runs_that_differ_from_term_to_term() {
+        let (d, rank, w) = (3, 4, 3);
+        let (s, pool) = box_case(d, rank, w, 60);
+        let mut tasks = box_tasks(d, rank, w, |delta| delta[2] != 1, |_, _| None);
+        for task in &mut tasks {
+            for p in 0..2 {
+                let block = &mut task[1].1[p];
+                if *block % w == 2 {
+                    *block -= 1;
+                }
+            }
+        }
         check_group(&s, &pool, &tasks);
     }
 

@@ -759,14 +759,17 @@ mod task_kernel {
         /// the first and last dimensions, each there or not, and
         /// scattered zeros, NaN and ±∞ — over one task list whose blocks
         /// come from a radius-1 pool in sorted order, as Apply's
-        /// displacements do, with term counts about the chunk length and
-        /// ranks exact, uniformly reduced or reduced per block.
+        /// displacements do (a few at random, or the whole box with
+        /// random holes, so that leading passes fan), with term counts
+        /// about the chunk length and ranks exact, uniformly reduced or
+        /// reduced per block.
         #[test]
         fn stacked_group_equals_one_source_calls_bit_for_bit(
             n_src in 1usize..9,
             d in 2usize..4,
             wide in any::<bool>(),
             n_tasks in 1usize..9,
+            boxed in any::<bool>(),
             terms_at in 0usize..4,
             kr_mode in 0usize..3,
             seed in any::<u64>(),
@@ -807,10 +810,22 @@ mod task_kernel {
                 .collect();
             let coeffs: Vec<f64> = (0..n_terms).map(|_| rng.value(usize::MAX) * 4.0).collect();
             let uniform: Vec<usize> = (0..d).map(|_| 1 + rng.below(k)).collect();
-            let mut picks: Vec<Vec<usize>> = (0..n_tasks)
-                .map(|_| (0..d).map(|_| rng.below(3)).collect())
-                .collect();
+            // `n_tasks` random displacements, or the whole radius-1 box
+            // with random holes (about one in four), whose siblings fan.
+            let mut picks: Vec<Vec<usize>> = if boxed {
+                let digits = |ix: usize| {
+                    (0..d).map(|p| ix / 3usize.pow((d - 1 - p) as u32) % 3).collect()
+                };
+                let kept: Vec<Vec<usize>> = (0..3usize.pow(d as u32))
+                    .filter(|_| rng.below(4) != 0)
+                    .map(digits)
+                    .collect();
+                if kept.is_empty() { vec![vec![1; d]] } else { kept }
+            } else {
+                (0..n_tasks).map(|_| (0..d).map(|_| rng.below(3)).collect()).collect()
+            };
             picks.sort();
+            let n_tasks = picks.len();
             let krs: Vec<Vec<Vec<usize>>> = picks
                 .iter()
                 .map(|pick| {
