@@ -601,6 +601,8 @@ fn group<'a, I>(
             // Each leading pass's fan hint: the tasks that joined this
             // task's last fan there, and whether it has had one.
             let mut hints = [([0; FAN - 1], 0, false); MAX_DIMS];
+            // The term's block and rows at each leading pass so far.
+            let mut keys = [(0, 0); MAX_DIMS];
             for (ix, mu) in chunk_terms.clone().enumerate() {
                 let Term { coeff, hs, krs } = term(task, mu);
                 let mut hs = hs.into_iter();
@@ -609,10 +611,8 @@ fn group<'a, I>(
                 // pass d−2.
                 let place = rows * last.dimi..rows * last.dimi + term_len;
                 let kr_last = kr_of(krs, d - 1, passes);
-                // The task's block and rows at each leading pass, and the
-                // input of the next: the stamp of the region it reads (the
-                // coefficient's bits at pass 0) and that region.
-                let mut keys = [(0, 0); MAX_DIMS];
+                // The input of the next pass: the stamp of the region it
+                // reads (the coefficient's bits at pass 0) and that region.
                 let (mut input, mut from) = (coeff.to_bits(), 0);
                 let mut ran = false;
                 for (p, pass) in passes[..lead].iter().enumerate() {
