@@ -420,7 +420,10 @@ impl KernelEntry {
     /// most three of them) share that final span where the width has
     /// an `N`-output body on this host (width 4 with AVX, width 10 with
     /// AVX-512F): one dispatch on this per-output shape for the whole
-    /// fan. A fan of any other width counts one span per task.
+    /// fan. A *leading fan* — a leading pass run at once for up to three
+    /// tasks whose input is the same — counts the same way: one
+    /// dispatch where the width has such a body, one per output
+    /// otherwise. A fan of any other width counts one span per task.
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
     }
