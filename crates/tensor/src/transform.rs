@@ -350,11 +350,8 @@ impl Pass {
                 *tile = &mut c[i0 * dimj..i1 * dimj];
                 tile.fill(0.0);
             }
-            match &mut tiles[..n] {
-                // One output: the span itself, without the fan's detour.
-                [c] => self.kernel.run_span(dimi, i0, i1, dimj, kr, a, bs[0], c),
-                tiles => self.kernel.run_fan(dimi, i0, i1, dimj, kr, a, bs, tiles),
-            }
+            self.kernel
+                .run_fan(dimi, i0, i1, dimj, kr, a, bs, &mut tiles[..n]);
             i0 = i1;
         }
     }
@@ -600,7 +597,7 @@ fn group<'a, I>(
             let (mut rows, mut home) = (0, 0);
             // Each leading pass's fan hint: the tasks that joined this
             // task's last fan there, and whether it has had one.
-            let mut hints = [([0; FAN - 1], 0, false); MAX_DIMS];
+            let mut hints = [Hint::default(); MAX_DIMS];
             // The term's block and rows at each leading pass so far.
             let mut keys = [(0, 0); MAX_DIMS];
             for (ix, mu) in chunk_terms.clone().enumerate() {
@@ -614,7 +611,6 @@ fn group<'a, I>(
                 // The input of the next pass: the stamp of the region it
                 // reads (the coefficient's bits at pass 0) and that region.
                 let (mut input, mut from) = (coeff.to_bits(), 0);
-                let mut ran = false;
                 for (p, pass) in passes[..lead].iter().enumerate() {
                     let h = block(hs.next(), p, passes);
                     keys[p] = (address(h), kr_of(krs, p, passes));
@@ -634,10 +630,7 @@ fn group<'a, I>(
                                 .iter()
                                 .all(|&s| s == level[g].stamp)
                     };
-                    // An input just written is nowhere else yet.
-                    let found = if ran {
-                        None
-                    } else if at_stack && ix > 0 {
+                    let found = if at_stack && ix > 0 {
                         (holds(&level[home]) && intact(home)).then_some(home)
                     } else if at_stack {
                         (0..spread).find(|&g| holds(&level[g]) && intact(g))
@@ -751,7 +744,7 @@ fn group<'a, I>(
                             kr_last: if at_stack { kr_read } else { 0 },
                         };
                     }
-                    (input, from, ran) = (slots[ix * lead + p][first].stamp, first, true);
+                    (input, from) = (slots[ix * lead + p][first].stamp, first);
                 }
                 if d == 1 {
                     stage(coeff, sources, &mut stack[place]);
