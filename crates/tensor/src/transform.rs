@@ -61,11 +61,10 @@ pub struct TransformScratch {
 
 /// Budget, in `f64`s, for one source's stack region of last-pass
 /// intermediates a chunk of terms builds before its fused final span:
-/// 32 KiB, so a group of `S` sources stacks `S` such budgets side by
-/// side, and the stack's [`FAN`] regions are three times that — 96 KiB
-/// at `S = 1`, in L2 rather than L1 when a final span streams one as
-/// its `A` operand. Tasks whose single intermediate exceeds it run one
-/// term per chunk.
+/// 32 KiB, the `A` operand one final span streams (a group of `S`
+/// sources stacks `S` such budgets side by side). The stack keeps
+/// [`FAN`] regions, so at `S = 1` it is 96 KiB: in L2, not L1. Tasks
+/// whose single intermediate exceeds the budget run one term per chunk.
 const STACK_ELEMS: usize = 4096;
 
 /// What one region of one term slot holds after leading pass `p`. A
@@ -416,25 +415,25 @@ impl Pass {
 /// many share a leading intermediate. The loop runs chunk-of-terms
 /// outer, task inner and keeps, for each term slot of the open chunk and
 /// each leading pass `0 … d−2`, three *regions* of intermediates, each
-/// recording what it holds. A task skips pass `p` of a
-/// term iff a region holds the output of its coefficient and, for every
-/// pass `≤ p`, its block (the same `&Tensor`) and contraction rows — and,
-/// for pass `d−2`, whose output is the slot's place in a stack region
-/// (the stacked last-pass operand), iff it also packs the slot at the
-/// same row with the same last-pass rows and nothing has run over those
-/// rows since (a rank-reduced slot starts `kr` rows after its
-/// predecessor, inside the predecessor's full intermediate). A skipped
+/// recording what it holds. A task skips pass `p` of a term iff a region
+/// holds the output of its coefficient and, for every pass `≤ p`, its
+/// block (the same `&Tensor`) and contraction rows — and, for pass
+/// `d−2`, whose output is the slot's place in a stack region (the
+/// stacked last-pass operand), iff it also packs the slot at the same
+/// row with the same last-pass rows and nothing has run over those rows
+/// since (a rank-reduced slot starts `kr` rows after its predecessor,
+/// inside the predecessor's full intermediate). A skipped
 /// pass would have written the values already there from the same
 /// inputs by the same chain, so what reaches each `out` element is the
 /// one-task call's `(μ, k)`-ascending chain exactly.
 ///
 /// When a task has to run pass `p`, it runs it as a *leading fan*: one
 /// pass over the shared input for itself and the later tasks (two at
-/// most) of the list that contract the same input with the same rows through
-/// blocks not yet in the fan, each output in a region of its own (one
-/// span for all where the span kernel has a body that wide; each
-/// output's chain is still its single span's), and the later tasks find
-/// theirs there. A task's slots all sit in one stack region — where its
+/// most) of the list that contract the same input with the same rows
+/// through blocks not yet in the fan, each output in a region of its
+/// own (one span for all where the span kernel has a body that wide;
+/// each output's chain is still its single span's), and the later tasks
+/// find theirs there. A task's slots all sit in one stack region — where its
 /// first slot is found, else region 0 — and a slot it does not find
 /// there it rewrites there. Apply lists a source's displacements
 /// lexicographically, `δx` slowest — the order of the passes — so a
