@@ -32,27 +32,26 @@ pub struct TransformScratch {
     /// `coeff · t`: the operand of pass 0, staged once a leading fan.
     staged: Vec<f64>,
     /// The open chunk's intermediates after leading pass `p`, for every
-    /// leading pass but the last (whose output goes to `stack`): [`FAN`]
-    /// regions a term slot, one for each task of a leading fan.
+    /// leading pass but the last (whose output goes to `stack`): one a
+    /// term slot, or [`FAN`] regions a term slot where the call runs
+    /// leading fans, one for each task of a fan.
     levels: [Vec<f64>; MAX_DIMS - 2],
-    /// What each region of each term slot's leading levels holds:
-    /// `slots[ix · (d − 1) + p][g]` is region `g` of slot `ix` after
-    /// pass `p`.
-    slots: Vec<[Slot; FAN]>,
-    /// The last stamp a [`Slot`] took.
+    /// What each term slot of the open chunk holds.
+    slots: Vec<Slot>,
+    /// Where the call runs leading fans, what each region of each term
+    /// slot's leading levels holds: `fan_slots[(ix · (d − 1) + p) · FAN
+    /// + g]` is region `g` of slot `ix` after pass `p`.
+    fan_slots: Vec<FanSlot>,
+    /// The last stamp a [`FanSlot`] took.
     stamp: u64,
-    /// Whether a stack region has taken a slot away from its full-rank
-    /// place in the open chunk: a rank-reduced slot starts inside its
-    /// predecessor's full rows, so a rewrite of one slot may overwrite
-    /// a neighbour's. Until then no two slots of the region overlap.
-    ragged: [bool; FAN],
     /// The stamp of the last write to each row of each stack region,
-    /// kept while it is ragged: a slot of a ragged region still holds
+    /// where the call runs leading fans: a slot of a region still holds
     /// its rows iff they all carry its stamp.
     row_stamps: Vec<u64>,
-    /// The open chunk's last-pass operands, in [`FAN`] regions (one for
-    /// each task of a leading fan of the last leading pass), each term
-    /// after term: the intermediates entering the last pass…
+    /// The open chunk's last-pass operands, term after term — in [`FAN`]
+    /// regions where the call runs leading fans, one for each task of a
+    /// fan of the last leading pass: the intermediates entering the last
+    /// pass…
     stack: Vec<f64>,
     /// …and the matching rows of each term's last operator block, one
     /// region per task of the pending final fan.
@@ -62,21 +61,51 @@ pub struct TransformScratch {
 /// Budget, in `f64`s, for one source's stack region of last-pass
 /// intermediates a chunk of terms builds before its fused final span:
 /// 32 KiB, the `A` operand one final span streams (a group of `S`
-/// sources stacks `S` such budgets side by side). The stack keeps
-/// [`FAN`] regions, so at `S = 1` it is 96 KiB: in L2, not L1. Tasks
-/// whose single intermediate exceeds the budget run one term per chunk.
+/// sources stacks `S` such budgets side by side). A call that runs
+/// leading fans keeps [`FAN`] stack regions, 96 KiB at `S = 1`: in L2,
+/// not L1. Tasks whose single intermediate exceeds the budget run one
+/// term per chunk.
 const STACK_ELEMS: usize = 4096;
 
-/// What one region of one term slot holds after leading pass `p`. A
-/// task finds its intermediate there iff the region records its input
-/// to pass `p` — the stamp of the region it reads, or at pass 0 its
-/// coefficient — and its block and contraction rows at `p`; and, at the
-/// pass that writes the stack, the row the task packs the slot at and
-/// the rows its last pass reads. Every write takes a fresh stamp, so a
-/// slot whose input region has been rewritten since never matches: a
-/// match is the task's whole chain of inputs, pass by pass.
+/// The fewest multiply-adds a group call's leading pass does (over all
+/// its sources) for the call to run leading fans: a `d = 3`, `k = 10`
+/// source's. At k = 4 a fan did not pay for the scan that finds its
+/// members and the regions' bookkeeping at any size measured, up to the
+/// 8,192 of a stack of eight `d = 4` sources (1.00–1.07× the time without
+/// fans); at `d = 3`, `k = 10` it took 0.84–0.91× the time.
+const FAN_PASS_MACS: usize = 10_000;
+
+/// The inputs that produced one term slot's leading intermediates: the
+/// next task of a group skips leading pass `p` iff everything that
+/// determines its output — the coefficient and, for every pass `≤ p`,
+/// the operator block and the contraction rows — is what is recorded
+/// here (and, for the pass that writes the stack, the rows are still
+/// where the fused final span will look for them).
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
+    /// Whether a task of the open chunk has filled the slot yet.
+    filled: bool,
+    coeff_bits: u64,
+    /// `(address of the block, contraction rows)` of each leading pass.
+    /// Blocks are `&Tensor`s borrowed for the whole group call, so an
+    /// equal address is the same, unchanged tensor.
+    passes: [(usize, usize); MAX_DIMS],
+    /// First stack row of the slot, and how many the last pass reads.
+    row: usize,
+    kr_last: usize,
+}
+
+/// What one region of one term slot holds after leading pass `p`, where
+/// the call runs leading fans. A task finds its intermediate there iff
+/// the region records its input to pass `p` — the stamp of the region it
+/// reads, or at pass 0 its coefficient — and its block and contraction
+/// rows at `p`; and, at the pass that writes the stack, the row the task
+/// packs the slot at and the rows its last pass reads, all of them still
+/// carrying the slot's stamp. Every write takes a fresh stamp, so a slot
+/// whose input region has been rewritten since never matches: a match
+/// is the task's whole chain of inputs, pass by pass.
+#[derive(Clone, Copy, Debug, Default)]
+struct FanSlot {
     /// Which write filled the region: unique and increasing within a
     /// scratch, so a slot written before the open chunk began holds
     /// nothing of it.
@@ -84,9 +113,7 @@ struct Slot {
     /// The stamp of the region pass `p` read, or the coefficient's bits
     /// at pass 0.
     input: u64,
-    /// `(address of the block, contraction rows)` of pass `p`. Blocks
-    /// are `&Tensor`s borrowed for the whole group call, so an equal
-    /// address is the same, unchanged tensor.
+    /// `(address of the block, contraction rows)` of pass `p`.
     pass: (usize, usize),
     /// In a stack region: the slot's first row, and how many the last
     /// pass reads.
@@ -103,8 +130,8 @@ impl TransformScratch {
     /// Pre-sizes the buffers every rank uses for cube tensors of `len`
     /// elements (the stack and the panel to their upper bound: three
     /// regions of a full 32 KiB chunk or of one term, whichever is
-    /// larger); the per-level buffers of rank ≥ 3 depend on the rank and
-    /// grow on first use.
+    /// larger, as a call that runs leading fans needs); the per-level
+    /// buffers of rank ≥ 3 depend on the rank and grow on first use.
     pub fn with_capacity(len: usize) -> Self {
         let chunk = len.max(STACK_ELEMS);
         TransformScratch {
@@ -331,15 +358,29 @@ struct Pass {
 }
 
 impl Pass {
-    /// Runs the pass over `kr` contraction rows of the shared operand
-    /// `a` into every `cs[n]`, contracting with `bs[n]` (a *leading
-    /// fan*), as consecutive row tiles, zeroing each tile first. Small
-    /// shapes are a single tile; each tile is one span for every output
-    /// where the kernel has a body that wide. Tiles run in row order and
-    /// every candidate kernel and fan body preserves the per-element
-    /// k-ascending chain, so each output is bit-identical to one untiled
-    /// span of its own — and to every other candidate's.
-    fn run(&self, kr: usize, a: &[f64], bs: &[&[f64]], cs: &mut [&mut [f64]]) {
+    /// Runs the pass over `kr` contraction rows into `c` as consecutive
+    /// row tiles, zeroing each tile first. Small shapes are a single
+    /// tile; tiles run in row order and every candidate kernel preserves
+    /// the per-element k-ascending chain, so the result is bit-identical
+    /// to one untiled span — and to every other candidate.
+    fn run(&self, kr: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+        let (dimi, dimj) = (self.dimi, self.dimj);
+        let mut i0 = 0;
+        while i0 < dimi {
+            let i1 = (i0 + self.tile).min(dimi);
+            let span = &mut c[i0 * dimj..i1 * dimj];
+            span.fill(0.0);
+            self.kernel.run_span(dimi, i0, i1, dimj, kr, a, b, span);
+            i0 = i1;
+        }
+    }
+
+    /// [`Pass::run`] over the shared operand `a` into every `cs[n]`,
+    /// contracting with `bs[n]`: a *leading fan*, each tile one span for
+    /// every output where the kernel has a body that wide. Every fan body
+    /// preserves each output's per-element chain, so each output is
+    /// bit-identical to its own [`Pass::run`].
+    fn run_leading(&self, kr: usize, a: &[f64], bs: &[&[f64]], cs: &mut [&mut [f64]]) {
         let (dimi, dimj, n) = (self.dimi, self.dimj, cs.len());
         let mut i0 = 0;
         while i0 < dimi {
@@ -414,33 +455,38 @@ impl Pass {
 /// The tasks of one Apply source differ only in their displacement, so
 /// many share a leading intermediate. The loop runs chunk-of-terms
 /// outer, task inner and keeps, for each term slot of the open chunk and
-/// each leading pass `0 … d−2`, three *regions* of intermediates, each
-/// recording what it holds. A task skips pass `p` of a term iff a region
-/// holds the output of its coefficient and, for every pass `≤ p`, its
-/// block (the same `&Tensor`) and contraction rows — and, for pass
-/// `d−2`, whose output is the slot's place in a stack region (the
-/// stacked last-pass operand), iff it also packs the slot at the same
-/// row with the same last-pass rows and nothing has run over those rows
-/// since (a rank-reduced slot starts `kr` rows after its predecessor,
-/// inside the predecessor's full intermediate). A skipped
-/// pass would have written the values already there from the same
-/// inputs by the same chain, so what reaches each `out` element is the
-/// one-task call's `(μ, k)`-ascending chain exactly.
+/// each leading pass `0 … d−2`, *regions* of intermediates — one, or
+/// three where the call runs leading fans — each recording what it
+/// holds. A task skips pass `p` of a term iff a region holds the output
+/// of its coefficient and, for every pass `≤ p`, its block (the same
+/// `&Tensor`) and contraction rows — and, for pass `d−2`, whose output
+/// is the slot's place in a stack region (the stacked last-pass
+/// operand), iff it also packs the slot at the same row with the same
+/// last-pass rows and nothing has run over those rows since (a
+/// rank-reduced slot starts `kr` rows after its predecessor, inside the
+/// predecessor's full intermediate: with one region only the task's own
+/// rewrite of an earlier slot can, and a call with fans, whose fans
+/// write into regions other tasks left in layouts of their own, stamps
+/// each stack row with its last write). A skipped pass would have
+/// written the values already there from the same inputs by the same
+/// chain, so what reaches each `out` element is the one-task call's
+/// `(μ, k)`-ascending chain exactly. Apply lists a source's displacements lexicographically, `δx`
+/// slowest — the order of the passes — so a source's 27 radius-1
+/// displacements need 3 + 9 of their 2 × 27 leading passes a term.
 ///
-/// When a task has to run pass `p`, it runs it as a *leading fan*: one
-/// pass over the shared input for itself and the later tasks (two at
-/// most) of the list that contract the same input with the same rows
-/// through blocks not yet in the fan, each output in a region of its
-/// own (one span for all where the span kernel has a body that wide;
-/// each output's chain is still its single span's), and the later tasks
-/// find theirs there. A task's slots all sit in one stack region — where its
-/// first slot is found, else region 0 — and a slot it does not find
-/// there it rewrites there. Apply lists a source's displacements
-/// lexicographically, `δx` slowest — the order of the passes — so a
-/// term's `δx` siblings share one pass-0 fan and each `δx`'s `δy`
-/// siblings one pass-1 fan: a source's 27 radius-1 displacements run
-/// their 2 × 27 leading passes a term as 1 + 3 spans (as 3 + 9 if each
-/// distinct pass ran alone), and `coeff · s` is staged once a fan.
+/// Where a leading pass does at least 10,000 multiply-adds (a `d = 3`,
+/// `k = 10` source's), a task that has to run pass `p` runs
+/// it as a *leading fan*: one pass over the shared input for itself and
+/// the later tasks (two at most) of the list that contract the same
+/// input with the same rows through blocks not yet in the fan, each
+/// output in a region of its own (one span for all where the span kernel
+/// has a body that wide; each output's chain is still its single span's),
+/// and the later tasks find theirs there. A task's slots all sit in one
+/// stack region — where its first slot is found, else region 0 — and a
+/// slot it does not find there it rewrites there. A term's `δx` siblings
+/// then share one pass-0 fan and each `δx`'s `δy` siblings one pass-1
+/// fan: the 3 + 9 leading passes run as 1 + 3 spans, and `coeff · s` is
+/// staged once a fan.
 ///
 /// A task whose every slot is held through pass `d−2` in the stack
 /// region the previous task used finds that region exactly as the
@@ -478,18 +524,28 @@ pub fn transform_sum_accumulate_group<'a, I>(
 ) where
     I: IntoIterator<Item = &'a Tensor>,
 {
-    group(sources, n_terms, term, scratch, outs, kernel::resolve);
+    group(
+        sources,
+        n_terms,
+        term,
+        scratch,
+        outs,
+        kernel::resolve,
+        FAN_PASS_MACS,
+    );
 }
 
 /// [`transform_sum_accumulate_group`] with the span kernel of each pass
-/// shape `(dimi, dimj)` from `resolve`.
+/// shape `(dimi, dimj)` from `resolve`, running leading fans where a
+/// leading pass does at least `fan_macs` multiply-adds.
 fn group<'a, I>(
     sources: &[&Tensor],
     n_terms: usize,
-    mut term: impl FnMut(usize, usize) -> Term<'a, I>,
+    term: impl FnMut(usize, usize) -> Term<'a, I>,
     scratch: &mut TransformScratch,
     outs: &mut [Tensor],
     resolve: fn(usize, usize) -> SpanKernel,
+    fan_macs: usize,
 ) where
     I: IntoIterator<Item = &'a Tensor>,
 {
@@ -537,56 +593,261 @@ fn group<'a, I>(
         passes[p] = pass_at(p, passes[p - 1].dimi * passes[p - 1].dimj);
     }
     let last = passes[d - 1];
-    let term_len = last.dimk * last.dimi;
     // The budget holds one source's chunk, so a chunk has as many terms,
     // and a source as many final spans, whatever `S` is.
-    let chunk = (STACK_ELEMS / (term_len / n_src)).clamp(1, n_terms.max(1));
+    let chunk = (STACK_ELEMS / (last.dimk * last.dimi / n_src)).clamp(1, n_terms.max(1));
+    let plan = Plan {
+        passes,
+        d,
+        n_tasks,
+        chunk,
+    };
+    // A leading fan needs two tasks, a leading pass and one worth sharing.
+    let [pass0, ..] = passes;
+    if n_tasks > 1 && d > 1 && pass0.dimk * pass0.dimi * pass0.dimj >= fan_macs {
+        run_fans(&plan, sources, n_terms, term, scratch, outs);
+    } else {
+        run_plain(&plan, sources, n_terms, term, scratch, outs);
+    }
+}
+
+/// Each source's outputs of the tasks `fan` of a group call with
+/// `n_tasks` tasks, source by source.
+fn fan_outs(
+    outs: &mut [Tensor],
+    n_tasks: usize,
+    fan: Range<usize>,
+) -> impl ExactSizeIterator<Item = &mut [Tensor]> {
+    outs.chunks_mut(n_tasks)
+        .map(move |outs| &mut outs[fan.clone()])
+}
+
+/// The geometry of one group call.
+struct Plan {
+    /// Pass `p` for each `p < d`.
+    passes: [Pass; MAX_DIMS],
+    d: usize,
+    n_tasks: usize,
+    /// Terms a chunk.
+    chunk: usize,
+}
+
+/// The pass loop of a group call planned as `plan` that runs no leading
+/// fans: one intermediate a term slot and level, each distinct leading
+/// pass alone.
+fn run_plain<'a, I, F>(
+    plan: &Plan,
+    sources: &[&Tensor],
+    n_terms: usize,
+    mut term: F,
+    scratch: &mut TransformScratch,
+    outs: &mut [Tensor],
+) where
+    I: IntoIterator<Item = &'a Tensor>,
+    F: FnMut(usize, usize) -> Term<'a, I>,
+{
+    let &Plan {
+        passes,
+        d,
+        n_tasks,
+        chunk,
+    } = plan;
+    let (t, n_src) = (sources[0], sources.len());
+    let last = passes[d - 1];
+    let term_len = last.dimk * last.dimi;
     // The panel rows of one task's chunk, at most.
     let region = chunk * last.dimk * last.dimj;
-    // Each source's outputs of the tasks `fan`, source by source.
-    fn fans(
-        outs: &mut [Tensor],
-        n_tasks: usize,
-        fan: Range<usize>,
-    ) -> impl ExactSizeIterator<Item = &mut [Tensor]> {
-        outs.chunks_mut(n_tasks)
-            .map(move |outs| &mut outs[fan.clone()])
-    }
 
     let TransformScratch {
         staged,
         levels,
         slots,
+        stack,
+        panel,
+        ..
+    } = scratch;
+    grow(staged, n_src * t.len());
+    for (level, pass) in levels.iter_mut().zip(&passes[..d.saturating_sub(2)]) {
+        grow(level, chunk * pass.dimi * pass.dimj);
+    }
+    if slots.len() < chunk {
+        slots.resize(chunk, Slot::default());
+    }
+    grow(stack, chunk * term_len);
+    grow(panel, FAN * region);
+
+    for chunk_start in (0..n_terms).step_by(chunk) {
+        let chunk_terms = chunk_start..(chunk_start + chunk).min(n_terms);
+        // A new chunk of terms takes over the slots.
+        for slot in &mut slots[..chunk_terms.len()] {
+            slot.filled = false;
+        }
+        // The pending fan is tasks `fan..task`, task `fan + g` with its
+        // panel in region `g`; each packs `fan_rows` contraction rows.
+        let (mut fan, mut fan_rows) = (0, 0);
+        for task in 0..n_tasks {
+            // Contraction rows stacked so far, and the end of the stack
+            // rows this task has rewritten.
+            let (mut rows, mut rewritten) = (0, 0);
+            for (ix, slot) in slots[..chunk_terms.len()].iter_mut().enumerate() {
+                let Term { coeff, hs, krs } = term(task, chunk_terms.start + ix);
+                if let Some(krs) = krs {
+                    assert_eq!(krs.len(), d, "need one effective rank per dimension");
+                }
+                let kr_of = |p: usize| krs.map_or(passes[p].dimk, |krs| krs[p].min(passes[p].dimk));
+                let mut hs = hs.into_iter();
+                let mut block = |p: usize| {
+                    let h = hs.next().unwrap_or_else(|| {
+                        panic!("need one operator matrix per dimension ({d}), got {p}")
+                    });
+                    assert_eq!(h.ndim(), 2, "operator {p} must be a matrix");
+                    assert_eq!(
+                        h.shape().dim(0),
+                        passes[p].dimk,
+                        "operator {p} rows must match tensor dim {p}"
+                    );
+                    assert_eq!(
+                        h.shape().dim(1),
+                        passes[p].dimj,
+                        "operator {p} columns must match output dim {p}"
+                    );
+                    h
+                };
+
+                // This term's place in the stack: where its last-pass
+                // operand lands, written by the staging copy (d = 1) or
+                // by pass d−2.
+                let place = rows * last.dimi..rows * last.dimi + term_len;
+                let kr_last = kr_of(d - 1);
+                let mut held = slot.filled && slot.coeff_bits == coeff.to_bits();
+                for (p, pass) in passes[..d - 1].iter().enumerate() {
+                    let h = block(p);
+                    let key = (std::ptr::from_ref(h) as usize, kr_of(p));
+                    held &= slot.passes[p] == key;
+                    if p + 2 == d {
+                        held &= (slot.row, slot.kr_last) == (rows, kr_last) && rows >= rewritten;
+                    }
+                    if held {
+                        continue;
+                    }
+                    slot.passes[p] = key;
+                    let (below, at) = levels.split_at_mut(p);
+                    let src_len = pass.dimk * pass.dimi;
+                    let src = match below.last() {
+                        Some(level) => &level[ix * src_len..][..src_len],
+                        None => {
+                            stage(coeff, sources, staged);
+                            &staged[..src_len]
+                        }
+                    };
+                    let dst = if p + 2 == d {
+                        if task > fan {
+                            // The pending fan still reads the stack this
+                            // task is about to rewrite: it runs first, and
+                            // this task starts the next fan at region 0.
+                            let outs = fan_outs(outs, n_tasks, fan..task);
+                            last.run_fan(fan_rows, stack, panel, region, outs);
+                            let g = (task - fan) * region;
+                            panel.copy_within(g..g + rows * last.dimj, 0);
+                            fan = task;
+                        }
+                        rewritten = rows + last.dimk;
+                        &mut stack[place.clone()]
+                    } else {
+                        let dst_len = pass.dimi * pass.dimj;
+                        &mut at[0][ix * dst_len..][..dst_len]
+                    };
+                    pass.run(key.1, src, h.as_slice(), dst);
+                }
+                if d == 1 {
+                    stage(coeff, sources, &mut stack[place]);
+                }
+                *slot = Slot {
+                    filled: true,
+                    coeff_bits: coeff.to_bits(),
+                    row: rows,
+                    kr_last,
+                    ..*slot
+                };
+
+                let h = block(d - 1);
+                assert!(
+                    hs.next().is_none(),
+                    "need one operator matrix per dimension ({d}), got more"
+                );
+                let at = (task - fan) * region + rows * last.dimj;
+                panel[at..at + kr_last * last.dimj]
+                    .copy_from_slice(&h.as_slice()[..kr_last * last.dimj]);
+                rows += kr_last;
+            }
+            fan_rows = rows;
+            // The chunk's fused final pass: one (μ, k)-ascending chain
+            // per output element, straight into each `out` of the fan.
+            if d == 1 || task + 1 - fan == FAN {
+                let outs = fan_outs(outs, n_tasks, fan..task + 1);
+                last.run_fan(rows, stack, panel, region, outs);
+                fan = task + 1;
+            }
+        }
+        if fan < n_tasks {
+            let outs = fan_outs(outs, n_tasks, fan..n_tasks);
+            last.run_fan(fan_rows, stack, panel, region, outs);
+        }
+    }
+}
+
+/// The pass loop of a group call planned as `plan` that runs leading
+/// fans: [`FAN`] regions a term slot and level.
+fn run_fans<'a, I, F>(
+    plan: &Plan,
+    sources: &[&Tensor],
+    n_terms: usize,
+    mut term: F,
+    scratch: &mut TransformScratch,
+    outs: &mut [Tensor],
+) where
+    I: IntoIterator<Item = &'a Tensor>,
+    F: FnMut(usize, usize) -> Term<'a, I>,
+{
+    let &Plan {
+        d, n_tasks, chunk, ..
+    } = plan;
+    let passes = &plan.passes[..d];
+    let last = passes[d - 1];
+    let term_len = last.dimk * last.dimi;
+    // The panel rows of one task's chunk, at most.
+    let region = chunk * last.dimk * last.dimj;
+    let TransformScratch {
+        staged,
+        levels,
+        fan_slots: slots,
         stamp,
-        ragged,
         row_stamps,
         stack,
         panel,
+        ..
     } = scratch;
     // The leading passes, the last of which writes the stack.
     let lead = d - 1;
     let (stack_len, stack_rows) = (chunk * term_len, chunk * last.dimk);
-    // Regions a level: one for each task of a leading fan, which needs a
-    // leading pass and two tasks.
-    let spread = if n_tasks > 1 && d > 1 { FAN } else { 1 };
-    grow(staged, n_src * t.len());
+    grow(staged, sources.len() * sources[0].len());
     for (level, pass) in levels.iter_mut().zip(&passes[..d.saturating_sub(2)]) {
-        grow(level, spread * chunk * pass.dimi * pass.dimj);
+        grow(level, FAN * chunk * pass.dimi * pass.dimj);
     }
-    if slots.len() < chunk * lead {
-        slots.resize(chunk * lead, Default::default());
+    if slots.len() < FAN * chunk * lead {
+        slots.resize(FAN * chunk * lead, Default::default());
     }
-    grow(stack, spread * stack_len);
+    if row_stamps.len() < FAN * stack_rows {
+        row_stamps.resize(FAN * stack_rows, 0);
+    }
+    grow(stack, FAN * stack_len);
     grow(panel, FAN * region);
-
-    let passes = &passes[..d];
 
     for chunk_start in (0..n_terms).step_by(chunk) {
         let chunk_terms = chunk_start..(chunk_start + chunk).min(n_terms);
         // A new chunk of terms takes over the slots: only what is
         // written from here on, with a later stamp, counts.
         let fresh = *stamp;
-        *ragged = [false; FAN];
         // The pending final fan is tasks `fan..task`, task `fan + g` with
         // its panel in region `g`; each packs `fan_rows` contraction rows
         // of stack region `fan_region`.
@@ -594,17 +855,13 @@ fn group<'a, I>(
         for task in 0..n_tasks {
             // Contraction rows stacked so far, and the task's stack region.
             let (mut rows, mut home) = (0, 0);
-            // Each leading pass's fan hint: the tasks that joined this
-            // task's last fan there, and whether it has had one.
-            let mut hints = [Hint::default(); MAX_DIMS];
             // The term's block and rows at each leading pass so far.
             let mut keys = [(0, 0); MAX_DIMS];
             for (ix, mu) in chunk_terms.clone().enumerate() {
                 let Term { coeff, hs, krs } = term(task, mu);
                 let mut hs = hs.into_iter();
-                // This term's place in a stack region: where its last-pass
-                // operand lands, written by the staging copy (d = 1) or by
-                // pass d−2.
+                // This term's place in a stack region: where pass d−2
+                // writes its last-pass operand.
                 let place = rows * last.dimi..rows * last.dimi + term_len;
                 let kr_last = kr_of(krs, d - 1, passes);
                 // The input of the next pass: the stamp of the region it
@@ -615,26 +872,27 @@ fn group<'a, I>(
                     keys[p] = (address(h), kr_of(krs, p, passes));
                     let at_stack = p + 1 == lead;
                     let (row, kr_read) = if at_stack { (rows, kr_last) } else { (0, 0) };
-                    let holds = |slot: &Slot| {
+                    let here = (ix * lead + p) * FAN;
+                    let level = &slots[here..here + FAN];
+                    // A rank-reduced slot starts `kr` rows after its
+                    // predecessor, inside the predecessor's full
+                    // intermediate, so a slot holds only while nothing has
+                    // run over its rows since.
+                    let holds = |g: usize| {
+                        let slot = &level[g];
                         slot.stamp > fresh
                             && (slot.input, slot.pass) == (input, keys[p])
                             && (slot.row, slot.kr_last) == (row, kr_read)
+                            && row_stamps[g * stack_rows + row..][..kr_read]
+                                .iter()
+                                .all(|&s| s == slot.stamp)
                     };
                     // A task's slots all sit in its stack region: where its
                     // first slot is found, else region 0.
-                    let level = &slots[ix * lead + p];
-                    let intact = |g: usize| {
-                        !ragged[g]
-                            || row_stamps[g * stack_rows + row..][..kr_read]
-                                .iter()
-                                .all(|&s| s == level[g].stamp)
-                    };
                     let found = if at_stack && ix > 0 {
-                        (holds(&level[home]) && intact(home)).then_some(home)
-                    } else if at_stack {
-                        (0..spread).find(|&g| holds(&level[g]) && intact(g))
+                        holds(home).then_some(home)
                     } else {
-                        level[..spread].iter().position(holds)
+                        (0..FAN).find(|&g| holds(g))
                     };
                     if at_stack && ix == 0 {
                         home = found.unwrap_or(0);
@@ -642,7 +900,7 @@ fn group<'a, I>(
                             // The pending fan reads another region, so this
                             // task cannot join it: it runs now.
                             let a = &stack[fan_region * stack_len..][..stack_len];
-                            let outs = fans(outs, n_tasks, fan..task);
+                            let outs = fan_outs(outs, n_tasks, fan..task);
                             last.run_fan(fan_rows, a, panel, region, outs);
                             fan = task;
                         }
@@ -653,23 +911,18 @@ fn group<'a, I>(
                         continue;
                     }
 
-                    // A leading fan needs two tasks.
                     let mut members = [(h, keys[p].1, kr_last); FAN];
-                    let n = if spread > 1 {
-                        let lead = Lead {
-                            coeff: coeff.to_bits(),
-                            keys: &keys[..=p],
-                            kr_last,
-                            at_stack,
-                        };
-                        let later = task + 1..n_tasks;
-                        let term = &mut term as &mut dyn FnMut(usize, usize) -> Term<'a, I>;
-                        leading_fan(term, mu, later, &lead, passes, &mut hints[p], &mut members)
-                    } else {
-                        1
+                    let lead = Lead {
+                        coeff: coeff.to_bits(),
+                        keys: &keys[..=p],
+                        kr_last,
+                        at_stack,
                     };
+                    let later = task + 1..n_tasks;
+                    let term = &mut term as &mut dyn FnMut(usize, usize) -> Term<'a, I>;
+                    let n = leading_fan(term, mu, later, &lead, passes, &mut members);
 
-                    // Member `j` writes region `first + j` (mod spread): the
+                    // Member `j` writes region `first + j` (mod FAN): the
                     // task its own stack region, at every other level
                     // region 0 first.
                     let first = if at_stack { home } else { 0 };
@@ -682,7 +935,7 @@ fn group<'a, I>(
                             &staged[..src_len]
                         }
                     };
-                    // Member `j`'s output: region `first + j` of `spread`
+                    // Member `j`'s output: region `first + j` of the
                     // regions, `stride` apart, at `range` within each.
                     let (buf, stride, range) = if at_stack {
                         if task > fan {
@@ -690,7 +943,7 @@ fn group<'a, I>(
                             // task is about to rewrite: it runs first, and
                             // this task starts the next fan at panel region 0.
                             let a = &stack[home * stack_len..][..stack_len];
-                            let outs = fans(outs, n_tasks, fan..task);
+                            let outs = fan_outs(outs, n_tasks, fan..task);
                             last.run_fan(fan_rows, a, panel, region, outs);
                             let g = (task - fan) * region;
                             panel.copy_within(g..g + rows * last.dimj, 0);
@@ -699,54 +952,36 @@ fn group<'a, I>(
                         (&mut stack[..], stack_len, place.clone())
                     } else {
                         let dst_len = pass.dimi * pass.dimj;
-                        (
-                            &mut at[0][..],
-                            chunk * dst_len,
-                            ix * dst_len..(ix + 1) * dst_len,
-                        )
+                        let range = ix * dst_len..(ix + 1) * dst_len;
+                        (&mut at[0][..], chunk * dst_len, range)
                     };
                     let mut cs: [&mut [f64]; FAN] = Default::default();
-                    if n == 1 {
-                        cs[0] = &mut buf[first * stride..][range];
-                    } else {
-                        let regions = buf[..spread * stride].chunks_exact_mut(stride);
-                        for (g, r) in regions.enumerate() {
-                            cs[(g + spread - first) % spread] = &mut r[range.clone()];
-                        }
+                    let regions = buf[..FAN * stride].chunks_exact_mut(stride);
+                    for (g, r) in regions.enumerate() {
+                        cs[(g + FAN - first) % FAN] = &mut r[range.clone()];
                     }
                     let mut bs: [&[f64]; FAN] = [&[]; FAN];
                     for (b, &(h, _, _)) in bs.iter_mut().zip(&members[..n]) {
                         *b = h.as_slice();
                     }
-                    pass.run(keys[p].1, src, &bs[..n], &mut cs[..n]);
+                    pass.run_leading(keys[p].1, src, &bs[..n], &mut cs[..n]);
 
-                    for (j, &(h, kr, kr_read)) in members[..n].iter().enumerate() {
-                        let g = (first + j) % spread;
+                    for (j, &(h, kr, _)) in members[..n].iter().enumerate() {
+                        let g = (first + j) % FAN;
                         *stamp += 1;
                         if at_stack {
                             // The rewrite covers `last.dimk` rows from `row`.
-                            if !ragged[g] && row != ix * last.dimk {
-                                ragged[g] = true;
-                                if row_stamps.len() < spread * stack_rows {
-                                    row_stamps.resize(spread * stack_rows, 0);
-                                }
-                            }
-                            if ragged[g] {
-                                row_stamps[g * stack_rows + row..][..last.dimk].fill(*stamp);
-                            }
+                            row_stamps[g * stack_rows + row..][..last.dimk].fill(*stamp);
                         }
-                        slots[ix * lead + p][g] = Slot {
+                        slots[here + g] = FanSlot {
                             stamp: *stamp,
                             input,
                             pass: (address(h), kr),
                             row,
-                            kr_last: if at_stack { kr_read } else { 0 },
+                            kr_last: kr_read,
                         };
                     }
-                    (input, from) = (slots[ix * lead + p][first].stamp, first);
-                }
-                if d == 1 {
-                    stage(coeff, sources, &mut stack[place]);
+                    (input, from) = (slots[here + first].stamp, first);
                 }
 
                 let h = block(hs.next(), d - 1, passes);
@@ -762,16 +997,16 @@ fn group<'a, I>(
             fan_rows = rows;
             // The chunk's fused final pass: one (μ, k)-ascending chain
             // per output element, straight into each `out` of the fan.
-            if d == 1 || task + 1 - fan == FAN {
+            if task + 1 - fan == FAN {
                 let a = &stack[fan_region * stack_len..][..stack_len];
-                let outs = fans(outs, n_tasks, fan..task + 1);
+                let outs = fan_outs(outs, n_tasks, fan..task + 1);
                 last.run_fan(rows, a, panel, region, outs);
                 fan = task + 1;
             }
         }
         if fan < n_tasks {
             let a = &stack[fan_region * stack_len..][..stack_len];
-            let outs = fans(outs, n_tasks, fan..n_tasks);
+            let outs = fan_outs(outs, n_tasks, fan..n_tasks);
             last.run_fan(fan_rows, a, panel, region, outs);
         }
     }
@@ -827,21 +1062,15 @@ struct Lead<'k> {
     at_stack: bool,
 }
 
-/// The tasks that joined a task's last leading fan at one pass, how many
-/// there were, and whether it has had one.
-type Hint = ([usize; FAN - 1], usize, bool);
-
 /// Fills `members[1..n]` with the `(block, rows, last-pass rows)` of the
 /// tasks of `later` that join a leading fan at pass `p = lead.keys.len()
 /// − 1` of term `mu`, whose first member is the asking task, and returns
 /// `n`. A task joins if it contracts the same input with the same rows,
 /// with a block not yet in the fan — and at the stack's level only with
 /// as many last-pass rows, so that a rank reduction set by the
-/// displacement alone packs the slot at the asking task's row. The
-/// tasks that joined the asking task's last fan at `p` (its `hint`) are
-/// asked first; only if one no longer joins are the later tasks
-/// scanned, while they share the input. Kept out of line: the group
-/// loop's own call of `term` stays its only inlined one.
+/// displacement alone packs the slot at the asking task's row. The scan
+/// stops at the first task that no longer shares the input. Kept out of
+/// line: the group loop's own call of `term` stays its only inlined one.
 #[inline(never)]
 fn leading_fan<'a, I>(
     term: &mut dyn FnMut(usize, usize) -> Term<'a, I>,
@@ -849,19 +1078,20 @@ fn leading_fan<'a, I>(
     later: Range<usize>,
     lead: &Lead,
     passes: &[Pass],
-    hint: &mut Hint,
     members: &mut [(&'a Tensor, usize, usize); FAN],
 ) -> usize
 where
     I: IntoIterator<Item = &'a Tensor>,
 {
     let p = lead.keys.len() - 1;
-    // `None` once task `next` no longer shares the input, else its
-    // member entry if it joins `fan`.
-    let mut join = |next: usize, fan: &[(&'a Tensor, usize, usize)]| {
+    let mut n = 1;
+    for next in later {
+        if n == FAN {
+            break;
+        }
         let other = term(next, mu);
         if other.coeff.to_bits() != lead.coeff {
-            return None;
+            break;
         }
         let mut hs = other.hs.into_iter();
         let mut key = |q: usize| {
@@ -869,44 +1099,18 @@ where
             (h, (address(h), kr_of(other.krs, q, passes)))
         };
         if (0..p).any(|q| key(q).1 != lead.keys[q]) {
-            return None;
+            break;
         }
         let (h, (at, kr)) = key(p);
         let kr_last = kr_of(other.krs, passes.len() - 1, passes);
         let joins = kr == lead.keys[p].1
             && (!lead.at_stack || kr_last == lead.kr_last)
-            && fan.iter().all(|&(h, _, _)| address(h) != at);
-        Some(joins.then_some((h, kr, kr_last)))
-    };
-    let (joined, n_joined, known) = hint;
-    let mut n = 1;
-    if *known {
-        for &next in &joined[..*n_joined] {
-            let Some(Some(member)) = join(next, &members[..n]) else {
-                break;
-            };
-            members[n] = member;
+            && members[..n].iter().all(|&(m, _, _)| address(m) != at);
+        if joins {
+            members[n] = (h, kr, kr_last);
             n += 1;
         }
-        if n == 1 + *n_joined {
-            return n;
-        }
     }
-    n = 1;
-    for next in later {
-        if n == FAN {
-            break;
-        }
-        match join(next, &members[..n]) {
-            None => break,
-            Some(None) => {}
-            Some(Some(member)) => {
-                (members[n], joined[n - 1]) = (member, next);
-                n += 1;
-            }
-        }
-    }
-    (*n_joined, *known) = (n - 1, true);
     n
 }
 
@@ -1264,9 +1468,10 @@ mod tests {
 
     /// Runs `tasks` as one group call under every candidate kernel and
     /// under the installed table, over `s` alone and then stacked over
-    /// `S` = 2..=8 distinct sources (`s` and [`sources_like`] it), and
-    /// checks each source's output of each task against that task's own
-    /// one-task call on that source, bit for bit.
+    /// `S` = 2..=8 distinct sources (`s` and [`sources_like`] it), with
+    /// leading fans at every pass size and where [`FAN_PASS_MACS`] puts
+    /// them, and checks each source's output of each task against that
+    /// task's own one-task call on that source, bit for bit.
     fn check_group(s: &Tensor, pool: &[Tensor], tasks: &[Task]) {
         let (n_terms, n_tasks) = (tasks[0].len(), tasks.len());
         let term = |task: usize, mu: usize| {
@@ -1302,24 +1507,30 @@ mod tests {
             })
             .collect();
         let sources: Vec<&Tensor> = sources.iter().collect();
-        for (pick, resolve) in PINNED.into_iter().chain([kernel::resolve as _]).enumerate() {
+        let resolves = PINNED.into_iter().chain([kernel::resolve as _]);
+        for (pick, resolve) in resolves.enumerate() {
             for n_src in 1..=STACKED {
-                let mut outs = bases[..n_src * n_tasks].to_vec();
-                group(
-                    &sources[..n_src],
-                    n_terms,
-                    term,
-                    &mut scratch,
-                    &mut outs,
-                    resolve,
-                );
-                for (out, (got, want)) in outs.iter().zip(&want).enumerate() {
-                    let (source, task) = (out / n_tasks, out % n_tasks);
-                    let same = kernel::same_bits(got.as_slice(), want.as_slice());
-                    assert!(
-                        same,
-                        "kernel {pick}, {n_src} sources: source {source}, task {task}"
+                for fan_macs in [0, FAN_PASS_MACS] {
+                    let mut outs = bases[..n_src * n_tasks].to_vec();
+                    let sources = &sources[..n_src];
+                    group(
+                        sources,
+                        n_terms,
+                        term,
+                        &mut scratch,
+                        &mut outs,
+                        resolve,
+                        fan_macs,
                     );
+                    for (out, (got, want)) in outs.iter().zip(&want).enumerate() {
+                        let (source, task) = (out / n_tasks, out % n_tasks);
+                        let same = kernel::same_bits(got.as_slice(), want.as_slice());
+                        assert!(
+                            same,
+                            "kernel {pick}, {n_src} sources, fans from {fan_macs}: \
+                             source {source}, task {task}"
+                        );
+                    }
                 }
             }
         }
@@ -1525,7 +1736,7 @@ mod tests {
 
     /// Span dispatches of one group call over `tasks` on `s` alone under
     /// the SIMD kernel, which runs a width-4 fan as one span on an AVX
-    /// host (`None` elsewhere).
+    /// host (`None` elsewhere), with leading fans at every pass size.
     fn simd_spans(s: &Tensor, pool: &[Tensor], tasks: &[Task]) -> Option<u64> {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Mutex;
@@ -1547,7 +1758,15 @@ mod tests {
         let mut scratch = TransformScratch::new();
         let counted = |_, _| kernel::counted(KernelId::SimdConst, &SPANS);
         SPANS.store(0, Ordering::Relaxed);
-        group(&[s], tasks[0].len(), term, &mut scratch, &mut outs, counted);
+        group(
+            &[s],
+            tasks[0].len(),
+            term,
+            &mut scratch,
+            &mut outs,
+            counted,
+            0,
+        );
         Some(SPANS.load(Ordering::Relaxed))
     }
 
@@ -1605,6 +1824,24 @@ mod tests {
         };
         let holes = |delta: &[usize]| delta != [1, 1, 1] && delta != [2, 0, 1];
         let tasks = box_tasks(d, rank, w, holes, krs);
+        check_group(&s, &pool, &tasks);
+    }
+
+    /// A fan writes a mate's slot into a region another layout left:
+    /// at d = 2 task (0, 0) fans both its slots with (1, 0) into region
+    /// 1, rows 0..4 and 4..8; task (0, 1), whose term 0 keeps two
+    /// last-pass rows, fans its slot 1 with (1, 0) there too, at rows
+    /// 2..6 — over (1, 0)'s slot 0, whose record still matches. Only the
+    /// row stamps tell (1, 0) to run its slot 0 again.
+    #[test]
+    fn a_fan_over_rows_another_layout_left_is_seen_by_their_stamps() {
+        let (d, rank, w) = (2, 2, 2);
+        let (s, pool) = box_case(d, rank, w, 70);
+        let krs = |mu: usize, delta: &[usize]| {
+            let short = mu == 0 && delta == [0, 1];
+            Some(vec![4, if short { 2 } else { 4 }])
+        };
+        let tasks = box_tasks(d, rank, w, |delta| delta != [1, 1], krs);
         check_group(&s, &pool, &tasks);
     }
 
