@@ -1,12 +1,11 @@
-//! The shared and fanned leading passes, fanned final spans and stacked
-//! sources, pinned as a count: how many span dispatches an Apply pass
-//! issues when one source's displacement tasks run side by side (the
-//! walk), and when same-level sources with identical task lists are
-//! stacked as well (the batched pass), against the same pass with every
-//! task alone — on the `Cpu`, `Gpu` and `Hybrid` paths, which run one
-//! job stream: the split only prices, so each issues the `Cpu` pass's
-//! spans. A count, not a time — it repeats exactly, whatever the pool
-//! does.
+//! The shared leading passes, fanned final spans and stacked sources,
+//! pinned as a count: how many span dispatches an Apply pass issues when
+//! one source's displacement tasks run side by side (the walk), and when
+//! same-level sources with identical task lists are stacked as well (the
+//! batched pass), against the same pass with every task alone — on the
+//! `Cpu`, `Gpu` and `Hybrid` paths, which run one job stream: the split
+//! only prices, so each issues the `Cpu` pass's spans. A count, not a
+//! time — it repeats exactly, whatever the pool does.
 //! Runs as its own integration binary (and as one test) because it
 //! flips the process-wide kernel table's counting switch.
 
@@ -29,23 +28,19 @@ const TASKS: u64 = 16_696;
 const ALONE: u64 = 69;
 /// The leading spans of the Apply with every source's tasks side by
 /// side. The operator lists displacements lexicographically, `δx`
-/// slowest — the order of the passes — and a leading pass runs as a
-/// *fan* over the tasks that share its input, at most three, one span at
-/// width 4: a term's `δx` siblings share pass-0 fans, each `δx`'s `δy`
-/// siblings pass-1 fans. A source whose live displacements are a box of
-/// `a × b × c` values of `(δx, δy, δz)`, each 2 on a face of the domain
-/// and 3 off it, so runs `⌈a/3⌉ + a·⌈b/3⌉ = 1 + a` leading spans a term:
-/// an interior source 1 + 3 for its 2 × 27 leading passes. Over the
-/// tree's 736 sources, by live neighbours:
-/// - 27: 440, and 18 with `c = 2`: 72 — 4 each;
-/// - 18 with `a = 2`: 72 — 3; with `b = 2`: 72 — 4;
-/// - 12, `(a, b)` = (2, 2), (2, 3) and (3, 2): 24 each — 3, 3 and 4;
-/// - 8: the 8 corners — 3.
+/// slowest — the order of the passes — so a source runs one pass 0 a
+/// term for each `δx` it has live and one pass 1 for each `(δx, δy)`. Its
+/// live displacements are a box of `a × b × c` values of `(δx, δy, δz)`,
+/// each 2 on a face of the domain and 3 off it, so it runs `a + a·b` of
+/// its `2·a·b·c`: an interior source 3 + 9 of 2 × 27. Over the tree's
+/// 736 sources, by live neighbours:
+/// - 27: 440, and 18 with `c = 2`: 72 — 12 each;
+/// - 18 with `a = 2`: 72 — 8; with `b = 2`: 72 — 9;
+/// - 12, `(a, b)` = (2, 2), (2, 3) and (3, 2): 24 each — 6, 8 and 9;
+/// - 8: the 8 corners — 6.
 ///
-/// Before leading fans each distinct leading pass ran alone, `a + a·b`
-/// spans a term: 270,912 in all, and 287,608 with one final span a task
-/// before final fans.
-const LEADING: u64 = 34 * (512 * 4 + 72 * 3 + 72 * 4 + 24 * 3 + 24 * 3 + 24 * 4 + 8 * 3);
+/// Before fans the Apply issued these plus one final span a task, 287,608.
+const LEADING: u64 = 34 * (512 * 12 + 72 * 8 + 72 * 9 + 24 * 6 + 24 * 8 + 24 * 9 + 8 * 6);
 /// One fused final span a *fan*: consecutive tasks of a source whose
 /// stacks are identical (same `(δx, δy)`), at most three. The `δz`
 /// siblings of a `(δx, δy)` are adjacent and at most three, so a source
@@ -59,44 +54,39 @@ const APPLY: u64 = LEADING + FANS;
 /// The leading spans of the batched Apply, which stacks same-level
 /// sources whose task lists are identical, up to `S_MAX` = 8 a group
 /// call (`gpusim::kernel::stack_groups`): a group runs its list's leading
-/// spans once for all its sources, 34 × the list's leading spans a term
-/// (4 for an interior source). In key order the tree's 736 sources form
-/// 224 groups. By leading spans a term:
-/// - 4: 140 groups — the 440 interior sources, in one run of 256 (32
+/// spans once for all its sources, 34 × the list's leading passes a
+/// term (12 for an interior source). In key order the tree's 736 sources
+/// form 224 groups. By leading passes a term:
+/// - 12: 140 groups — the 440 interior sources, in one run of 256 (32
 ///   groups of 8), 28 runs of 6 and 8 of 2, and the 72 sources with 18
-///   live neighbours and `c = 2`, alone — and 36 groups of boundary
-///   sources with `b = 2`;
-/// - 3: 36 groups with `a = 2` and 12 with `a = b = 2` — the other
-///   boundary sources, alone or in runs of 6 along a face.
-const STACKED_LEADING: u64 = 34 * (140 * 4 + 36 * 4 + 36 * 3 + 12 * 3);
+///   live neighbours and `c = 2`, alone;
+/// - 9: 36; 8: 36; 6: 12 — the other boundary sources, alone or in runs
+///   of 6 along a face.
+const STACKED_LEADING: u64 = 34 * (140 * 12 + 36 * 9 + 36 * 8 + 12 * 6);
 /// The batched Apply's own spans whenever no chunk cuts a stack group:
 /// the final spans stay one a fan for each source.
 const STACKED: u64 = STACKED_LEADING + FANS;
-/// `sum_down`'s spans on the result: 1 + 2 + 4 a node it pushes through
-/// (on the calibrated (16, 4) shape, like the Apply's) — the two halves
-/// of dimension 0 share one pass-0 fan, each half's two of dimension 1
-/// one pass-1 fan, and the 8 children are 4 final fans of two, siblings
-/// in the last dimension.
-const SUM_DOWN: u64 = 144 * (1 + 2 + 4);
+/// `sum_down`'s spans on the result: 2 + 4 + 4 a node it pushes through
+/// (on the calibrated (16, 4) shape, like the Apply's) — the 8 children
+/// are 4 fans of two, siblings in the last dimension.
+const SUM_DOWN: u64 = 144 * (2 + 4 + 4);
 /// The batched pass at `max_batch = 60`, `sum_down` included: the
 /// end-of-run drain hands over each level's remainder after the next
 /// level has started, so the pending run is spawned whole wherever that
 /// remainder begins. One cut lands inside the last source of a group of
 /// eight interior sources, after its 15th task: between the `(0, 0)` and
-/// `(0, 1)` triples of `δx = 0`, so no final fan splits. Its first part
-/// (`δx = −1`, and `δy = −1, 0` of `δx = 0`) runs 1 + 2 leading spans a
-/// term, its second (`δy = 1` of `δx = 0`, and `δx = 1`) 1 + 2 as well: 2
-/// more than the whole source's 1 + 3. The rest of its group runs the
-/// list's 4 again without it. The other cuts a corner source between its
-/// `δx` halves: each half runs 1 + 1 against the whole's 1 + 2, one more.
-/// At 16 the cuts happen to cost none.
-const BATCH_60: u64 = STACKED + SUM_DOWN + (2 + 4 + 1) * 34;
+/// `(0, 1)` triples of `δx = 0`, so no fan splits, and its two parts run
+/// one leading pass a term more than it does whole (pass 0 at `δx = 0`,
+/// once in each), while the rest of its group runs the list's 12 again
+/// without it. The other cuts a corner source between its `δx` halves,
+/// which costs none; at 16 the cuts happen to cost none.
+const BATCH_60: u64 = STACKED + SUM_DOWN + (1 + 12) * 34;
 // The control is arithmetic — every task alone — and sharing saves more
-// than nine tenths of it; before fans each pass had its own span.
-// Stacking saves more than half of what is left.
-const _: () = assert!(LEADING == 95_744 && FANS == 5_888);
-const _: () = assert!(ALONE * TASKS == 1_152_024 && 10 * APPLY <= ALONE * TASKS);
-const _: () = assert!(STACKED_LEADING == 28_832 && 2 * STACKED <= APPLY);
+// than three quarters of it; before fans each task had its own final
+// span. Stacking saves two thirds of what is left.
+const _: () = assert!(LEADING + TASKS == 287_608 && FANS == 5_888);
+const _: () = assert!(ALONE * TASKS == 1_152_024 && 4 * APPLY <= ALONE * TASKS);
+const _: () = assert!(STACKED_LEADING == 80_376 && 3 * STACKED <= APPLY);
 
 /// Span dispatches `f` issues on the calibrated shapes.
 fn dispatches(table: &KernelTable, f: impl FnOnce()) -> u64 {
@@ -179,16 +169,13 @@ fn a_sources_tasks_share_their_leading_passes() {
     };
     let batched = |max_batch| batched_on(ApplyResource::Cpu, max_batch);
 
-    // One source's full radius-`r` box of side `w = 2r + 1`: a term's `w`
-    // distinct `δx` run as `⌈w/3⌉` pass-0 fans, each `δx`'s `w` distinct
-    // `δy` as `⌈w/3⌉` pass-1 fans, and the `δz` siblings of each
-    // `(δx, δy)` fan in threes at the end: 145 and 458 spans, where each
-    // distinct leading pass alone made 417 and 1,070. At rank 34 and
-    // k = 4 the whole rank is one chunk.
+    // One source's full radius-`r` box: each of its `2r + 1` distinct
+    // `δx` and `(2r + 1)²` distinct `(δx, δy)` prefixes runs once a term,
+    // the minimum, and the `δz` siblings of each `(δx, δy)` fan in threes.
+    // At rank 34 and k = 4 the whole rank is one chunk.
     for r in [1, 2] {
-        let w = 2 * r as u64 + 1;
-        let fans = w.div_ceil(3);
-        let spans = 34 * (fans + w * fans) + w * w * fans;
+        let side = 2 * r as u64 + 1;
+        let spans = 34 * (side + side * side) + side * side * side.div_ceil(3);
         assert_eq!(full_box(table, r), spans, "radius {r}");
     }
 
@@ -196,9 +183,9 @@ fn a_sources_tasks_share_their_leading_passes() {
     let mut result = targets(&op, &tree);
     assert_eq!(dispatches(table, || sum_down(&mut result)), SUM_DOWN);
 
-    // An interior source runs its 2 × 27 leading passes a term as 1 + 3
-    // fans, a corner source its 2 × 8 as 1 + 2 — and the walk, one source
-    // at a time, runs exactly those. The batched pass stacks: chunks span
+    // An interior source needs 3 + 9 of its 2 × 27 leading passes a
+    // term, a corner source 2 + 4 of 2 × 8 — and the walk, one source at
+    // a time, runs exactly those. The batched pass stacks: chunks span
     // flushes and are cut only between stack groups, so one task a batch
     // shares exactly as much as sixteen do. The dispatcher thread alone
     // cuts the chunks, so the values hold under any pool.
@@ -220,8 +207,7 @@ fn a_sources_tasks_share_their_leading_passes() {
 
     // Blocks are told apart by address: a second task over the same
     // three `&Tensor`s adds no span (it holds every slot, so it fans with
-    // the first), one over equal-valued copies runs every pass again —
-    // its pass 0 in the first task's leading fan, the rest alone.
+    // the first), one over equal-valued copies runs every pass again.
     let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] + 2 * ix[1]) as f64);
     let hs = vec![Tensor::identity(k); d];
     let copies = hs.clone();
@@ -241,5 +227,5 @@ fn a_sources_tasks_share_their_leading_passes() {
         count
     };
     assert_eq!(pair(&hs), 2 + 1);
-    assert_eq!(pair(&copies), 1 + 2 + 2);
+    assert_eq!(pair(&copies), 2 * (2 + 1));
 }
