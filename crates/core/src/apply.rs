@@ -25,16 +25,16 @@
 //! On the host, both hand one source's displacement tasks to the tensor
 //! crate side by side (`transform_sum_accumulate_group`): the operator
 //! lists displacements lexicographically, `δx` slowest — the order of
-//! the passes — so neighbouring tasks keep their leading `h` blocks: of
-//! the 54 leading passes a source's 27 tasks make per term only the 3 +
-//! 9 distinct ones (one a `δx` and a `(δx, δy)`) run, the others reuse an
-//! intermediate already there, and the distinct ones run as *leading
-//! fans* — a term's `δx` siblings in one span, each `δx`'s `δy` siblings
-//! in one — so 1 + 3 spans a term; the `δz` siblings, whose stacked
+//! the passes — so neighbouring tasks keep their leading `h` blocks, 3 + 9
+//! of the 54 leading passes a source's 27 tasks make per term are run
+//! (one a distinct `δx` and `(δx, δy)`) and the others reuse an
+//! intermediate already there, and the `δz` siblings, whose stacked
 //! last-pass operands are then identical, share one fused final span (9
-//! spans instead of 27 a chunk of terms) — every task's
-//! result bit for bit what it computes alone. The walk makes that call
-//! itself, one source at a time: it is the reference. The pipeline is
+//! spans instead of 27 a chunk of terms) — every task's result bit for
+//! bit what it computes alone. At k = 10 the distinct leading passes run
+//! as *leading fans* — a term's `δx` siblings in one span, each `δx`'s
+//! `δy` siblings in one — so 1 + 3 spans a term. The walk makes that
+//! call itself, one source at a time: it is the reference. The pipeline is
 //! the paper's batch: every chunk makes the call through
 //! `gpusim::kernel::execute_tasks` (once per run of tasks with equal
 //! rank-reduction flags), which *stacks* up to eight consecutive

@@ -28,15 +28,15 @@
 //!   of a chunk of terms contracted in one long span;
 //! * [`transform_sum_accumulate_group`] — the same loop over every
 //!   displacement task of one source at once: a leading pass whose
-//!   inputs an earlier task already contracted is not run again, and
-//!   one that has to run feeds every later task with the same input at
-//!   once, as a *leading fan* of up to three outputs (with Apply's
-//!   displacements in lexicographic order a source's 2 × 27 leading
-//!   passes per term run as 1 + 3 spans, where 3 + 9 distinct passes
-//!   would run alone), and tasks whose stacked operands are identical
-//!   share their fused final span (9 of a source's 27 per chunk of
-//!   terms) — each fan one span where the width has an `N`-output body:
-//!   AVX at k = 4, packed AVX-512 at k = 10 — and over `S` sources
+//!   inputs an earlier task already contracted is not run again (with
+//!   Apply's displacements in lexicographic order, 3 + 9 of a source's
+//!   2 × 27 leading passes per term are; where a pass is as large as a
+//!   `d = 3`, `k = 10` source's, one that has to run feeds the later
+//!   tasks with the same input at once, as a *leading fan* of up to
+//!   three outputs, so those 3 + 9 run as 1 + 3 spans), and tasks whose
+//!   stacked operands are identical share their fused final span (9 of
+//!   a source's 27 per chunk of terms: an AVX body at
+//!   k = 4, a packed AVX-512 body at k = 10) — and over `S` sources
 //!   running one task list, stacked with the source index innermost so
 //!   that they share every leading span and every per-term step; bit for
 //!   bit the one-task results;
