@@ -7,7 +7,7 @@ use madness_faults::{
     FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy,
 };
 use madness_gpusim::SimTime;
-use madness_trace::{NullRecorder, Recorder, Stage};
+use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
 use rayon::prelude::*;
 
 /// Aggregate result of a cluster run.
@@ -129,7 +129,7 @@ impl ClusterSim {
                 .iter()
                 .map(|load| {
                     if load.plan.straggler_multiplier() != 1.0 {
-                        rec.fault(slow_node(load.n_tasks));
+                        rec.record(Event::Fault(slow_node(load.n_tasks)));
                     }
                     self.finish_node(&spec, mode, policy, load, rec)
                 })
@@ -177,19 +177,23 @@ impl ClusterSim {
             let per_msg =
                 SimTime::from_secs_f64(bytes as f64 / msgs as f64 / self.network.bandwidth);
             if R::ENABLED {
-                rec.fault(FaultEvent {
+                rec.record(Event::Fault(FaultEvent {
                     kind: FaultKind::DroppedMessage,
                     action: FaultAction::Resent,
                     at_ns: (report.total + net).as_nanos(),
                     tasks: dropped,
-                });
+                }));
             }
             net += (self.network.latency * 2 + per_msg) * dropped;
         }
         if R::ENABLED && msgs > 0 {
-            rec.event(Stage::NetSend, report.total.as_nanos(), bytes);
-            rec.add("net_msgs_sent", msgs);
-            rec.add("net_bytes_sent", bytes);
+            rec.record(Event::Point(Point {
+                stage: Stage::NetSend,
+                at_ns: report.total.as_nanos(),
+                value: bytes,
+            }));
+            rec.record(Event::Count("net_msgs_sent", msgs));
+            rec.record(Event::Count("net_bytes_sent", bytes));
         }
         NodeFinish {
             report,
@@ -257,7 +261,7 @@ impl ClusterSim {
                     return healthy;
                 }
                 if R::ENABLED && plan.straggler_multiplier() != 1.0 {
-                    rec.fault(slow_node(tasks));
+                    rec.record(Event::Fault(slow_node(tasks)));
                 }
                 self.node.calibrate(spec, mode, plan, policy)
             })

@@ -76,7 +76,9 @@ use madness_faults::{draw, NodeTimeline};
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_runtime::graph::{Frontier, FrontierSnapshot, TaskId};
-use madness_trace::{stage_overlap_ns, FaultAction, FaultEvent, FaultKind, Recorder, Span, Stage};
+use madness_trace::{
+    stage_overlap_ns, Event, FaultAction, FaultEvent, FaultKind, Recorder, Span, Stage,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Salt for first-incarnation per-attempt failure draws.
@@ -815,12 +817,12 @@ impl<R: Recorder> DagRun<'_, R> {
     /// Journals one fault event.
     fn fault(&mut self, kind: FaultKind, action: FaultAction, at: SimTime, tasks: u64) {
         if R::ENABLED {
-            self.rec.fault(FaultEvent {
+            self.rec.record(Event::Fault(FaultEvent {
                 kind,
                 action,
                 at_ns: at.as_nanos(),
                 tasks,
-            });
+            }));
         }
     }
 

@@ -21,7 +21,7 @@
 
 use crate::des::FifoResource;
 use madness_gpusim::SimTime;
-use madness_trace::{BalanceEvent, BalanceKind, Recorder, Stage};
+use madness_trace::{BalanceEvent, BalanceKind, Event, Recorder, Stage};
 
 /// Latency/bandwidth model of the interconnect (defaults approximate
 /// Titan's Cray Gemini 3-D torus).
@@ -198,17 +198,17 @@ impl Interconnect {
                 arrive.as_nanos(),
                 lane as u32,
             );
-            rec.balance_event(BalanceEvent {
+            rec.record(Event::Balance(BalanceEvent {
                 kind,
                 from_node: route.0 as u32,
                 to_node: route.1 as u32,
                 tasks,
                 bytes,
                 at_ns: now.as_nanos(),
-            });
-            rec.add("migrations", 1);
-            rec.add("migrated_tasks", tasks);
-            rec.add("migrated_bytes", bytes);
+            }));
+            rec.record(Event::Count("migrations", 1));
+            rec.record(Event::Count("migrated_tasks", tasks));
+            rec.record(Event::Count("migrated_bytes", bytes));
         }
         arrive
     }

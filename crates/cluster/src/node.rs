@@ -40,7 +40,7 @@ use madness_gpusim::{
 use madness_runtime::{
     AdaptiveConfig, AdaptiveDispatcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
 };
-use madness_trace::{NullRecorder, Recorder, Stage};
+use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
 
 /// Which execution resources the node uses.
 #[derive(Clone, Copy, Debug)]
@@ -454,8 +454,8 @@ impl NodeSim {
             rec.span(Stage::Preprocess, 0, t1, 0);
             rec.span(Stage::CpuCompute, t1, t2, 0);
             rec.span(Stage::Postprocess, t2, t2 + post.as_nanos(), 0);
-            rec.add("tasks_total", n_tasks);
-            rec.add("tasks_cpu", n_tasks);
+            rec.record(Event::Count("tasks_total", n_tasks));
+            rec.record(Event::Count("tasks_cpu", n_tasks));
         }
         NodeReport {
             total: compute + data,
@@ -548,7 +548,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         if R::ENABLED {
             // The page-lock DMA setup occupies the transfer path up front.
             rec.span(Stage::Transfer, 0, pool_ready.as_nanos(), 0);
-            rec.gauge_hwm("pinned_pool_capacity_bytes", pool.capacity());
+            rec.record(Event::Gauge("pinned_pool_capacity_bytes", pool.capacity()));
         }
         let data_each = node.data_per_task(spec);
         let data_lanes = lanes.data_threads.clamp(1, DATA_THREADS_CAP);
@@ -595,7 +595,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     /// per-kind flush goes here).
     fn run(mut self, n_tasks: u64) -> NodeReport {
         if R::ENABLED {
-            self.rec.add("tasks_total", n_tasks);
+            self.rec.record(Event::Count("tasks_total", n_tasks));
         }
         let batch_cap = self.params.batch.max_batch as u64;
         let mut remaining = n_tasks;
@@ -638,7 +638,8 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         // dispatcher nothing.
         let cpu_ns = if plan.cpu_tasks > 0 {
             if R::ENABLED {
-                self.rec.add("tasks_cpu", plan.cpu_tasks as u64);
+                self.rec
+                    .record(Event::Count("tasks_cpu", plan.cpu_tasks as u64));
             }
             self.cpu_share(release, plan.cpu_tasks as u64).as_nanos()
         } else {
@@ -674,15 +675,19 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             release = release.max(end);
         }
         if R::ENABLED {
-            self.rec.event(Stage::Batch, release.as_nanos(), b);
-            self.rec.add(
+            self.rec.record(Event::Point(Point {
+                stage: Stage::Batch,
+                at_ns: release.as_nanos(),
+                value: b,
+            }));
+            self.rec.record(Event::Count(
                 if full {
                     "batch_flush_size"
                 } else {
                     "batch_flush_drain"
                 },
                 1,
-            );
+            ));
         }
         release
     }
@@ -714,7 +719,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         let (plan, k) = if self.lanes.adaptive {
             let decision = self.learned.plan_gated(SIM_KIND, n, 0, gate);
             if R::ENABLED {
-                self.rec.observe_dispatch(decision.sample());
+                self.rec.record(Event::Dispatch(decision.sample()));
             }
             (decision.plan, decision.k)
         } else if let Some(gated) = SplitPlan::gated(gate, n) {
@@ -732,7 +737,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         };
         self.split_acc += k;
         if R::ENABLED && self.lanes.compute_threads.is_some() {
-            self.rec.observe_split(k);
+            self.rec.record(Event::Split(k));
         }
         plan
     }
@@ -760,7 +765,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
                 disp_end.as_nanos(),
                 0,
             );
-            self.rec.add("tasks_gpu", gpu_n);
+            self.rec.record(Event::Count("tasks_gpu", gpu_n));
         }
         let mut pending = gpu_n;
         let mut submit = disp_end;
@@ -829,10 +834,10 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         let (gstart, gend) = self.gpu_res.serve(submit, gtime);
         debug_assert_eq!(gstart, batch_start);
         if R::ENABLED {
-            self.rec.gauge_hwm(
+            self.rec.record(Event::Gauge(
                 "pinned_pool_hwm_bytes",
                 out.breakdown.bytes_s + out.breakdown.bytes_h,
-            );
+            ));
         }
         (gend, gtime, out.failed)
     }
@@ -852,12 +857,12 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
                 .batch_timed_out(SIM_KIND, tasks as usize, gtime.as_nanos())
         {
             self.ctx.summary.timeouts_detected += 1;
-            self.rec.fault(FaultEvent {
+            self.rec.record(Event::Fault(FaultEvent {
                 kind: FaultKind::StreamStall,
                 action: FaultAction::Detected,
                 at_ns,
                 tasks,
-            });
+            }));
             self.ctx.health.on_failure(at_ns);
         } else if self.ctx.health.on_success(at_ns) {
             self.fault(FaultAction::Readmitted, at_ns, tasks);
@@ -931,12 +936,12 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
 
     /// Journals a recovery action under the most recent fault cause.
     fn fault(&mut self, action: FaultAction, at_ns: u64, tasks: u64) {
-        self.rec.fault(FaultEvent {
+        self.rec.record(Event::Fault(FaultEvent {
             kind: self.last_fault_kind,
             action,
             at_ns,
             tasks,
-        });
+        }));
     }
 }
 

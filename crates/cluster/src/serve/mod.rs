@@ -76,7 +76,7 @@ use crate::BalanceMode;
 use madness_faults::{draw, FaultAction, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use madness_gpusim::SimTime;
 use madness_runtime::{Batcher, TaskKind, TenantId};
-use madness_trace::{BalanceKind, Recorder, ServeEvent, ServeOutcome, Stage};
+use madness_trace::{BalanceKind, Event, Recorder, ServeEvent, ServeOutcome, Stage};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -797,7 +797,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
     /// report — the only place outcomes are counted.
     fn record(&mut self, req: &Request, started: SimTime, finished: SimTime, out: ServeOutcome) {
         if R::ENABLED {
-            self.rec.serve(ServeEvent {
+            self.rec.record(Event::Serve(ServeEvent {
                 tenant: req.tenant.0,
                 op: req.kind.op,
                 data_hash: req.kind.data_hash,
@@ -806,7 +806,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
                 started_ns: started.as_nanos(),
                 finished_ns: finished.as_nanos(),
                 outcome: out,
-            });
+            }));
             if out == ServeOutcome::Completed {
                 self.rec.span(
                     Stage::Sojourn,
@@ -815,7 +815,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
                     req.tenant.0,
                 );
             }
-            self.rec.add(
+            self.rec.record(Event::Count(
                 match out {
                     ServeOutcome::Completed => "serve_completed",
                     ServeOutcome::Rejected => "serve_rejected",
@@ -823,7 +823,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
                     ServeOutcome::CancelledHedge => "serve_cancelled_hedge",
                 },
                 1,
-            );
+            ));
         }
         self.report.makespan = self.report.makespan.max(finished);
         if out == ServeOutcome::CancelledHedge {
@@ -865,12 +865,12 @@ impl<R: Recorder> ServeCluster<'_, R> {
     /// Journals a survival fault event.
     fn fault(&mut self, kind: FaultKind, action: FaultAction, now: SimTime, tasks: u64) {
         if R::ENABLED {
-            self.rec.fault(FaultEvent {
+            self.rec.record(Event::Fault(FaultEvent {
                 kind,
                 action,
                 at_ns: now.as_nanos(),
                 tasks,
-            });
+            }));
         }
     }
 

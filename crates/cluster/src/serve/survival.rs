@@ -19,7 +19,7 @@ use madness_faults::{BreakerMap, FaultAction, FaultKind, FaultPlan, NodeFault, R
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
 use madness_runtime::TaskKind;
-use madness_trace::{Recorder, ServeOutcome};
+use madness_trace::{Event, Recorder, ServeOutcome};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Hedge budget multiplier over the per-kind sojourn EWMA.
@@ -592,7 +592,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
             self.ship(targets[slot], vec![batch], None, now);
             self.fault(kind, action, now, tasks);
             if R::ENABLED {
-                self.rec.add("recovered_requests", nreqs);
+                self.rec.record(Event::Count("recovered_requests", nreqs));
             }
         }
     }
@@ -721,7 +721,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
         self.ship(to, vec![batch], None, now);
         self.fault(FaultKind::SlowNode, FaultAction::Hedged, now, req.tasks);
         if R::ENABLED {
-            self.rec.add("hedges_launched", 1);
+            self.rec.record(Event::Count("hedges_launched", 1));
         }
     }
 }

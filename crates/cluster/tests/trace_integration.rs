@@ -180,7 +180,7 @@ fn traced_cluster_run_matches_run_and_journals_network() {
     // Default remote_fraction is 0.3, so every node injects traffic and
     // must journal a NetSend event plus the send counters.
     let n_nodes = pop.per_node.len();
-    let sends = rec.events().filter(|e| e.stage == Stage::NetSend).count();
+    let sends = rec.points().filter(|e| e.stage == Stage::NetSend).count();
     assert_eq!(sends, n_nodes);
     let result_bytes = 8 * (spec().k as u64).pow(spec().d as u32);
     let (msgs, _, _) = NetworkModel::default().injection(2_000 / 4, result_bytes);

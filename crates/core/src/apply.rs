@@ -57,7 +57,7 @@ use madness_runtime::{
     AdaptiveConfig, AdaptiveDispatcher, Batcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
 };
 use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, Workspace};
-use madness_trace::{NullRecorder, Recorder};
+use madness_trace::{Event, NullRecorder, Recorder};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -269,9 +269,9 @@ pub fn apply_batched(
 }
 
 /// [`apply_batched`] with tracing: in [`ApplyResource::Adaptive`] mode
-/// every flush journals its split decision — `rec.observe_split(k)` plus
-/// a full [`madness_trace::DispatchSample`] (`k`, `m̂`, `n̂`, probe flag)
-/// via `rec.observe_dispatch` — so the split trajectory can be exported
+/// every flush journals its split decision — an [`Event::Split`] plus a
+/// full [`madness_trace::DispatchSample`] (`k`, `m̂`, `n̂`, probe flag) as
+/// an [`Event::Dispatch`] — so the split trajectory can be exported
 /// and replayed. With [`NullRecorder`] this is exactly `apply_batched`.
 ///
 /// # Panics
@@ -547,8 +547,8 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 }
                 let depth = queue_depth(&mut learned.windows, learned.sim_now);
                 let decision = learned.dispatcher.plan(kind, n, depth);
-                self.rec.observe_split(decision.k);
-                self.rec.observe_dispatch(decision.sample());
+                self.rec.record(Event::Split(decision.k));
+                self.rec.record(Event::Dispatch(decision.sample()));
                 decision.plan
             }
         }

@@ -7,7 +7,7 @@
 //! numeric fidelity: each orbital runs a damped power iteration
 //! `x ← normalize((1−β)·Ĝx + β·x)` with the bound-state Helmholtz
 //! operator `G = e^{−µr}/r`, expressed as a
-//! [`TaskGraph`](madness_runtime::TaskGraph) whose Apply and Update
+//! [`TaskGraph`] whose Apply and Update
 //! tasks chain through futures. Orbital chains are independent, so
 //! with completion-triggered submission the Update of one orbital
 //! overlaps the Apply of another — the inter-stage overlap the paper's

@@ -8,7 +8,7 @@ use crate::task::TransformTask;
 use crate::transfer::TransferEngine;
 use madness_faults::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, TaskError};
 use madness_tensor::{Tensor, Workspace};
-use madness_trace::{NullRecorder, Recorder, Stage};
+use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
 use std::iter::repeat_n;
 use std::sync::Arc;
 
@@ -95,12 +95,12 @@ impl BatchOutcome {
 
 /// Journals a fault the injector fired at `at_ns` on `tasks` tasks.
 fn injected<R: Recorder>(rec: &mut R, kind: FaultKind, at_ns: u64, tasks: usize) {
-    rec.fault(FaultEvent {
+    rec.record(Event::Fault(FaultEvent {
         kind,
         action: FaultAction::Injected,
         at_ns,
         tasks: tasks as u64,
-    });
+    }));
 }
 
 /// The simulated device: spec + transfer engine + persistent block cache.
@@ -301,13 +301,17 @@ impl GpuDevice {
                 (Stage::CacheEvict, "cache_evict", evictions - evictions0),
             ] {
                 if n > 0 {
-                    rec.add(counter, n);
-                    rec.event(stage, t0, n);
+                    rec.record(Event::Count(counter, n));
+                    rec.record(Event::Point(Point {
+                        stage,
+                        at_ns: t0,
+                        value: n,
+                    }));
                 }
             }
             let tin = br.transfer_in_s + br.transfer_in_h;
             rec.span(Stage::Transfer, t0, t0 + tin.as_nanos(), 0);
-            rec.add("bytes_h2d", br.bytes_s + br.bytes_h);
+            rec.record(Event::Count("bytes_h2d", br.bytes_s + br.bytes_h));
         }
 
         // --- compute: greedy list scheduling over streams ---------------
@@ -351,9 +355,12 @@ impl GpuDevice {
             );
         }
         if R::ENABLED {
-            rec.add("kernel_launches", br.launches);
+            rec.record(Event::Count("kernel_launches", br.launches));
             for (idx, load) in lane_load.iter().enumerate() {
-                rec.add(&format!("stream_busy_ns.{idx}"), load.as_nanos());
+                rec.record(Event::Count(
+                    &format!("stream_busy_ns.{idx}"),
+                    load.as_nanos(),
+                ));
             }
         }
         br.compute = lane_load.into_iter().max().unwrap_or(SimTime::ZERO);
@@ -381,7 +388,7 @@ impl GpuDevice {
                 out_begin + br.transfer_out.as_nanos(),
                 0,
             );
-            rec.add("bytes_d2h", br.bytes_out);
+            rec.record(Event::Count("bytes_d2h", br.bytes_out));
         }
 
         // --- device lost mid-batch --------------------------------------

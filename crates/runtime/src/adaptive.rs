@@ -305,7 +305,7 @@ impl AdaptiveDispatcher {
     /// Feeds back one flush's measured timings: `cpu_ns` spent computing
     /// `cpu_tasks` tasks on the CPU side, `gpu_ns` for `gpu_tasks` on the
     /// GPU side. A side with zero tasks contributes no sample. Samples
-    /// are floored at [`FLOOR_NS`] per task (degenerate-
+    /// are floored at 50 ns per task (`FLOOR_NS`, the degenerate-
     /// measurement guard) before the EWMA update.
     pub fn record(
         &mut self,
@@ -328,8 +328,8 @@ impl AdaptiveDispatcher {
     }
 
     /// Whether a GPU batch of `gpu_tasks` tasks taking `actual_ns` blew
-    /// past the cost model's expectation by more than
-    /// [`TIMEOUT_FACTOR`]. Detection only — the batch
+    /// past the cost model's expectation by more than a factor of 4
+    /// (`TIMEOUT_FACTOR`). Detection only — the batch
     /// already ran; callers must **not** re-execute its tasks (they
     /// completed, late), only penalize the device's health. Answers
     /// `false` while the model is unprobed: no expectation, no timeout.

@@ -11,7 +11,7 @@ pub fn mtxmq_flops(dimi: usize, dimj: usize, dimk: usize) -> u64 {
     2 * (dimi as u64) * (dimj as u64) * (dimk as u64)
 }
 
-/// FLOPs of a full `d`-pass [`crate::transform`] on a `k^d` cube with
+/// FLOPs of a full `d`-pass [`crate::transform()`] on a `k^d` cube with
 /// square `(k,k)` operators: `d` passes of `(k^{d-1}, k) × (k, k)`.
 #[inline]
 pub fn transform_flops(d: usize, k: usize) -> u64 {

@@ -860,6 +860,13 @@ impl SpanKernel {
         run_span(self.id, dimi, i0, i1, dimj, kr, a, b, c);
     }
 
+    /// Whether [`SpanKernel::run_fan`] at width `dimj` runs a fan of two
+    /// or three as one span: the kernel is [`KernelId::SimdConst`] and
+    /// the host has an `N`-output body that wide.
+    pub(crate) fn fans(&self, dimj: usize) -> bool {
+        self.id == KernelId::SimdConst && crate::simd::has_fan(dimj)
+    }
+
     /// [`run_fan`] with the resolved kernel: one dispatch if the fan
     /// ran as one span, one per output otherwise.
     #[allow(clippy::too_many_arguments)] // span geometry is irreducible
@@ -1079,8 +1086,9 @@ mod tests {
     /// A fan equals one scalar span per output: through [`run_fan`] under
     /// every candidate — one span for the fan where the host has an
     /// `N`-output body (width 4 with AVX, width 10 with AVX-512), one
-    /// span per output at every other width and at `N` = 1 — and through
-    /// the fan entry of every instruction set the host has. Spans lie off
+    /// span per output at every other width and at `N` = 1, and
+    /// [`SpanKernel::fans`] says which — and through the fan entry of
+    /// every instruction set the host has. Spans lie off
     /// the block grid (every remainder of an 8-row block, one block and
     /// two), with a zero at each row position of a block at one `k` and
     /// ±∞ / NaN in every output's `b` row there; the contraction is
@@ -1098,6 +1106,10 @@ mod tests {
         for dimk in [9, crate::simd::PACK_ROWS + 5] {
             for dimj in SPECIALIZED_WIDTHS {
                 let fans_here = isas().any(|isa| isa.fan_width == dimj);
+                for id in KernelId::ALL {
+                    let fans = id == KernelId::SimdConst && fans_here;
+                    assert_eq!(pinned(id).fans(dimj), fans, "{} at width {dimj}", id.name());
+                }
                 let region = dimk * dimj;
                 for zero_at in 0..8 {
                     let (a, b0) = skip_case(dimi, dimj, dimk, i0, zero_at, 11 + dimj as u64);

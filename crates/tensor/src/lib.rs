@@ -14,9 +14,9 @@
 //!
 //! * [`Tensor`] — an owned, contiguous, row-major `f64` tensor of up to
 //!   [`MAX_DIMS`] dimensions;
-//! * [`mtxmq`] — the transpose-times-matrix kernel
+//! * [`mtxmq()`] — the transpose-times-matrix kernel
 //!   `C(i,j) = Σ_k A(k,i)·B(k,j)` with cache-friendly loop order;
-//! * [`transform`] — applies one `(k,k)` matrix per dimension by cycling
+//! * [`transform()`] — applies one `(k,k)` matrix per dimension by cycling
 //!   `mtxmq`-shaped passes `d` times (Formula 1 of the paper for a single
 //!   rank-`μ` term), cache-blocked so large `(k^{d-1}, k)` passes stream
 //!   through L2 in row tiles; [`transform_accumulate_scaled`] and its

@@ -605,11 +605,22 @@ mod imp {
         true
     }
 
+    /// Whether this host has an `N`-output fan body (`N = 2, 3`) at width
+    /// `dimj`: the AVX fan at width 4, the AVX-512 fan at width 10. The
+    /// one test of where [`fan_span`] fuses.
+    pub(crate) fn has_fan(dimj: usize) -> bool {
+        match dimj {
+            4 => available(),
+            FAN512_WIDTH => avx512_available(),
+            _ => false,
+        }
+    }
+
     /// Safe entry for a fan: rows `i0..i1` of `bs.len()` width-`dimj`
     /// passes over the one operand `a`, pass `n` reading `bs[n]` and
     /// accumulating into `cs[n]`, through the AVX-512 fan (width 10) or
     /// the AVX fan (width 4). Returns `false` — having touched nothing —
-    /// if `(dimj, N)` has no fan body on this host.
+    /// unless [`has_fan`] at `dimj` and `N = 2, 3`.
     ///
     /// # Panics
     /// Panics if `bs` and `cs` differ in length or a slice does not
@@ -625,8 +636,14 @@ mod imp {
         bs: &[&[f64]],
         cs: &mut [&mut [f64]],
     ) -> bool {
-        fan_span_avx512(dimi, i0, i1, dimj, kr, a, bs, cs)
-            || fan_span_avx(dimi, i0, i1, dimj, kr, a, bs, cs)
+        if !has_fan(dimj) {
+            return false;
+        }
+        if dimj == 4 {
+            fan_span_avx(dimi, i0, i1, dimj, kr, a, bs, cs)
+        } else {
+            fan_span_avx512(dimi, i0, i1, dimj, kr, a, bs, cs)
+        }
     }
 
     /// [`fan_span`] through the AVX fan alone (width 4).
@@ -745,6 +762,11 @@ mod imp {
         false
     }
 
+    /// No fan body on this architecture.
+    pub(crate) fn has_fan(_dimj: usize) -> bool {
+        false
+    }
+
     /// Always `false`: the caller falls back to a scalar kernel.
     #[allow(clippy::too_many_arguments)] // span geometry is irreducible
     pub(crate) fn span(
@@ -782,4 +804,4 @@ mod imp {
 
 #[cfg(test)]
 pub(crate) use imp::ISAS;
-pub(crate) use imp::{available, fan_span, span};
+pub(crate) use imp::{available, fan_span, has_fan, span};

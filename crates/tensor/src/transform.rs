@@ -75,6 +75,16 @@ const STACK_ELEMS: usize = 4096;
 /// fans); at `d = 3`, `k = 10` it took 0.84–0.91× the time.
 const FAN_PASS_MACS: usize = 10_000;
 
+/// Whether a group call whose pass 0 is `pass` runs leading fans: the
+/// pass does at least [`FAN_PASS_MACS`] multiply-adds and its kernel runs
+/// a fan at its width as one span. Where the kernel has no fan body, a
+/// fan is one span per member plus the scan and the bookkeeping: on a
+/// 2-vCPU AVX-512F Xeon with the AVX-512 fan masked, a `d = 3`, `k = 10`
+/// Apply ran at 0.961× the tasks per second it ran without leading fans.
+fn leading_fans_pay(pass: &Pass) -> bool {
+    pass.dimk * pass.dimi * pass.dimj >= FAN_PASS_MACS && pass.kernel.fans(pass.dimj)
+}
+
 /// The inputs that produced one term slot's leading intermediates: the
 /// next task of a group skips leading pass `p` iff everything that
 /// determines its output — the coefficient and, for every pass `≤ p`,
@@ -475,12 +485,12 @@ impl Pass {
 /// displacements need 3 + 9 of their 2 × 27 leading passes a term.
 ///
 /// Where a leading pass does at least 10,000 multiply-adds (a `d = 3`,
-/// `k = 10` source's), a task that has to run pass `p` runs
-/// it as a *leading fan*: one pass over the shared input for itself and
-/// the later tasks (two at most) of the list that contract the same
-/// input with the same rows through blocks not yet in the fan, each
-/// output in a region of its own (one span for all where the span kernel
-/// has a body that wide; each output's chain is still its single span's),
+/// `k = 10` source's) and its span kernel runs a fan that wide as one
+/// span, a task that has to run pass `p` runs it as a *leading fan*: one
+/// pass over the shared input for itself and the later tasks (two at
+/// most) of the list that contract the same input with the same rows
+/// through blocks not yet in the fan, each output in a region of its own
+/// (one span for all; each output's chain is still its single span's),
 /// and the later tasks find theirs there. A task's slots all sit in one
 /// stack region — where its first slot is found, else region 0 — and a
 /// slot it does not find there it rewrites there. A term's `δx` siblings
@@ -531,13 +541,13 @@ pub fn transform_sum_accumulate_group<'a, I>(
         scratch,
         outs,
         kernel::resolve,
-        FAN_PASS_MACS,
+        leading_fans_pay,
     );
 }
 
 /// [`transform_sum_accumulate_group`] with the span kernel of each pass
-/// shape `(dimi, dimj)` from `resolve`, running leading fans where a
-/// leading pass does at least `fan_macs` multiply-adds.
+/// shape `(dimi, dimj)` from `resolve`, running leading fans where
+/// `fans(pass 0)` says so.
 fn group<'a, I>(
     sources: &[&Tensor],
     n_terms: usize,
@@ -545,7 +555,7 @@ fn group<'a, I>(
     scratch: &mut TransformScratch,
     outs: &mut [Tensor],
     resolve: fn(usize, usize) -> SpanKernel,
-    fan_macs: usize,
+    fans: fn(&Pass) -> bool,
 ) where
     I: IntoIterator<Item = &'a Tensor>,
 {
@@ -603,8 +613,7 @@ fn group<'a, I>(
         chunk,
     };
     // A leading fan needs two tasks, a leading pass and one worth sharing.
-    let [pass0, ..] = passes;
-    if n_tasks > 1 && d > 1 && pass0.dimk * pass0.dimi * pass0.dimj >= fan_macs {
+    if n_tasks > 1 && d > 1 && fans(&passes[0]) {
         run_fans(&plan, sources, n_terms, term, scratch, outs);
     } else {
         run_plain(&plan, sources, n_terms, term, scratch, outs);
@@ -647,11 +656,9 @@ fn run_plain<'a, I, F>(
     F: FnMut(usize, usize) -> Term<'a, I>,
 {
     let &Plan {
-        passes,
-        d,
-        n_tasks,
-        chunk,
+        d, n_tasks, chunk, ..
     } = plan;
+    let passes = &plan.passes[..d];
     let (t, n_src) = (sources[0], sources.len());
     let last = passes[d - 1];
     let term_len = last.dimk * last.dimi;
@@ -691,38 +698,18 @@ fn run_plain<'a, I, F>(
             let (mut rows, mut rewritten) = (0, 0);
             for (ix, slot) in slots[..chunk_terms.len()].iter_mut().enumerate() {
                 let Term { coeff, hs, krs } = term(task, chunk_terms.start + ix);
-                if let Some(krs) = krs {
-                    assert_eq!(krs.len(), d, "need one effective rank per dimension");
-                }
-                let kr_of = |p: usize| krs.map_or(passes[p].dimk, |krs| krs[p].min(passes[p].dimk));
+                check_ranks(krs, passes);
                 let mut hs = hs.into_iter();
-                let mut block = |p: usize| {
-                    let h = hs.next().unwrap_or_else(|| {
-                        panic!("need one operator matrix per dimension ({d}), got {p}")
-                    });
-                    assert_eq!(h.ndim(), 2, "operator {p} must be a matrix");
-                    assert_eq!(
-                        h.shape().dim(0),
-                        passes[p].dimk,
-                        "operator {p} rows must match tensor dim {p}"
-                    );
-                    assert_eq!(
-                        h.shape().dim(1),
-                        passes[p].dimj,
-                        "operator {p} columns must match output dim {p}"
-                    );
-                    h
-                };
 
                 // This term's place in the stack: where its last-pass
                 // operand lands, written by the staging copy (d = 1) or
                 // by pass d−2.
                 let place = rows * last.dimi..rows * last.dimi + term_len;
-                let kr_last = kr_of(d - 1);
+                let kr_last = kr_of(krs, d - 1, passes);
                 let mut held = slot.filled && slot.coeff_bits == coeff.to_bits();
                 for (p, pass) in passes[..d - 1].iter().enumerate() {
-                    let h = block(p);
-                    let key = (std::ptr::from_ref(h) as usize, kr_of(p));
+                    let h = block(hs.next(), p, passes);
+                    let key = (address(h), kr_of(krs, p, passes));
                     held &= slot.passes[p] == key;
                     if p + 2 == d {
                         held &= (slot.row, slot.kr_last) == (rows, kr_last) && rows >= rewritten;
@@ -770,7 +757,7 @@ fn run_plain<'a, I, F>(
                     ..*slot
                 };
 
-                let h = block(d - 1);
+                let h = block(hs.next(), d - 1, passes);
                 assert!(
                     hs.next().is_none(),
                     "need one operator matrix per dimension ({d}), got more"
@@ -859,6 +846,7 @@ fn run_fans<'a, I, F>(
             let mut keys = [(0, 0); MAX_DIMS];
             for (ix, mu) in chunk_terms.clone().enumerate() {
                 let Term { coeff, hs, krs } = term(task, mu);
+                check_ranks(krs, passes);
                 let mut hs = hs.into_iter();
                 // This term's place in a stack region: where pass d−2
                 // writes its last-pass operand.
@@ -1014,6 +1002,7 @@ fn run_fans<'a, I, F>(
 
 /// Operator `p` of a term, checked against the shape of pass `p` of
 /// `passes` (one per dimension).
+#[inline]
 fn block<'a>(h: Option<&'a Tensor>, p: usize, passes: &[Pass]) -> &'a Tensor {
     let d = passes.len();
     let h = h.unwrap_or_else(|| panic!("need one operator matrix per dimension ({d}), got {p}"));
@@ -1031,17 +1020,24 @@ fn block<'a>(h: Option<&'a Tensor>, p: usize, passes: &[Pass]) -> &'a Tensor {
     h
 }
 
-/// The rows pass `p` of `passes` contracts under the rank reduction
-/// `krs`.
-fn kr_of(krs: Option<&[usize]>, p: usize, passes: &[Pass]) -> usize {
-    krs.map_or(passes[p].dimk, |krs| {
+/// Panics unless the rank reduction `krs` of a term has one entry per
+/// pass of `passes`: checked once a term, so [`kr_of`] need not.
+#[inline]
+fn check_ranks(krs: Option<&[usize]>, passes: &[Pass]) {
+    if let Some(krs) = krs {
         assert_eq!(
             krs.len(),
             passes.len(),
             "need one effective rank per dimension"
         );
-        krs[p].min(passes[p].dimk)
-    })
+    }
+}
+
+/// The rows pass `p` of `passes` contracts under the rank reduction
+/// `krs`, which [`check_ranks`] has matched to the passes.
+#[inline]
+fn kr_of(krs: Option<&[usize]>, p: usize, passes: &[Pass]) -> usize {
+    krs.map_or(passes[p].dimk, |krs| krs[p].min(passes[p].dimk))
 }
 
 /// A block's identity within a group call.
@@ -1093,6 +1089,7 @@ where
         if other.coeff.to_bits() != lead.coeff {
             break;
         }
+        check_ranks(other.krs, passes);
         let mut hs = other.hs.into_iter();
         let mut key = |q: usize| {
             let h = block(hs.next(), q, passes);
@@ -1466,12 +1463,16 @@ mod tests {
         std::iter::once(s.clone()).chain((1..n).map(own)).collect()
     }
 
+    /// Leading fans at every pass size under every kernel, so each loop
+    /// runs under every candidate.
+    const FORCED: fn(&Pass) -> bool = |_| true;
+
     /// Runs `tasks` as one group call under every candidate kernel and
     /// under the installed table, over `s` alone and then stacked over
     /// `S` = 2..=8 distinct sources (`s` and [`sources_like`] it), with
-    /// leading fans at every pass size and where [`FAN_PASS_MACS`] puts
-    /// them, and checks each source's output of each task against that
-    /// task's own one-task call on that source, bit for bit.
+    /// leading fans [`FORCED`] and where [`leading_fans_pay`] puts them,
+    /// and checks each source's output of each task against that task's
+    /// own one-task call on that source, bit for bit.
     fn check_group(s: &Tensor, pool: &[Tensor], tasks: &[Task]) {
         let (n_terms, n_tasks) = (tasks[0].len(), tasks.len());
         let term = |task: usize, mu: usize| {
@@ -1510,7 +1511,7 @@ mod tests {
         let resolves = PINNED.into_iter().chain([kernel::resolve as _]);
         for (pick, resolve) in resolves.enumerate() {
             for n_src in 1..=STACKED {
-                for fan_macs in [0, FAN_PASS_MACS] {
+                for (rule, fans) in [("forced", FORCED), ("by rule", leading_fans_pay)] {
                     let mut outs = bases[..n_src * n_tasks].to_vec();
                     let sources = &sources[..n_src];
                     group(
@@ -1520,14 +1521,14 @@ mod tests {
                         &mut scratch,
                         &mut outs,
                         resolve,
-                        fan_macs,
+                        fans,
                     );
                     for (out, (got, want)) in outs.iter().zip(&want).enumerate() {
                         let (source, task) = (out / n_tasks, out % n_tasks);
                         let same = kernel::same_bits(got.as_slice(), want.as_slice());
                         assert!(
                             same,
-                            "kernel {pick}, {n_src} sources, fans from {fan_macs}: \
+                            "kernel {pick}, {n_src} sources, fans {rule}: \
                              source {source}, task {task}"
                         );
                     }
@@ -1734,6 +1735,38 @@ mod tests {
             .collect()
     }
 
+    /// One group call over `tasks` on `s` alone into zeroed outputs, with
+    /// the span kernels from `resolve` and leading fans where `fans` puts
+    /// them; returns the scratch it left.
+    fn run_group(
+        s: &Tensor,
+        pool: &[Tensor],
+        tasks: &[Task],
+        resolve: fn(usize, usize) -> SpanKernel,
+        fans: fn(&Pass) -> bool,
+    ) -> TransformScratch {
+        let term = |task: usize, mu: usize| {
+            let (coeff, hs, krs) = &tasks[task][mu];
+            Term {
+                coeff: *coeff,
+                hs: hs.iter().map(|&b| &pool[b]),
+                krs: krs.as_deref(),
+            }
+        };
+        let mut outs = vec![Tensor::zeros(s.shape()); tasks.len()];
+        let mut scratch = TransformScratch::new();
+        group(
+            &[s],
+            tasks[0].len(),
+            term,
+            &mut scratch,
+            &mut outs,
+            resolve,
+            fans,
+        );
+        scratch
+    }
+
     /// Span dispatches of one group call over `tasks` on `s` alone under
     /// the SIMD kernel, which runs a width-4 fan as one span on an AVX
     /// host (`None` elsewhere), with leading fans at every pass size.
@@ -1746,28 +1779,59 @@ mod tests {
             return None;
         }
         let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-        let term = |task: usize, mu: usize| {
-            let (coeff, hs, krs) = &tasks[task][mu];
-            Term {
-                coeff: *coeff,
-                hs: hs.iter().map(|&b| &pool[b]),
-                krs: krs.as_deref(),
-            }
-        };
-        let mut outs = vec![Tensor::zeros(s.shape()); tasks.len()];
-        let mut scratch = TransformScratch::new();
-        let counted = |_, _| kernel::counted(KernelId::SimdConst, &SPANS);
         SPANS.store(0, Ordering::Relaxed);
-        group(
-            &[s],
-            tasks[0].len(),
-            term,
-            &mut scratch,
-            &mut outs,
-            counted,
-            0,
-        );
+        let counted = |_, _| kernel::counted(KernelId::SimdConst, &SPANS);
+        run_group(s, pool, tasks, counted, FORCED);
         Some(SPANS.load(Ordering::Relaxed))
+    }
+
+    /// Whether one group call over `tasks` on `s` alone under `resolve`,
+    /// with leading fans where [`leading_fans_pay`] puts them, took the
+    /// loop that runs them.
+    fn runs_fans(
+        s: &Tensor,
+        pool: &[Tensor],
+        tasks: &[Task],
+        resolve: fn(usize, usize) -> SpanKernel,
+    ) -> bool {
+        !run_group(s, pool, tasks, resolve, leading_fans_pay)
+            .fan_slots
+            .is_empty()
+    }
+
+    /// A `d = 3`, `k = 10` source and the tasks of its `δz` siblings at
+    /// `δx = δy = 0`, two terms each: pass 0 does 10,000 multiply-adds.
+    fn k10_siblings() -> (Tensor, Vec<Tensor>, Vec<Task>) {
+        let (d, k, rank, width) = (3, 10, 2, 3);
+        let pool = (0..rank * d * width)
+            .map(|ix| det_tensor(Shape::matrix(k, k), 600 + ix as u64))
+            .collect();
+        let siblings = |delta: &[usize]| delta[..2] == [0, 0];
+        let tasks = box_tasks(d, rank, width, siblings, |_, _| None);
+        (det_tensor(Shape::cube(d, k), 6), pool, tasks)
+    }
+
+    /// Where the span kernel has no fan body, a fan would be one span per
+    /// member, so a k = 10 call runs no leading fans however large its
+    /// passes.
+    #[test]
+    fn a_k10_call_under_a_scalar_kernel_runs_no_leading_fans() {
+        let (s, pool, tasks) = k10_siblings();
+        let scalar = |_, _| kernel::pinned(KernelId::ScalarRuntime);
+        assert!(!runs_fans(&s, &pool, &tasks, scalar));
+    }
+
+    /// Under the SIMD kernel a k = 10 call runs leading fans exactly where
+    /// the host has the width-10 fan body, and a k = 4 call, whose passes
+    /// are too small, never does.
+    #[test]
+    fn leading_fans_run_where_the_simd_kernel_fans_that_wide() {
+        let simd = |_, _| kernel::pinned(KernelId::SimdConst);
+        let (s, pool, tasks) = k10_siblings();
+        assert_eq!(runs_fans(&s, &pool, &tasks, simd), crate::simd::has_fan(10));
+        let (s, pool) = box_case(3, 2, 3, 50);
+        let tasks = box_tasks(3, 2, 3, |_| true, |_, _| None);
+        assert!(!runs_fans(&s, &pool, &tasks, simd));
     }
 
     /// A full box at d = 2, 3 and 4: each leading pass runs its `width`
@@ -1931,6 +1995,27 @@ mod tests {
         };
         let mut outs = vec![t.clone(); 2];
         transform_sum_accumulate_group(&[&t, &u], 1, term, &mut TransformScratch::new(), &mut outs);
+    }
+
+    #[test]
+    #[should_panic(expected = "need one effective rank per dimension")]
+    fn wrong_rank_count_panics() {
+        let t = Tensor::zeros(Shape::cube(3, 3));
+        let (h, mut out) = (Tensor::identity(3), t.clone());
+        let mut scratch = TransformScratch::new();
+        transform_rr_accumulate_scaled(&t, 1.0, &[&h, &h, &h], &[3, 3], &mut scratch, &mut out);
+    }
+
+    /// A later task's rank reduction with too few entries is caught when
+    /// an earlier task's leading fan asks for its term.
+    #[test]
+    #[should_panic(expected = "need one effective rank per dimension")]
+    fn a_wrong_rank_count_met_by_a_leading_fan_panics() {
+        let (s, pool) = box_case(3, 1, 3, 60);
+        let mut tasks = box_tasks(3, 1, 3, |_| true, |_, _| Some(vec![4, 4, 4]));
+        tasks[1][0].2 = Some(vec![4, 4]);
+        let scalar = |_, _| kernel::pinned(KernelId::ScalarRuntime);
+        run_group(&s, &pool, &tasks, scalar, FORCED);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! fields above are interpreted.
 
 use crate::{
-    BalanceEvent, BalanceKind, DispatchSample, FaultAction, FaultEvent, FaultKind, MemRecorder,
-    Record, Recorder, ServeEvent, ServeOutcome, Stage,
+    BalanceEvent, BalanceKind, DispatchSample, Event, FaultAction, FaultEvent, FaultKind,
+    MemRecorder, Point, Record, Recorder, ServeEvent, ServeOutcome, Stage,
 };
 use std::fmt::Write as _;
 
@@ -61,7 +61,7 @@ pub(crate) fn export(rec: &MemRecorder) -> String {
                     s.lane
                 );
             }
-            Record::Event(e) => {
+            Record::Point(e) => {
                 let _ = write!(
                     out,
                     "{{\"t\":\"event\",\"stage\":\"{}\",\"at_ns\":{},\"value\":{}}}",
@@ -149,6 +149,8 @@ pub(crate) fn export(rec: &MemRecorder) -> String {
 // Import
 // ---------------------------------------------------------------------
 
+/// Replays every journal record and metric of a timeline through
+/// [`Recorder::span`] and [`Recorder::record`], in export order.
 pub(crate) fn import(text: &str) -> Result<MemRecorder, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
@@ -174,17 +176,20 @@ pub(crate) fn import(text: &str) -> Result<MemRecorder, JsonError> {
     }
     if let Some(Value::Object(counters)) = get("counters") {
         for (name, v) in counters {
-            rec.add(name, v.as_u64().ok_or_else(|| bad("counter value"))?);
+            let delta = v.as_u64().ok_or_else(|| bad("counter value"))?;
+            rec.record(Event::Count(name, delta));
         }
     }
     if let Some(Value::Object(gauges)) = get("gauges") {
         for (name, v) in gauges {
-            rec.gauge_hwm(name, v.as_u64().ok_or_else(|| bad("gauge value"))?);
+            let value = v.as_u64().ok_or_else(|| bad("gauge value"))?;
+            rec.record(Event::Gauge(name, value));
         }
     }
     if let Some(Value::Array(ks)) = get("k_history") {
         for k in ks {
-            rec.observe_split(k.as_f64().ok_or_else(|| bad("k_history value"))?);
+            let k = k.as_f64().ok_or_else(|| bad("k_history value"))?;
+            rec.record(Event::Split(k));
         }
     }
     if let Some(Value::Array(samples)) = get("dispatch_history") {
@@ -202,12 +207,12 @@ pub(crate) fn import(text: &str) -> Result<MemRecorder, JsonError> {
                 Some(Value::Bool(b)) => *b,
                 _ => return Err(bad("dispatch sample missing bool 'probe'")),
             };
-            rec.observe_dispatch(DispatchSample {
+            rec.record(Event::Dispatch(DispatchSample {
                 k: num("k")?,
                 m_hat_ns: num("m_hat_ns")?,
                 n_hat_ns: num("n_hat_ns")?,
                 probe,
-            });
+            }));
         }
     }
     Ok(rec)
@@ -223,82 +228,62 @@ fn replay_record(r: &Value, rec: &mut MemRecorder) -> Result<(), JsonError> {
             .and_then(Value::as_u64)
             .ok_or_else(|| bad(&format!("record missing integer '{name}'")))
     };
-    let stage = || match get("stage") {
-        Some(Value::String(s)) => {
-            Stage::from_name(s).ok_or_else(|| bad(&format!("unknown stage '{s}'")))
-        }
-        _ => Err(bad("record missing stage")),
-    };
-    match get("t") {
+    let ev = match get("t") {
         Some(Value::String(t)) if t == "span" => {
-            rec.span(
-                stage()?,
-                num("start_ns")?,
-                num("end_ns")?,
-                num("lane")? as u32,
-            );
-            Ok(())
+            let stage = named(get("stage"), "stage", Stage::from_name)?;
+            rec.span(stage, num("start_ns")?, num("end_ns")?, num("lane")? as u32);
+            return Ok(());
         }
-        Some(Value::String(t)) if t == "event" => {
-            rec.event(stage()?, num("at_ns")?, num("value")?);
-            Ok(())
+        Some(Value::String(t)) if t == "event" => Event::Point(Point {
+            stage: named(get("stage"), "stage", Stage::from_name)?,
+            at_ns: num("at_ns")?,
+            value: num("value")?,
+        }),
+        Some(Value::String(t)) if t == "fault" => Event::Fault(FaultEvent {
+            kind: named(get("kind"), "fault kind", FaultKind::from_name)?,
+            action: named(get("action"), "fault action", FaultAction::from_name)?,
+            at_ns: num("at_ns")?,
+            tasks: num("tasks")?,
+        }),
+        Some(Value::String(t)) if t == "balance" => Event::Balance(BalanceEvent {
+            kind: named(get("kind"), "balance kind", BalanceKind::from_name)?,
+            from_node: num("from")? as u32,
+            to_node: num("to")? as u32,
+            tasks: num("tasks")?,
+            bytes: num("bytes")?,
+            at_ns: num("at_ns")?,
+        }),
+        Some(Value::String(t)) if t == "serve" => Event::Serve(ServeEvent {
+            tenant: num("tenant")? as u32,
+            op: num("op")?,
+            data_hash: num("data_hash")?,
+            tasks: num("tasks")?,
+            arrived_ns: num("arrived_ns")?,
+            started_ns: num("started_ns")?,
+            finished_ns: num("finished_ns")?,
+            outcome: named(get("outcome"), "serve outcome", ServeOutcome::from_name)?,
+        }),
+        _ => {
+            return Err(bad(
+                "record type must be \"span\", \"event\", \"fault\", \"balance\" or \"serve\"",
+            ))
         }
-        Some(Value::String(t)) if t == "fault" => {
-            let kind = match get("kind") {
-                Some(Value::String(s)) => FaultKind::from_name(s)
-                    .ok_or_else(|| bad(&format!("unknown fault kind '{s}'")))?,
-                _ => return Err(bad("fault record missing kind")),
-            };
-            let action = match get("action") {
-                Some(Value::String(s)) => FaultAction::from_name(s)
-                    .ok_or_else(|| bad(&format!("unknown fault action '{s}'")))?,
-                _ => return Err(bad("fault record missing action")),
-            };
-            rec.fault(FaultEvent {
-                kind,
-                action,
-                at_ns: num("at_ns")?,
-                tasks: num("tasks")?,
-            });
-            Ok(())
+    };
+    rec.record(ev);
+    Ok(())
+}
+
+/// The entry of a name table that a record's `field` holds.
+fn named<T>(
+    v: Option<&Value>,
+    field: &str,
+    from_name: fn(&str) -> Option<T>,
+) -> Result<T, JsonError> {
+    match v {
+        Some(Value::String(s)) => {
+            from_name(s).ok_or_else(|| bad(&format!("unknown {field} '{s}'")))
         }
-        Some(Value::String(t)) if t == "balance" => {
-            let kind = match get("kind") {
-                Some(Value::String(s)) => BalanceKind::from_name(s)
-                    .ok_or_else(|| bad(&format!("unknown balance kind '{s}'")))?,
-                _ => return Err(bad("balance record missing kind")),
-            };
-            rec.balance_event(BalanceEvent {
-                kind,
-                from_node: num("from")? as u32,
-                to_node: num("to")? as u32,
-                tasks: num("tasks")?,
-                bytes: num("bytes")?,
-                at_ns: num("at_ns")?,
-            });
-            Ok(())
-        }
-        Some(Value::String(t)) if t == "serve" => {
-            let outcome = match get("outcome") {
-                Some(Value::String(s)) => ServeOutcome::from_name(s)
-                    .ok_or_else(|| bad(&format!("unknown serve outcome '{s}'")))?,
-                _ => return Err(bad("serve record missing outcome")),
-            };
-            rec.serve(ServeEvent {
-                tenant: num("tenant")? as u32,
-                op: num("op")?,
-                data_hash: num("data_hash")?,
-                tasks: num("tasks")?,
-                arrived_ns: num("arrived_ns")?,
-                started_ns: num("started_ns")?,
-                finished_ns: num("finished_ns")?,
-                outcome,
-            });
-            Ok(())
-        }
-        _ => Err(bad(
-            "record type must be \"span\", \"event\", \"fault\", \"balance\" or \"serve\"",
-        )),
+        _ => Err(bad(&format!("record missing {field}"))),
     }
 }
 
@@ -503,87 +488,112 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn sample() -> MemRecorder {
+    /// A recorder built through `span` and `record` alone, with one value
+    /// of every [`Event`] variant and every entry of every name table: a
+    /// span and a point of each stage, a fault of each kind paired with
+    /// the action of the same index, a balance record of each kind and a
+    /// serve record of each outcome, then each metric.
+    fn vocabulary() -> MemRecorder {
+        assert_eq!(FaultKind::ALL.len(), FaultAction::ALL.len());
         let mut rec = MemRecorder::new();
-        rec.span(Stage::Preprocess, 0, 1_000, 0);
-        rec.span(Stage::KernelLaunch, 1_000, 4_000, 3);
-        rec.event(Stage::Batch, 1_000, 60);
-        rec.event(Stage::CacheMiss, 1_200, 4_096);
-        rec.fault(FaultEvent {
-            kind: FaultKind::KernelLaunchFail,
-            action: FaultAction::Injected,
-            at_ns: 2_000,
-            tasks: 4,
-        });
-        rec.fault(FaultEvent {
-            kind: FaultKind::DeviceLost,
-            action: FaultAction::Quarantined,
-            at_ns: 3_000,
-            tasks: 56,
-        });
-        rec.balance_event(BalanceEvent {
-            kind: BalanceKind::Steal,
-            from_node: 2,
-            to_node: 5,
-            tasks: 120,
-            bytes: 960_000,
-            at_ns: 2_500,
-        });
-        rec.balance_event(BalanceEvent {
-            kind: BalanceKind::Repartition,
-            from_node: 0,
-            to_node: 3,
-            tasks: 48,
-            bytes: 384_000,
-            at_ns: 3_500,
-        });
-        rec.serve(ServeEvent {
-            tenant: 1,
-            op: 0x5E12,
-            data_hash: 42,
-            tasks: 8,
-            arrived_ns: 500,
-            started_ns: 1_200,
-            finished_ns: 3_900,
-            outcome: ServeOutcome::Completed,
-        });
-        rec.serve(ServeEvent {
-            tenant: 2,
-            op: 0x5E12,
-            data_hash: 42,
-            tasks: 8,
-            arrived_ns: 600,
-            started_ns: 600,
-            finished_ns: 600,
-            outcome: ServeOutcome::Rejected,
-        });
-        rec.add("cache_miss", 1);
-        rec.add("cache_hit", 9);
-        rec.gauge_hwm("pinned_pool_hwm_bytes", 1 << 20);
-        rec.observe_split(1.0 / 3.0);
-        rec.observe_split(0.5);
-        rec.observe_dispatch(DispatchSample {
-            k: 0.5,
-            m_hat_ns: 0.0,
-            n_hat_ns: 0.0,
-            probe: true,
-        });
-        rec.observe_dispatch(DispatchSample {
-            k: 0.242,
-            m_hat_ns: 2_500.5,
-            n_hat_ns: 800.0,
-            probe: false,
-        });
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            let (i, at_ns) = (i as u64, 1_000 * i as u64);
+            rec.span(stage, at_ns, at_ns + 700, i as u32);
+            let value = 60 + i;
+            rec.record(Event::Point(Point {
+                stage,
+                at_ns,
+                value,
+            }));
+        }
+        let faults = FaultKind::ALL.into_iter().zip(FaultAction::ALL);
+        for (i, (kind, action)) in faults.enumerate() {
+            let (at_ns, tasks) = (2_000 + 100 * i as u64, i as u64);
+            rec.record(Event::Fault(FaultEvent {
+                kind,
+                action,
+                at_ns,
+                tasks,
+            }));
+        }
+        for (i, kind) in BalanceKind::ALL.into_iter().enumerate() {
+            rec.record(Event::Balance(BalanceEvent {
+                kind,
+                from_node: i as u32,
+                to_node: 5,
+                tasks: 120,
+                bytes: 960_000,
+                at_ns: 2_500,
+            }));
+        }
+        for (i, outcome) in ServeOutcome::ALL.into_iter().enumerate() {
+            rec.record(Event::Serve(ServeEvent {
+                tenant: i as u32,
+                op: 0x5E12,
+                data_hash: 42,
+                tasks: 8,
+                arrived_ns: 500,
+                started_ns: 1_200,
+                finished_ns: 3_900,
+                outcome,
+            }));
+        }
+        rec.record(Event::Count("cache_miss", 1));
+        rec.record(Event::Count(&format!("stream_busy_ns.{}", 3), 9));
+        rec.record(Event::Gauge("pinned_pool_hwm_bytes", 1 << 20));
+        rec.record(Event::Split(1.0 / 3.0));
+        rec.record(Event::Split(0.5));
+        for (k, m_hat_ns, n_hat_ns, probe) in
+            [(0.5, 0.0, 0.0, true), (0.242, 2_500.5, 800.0, false)]
+        {
+            let sample = DispatchSample {
+                k,
+                m_hat_ns,
+                n_hat_ns,
+                probe,
+            };
+            rec.record(Event::Dispatch(sample));
+        }
         rec
     }
 
+    /// Every record and metric of the vocabulary survives export and
+    /// import, byte for byte; every name table inverts; and only the
+    /// journaled variants enter the journal.
     #[test]
     fn round_trip_is_byte_identical() {
-        let rec = sample();
+        let rec = vocabulary();
         let json = rec.to_json();
         let back = MemRecorder::from_json(&json).expect("parses");
         assert_eq!(back, rec);
         assert_eq!(back.to_json(), json);
+
+        let journaled = 2 * Stage::ALL.len()
+            + FaultKind::ALL.len()
+            + BalanceKind::ALL.len()
+            + ServeOutcome::ALL.len();
+        assert_eq!(rec.journal().len(), journaled);
+
+        for x in Stage::ALL {
+            assert_eq!(Stage::from_name(x.name()), Some(x));
+        }
+        for x in ServeOutcome::ALL {
+            assert_eq!(ServeOutcome::from_name(x.name()), Some(x));
+        }
+        for x in BalanceKind::ALL {
+            assert_eq!(BalanceKind::from_name(x.name()), Some(x));
+        }
+        for x in FaultKind::ALL {
+            assert_eq!(FaultKind::from_name(x.name()), Some(x));
+        }
+        for x in FaultAction::ALL {
+            assert_eq!(FaultAction::from_name(x.name()), Some(x));
+        }
+        assert_eq!(Stage::from_name("NotAStage"), None);
+        assert_eq!(ServeOutcome::from_name("NotAnOutcome"), None);
+        assert_eq!(BalanceKind::from_name("NotABalanceKind"), None);
+        assert_eq!(FaultKind::from_name("NotAFault"), None);
+        assert_eq!(FaultAction::from_name("NotAnAction"), None);
     }
 
     #[test]

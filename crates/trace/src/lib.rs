@@ -8,14 +8,17 @@
 //!
 //! Three pieces:
 //!
-//! * a [`Recorder`] trait the instrumented hot paths are generic over.
-//!   [`NullRecorder`] compiles to nothing (`Recorder::ENABLED` is an
-//!   associated `const`, so recording branches fold away), which is how
-//!   the untraced entry points keep bit-identical results and zero cost;
-//! * [`MemRecorder`], an in-memory journal of [`Span`]s/[`Event`]s plus a
-//!   [`Metrics`] registry (monotonic counters, high-water-mark gauges,
-//!   and the dispatcher's per-batch split-ratio history), with JSON
-//!   export/import ([`MemRecorder::to_json`] / [`MemRecorder::from_json`]);
+//! * a [`Recorder`] trait the instrumented hot paths are generic over:
+//!   [`Recorder::span`] for intervals and [`Recorder::record`] for every
+//!   other [`Event`]. [`NullRecorder`] compiles to nothing
+//!   (`Recorder::ENABLED` is an associated `const`, so recording branches
+//!   fold away), which is how the untraced entry points keep
+//!   bit-identical results and zero cost;
+//! * [`MemRecorder`], an in-memory journal of [`Record`]s (spans, points,
+//!   fault, balance and serve records) plus a [`Metrics`] registry
+//!   (monotonic counters, high-water-mark gauges, and the dispatcher's
+//!   per-batch split-ratio history), with JSON export/import
+//!   ([`MemRecorder::to_json`] / [`MemRecorder::from_json`]);
 //! * [`StageBreakdown`], a sweep-line attribution of a journal's spans
 //!   that charges every simulated nanosecond of the run to exactly one
 //!   [`Stage`], so per-stage utilization sums to the run's total.
@@ -34,17 +37,44 @@ pub use timeline::{stage_overlap_ns, StageBreakdown};
 
 use std::collections::BTreeMap;
 
+/// Declares a fieldless enum with its name table: `ALL`, every variant in
+/// declaration order; `name`, the variant's identifier, which is its
+/// stable name in the JSON journal and reports; and `from_name`, its
+/// inverse.
+macro_rules! named {
+    ($(#[$meta:meta])* pub enum $ty:ident { $($(#[$vmeta:meta])* $v:ident,)+ }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum $ty { $($(#[$vmeta])* $v,)+ }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: [$ty; [$($ty::$v),+].len()] = [$($ty::$v),+];
+
+            /// Stable name used in the JSON journal and reports.
+            pub fn name(self) -> &'static str {
+                match self { $($ty::$v => stringify!($v),)+ }
+            }
+
+            #[doc = concat!("Inverse of [`", stringify!($ty), "::name`].")]
+            pub fn from_name(name: &str) -> Option<$ty> {
+                $ty::ALL.into_iter().find(|x| x.name() == name)
+            }
+        }
+    };
+}
+
 // ---------------------------------------------------------------------
 // Stages
 // ---------------------------------------------------------------------
 
+named! {
 /// The pipeline stage a journal record belongs to.
 ///
 /// The first seven are the stages of the paper's Apply pipeline (Fig. 3:
 /// preprocess → batch → dispatch → transfer/launch ∥ CPU compute →
 /// postprocess); the cache and network stages tag point events from the
 /// device's write-once `h` cache and the interconnect model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// Data-intensive input resolution on the CPU data threads.
     Preprocess,
@@ -84,53 +114,9 @@ pub enum Stage {
     /// simulated time from the pipeline stages.
     Sojourn,
 }
+}
 
 impl Stage {
-    /// Every stage, in declaration order.
-    pub const ALL: [Stage; 15] = [
-        Stage::Preprocess,
-        Stage::Batch,
-        Stage::Dispatch,
-        Stage::Transfer,
-        Stage::KernelLaunch,
-        Stage::CpuCompute,
-        Stage::Postprocess,
-        Stage::CacheHit,
-        Stage::CacheMiss,
-        Stage::CacheEvict,
-        Stage::NetSend,
-        Stage::NetRecv,
-        Stage::Migrate,
-        Stage::Recover,
-        Stage::Sojourn,
-    ];
-
-    /// Stable name used in the JSON journal and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Preprocess => "Preprocess",
-            Stage::Batch => "Batch",
-            Stage::Dispatch => "Dispatch",
-            Stage::Transfer => "Transfer",
-            Stage::KernelLaunch => "KernelLaunch",
-            Stage::CpuCompute => "CpuCompute",
-            Stage::Postprocess => "Postprocess",
-            Stage::CacheHit => "CacheHit",
-            Stage::CacheMiss => "CacheMiss",
-            Stage::CacheEvict => "CacheEvict",
-            Stage::NetSend => "NetSend",
-            Stage::NetRecv => "NetRecv",
-            Stage::Migrate => "Migrate",
-            Stage::Recover => "Recover",
-            Stage::Sojourn => "Sojourn",
-        }
-    }
-
-    /// Inverse of [`Stage::name`].
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.name() == name)
-    }
-
     /// Index into [`Stage::ALL`].
     pub(crate) fn index(self) -> usize {
         Stage::ALL.iter().position(|s| *s == self).expect("in ALL")
@@ -187,7 +173,7 @@ impl Span {
 
 /// An instantaneous occurrence carrying one value (bytes, task count, …).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Event {
+pub struct Point {
     /// Pipeline stage.
     pub stage: Stage,
     /// Simulated timestamp, nanoseconds.
@@ -202,7 +188,7 @@ pub enum Record {
     /// An interval record.
     Span(Span),
     /// A point record.
-    Event(Event),
+    Point(Point),
     /// A fault-path record (injection, detection, recovery).
     Fault(FaultEvent),
     /// A load-balancing decision (steal or repartition migration).
@@ -211,8 +197,35 @@ pub enum Record {
     Serve(ServeEvent),
 }
 
+/// Everything a run reports to a [`Recorder`] besides its spans: four
+/// kinds of journal record, then four metrics that [`MemRecorder`] folds
+/// into its [`Metrics`] instead of journaling.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Event<'a> {
+    /// A point record (journaled).
+    Point(Point),
+    /// A fault-path record (journaled).
+    Fault(FaultEvent),
+    /// A load-balancing decision (journaled).
+    Balance(BalanceEvent),
+    /// A serving-request outcome (journaled).
+    Serve(ServeEvent),
+    /// Adds the delta to the named monotonic counter. The name is a
+    /// `&str` because some are formatted at run time
+    /// (`stream_busy_ns.{idx}`).
+    Count(&'a str, u64),
+    /// Raises the named gauge to the value if it is a new high-water mark.
+    Gauge(&'a str, u64),
+    /// One dispatcher split ratio `k*`, appended to the split history.
+    Split(f64),
+    /// One adaptive-dispatcher flush decision, appended to the dispatch
+    /// trajectory. Independent of [`Event::Split`]: a caller that wants
+    /// `k` in both histories records both.
+    Dispatch(DispatchSample),
+}
+
+named! {
 /// How a serving request left the system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServeOutcome {
     /// The request was admitted, executed, and finished.
     Completed,
@@ -226,30 +239,6 @@ pub enum ServeOutcome {
     /// counts exactly once as [`ServeOutcome::Completed`].
     CancelledHedge,
 }
-
-impl ServeOutcome {
-    /// Every outcome, in declaration order.
-    pub const ALL: [ServeOutcome; 4] = [
-        ServeOutcome::Completed,
-        ServeOutcome::Rejected,
-        ServeOutcome::Shed,
-        ServeOutcome::CancelledHedge,
-    ];
-
-    /// Stable name used in the JSON journal and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeOutcome::Completed => "Completed",
-            ServeOutcome::Rejected => "Rejected",
-            ServeOutcome::Shed => "Shed",
-            ServeOutcome::CancelledHedge => "CancelledHedge",
-        }
-    }
-
-    /// Inverse of [`ServeOutcome::name`].
-    pub fn from_name(name: &str) -> Option<ServeOutcome> {
-        ServeOutcome::ALL.into_iter().find(|o| o.name() == name)
-    }
 }
 
 /// One serving request's journey through the online layer: when it
@@ -287,31 +276,14 @@ impl ServeEvent {
     }
 }
 
+named! {
 /// Which dynamic-load-balancing mechanism moved work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BalanceKind {
     /// An idle node pulled batched work from the most-loaded node.
     Steal,
     /// A sync-epoch repartition pushed queued batches to faster nodes.
     Repartition,
 }
-
-impl BalanceKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [BalanceKind; 2] = [BalanceKind::Steal, BalanceKind::Repartition];
-
-    /// Stable name used in the JSON journal and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BalanceKind::Steal => "Steal",
-            BalanceKind::Repartition => "Repartition",
-        }
-    }
-
-    /// Inverse of [`BalanceKind::name`].
-    pub fn from_name(name: &str) -> Option<BalanceKind> {
-        BalanceKind::ALL.into_iter().find(|k| k.name() == name)
-    }
 }
 
 /// One migration decision of the cluster-level load balancer: whole task
@@ -333,11 +305,11 @@ pub struct BalanceEvent {
     pub at_ns: u64,
 }
 
+named! {
 /// The fault taxonomy shared by the injector (`madness-faults`) and the
 /// journal. It lives here — not in `madness-faults` — so the journal can
 /// record fault events without a dependency cycle; `madness-faults`
 /// re-exports it as the canonical vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     /// A kernel failed to launch (`cudaErrorLaunchFailure`-class).
     KernelLaunchFail,
@@ -362,44 +334,10 @@ pub enum FaultKind {
     /// (cold caches, re-admitted through the probe ladder).
     NodeRejoin,
 }
-
-impl FaultKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [FaultKind; 9] = [
-        FaultKind::KernelLaunchFail,
-        FaultKind::TransferTimeout,
-        FaultKind::StreamStall,
-        FaultKind::DeviceLost,
-        FaultKind::SlowNode,
-        FaultKind::DroppedMessage,
-        FaultKind::NodeCrash,
-        FaultKind::NodePartition,
-        FaultKind::NodeRejoin,
-    ];
-
-    /// Stable name used in the JSON journal and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::KernelLaunchFail => "KernelLaunchFail",
-            FaultKind::TransferTimeout => "TransferTimeout",
-            FaultKind::StreamStall => "StreamStall",
-            FaultKind::DeviceLost => "DeviceLost",
-            FaultKind::SlowNode => "SlowNode",
-            FaultKind::DroppedMessage => "DroppedMessage",
-            FaultKind::NodeCrash => "NodeCrash",
-            FaultKind::NodePartition => "NodePartition",
-            FaultKind::NodeRejoin => "NodeRejoin",
-        }
-    }
-
-    /// Inverse of [`FaultKind::name`].
-    pub fn from_name(name: &str) -> Option<FaultKind> {
-        FaultKind::ALL.into_iter().find(|k| k.name() == name)
-    }
 }
 
+named! {
 /// What the fault-handling machinery did at a [`FaultEvent`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultAction {
     /// The fault fired (injected by the plan).
     Injected,
@@ -423,40 +361,6 @@ pub enum FaultAction {
     /// per-kind latency budget expired.
     Hedged,
 }
-
-impl FaultAction {
-    /// Every action, in declaration order.
-    pub const ALL: [FaultAction; 9] = [
-        FaultAction::Injected,
-        FaultAction::Detected,
-        FaultAction::Retried,
-        FaultAction::CpuFallback,
-        FaultAction::Quarantined,
-        FaultAction::Readmitted,
-        FaultAction::Resent,
-        FaultAction::Recovered,
-        FaultAction::Hedged,
-    ];
-
-    /// Stable name used in the JSON journal and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultAction::Injected => "Injected",
-            FaultAction::Detected => "Detected",
-            FaultAction::Retried => "Retried",
-            FaultAction::CpuFallback => "CpuFallback",
-            FaultAction::Quarantined => "Quarantined",
-            FaultAction::Readmitted => "Readmitted",
-            FaultAction::Resent => "Resent",
-            FaultAction::Recovered => "Recovered",
-            FaultAction::Hedged => "Hedged",
-        }
-    }
-
-    /// Inverse of [`FaultAction::name`].
-    pub fn from_name(name: &str) -> Option<FaultAction> {
-        FaultAction::ALL.into_iter().find(|a| a.name() == name)
-    }
 }
 
 /// One fault-path occurrence: a fault firing, its detection, or a
@@ -493,7 +397,8 @@ pub struct DispatchSample {
 // Metrics registry
 // ---------------------------------------------------------------------
 
-/// Aggregated counters, gauges and the dispatcher split history.
+/// Aggregated counters, gauges and the dispatcher split history: what
+/// [`MemRecorder`] folds the metric [`Event`]s into.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
@@ -503,30 +408,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Adds `delta` to the named monotonic counter.
-    pub fn add(&mut self, counter: &str, delta: u64) {
-        *self.counters.entry(counter.to_owned()).or_insert(0) += delta;
-    }
-
-    /// Raises the named gauge to `value` if it is a new high-water mark.
-    pub fn gauge_hwm(&mut self, gauge: &str, value: u64) {
-        let g = self.gauges.entry(gauge.to_owned()).or_insert(0);
-        *g = (*g).max(value);
-    }
-
-    /// Appends one dispatcher split ratio `k*` to the history.
-    pub fn observe_split(&mut self, k: f64) {
-        self.k_history.push(k);
-    }
-
-    /// Appends one adaptive-dispatcher flush decision to the trajectory.
-    /// Deliberately independent of [`Metrics::observe_split`] — callers
-    /// that want `k` in both histories emit both (the JSON import replays
-    /// each history separately).
-    pub fn observe_dispatch(&mut self, sample: DispatchSample) {
-        self.dispatch_history.push(sample);
-    }
-
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -584,7 +465,8 @@ impl Metrics {
 // ---------------------------------------------------------------------
 
 /// Sink for journal records and metrics, threaded through the simulators'
-/// hot paths as a generic parameter.
+/// hot paths as a generic parameter: intervals go to [`Recorder::span`],
+/// everything else to [`Recorder::record`] as one [`Event`].
 ///
 /// Call sites guard every emission with `if R::ENABLED { … }`; with
 /// [`NullRecorder`] that constant is `false`, so the instrumented code
@@ -596,32 +478,11 @@ pub trait Recorder {
     /// Journals an interval record.
     fn span(&mut self, stage: Stage, start_ns: u64, end_ns: u64, lane: u32);
 
-    /// Journals a point record.
-    fn event(&mut self, stage: Stage, at_ns: u64, value: u64);
-
-    /// Adds to a monotonic counter.
-    fn add(&mut self, counter: &str, delta: u64);
-
-    /// Raises a high-water-mark gauge.
-    fn gauge_hwm(&mut self, gauge: &str, value: u64);
-
-    /// Observes one dispatcher split ratio.
-    fn observe_split(&mut self, k: f64);
-
-    /// Observes one adaptive-dispatcher flush decision.
-    fn observe_dispatch(&mut self, sample: DispatchSample);
-
-    /// Journals a fault-path record.
-    fn fault(&mut self, ev: FaultEvent);
-
-    /// Journals a load-balancing decision.
-    fn balance_event(&mut self, ev: BalanceEvent);
-
-    /// Journals a serving-request outcome.
-    fn serve(&mut self, ev: ServeEvent);
+    /// Journals a record or folds a metric.
+    fn record(&mut self, ev: Event<'_>);
 }
 
-/// The disabled recorder: every method is a no-op and `ENABLED = false`.
+/// The disabled recorder: both methods are no-ops and `ENABLED = false`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullRecorder;
 
@@ -631,21 +492,7 @@ impl Recorder for NullRecorder {
     #[inline(always)]
     fn span(&mut self, _: Stage, _: u64, _: u64, _: u32) {}
     #[inline(always)]
-    fn event(&mut self, _: Stage, _: u64, _: u64) {}
-    #[inline(always)]
-    fn add(&mut self, _: &str, _: u64) {}
-    #[inline(always)]
-    fn gauge_hwm(&mut self, _: &str, _: u64) {}
-    #[inline(always)]
-    fn observe_split(&mut self, _: f64) {}
-    #[inline(always)]
-    fn observe_dispatch(&mut self, _: DispatchSample) {}
-    #[inline(always)]
-    fn fault(&mut self, _: FaultEvent) {}
-    #[inline(always)]
-    fn balance_event(&mut self, _: BalanceEvent) {}
-    #[inline(always)]
-    fn serve(&mut self, _: ServeEvent) {}
+    fn record(&mut self, _: Event<'_>) {}
 }
 
 /// In-memory recorder: journal in emission order + metrics registry.
@@ -680,9 +527,9 @@ impl MemRecorder {
     }
 
     /// All point records, in emission order.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
+    pub fn points(&self) -> impl Iterator<Item = &Point> {
         self.journal.iter().filter_map(|r| match r {
-            Record::Event(e) => Some(e),
+            Record::Point(p) => Some(p),
             _ => None,
         })
     }
@@ -740,40 +587,21 @@ impl Recorder for MemRecorder {
         }));
     }
 
-    fn event(&mut self, stage: Stage, at_ns: u64, value: u64) {
-        self.journal.push(Record::Event(Event {
-            stage,
-            at_ns,
-            value,
-        }));
-    }
-
-    fn add(&mut self, counter: &str, delta: u64) {
-        self.metrics.add(counter, delta);
-    }
-
-    fn gauge_hwm(&mut self, gauge: &str, value: u64) {
-        self.metrics.gauge_hwm(gauge, value);
-    }
-
-    fn observe_split(&mut self, k: f64) {
-        self.metrics.observe_split(k);
-    }
-
-    fn observe_dispatch(&mut self, sample: DispatchSample) {
-        self.metrics.observe_dispatch(sample);
-    }
-
-    fn fault(&mut self, ev: FaultEvent) {
-        self.journal.push(Record::Fault(ev));
-    }
-
-    fn balance_event(&mut self, ev: BalanceEvent) {
-        self.journal.push(Record::Balance(ev));
-    }
-
-    fn serve(&mut self, ev: ServeEvent) {
-        self.journal.push(Record::Serve(ev));
+    fn record(&mut self, ev: Event<'_>) {
+        let m = &mut self.metrics;
+        match ev {
+            Event::Point(p) => self.journal.push(Record::Point(p)),
+            Event::Fault(f) => self.journal.push(Record::Fault(f)),
+            Event::Balance(b) => self.journal.push(Record::Balance(b)),
+            Event::Serve(s) => self.journal.push(Record::Serve(s)),
+            Event::Count(name, delta) => *m.counters.entry(name.to_owned()).or_insert(0) += delta,
+            Event::Gauge(name, value) => {
+                let g = m.gauges.entry(name.to_owned()).or_insert(0);
+                *g = (*g).max(value);
+            }
+            Event::Split(k) => m.k_history.push(k),
+            Event::Dispatch(sample) => m.dispatch_history.push(sample),
+        }
     }
 }
 
@@ -782,19 +610,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_names_round_trip() {
-        for s in Stage::ALL {
-            assert_eq!(Stage::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Stage::from_name("NotAStage"), None);
-    }
-
-    #[test]
     fn counters_aggregate_across_sources() {
         let mut rec = MemRecorder::new();
-        rec.add("cache_hit", 3);
-        rec.add("cache_miss", 1);
-        rec.add("cache_hit", 7);
+        rec.record(Event::Count("cache_hit", 3));
+        rec.record(Event::Count("cache_miss", 1));
+        rec.record(Event::Count("cache_hit", 7));
         assert_eq!(rec.metrics().counter("cache_hit"), 10);
         assert_eq!(rec.metrics().counter("cache_miss"), 1);
         assert_eq!(rec.metrics().counter("never_touched"), 0);
@@ -804,10 +624,9 @@ mod tests {
     #[test]
     fn gauge_keeps_high_water_mark() {
         let mut rec = MemRecorder::new();
-        rec.gauge_hwm("pool", 100);
-        rec.gauge_hwm("pool", 40);
-        rec.gauge_hwm("pool", 250);
-        rec.gauge_hwm("pool", 5);
+        for value in [100, 40, 250, 5] {
+            rec.record(Event::Gauge("pool", value));
+        }
         assert_eq!(rec.metrics().gauge("pool"), 250);
     }
 
@@ -815,7 +634,7 @@ mod tests {
     fn split_history_preserves_order_and_mean() {
         let mut rec = MemRecorder::new();
         for k in [0.25, 0.5, 0.75] {
-            rec.observe_split(k);
+            rec.record(Event::Split(k));
         }
         assert_eq!(rec.metrics().k_history(), &[0.25, 0.5, 0.75]);
         assert!((rec.metrics().mean_split() - 0.5).abs() < 1e-15);
@@ -825,23 +644,23 @@ mod tests {
     #[test]
     fn dispatch_history_preserves_order_and_state() {
         let mut rec = MemRecorder::new();
-        rec.observe_dispatch(DispatchSample {
+        rec.record(Event::Dispatch(DispatchSample {
             k: 0.5,
             m_hat_ns: 0.0,
             n_hat_ns: 0.0,
             probe: true,
-        });
-        rec.observe_dispatch(DispatchSample {
+        }));
+        rec.record(Event::Dispatch(DispatchSample {
             k: 0.25,
             m_hat_ns: 3_000.0,
             n_hat_ns: 1_000.0,
             probe: false,
-        });
+        }));
         let h = rec.metrics().dispatch_history();
         assert_eq!(h.len(), 2);
         assert!(h[0].probe && !h[1].probe);
         assert_eq!(h[1].m_hat_ns, 3_000.0);
-        // observe_dispatch must not leak into the plain split history.
+        // A dispatch sample must not leak into the plain split history.
         assert!(rec.metrics().k_history().is_empty());
     }
 
@@ -849,13 +668,17 @@ mod tests {
     fn journal_preserves_emission_order() {
         let mut rec = MemRecorder::new();
         rec.span(Stage::Preprocess, 0, 10, 0);
-        rec.event(Stage::Batch, 10, 60);
+        rec.record(Event::Point(Point {
+            stage: Stage::Batch,
+            at_ns: 10,
+            value: 60,
+        }));
         rec.span(Stage::KernelLaunch, 10, 30, 2);
         assert_eq!(rec.journal().len(), 3);
         assert_eq!(rec.spans().count(), 2);
-        assert_eq!(rec.events().count(), 1);
-        let Record::Event(e) = rec.journal()[1] else {
-            panic!("second record must be the event");
+        assert_eq!(rec.points().count(), 1);
+        let Record::Point(e) = rec.journal()[1] else {
+            panic!("second record must be the point");
         };
         assert_eq!((e.stage, e.at_ns, e.value), (Stage::Batch, 10, 60));
     }
@@ -867,44 +690,36 @@ mod tests {
         // The no-op methods must be callable without effect.
         let mut n = NullRecorder;
         n.span(Stage::Transfer, 0, 5, 0);
-        n.add("x", 1);
-        n.observe_split(0.5);
-        n.fault(FaultEvent {
+        n.record(Event::Count("x", 1));
+        n.record(Event::Split(0.5));
+        n.record(Event::Fault(FaultEvent {
             kind: FaultKind::DeviceLost,
             action: FaultAction::Quarantined,
             at_ns: 7,
             tasks: 60,
-        });
-    }
-
-    #[test]
-    fn balance_names_round_trip() {
-        for k in BalanceKind::ALL {
-            assert_eq!(BalanceKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(BalanceKind::from_name("NotABalanceKind"), None);
+        }));
     }
 
     #[test]
     fn balance_records_interleave_in_order() {
         let mut rec = MemRecorder::new();
         rec.span(Stage::Migrate, 5, 25, 0);
-        rec.balance_event(BalanceEvent {
+        rec.record(Event::Balance(BalanceEvent {
             kind: BalanceKind::Steal,
             from_node: 3,
             to_node: 7,
             tasks: 120,
             bytes: 960_000,
             at_ns: 5,
-        });
-        rec.balance_event(BalanceEvent {
+        }));
+        rec.record(Event::Balance(BalanceEvent {
             kind: BalanceKind::Repartition,
             from_node: 0,
             to_node: 1,
             tasks: 60,
             bytes: 480_000,
             at_ns: 40,
-        });
+        }));
         assert_eq!(rec.balance_events().count(), 2);
         let bs: Vec<_> = rec.balance_events().collect();
         assert_eq!(bs[0].kind, BalanceKind::Steal);
@@ -916,18 +731,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_outcome_names_round_trip() {
-        for o in ServeOutcome::ALL {
-            assert_eq!(ServeOutcome::from_name(o.name()), Some(o));
-        }
-        assert_eq!(ServeOutcome::from_name("NotAnOutcome"), None);
-    }
-
-    #[test]
     fn serve_records_interleave_and_measure_sojourn() {
         let mut rec = MemRecorder::new();
         rec.span(Stage::Sojourn, 100, 900, 0);
-        rec.serve(ServeEvent {
+        rec.record(Event::Serve(ServeEvent {
             tenant: 1,
             op: 0x5E12,
             data_hash: 3,
@@ -936,8 +743,8 @@ mod tests {
             started_ns: 400,
             finished_ns: 900,
             outcome: ServeOutcome::Completed,
-        });
-        rec.serve(ServeEvent {
+        }));
+        rec.record(Event::Serve(ServeEvent {
             tenant: 2,
             op: 0x5E12,
             data_hash: 3,
@@ -946,7 +753,7 @@ mod tests {
             started_ns: 150,
             finished_ns: 150,
             outcome: ServeOutcome::Rejected,
-        });
+        }));
         let evs: Vec<_> = rec.serve_events().collect();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].sojourn_ns(), 800);
@@ -961,33 +768,21 @@ mod tests {
     }
 
     #[test]
-    fn fault_names_round_trip() {
-        for k in FaultKind::ALL {
-            assert_eq!(FaultKind::from_name(k.name()), Some(k));
-        }
-        for a in FaultAction::ALL {
-            assert_eq!(FaultAction::from_name(a.name()), Some(a));
-        }
-        assert_eq!(FaultKind::from_name("NotAFault"), None);
-        assert_eq!(FaultAction::from_name("NotAnAction"), None);
-    }
-
-    #[test]
     fn fault_records_interleave_with_spans_in_order() {
         let mut rec = MemRecorder::new();
         rec.span(Stage::KernelLaunch, 0, 10, 0);
-        rec.fault(FaultEvent {
+        rec.record(Event::Fault(FaultEvent {
             kind: FaultKind::KernelLaunchFail,
             action: FaultAction::Injected,
             at_ns: 10,
             tasks: 3,
-        });
-        rec.fault(FaultEvent {
+        }));
+        rec.record(Event::Fault(FaultEvent {
             kind: FaultKind::KernelLaunchFail,
             action: FaultAction::CpuFallback,
             at_ns: 12,
             tasks: 3,
-        });
+        }));
         rec.span(Stage::CpuCompute, 12, 40, 0);
         assert_eq!(rec.journal().len(), 4);
         assert_eq!(rec.spans().count(), 2);
