@@ -30,18 +30,21 @@
 //! whole-node lifecycle faults ([`NodeFault`] via a resolved
 //! [`NodeTimeline`]) and lineage-replay recovery:
 //!
-//! * **Frontier checkpoints** — completions feed a
-//!   [`Frontier`] (`madness_runtime::graph`) over the same dependency
-//!   structure; the checkpoint cut is quantised to
+//! * **Frontier checkpoints** — the run's one completion ledger is its
+//!   per-task `held` values: a commit fills one, a fold-back voids it,
+//!   and the ready set, the in-degrees and the checkpoint cut are all
+//!   read off it. The cut is quantised to
 //!   [`DagSurvivalSpec::checkpoint_every`] boundaries. Values that
 //!   finished at or before the last boundary are durable; values that
 //!   finished after it die with their node.
 //! * **Crash fold + replay** — when a node crashes, its post-cut
-//!   completions are folded back ([`Frontier::fold_back`]), the
-//!   crashed node's chains are reassigned over the survivors with
+//!   values are voided, the in-degrees and the ready set are recounted
+//!   from what still holds a value, and the cut is read off the result
+//!   ([`FrontierSnapshot`]: the held values some pending task reads).
+//!   The crashed node's chains are reassigned over the survivors with
 //!   [`lpt_assign`] (weights = pending work per chain, bases = each
-//!   survivor's backlog), and the folded tasks re-execute in spawn
-//!   order with fresh per-incarnation fault draws. Checkpointed
+//!   survivor's backlog), and the voided tasks re-execute with fresh
+//!   per-incarnation fault draws. Checkpointed
 //!   frontier values still resident on a dead node migrate to the
 //!   chain's new home through the contended [`Interconnect`]
 //!   (journaled as [`Stage::Recover`] spans on the destination lane).
@@ -66,7 +69,6 @@
 //!
 //! [`NodeFault`]: madness_faults::NodeFault
 //! [`NodeTimeline`]: madness_faults::NodeTimeline
-//! [`Frontier`]: madness_runtime::graph::Frontier
 //! [`lpt_assign`]: madness_mra::procmap::lpt_assign
 //! [`Stage::Recover`]: madness_trace::Stage::Recover
 
@@ -75,7 +77,7 @@ use crate::node::NodeRate;
 use madness_faults::{draw, NodeTimeline};
 use madness_gpusim::SimTime;
 use madness_mra::procmap::lpt_assign;
-use madness_runtime::graph::{Frontier, FrontierSnapshot, TaskId};
+use madness_runtime::graph::TaskId;
 use madness_trace::{
     stage_overlap_ns, Event, FaultAction, FaultEvent, FaultKind, Recorder, Span, Stage,
 };
@@ -400,6 +402,22 @@ struct Held {
     avail: SimTime,
 }
 
+/// The checkpoint cut a crash leaves: how many tasks hold a value, and
+/// the held values a resumed execution still reads.
+///
+/// Values are write-once and their producers fixed, so this plus the
+/// dependency structure is all a survivor needs: every task without a
+/// value re-executes, reading its inputs from the cut.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FrontierSnapshot {
+    /// Tasks holding a value.
+    pub completed: usize,
+    /// Tasks, in index order, that hold a value and have a successor
+    /// that holds none. Values behind the frontier are read by no
+    /// pending task and need not be retained.
+    pub frontier: Vec<TaskId>,
+}
+
 /// A whole-node lifecycle event. At one instant rejoins sort before
 /// crashes, so a simultaneous rejoin can absorb the crashed node's
 /// chains.
@@ -561,6 +579,12 @@ pub fn run_dag_survivable<R: Recorder>(
         }
     }
     let waiting: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
+    let mut succs = vec![Vec::new(); n];
+    for (i, t) in tasks.iter().enumerate() {
+        for &d in &t.deps {
+            succs[d].push(i);
+        }
+    }
     DagRun {
         tasks,
         nodes,
@@ -578,7 +602,7 @@ pub fn run_dag_survivable<R: Recorder>(
             ..Default::default()
         },
         icn: Interconnect::new(net.clone()),
-        frontier: Frontier::from_deps(tasks.iter().map(|t| t.deps.clone()).collect()),
+        succs,
         spans: Vec::with_capacity(n),
         events: lifecycle_events(&survival.timeline),
         next_event: 0,
@@ -618,15 +642,17 @@ struct DagRun<'a, R: Recorder> {
     /// The contended fabric recovery migrations cross, and the ledger
     /// the report's `migrated_*` fields are read from.
     icn: Interconnect,
-    /// Completion state over the same dependency structure: the
-    /// checkpoint snapshots and the successor lists come from here.
-    frontier: Frontier,
+    /// Per task: the tasks that consume its value, once per dependency
+    /// edge (a task listing it twice appears twice, as `waiting` counts).
+    succs: Vec<Vec<usize>>,
     /// Every journaled attempt span, for the stage-overlap sweep.
     spans: Vec<Span>,
     events: Vec<(SimTime, Lifecycle, usize)>,
     next_event: usize,
     /// Per task: the live value, if the task has completed and no
-    /// crash has voided it since.
+    /// crash has voided it since. The run's one completion ledger: the
+    /// ready set, `waiting`, `remaining` and every checkpoint cut are
+    /// read off it.
     held: Vec<Option<Held>>,
     /// Per task: completions voided or attempts cut down by a crash so
     /// far; each incarnation redraws its faults.
@@ -636,8 +662,8 @@ struct DagRun<'a, R: Recorder> {
     /// Per task: whether it is a speculation target.
     target: Vec<bool>,
     /// Per task: dependencies that hold no value. A commit releases
-    /// work through the frontier's successor lists (one entry per
-    /// edge); only a crash fold-back, which voids values, recounts.
+    /// work through `succs`; only a crash fold-back, which voids
+    /// values, recounts.
     waiting: Vec<usize>,
     /// The ready frontier: value-less tasks whose dependencies all
     /// hold values, in index order.
@@ -937,6 +963,13 @@ impl<R: Recorder> DagRun<'_, R> {
     /// the run's end, and every successor it was the last missing input
     /// of becomes ready.
     fn commit(&mut self, task: usize, won: &Attempt) {
+        debug_assert!(
+            self.tasks[task]
+                .deps
+                .iter()
+                .all(|&d| self.held[d].is_some()),
+            "task {task} completed before its dependencies"
+        );
         let (end, on) = (won.end, won.node);
         self.held[task] = Some(Held {
             node: on,
@@ -944,11 +977,9 @@ impl<R: Recorder> DagRun<'_, R> {
             avail: end,
         });
         self.node_free[on] = end;
-        self.frontier.mark_complete(TaskId::from_index(task));
         self.remaining -= 1;
         self.ready.remove(&task);
-        for s in self.frontier.successors(TaskId::from_index(task)) {
-            let s = s.index();
+        for &s in &self.succs[task] {
             self.waiting[s] -= 1;
             // A successor that kept its own value through a fold-back
             // of this one has nothing to re-run.
@@ -996,7 +1027,7 @@ impl<R: Recorder> DagRun<'_, R> {
         let lost = self.fold_back(node, at);
         let voided = lost.len() as u64;
         self.fault(FaultKind::NodeCrash, FaultAction::Injected, at, voided);
-        let snap = self.frontier.snapshot();
+        let snap = self.checkpoint();
         let alive: Vec<usize> = (0..self.nodes).filter(|&x| !self.dead[x]).collect();
         assert!(
             !alive.is_empty(),
@@ -1030,8 +1061,6 @@ impl<R: Recorder> DagRun<'_, R> {
                 self.held[j].is_some_and(|v| v.node == node && v.finished.as_nanos() > cut_ns)
             })
             .collect();
-        let lost_ids: Vec<TaskId> = lost.iter().map(|&j| TaskId::from_index(j)).collect();
-        self.frontier.fold_back(&lost_ids);
         for &j in &lost {
             self.held[j] = None;
             self.incarnation[j] += 1;
@@ -1050,6 +1079,19 @@ impl<R: Recorder> DagRun<'_, R> {
         self.report.replayed += lost.len() as u64;
         self.remaining += lost.len();
         lost
+    }
+
+    /// The checkpoint cut, read off `held`: the tasks holding a value,
+    /// and those of them with a successor that holds none.
+    fn checkpoint(&self) -> FrontierSnapshot {
+        let holds = |j: usize| self.held[j].is_some();
+        FrontierSnapshot {
+            completed: self.tasks.len() - self.remaining,
+            frontier: (0..self.tasks.len())
+                .filter(|&j| holds(j) && self.succs[j].iter().any(|&s| !holds(s)))
+                .map(TaskId::from_index)
+                .collect(),
+        }
     }
 
     /// Moves the chains homed on `node` onto the `alive` nodes — LPT by
@@ -1382,31 +1424,31 @@ mod tests {
         });
     }
 
-    fn same_step_pair() -> DagWorkload {
+    /// Three tasks in one step, each reading the one before; the last
+    /// lists its dependency twice, so it is released once per edge.
+    fn same_step_chain() -> DagWorkload {
+        let task = |stage, deps| DagTask {
+            chain: 0,
+            step: 0,
+            stage,
+            cost: 1,
+            deps,
+        };
         let mut w = DagWorkload::new();
-        let a = w.push(DagTask {
-            chain: 0,
-            step: 0,
-            stage: Stage::CpuCompute,
-            cost: 1,
-            deps: vec![],
-        });
-        w.push(DagTask {
-            chain: 0,
-            step: 0,
-            stage: Stage::Postprocess,
-            cost: 1,
-            deps: vec![a],
-        });
+        let a = w.push(task(Stage::CpuCompute, vec![]));
+        let b = w.push(task(Stage::Postprocess, vec![a]));
+        w.push(task(Stage::Postprocess, vec![b, b]));
         w
     }
 
     #[test]
     fn same_step_dependency_accepted_and_runs_in_dataflow() {
         // Push order already topologically orders same-step edges;
-        // only Dataflow consults the edges, so this must execute.
-        let w = same_step_pair();
+        // only Dataflow consults the edges, so this must execute, the
+        // doubled edge included.
+        let w = same_step_chain();
         assert!(!w.is_barrier_stratified());
+        let mut rec = MemRecorder::new();
         let r = run_dag(
             &w,
             2,
@@ -1414,9 +1456,10 @@ mod tests {
             &NetworkModel::default(),
             DagMode::Dataflow,
             &DagFaultSpec::none(),
-            &mut madness_trace::NullRecorder,
+            &mut rec,
         );
-        assert_eq!(r.tasks, 2);
+        assert_eq!(r.tasks, 3);
+        assert_eq!(rec.spans().count(), 3, "every task ran once");
         assert!(r.conserved(2));
     }
 
@@ -1443,7 +1486,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "Barrier mode needs steps to stratify")]
     fn barrier_rejects_unstratified_workload() {
-        let w = same_step_pair();
+        let w = same_step_chain();
         run_dag(
             &w,
             2,

@@ -13,11 +13,9 @@
 //!    ledger exactly.
 //! 3. **Deterministic replay** — the same inputs replay to
 //!    bit-identical reports *and* journals.
-//! 4. **Value-identical lineage replay** — folding a crashed node's
-//!    post-checkpoint completions out of a [`Frontier`] and
-//!    re-executing [`Frontier::pending`] in spawn order reproduces
-//!    exactly the values of the fault-free run: surviving lineage is
-//!    never perturbed by replay.
+//! 4. **A valid cut** — the last crash's checkpoint lists ascending
+//!    task ids, no more of them than tasks completed, and each one a
+//!    dependency of some task.
 
 use madness_cluster::dag::{
     run_dag_survivable, DagFaultSpec, DagMode, DagSurvivalSpec, DagTask, DagWorkload,
@@ -26,7 +24,6 @@ use madness_cluster::network::NetworkModel;
 use madness_cluster::node::NodeRate;
 use madness_faults::{NodeFault, NodeTimeline};
 use madness_gpusim::SimTime;
-use madness_runtime::graph::{Frontier, TaskId};
 use madness_trace::{MemRecorder, Stage};
 use proptest::prelude::*;
 
@@ -97,8 +94,8 @@ fn survival(nodes: usize, crash_node: usize, crash_us: u64, rejoin: bool) -> Dag
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Properties 1–3: conservation, completion, journal-equal replay
-    /// under a random crash (sometimes with a rejoin), random fault
+    /// Properties 1–4: conservation, completion, journal-equal replay
+    /// and a valid checkpoint cut under a random crash (sometimes with a rejoin), random fault
     /// seed/rate, and random workload shape.
     #[test]
     fn crash_conserves_and_replays_bit_identically(
@@ -151,82 +148,15 @@ proptest! {
         // 3. Bit-identical replay, journal included.
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(rec_a.to_json(), rec_b.to_json());
-    }
 
-    /// Property 4: lineage replay is value-identical. Values are a
-    /// deterministic fold over dependency values; folding a random
-    /// "lost after the cut" subset out of the frontier and recomputing
-    /// the pending set in spawn order must rebuild exactly the
-    /// fault-free values — including the surviving lineage it reads.
-    #[test]
-    fn folded_lineage_replays_to_identical_values(
-        chains in 1u32..5,
-        iters in 1u32..5,
-        join_every in 0u32..3,
-        lost_mask in any::<u64>(),
-    ) {
-        let w = workload(chains, iters, join_every);
-        let n = w.len();
-        let deps: Vec<Vec<usize>> = w.tasks().iter().map(|t| t.deps.clone()).collect();
-
-        let value = |i: usize, vals: &[u64]| -> u64 {
-            let mut acc = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            for &d in &deps[i] {
-                acc = acc
-                    .rotate_left(13)
-                    .wrapping_add(vals[d].wrapping_mul(0xbf58_476d_1ce4_e5b9));
-            }
-            acc
-        };
-
-        // Fault-free execution: spawn order is a topological order.
-        let mut clean = vec![0u64; n];
-        for i in 0..n {
-            clean[i] = value(i, &clean);
-        }
-
-        // Crash: a random subset of completions is lost. Fold them out
-        // of a fully-completed frontier and replay the pending set.
-        let mut frontier = Frontier::from_deps(deps.clone());
-        for i in 0..n {
-            frontier.mark_complete(TaskId::from_index(i));
-        }
-        let lost: Vec<TaskId> = (0..n)
-            .filter(|&i| (lost_mask >> (i % 64)) & 1 == 1)
-            .map(TaskId::from_index)
-            .collect();
-        frontier.fold_back(&lost);
-        let snapshot = frontier.snapshot();
-
-        // The replay reads surviving values and recomputes pending
-        // ones in spawn order.
-        let mut replayed = vec![0u64; n];
-        for i in 0..n {
-            if !lost.contains(&TaskId::from_index(i)) {
-                replayed[i] = clean[i]; // survived on its node or in the cut
-            }
-        }
-        for id in frontier.pending() {
-            let i = id.index();
-            replayed[i] = value(i, &replayed);
-        }
-
-        prop_assert_eq!(&replayed, &clean);
-
-        // The snapshot is exactly what a survivor needs: every pending
-        // task's surviving dependencies are either in the frontier or
-        // themselves pending (about to be recomputed).
-        for id in frontier.pending() {
-            for &d in &deps[id.index()] {
-                let d_id = TaskId::from_index(d);
-                let pending = frontier.pending().contains(&d_id);
-                let in_frontier = snapshot.frontier.contains(&d_id);
-                let complete_behind = !pending && !in_frontier;
-                prop_assert!(
-                    pending || in_frontier || complete_behind,
-                    "dependency {d} unaccounted for"
-                );
-            }
+        // 4. The last crash's cut (empty if none fired) names ascending
+        // ids, no more than completed, each a value some task reads.
+        let cut = &a.last_checkpoint;
+        prop_assert!(cut.frontier.windows(2).all(|p| p[0] < p[1]), "{cut:?}");
+        prop_assert!(cut.frontier.len() <= cut.completed && cut.completed <= w.len());
+        for id in &cut.frontier {
+            let read = w.tasks().iter().any(|t| t.deps.contains(&id.index()));
+            prop_assert!(read, "{id:?} is a dependency of no task");
         }
     }
 }

@@ -48,15 +48,16 @@ impl Default for SynthTreeParams {
     }
 }
 
+/// A leaf waiting in the refinement heap, ordered by priority.
 #[derive(PartialEq)]
-struct Frontier {
+struct OpenLeaf {
     priority: f64,
     key: Key,
 }
 
-impl Eq for Frontier {}
+impl Eq for OpenLeaf {}
 
-impl Ord for Frontier {
+impl Ord for OpenLeaf {
     fn cmp(&self, other: &Self) -> Ordering {
         // Max-heap on priority; ties broken by key order for determinism.
         self.priority
@@ -66,7 +67,7 @@ impl Ord for Frontier {
     }
 }
 
-impl PartialOrd for Frontier {
+impl PartialOrd for OpenLeaf {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -138,7 +139,7 @@ pub fn synthesize_tree(d: usize, k: usize, params: &SynthTreeParams) -> Function
     // Start from level 1 so the root is interior (as in real projections).
     tree.insert(root, Node::interior());
     for c in root.children() {
-        heap.push(Frontier {
+        heap.push(OpenLeaf {
             priority: priority(&c, params),
             key: c,
         });
@@ -150,7 +151,7 @@ pub fn synthesize_tree(d: usize, k: usize, params: &SynthTreeParams) -> Function
         // Refine: the popped leaf becomes interior; its children join.
         tree.insert(top.key, Node::interior());
         for c in top.key.children() {
-            heap.push(Frontier {
+            heap.push(OpenLeaf {
                 priority: priority(&c, params),
                 key: c,
             });

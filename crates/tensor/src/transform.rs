@@ -65,6 +65,10 @@ pub struct TransformScratch {
 /// leading fans keeps [`FAN`] stack regions, 96 KiB at `S = 1`: in L2,
 /// not L1. Tasks whose single intermediate exceeds the budget run one
 /// term per chunk.
+///
+/// No measurement chose 4,096; the 32 KiB operand did (64 terms a chunk
+/// at k = 4, 4 at k = 10, 1 from k = 16), and no other budget has been
+/// timed.
 const STACK_ELEMS: usize = 4096;
 
 /// The fewest multiply-adds a group call's leading pass does (over all
@@ -81,6 +85,11 @@ const FAN_PASS_MACS: usize = 10_000;
 /// fan is one span per member plus the scan and the bookkeeping: on a
 /// 2-vCPU AVX-512F Xeon with the AVX-512 fan masked, a `d = 3`, `k = 10`
 /// Apply ran at 0.961× the tasks per second it ran without leading fans.
+///
+/// Two other shapes the crate runs take `run_plain` on every host:
+/// ScfApp's d = 3, k = 5 source, because its pass 0 does 5·25·5 = 625
+/// multiply-adds, and the TDSE d = 4, k = 14 shape, because no kernel has
+/// a fan body at width 14, though its pass 0 does 14⁵ = 537,824.
 fn leading_fans_pay(pass: &Pass) -> bool {
     pass.dimk * pass.dimi * pass.dimj >= FAN_PASS_MACS && pass.kernel.fans(pass.dimj)
 }
@@ -1799,15 +1808,17 @@ mod tests {
             .is_empty()
     }
 
-    /// A `d = 3`, `k = 10` source and the tasks of its `δz` siblings at
-    /// `δx = δy = 0`, two terms each: pass 0 does 10,000 multiply-adds.
-    fn k10_siblings() -> (Tensor, Vec<Tensor>, Vec<Task>) {
-        let (d, k, rank, width) = (3, 10, 2, 3);
+    /// A `d`-dimensional source of order `k` and the tasks of its three
+    /// siblings along the last dimension (`δ_1 … δ_{d−1} = 0`), two terms
+    /// each: pass 0 does `k^{d+1}` multiply-adds, 10,000 at `d = 3`,
+    /// `k = 10`.
+    fn siblings(d: usize, k: usize) -> (Tensor, Vec<Tensor>, Vec<Task>) {
+        let (rank, width) = (2, 3);
         let pool = (0..rank * d * width)
             .map(|ix| det_tensor(Shape::matrix(k, k), 600 + ix as u64))
             .collect();
-        let siblings = |delta: &[usize]| delta[..2] == [0, 0];
-        let tasks = box_tasks(d, rank, width, siblings, |_, _| None);
+        let leading_zero = |delta: &[usize]| delta[..d - 1].iter().all(|&x| x == 0);
+        let tasks = box_tasks(d, rank, width, leading_zero, |_, _| None);
         (det_tensor(Shape::cube(d, k), 6), pool, tasks)
     }
 
@@ -1816,22 +1827,29 @@ mod tests {
     /// passes.
     #[test]
     fn a_k10_call_under_a_scalar_kernel_runs_no_leading_fans() {
-        let (s, pool, tasks) = k10_siblings();
+        let (s, pool, tasks) = siblings(3, 10);
         let scalar = |_, _| kernel::pinned(KernelId::ScalarRuntime);
         assert!(!runs_fans(&s, &pool, &tasks, scalar));
     }
 
     /// Under the SIMD kernel a k = 10 call runs leading fans exactly where
-    /// the host has the width-10 fan body, and a k = 4 call, whose passes
-    /// are too small, never does.
+    /// the host has the width-10 fan body. No host fans a k = 4 call,
+    /// whose passes are too small, ScfApp's d = 3, k = 5 source, whose
+    /// pass 0 does 5·25·5 = 625 multiply-adds, or the TDSE d = 4, k = 14
+    /// shape, which has no fan body at width 14.
     #[test]
     fn leading_fans_run_where_the_simd_kernel_fans_that_wide() {
         let simd = |_, _| kernel::pinned(KernelId::SimdConst);
-        let (s, pool, tasks) = k10_siblings();
+        let (s, pool, tasks) = siblings(3, 10);
         assert_eq!(runs_fans(&s, &pool, &tasks, simd), crate::simd::has_fan(10));
         let (s, pool) = box_case(3, 2, 3, 50);
         let tasks = box_tasks(3, 2, 3, |_| true, |_, _| None);
         assert!(!runs_fans(&s, &pool, &tasks, simd));
+        assert!(5 * 25 * 5 < FAN_PASS_MACS && !crate::simd::has_fan(14));
+        for (d, k) in [(3, 5), (4, 14)] {
+            let (s, pool, tasks) = siblings(d, k);
+            assert!(!runs_fans(&s, &pool, &tasks, simd), "d = {d}, k = {k}");
+        }
     }
 
     /// A full box at d = 2, 3 and 4: each leading pass runs its `width`
