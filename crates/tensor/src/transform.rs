@@ -38,26 +38,24 @@ pub struct TransformScratch {
     /// `coeff · t`: the operand of pass 0, staged once a leading fan.
     staged: Vec<f64>,
     /// The open chunk's intermediates after leading pass `p`, for every
-    /// leading pass but the last (whose output goes to `stack`): one a
-    /// term slot, or [`FAN`] regions a term slot where the call runs
-    /// leading fans, one for each task of a fan.
+    /// leading pass but the last (whose output goes to `stack`): `W`
+    /// regions a term slot, one for each task of a leading fan, where `W`
+    /// is the call's region count — [`FAN`] where it runs leading fans,
+    /// else one.
     levels: [Vec<f64>; MAX_DIMS - 2],
-    /// What each term slot of the open chunk holds.
+    /// What each region of each term slot's leading levels holds:
+    /// `slots[(ix · (d − 1) + p) · W + g]` is region `g` of slot `ix`
+    /// after pass `p`.
     slots: Vec<Slot>,
-    /// Where the call runs leading fans, what each region of each term
-    /// slot's leading levels holds: `fan_slots[(ix · (d − 1) + p) · FAN
-    /// + g]` is region `g` of slot `ix` after pass `p`.
-    fan_slots: Vec<FanSlot>,
-    /// The last stamp a [`FanSlot`] took.
+    /// The last stamp a [`Slot`] took.
     stamp: u64,
-    /// The stamp of the last write to each row of each stack region,
-    /// where the call runs leading fans: a slot of a region still holds
-    /// its rows iff they all carry its stamp.
+    /// The stamp of the last write to each row of each stack region: a
+    /// slot of a region still holds its rows iff they all carry its
+    /// stamp.
     row_stamps: Vec<u64>,
-    /// The open chunk's last-pass operands, term after term — in [`FAN`]
-    /// regions where the call runs leading fans, one for each task of a
-    /// fan of the last leading pass: the intermediates entering the last
-    /// pass…
+    /// The open chunk's last-pass operands, term after term, in `W`
+    /// regions, one for each task of a fan of the last leading pass: the
+    /// intermediates entering the last pass…
     stack: Vec<f64>,
     /// …and the matching rows of each term's last operator block, one
     /// region per task of the pending final fan.
@@ -92,7 +90,7 @@ const FAN_PASS_MACS: usize = 10_000;
 /// 2-vCPU AVX-512F Xeon with the AVX-512 fan masked, a `d = 3`, `k = 10`
 /// Apply ran at 0.961× the tasks per second it ran without leading fans.
 ///
-/// Two other shapes the crate runs take `run_plain` on every host:
+/// Two other shapes the crate runs keep one region on every host:
 /// ScfApp's d = 3, k = 5 source, because its pass 0 does 5·25·5 = 625
 /// multiply-adds, and the TDSE d = 4, k = 14 shape, because no kernel has
 /// a fan body at width 14, though its pass 0 does 14⁵ = 537,824.
@@ -100,37 +98,17 @@ fn leading_fans_pay(pass: &Pass) -> bool {
     pass.dimk * pass.dimi * pass.dimj >= FAN_PASS_MACS && pass.kernel.fans(pass.dimj)
 }
 
-/// The inputs that produced one term slot's leading intermediates: the
-/// next task of a group skips leading pass `p` iff everything that
-/// determines its output — the coefficient and, for every pass `≤ p`,
-/// the operator block and the contraction rows — is what is recorded
-/// here (and, for the pass that writes the stack, the rows are still
-/// where the fused final span will look for them).
+/// What one region of one term slot holds after leading pass `p`. A task
+/// finds its intermediate there iff the region records its input to pass
+/// `p` — the stamp of the region it reads, or at pass 0 its coefficient
+/// — and its block and contraction rows at `p`; and, at the pass that
+/// writes the stack, the row the task packs the slot at and the rows its
+/// last pass reads, all of them still carrying the slot's stamp. Every
+/// write takes a fresh stamp, so a slot whose input region has been
+/// rewritten since never matches: a match is the task's whole chain of
+/// inputs, pass by pass.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
-    /// Whether a task of the open chunk has filled the slot yet.
-    filled: bool,
-    coeff_bits: u64,
-    /// `(address of the block, contraction rows)` of each leading pass.
-    /// Blocks are `&Tensor`s borrowed for the whole group call, so an
-    /// equal address is the same, unchanged tensor.
-    passes: [(usize, usize); MAX_DIMS],
-    /// First stack row of the slot, and how many the last pass reads.
-    row: usize,
-    kr_last: usize,
-}
-
-/// What one region of one term slot holds after leading pass `p`, where
-/// the call runs leading fans. A task finds its intermediate there iff
-/// the region records its input to pass `p` — the stamp of the region it
-/// reads, or at pass 0 its coefficient — and its block and contraction
-/// rows at `p`; and, at the pass that writes the stack, the row the task
-/// packs the slot at and the rows its last pass reads, all of them still
-/// carrying the slot's stamp. Every write takes a fresh stamp, so a slot
-/// whose input region has been rewritten since never matches: a match
-/// is the task's whole chain of inputs, pass by pass.
-#[derive(Clone, Copy, Debug, Default)]
-struct FanSlot {
     /// Which write filled the region: unique and increasing within a
     /// scratch, so a slot written before the open chunk began holds
     /// nothing of it.
@@ -138,7 +116,9 @@ struct FanSlot {
     /// The stamp of the region pass `p` read, or the coefficient's bits
     /// at pass 0.
     input: u64,
-    /// `(address of the block, contraction rows)` of pass `p`.
+    /// `(address of the block, contraction rows)` of pass `p`. Blocks
+    /// are `&Tensor`s borrowed for the whole group call, so an equal
+    /// address is the same, unchanged tensor.
     pass: (usize, usize),
     /// In a stack region: the slot's first row, and how many the last
     /// pass reads.
@@ -240,11 +220,14 @@ fn out_shape(t: &Tensor, hs: &[&Tensor]) -> Shape {
 /// `dim` then has extent `m_dim`. The common Apply case is every `h`
 /// `(k, k)`.
 ///
+/// Runs in the calling thread's [`Workspace`], so once that has grown
+/// the result is the call's only allocation.
+///
 /// # Panics
 /// Panics if `hs.len() != t.ndim()` or operator rows mismatch extents.
 pub fn transform(t: &Tensor, hs: &[&Tensor]) -> Tensor {
     let mut out = Tensor::zeros(out_shape(t, hs));
-    transform_accumulate_scaled(t, 1.0, hs, &mut TransformScratch::new(), &mut out);
+    Workspace::with(|ws| transform_accumulate_scaled(t, 1.0, hs, ws.scratch(), &mut out));
     out
 }
 
@@ -498,15 +481,15 @@ impl Pass {
 /// operand), iff it also packs the slot at the same row with the same
 /// last-pass rows and nothing has run over those rows since (a
 /// rank-reduced slot starts `kr` rows after its predecessor, inside the
-/// predecessor's full intermediate: with one region only the task's own
-/// rewrite of an earlier slot can, and a call with fans, whose fans
-/// write into regions other tasks left in layouts of their own, stamps
-/// each stack row with its last write). A skipped pass would have
-/// written the values already there from the same inputs by the same
-/// chain, so what reaches each `out` element is the one-task call's
-/// `(μ, k)`-ascending chain exactly. Apply lists a source's displacements lexicographically, `δx`
-/// slowest — the order of the passes — so a source's 27 radius-1
-/// displacements need 3 + 9 of their 2 × 27 leading passes a term.
+/// predecessor's full intermediate, and fans write into regions other
+/// tasks left in layouts of their own, so each stack row carries the
+/// stamp of its last write). A skipped pass would have written the
+/// values already there from the same inputs by the same chain, so what
+/// reaches each `out` element is the one-task call's `(μ, k)`-ascending
+/// chain exactly. Apply lists a source's displacements
+/// lexicographically, `δx` slowest — the order of the passes — so a
+/// source's 27 radius-1 displacements need 3 + 9 of their 2 × 27 leading
+/// passes a term.
 ///
 /// Where a leading pass does at least 10,000 multiply-adds (a `d = 3`,
 /// `k = 10` source's) and its span kernel runs a fan that wide as one
@@ -570,8 +553,9 @@ pub fn transform_sum_accumulate_group<'a, I>(
 }
 
 /// [`transform_sum_accumulate_group`] with the span kernel of each pass
-/// shape `(dimi, dimj)` from `resolve`, running leading fans where
-/// `fans(pass 0)` says so.
+/// shape `(dimi, dimj)` from `resolve`, running leading fans in [`FAN`]
+/// regions where `fans(pass 0)` says so and one region elsewhere: the
+/// region count is the only thing the choice sets.
 fn group<'a, I>(
     sources: &[&Tensor],
     n_terms: usize,
@@ -638,9 +622,9 @@ fn group<'a, I>(
     };
     // A leading fan needs two tasks, a leading pass and one worth sharing.
     if n_tasks > 1 && d > 1 && fans(&passes[0]) {
-        run_fans(&plan, sources, n_terms, term, scratch, outs);
+        run::<_, _, FAN>(&plan, sources, n_terms, term, scratch, outs);
     } else {
-        run_plain(&plan, sources, n_terms, term, scratch, outs);
+        run::<_, _, 1>(&plan, sources, n_terms, term, scratch, outs);
     }
 }
 
@@ -665,10 +649,11 @@ struct Plan {
     chunk: usize,
 }
 
-/// The pass loop of a group call planned as `plan` that runs no leading
-/// fans: one intermediate a term slot and level, each distinct leading
-/// pass alone.
-fn run_plain<'a, I, F>(
+/// The pass loop of a group call planned as `plan`, with `W` regions a
+/// term slot and leading level: [`FAN`] where the call runs leading fans,
+/// else one. `W` is a constant so that the one-region loop compiles
+/// without the member scan and the region arithmetic.
+fn run<'a, I, F, const W: usize>(
     plan: &Plan,
     sources: &[&Tensor],
     n_terms: usize,
@@ -687,158 +672,15 @@ fn run_plain<'a, I, F>(
     let term_len = last.dimk * last.dimi;
     // The panel rows of one task's chunk, at most.
     let region = chunk * last.dimk * last.dimj;
-
     let TransformScratch {
         interleaved,
         staged,
         levels,
         slots,
-        stack,
-        panel,
-        ..
-    } = scratch;
-    let source = interleave(sources, interleaved);
-    grow(staged, source.len());
-    for (level, pass) in levels.iter_mut().zip(&passes[..d.saturating_sub(2)]) {
-        grow(level, chunk * pass.dimi * pass.dimj);
-    }
-    if slots.len() < chunk {
-        slots.resize(chunk, Slot::default());
-    }
-    grow(stack, chunk * term_len);
-    grow(panel, FAN * region);
-
-    for chunk_start in (0..n_terms).step_by(chunk) {
-        let chunk_terms = chunk_start..(chunk_start + chunk).min(n_terms);
-        // A new chunk of terms takes over the slots.
-        for slot in &mut slots[..chunk_terms.len()] {
-            slot.filled = false;
-        }
-        // The pending fan is tasks `fan..task`, task `fan + g` with its
-        // panel in region `g`; each packs `fan_rows` contraction rows.
-        let (mut fan, mut fan_rows) = (0, 0);
-        for task in 0..n_tasks {
-            // Contraction rows stacked so far, and the end of the stack
-            // rows this task has rewritten.
-            let (mut rows, mut rewritten) = (0, 0);
-            for (ix, slot) in slots[..chunk_terms.len()].iter_mut().enumerate() {
-                let Term { coeff, hs, krs } = term(task, chunk_terms.start + ix);
-                check_ranks(krs, passes);
-                let mut hs = hs.into_iter();
-
-                // This term's place in the stack: where its last-pass
-                // operand lands, written by the staging copy (d = 1) or
-                // by pass d−2.
-                let place = rows * last.dimi..rows * last.dimi + term_len;
-                let kr_last = kr_of(krs, d - 1, passes);
-                let mut held = slot.filled && slot.coeff_bits == coeff.to_bits();
-                for (p, pass) in passes[..d - 1].iter().enumerate() {
-                    let h = block(hs.next(), p, passes);
-                    let key = (address(h), kr_of(krs, p, passes));
-                    held &= slot.passes[p] == key;
-                    if p + 2 == d {
-                        held &= (slot.row, slot.kr_last) == (rows, kr_last) && rows >= rewritten;
-                    }
-                    if held {
-                        continue;
-                    }
-                    slot.passes[p] = key;
-                    let (below, at) = levels.split_at_mut(p);
-                    let src_len = pass.dimk * pass.dimi;
-                    let src = match below.last() {
-                        Some(level) => &level[ix * src_len..][..src_len],
-                        None => {
-                            stage(coeff, source, staged);
-                            &staged[..src_len]
-                        }
-                    };
-                    let dst = if p + 2 == d {
-                        if task > fan {
-                            // The pending fan still reads the stack this
-                            // task is about to rewrite: it runs first, and
-                            // this task starts the next fan at region 0.
-                            let outs = fan_outs(outs, n_tasks, fan..task);
-                            last.run_fan(fan_rows, stack, panel, region, outs);
-                            let g = (task - fan) * region;
-                            panel.copy_within(g..g + rows * last.dimj, 0);
-                            fan = task;
-                        }
-                        rewritten = rows + last.dimk;
-                        &mut stack[place.clone()]
-                    } else {
-                        let dst_len = pass.dimi * pass.dimj;
-                        &mut at[0][ix * dst_len..][..dst_len]
-                    };
-                    pass.run(key.1, src, h.as_slice(), dst);
-                }
-                if d == 1 {
-                    stage(coeff, source, &mut stack[place]);
-                }
-                *slot = Slot {
-                    filled: true,
-                    coeff_bits: coeff.to_bits(),
-                    row: rows,
-                    kr_last,
-                    ..*slot
-                };
-
-                let h = block(hs.next(), d - 1, passes);
-                assert!(
-                    hs.next().is_none(),
-                    "need one operator matrix per dimension ({d}), got more"
-                );
-                let at = (task - fan) * region + rows * last.dimj;
-                panel[at..at + kr_last * last.dimj]
-                    .copy_from_slice(&h.as_slice()[..kr_last * last.dimj]);
-                rows += kr_last;
-            }
-            fan_rows = rows;
-            // The chunk's fused final pass: one (μ, k)-ascending chain
-            // per output element, straight into each `out` of the fan.
-            if d == 1 || task + 1 - fan == FAN {
-                let outs = fan_outs(outs, n_tasks, fan..task + 1);
-                last.run_fan(rows, stack, panel, region, outs);
-                fan = task + 1;
-            }
-        }
-        if fan < n_tasks {
-            let outs = fan_outs(outs, n_tasks, fan..n_tasks);
-            last.run_fan(fan_rows, stack, panel, region, outs);
-        }
-    }
-}
-
-/// The pass loop of a group call planned as `plan` that runs leading
-/// fans: [`FAN`] regions a term slot and level.
-fn run_fans<'a, I, F>(
-    plan: &Plan,
-    sources: &[&Tensor],
-    n_terms: usize,
-    mut term: F,
-    scratch: &mut TransformScratch,
-    outs: &mut [Tensor],
-) where
-    I: IntoIterator<Item = &'a Tensor>,
-    F: FnMut(usize, usize) -> Term<'a, I>,
-{
-    let &Plan {
-        d, n_tasks, chunk, ..
-    } = plan;
-    let passes = &plan.passes[..d];
-    let last = passes[d - 1];
-    let term_len = last.dimk * last.dimi;
-    // The panel rows of one task's chunk, at most.
-    let region = chunk * last.dimk * last.dimj;
-    let TransformScratch {
-        interleaved,
-        staged,
-        levels,
-        fan_slots: slots,
         stamp,
         row_stamps,
         stack,
         panel,
-        ..
     } = scratch;
     // The leading passes, the last of which writes the stack.
     let lead = d - 1;
@@ -846,15 +688,15 @@ fn run_fans<'a, I, F>(
     let source = interleave(sources, interleaved);
     grow(staged, source.len());
     for (level, pass) in levels.iter_mut().zip(&passes[..d.saturating_sub(2)]) {
-        grow(level, FAN * chunk * pass.dimi * pass.dimj);
+        grow(level, W * chunk * pass.dimi * pass.dimj);
     }
-    if slots.len() < FAN * chunk * lead {
-        slots.resize(FAN * chunk * lead, Default::default());
+    if slots.len() < W * chunk * lead {
+        slots.resize(W * chunk * lead, Default::default());
     }
-    if row_stamps.len() < FAN * stack_rows {
-        row_stamps.resize(FAN * stack_rows, 0);
+    if row_stamps.len() < W * stack_rows {
+        row_stamps.resize(W * stack_rows, 0);
     }
-    grow(stack, FAN * stack_len);
+    grow(stack, W * stack_len);
     grow(panel, FAN * region);
 
     for chunk_start in (0..n_terms).step_by(chunk) {
@@ -875,8 +717,9 @@ fn run_fans<'a, I, F>(
                 let Term { coeff, hs, krs } = term(task, mu);
                 check_ranks(krs, passes);
                 let mut hs = hs.into_iter();
-                // This term's place in a stack region: where pass d−2
-                // writes its last-pass operand.
+                // This term's place in a stack region: where its last-pass
+                // operand lands, written by pass d−2 (or, at d = 1, by the
+                // staging copy).
                 let place = rows * last.dimi..rows * last.dimi + term_len;
                 let kr_last = kr_of(krs, d - 1, passes);
                 // The input of the next pass: the stamp of the region it
@@ -887,8 +730,8 @@ fn run_fans<'a, I, F>(
                     keys[p] = (address(h), kr_of(krs, p, passes));
                     let at_stack = p + 1 == lead;
                     let (row, kr_read) = if at_stack { (rows, kr_last) } else { (0, 0) };
-                    let here = (ix * lead + p) * FAN;
-                    let level = &slots[here..here + FAN];
+                    let here = (ix * lead + p) * W;
+                    let level = &slots[here..here + W];
                     // A rank-reduced slot starts `kr` rows after its
                     // predecessor, inside the predecessor's full
                     // intermediate, so a slot holds only while nothing has
@@ -907,7 +750,7 @@ fn run_fans<'a, I, F>(
                     let found = if at_stack && ix > 0 {
                         holds(home).then_some(home)
                     } else {
-                        (0..FAN).find(|&g| holds(g))
+                        (0..W).find(|&g| holds(g))
                     };
                     if at_stack && ix == 0 {
                         home = found.unwrap_or(0);
@@ -926,18 +769,22 @@ fn run_fans<'a, I, F>(
                         continue;
                     }
 
-                    let mut members = [(h, keys[p].1, kr_last); FAN];
-                    let lead = Lead {
-                        coeff: coeff.to_bits(),
-                        keys: &keys[..=p],
-                        kr_last,
-                        at_stack,
+                    let mut members = [h; W];
+                    let n = if W > 1 {
+                        let lead = Lead {
+                            coeff: coeff.to_bits(),
+                            keys: &keys[..=p],
+                            kr_last,
+                            at_stack,
+                        };
+                        let later = task + 1..n_tasks;
+                        let term = &mut term as &mut dyn FnMut(usize, usize) -> Term<'a, I>;
+                        leading_fan(term, mu, later, &lead, passes, &mut members)
+                    } else {
+                        1
                     };
-                    let later = task + 1..n_tasks;
-                    let term = &mut term as &mut dyn FnMut(usize, usize) -> Term<'a, I>;
-                    let n = leading_fan(term, mu, later, &lead, passes, &mut members);
 
-                    // Member `j` writes region `first + j` (mod FAN): the
+                    // Member `j` writes region `first + j` (mod W): the
                     // task its own stack region, at every other level
                     // region 0 first.
                     let first = if at_stack { home } else { 0 };
@@ -970,25 +817,30 @@ fn run_fans<'a, I, F>(
                         let range = ix * dst_len..(ix + 1) * dst_len;
                         (&mut at[0][..], chunk * dst_len, range)
                     };
-                    let mut cs: [&mut [f64]; FAN] = Default::default();
-                    let regions = buf[..FAN * stride].chunks_exact_mut(stride);
-                    for (g, r) in regions.enumerate() {
-                        cs[(g + FAN - first) % FAN] = &mut r[range.clone()];
+                    let kr = keys[p].1;
+                    if n == 1 {
+                        pass.run(kr, src, h.as_slice(), &mut buf[first * stride..][range]);
+                    } else {
+                        let mut cs: [&mut [f64]; FAN] = Default::default();
+                        let regions = buf[..W * stride].chunks_exact_mut(stride);
+                        for (g, r) in regions.enumerate() {
+                            cs[(g + W - first) % W] = &mut r[range.clone()];
+                        }
+                        let mut bs: [&[f64]; FAN] = [&[]; FAN];
+                        for (b, h) in bs.iter_mut().zip(&members[..n]) {
+                            *b = h.as_slice();
+                        }
+                        pass.run_leading(kr, src, &bs[..n], &mut cs[..n]);
                     }
-                    let mut bs: [&[f64]; FAN] = [&[]; FAN];
-                    for (b, &(h, _, _)) in bs.iter_mut().zip(&members[..n]) {
-                        *b = h.as_slice();
-                    }
-                    pass.run_leading(keys[p].1, src, &bs[..n], &mut cs[..n]);
 
-                    for (j, &(h, kr, _)) in members[..n].iter().enumerate() {
-                        let g = (first + j) % FAN;
+                    for (j, h) in members[..n].iter().enumerate() {
+                        let g = (first + j) % W;
                         *stamp += 1;
                         if at_stack {
                             // The rewrite covers `last.dimk` rows from `row`.
                             row_stamps[g * stack_rows + row..][..last.dimk].fill(*stamp);
                         }
-                        slots[here + g] = FanSlot {
+                        slots[here + g] = Slot {
                             stamp: *stamp,
                             input,
                             pass: (address(h), kr),
@@ -997,6 +849,11 @@ fn run_fans<'a, I, F>(
                         };
                     }
                     (input, from) = (slots[here + first].stamp, first);
+                }
+                if d == 1 {
+                    // Every task's final pass has run (below), so nothing
+                    // reads the stack this copy rewrites.
+                    stage(coeff, source, &mut stack[place]);
                 }
 
                 let h = block(hs.next(), d - 1, passes);
@@ -1011,8 +868,10 @@ fn run_fans<'a, I, F>(
             }
             fan_rows = rows;
             // The chunk's fused final pass: one (μ, k)-ascending chain
-            // per output element, straight into each `out` of the fan.
-            if task + 1 - fan == FAN {
+            // per output element, straight into each `out` of the fan. At
+            // d = 1 the next task's staging copy rewrites the stack, so
+            // the pass runs after every task.
+            if d == 1 || task + 1 - fan == FAN {
                 let a = &stack[fan_region * stack_len..][..stack_len];
                 let outs = fan_outs(outs, n_tasks, fan..task + 1);
                 last.run_fan(rows, a, panel, region, outs);
@@ -1085,12 +944,12 @@ struct Lead<'k> {
     at_stack: bool,
 }
 
-/// Fills `members[1..n]` with the `(block, rows, last-pass rows)` of the
-/// tasks of `later` that join a leading fan at pass `p = lead.keys.len()
-/// − 1` of term `mu`, whose first member is the asking task, and returns
-/// `n`. A task joins if it contracts the same input with the same rows,
-/// with a block not yet in the fan — and at the stack's level only with
-/// as many last-pass rows, so that a rank reduction set by the
+/// Fills `members[1..n]` with the blocks of the tasks of `later` that
+/// join a leading fan at pass `p = lead.keys.len() − 1` of term `mu`,
+/// whose first member is the asking task, and returns `n`, at most
+/// `members.len()`. A task joins if it contracts the same input with the
+/// same rows, with a block not yet in the fan — and at the stack's level
+/// only with as many last-pass rows, so that a rank reduction set by the
 /// displacement alone packs the slot at the asking task's row. The scan
 /// stops at the first task that no longer shares the input. Kept out of
 /// line: the group loop's own call of `term` stays its only inlined one.
@@ -1101,7 +960,7 @@ fn leading_fan<'a, I>(
     later: Range<usize>,
     lead: &Lead,
     passes: &[Pass],
-    members: &mut [(&'a Tensor, usize, usize); FAN],
+    members: &mut [&'a Tensor],
 ) -> usize
 where
     I: IntoIterator<Item = &'a Tensor>,
@@ -1109,7 +968,7 @@ where
     let p = lead.keys.len() - 1;
     let mut n = 1;
     for next in later {
-        if n == FAN {
+        if n == members.len() {
             break;
         }
         let other = term(next, mu);
@@ -1129,9 +988,9 @@ where
         let kr_last = kr_of(other.krs, passes.len() - 1, passes);
         let joins = kr == lead.keys[p].1
             && (!lead.at_stack || kr_last == lead.kr_last)
-            && members[..n].iter().all(|&(m, _, _)| address(m) != at);
+            && members[..n].iter().all(|&m| address(m) != at);
         if joins {
-            members[n] = (h, kr, kr_last);
+            members[n] = h;
             n += 1;
         }
     }
@@ -1863,17 +1722,18 @@ mod tests {
     }
 
     /// Whether one group call over `tasks` on `s` alone under `resolve`,
-    /// with leading fans where [`leading_fans_pay`] puts them, took the
-    /// loop that runs them.
+    /// with leading fans where [`leading_fans_pay`] puts them, kept
+    /// [`FAN`] regions a term slot: its fresh scratch holds one slot
+    /// record a region of each of `chunk` slots and `d − 1` levels.
     fn runs_fans(
         s: &Tensor,
         pool: &[Tensor],
         tasks: &[Task],
         resolve: fn(usize, usize) -> SpanKernel,
     ) -> bool {
-        !run_group(s, pool, tasks, resolve, leading_fans_pay)
-            .fan_slots
-            .is_empty()
+        let chunk = (STACK_ELEMS / s.len()).clamp(1, tasks[0].len());
+        let slots = run_group(s, pool, tasks, resolve, leading_fans_pay).slots;
+        slots.len() / (chunk * (s.ndim() - 1)) == FAN
     }
 
     /// A `d`-dimensional source of order `k` and the tasks of its three
@@ -1937,6 +1797,22 @@ mod tests {
             if let Some(spans) = simd_spans(&s, &pool, &tasks) {
                 assert_eq!(spans, want, "d = {d}");
             }
+        }
+    }
+
+    /// At d = 1 a group call has no leading pass: each task stages every
+    /// term of the chunk straight into the stack, so its final pass runs
+    /// before the next task's staging copy, one span a task, fans forced
+    /// or not. Term 2 keeps as many rows as its displacement says.
+    #[test]
+    fn a_d1_group_runs_each_tasks_final_pass_alone() {
+        let (d, rank, w) = (1, 5, 3);
+        let (s, pool) = box_case(d, rank, w, 80);
+        let krs = |mu: usize, delta: &[usize]| (mu == 2).then(|| vec![2 + delta[0]]);
+        let tasks = box_tasks(d, rank, w, |_| true, krs);
+        check_group(&s, &pool, &tasks);
+        if let Some(spans) = simd_spans(&s, &pool, &tasks) {
+            assert_eq!(spans, w as u64);
         }
     }
 
