@@ -684,7 +684,7 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
 /// source's run, at most 27 tasks and ≈ 4 ms) still spread over every
 /// worker. A chunk may overshoot the grain by up to a whole group: at
 /// k = 4 a group of eight interior sources is 216 tasks, ≈ 11 MFLOP, so
-/// `apply-k4` runs ≈ 119 tasks a chunk, 159 chunks a pass. It was
+/// `apply-k4` runs ≈ 122 tasks a chunk, 155 chunks a pass. It was
 /// measured with two workers; whether that many chunks keep more
 /// workers busy was not.
 const CHUNK_FLOPS: u64 = 1_000_000;
