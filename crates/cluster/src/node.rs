@@ -717,7 +717,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     fn split(&mut self, b: u64, gate: GpuGate) -> SplitPlan {
         let n = b as usize;
         let (plan, k) = if self.lanes.adaptive {
-            let decision = self.learned.plan_gated(SIM_KIND, n, 0, gate);
+            let decision = self.learned.plan_gated(SIM_KIND, n, gate);
             if R::ENABLED {
                 self.rec.record(Event::Dispatch(decision.sample()));
             }

@@ -64,10 +64,9 @@ use madness_runtime::{
 use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, Workspace};
 use madness_trace::{Event, NullRecorder, Recorder};
 use rayon::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 /// Which resources execute the compute batches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,10 +80,12 @@ pub enum ApplyResource {
     /// (the paper's hybrid, told `m` and `n` in advance).
     Hybrid,
     /// Dispatcher-split CPU + GPU with the split **learned online**: a
-    /// per-kind EWMA cost model fed by measured CPU wall time and
-    /// simulated GPU batch time, bootstrapped by a 50/50 probe flush,
-    /// with hysteresis and stream-queue backpressure
-    /// ([`AdaptiveDispatcher`]). Never consults the a-priori models.
+    /// per-kind EWMA cost model fed, once per flush, by what both shares
+    /// were priced at on the simulated clock — the CPU share's
+    /// `CpuModel` time, the GPU share's `Timing` batch time — as
+    /// `ResourceMode::AdaptiveHybrid` learns in the node simulator;
+    /// bootstrapped by a 50/50 probe flush, with hysteresis
+    /// ([`AdaptiveDispatcher`]). The dispatcher is never told `m` or `n`.
     Adaptive,
 }
 
@@ -99,7 +100,8 @@ pub struct ApplyConfig {
     pub kernel: Option<KernelKind>,
     /// CUDA streams for the GPU path.
     pub streams: usize,
-    /// CPU compute threads assumed by the dispatcher's split estimate.
+    /// CPU compute threads the `CpuModel` prices a CPU share on: the
+    /// `m` of `Hybrid`'s a-priori split and of `Adaptive`'s samples.
     pub threads: usize,
     /// Rank-reduction threshold for the CPU path (`None` = off).
     ///
@@ -317,7 +319,7 @@ struct ApplyRun<'a, R: Recorder> {
     /// The tasks no chunk holds yet.
     pending: PendingRun,
     /// `Some` iff [`ApplyResource::Adaptive`].
-    learned: Option<Learned>,
+    learned: Option<AdaptiveDispatcher>,
 }
 
 /// Tasks joined to the run — a flush's two shares, or a `Cpu` source's
@@ -331,24 +333,6 @@ struct PendingRun {
     /// What one of the kind's tasks costs: the grain's unit.
     task_flops: u64,
     tasks: Vec<PreparedTask>,
-}
-
-/// [`ApplyResource::Adaptive`]'s feedback state.
-struct Learned {
-    dispatcher: AdaptiveDispatcher,
-    /// The simulated clock the in-flight stream-queue windows live on: it
-    /// advances by each retired chunk's throughput-equivalent time (the
-    /// host keeps streaming), so a GPU batch whose simulated time
-    /// outlives the host work dispatched beside it stays queued and
-    /// builds the backpressure the dispatcher shrinks the GPU share on.
-    sim_now: SimTime,
-    /// Every GPU share's `(submit, complete)` window on `sim_now`'s
-    /// clock, in flush order; [`queue_depth`] prunes and counts them.
-    windows: VecDeque<(SimTime, SimTime)>,
-    workers: u64,
-    /// Every spawned chunk sends its timing; `split` drains them.
-    sample_tx: mpsc::Sender<ChunkSample>,
-    sample_rx: mpsc::Receiver<ChunkSample>,
 }
 
 impl<'a, R: Recorder> ApplyRun<'a, R> {
@@ -369,17 +353,8 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 task_flops: 0,
                 tasks: Vec::new(),
             },
-            learned: matches!(config.resource, ApplyResource::Adaptive).then(|| {
-                let (sample_tx, sample_rx) = mpsc::channel();
-                Learned {
-                    dispatcher: AdaptiveDispatcher::new(AdaptiveConfig::default()),
-                    sim_now: SimTime::ZERO,
-                    windows: VecDeque::new(),
-                    workers: rayon::configured_worker_threads().max(1) as u64,
-                    sample_tx,
-                    sample_rx,
-                }
-            }),
+            learned: matches!(config.resource, ApplyResource::Adaptive)
+                .then(|| AdaptiveDispatcher::new(AdaptiveConfig::default())),
             op,
             config,
             rec,
@@ -500,18 +475,25 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     }
 
     /// One batch through Fig. 3: dispatcher split → both shares handed
-    /// over.
+    /// over → under `Adaptive`, the learned feedback: both shares'
+    /// simulated prices, recorded once, as `NodeRun::flush` records its
+    /// simulated batch times.
     fn flush(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, batch: Vec<PreparedTask>) {
         self.stats.batches += 1;
         // A batch is one kind: its first task's cost stands for all.
         let task_flops = batch.first().map_or(0, |p| p.task.flops_rank_reduced());
         let plan = self.split(kind, &batch, task_flops);
-        self.hand_over(scope, kind, task_flops, batch, plan);
+        let gpu_ns = self.hand_over(scope, kind, task_flops, batch, plan);
+        let cpu_ns = self.cpu_time(plan.cpu_tasks, task_flops).as_nanos();
+        if let Some(learned) = &mut self.learned {
+            learned.record(kind, plan.cpu_tasks, cpu_ns, plan.gpu_tasks, gpu_ns);
+        }
     }
 
     /// The split batch to the pending run, whole: the first
     /// `plan.cpu_tasks` are the CPU share (rank-reduced when reduction is
-    /// on), the rest the GPU share, priced here.
+    /// on), the rest the GPU share, priced here. Returns that price in
+    /// nanoseconds (0 for an empty share).
     fn hand_over(
         &mut self,
         scope: &rayon::Scope<'a>,
@@ -519,16 +501,19 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         task_flops: u64,
         mut batch: Vec<PreparedTask>,
         plan: SplitPlan,
-    ) {
+    ) -> u64 {
         self.stats.cpu_tasks += plan.cpu_tasks as u64;
         self.stats.gpu_tasks += plan.gpu_tasks as u64;
         let (cpu, gpu) = batch.split_at_mut(plan.cpu_tasks);
         let rank_reduced = self.config.rank_reduce_eps.is_some();
         cpu.iter_mut().for_each(|p| p.rank_reduced = rank_reduced);
-        if !gpu.is_empty() {
-            self.gpu_share(kind, gpu);
-        }
+        let gpu_ns = if gpu.is_empty() {
+            0
+        } else {
+            self.gpu_share(gpu)
+        };
         self.join(scope, kind, task_flops, &mut batch);
+        gpu_ns
     }
 
     /// `tasks` (one kind's, costing `task_flops` each) to the back of the
@@ -555,19 +540,15 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
 
     /// Split decision at batch-flush time: everything to one side, the
     /// a-priori `k* = n/(m+n)` from the calibrated CPU model and the
-    /// device's kernel cost model, or the learned dispatcher consulted
-    /// with the GPU shares still in flight at `sim_now` (it is never told
-    /// `m` or `n`).
+    /// device's kernel cost model, or the learned dispatcher's (it is
+    /// never told `m` or `n`).
     fn split(&mut self, kind: TaskKind, batch: &[PreparedTask], task_flops: u64) -> SplitPlan {
         let n = batch.len();
         match self.config.resource {
             ApplyResource::Cpu => SplitPlan::all_cpu(n),
             ApplyResource::Gpu => SplitPlan::all_gpu(n),
             ApplyResource::Hybrid => {
-                let (op, threads) = (self.op, self.config.threads);
-                let m = CpuModel::default()
-                    .batch_time(n, task_flops, op.d(), op.k(), op.rank(), threads)
-                    .as_secs_f64();
+                let m = self.cpu_time(n, task_flops).as_secs_f64();
                 let gcost = batch
                     .first()
                     .map(|p| kernel_cost(self.device.spec(), self.kernel, &p.task))
@@ -577,20 +558,11 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 SplitPlan::for_times(n, m, gpu)
             }
             ApplyResource::Adaptive => {
-                let learned = self.learned.as_mut().expect("Adaptive carries its state");
-                // CPU feedback arrives whenever a chunk retires: a
-                // chunk's busy time over the executor's width is what
-                // the CPU side as a whole needs per task — the same
-                // quantity a fork-join's wall time used to measure.
-                for sample in learned.sample_rx.try_iter() {
-                    let cpu_ns = sample.busy_ns / learned.workers;
-                    learned
-                        .dispatcher
-                        .record(sample.kind, sample.tasks, cpu_ns, 0, 0);
-                    learned.sim_now += SimTime::from_nanos(cpu_ns);
-                }
-                let depth = queue_depth(&mut learned.windows, learned.sim_now);
-                let decision = learned.dispatcher.plan(kind, n, depth);
+                let learned = self
+                    .learned
+                    .as_mut()
+                    .expect("Adaptive carries its dispatcher");
+                let decision = learned.plan(kind, n, 0);
                 self.rec.record(Event::Split(decision.k));
                 self.rec.record(Event::Dispatch(decision.sample()));
                 decision.plan
@@ -598,14 +570,19 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         }
     }
 
+    /// What the `CpuModel` prices `n` tasks of `task_flops` each at on
+    /// [`ApplyConfig::threads`]: `Hybrid`'s `m` and `Adaptive`'s CPU
+    /// sample.
+    fn cpu_time(&self, n: usize, task_flops: u64) -> SimTime {
+        let (op, threads) = (self.op, self.config.threads);
+        CpuModel::default().batch_time(n, task_flops, op.d(), op.k(), op.rank(), threads)
+    }
+
     /// The host's jobs, for both shares: chunks off the front of the
     /// pending run — every one [`chunk_len`] ends between stack groups,
     /// and with `whole` the tail too — each [`ApplyRun::spawn`]ed. The
     /// schedule, not split-on-demand, owns the grain.
     fn cpu_share(&mut self, scope: &rayon::Scope<'a>, whole: bool) {
-        let Some(kind) = self.pending.kind else {
-            return;
-        };
         while !self.pending.tasks.is_empty() {
             let len = chunk_len(&self.pending.tasks, self.pending.task_flops, whole);
             if len == self.pending.tasks.len() && !whole {
@@ -615,41 +592,28 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             }
             let chunk: Vec<PreparedTask> = self.pending.tasks.drain(..len).collect();
             self.stats.chunks += 1;
-            self.spawn(scope, chunk, kind);
+            self.spawn(scope, chunk);
         }
     }
 
     /// The GPU share, the rest of the batch: priced (`Timing`) on the
     /// simulated device on this, the dispatcher's, thread — so in flush
-    /// order, whatever the executor does. Its arithmetic rides the
-    /// pending run.
-    fn gpu_share(&mut self, kind: TaskKind, tasks: &[PreparedTask]) {
+    /// order, whatever the executor does. Returns the price in
+    /// nanoseconds; its arithmetic rides the pending run.
+    fn gpu_share(&mut self, tasks: &[PreparedTask]) -> u64 {
         let priced: Vec<TransformTask> = tasks.iter().map(|p| p.task.clone()).collect();
         let out = self
             .device
             .execute_batch(&priced, self.kernel, ExecMode::Timing);
-        if let Some(learned) = &mut self.learned {
-            // Simulated GPU batch time feeds the cost model, and the
-            // batch occupies the stream queue for that long.
-            let gpu_ns = out.time.as_nanos();
-            learned.dispatcher.record(kind, 0, 0, tasks.len(), gpu_ns);
-            let now = learned.sim_now;
-            learned
-                .windows
-                .push_back((now, now + SimTime::from_nanos(gpu_ns)));
-        }
+        out.time.as_nanos()
     }
 
     /// Mints the next commit segment and spawns one job that runs `tasks`
     /// inside one workspace — one [`execute_tasks`] call per run of equal
-    /// rank-reduction flags — and retires the segment. Under `Adaptive`
-    /// the job reports its busy time for every task: the host runs each
-    /// one's arithmetic, whichever share priced it.
-    fn spawn(&self, scope: &rayon::Scope<'a>, tasks: Vec<PreparedTask>, kind: TaskKind) {
+    /// rank-reduction flags — and retires the segment.
+    fn spawn(&self, scope: &rayon::Scope<'a>, tasks: Vec<PreparedTask>) {
         let (commit, seq) = (self.commit, self.commit.segment());
-        let sample_tx = self.learned.as_ref().map(|l| l.sample_tx.clone());
         scope.spawn(move |_| {
-            let t0 = Instant::now();
             let results = Workspace::with(|ws| {
                 tasks
                     .chunk_by(|a, b| a.rank_reduced == b.rank_reduced)
@@ -660,15 +624,6 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                     })
                     .unwrap_or_default()
             });
-            if let Some(tx) = sample_tx {
-                // The receiver outlives the scope; a failed send could
-                // only lose feedback, never a result.
-                let _ = tx.send(ChunkSample {
-                    kind,
-                    tasks: tasks.len(),
-                    busy_ns: t0.elapsed().as_nanos() as u64,
-                });
-            }
             let neighbors = tasks.into_iter().map(|p| p.neighbor);
             commit.retire(seq, neighbors.zip(results).collect());
         });
@@ -707,22 +662,6 @@ fn chunk_len(tasks: &[PreparedTask], task_flops: u64, whole: bool) -> usize {
         }
     }
     len
-}
-
-/// How many of `windows` are in flight at `now` — submitted at or before
-/// it, completing after it — once those completed by `now` are pruned:
-/// the backpressure signal [`AdaptiveDispatcher::plan`] is given.
-fn queue_depth(windows: &mut VecDeque<(SimTime, SimTime)>, now: SimTime) -> usize {
-    windows.retain(|&(_, complete)| complete > now);
-    windows.iter().filter(|&&(submit, _)| submit <= now).count()
-}
-
-/// One retired chunk's timing: [`ApplyResource::Adaptive`]'s CPU-side
-/// feedback, sent to the dispatcher thread.
-struct ChunkSample {
-    kind: TaskKind,
-    tasks: usize,
-    busy_ns: u64,
 }
 
 /// The postprocess stage: results enter the result tree in segment order
@@ -942,20 +881,6 @@ mod tests {
         assert_eq!(chunk_len(full, CHUNK_FLOPS, false), s_max * 27);
     }
 
-    #[test]
-    fn queue_depth_counts_only_open_windows() {
-        let mut windows = VecDeque::new();
-        let us = SimTime::from_micros;
-        windows.push_back((us(0), us(100)));
-        windows.push_back((us(50), us(150)));
-        windows.push_back((us(200), us(300))); // not yet submitted at t=60
-        assert_eq!(queue_depth(&mut windows, us(60)), 2);
-        assert_eq!(queue_depth(&mut windows, us(120)), 1); // first batch pruned
-        assert_eq!(queue_depth(&mut windows, us(250)), 1);
-        assert_eq!(queue_depth(&mut windows, us(400)), 0);
-        assert!(windows.is_empty(), "every window closed by t=400 is pruned");
-    }
-
     /// One single-task source per value, every task `r = s` into one
     /// target (d = 1, k = 1, one term, `h = [1]`).
     fn valued(values: &[f64]) -> Vec<PreparedTask> {
@@ -1045,16 +970,57 @@ mod tests {
             run.cpu_share(scope, true);
         });
         assert_eq!((run.stats.cpu_tasks, run.stats.gpu_tasks), (40, 46));
-        // Every chunk is one kind's, so Adaptive's samples stay per kind,
-        // and each counts its GPU-planned tasks too: the host ran them.
-        let learned = run.learned.as_ref().expect("Adaptive");
-        let mut samples: Vec<_> = learned
-            .sample_rx
-            .try_iter()
-            .map(|s| (s.kind, s.tasks))
+        assert_eq!(run.stats.chunks, 4);
+    }
+
+    /// One `Adaptive` probe flush teaches the dispatcher both shares'
+    /// simulated prices: `m̂` is the `CpuModel`'s per CPU task, `n̂` the
+    /// device's `Timing` price per GPU task, each floored at 50 ns.
+    #[test]
+    fn an_adaptive_flush_records_both_shares_prices() {
+        let (d, k) = (3, 6);
+        let op = SeparatedConvolution::gaussian_sum(d, k, 4, 1.0, 100.0);
+        let config = config(ApplyResource::Adaptive);
+        let commit = Commit::new(FunctionTree::new(d, k));
+        let mut rec = NullRecorder;
+        let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
+        let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] * k + ix[2]) as f64);
+        let s = Some(Arc::new(s));
+        let tasks: Vec<PreparedTask> = (0..4)
+            .map(|l| PreparedTask {
+                neighbor: Key::new(2, &[l, 0, 0]),
+                task: TransformTask {
+                    d,
+                    k,
+                    s: s.clone(),
+                    terms: Arc::new(run.term_table(2, &[l, 0, 0])),
+                },
+                rank_reduced: false,
+            })
             .collect();
-        samples.sort_unstable();
-        assert_eq!(samples, [(a, 27), (a, 27), (a, 27), (b, 5)]);
+        let task_flops = tasks[0].task.flops_rank_reduced();
+        let cpu_ns = run.cpu_time(2, task_flops).as_nanos();
+        // The probe's GPU half, priced on a device as fresh as the run's.
+        let gpu: Vec<TransformTask> = tasks[2..].iter().map(|p| p.task.clone()).collect();
+        let gpu_ns = GpuDevice::new(madness_gpusim::DeviceSpec::default(), config.streams)
+            .execute_batch(&gpu, run.kernel, ExecMode::Timing)
+            .time
+            .as_nanos();
+        let kind = TaskKind::new(APPLY_OP_ID, 2);
+        rayon::scope(|scope| {
+            run.flush(scope, kind, tasks);
+            run.cpu_share(scope, true);
+        });
+        assert_eq!((run.stats.cpu_tasks, run.stats.gpu_tasks), (2, 2));
+        let learned = run.learned.as_ref().expect("Adaptive");
+        let model = learned.model(kind).expect("planned");
+        assert!(model.steady, "one probe flush measures both sides");
+        let per_task = |ns: u64| (ns as f64 / 2.0).max(50.0);
+        assert_eq!(
+            (model.m_hat_ns, model.n_hat_ns),
+            (per_task(cpu_ns), per_task(gpu_ns)),
+            "priced at {cpu_ns} and {gpu_ns} ns"
+        );
     }
 
     /// `Cpu` flushes nothing, yet reports the batches the flush policy

@@ -3,22 +3,18 @@
 //! [`crate::dispatch::SplitPlan::for_times`] needs the CPU and GPU batch
 //! times `m` and `n` **a priori**. Real MADNESS does not have them — it
 //! measures. This module closes the loop: a per-[`TaskKind`] cost model
-//! (EWMA nanoseconds per task for each backend) is fed by measured span
-//! timings, bootstrapped by a 50/50 probe flush, and re-derives
-//! `k* = n̂/(m̂+n̂)` at every flush with three robustness guards:
+//! (EWMA nanoseconds per task for each backend) is fed each flush's two
+//! batch times — both callers, the node simulator and the real Apply
+//! pipeline, record what the flush's shares took on the simulated clock —
+//! bootstrapped by a 50/50 probe flush, and re-derives `k* = n̂/(m̂+n̂)`
+//! at every flush with two robustness guards:
 //!
 //! * **hysteresis** — the split moves at most [`AdaptiveConfig::max_step`]
 //!   per flush, so one noisy measurement cannot slam all work to one side;
 //! * **degenerate-measurement floor** — samples pass through
 //!   [`crate::dispatch::measured_split`]'s minimum-time floor, so an
 //!   empty or sub-clock-resolution probe reads "very fast", never
-//!   "infinitely fast" (which would starve the other backend forever);
-//! * **backpressure** — when the caller reports an in-flight stream
-//!   queue deeper than a threshold, the GPU share shrinks multiplicatively
-//!   until the queue drains, bounding the memory pinned under outstanding
-//!   batches. Only the real Apply pipeline reports a depth; the node
-//!   simulator's one-lane device never queues a batch behind the running
-//!   one, so it passes `0`.
+//!   "infinitely fast" (which would starve the other backend forever).
 //!
 //! A starvation refresh re-routes one task to a backend that rounding
 //! has kept idle for `REFRESH_EVERY` (16) consecutive
@@ -33,9 +29,6 @@ use std::collections::HashMap;
 /// Minimum nanoseconds-per-task a measurement can report (the
 /// degenerate-measurement floor).
 const FLOOR_NS: f64 = 50.0;
-
-/// Multiplicative GPU-share shrink per batch of excess queue depth.
-const BACKPRESSURE_SHRINK: f64 = 0.5;
 
 /// A backend left idle by rounding for this many consecutive flushes is
 /// refreshed with one task so its estimate cannot go stale.
@@ -53,8 +46,6 @@ pub struct AdaptiveConfig {
     pub alpha: f64,
     /// Hysteresis: maximum change of `k` per flush, in `(0, 1]`.
     pub max_step: f64,
-    /// In-flight GPU batches above which backpressure engages.
-    pub backpressure_depth: usize,
 }
 
 impl Default for AdaptiveConfig {
@@ -62,7 +53,6 @@ impl Default for AdaptiveConfig {
         AdaptiveConfig {
             alpha: 0.3,
             max_step: 0.15,
-            backpressure_depth: 2,
         }
     }
 }
@@ -182,20 +172,23 @@ impl AdaptiveDispatcher {
         })
     }
 
-    /// Decides the split for a flush of `n_tasks` tasks of `kind`, given
-    /// the device's current in-flight queue depth.
+    /// Decides the split for a flush of `n_tasks` tasks of `kind`.
     ///
     /// Until both backends are measured this is a 50/50 probe (a batch
     /// of one routes to whichever backend is unmeasured, CPU first);
-    /// afterwards `k*` comes from the EWMA model with backpressure and
-    /// hysteresis applied. The returned plan always conserves `n_tasks`.
+    /// afterwards `k*` comes from the EWMA model with hysteresis applied.
+    /// The returned plan always conserves `n_tasks`.
+    ///
+    /// The third argument is ignored: it was a stream-queue depth for a
+    /// backpressure rule that is gone, and stays only because the
+    /// benchmark's `plan` probe calls this signature.
     pub fn plan(
         &mut self,
         kind: TaskKind,
         n_tasks: usize,
-        gpu_queue_depth: usize,
+        _gpu_queue_depth: usize,
     ) -> DispatchDecision {
-        self.plan_gated(kind, n_tasks, gpu_queue_depth, GpuGate::Open)
+        self.plan_gated(kind, n_tasks, GpuGate::Open)
     }
 
     /// [`AdaptiveDispatcher::plan`] under a device-health gate: with
@@ -208,7 +201,6 @@ impl AdaptiveDispatcher {
         &mut self,
         kind: TaskKind,
         n_tasks: usize,
-        gpu_queue_depth: usize,
         gate: GpuGate,
     ) -> DispatchDecision {
         let cfg = self.config;
@@ -251,14 +243,8 @@ impl AdaptiveDispatcher {
             };
         }
 
-        // --- steady state: model → backpressure → hysteresis -----------
-        let mut k = measured_split(m_hat_ns, n_hat_ns, FLOOR_NS);
-        if gpu_queue_depth > cfg.backpressure_depth {
-            let excess = (gpu_queue_depth - cfg.backpressure_depth) as i32;
-            let gpu_share = (1.0 - k) * BACKPRESSURE_SHRINK.powi(excess);
-            k = 1.0 - gpu_share;
-        }
-        k = k
+        // --- steady state: model → hysteresis --------------------------
+        let k = measured_split(m_hat_ns, n_hat_ns, FLOOR_NS)
             .clamp(model.k_prev - cfg.max_step, model.k_prev + cfg.max_step)
             .clamp(0.0, 1.0);
         model.k_prev = k;
@@ -549,23 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_shrinks_the_gpu_share() {
-        let (mc, nc) = (2_500.0, 800.0);
-        let mut d = dispatcher();
-        drive(&mut d, 60, 12, mc, nc);
-        let calm = d.clone().plan(KIND, 60, 0);
-        let pressured = d.plan(KIND, 60, 8);
-        assert!(
-            pressured.plan.gpu_tasks < calm.plan.gpu_tasks,
-            "queue depth 8 must shrink the GPU share: {} vs {}",
-            pressured.plan.gpu_tasks,
-            calm.plan.gpu_tasks
-        );
-        assert!(pressured.k > calm.k);
-        assert_eq!(pressured.plan.total(), 60);
-    }
-
-    #[test]
     fn kinds_learn_independently() {
         let other = TaskKind::new(0xBEEF, 7);
         let mut d = dispatcher();
@@ -584,7 +553,7 @@ mod tests {
         drive(&mut a, 60, 8, 2_500.0, 800.0);
         drive(&mut b, 60, 8, 2_500.0, 800.0);
         let pa = a.plan(KIND, 60, 1);
-        let pb = b.plan_gated(KIND, 60, 1, GpuGate::Open);
+        let pb = b.plan_gated(KIND, 60, GpuGate::Open);
         assert_eq!(pa.plan, pb.plan);
         assert_eq!(pa.k, pb.k);
         assert_eq!(pa.phase, pb.phase);
@@ -594,7 +563,7 @@ mod tests {
     fn closed_gate_routes_everything_to_cpu() {
         let mut d = dispatcher();
         drive(&mut d, 60, 8, 2_500.0, 800.0);
-        let dec = d.plan_gated(KIND, 60, 0, GpuGate::Closed);
+        let dec = d.plan_gated(KIND, 60, GpuGate::Closed);
         assert_eq!(dec.phase, DispatchPhase::Quarantined);
         assert_eq!(dec.plan, SplitPlan::all_cpu(60));
         assert_eq!(dec.k, 1.0);
@@ -607,13 +576,13 @@ mod tests {
     fn probe_gate_sends_exactly_one_task() {
         let mut d = dispatcher();
         drive(&mut d, 60, 8, 2_500.0, 800.0);
-        let dec = d.plan_gated(KIND, 60, 0, GpuGate::Probe);
+        let dec = d.plan_gated(KIND, 60, GpuGate::Probe);
         assert_eq!(dec.phase, DispatchPhase::Readmitting);
         assert_eq!(dec.plan.gpu_tasks, 1);
         assert_eq!(dec.plan.total(), 60);
-        let empty = d.plan_gated(KIND, 0, 0, GpuGate::Probe);
+        let empty = d.plan_gated(KIND, 0, GpuGate::Probe);
         assert_eq!(empty.plan.total(), 0);
-        let single = d.plan_gated(KIND, 1, 0, GpuGate::Probe);
+        let single = d.plan_gated(KIND, 1, GpuGate::Probe);
         assert_eq!(single.plan.gpu_tasks, 1);
     }
 

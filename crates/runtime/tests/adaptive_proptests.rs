@@ -17,13 +17,13 @@ proptest! {
     #[test]
     fn split_conserves_tasks_under_arbitrary_noise(
         batches in proptest::collection::vec(
-            (1usize..500, 0u64..10_000_000, 0u64..10_000_000, 0usize..10),
+            (1usize..500, 0u64..10_000_000, 0u64..10_000_000),
             1..40,
         ),
     ) {
         let mut d = AdaptiveDispatcher::new(AdaptiveConfig::default());
-        for (n_tasks, cpu_ns, gpu_ns, queue_depth) in batches {
-            let dec = d.plan(KIND, n_tasks, queue_depth);
+        for (n_tasks, cpu_ns, gpu_ns) in batches {
+            let dec = d.plan(KIND, n_tasks, 0);
             prop_assert_eq!(dec.plan.cpu_tasks + dec.plan.gpu_tasks, n_tasks);
             prop_assert!((0.0..=1.0).contains(&dec.k), "k = {} out of range", dec.k);
             prop_assert!(dec.m_hat_ns >= 0.0 && dec.n_hat_ns >= 0.0);
@@ -57,13 +57,12 @@ proptest! {
             d.record(KIND, dec.plan.cpu_tasks, cpu_ns, dec.plan.gpu_tasks, gpu_ns);
         }
     }
+}
 
-    /// Empty batches are legal and always plan (0, 0).
-    #[test]
-    fn empty_batches_plan_nothing(depth in 0usize..20) {
-        let mut d = AdaptiveDispatcher::new(AdaptiveConfig::default());
-        let dec = d.plan(KIND, 0, depth);
-        prop_assert_eq!(dec.plan.cpu_tasks, 0);
-        prop_assert_eq!(dec.plan.gpu_tasks, 0);
-    }
+/// Empty batches are legal and always plan (0, 0).
+#[test]
+fn empty_batches_plan_nothing() {
+    let mut d = AdaptiveDispatcher::new(AdaptiveConfig::default());
+    let dec = d.plan(KIND, 0, 0);
+    assert_eq!((dec.plan.cpu_tasks, dec.plan.gpu_tasks), (0, 0));
 }
