@@ -18,9 +18,14 @@
 //! tail) and `coulomb-d3 Hybrid b60 rank-reduced`'s hash (which tasks
 //! the CPU share rank-reduces). Every exact tree kept its bits.
 //!
-//! `Adaptive`'s split is fed by wall-clock samples, so it has no golden
-//! hash; it is pinned by task accounting here and by
-//! `apply_equivalence.rs` against the walk.
+//! The six `Adaptive` rows come last. They were captured once its learned
+//! split fed on the simulated clock alone: each flush records both
+//! shares' prices, the CPU share's `CpuModel` time and the GPU share's
+//! `Timing` batch time, as the node simulator's `AdaptiveHybrid` records
+//! its own. Before that its CPU samples were wall-clock, and two
+//! identical runs could disagree on `device_cache`. Its trees carry the
+//! `Cpu` rows' hashes, because the split decides what a task is priced
+//! at, never its arithmetic.
 //!
 //! A change that *means* to move these regenerates the table with
 //!
@@ -161,6 +166,17 @@ fn compute() -> Vec<Golden> {
     let mut out = scenarios("coulomb-d3", &coulomb.op, &coulomb.tree);
     out.extend(scenarios("tdse-d4", &tdse.op, &tdse.tree));
     out.extend(variants(&coulomb, &tdse));
+    for (app, op, tree) in [
+        ("coulomb-d3", &coulomb.op, &coulomb.tree),
+        ("tdse-d4", &tdse.op, &tdse.tree),
+    ] {
+        for max_batch in [1, 16, 60] {
+            let cfg = config(ApplyResource::Adaptive, max_batch, None);
+            let (result, stats) = apply_batched(op, tree, &cfg);
+            let name = format!("{app} Adaptive b{max_batch}");
+            out.push((name, tree_hash(&result), pinned(&stats)));
+        }
+    }
     out
 }
 
@@ -194,6 +210,12 @@ const GOLDENS: &[(&str, u64, &str)] = &[
     ("coulomb-d3 Hybrid b60 threads-4", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=18401 gpu=2831 device_cache=(288558, 204, 0)"),
     ("coulomb-d3 Hybrid b60 rank-reduced", 0x41729fcb1473e49d, "tasks=21232 batches=355 cpu=20018 gpu=1214 device_cache=(123624, 204, 0)"),
     ("coulomb-d3 Gpu b16 rank-reduced", 0xc3f0d9dc29733c86, "tasks=21232 batches=1327 cpu=0 gpu=21232 device_cache=(2165460, 204, 0)"),
+    ("coulomb-d3 Adaptive b1", 0xc3f0d9dc29733c86, "tasks=21232 batches=21232 cpu=21230 gpu=2 device_cache=(68, 136, 0)"),
+    ("coulomb-d3 Adaptive b16", 0xc3f0d9dc29733c86, "tasks=21232 batches=1327 cpu=21113 gpu=119 device_cache=(11934, 204, 0)"),
+    ("coulomb-d3 Adaptive b60", 0xc3f0d9dc29733c86, "tasks=21232 batches=355 cpu=19715 gpu=1517 device_cache=(154530, 204, 0)"),
+    ("tdse-d4 Adaptive b1", 0x7bd290132d7304a8, "tasks=1474 batches=1474 cpu=1472 gpu=2 device_cache=(20, 12, 0)"),
+    ("tdse-d4 Adaptive b16", 0x7bd290132d7304a8, "tasks=1474 batches=93 cpu=1434 gpu=40 device_cache=(616, 24, 0)"),
+    ("tdse-d4 Adaptive b60", 0x7bd290132d7304a8, "tasks=1474 batches=25 cpu=1298 gpu=176 device_cache=(2792, 24, 0)"),
 ];
 
 #[test]
