@@ -558,10 +558,7 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 SplitPlan::for_times(n, m, gpu)
             }
             ApplyResource::Adaptive => {
-                let learned = self
-                    .learned
-                    .as_mut()
-                    .expect("Adaptive carries its dispatcher");
+                let learned = self.learned.as_mut().expect("Adaptive learns");
                 let decision = learned.plan(kind, n, 0);
                 self.rec.record(Event::Split(decision.k));
                 self.rec.record(Event::Dispatch(decision.sample()));
