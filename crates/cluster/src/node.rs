@@ -73,9 +73,9 @@ pub enum ResourceMode {
     /// Hybrid with the split **learned online** instead of taken from the
     /// a-priori models: a per-kind EWMA cost model is fed by the
     /// simulated CPU and GPU batch times, bootstrapped by a 50/50 probe
-    /// flush, with hysteresis ([`AdaptiveDispatcher`]; no backpressure —
-    /// the one-lane device never queues a batch). Converges to the static
-    /// `k*` without ever being told `m` or `n`.
+    /// flush, with hysteresis ([`AdaptiveDispatcher`]) — the loop the real
+    /// pipeline's `ApplyResource::Adaptive` runs on the same clock.
+    /// Converges to the static `k*` without ever being told `m` or `n`.
     AdaptiveHybrid {
         /// CPU compute threads.
         compute_threads: usize,
@@ -707,9 +707,8 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     }
 
     /// Split decision at batch-flush time: the learned dispatcher (it is
-    /// never told `m` or `n`, and applies the gate itself) at queue depth
-    /// `0`, because the one-lane device has no queue behind the running
-    /// batch; else the gate's override — Closed routes the flush to the
+    /// never told `m` or `n`, and applies the gate itself); else the
+    /// gate's override — Closed routes the flush to the
     /// CPU (one emergency host thread when the mode has no compute
     /// threads), Probe sends a single canary task to the GPU — else the
     /// a-priori model split, or everything to the GPU when the mode has

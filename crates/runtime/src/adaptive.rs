@@ -179,9 +179,8 @@ impl AdaptiveDispatcher {
     /// afterwards `k*` comes from the EWMA model with hysteresis applied.
     /// The returned plan always conserves `n_tasks`.
     ///
-    /// The third argument is ignored: it was a stream-queue depth for a
-    /// backpressure rule that is gone, and stays only because the
-    /// benchmark's `plan` probe calls this signature.
+    /// The third argument is ignored. It stays only because the
+    /// benchmark's frozen `plan` probe calls this signature.
     pub fn plan(
         &mut self,
         kind: TaskKind,
