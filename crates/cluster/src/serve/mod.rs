@@ -19,9 +19,11 @@
 //! * a serving loop that drives the balance-style cluster DES
 //!   *incrementally*: requests are injected at their arrival `SimTime`,
 //!   batched per [`TaskKind`] through the node's [`Batcher`] (timer and
-//!   size flushes exactly as in the offline pipeline), dequeued by
-//!   strict tenant-weight priority, and stolen across nodes under the
-//!   same profit guard as [`BalanceMode::Steal`] — preferring the
+//!   size flushes exactly as in the offline pipeline, one flush timer
+//!   per batch a push opens), dequeued by strict tenant-weight
+//!   priority, shed under [`ShedPolicy::DropOldest`] off one
+//!   cluster-wide index in shed order, and stolen across nodes under
+//!   the same profit guard as [`BalanceMode::Steal`] — preferring the
 //!   highest-weight tenant's batches, so weight buys latency;
 //! * **[`ServeReport`]** — exact (nearest-rank) latency percentiles per
 //!   tenant and per kind, SLO attainment, admission accounting with a
@@ -621,7 +623,19 @@ impl ReadyBatch {
     fn priority(&self, other: &Self) -> Ordering {
         other.weight.total_cmp(&self.weight).then(self.fifo(other))
     }
+
+    /// Shed order as a key, lowest shed first: tenant weight, then
+    /// [`ReadyBatch::fifo`]; `seq` makes it unique. A weight is positive
+    /// (tenant weights are floored at `f64::MIN_POSITIVE`, unknown
+    /// tenants weigh 1), and positive floats' bits order as their values.
+    fn shed_key(&self) -> ShedKey {
+        debug_assert!(self.weight > 0.0, "weight {} is not positive", self.weight);
+        (self.weight.to_bits(), self.ready_at, self.seq)
+    }
 }
+
+/// A queued batch's place in [`ServeCluster::shed_index`].
+type ShedKey = (u64, SimTime, u64);
 
 /// `Ord` is [`ReadyBatch::priority`] seen from a max-heap: the greatest
 /// batch is the next one served.
@@ -658,7 +672,8 @@ struct ServeNode {
     /// Flushed batches awaiting service, a heap in service order.
     /// Written only by [`ServeCluster::push_ready`] /
     /// [`ServeCluster::take_ready`] (and cleared by a crash), which keep
-    /// `ready_tasks` and the cluster's backlog index in step with it.
+    /// `ready_tasks`, the cluster's backlog index and its shed index in
+    /// step with it.
     ready: BinaryHeap<ReadyBatch>,
     /// Tasks across `ready`, so `est` does not re-sum the queue for
     /// every steal candidate.
@@ -697,7 +712,9 @@ impl ServeNode {
 /// Heap events. Arrivals are not among them: they stream from the
 /// arrival-sorted request trace (see [`ServeCluster::run`]).
 enum Ev {
-    /// Timer sweep of `node`'s batcher.
+    /// The timer of a batch a push opened in `node`'s batcher: one per
+    /// opened batch, since a kind ages from its oldest push. Sweeps the
+    /// whole batcher, flushing every kind that has expired.
     FlushTimer(usize),
     /// The batch in service on `node` completed. `gen` fences
     /// completions that a crash invalidated (always 0 without faults).
@@ -756,6 +773,13 @@ struct ServeCluster<'a, R: Recorder> {
     /// Bitset over the nodes: bit `j` is set iff `nodes[j].ready` is
     /// non-empty — the only nodes a steal or a shed can take from.
     backlog: Vec<u64>,
+    /// Under [`ShedPolicy::DropOldest`] (`None` otherwise): every queued
+    /// batch across the cluster in shed order, keyed
+    /// [`ReadyBatch::shed_key`] → its node. A shed takes the first entry
+    /// on a balanceable node instead of scanning every queue. Kept by
+    /// the writers of `ready`; a `RejectNew` run never sheds, so it
+    /// pays nothing for it.
+    shed_index: Option<BTreeMap<ShedKey, usize>>,
     /// The report the run returns, tallied as outcomes happen. Its
     /// `tenants` rows exist from the start, in tenant-id order.
     report: ServeReport,
@@ -925,15 +949,20 @@ impl<R: Recorder> ServeCluster<'_, R> {
         let Some(target) = self.route(idx, now) else {
             return;
         };
-        if let Some((_, reqs)) = self.nodes[target].batcher.push_at(req.kind, req, now) {
+        let batcher = &mut self.nodes[target].batcher;
+        let kinds = batcher.pending_kinds();
+        if let Some((_, reqs)) = batcher.push_at(req.kind, req, now) {
             self.enqueue_ready(target, reqs, now);
             self.maybe_start(target, now);
-        } else {
-            // Timer sweep for the (possibly fresh) kind. With
+        } else if batcher.pending_kinds() > kinds {
+            // The push opened its kind (a count, not a second hash of
+            // the kind): start the kind's timer. `flush_expired` ages a
+            // kind from its oldest push, so no later push's timer could
+            // flush it any earlier. With
             // `timer == ZERO` this lands in the same tick and flushes
             // the push immediately; `flush_expired` removes what it
-            // flushes, so a redundant sweep is a no-op (the pinned
-            // no-double-flush semantics).
+            // flushes, so the timer of a kind flushed by size in the
+            // meantime is a no-op (the pinned no-double-flush semantics).
             self.des.schedule(now + self.timer, Ev::FlushTimer(target));
         }
     }
@@ -942,6 +971,9 @@ impl<R: Recorder> ServeCluster<'_, R> {
     fn push_ready(&mut self, node: usize, mut batch: ReadyBatch) {
         batch.pushed = self.pushes;
         self.pushes += 1;
+        if let Some(index) = &mut self.shed_index {
+            index.insert(batch.shed_key(), node);
+        }
         let n = &mut self.nodes[node];
         n.ready_tasks += batch.tasks;
         n.ready.push(batch);
@@ -978,6 +1010,9 @@ impl<R: Recorder> ServeCluster<'_, R> {
         if n.ready.is_empty() {
             self.backlog[node / 64] &= !(1 << (node % 64));
         }
+        if let Some(index) = &mut self.shed_index {
+            index.remove(&batch.shed_key());
+        }
         Some(batch)
     }
 
@@ -992,17 +1027,24 @@ impl<R: Recorder> ServeCluster<'_, R> {
     }
 
     /// Sheds the oldest ready batch of the lowest-weight tenant across
-    /// the cluster (a dead node's queue cannot be reached into).
-    /// Returns false when nothing is queued to shed.
+    /// the cluster (a dead node's queue cannot be reached into): the
+    /// first entry of the shed index on a balanceable node. Returns
+    /// false when nothing is queued to shed.
     fn shed_oldest(&mut self, now: SimTime) -> bool {
+        let index = self
+            .shed_index
+            .as_ref()
+            .expect("DropOldest keeps a shed index");
+        let pick = index
+            .iter()
+            .find(|&(_, &ni)| self.can_balance(ni))
+            .map(|(&(_, _, seq), &ni)| (ni, seq));
         #[cfg(debug_assertions)]
-        self.assert_backlog_is_the_nonempty_queues();
-        let pick = self
-            .backlogged()
-            .filter(|&ni| self.can_balance(ni))
-            .flat_map(|ni| self.nodes[ni].ready.iter().map(move |b| (ni, b)))
-            .min_by(|(_, a), (_, b)| a.weight.total_cmp(&b.weight).then(a.fifo(b)))
-            .map(|(ni, b)| (ni, b.seq));
+        assert_eq!(
+            pick,
+            self.scan_shed(),
+            "the shed index and the all-queues scan disagree on the victim"
+        );
         let Some((ni, seq)) = pick else { return false };
         let batch = self.take_ready(ni, Some(seq)).expect("just picked");
         self.copy_removed(ni, &batch.reqs);
@@ -1368,10 +1410,12 @@ impl<R: Recorder> ServeCluster<'_, R> {
     }
 }
 
-/// The all-nodes scans the backlog index replaced, kept as its oracles:
-/// wherever debug assertions are on, every steal attempt and every shed
-/// checks the index against them (and `take_ready` checks the heap's
-/// head against the priority scan it replaced).
+/// The scans the backlog and shed indexes replaced, kept as their
+/// oracles: wherever debug assertions are on, every steal attempt
+/// checks the backlog index against the all-nodes victim scan, every
+/// shed checks the shed index against the all-queues scan (and both
+/// indexes against the queues), and `take_ready` checks the heap's head
+/// against the priority scan it replaced.
 #[cfg(debug_assertions)]
 impl<R: Recorder> ServeCluster<'_, R> {
     fn assert_backlog_is_the_nonempty_queues(&self) {
@@ -1394,6 +1438,23 @@ impl<R: Recorder> ServeCluster<'_, R> {
             }
         }
         victim
+    }
+
+    /// The shed victim `(node, seq)`: the lowest-weight, oldest batch
+    /// queued on a balanceable node.
+    fn scan_shed(&self) -> Option<(usize, u64)> {
+        self.assert_backlog_is_the_nonempty_queues();
+        let queued: usize = self.nodes.iter().map(|n| n.ready.len()).sum();
+        let indexed = self.shed_index.as_ref().map_or(0, BTreeMap::len);
+        assert_eq!(
+            indexed, queued,
+            "the shed index drifted from the ready queues"
+        );
+        self.backlogged()
+            .filter(|&ni| self.can_balance(ni))
+            .flat_map(|ni| self.nodes[ni].ready.iter().map(move |b| (ni, b)))
+            .min_by(|(_, a), (_, b)| a.weight.total_cmp(&b.weight).then(a.fifo(b)))
+            .map(|(ni, b)| (ni, b.seq))
     }
 }
 
@@ -1557,6 +1618,7 @@ impl ClusterSim {
             seq: 0,
             pushes: 0,
             backlog: vec![0; cfg.nodes.div_ceil(64)],
+            shed_index: (cfg.shed == ShedPolicy::DropOldest).then(BTreeMap::new),
             report,
             tenants,
             kind_sojourns: BTreeMap::new(),
@@ -2069,6 +2131,42 @@ mod tests {
         assert_eq!(sojourns, report.completed);
     }
 
+    /// Serves one kind of tenant 1's requests, `tasks` each, arriving
+    /// at `arrivals`, on `cfg` under `Static`; returns the report and
+    /// the journaled outcomes.
+    fn serve_one_kind(
+        s: &ClusterSim,
+        cfg: &ServeConfig,
+        arrivals: &[SimTime],
+        tasks: u64,
+    ) -> (ServeReport, Vec<ServeEvent>) {
+        let trace: Vec<Request> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &arrival)| Request {
+                id: i as u64,
+                tenant: TenantId(1),
+                kind: TaskKind::for_tenant(SERVE_OP_ID, 0, TenantId(1)),
+                arrival,
+                tasks,
+            })
+            .collect();
+        let mut rec = MemRecorder::new();
+        let mut cluster = s.serve_cluster(
+            cfg,
+            &trace,
+            HYBRID,
+            BalanceMode::Static,
+            &[],
+            RecoveryPolicy::default(),
+            &SurvivalConfig::default(),
+            &mut rec,
+        );
+        cluster.run();
+        let report = cluster.into_report();
+        (report, rec.serve_events().copied().collect())
+    }
+
     #[test]
     fn arrival_wins_a_timestamp_tie_with_a_pending_heap_event() {
         // Arrivals stream from the trace instead of sitting in the heap;
@@ -2079,34 +2177,7 @@ mod tests {
         assert!(timer > SimTime::ZERO);
         let mut cfg = two_tenant_cfg(&s, 0.5);
         cfg.nodes = 1;
-        let serve = |cfg: &ServeConfig, arrivals: &[SimTime]| {
-            let trace: Vec<Request> = arrivals
-                .iter()
-                .enumerate()
-                .map(|(i, &arrival)| Request {
-                    id: i as u64,
-                    tenant: TenantId(1),
-                    kind: TaskKind::for_tenant(SERVE_OP_ID, 0, TenantId(1)),
-                    arrival,
-                    tasks: 4,
-                })
-                .collect();
-            let mut rec = MemRecorder::new();
-            let mut cluster = s.serve_cluster(
-                cfg,
-                &trace,
-                HYBRID,
-                BalanceMode::Static,
-                &[],
-                RecoveryPolicy::default(),
-                &SurvivalConfig::default(),
-                &mut rec,
-            );
-            cluster.run();
-            let report = cluster.into_report();
-            let events: Vec<ServeEvent> = rec.serve_events().copied().collect();
-            (report, events)
-        };
+        let serve = |cfg: &ServeConfig, arrivals: &[SimTime]| serve_one_kind(&s, cfg, arrivals, 4);
         let t0 = SimTime::from_millis(1);
 
         // FlushTimer tie: the second request arrives at the instant the
@@ -2125,5 +2196,45 @@ mod tests {
         cfg.queue_capacity = 1;
         let (report, _) = serve(&cfg, &[t0, done]);
         assert_eq!((report.completed, report.rejected), (1, 1), "{report:?}");
+    }
+
+    #[test]
+    fn a_kind_reopened_after_a_size_flush_gets_its_own_timer() {
+        // One node, one kind, batches of 3 on a 1 ms timer. The pushes
+        // at 0, 0.1 and 0.2 ms flush by size; the one at 0.3 ms re-opens
+        // the kind and the one at 0.6 ms joins it. Only the re-opening
+        // push's timer (1.3 ms) can flush those two, together. A k = 4,
+        // rank-10 Apply keeps start-up and service short enough that
+        // the node is idle by then.
+        let params = NodeParams {
+            batch: madness_runtime::BatcherConfig {
+                max_batch: 3,
+                timer: SimTime::from_millis(1),
+            },
+            ..NodeParams::default()
+        };
+        let s = ClusterSim::new(NodeSim::new(params), NetworkModel::default());
+        let mut cfg = two_tenant_cfg(&s, 0.5);
+        cfg.nodes = 1;
+        cfg.horizon = SimTime::from_millis(10);
+        cfg.spec = WorkloadSpec {
+            d: 3,
+            k: 4,
+            rank: 10,
+            rr_mean_rank: None,
+        };
+        let arrivals = [0, 100, 200, 300, 600].map(SimTime::from_micros);
+        let (report, events) = serve_one_kind(&s, &cfg, &arrivals, 1);
+        assert_eq!(report.completed, 5, "{report:?}");
+        let started: Vec<u64> = events.iter().map(|e| e.started_ns).collect();
+        let finished: Vec<u64> = events.iter().map(|e| e.finished_ns).collect();
+        assert_eq!(started[..3], [started[0]; 3], "the size flush is one batch");
+        assert_eq!(started[3], started[4], "the re-opened kind is one batch");
+        assert_eq!(finished[3], finished[4]);
+        assert_eq!(
+            started[3],
+            SimTime::from_micros(1_300).as_nanos(),
+            "{events:?}"
+        );
     }
 }

@@ -612,6 +612,11 @@ impl<R: Recorder> ServeCluster<'_, R> {
         n.reachable = true;
         n.gen += 1;
         n.serving = None;
+        if let Some(index) = &mut self.shed_index {
+            for batch in &n.ready {
+                index.remove(&batch.shed_key());
+            }
+        }
         n.ready.clear();
         n.ready_tasks = 0;
         self.backlog[node / 64] &= !(1 << (node % 64));

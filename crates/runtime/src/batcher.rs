@@ -333,7 +333,11 @@ mod tests {
         });
         b.push_at(kind(1), 1, ms(0));
         assert!(b.push_at(kind(1), 2, ms(1)).is_some()); // size flush
+        assert_eq!(b.pending_kinds(), 0);
+        // The next push re-opens the kind: the count the serving loop
+        // reads to start one timer per opened batch.
         b.push_at(kind(1), 3, ms(6));
+        assert_eq!(b.pending_kinds(), 1);
         // The surviving task was pushed at t=6; at t=7 it is 1 ms old —
         // the flushed batch's t=0 start must not leak into its age.
         assert!(b.flush_expired(ms(7)).is_empty());
