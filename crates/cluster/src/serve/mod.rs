@@ -20,11 +20,13 @@
 //!   *incrementally*: requests are injected at their arrival `SimTime`,
 //!   batched per [`TaskKind`] through the node's [`Batcher`] (timer and
 //!   size flushes exactly as in the offline pipeline, one flush timer
-//!   per batch a push opens), dequeued by strict tenant-weight
-//!   priority, shed under [`ShedPolicy::DropOldest`] off one
-//!   cluster-wide index in shed order, and stolen across nodes under
+//!   per batch a push opens, on the event queue's in-order lane since
+//!   timers come due in the order they start), dequeued by strict
+//!   tenant-weight priority, shed under [`ShedPolicy::DropOldest`] off
+//!   one cluster-wide index in shed order, and stolen across nodes under
 //!   the same profit guard as [`BalanceMode::Steal`] — preferring the
-//!   highest-weight tenant's batches, so weight buys latency;
+//!   highest-weight tenant's batches, so weight buys latency; a freed
+//!   steal slot wakes only the nodes an index marks idle;
 //! * **[`ServeReport`]** — exact (nearest-rank) latency percentiles per
 //!   tenant and per kind, SLO attainment, admission accounting with a
 //!   conservation law (`completed + rejected + shed == generated`), and
@@ -714,7 +716,9 @@ impl ServeNode {
 enum Ev {
     /// The timer of a batch a push opened in `node`'s batcher: one per
     /// opened batch, since a kind ages from its oldest push. Sweeps the
-    /// whole batcher, flushing every kind that has expired.
+    /// whole batcher, flushing every kind that has expired. Scheduled on
+    /// the DES's in-order lane: every timer is due `timer` after an
+    /// arrival, and arrivals come in time order.
     FlushTimer(usize),
     /// The batch in service on `node` completed. `gen` fences
     /// completions that a crash invalidated (always 0 without faults).
@@ -753,6 +757,17 @@ struct TenantRow {
     sojourns: Vec<u64>,
 }
 
+/// Run state behind one [`ServeReport::kinds`] row, which is also the
+/// kind's hedge budget. A row is born at the kind's first completion.
+struct KindRow {
+    kind: TaskKind,
+    /// Completion sojourns, ns.
+    sojourns: Vec<u64>,
+    /// Tail-tracking sojourn EWMA (ns) behind the hedge budget; it moves
+    /// only while hedging is on, and only then is it read.
+    ewma: f64,
+}
+
 struct ServeCluster<'a, R: Recorder> {
     nodes: Vec<ServeNode>,
     des: Des<Ev>,
@@ -773,6 +788,11 @@ struct ServeCluster<'a, R: Recorder> {
     /// Bitset over the nodes: bit `j` is set iff `nodes[j].ready` is
     /// non-empty — the only nodes a steal or a shed can take from.
     backlog: Vec<u64>,
+    /// Bitset over the nodes: bit `j` is set iff node `j` serves
+    /// nothing, queues nothing and awaits no steal — the only nodes a
+    /// freed steal slot can wake. Kept by [`ServeCluster::mark_idle`]
+    /// wherever `serving`, `ready` or `awaiting` changes.
+    idle: Vec<u64>,
     /// Under [`ShedPolicy::DropOldest`] (`None` otherwise): every queued
     /// batch across the cluster in shed order, keyed
     /// [`ReadyBatch::shed_key`] → its node. A shed takes the first entry
@@ -785,8 +805,8 @@ struct ServeCluster<'a, R: Recorder> {
     report: ServeReport,
     /// One per `report.tenants` row.
     tenants: Vec<TenantRow>,
-    /// Completion sojourns per kind, ns.
-    kind_sojourns: BTreeMap<TaskKind, Vec<u64>>,
+    /// One row per kind that has completed a request, sorted by kind.
+    kinds: Vec<KindRow>,
     surv: Survival,
     rec: &'a mut R,
 }
@@ -867,12 +887,19 @@ impl<R: Recorder> ServeCluster<'_, R> {
                 if sojourn <= self.tenants[row].deadline {
                     tenant.slo_met += 1;
                 }
-                self.tenants[row].sojourns.push(sojourn.as_nanos());
-                self.kind_sojourns
-                    .entry(req.kind)
-                    .or_default()
-                    .push(sojourn.as_nanos());
-                self.observe_sojourn(req.kind, sojourn.as_nanos());
+                let ns = sojourn.as_nanos();
+                self.tenants[row].sojourns.push(ns);
+                let k = self.kind_row(req.kind).unwrap_or_else(|k| {
+                    let row = KindRow {
+                        kind: req.kind,
+                        sojourns: Vec::new(),
+                        ewma: ns as f64,
+                    };
+                    self.kinds.insert(k, row);
+                    k
+                });
+                self.kinds[k].sojourns.push(ns);
+                self.observe_sojourn(k, ns);
             }
             ServeOutcome::Rejected => {
                 self.report.rejected += 1;
@@ -884,6 +911,11 @@ impl<R: Recorder> ServeCluster<'_, R> {
             }
             ServeOutcome::CancelledHedge => unreachable!("returned above"),
         }
+    }
+
+    /// `kind`'s index in `kinds`, or where its row would go.
+    fn kind_row(&self, kind: TaskKind) -> Result<usize, usize> {
+        self.kinds.binary_search_by_key(&kind, |row| row.kind)
     }
 
     /// Journals a survival fault event.
@@ -955,7 +987,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
             self.enqueue_ready(target, reqs, now);
             self.maybe_start(target, now);
         } else if batcher.pending_kinds() > kinds {
-            // The push opened its kind (a count, not a second hash of
+            // The push opened its kind (a count, not a second search for
             // the kind): start the kind's timer. `flush_expired` ages a
             // kind from its oldest push, so no later push's timer could
             // flush it any earlier. With
@@ -963,7 +995,11 @@ impl<R: Recorder> ServeCluster<'_, R> {
             // the push immediately; `flush_expired` removes what it
             // flushes, so the timer of a kind flushed by size in the
             // meantime is a no-op (the pinned no-double-flush semantics).
-            self.des.schedule(now + self.timer, Ev::FlushTimer(target));
+            // Arrivals come in time order and the timer is one constant,
+            // so timers are due in the order they are started: they go
+            // on the DES's in-order lane, not through its heap.
+            self.des
+                .schedule_in_order(now + self.timer, Ev::FlushTimer(target));
         }
     }
 
@@ -978,6 +1014,18 @@ impl<R: Recorder> ServeCluster<'_, R> {
         n.ready_tasks += batch.tasks;
         n.ready.push(batch);
         self.backlog[node / 64] |= 1 << (node % 64);
+        self.mark_idle(node);
+    }
+
+    /// Re-derives `node`'s bit in `idle` from its state.
+    fn mark_idle(&mut self, node: usize) {
+        let n = &self.nodes[node];
+        let bit = 1 << (node % 64);
+        if n.serving.is_none() && n.ready.is_empty() && !n.awaiting {
+            self.idle[node / 64] |= bit;
+        } else {
+            self.idle[node / 64] &= !bit;
+        }
     }
 
     /// Takes one batch off `node`'s ready queue: the next in service
@@ -1013,6 +1061,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
         if let Some(index) = &mut self.shed_index {
             index.remove(&batch.shed_key());
         }
+        self.mark_idle(node);
         Some(batch)
     }
 
@@ -1089,6 +1138,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
         n.busy_until = end;
         let gen = n.gen;
         n.serving = Some(Serving { batch, start });
+        self.mark_idle(node);
         self.des.schedule(end, Ev::BatchDone { node, gen });
     }
 
@@ -1096,6 +1146,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
         let Some(Serving { batch, start }) = self.nodes[node].serving.take() else {
             return;
         };
+        self.mark_idle(node);
         if !self.nodes[node].reachable {
             // Partitioned: the batch really ran, but its results cannot
             // reach anyone. Buffer them for delivery at heal (or loss
@@ -1182,7 +1233,12 @@ impl<R: Recorder> ServeCluster<'_, R> {
                 for b in &batches {
                     self.copy_removed(v, &b.reqs);
                 }
+                debug_assert!(
+                    self.nodes[v].serving.is_some(),
+                    "a steal left its victim idle"
+                );
                 self.nodes[thief].awaiting = true;
+                self.mark_idle(thief);
                 self.inflight += 1;
                 self.report.steals += 1;
                 let booked = self.ship(thief, batches, Some((BalanceKind::Steal, v)), now);
@@ -1292,12 +1348,16 @@ impl<R: Recorder> ServeCluster<'_, R> {
     /// Only steal migrations carry an in-flight slot / `awaiting` flag to
     /// release. If the destination died while the batch was on the wire,
     /// re-aim it at the least-loaded balanceable survivor — wire time was
-    /// already paid, so landing is free.
+    /// already paid, so landing is free. Then every idle node other than
+    /// the destination may try to steal, in ascending order, read off
+    /// the `idle` index: once the in-flight cap is full the rest are only
+    /// counted as blocked, and once nothing is queued the walk stops.
     fn migrated(&mut self, to: usize, batches: Vec<ReadyBatch>, steal: bool, now: SimTime) {
         if steal {
             debug_assert!(self.inflight > 0, "a steal landed without a slot");
             self.inflight -= 1;
             self.nodes[to].awaiting = false;
+            self.mark_idle(to);
         }
         let dst = if self.can_balance(to) {
             to
@@ -1311,19 +1371,35 @@ impl<R: Recorder> ServeCluster<'_, R> {
             self.push_ready(dst, batch);
         }
         self.maybe_start(dst, now);
-        // A freed in-flight slot may unblock parked thieves — unless
-        // nothing is queued anywhere, when none of them would find a
-        // victim. (Under a full cap each still counts as blocked.)
+        // A freed in-flight slot may unblock the idle thieves, ascending.
+        // A steal makes only its thief busy (its victim keeps serving),
+        // never another node idle, so each word of the set can be read
+        // once.
         let Some(cap) = self.steal_cap() else {
             return;
         };
-        if self.inflight < cap && self.backlog.iter().all(|&word| word == 0) {
-            return;
-        }
-        for i in 0..self.nodes.len() {
-            let nd = &self.nodes[i];
-            if i != dst && nd.serving.is_none() && nd.ready.is_empty() && !nd.awaiting {
-                self.try_steal(i, now);
+        for w in 0..self.idle.len() {
+            let mut word = self.idle[w];
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if i == dst {
+                    continue;
+                }
+                if self.inflight >= cap {
+                    // Nothing frees a slot during the walk, so from here
+                    // on `try_steal` would only count the block.
+                    if self.can_balance(i) {
+                        self.report.blocked_steals += 1;
+                    }
+                } else if self.backlog.iter().all(|&bits| bits == 0) {
+                    // Nothing is queued (any more: a steal may have taken
+                    // the last batch), so no thief left can find a
+                    // victim, and none is blocked.
+                    return;
+                } else {
+                    self.try_steal(i, now);
+                }
             }
         }
     }
@@ -1395,11 +1471,11 @@ impl<R: Recorder> ServeCluster<'_, R> {
         }
         report.overall = LatencyStats::from_sojourns(all);
         report.kinds = self
-            .kind_sojourns
+            .kinds
             .into_iter()
-            .map(|(kind, ns)| KindLatency {
-                kind,
-                latency: LatencyStats::from_sojourns(ns),
+            .map(|row| KindLatency {
+                kind: row.kind,
+                latency: LatencyStats::from_sojourns(row.sojourns),
             })
             .collect();
         report.migrated_tasks = self.net.tasks_moved();
@@ -1410,12 +1486,13 @@ impl<R: Recorder> ServeCluster<'_, R> {
     }
 }
 
-/// The scans the backlog and shed indexes replaced, kept as their
+/// The scans the backlog, idle and shed indexes replaced, kept as their
 /// oracles: wherever debug assertions are on, every steal attempt
 /// checks the backlog index against the all-nodes victim scan, every
 /// shed checks the shed index against the all-queues scan (and both
-/// indexes against the queues), and `take_ready` checks the heap's head
-/// against the priority scan it replaced.
+/// indexes against the queues), both check every node's idle bit
+/// against its state, and `take_ready` checks the heap's head against
+/// the priority scan it replaced.
 #[cfg(debug_assertions)]
 impl<R: Recorder> ServeCluster<'_, R> {
     fn assert_backlog_is_the_nonempty_queues(&self) {
@@ -1424,6 +1501,14 @@ impl<R: Recorder> ServeCluster<'_, R> {
             self.backlogged().eq(nonempty),
             "the backlog index drifted from the ready queues"
         );
+        for (j, n) in self.nodes.iter().enumerate() {
+            let idle = n.serving.is_none() && n.ready.is_empty() && !n.awaiting;
+            assert_eq!(
+                self.idle[j / 64] >> (j % 64) & 1 == 1,
+                idle,
+                "node {j}'s idle bit drifted from its state"
+            );
+        }
     }
 
     fn scan_victim(&self, thief: usize, now: SimTime) -> Option<usize> {
@@ -1618,10 +1703,17 @@ impl ClusterSim {
             seq: 0,
             pushes: 0,
             backlog: vec![0; cfg.nodes.div_ceil(64)],
+            // Every node starts idle.
+            idle: (0..cfg.nodes.div_ceil(64))
+                .map(|w| match cfg.nodes - 64 * w {
+                    64.. => u64::MAX,
+                    rest => (1 << rest) - 1,
+                })
+                .collect(),
             shed_index: (cfg.shed == ShedPolicy::DropOldest).then(BTreeMap::new),
             report,
             tenants,
-            kind_sojourns: BTreeMap::new(),
+            kinds: Vec::new(),
             surv,
             rec,
         }

@@ -179,8 +179,6 @@ pub(super) struct Survival {
     /// Hedge attempts already launched per request.
     hedged: Vec<u8>,
     ledger: Option<Ledger>,
-    /// Per-kind tail-tracking sojourn EWMA (ns) for hedge budgets.
-    kind_ewma: BTreeMap<TaskKind, f64>,
     /// Global completion-sojourn EWMA (ns) for the brownout controller.
     sojourn_ewma: f64,
     /// Tightest tenant deadline (ns) — the brownout threshold.
@@ -205,7 +203,6 @@ impl Survival {
             copies: vec![0; requests],
             hedged: vec![0; requests],
             ledger,
-            kind_ewma: BTreeMap::new(),
             sojourn_ewma: 0.0,
             deadline_ref: deadlines.min().unwrap_or(0).max(1),
             brownout_on: false,
@@ -346,14 +343,10 @@ impl<R: Recorder> ServeCluster<'_, R> {
         }
         self.surv.copies[idx] = 1;
         if self.surv.hedge {
-            let budget = self
-                .surv
-                .kind_ewma
-                .get(&req.kind)
-                .map_or(HEDGE_MIN_BUDGET, |e| {
-                    SimTime::from_nanos((HEDGE_BUDGET_FACTOR * e).round() as u64)
-                        .max(HEDGE_MIN_BUDGET)
-                });
+            let budget = self.kind_row(req.kind).map_or(HEDGE_MIN_BUDGET, |k| {
+                let e = self.kinds[k].ewma;
+                SimTime::from_nanos((HEDGE_BUDGET_FACTOR * e).round() as u64).max(HEDGE_MIN_BUDGET)
+            });
             self.des.schedule(now + budget, Ev::HedgeCheck { req: idx });
         }
         let nd = &self.nodes[target];
@@ -388,15 +381,16 @@ impl<R: Recorder> ServeCluster<'_, R> {
         }
     }
 
-    /// Feeds one completion sojourn into the hedge-budget and brownout
-    /// latency models.
-    pub(super) fn observe_sojourn(&mut self, kind: TaskKind, sojourn_ns: u64) {
+    /// Feeds one completion sojourn of the kind in `kinds[row]` into the
+    /// hedge-budget and brownout latency models.
+    pub(super) fn observe_sojourn(&mut self, row: usize, sojourn_ns: u64) {
         let s = &mut self.surv;
         let x = sojourn_ns as f64;
         if s.hedge {
             // Tail-tracking EWMA: rises fast on a slow completion,
-            // decays slowly, so the budget hugs the p99 region.
-            let e = s.kind_ewma.entry(kind).or_insert(x);
+            // decays slowly, so the budget hugs the p99 region. A new
+            // row starts at its first sojourn, which this leaves as is.
+            let e = &mut self.kinds[row].ewma;
             let alpha = if x > *e { 0.25 } else { 0.05 };
             *e += alpha * (x - *e);
         }
@@ -624,7 +618,8 @@ impl<R: Recorder> ServeCluster<'_, R> {
         n.awaiting = false;
         let _ = n.batcher.drain();
         n.busy_until = now;
-        if n.declared_dead {
+        self.mark_idle(node);
+        if self.nodes[node].declared_dead {
             // A declared-dead partition that now truly crashes: the
             // frozen originals are gone for real — cancel them (the
             // hedge duplicates already cover completion).

@@ -8,7 +8,6 @@
 //! data" (paper §II-A, footnote 2).
 
 use madness_gpusim::SimTime;
-use std::collections::HashMap;
 
 /// A tenant of the online serving layer: a traffic source with its own
 /// arrival process, queue weight, and latency SLO. The batch (offline)
@@ -88,12 +87,17 @@ impl Default for BatcherConfig {
 ///   task has waited at least `config.timer`;
 /// * **drain** — [`Batcher::drain`] emptied the remainder at shutdown
 ///   (end-of-run leftovers are *not* timer expiries).
+///
+/// Pending kinds are few (a serving node holds about two, a device arm
+/// one per tree level), so they sit in a short vector kept in kind
+/// order: a push binary-searches it, and both flushes hand batches out
+/// in kind order straight off it.
 #[derive(Debug)]
 pub struct Batcher<T> {
     config: BatcherConfig,
-    /// Per pending kind: when its oldest task was pushed (the timer's
-    /// reference point) and the tasks, never empty.
-    batches: HashMap<TaskKind, (SimTime, Vec<T>)>,
+    /// Per pending kind, sorted by kind: when its oldest task was pushed
+    /// (the timer's reference point) and the tasks, never empty.
+    batches: Vec<(TaskKind, SimTime, Vec<T>)>,
     pushed: u64,
     flushed_by_size: u64,
     flushed_by_timer: u64,
@@ -109,7 +113,7 @@ impl<T> Batcher<T> {
         assert!(config.max_batch > 0, "batch size must be positive");
         Batcher {
             config,
-            batches: HashMap::new(),
+            batches: Vec::new(),
             pushed: 0,
             flushed_by_size: 0,
             flushed_by_timer: 0,
@@ -131,14 +135,18 @@ impl<T> Batcher<T> {
     /// against.
     pub fn push_at(&mut self, kind: TaskKind, task: T, now: SimTime) -> Option<(TaskKind, Vec<T>)> {
         self.pushed += 1;
-        let (_, v) = self
+        let at = self
             .batches
-            .entry(kind)
-            .or_insert_with(|| (now, Vec::new()));
-        v.push(task);
-        if v.len() >= self.config.max_batch {
+            .binary_search_by_key(&kind, |&(k, _, _)| k)
+            .unwrap_or_else(|at| {
+                self.batches.insert(at, (kind, now, Vec::new()));
+                at
+            });
+        let batch = &mut self.batches[at].2;
+        batch.push(task);
+        if batch.len() >= self.config.max_batch {
             self.flushed_by_size += 1;
-            let (_, batch) = self.batches.remove(&kind).expect("just inserted");
+            let (_, _, batch) = self.batches.remove(at);
             Some((kind, batch))
         } else {
             None
@@ -146,41 +154,36 @@ impl<T> Batcher<T> {
     }
 
     /// Timer expiry at `now`: flushes every kind whose oldest pending
-    /// task has waited at least `config.timer` (deterministic kind
-    /// order). "Batches of compute tasks will be executed one by one at
-    /// this point." Kinds younger than the timer stay pending.
+    /// task has waited at least `config.timer`, in kind order. "Batches
+    /// of compute tasks will be executed one by one at this point."
+    /// Kinds younger than the timer stay pending.
     pub fn flush_expired(&mut self, now: SimTime) -> Vec<(TaskKind, Vec<T>)> {
         let timer = self.config.timer;
-        let expired = self
+        let out: Vec<_> = self
             .batches
-            .extract_if(|_, (t0, _)| now.saturating_sub(*t0) >= timer);
-        let out = Self::in_kind_order(expired);
+            .extract_if(.., |(_, t0, _)| now.saturating_sub(*t0) >= timer)
+            .map(|(kind, _, batch)| (kind, batch))
+            .collect();
         self.flushed_by_timer += out.len() as u64;
         out
     }
 
-    /// Shutdown: drains every pending batch (deterministic kind order)
-    /// regardless of age. Counted as drains, not timer expiries, so the
-    /// end-of-run remainder does not inflate `batch_flush_timer`.
+    /// Shutdown: drains every pending batch, in kind order, regardless
+    /// of age. Counted as drains, not timer expiries, so the end-of-run
+    /// remainder does not inflate `batch_flush_timer`.
     pub fn drain(&mut self) -> Vec<(TaskKind, Vec<T>)> {
-        let out = Self::in_kind_order(self.batches.drain());
+        let out: Vec<_> = self
+            .batches
+            .drain(..)
+            .map(|(kind, _, batch)| (kind, batch))
+            .collect();
         self.flushed_by_drain += out.len() as u64;
-        out
-    }
-
-    /// Flushed map entries as batches, sorted by kind (map order is not
-    /// deterministic).
-    fn in_kind_order(
-        flushed: impl Iterator<Item = (TaskKind, (SimTime, Vec<T>))>,
-    ) -> Vec<(TaskKind, Vec<T>)> {
-        let mut out: Vec<_> = flushed.map(|(kind, (_, batch))| (kind, batch)).collect();
-        out.sort_unstable_by_key(|&(kind, _)| kind);
         out
     }
 
     /// Tasks currently waiting across all kinds.
     pub fn pending(&self) -> usize {
-        self.batches.values().map(|(_, v)| v.len()).sum()
+        self.batches.iter().map(|(_, _, v)| v.len()).sum()
     }
 
     /// Distinct kinds currently pending.
@@ -284,6 +287,34 @@ mod tests {
         assert_eq!(drained[1].1, vec![20]);
         assert_eq!(b.pending(), 0);
         assert!(b.drain().is_empty());
+    }
+
+    #[test]
+    fn both_flushes_hand_out_batches_in_kind_order() {
+        // Kinds 3, 1, 2 open out of order, and kind 0 is re-opened
+        // after a size flush: a re-opened kind must take its place in
+        // kind order, not go to the back.
+        let push_all = |b: &mut Batcher<u32>| {
+            for (op, task) in [(3, 30), (1, 10), (0, 0), (0, 1), (2, 20), (0, 2)] {
+                b.push_at(kind(op), task, SimTime::ZERO);
+            }
+        };
+        let config = BatcherConfig {
+            max_batch: 2,
+            timer: SimTime::from_millis(1),
+        };
+        let expected = vec![
+            (kind(0), vec![2]),
+            (kind(1), vec![10]),
+            (kind(2), vec![20]),
+            (kind(3), vec![30]),
+        ];
+        let mut b = Batcher::new(config);
+        push_all(&mut b);
+        assert_eq!(b.flush_expired(config.timer), expected);
+        let mut b = Batcher::new(config);
+        push_all(&mut b);
+        assert_eq!(b.drain(), expected);
     }
 
     #[test]
