@@ -1,30 +1,21 @@
 //! A minimal discrete-event simulation core.
 //!
-//! Three primitives suffice for the node pipeline and the serving loop:
+//! Two primitives suffice for the node pipeline:
 //!
 //! * [`Des`] — an event heap delivering `(time, payload)` pairs in
 //!   chronological order (FIFO-stable within a timestamp);
-//! * its in-order lane ([`Des::schedule_in_order`]) — a FIFO for events
-//!   whose times never decrease (a timer at `now + constant`), merged
-//!   with the heap by `(time, seq)` so it pops exactly as the heap
-//!   would, without a sift per event;
 //! * [`FifoResource`] — a capacity-`c` resource (CPU lanes, GPU streams,
 //!   the single dispatcher thread) that serves enqueued work items in
 //!   arrival order and reports each item's completion time.
 
 use madness_gpusim::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// An event heap over payloads `E`, plus an in-order lane beside it.
+/// An event heap over payloads `E`.
 #[derive(Debug)]
 pub struct Des<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64, EventSlot<E>)>>,
-    /// Events scheduled by [`Des::schedule_in_order`], in `(time, seq)`
-    /// order by construction.
-    lane: VecDeque<(SimTime, u64, E)>,
-    /// Shared by the heap and the lane, so ties between them resolve in
-    /// scheduling order.
     seq: u64,
     now: SimTime,
 }
@@ -55,7 +46,6 @@ impl<E> Des<E> {
     pub fn new() -> Self {
         Des {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -76,33 +66,6 @@ impl<E> Des<E> {
         self.seq += 1;
     }
 
-    /// Schedules `payload` at absolute time `at` on the in-order lane: an
-    /// append instead of a heap push. It pops exactly when
-    /// [`Des::schedule`] would have popped it, so a caller whose event
-    /// times never decrease can use either.
-    ///
-    /// # Panics
-    /// Panics when scheduling into the past, or before the lane's last
-    /// event.
-    pub fn schedule_in_order(&mut self, at: SimTime, payload: E) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        assert!(
-            self.lane.back().is_none_or(|&(last, _, _)| at >= last),
-            "the in-order lane cannot go back in time"
-        );
-        self.lane.push_back((at, self.seq, payload));
-        self.seq += 1;
-    }
-
-    /// Whether the next event is the lane's head rather than the heap's
-    /// top: the smaller `(time, seq)` goes first.
-    fn lane_is_next(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(&(t, seq, _)), Some(Reverse((ht, hseq, _)))) => (t, seq) < (*ht, *hseq),
-            (lane, _) => lane.is_some(),
-        }
-    }
-
     /// Advances the clock to `t` for an event delivered from outside
     /// the heap (a pre-sorted stream merged with [`Des::pop`]), so
     /// [`Des::schedule`] keeps rejecting the past.
@@ -120,13 +83,7 @@ impl<E> Des<E> {
 
     /// Pops the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = if self.lane_is_next() {
-            let (t, _, e) = self.lane.pop_front()?;
-            (t, e)
-        } else {
-            let Reverse((t, _, EventSlot(e))) = self.heap.pop()?;
-            (t, e)
-        };
+        let Reverse((t, _, EventSlot(e))) = self.heap.pop()?;
         self.now = t;
         Some((t, e))
     }
@@ -134,19 +91,17 @@ impl<E> Des<E> {
     /// Timestamp of the next event without popping it (the clock does
     /// not advance).
     pub fn peek(&self) -> Option<SimTime> {
-        let lane = self.lane.front().map(|&(t, _, _)| t);
-        let heap = self.heap.peek().map(|Reverse((t, _, _))| *t);
-        lane.into_iter().chain(heap).min()
+        self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 
     /// Pending event count.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.heap.is_empty()
     }
 }
 
@@ -280,31 +235,6 @@ mod tests {
         des.schedule(SimTime::from_micros(10), ());
         des.pop();
         des.schedule(SimTime::from_micros(5), ());
-    }
-
-    #[test]
-    fn the_lane_and_the_heap_interleave_in_scheduling_order() {
-        let mut des: Des<&str> = Des::new();
-        let t = SimTime::from_micros;
-        des.schedule(t(5), "heap 5, first");
-        des.schedule_in_order(t(5), "lane 5, second");
-        des.schedule_in_order(t(7), "lane 7");
-        des.schedule(t(5), "heap 5, third");
-        des.schedule(t(6), "heap 6");
-        assert_eq!(des.len(), 5);
-        assert_eq!(des.peek(), Some(t(5)));
-        let order: Vec<&str> = std::iter::from_fn(|| des.pop().map(|(_, e)| e)).collect();
-        assert_eq!(
-            order,
-            [
-                "heap 5, first",
-                "lane 5, second",
-                "heap 5, third",
-                "heap 6",
-                "lane 7"
-            ]
-        );
-        assert!(des.is_empty());
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   *incrementally*: requests are injected at their arrival `SimTime`,
 //!   batched per [`TaskKind`] through the node's [`Batcher`] (timer and
 //!   size flushes exactly as in the offline pipeline, one flush timer
-//!   per batch a push opens, on the event queue's in-order lane since
-//!   timers come due in the order they start), dequeued by strict
-//!   tenant-weight priority, shed under [`ShedPolicy::DropOldest`] off
-//!   one cluster-wide index in shed order, and stolen across nodes under
+//!   per batch a push opens), dequeued by strict tenant-weight
+//!   priority, shed under [`ShedPolicy::DropOldest`] off one
+//!   cluster-wide index in shed order, and stolen across nodes under
 //!   the same profit guard as [`BalanceMode::Steal`] — preferring the
 //!   highest-weight tenant's batches, so weight buys latency; a freed
 //!   steal slot wakes only the nodes an index marks idle;
@@ -716,9 +715,7 @@ impl ServeNode {
 enum Ev {
     /// The timer of a batch a push opened in `node`'s batcher: one per
     /// opened batch, since a kind ages from its oldest push. Sweeps the
-    /// whole batcher, flushing every kind that has expired. Scheduled on
-    /// the DES's in-order lane: every timer is due `timer` after an
-    /// arrival, and arrivals come in time order.
+    /// whole batcher, flushing every kind that has expired.
     FlushTimer(usize),
     /// The batch in service on `node` completed. `gen` fences
     /// completions that a crash invalidated (always 0 without faults).
@@ -995,11 +992,7 @@ impl<R: Recorder> ServeCluster<'_, R> {
             // the push immediately; `flush_expired` removes what it
             // flushes, so the timer of a kind flushed by size in the
             // meantime is a no-op (the pinned no-double-flush semantics).
-            // Arrivals come in time order and the timer is one constant,
-            // so timers are due in the order they are started: they go
-            // on the DES's in-order lane, not through its heap.
-            self.des
-                .schedule_in_order(now + self.timer, Ev::FlushTimer(target));
+            self.des.schedule(now + self.timer, Ev::FlushTimer(target));
         }
     }
 
@@ -1350,8 +1343,8 @@ impl<R: Recorder> ServeCluster<'_, R> {
     /// re-aim it at the least-loaded balanceable survivor — wire time was
     /// already paid, so landing is free. Then every idle node other than
     /// the destination may try to steal, in ascending order, read off
-    /// the `idle` index: once the in-flight cap is full the rest are only
-    /// counted as blocked, and once nothing is queued the walk stops.
+    /// the `idle` index; once a slot is free and nothing is queued the
+    /// walk stops.
     fn migrated(&mut self, to: usize, batches: Vec<ReadyBatch>, steal: bool, now: SimTime) {
         if steal {
             debug_assert!(self.inflight > 0, "a steal landed without a slot");
@@ -1386,20 +1379,13 @@ impl<R: Recorder> ServeCluster<'_, R> {
                 if i == dst {
                     continue;
                 }
-                if self.inflight >= cap {
-                    // Nothing frees a slot during the walk, so from here
-                    // on `try_steal` would only count the block.
-                    if self.can_balance(i) {
-                        self.report.blocked_steals += 1;
-                    }
-                } else if self.backlog.iter().all(|&bits| bits == 0) {
+                if self.inflight < cap && self.backlog.iter().all(|&bits| bits == 0) {
                     // Nothing is queued (any more: a steal may have taken
                     // the last batch), so no thief left can find a
                     // victim, and none is blocked.
                     return;
-                } else {
-                    self.try_steal(i, now);
                 }
+                self.try_steal(i, now);
             }
         }
     }

@@ -36,41 +36,6 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// The in-order lane pops exactly what the heap alone would: random
-    /// interleavings of `schedule`, `schedule_in_order` (non-decreasing
-    /// times, often tied with heap events) and `pop` deliver the same
-    /// `(time, payload)` sequence as a reference fed only `schedule`.
-    #[test]
-    fn the_in_order_lane_pops_as_the_heap_alone_would(
-        ops in proptest::collection::vec((0u8..3, 0u64..3), 1..200),
-    ) {
-        let mut des: Des<usize> = Des::new();
-        let mut reference: Des<usize> = Des::new();
-        let mut lane_last = SimTime::ZERO;
-        for (i, &(op, dt)) in ops.iter().enumerate() {
-            let dt = SimTime::from_nanos(dt);
-            match op {
-                0 => {
-                    let at = des.now() + dt;
-                    des.schedule(at, i);
-                    reference.schedule(at, i);
-                }
-                1 => {
-                    lane_last = lane_last.max(des.now()) + dt;
-                    des.schedule_in_order(lane_last, i);
-                    reference.schedule(lane_last, i);
-                }
-                _ => prop_assert_eq!(des.pop(), reference.pop()),
-            }
-            prop_assert_eq!(des.peek(), reference.peek());
-            prop_assert_eq!(des.len(), reference.len());
-        }
-        while let Some(event) = reference.pop() {
-            prop_assert_eq!(des.pop(), Some(event));
-        }
-        prop_assert!(des.is_empty());
-    }
-
     /// FIFO resource: makespan × capacity ≥ total busy time (no lane can
     /// be overcommitted), and serving order preserves release causality.
     #[test]
@@ -150,14 +115,6 @@ proptest! {
         prop_assert!(pop.max_per_node() <= total / nodes as u64 + 1);
         prop_assert!(pop.imbalance() >= 0.999 || total == 0);
     }
-}
-
-#[test]
-#[should_panic(expected = "cannot go back in time")]
-fn the_in_order_lane_rejects_an_event_before_its_last() {
-    let mut des: Des<()> = Des::new();
-    des.schedule_in_order(SimTime::from_micros(10), ());
-    des.schedule_in_order(SimTime::from_micros(9), ());
 }
 
 /// Pinned replay of the committed regression `cc 48b56d…`, which shrank

@@ -25,12 +25,15 @@
 //! a return of an O(nodes) walk rather than catching the scan it
 //! replaced.
 //!
-//! Both cases steal, so both also guard the wake-up after a steal
-//! lands, which walks an index of idle nodes instead of every node.
-//! Three release runs each on a 2-vCPU Xeon: with the index, 816–925
-//! and 2,643–2,867 ns/request (3.1–3.3×) unloaded, 440–470 and 584–589
-//! (1.24–1.34×) overloaded; checking every node, 950–969 and
-//! 3,314–3,716 (3.5–3.8×), 449–493 and 662–699 (1.34–1.56×).
+//! Neither case guards the wake-up after a steal lands, which walks an
+//! index of idle nodes instead of every node: checking every node stays
+//! inside the bound. Three release runs each on a 2-vCPU Xeon: with
+//! the index, 816–925 and 2,643–2,867 ns/request (3.1–3.3×) unloaded,
+//! 440–470 and 584–589 (1.24–1.34×) overloaded; checking every node,
+//! 950–969 and 3,314–3,716 (3.5–3.8×), 449–493 and 662–699
+//! (1.34–1.56×). The debug oracle checks the idle index against every
+//! node's state, and `engine_goldens`' `blocked_steals` pins check
+//! which thieves the walk reaches.
 //!
 //! Wall-clock assertions do not belong in the default test run:
 //!
