@@ -4,7 +4,8 @@
 //! (batching, splitting across CPU and GPU) changes *performance*, never
 //! *answers*. These tests pin that down: Algorithm 1 (reference walk) and
 //! Algorithms 3–6 (batched pipeline) on every resource produce the same
-//! coefficient tree.
+//! coefficient tree — an exact run's distance to the walk is exactly 0.
+//! Only rank reduction, which the walk does not do, gets a tolerance.
 
 use madness_core::apply::{
     apply_batched, apply_batched_recorded, apply_cpu_reference, ApplyConfig, ApplyResource,
@@ -56,7 +57,7 @@ fn batched_cpu_matches_reference() {
     assert!(stats.tasks > 0);
     assert_eq!(stats.gpu_tasks, 0);
     let d = tree_distance(&reference, &batched);
-    assert!(d < 1e-10, "CPU-batched diverged by {d:e}");
+    assert_eq!(d, 0.0, "CPU-batched diverged by {d:e}");
 }
 
 #[test]
@@ -71,7 +72,7 @@ fn batched_gpu_matches_reference() {
     assert_eq!(stats.cpu_tasks, 0);
     assert!(stats.gpu_tasks > 0);
     let d = tree_distance(&reference, &batched);
-    assert!(d < 1e-10, "GPU-batched diverged by {d:e}");
+    assert_eq!(d, 0.0, "GPU-batched diverged by {d:e}");
 }
 
 #[test]
@@ -86,7 +87,7 @@ fn hybrid_matches_reference_and_uses_both_sides() {
     assert!(stats.cpu_tasks > 0, "dispatcher starved the CPU");
     assert!(stats.gpu_tasks > 0, "dispatcher starved the GPU");
     let d = tree_distance(&reference, &batched);
-    assert!(d < 1e-10, "hybrid diverged by {d:e}");
+    assert_eq!(d, 0.0, "hybrid diverged by {d:e}");
 }
 
 #[test]
@@ -103,7 +104,7 @@ fn adaptive_matches_reference_and_journals_its_trajectory() {
     // Correctness is split-independent: whatever trajectory the learned
     // dispatcher takes, the tree must match the reference walk.
     let d = tree_distance(&reference, &batched);
-    assert!(d < 1e-10, "adaptive diverged by {d:e}");
+    assert_eq!(d, 0.0, "adaptive diverged by {d:e}");
     assert_eq!(stats.cpu_tasks + stats.gpu_tasks, stats.tasks);
     assert!(stats.cpu_tasks > 0, "probe phase guarantees CPU samples");
     assert!(stats.gpu_tasks > 0, "probe phase guarantees GPU samples");
@@ -180,7 +181,7 @@ fn four_dimensional_apply_agrees() {
     );
     assert!(stats.tasks > 0);
     let d = tree_distance(&reference, &batched);
-    assert!(d < 1e-10, "4-D hybrid diverged by {d:e}");
+    assert_eq!(d, 0.0, "4-D hybrid diverged by {d:e}");
 }
 
 #[test]
@@ -220,5 +221,5 @@ fn norm_cutoff_policy_preserves_equivalence() {
     );
     assert!(stats.tasks > 0);
     let d = tree_distance(&reference, &batched);
-    assert!(d < 1e-10, "policy run diverged by {d:e}");
+    assert_eq!(d, 0.0, "policy run diverged by {d:e}");
 }
