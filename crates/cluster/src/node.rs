@@ -10,7 +10,9 @@
 //!   drain (`batch_flush_drain` in the journal — no timer fires here);
 //! * **dispatcher** — a dedicated CPU thread that rearranges each batch
 //!   into the transfer buffers and splits it CPU/GPU at
-//!   `k* = n/(m+n)` from the model-estimated batch times;
+//!   `k* = n/(m+n)` from the model-estimated batch times, where the
+//!   GPU-only `n` includes both DMA transfers (the runtime's one
+//!   [`Dispatcher`], which the real Apply pipeline calls too);
 //! * **compute** — CPU worker threads and/or the simulated GPU
 //!   ([`madness_gpusim::GpuDevice`], which models streams, transfers and
 //!   the write-once cache);
@@ -32,14 +34,11 @@ use madness_faults::{
     CircuitBreaker, FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, GpuGate,
     RecoveryPolicy, TaskError,
 };
-use madness_gpusim::kernel::kernel_cost;
 use madness_gpusim::{
-    DeviceSpec, ExecMode, GpuDevice, KernelKind, PinnedBufferPool, SimTime, TransferEngine,
+    BatchEstimate, DeviceSpec, ExecMode, GpuDevice, KernelKind, PinnedBufferPool, SimTime,
     TransformTask,
 };
-use madness_runtime::{
-    AdaptiveConfig, AdaptiveDispatcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
-};
+use madness_runtime::{BatcherConfig, CpuModel, Dispatcher, SplitPlan, SplitPolicy, TaskKind};
 use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
 
 /// Which execution resources the node uses.
@@ -73,9 +72,10 @@ pub enum ResourceMode {
     /// Hybrid with the split **learned online** instead of taken from the
     /// a-priori models: a per-kind EWMA cost model is fed by the
     /// simulated CPU and GPU batch times, bootstrapped by a 50/50 probe
-    /// flush, with hysteresis ([`AdaptiveDispatcher`]) — the loop the real
-    /// pipeline's `ApplyResource::Adaptive` runs on the same clock.
-    /// Converges to the static `k*` without ever being told `m` or `n`.
+    /// flush, with hysteresis ([`madness_runtime::AdaptiveDispatcher`])
+    /// — the loop the real pipeline's `ApplyResource::Adaptive` runs on
+    /// the same clock. Converges to the static `k*` without ever being
+    /// told `m` or `n`.
     AdaptiveHybrid {
         /// CPU compute threads.
         compute_threads: usize,
@@ -254,13 +254,13 @@ fn shape_task(spec: &WorkloadSpec) -> TransformTask {
 
 /// What the three pipelined modes hand [`NodeRun`].
 struct Lanes {
-    /// CPU compute threads; `None` for GPU-only.
-    compute_threads: Option<usize>,
+    /// CPU compute threads; GPU-only has one emergency host thread.
+    compute_threads: usize,
     data_threads: usize,
     streams: usize,
     kernel: KernelKind,
-    /// The learned dispatcher instead of the a-priori model split.
-    adaptive: bool,
+    /// `Gpu`, `Hybrid` or `Adaptive`.
+    policy: SplitPolicy,
 }
 
 /// Simulator for a single compute node.
@@ -383,11 +383,11 @@ impl NodeSim {
                 kernel,
                 data_threads,
             } => Lanes {
-                compute_threads: None,
+                compute_threads: 1,
                 data_threads,
                 streams,
                 kernel,
-                adaptive: false,
+                policy: SplitPolicy::Gpu,
             },
             ResourceMode::Hybrid {
                 compute_threads,
@@ -401,11 +401,15 @@ impl NodeSim {
                 streams,
                 kernel,
             } => Lanes {
-                compute_threads: Some(compute_threads),
+                compute_threads,
                 data_threads,
                 streams,
                 kernel,
-                adaptive: matches!(mode, ResourceMode::AdaptiveHybrid { .. }),
+                policy: if matches!(mode, ResourceMode::AdaptiveHybrid { .. }) {
+                    SplitPolicy::Adaptive
+                } else {
+                    SplitPolicy::Hybrid
+                },
             },
         };
         NodeRun::new(self, spec, lanes, rec, ctx).run(n_tasks)
@@ -507,19 +511,17 @@ struct NodeRun<'a, R: Recorder> {
     /// Steady-state estimate of a GPU batch (h blocks assumed cached) —
     /// what the a-priori dispatcher "knows" about relative GPU
     /// performance.
-    est_kernel: SimTime,
-    est_conc: u64,
-    est_engine: TransferEngine,
+    gpu_estimate: BatchEstimate,
 
     data_res: FifoResource,
-    dispatcher: FifoResource,
+    dispatch_lane: FifoResource,
     /// Batches serialize on the device.
     gpu_res: FifoResource,
     /// CPU compute is one fluid lane.
     cpu_res: FifoResource,
     device: GpuDevice,
-    /// Learned-dispatcher state (`AdaptiveHybrid` only).
-    learned: AdaptiveDispatcher,
+    /// The split, told the mode's policy once.
+    dispatcher: Dispatcher,
     /// Most recent fault cause — labels device-lifecycle journal entries
     /// (quarantine, readmission) with what provoked them.
     last_fault_kind: FaultKind,
@@ -556,24 +558,21 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         // contention inside the cap comes from the CPU model.
         let lane_slowdown = data_lanes as f64 / p.cpu.effective_threads(data_lanes);
         let shape = shape_task(spec);
-        let est_cost = kernel_cost(&p.gpu, lanes.kernel, &shape);
         NodeRun {
             straggler,
             pool_ready,
             pre_each: (data_each * 0.6 * lane_slowdown).scale(straggler),
             post_each: (data_each * 0.4 * lane_slowdown).scale(straggler),
             flops_cpu: spec.task_flops_cpu(),
+            gpu_estimate: device.estimate(lanes.kernel, &shape),
             shape,
             gpu_tasks: Vec::new(),
-            est_kernel: est_cost.duration,
-            est_conc: device.concurrency(est_cost.sms_used) as u64,
-            est_engine: TransferEngine::new(&p.gpu),
             data_res: FifoResource::new(data_lanes),
-            dispatcher: FifoResource::new(1),
+            dispatch_lane: FifoResource::new(1),
             gpu_res: FifoResource::new(1),
             cpu_res: FifoResource::new(1),
             device,
-            learned: AdaptiveDispatcher::new(AdaptiveConfig::default()),
+            dispatcher: Dispatcher::new(lanes.policy),
             last_fault_kind: FaultKind::StreamStall,
             n_batches: 0,
             split_acc: 0.0,
@@ -611,13 +610,13 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             total: self
                 .data_res
                 .makespan()
-                .max(self.dispatcher.makespan())
+                .max(self.dispatch_lane.makespan())
                 .max(self.gpu_res.makespan())
                 .max(self.cpu_res.makespan()),
             cpu_compute: self.cpu_busy,
             gpu_busy: self.gpu_busy,
             data_busy: self.data_res.busy_time(),
-            dispatch_busy: self.dispatcher.busy_time(),
+            dispatch_busy: self.dispatch_lane.busy_time(),
             n_batches: self.n_batches,
             mean_split_k: self.split_acc / self.n_batches as f64,
         }
@@ -645,15 +644,13 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         } else {
             0
         };
-        if self.lanes.adaptive {
-            // Close the loop: this flush's simulated batch times are the
-            // dispatcher's measurements for the next one. Only tasks
-            // that actually completed on the GPU count as GPU samples —
-            // a flush whose GPU share all failed teaches the health
-            // ladder, not the cost model.
-            self.learned
-                .record(SIM_KIND, plan.cpu_tasks, cpu_ns, gpu_done as usize, gpu_ns);
-        }
+        // Close the loop: this flush's simulated batch times are the
+        // learned dispatcher's measurements for the next one. Only tasks
+        // that actually completed on the GPU count as GPU samples — a
+        // flush whose GPU share all failed teaches the health ladder, not
+        // the cost model.
+        let (cpu, gpu) = ((plan.cpu_tasks, cpu_ns), (gpu_done as usize, gpu_ns));
+        self.dispatcher.record(SIM_KIND, cpu, gpu);
     }
 
     /// Preprocesses the batch's tasks on the data lanes; returns when the
@@ -706,38 +703,19 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         gate
     }
 
-    /// Split decision at batch-flush time: the learned dispatcher (it is
-    /// never told `m` or `n`, and applies the gate itself); else the
-    /// gate's override — Closed routes the flush to the
-    /// CPU (one emergency host thread when the mode has no compute
-    /// threads), Probe sends a single canary task to the GPU — else the
-    /// a-priori model split, or everything to the GPU when the mode has
-    /// no compute threads.
+    /// Split decision at batch-flush time, the runtime dispatcher's: the
+    /// gate's override — Closed routes the flush to the CPU (one
+    /// emergency host thread when the mode has no compute threads),
+    /// Probe sends a single canary task to the GPU — else the learned
+    /// split, the a-priori `k*` from the CPU model and the GPU estimate,
+    /// or everything to the GPU.
     fn split(&mut self, b: u64, gate: GpuGate) -> SplitPlan {
-        let n = b as usize;
-        let (plan, k) = if self.lanes.adaptive {
-            let decision = self.learned.plan_gated(SIM_KIND, n, gate);
-            if R::ENABLED {
-                self.rec.record(Event::Dispatch(decision.sample()));
-            }
-            (decision.plan, decision.k)
-        } else if let Some(gated) = SplitPlan::gated(gate, n) {
-            gated
-        } else if self.lanes.compute_threads.is_some() {
-            let m = self.cpu_batch_time(b).as_secs_f64();
-            let dma = self
-                .est_engine
-                .transfer_time(self.shape.s_bytes() * b, true);
-            let gpu = self.est_kernel * b / self.est_conc + dma * 2u64;
-            let k = madness_runtime::optimal_split(m, gpu.as_secs_f64());
-            (SplitPlan::for_share(n, k), k)
-        } else {
-            (SplitPlan::all_gpu(n), 0.0)
-        };
+        let (cpu, gpu) = (self.cpu_time(), &self.gpu_estimate);
+        let apriori = || (cpu(b), gpu.time(b));
+        let (plan, k) = self
+            .dispatcher
+            .plan(SIM_KIND, b as usize, gate, &mut *self.rec, apriori);
         self.split_acc += k;
-        if R::ENABLED && self.lanes.compute_threads.is_some() {
-            self.rec.record(Event::Split(k));
-        }
         plan
     }
 
@@ -753,7 +731,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         if gpu_n == 0 {
             return (0, 0);
         }
-        let (disp_start, disp_end) = self.dispatcher.serve(
+        let (disp_start, disp_end) = self.dispatch_lane.serve(
             release.max(self.pool_ready),
             (DISPATCH_PER_TASK * gpu_n).scale(self.straggler),
         );
@@ -850,10 +828,9 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         if !self.ctx.active {
             return;
         }
-        if self.lanes.adaptive
-            && self
-                .learned
-                .batch_timed_out(SIM_KIND, tasks as usize, gtime.as_nanos())
+        if self
+            .dispatcher
+            .timed_out(SIM_KIND, tasks as usize, gtime.as_nanos())
         {
             self.ctx.summary.timeouts_detected += 1;
             self.rec.record(Event::Fault(FaultEvent {
@@ -865,10 +842,8 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             self.ctx.health.on_failure(at_ns);
         } else if self.ctx.health.on_success(at_ns) {
             self.fault(FaultAction::Readmitted, at_ns, tasks);
-            if self.lanes.adaptive {
-                // The device behind the old n̂ was reset; re-probe it.
-                self.learned.reset_gpu_model(SIM_KIND);
-            }
+            // The device behind the old n̂ was reset; re-probe it.
+            self.dispatcher.readmitted(SIM_KIND);
         }
     }
 
@@ -893,7 +868,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     /// — a flush's planned share, or a remainder the GPU gave up on.
     /// Returns the time booked.
     fn cpu_share(&mut self, at: SimTime, n: u64) -> SimTime {
-        let dur = self.cpu_batch_time(n).scale(self.straggler);
+        let dur = self.cpu_time()(n).scale(self.straggler);
         self.cpu_busy += dur;
         let (start, end) = self.cpu_res.serve(at, dur);
         if R::ENABLED {
@@ -905,14 +880,16 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         dur
     }
 
-    /// Model time of `n` tasks on the mode's compute threads (one
-    /// emergency host thread when it has none).
-    fn cpu_batch_time(&self, n: u64) -> SimTime {
-        let s = self.spec;
-        let threads = self.lanes.compute_threads.unwrap_or(1);
-        self.params
-            .cpu
-            .batch_time(n as usize, self.flops_cpu, s.d, s.k, s.rank, threads)
+    /// Model time of `n` tasks on the mode's compute threads, as a
+    /// function of `n` that borrows nothing of the run.
+    fn cpu_time(&self) -> impl Fn(u64) -> SimTime + 'a {
+        let (params, s, flops) = (self.params, self.spec, self.flops_cpu);
+        let threads = self.lanes.compute_threads;
+        move |n| {
+            params
+                .cpu
+                .batch_time(n as usize, flops, s.d, s.k, s.rank, threads)
+        }
     }
 
     /// Postprocess accumulations on the data lanes, each share's from

@@ -50,7 +50,7 @@
 //! interior source's 408 leading spans at k = 4 are run once for up to
 //! eight sources; boundary sources, with other lists, run alone.
 
-use madness_gpusim::kernel::{execute_tasks, kernel_cost, stack_groups};
+use madness_gpusim::kernel::{execute_tasks, stack_groups};
 use madness_gpusim::{
     ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
 };
@@ -58,36 +58,17 @@ use madness_mra::convolution::SeparatedConvolution;
 use madness_mra::key::Key;
 use madness_mra::ops::sum_down;
 use madness_mra::tree::{FunctionTree, TreeForm};
-use madness_runtime::{
-    AdaptiveConfig, AdaptiveDispatcher, Batcher, BatcherConfig, CpuModel, SplitPlan, TaskKind,
-};
+use madness_runtime::{Batcher, BatcherConfig, CpuModel, Dispatcher, GpuGate, SplitPlan, TaskKind};
 use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, Workspace};
-use madness_trace::{Event, NullRecorder, Recorder};
+use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which resources execute the compute batches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ApplyResource {
-    /// CPU threads only (rayon pool).
-    Cpu,
-    /// Simulated GPU only.
-    Gpu,
-    /// Dispatcher-split CPU + GPU at the static a-priori optimum: `k*`
-    /// from the calibrated CPU model and the device's kernel cost model
-    /// (the paper's hybrid, told `m` and `n` in advance).
-    Hybrid,
-    /// Dispatcher-split CPU + GPU with the split **learned online**: a
-    /// per-kind EWMA cost model fed, once per flush, by what both shares
-    /// were priced at on the simulated clock — the CPU share's
-    /// `CpuModel` time, the GPU share's `Timing` batch time — as
-    /// `ResourceMode::AdaptiveHybrid` learns in the node simulator;
-    /// bootstrapped by a 50/50 probe flush, with hysteresis
-    /// ([`AdaptiveDispatcher`]). The dispatcher is never told `m` or `n`.
-    Adaptive,
-}
+/// Which resources execute the compute batches: the runtime
+/// dispatcher's four policies, which the node simulator's modes name too.
+pub use madness_runtime::SplitPolicy as ApplyResource;
 
 /// Configuration of a batched Apply run.
 #[derive(Clone, Debug)]
@@ -278,11 +259,13 @@ pub fn apply_batched(
     apply_batched_recorded(op, tree, config, &mut NullRecorder)
 }
 
-/// [`apply_batched`] with tracing: in [`ApplyResource::Adaptive`] mode
-/// every flush journals its split decision — an [`Event::Split`] plus a
-/// full [`madness_trace::DispatchSample`] (`k`, `m̂`, `n̂`, probe flag) as
-/// an [`Event::Dispatch`] — so the split trajectory can be exported
-/// and replayed. With [`NullRecorder`] this is exactly `apply_batched`.
+/// [`apply_batched`] with tracing: in [`ApplyResource::Hybrid`] and
+/// [`ApplyResource::Adaptive`] mode every flush journals its split `k`
+/// as a [`madness_trace::Event::Split`], and `Adaptive` adds a full
+/// [`madness_trace::DispatchSample`] (`k`, `m̂`, `n̂`, probe flag) as a
+/// [`madness_trace::Event::Dispatch`], so the split trajectory can be
+/// exported and replayed. With [`NullRecorder`] this is exactly
+/// `apply_batched`.
 ///
 /// # Panics
 /// Same contract as [`apply_cpu_reference`].
@@ -318,8 +301,8 @@ struct ApplyRun<'a, R: Recorder> {
     commit: &'a Commit,
     /// The tasks no chunk holds yet.
     pending: PendingRun,
-    /// `Some` iff [`ApplyResource::Adaptive`].
-    learned: Option<AdaptiveDispatcher>,
+    /// The split, told [`ApplyConfig::resource`] once.
+    dispatcher: Dispatcher,
 }
 
 /// Tasks joined to the run — a flush's two shares, or a `Cpu` source's
@@ -353,8 +336,7 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 task_flops: 0,
                 tasks: Vec::new(),
             },
-            learned: matches!(config.resource, ApplyResource::Adaptive)
-                .then(|| AdaptiveDispatcher::new(AdaptiveConfig::default())),
+            dispatcher: Dispatcher::new(config.resource),
             op,
             config,
             rec,
@@ -484,10 +466,9 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         let task_flops = batch.first().map_or(0, |p| p.task.flops_rank_reduced());
         let plan = self.split(kind, &batch, task_flops);
         let gpu_ns = self.hand_over(scope, kind, task_flops, batch, plan);
-        let cpu_ns = self.cpu_time(plan.cpu_tasks, task_flops).as_nanos();
-        if let Some(learned) = &mut self.learned {
-            learned.record(kind, plan.cpu_tasks, cpu_ns, plan.gpu_tasks, gpu_ns);
-        }
+        let cpu_ns = self.cpu_time()(plan.cpu_tasks, task_flops).as_nanos();
+        self.dispatcher
+            .record(kind, (plan.cpu_tasks, cpu_ns), (plan.gpu_tasks, gpu_ns));
     }
 
     /// The split batch to the pending run, whole: the first
@@ -538,41 +519,29 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         self.cpu_share(scope, false);
     }
 
-    /// Split decision at batch-flush time: everything to one side, the
-    /// a-priori `k* = n/(m+n)` from the calibrated CPU model and the
-    /// device's kernel cost model, or the learned dispatcher's (it is
-    /// never told `m` or `n`).
+    /// Split decision at batch-flush time, the runtime dispatcher's:
+    /// everything to one side, the learned split (it is never told `m` or
+    /// `n`), or the a-priori `k* = n/(m+n)` from the calibrated CPU model
+    /// and the device's estimate of the batch, both transfers included.
+    /// No health ladder watches this device, so its gate is always open.
     fn split(&mut self, kind: TaskKind, batch: &[PreparedTask], task_flops: u64) -> SplitPlan {
         let n = batch.len();
-        match self.config.resource {
-            ApplyResource::Cpu => SplitPlan::all_cpu(n),
-            ApplyResource::Gpu => SplitPlan::all_gpu(n),
-            ApplyResource::Hybrid => {
-                let m = self.cpu_time(n, task_flops).as_secs_f64();
-                let gcost = batch
-                    .first()
-                    .map(|p| kernel_cost(self.device.spec(), self.kernel, &p.task))
-                    .unwrap_or_default();
-                let conc = self.device.concurrency(gcost.sms_used).max(1) as f64;
-                let gpu = gcost.duration.as_secs_f64() * n as f64 / conc;
-                SplitPlan::for_times(n, m, gpu)
-            }
-            ApplyResource::Adaptive => {
-                let learned = self.learned.as_mut().expect("Adaptive learns");
-                let decision = learned.plan(kind, n, 0);
-                self.rec.record(Event::Split(decision.k));
-                self.rec.record(Event::Dispatch(decision.sample()));
-                decision.plan
-            }
-        }
+        let (cpu, device, kernel) = (self.cpu_time(), &self.device, self.kernel);
+        let gpu = || device.estimate(kernel, &batch[0].task).time(n as u64);
+        let apriori = || (cpu(n, task_flops), gpu());
+        self.dispatcher
+            .plan(kind, n, GpuGate::Open, &mut *self.rec, apriori)
+            .0
     }
 
     /// What the `CpuModel` prices `n` tasks of `task_flops` each at on
-    /// [`ApplyConfig::threads`]: `Hybrid`'s `m` and `Adaptive`'s CPU
-    /// sample.
-    fn cpu_time(&self, n: usize, task_flops: u64) -> SimTime {
+    /// [`ApplyConfig::threads`] — `Hybrid`'s `m` and `Adaptive`'s CPU
+    /// sample — as a function that borrows nothing of the run.
+    fn cpu_time(&self) -> impl Fn(usize, u64) -> SimTime + 'a {
         let (op, threads) = (self.op, self.config.threads);
-        CpuModel::default().batch_time(n, task_flops, op.d(), op.k(), op.rank(), threads)
+        move |n, task_flops| {
+            CpuModel::default().batch_time(n, task_flops, op.d(), op.k(), op.rank(), threads)
+        }
     }
 
     /// The host's jobs, for both shares: chunks off the front of the
@@ -996,7 +965,7 @@ mod tests {
             })
             .collect();
         let task_flops = tasks[0].task.flops_rank_reduced();
-        let cpu_ns = run.cpu_time(2, task_flops).as_nanos();
+        let cpu_ns = run.cpu_time()(2, task_flops).as_nanos();
         // The probe's GPU half, priced on a device as fresh as the run's.
         let gpu: Vec<TransformTask> = tasks[2..].iter().map(|p| p.task.clone()).collect();
         let gpu_ns = GpuDevice::new(madness_gpusim::DeviceSpec::default(), config.streams)
@@ -1009,8 +978,7 @@ mod tests {
             run.cpu_share(scope, true);
         });
         assert_eq!((run.stats.cpu_tasks, run.stats.gpu_tasks), (2, 2));
-        let learned = run.learned.as_ref().expect("Adaptive");
-        let model = learned.model(kind).expect("planned");
+        let model = run.dispatcher.model(kind).expect("planned");
         assert!(model.steady, "one probe flush measures both sides");
         let per_task = |ns: u64| (ns as f64 / 2.0).max(50.0);
         assert_eq!(

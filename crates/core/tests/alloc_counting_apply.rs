@@ -79,8 +79,10 @@ fn batched_passes_allocate_one_tensor_per_task_plus_constant_per_chunk() {
     let low = SeparatedConvolution::gaussian_sum(3, 4, 4, 1.0, 100.0);
     let high = SeparatedConvolution::gaussian_sum(3, 4, 16, 1.0, 100.0);
 
-    // A split share's jobs are chunks too.
-    let (_, hybrid) = steady_pass(ApplyResource::Hybrid, &low, &tree, None);
+    // A split share's jobs are chunks too. At rank 4 the two transfers
+    // in `Hybrid`'s GPU-only time leave a 16-task batch no GPU share;
+    // rank 16's kernels outweigh them.
+    let (_, hybrid) = steady_pass(ApplyResource::Hybrid, &high, &tree, None);
     assert!(hybrid.cpu_tasks > 0 && hybrid.gpu_tasks > 0);
 
     for resource in [ApplyResource::Cpu, ApplyResource::Gpu] {

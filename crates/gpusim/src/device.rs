@@ -103,6 +103,26 @@ fn injected<R: Recorder>(rec: &mut R, kind: FaultKind, at_ns: u64, tasks: usize)
     }));
 }
 
+/// One task shape's steady-state GPU batch time ([`GpuDevice::estimate`]).
+#[derive(Clone, Debug)]
+pub struct BatchEstimate {
+    kernel: SimTime,
+    concurrency: u64,
+    s_bytes: u64,
+    engine: TransferEngine,
+    pinned: bool,
+}
+
+impl BatchEstimate {
+    /// A batch of `b` tasks: the kernels spread over the streams that
+    /// can run at once, plus the one DMA that ships the sources in and
+    /// the one that ships the results (each the size of its source) back.
+    pub fn time(&self, b: u64) -> SimTime {
+        let dma = self.engine.transfer_time(self.s_bytes * b, self.pinned);
+        self.kernel * b / self.concurrency + dma * 2u64
+    }
+}
+
 /// The simulated device: spec + transfer engine + persistent block cache.
 #[derive(Debug)]
 pub struct GpuDevice {
@@ -183,6 +203,21 @@ impl GpuDevice {
         (self.spec.num_sms / sms_per_kernel.max(1))
             .max(1)
             .min(self.streams)
+    }
+
+    /// What an a-priori dispatcher knows of batches of `task`'s shape on
+    /// `kind` kernels: the GPU-only time `n` of the paper's
+    /// `k* = n/(m+n)`, with the operator blocks assumed cached, priced
+    /// per batch size by [`BatchEstimate::time`].
+    pub fn estimate(&self, kind: KernelKind, task: &TransformTask) -> BatchEstimate {
+        let cost = kernel_cost(&self.spec, kind, task);
+        BatchEstimate {
+            kernel: cost.duration,
+            concurrency: self.concurrency(cost.sms_used) as u64,
+            s_bytes: task.s_bytes(),
+            engine: self.engine.clone(),
+            pinned: self.pinned,
+        }
     }
 
     /// Executes a batch of compute tasks:
@@ -563,6 +598,25 @@ mod tests {
         let batched = engine.transfer_time(bytes, true);
         let per_task = engine.transfer_time_ops(bytes, 60, true);
         assert!(per_task.as_secs_f64() > 3.0 * batched.as_secs_f64());
+    }
+
+    #[test]
+    fn estimate_is_kernels_over_concurrency_plus_both_pinned_transfers() {
+        // The Table I shape: d = 3, k = 10, rank 100, on 5 streams.
+        let d = device(5);
+        let task = TransformTask::shape_only(3, 10, 100, 0);
+        let cost = kernel_cost(d.spec(), KernelKind::CustomMtxmq, &task);
+        let conc = d.concurrency(cost.sms_used) as u64;
+        let engine = TransferEngine::new(d.spec());
+        let estimate = d.estimate(KernelKind::CustomMtxmq, &task);
+        for b in [1u64, 17, 60] {
+            let dma = engine.transfer_time(task.s_bytes() * b, true);
+            assert_eq!(
+                estimate.time(b),
+                cost.duration * b / conc + dma * 2u64,
+                "b = {b}"
+            );
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod transfer;
 
 pub use cache::DeviceHCache;
 pub use clock::SimTime;
-pub use device::{BatchOutcome, CostBreakdown, ExecMode, GpuDevice};
+pub use device::{BatchEstimate, BatchOutcome, CostBreakdown, ExecMode, GpuDevice};
 pub use kernel::KernelKind;
 pub use spec::DeviceSpec;
 pub use task::{HBlock, TransformTask, TransformTerm};

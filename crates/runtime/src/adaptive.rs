@@ -1,8 +1,8 @@
 //! The adaptive feedback dispatcher: `k*` learned from measurements.
 //!
-//! [`crate::dispatch::SplitPlan::for_times`] needs the CPU and GPU batch
-//! times `m` and `n` **a priori**. Real MADNESS does not have them — it
-//! measures. This module closes the loop: a per-[`TaskKind`] cost model
+//! The a-priori arm of [`crate::dispatch::Dispatcher`] needs the CPU and
+//! GPU batch times `m` and `n` **in advance**. Real MADNESS does not have
+//! them — it measures. This module closes the loop: a per-[`TaskKind`] cost model
 //! (EWMA nanoseconds per task for each backend) is fed each flush's two
 //! batch times — both callers, the node simulator and the real Apply
 //! pipeline, record what the flush's shares took on the simulated clock —
@@ -22,8 +22,6 @@
 
 use crate::batcher::TaskKind;
 use crate::dispatch::{measured_split, SplitPlan};
-use madness_faults::GpuGate;
-use madness_trace::DispatchSample;
 use std::collections::HashMap;
 
 /// Minimum nanoseconds-per-task a measurement can report (the
@@ -70,46 +68,13 @@ impl AdaptiveConfig {
     }
 }
 
-/// Which regime produced a [`DispatchDecision`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchPhase {
-    /// Cost model still bootstrapping: the flush is split 50/50 so both
-    /// backends get measured.
-    Probe,
-    /// Both backends measured: `k*` comes from the EWMA cost model.
-    Steady,
-    /// GPU quarantined ([`GpuGate::Closed`]): everything routes to CPU.
-    Quarantined,
-    /// Quarantine expired ([`GpuGate::Probe`]): one probe task rides to
-    /// the GPU, the rest stays on CPU until the probe succeeds.
-    Readmitting,
-}
-
-/// One flush's split decision plus the model state it came from.
+/// One flush's split decision.
 #[derive(Clone, Copy, Debug)]
 pub struct DispatchDecision {
     /// The concrete task split (always conserves the batch).
     pub plan: SplitPlan,
     /// Continuous CPU share the plan was rounded from, in `[0, 1]`.
     pub k: f64,
-    /// EWMA CPU nanoseconds per task (`0.0` while unprobed).
-    pub m_hat_ns: f64,
-    /// EWMA GPU nanoseconds per task (`0.0` while unprobed).
-    pub n_hat_ns: f64,
-    /// Probe or steady state.
-    pub phase: DispatchPhase,
-}
-
-impl DispatchDecision {
-    /// The decision as a trace-journal sample.
-    pub fn sample(&self) -> DispatchSample {
-        DispatchSample {
-            k: self.k,
-            m_hat_ns: self.m_hat_ns,
-            n_hat_ns: self.n_hat_ns,
-            probe: self.phase == DispatchPhase::Probe,
-        }
-    }
 }
 
 /// Per-kind model state.
@@ -128,7 +93,7 @@ struct KindModel {
 }
 
 /// Snapshot of one kind's cost model (for reports and tests).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ModelSnapshot {
     /// EWMA CPU nanoseconds per task (`0.0` while unprobed).
     pub m_hat_ns: f64,
@@ -187,40 +152,9 @@ impl AdaptiveDispatcher {
         n_tasks: usize,
         _gpu_queue_depth: usize,
     ) -> DispatchDecision {
-        self.plan_gated(kind, n_tasks, GpuGate::Open)
-    }
-
-    /// [`AdaptiveDispatcher::plan`] under a device-health gate: with
-    /// [`GpuGate::Open`] this **is** `plan` (same state updates, same
-    /// decision); [`GpuGate::Closed`] routes the whole flush to the CPU
-    /// without touching the model; [`GpuGate::Probe`] sends exactly one
-    /// task to the GPU so a recovering device proves itself on minimal
-    /// exposure.
-    pub fn plan_gated(
-        &mut self,
-        kind: TaskKind,
-        n_tasks: usize,
-        gate: GpuGate,
-    ) -> DispatchDecision {
         let cfg = self.config;
         let model = self.models.entry(kind).or_default();
-        let m_hat_ns = model.m_hat.unwrap_or(0.0);
-        let n_hat_ns = model.n_hat.unwrap_or(0.0);
-        if let Some((plan, k)) = SplitPlan::gated(gate, n_tasks) {
-            return DispatchDecision {
-                plan,
-                k,
-                m_hat_ns,
-                n_hat_ns,
-                phase: if gate == GpuGate::Closed {
-                    DispatchPhase::Quarantined
-                } else {
-                    DispatchPhase::Readmitting
-                },
-            };
-        }
-
-        if model.m_hat.is_none() || model.n_hat.is_none() {
+        let (Some(m_hat_ns), Some(n_hat_ns)) = (model.m_hat, model.n_hat) else {
             // --- probe phase -------------------------------------------
             let k = 0.5;
             let mut plan = SplitPlan::for_share(n_tasks, k);
@@ -233,14 +167,8 @@ impl AdaptiveDispatcher {
                 };
             }
             model.k_prev = k;
-            return DispatchDecision {
-                plan,
-                k,
-                m_hat_ns,
-                n_hat_ns,
-                phase: DispatchPhase::Probe,
-            };
-        }
+            return DispatchDecision { plan, k };
+        };
 
         // --- steady state: model → hysteresis --------------------------
         let k = measured_split(m_hat_ns, n_hat_ns, FLOOR_NS)
@@ -278,13 +206,7 @@ impl AdaptiveDispatcher {
             model.gpu_idle = 0;
         }
 
-        DispatchDecision {
-            plan,
-            k,
-            m_hat_ns,
-            n_hat_ns,
-            phase: DispatchPhase::Steady,
-        }
+        DispatchDecision { plan, k }
     }
 
     /// Feeds back one flush's measured timings: `cpu_ns` spent computing
@@ -318,7 +240,7 @@ impl AdaptiveDispatcher {
     /// already ran; callers must **not** re-execute its tasks (they
     /// completed, late), only penalize the device's health. Answers
     /// `false` while the model is unprobed: no expectation, no timeout.
-    pub fn batch_timed_out(&self, kind: TaskKind, gpu_tasks: usize, actual_ns: u64) -> bool {
+    pub(crate) fn batch_timed_out(&self, kind: TaskKind, gpu_tasks: usize, actual_ns: u64) -> bool {
         if gpu_tasks == 0 {
             return false;
         }
@@ -336,7 +258,7 @@ impl AdaptiveDispatcher {
     /// re-admission after a quarantine: the device behind the estimate
     /// was reset (cold cache, possibly different clocks), so the next
     /// flush re-probes it instead of trusting a dead device's history.
-    pub fn reset_gpu_model(&mut self, kind: TaskKind) {
+    pub(crate) fn reset_gpu_model(&mut self, kind: TaskKind) {
         if let Some(model) = self.models.get_mut(&kind) {
             model.n_hat = None;
             model.gpu_idle = 0;
@@ -390,11 +312,12 @@ mod tests {
     fn first_flush_is_a_5050_probe() {
         let mut d = dispatcher();
         let dec = d.plan(KIND, 60, 0);
-        assert_eq!(dec.phase, DispatchPhase::Probe);
-        assert_eq!(dec.plan.cpu_tasks, 30);
-        assert_eq!(dec.plan.gpu_tasks, 30);
-        assert_eq!((dec.m_hat_ns, dec.n_hat_ns), (0.0, 0.0));
-        assert!(dec.sample().probe);
+        assert_eq!(
+            (dec.plan.cpu_tasks, dec.plan.gpu_tasks, dec.k),
+            (30, 30, 0.5)
+        );
+        let m = d.model(KIND).expect("planned");
+        assert_eq!((m.m_hat_ns, m.n_hat_ns, m.steady), (0.0, 0.0, false));
     }
 
     #[test]
@@ -404,8 +327,11 @@ mod tests {
         assert_eq!(dec.plan.cpu_tasks, 1, "CPU is probed first");
         d.record(KIND, 1, 5_000, 0, 0);
         let dec = d.plan(KIND, 1, 0);
-        assert_eq!(dec.phase, DispatchPhase::Probe);
-        assert_eq!(dec.plan.gpu_tasks, 1, "GPU still unmeasured");
+        assert_eq!(
+            (dec.plan.gpu_tasks, dec.k),
+            (1, 0.5),
+            "GPU still unmeasured"
+        );
     }
 
     #[test]
@@ -416,7 +342,7 @@ mod tests {
         let b = 60;
         let mut d = dispatcher();
         let dec = drive(&mut d, b, 12, mc, nc);
-        assert_eq!(dec.phase, DispatchPhase::Steady);
+        assert!(d.model(KIND).is_some_and(|m| m.steady));
         let makespan = (dec.plan.cpu_tasks as f64 * mc).max(dec.plan.gpu_tasks as f64 * nc);
         let optimal = hybrid_optimal_time(b as f64 * mc, b as f64 * nc);
         assert!(
@@ -539,50 +465,9 @@ mod tests {
         let mut d = dispatcher();
         drive(&mut d, 60, 10, 2_500.0, 800.0);
         // A fresh kind must re-probe, not inherit KIND's model.
-        let dec = d.plan(other, 60, 0);
-        assert_eq!(dec.phase, DispatchPhase::Probe);
+        assert_eq!(d.plan(other, 60, 0).k, 0.5, "a probe flush");
         assert!(d.model(other).is_some_and(|m| !m.steady));
         assert!(d.model(KIND).is_some_and(|m| m.steady));
-    }
-
-    #[test]
-    fn open_gate_is_plain_plan() {
-        let mut a = dispatcher();
-        let mut b = dispatcher();
-        drive(&mut a, 60, 8, 2_500.0, 800.0);
-        drive(&mut b, 60, 8, 2_500.0, 800.0);
-        let pa = a.plan(KIND, 60, 1);
-        let pb = b.plan_gated(KIND, 60, GpuGate::Open);
-        assert_eq!(pa.plan, pb.plan);
-        assert_eq!(pa.k, pb.k);
-        assert_eq!(pa.phase, pb.phase);
-    }
-
-    #[test]
-    fn closed_gate_routes_everything_to_cpu() {
-        let mut d = dispatcher();
-        drive(&mut d, 60, 8, 2_500.0, 800.0);
-        let dec = d.plan_gated(KIND, 60, GpuGate::Closed);
-        assert_eq!(dec.phase, DispatchPhase::Quarantined);
-        assert_eq!(dec.plan, SplitPlan::all_cpu(60));
-        assert_eq!(dec.k, 1.0);
-        // The model survives the quarantine untouched.
-        let after = d.plan(KIND, 60, 0);
-        assert_eq!(after.phase, DispatchPhase::Steady);
-    }
-
-    #[test]
-    fn probe_gate_sends_exactly_one_task() {
-        let mut d = dispatcher();
-        drive(&mut d, 60, 8, 2_500.0, 800.0);
-        let dec = d.plan_gated(KIND, 60, GpuGate::Probe);
-        assert_eq!(dec.phase, DispatchPhase::Readmitting);
-        assert_eq!(dec.plan.gpu_tasks, 1);
-        assert_eq!(dec.plan.total(), 60);
-        let empty = d.plan_gated(KIND, 0, GpuGate::Probe);
-        assert_eq!(empty.plan.total(), 0);
-        let single = d.plan_gated(KIND, 1, GpuGate::Probe);
-        assert_eq!(single.plan.gpu_tasks, 1);
     }
 
     #[test]
@@ -635,7 +520,7 @@ mod tests {
         assert!(!m.steady);
         assert!(m.m_hat_ns > 0.0, "CPU side survives the reset");
         assert_eq!(m.n_hat_ns, 0.0);
-        assert_eq!(d.plan(KIND, 60, 0).phase, DispatchPhase::Probe);
+        assert_eq!(d.plan(KIND, 60, 0).k, 0.5, "a probe flush");
     }
 
     #[test]
@@ -643,7 +528,7 @@ mod tests {
         let mut d = dispatcher();
         for n in [0usize, 1, 2, 3, 59, 60, 61, 1000] {
             let dec = d.plan(KIND, n, 3);
-            assert_eq!(dec.plan.total(), n);
+            assert_eq!(dec.plan.cpu_tasks + dec.plan.gpu_tasks, n);
             d.record(KIND, dec.plan.cpu_tasks, 1_000, dec.plan.gpu_tasks, 500);
         }
     }

@@ -6,7 +6,11 @@
 //! The optimal CPU-GPU work overlap is achieved when `mk = n(1−k)`, so
 //! `k = n/(m+n)`. The minimal runtime is thus `m·n/(m+n)`." (paper §II-A)
 
+use crate::adaptive::{AdaptiveConfig, AdaptiveDispatcher, ModelSnapshot};
+use crate::batcher::TaskKind;
 use madness_faults::GpuGate;
+use madness_gpusim::SimTime;
+use madness_trace::{DispatchSample, Event, Recorder};
 
 /// The closed form's domain. Every caller derives `m` and `n` from `u64`
 /// nanoseconds (model batch times, EWMA'd measurements), so a NaN, an
@@ -81,45 +85,14 @@ pub struct SplitPlan {
 }
 
 impl SplitPlan {
-    /// Splits `n_tasks` by the optimal ratio for batch times `m` (CPU)
-    /// and `n` (GPU).
-    pub fn for_times(n_tasks: usize, m: f64, n: f64) -> SplitPlan {
-        SplitPlan::for_share(n_tasks, optimal_split(m, n))
-    }
-
     /// Rounds the continuous CPU share `k` to the nearest task — the one
     /// place a fraction becomes a conserving task split.
-    pub fn for_share(n_tasks: usize, k: f64) -> SplitPlan {
+    pub(crate) fn for_share(n_tasks: usize, k: f64) -> SplitPlan {
         let cpu = (((n_tasks as f64) * k).round() as usize).min(n_tasks);
         SplitPlan {
             cpu_tasks: cpu,
             gpu_tasks: n_tasks - cpu,
         }
-    }
-
-    /// A device-health gate's override of whatever a dispatcher would
-    /// plan, with the CPU share it amounts to: [`GpuGate::Closed`] routes
-    /// the whole flush to the CPU, [`GpuGate::Probe`] sends exactly one
-    /// canary task to the GPU, [`GpuGate::Open`] overrides nothing.
-    pub fn gated(gate: GpuGate, n_tasks: usize) -> Option<(SplitPlan, f64)> {
-        let gpu_tasks = match gate {
-            GpuGate::Open => return None,
-            GpuGate::Closed => 0,
-            GpuGate::Probe => n_tasks.min(1),
-        };
-        let cpu_tasks = n_tasks - gpu_tasks;
-        let k = if n_tasks == 0 {
-            1.0
-        } else {
-            cpu_tasks as f64 / n_tasks as f64
-        };
-        Some((
-            SplitPlan {
-                cpu_tasks,
-                gpu_tasks,
-            },
-            k,
-        ))
     }
 
     /// Everything on the CPU.
@@ -137,16 +110,148 @@ impl SplitPlan {
             gpu_tasks: n_tasks,
         }
     }
+}
 
-    /// Total tasks covered by the plan.
-    pub fn total(&self) -> usize {
-        self.cpu_tasks + self.gpu_tasks
+/// Which resources compute a batch, and so which arm of [`Dispatcher`]
+/// splits it. The real Apply pipeline takes it as its `ApplyResource`;
+/// the node simulator's `GpuOnly`, `Hybrid` and `AdaptiveHybrid` modes
+/// are `Gpu`, `Hybrid` and `Adaptive`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SplitPolicy {
+    /// CPU threads only.
+    Cpu,
+    /// Simulated GPU only.
+    Gpu,
+    /// Dispatcher-split CPU + GPU at the static a-priori optimum: `k*`
+    /// from the calibrated CPU model's `m` and the device's
+    /// [`madness_gpusim::BatchEstimate`] `n` — kernels over the streams
+    /// plus both transfers, the paper's GPU-only time (the paper's
+    /// hybrid, told `m` and `n` in advance).
+    Hybrid,
+    /// Dispatcher-split CPU + GPU with the split **learned online**: a
+    /// per-kind EWMA cost model fed, once per flush, by what both shares
+    /// took on the simulated clock, bootstrapped by a 50/50 probe flush,
+    /// with hysteresis ([`AdaptiveDispatcher`]). The dispatcher is never
+    /// told `m` or `n`.
+    Adaptive,
+}
+
+/// Fig. 3's dispatcher, for both clocks — the real Apply pipeline and
+/// the node simulator make the same calls: told its [`SplitPolicy`]
+/// once, it splits every flush, and under `Adaptive` owns the learned
+/// cost model that the flushes feed back.
+#[derive(Clone, Debug)]
+pub struct Dispatcher {
+    policy: SplitPolicy,
+    /// `Some` iff [`SplitPolicy::Adaptive`].
+    learned: Option<AdaptiveDispatcher>,
+}
+
+impl Dispatcher {
+    /// A dispatcher for `policy` (the learned arm with default tuning).
+    pub fn new(policy: SplitPolicy) -> Self {
+        Dispatcher {
+            policy,
+            learned: (policy == SplitPolicy::Adaptive)
+                .then(|| AdaptiveDispatcher::new(AdaptiveConfig::default())),
+        }
+    }
+
+    /// Splits a flush of `n` tasks of `kind`; returns the plan and the
+    /// CPU share `k` it amounts to. `Cpu` keeps everything. Otherwise,
+    /// in order: the device-health `gate` overrides ([`GpuGate::Closed`]
+    /// sends everything to the CPU, [`GpuGate::Probe`] one task to the
+    /// GPU); the learned arm plans from its model; `Hybrid` asks
+    /// `apriori` — only then — for the batch's CPU-only and GPU-only
+    /// times `(m, n)` and takes `k* = n/(m+n)`; `Gpu` sends everything to
+    /// the device. The learned arm journals its model as it stands after
+    /// each flush's plan (a gated flush does not touch it) as an
+    /// [`Event::Dispatch`], and the two policies with a share to decide
+    /// journal `k` as an [`Event::Split`].
+    pub fn plan<R: Recorder>(
+        &mut self,
+        kind: TaskKind,
+        n: usize,
+        gate: GpuGate,
+        rec: &mut R,
+        apriori: impl FnOnce() -> (SimTime, SimTime),
+    ) -> (SplitPlan, f64) {
+        let gated = match (self.policy, gate) {
+            (SplitPolicy::Cpu, _) | (_, GpuGate::Closed) => Some(0),
+            (_, GpuGate::Probe) => Some(n.min(1)),
+            (_, GpuGate::Open) => None,
+        };
+        let (plan, k) = match (gated, &mut self.learned) {
+            (Some(gpu_tasks), _) => {
+                // The share rounds back to exactly `n - gpu_tasks` tasks.
+                let cpu = n - gpu_tasks;
+                let k = if n > 0 { cpu as f64 / n as f64 } else { 1.0 };
+                (SplitPlan::for_share(n, k), k)
+            }
+            (None, Some(learned)) => {
+                let decision = learned.plan(kind, n, 0);
+                (decision.plan, decision.k)
+            }
+            (None, None) if self.policy == SplitPolicy::Hybrid => {
+                let (m, gpu) = apriori();
+                let k = optimal_split(m.as_secs_f64(), gpu.as_secs_f64());
+                (SplitPlan::for_share(n, k), k)
+            }
+            (None, None) => (SplitPlan::all_gpu(n), 0.0),
+        };
+        if R::ENABLED {
+            if let Some(learned) = &self.learned {
+                let model = learned.model(kind).unwrap_or_default();
+                rec.record(Event::Dispatch(DispatchSample {
+                    k,
+                    m_hat_ns: model.m_hat_ns,
+                    n_hat_ns: model.n_hat_ns,
+                    probe: gated.is_none() && !model.steady,
+                }));
+            }
+            if matches!(self.policy, SplitPolicy::Hybrid | SplitPolicy::Adaptive) {
+                rec.record(Event::Split(k));
+            }
+        }
+        (plan, k)
+    }
+
+    /// Feeds back what a flush's shares took, `(tasks, nanoseconds)` a
+    /// side ([`AdaptiveDispatcher::record`]). Only the learned arm learns.
+    pub fn record(&mut self, kind: TaskKind, cpu: (usize, u64), gpu: (usize, u64)) {
+        if let Some(learned) = &mut self.learned {
+            learned.record(kind, cpu.0, cpu.1, gpu.0, gpu.1);
+        }
+    }
+
+    /// Whether a GPU batch of `gpu_tasks` taking `gpu_ns` blew past the
+    /// learned model's expectation — detection only, never a re-run
+    /// ([`AdaptiveDispatcher::batch_timed_out`]). Without a learned
+    /// model there is no expectation and no timeout.
+    pub fn timed_out(&self, kind: TaskKind, gpu_tasks: usize, gpu_ns: u64) -> bool {
+        self.learned
+            .as_ref()
+            .is_some_and(|learned| learned.batch_timed_out(kind, gpu_tasks, gpu_ns))
+    }
+
+    /// A quarantined device was readmitted: the learned arm forgets its
+    /// GPU side of `kind` and re-probes it.
+    pub fn readmitted(&mut self, kind: TaskKind) {
+        if let Some(learned) = &mut self.learned {
+            learned.reset_gpu_model(kind);
+        }
+    }
+
+    /// The learned arm's cost model for `kind`, if it has planned it.
+    pub fn model(&self, kind: TaskKind) -> Option<ModelSnapshot> {
+        self.learned.as_ref()?.model(kind)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use madness_trace::NullRecorder;
 
     #[test]
     fn equal_times_split_in_half() {
@@ -186,59 +291,81 @@ mod tests {
 
     #[test]
     fn split_plan_rounds_and_conserves() {
-        let p = SplitPlan::for_times(60, 24.3, 24.3);
-        assert_eq!(p.total(), 60);
-        assert_eq!(p.cpu_tasks, 30);
-        let p2 = SplitPlan::for_times(61, 1.0, 3.0); // k = 0.75 → 46 CPU
-        assert_eq!(p2.total(), 61);
-        assert_eq!(p2.cpu_tasks, 46);
+        let p = SplitPlan::for_share(60, optimal_split(24.3, 24.3));
+        assert_eq!((p.cpu_tasks, p.gpu_tasks), (30, 30));
+        let p2 = SplitPlan::for_share(61, optimal_split(1.0, 3.0)); // k = 0.75 → 46 CPU
+        assert_eq!((p2.cpu_tasks, p2.gpu_tasks), (46, 15));
     }
 
+    /// Every policy under every gate: the plan, `k`, and whether the
+    /// a-priori times were asked for — `Hybrid`'s `(m, n)` = (3 ms, 1 ms).
     #[test]
-    fn split_extremes() {
-        assert_eq!(
-            SplitPlan::all_cpu(7),
-            SplitPlan {
-                cpu_tasks: 7,
-                gpu_tasks: 0
+    fn every_policy_under_every_gate() {
+        use GpuGate::{Closed, Open, Probe};
+        use SplitPolicy::{Adaptive, Cpu, Gpu, Hybrid};
+        const KIND: TaskKind = TaskKind::new(0xD15, 0);
+        let times = || (SimTime::from_millis(3), SimTime::from_millis(1));
+        // Each dispatcher is warmed by one flush; the learned arm's probe
+        // measures m̂ = 3 µs, n̂ = 1 µs a task, so k* = 0.25, which
+        // hysteresis holds one step below the probe's 0.5.
+        let steady = 0.5 - AdaptiveConfig::default().max_step;
+        let cases = [
+            (Cpu, Open, 60, 60, 1.0),
+            (Cpu, Closed, 60, 60, 1.0),
+            (Cpu, Probe, 60, 60, 1.0),
+            (Gpu, Open, 60, 0, 0.0),
+            (Gpu, Closed, 60, 60, 1.0),
+            (Gpu, Probe, 60, 59, 59.0 / 60.0),
+            (Gpu, Probe, 1, 0, 0.0),
+            (Gpu, Probe, 0, 0, 1.0),
+            (Hybrid, Open, 60, 15, 0.25),
+            (Hybrid, Closed, 60, 60, 1.0),
+            (Hybrid, Probe, 60, 59, 59.0 / 60.0),
+            (
+                Adaptive,
+                Open,
+                60,
+                SplitPlan::for_share(60, steady).cpu_tasks,
+                steady,
+            ),
+            (Adaptive, Closed, 60, 60, 1.0),
+            (Adaptive, Probe, 60, 59, 59.0 / 60.0),
+            (Adaptive, Probe, 1, 0, 0.0),
+        ];
+        for (policy, gate, n, cpu_tasks, k) in cases {
+            let case = format!("{policy:?} under {gate:?}, n = {n}");
+            let mut d = Dispatcher::new(policy);
+            d.plan(KIND, 60, Open, &mut NullRecorder, times);
+            d.record(KIND, (30, 90_000), (30, 30_000));
+            let before = d.model(KIND);
+            assert_eq!(
+                before.is_some_and(|m| m.steady),
+                policy == Adaptive,
+                "{case}"
+            );
+            let mut asked = false;
+            let got = d.plan(KIND, n, gate, &mut NullRecorder, || {
+                asked = true;
+                times()
+            });
+            let gpu_tasks = n - cpu_tasks;
+            assert_eq!(
+                got,
+                (
+                    SplitPlan {
+                        cpu_tasks,
+                        gpu_tasks
+                    },
+                    k
+                ),
+                "{case}"
+            );
+            assert_eq!(asked, (policy, gate) == (Hybrid, Open), "{case}");
+            if gate != Open {
+                // A gated flush leaves the learned model as it was.
+                assert_eq!(d.model(KIND), before, "{case}");
             }
-        );
-        assert_eq!(
-            SplitPlan::all_gpu(7),
-            SplitPlan {
-                cpu_tasks: 0,
-                gpu_tasks: 7
-            }
-        );
-        let p = SplitPlan::for_times(10, 5.0, 0.0);
-        assert_eq!(p.cpu_tasks, 0);
-    }
-
-    #[test]
-    fn gate_overrides_the_plan() {
-        assert_eq!(SplitPlan::gated(GpuGate::Open, 60), None);
-        assert_eq!(
-            SplitPlan::gated(GpuGate::Closed, 60),
-            Some((SplitPlan::all_cpu(60), 1.0))
-        );
-        let probe = SplitPlan {
-            cpu_tasks: 59,
-            gpu_tasks: 1,
-        };
-        assert_eq!(
-            SplitPlan::gated(GpuGate::Probe, 60),
-            Some((probe, 59.0 / 60.0))
-        );
-        // A batch of one probes with its only task; an empty batch has
-        // nothing to send.
-        assert_eq!(
-            SplitPlan::gated(GpuGate::Probe, 1),
-            Some((SplitPlan::all_gpu(1), 0.0))
-        );
-        assert_eq!(
-            SplitPlan::gated(GpuGate::Probe, 0),
-            Some((SplitPlan::all_cpu(0), 1.0))
-        );
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! * flushes batches on a (simulated) timer or size trigger; and
 //! * has a **dispatcher** split each flushed batch between CPU threads
 //!   and the GPU at the optimal ratio `k* = n/(m+n)`
-//!   ([`dispatch::optimal_split`]), for minimal time `m·n/(m+n)`.
+//!   ([`dispatch::optimal_split`]), for minimal time `m·n/(m+n)` — one
+//!   [`dispatch::Dispatcher`], whose plan both pipelines call, behind
+//!   the device-health gate and beside a learned arm
+//!   ([`adaptive::AdaptiveDispatcher`]).
 //!
 //! [`cpu::CpuModel`] provides the calibrated 16-core AMD Interlagos
 //! timing model used for the CPU-side estimates and the Table I–VI
@@ -37,9 +40,13 @@ pub mod dispatch;
 pub mod graph;
 pub mod pool;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveDispatcher, DispatchDecision, DispatchPhase};
+pub use adaptive::{AdaptiveConfig, AdaptiveDispatcher, DispatchDecision};
 pub use batcher::{Batcher, BatcherConfig, TaskKind, TenantId};
 pub use cpu::CpuModel;
-pub use dispatch::{hybrid_optimal_time, measured_split, optimal_split, SplitPlan};
+pub use dispatch::{
+    hybrid_optimal_time, measured_split, optimal_split, Dispatcher, SplitPlan, SplitPolicy,
+};
 pub use graph::{Future, GraphRunStats, TaskGraph, TaskId};
+/// The device-health gate [`Dispatcher::plan`] obeys.
+pub use madness_faults::GpuGate;
 pub use pool::{global_pool, initialize_hot_path, WorkerPool};

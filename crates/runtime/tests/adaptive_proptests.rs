@@ -26,8 +26,9 @@ proptest! {
             let dec = d.plan(KIND, n_tasks, 0);
             prop_assert_eq!(dec.plan.cpu_tasks + dec.plan.gpu_tasks, n_tasks);
             prop_assert!((0.0..=1.0).contains(&dec.k), "k = {} out of range", dec.k);
-            prop_assert!(dec.m_hat_ns >= 0.0 && dec.n_hat_ns >= 0.0);
-            prop_assert!(dec.m_hat_ns.is_finite() && dec.n_hat_ns.is_finite());
+            let m = d.model(KIND).expect("planned");
+            prop_assert!(m.m_hat_ns >= 0.0 && m.n_hat_ns >= 0.0);
+            prop_assert!(m.m_hat_ns.is_finite() && m.n_hat_ns.is_finite());
             d.record(KIND, dec.plan.cpu_tasks, cpu_ns, dec.plan.gpu_tasks, gpu_ns);
         }
     }
