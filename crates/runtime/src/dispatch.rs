@@ -225,9 +225,10 @@ impl Dispatcher {
     }
 
     /// Whether a GPU batch of `gpu_tasks` taking `gpu_ns` blew past the
-    /// learned model's expectation — detection only, never a re-run
-    /// ([`AdaptiveDispatcher::batch_timed_out`]). Without a learned
-    /// model there is no expectation and no timeout.
+    /// learned model's expectation, 4 × its per-task `n̂` (floored at
+    /// 50 ns) a task — detection only: the batch ran, and its tasks must
+    /// not be re-run. Without a learned GPU estimate there is no
+    /// expectation and no timeout.
     pub fn timed_out(&self, kind: TaskKind, gpu_tasks: usize, gpu_ns: u64) -> bool {
         self.learned
             .as_ref()
