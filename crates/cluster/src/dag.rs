@@ -81,7 +81,8 @@ use madness_runtime::graph::TaskId;
 use madness_trace::{
     stage_overlap_ns, Event, FaultAction, FaultEvent, FaultKind, Recorder, Span, Stage,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Salt for first-incarnation per-attempt failure draws.
 const SALT_FAIL: u64 = 0xDA6_FA11;
@@ -375,6 +376,8 @@ enum Piece {
 
 /// One planned attempt run of a task on a node: an optional state hop,
 /// the failing attempts with their backoff gaps, the completing attempt.
+/// It is a handful of numbers, not a list: [`Attempt::pieces`] lays the
+/// slices out wherever they are walked (the journal, the race's loser).
 struct Attempt {
     node: usize,
     /// Whether retry exhaustion moved the work off its chain's home: a
@@ -386,7 +389,37 @@ struct Attempt {
     /// `node`'s crash instant, when it falls strictly inside the run:
     /// the journal truncates there and the task does not complete.
     cut: Option<SimTime>,
-    seq: Vec<(Piece, SimTime, SimTime)>,
+    /// The chain-state hop's wire time, paid first, when the run is not
+    /// on its chain's home.
+    wire: Option<SimTime>,
+    /// Failing attempts before the completing one.
+    failed: u32,
+    /// Whether the last failing attempt exhausts the retries.
+    exhausts: bool,
+    /// One attempt's duration.
+    dur: SimTime,
+    /// The gap after each failing attempt.
+    backoff: SimTime,
+}
+
+impl Attempt {
+    /// The run's slices in time order: `(piece, start, end)`.
+    fn pieces(&self) -> impl Iterator<Item = (Piece, SimTime, SimTime)> + '_ {
+        let first = self.launch + self.wire.unwrap_or(SimTime::ZERO);
+        let period = self.dur + self.backoff;
+        let done = first + period * u64::from(self.failed);
+        let wire = self
+            .wire
+            .map(|hop| (Piece::Wire, self.launch, self.launch + hop));
+        let fails = (0..self.failed).map(move |a| {
+            let last = self.exhausts && a + 1 == self.failed;
+            let s = first + period * u64::from(a);
+            (Piece::Fail { last }, s, s + self.dur)
+        });
+        wire.into_iter()
+            .chain(fails)
+            .chain(std::iter::once((Piece::Done, done, done + self.dur)))
+    }
 }
 
 /// A task's live value.
@@ -425,6 +458,24 @@ pub struct FrontierSnapshot {
 enum Lifecycle {
     Rejoin,
     Crash,
+}
+
+/// The ready tasks planned onto one node, ordered by planned start.
+///
+/// A task's *key* is `max(inputs_at, chain_ready)` on its node, fixed
+/// until the next rebuild; it starts at `max(key, floor)`, where `floor`
+/// is the node's `max(node_free, barrier_time)`. Both floors only rise
+/// between rebuilds, so a task whose key is at or below the floor starts
+/// at the floor from then on: it moves from `future` to `due` once, and
+/// the node's soonest task is `(floor, lowest due task)`, or `future`'s
+/// head while `due` is empty. Each entry carries the task's failing
+/// attempt count; a committed task is dropped when it surfaces.
+#[derive(Default)]
+struct NodeQueue {
+    /// `(key, task, failed)` for keys above the floor.
+    future: BinaryHeap<Reverse<(SimTime, usize, u32)>>,
+    /// `(task, failed)` for keys at or below the floor.
+    due: BinaryHeap<Reverse<(usize, u32)>>,
 }
 
 /// Failure draws for one `(task, incarnation)`: how many attempts fail
@@ -579,10 +630,23 @@ pub fn run_dag_survivable<R: Recorder>(
         }
     }
     let waiting: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
-    let mut succs = vec![Vec::new(); n];
+    // Successor lists in one flat array: task `d`'s consumers are
+    // `succ[succ_at[d]..succ_at[d + 1]]`, in task order.
+    let mut succ_at = vec![0; n + 1];
+    for t in tasks {
+        for &d in &t.deps {
+            succ_at[d + 1] += 1;
+        }
+    }
+    for d in 0..n {
+        succ_at[d + 1] += succ_at[d];
+    }
+    let mut fill = succ_at.clone();
+    let mut succ = vec![0; succ_at[n]];
     for (i, t) in tasks.iter().enumerate() {
         for &d in &t.deps {
-            succs[d].push(i);
+            succ[fill[d]] = i;
+            fill[d] += 1;
         }
     }
     DagRun {
@@ -602,7 +666,8 @@ pub fn run_dag_survivable<R: Recorder>(
             ..Default::default()
         },
         icn: Interconnect::new(net.clone()),
-        succs,
+        succ_at,
+        succ,
         spans: Vec::with_capacity(n),
         events: lifecycle_events(&survival.timeline),
         next_event: 0,
@@ -623,6 +688,8 @@ pub fn run_dag_survivable<R: Recorder>(
         chain_ready: vec![SimTime::ZERO; workload.chains()],
         barrier_time: SimTime::ZERO,
         steps,
+        queues: (0..nodes).map(|_| NodeQueue::default()).collect(),
+        parked: BTreeMap::new(),
     }
     .run()
 }
@@ -642,9 +709,11 @@ struct DagRun<'a, R: Recorder> {
     /// The contended fabric recovery migrations cross, and the ledger
     /// the report's `migrated_*` fields are read from.
     icn: Interconnect,
-    /// Per task: the tasks that consume its value, once per dependency
-    /// edge (a task listing it twice appears twice, as `waiting` counts).
-    succs: Vec<Vec<usize>>,
+    /// Per task `d`: the tasks that consume its value are
+    /// `succ[succ_at[d]..succ_at[d + 1]]`, once per dependency edge (a
+    /// task listing `d` twice appears twice, as `waiting` counts).
+    succ_at: Vec<usize>,
+    succ: Vec<usize>,
     /// Every journaled attempt span, for the stage-overlap sweep.
     spans: Vec<Span>,
     events: Vec<(SimTime, Lifecycle, usize)>,
@@ -666,7 +735,8 @@ struct DagRun<'a, R: Recorder> {
     /// values, recounts.
     waiting: Vec<usize>,
     /// The ready frontier: value-less tasks whose dependencies all
-    /// hold values, in index order.
+    /// hold values, in index order. The scheduler picks from `queues`,
+    /// which every rebuild re-plans from this set.
     ready: BTreeSet<usize>,
     /// Tasks without a value.
     remaining: usize,
@@ -681,6 +751,12 @@ struct DagRun<'a, R: Recorder> {
     /// raises `barrier_time` and releases the next one.
     steps: BTreeMap<u32, usize>,
     barrier_time: SimTime,
+    /// Per node: the planned-start index of the ready tasks planned
+    /// onto it (see [`NodeQueue`]).
+    queues: Vec<NodeQueue>,
+    /// Barrier mode: ready tasks of steps not yet open, by step; each
+    /// step's tasks enter `queues` when it opens.
+    parked: BTreeMap<u32, Vec<usize>>,
 }
 
 impl<R: Recorder> DagRun<'_, R> {
@@ -690,6 +766,7 @@ impl<R: Recorder> DagRun<'_, R> {
     /// at the right instants: the next one fires as soon as nothing can
     /// start before it.
     fn run(mut self) -> SurvivableDagReport {
+        self.rebuild();
         while self.remaining > 0 {
             let best = self.candidate();
             if let Some(&(at, what, node)) = self.events.get(self.next_event) {
@@ -702,6 +779,7 @@ impl<R: Recorder> DagRun<'_, R> {
                         Lifecycle::Rejoin => self.rejoin(node, at),
                         Lifecycle::Crash => self.crash(node, at),
                     }
+                    self.rebuild();
                     continue;
                 }
             }
@@ -713,11 +791,12 @@ impl<R: Recorder> DagRun<'_, R> {
                 None => {
                     if self.journal(stage, &primary) {
                         // The node died mid-sequence: the task stays
-                        // ready and replays after the crash event fires
-                        // and reassigns its chain.
+                        // ready, redraws its faults, and replays after
+                        // the crash event fires and reassigns its chain.
                         let cut = primary.cut.expect("truncation implies a crash cut");
                         self.node_free[primary.node] = self.node_free[primary.node].max(cut);
                         self.incarnation[task] += 1;
+                        self.rebuild();
                         continue;
                     }
                     primary
@@ -732,48 +811,149 @@ impl<R: Recorder> DagRun<'_, R> {
     }
 
     /// The ready task that can start soonest (ties to the lowest index,
-    /// so the schedule is deterministic) and its planned run. A task
-    /// whose chain's home is dead is skipped: the crash event reassigns
-    /// it.
-    fn candidate(&self) -> Option<(usize, Attempt)> {
-        let open_step = self.steps.keys().next().copied();
-        // (start, task, node, failing attempts, off its chain's home)
-        let mut best: Option<(SimTime, usize, usize, u32, bool)> = None;
-        for &task in &self.ready {
-            let t = &self.tasks[task];
-            if open_step.is_some_and(|open| open != t.step) {
-                continue;
-            }
-            let chain = t.chain as usize;
-            let home = self.chain_home[chain];
-            if self.dead[home] {
-                continue;
-            }
-            let failed = failed_attempts(self.faults, task, salt_for(self.incarnation[task]));
-            // Exhausted retries quarantine the assignment: the work
-            // moves to the next alive node, or reruns in place (1-node
-            // cluster, every neighbour dead).
-            let node = if failed == self.faults.max_retries {
-                (1..self.nodes)
-                    .map(|k| (home + k) % self.nodes)
-                    .find(|&cand| !self.dead[cand])
-                    .unwrap_or(home)
-            } else {
-                home
-            };
-            let Some(inputs) = self.inputs_at(task, node) else {
-                continue;
-            };
-            let start = inputs
-                .max(self.node_free[node])
-                .max(self.barrier_time)
-                .max(self.chain_ready[chain]);
-            if best.is_none_or(|(soonest, ..)| start < soonest) {
-                best = Some((start, task, node, failed, node != home));
+    /// so the schedule is deterministic) and its planned run, read off
+    /// the planned-start index: each node's soonest task is its queue's
+    /// head (see [`NodeQueue`]), so a pick costs O(nodes), not a pass
+    /// over the ready set. Debug builds check it against the scan it
+    /// replaced (`scan_candidate`).
+    fn candidate(&mut self) -> Option<(usize, Attempt)> {
+        // (start, task, node, failing attempts)
+        let mut best: Option<(SimTime, usize, usize, u32)> = None;
+        for node in 0..self.nodes {
+            if let Some((start, task, failed)) = self.soonest_on(node) {
+                if best.is_none_or(|(soonest, first, ..)| (start, task) < (soonest, first)) {
+                    best = Some((start, task, node, failed));
+                }
             }
         }
-        let (start, task, node, failed, moved) = best?;
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            best,
+            self.scan_candidate(),
+            "the index's pick is the scan's"
+        );
+        let (start, task, node, failed) = best?;
+        let moved = node != self.chain_home[self.tasks[task].chain as usize];
         Some((task, self.plan(task, node, start, failed, moved)))
+    }
+
+    /// The scan the index replaced, kept as its oracle: over the ready
+    /// tasks of the open step, the soonest planned start, ties to the
+    /// lowest index.
+    #[cfg(debug_assertions)]
+    fn scan_candidate(&self) -> Option<(SimTime, usize, usize, u32)> {
+        let open_step = self.steps.keys().next().copied();
+        let mut best: Option<(SimTime, usize, usize, u32)> = None;
+        for &task in &self.ready {
+            if open_step.is_some_and(|open| open != self.tasks[task].step) {
+                continue;
+            }
+            let Some((key, node, failed)) = self.placement(task) else {
+                continue;
+            };
+            let start = key.max(self.floor(node));
+            if best.is_none_or(|(soonest, ..)| start < soonest) {
+                best = Some((start, task, node, failed));
+            }
+        }
+        best
+    }
+
+    /// Where a ready task runs and from when, as far as the task itself
+    /// decides it: `(key, node, failing attempts)`, `key` being
+    /// `max(inputs_at, chain_ready)`. `None` while the chain's home is
+    /// dead (the crash arm reassigns it) or an input cannot reach the
+    /// node. Only a crash, a rejoin or a truncated attempt changes it.
+    fn placement(&self, task: usize) -> Option<(SimTime, usize, u32)> {
+        let chain = self.tasks[task].chain as usize;
+        let home = self.chain_home[chain];
+        if self.dead[home] {
+            return None;
+        }
+        let failed = failed_attempts(self.faults, task, salt_for(self.incarnation[task]));
+        // Exhausted retries quarantine the assignment: the work moves to
+        // the next alive node, or reruns in place (1-node cluster, every
+        // neighbour dead).
+        let node = if failed == self.faults.max_retries {
+            (1..self.nodes)
+                .map(|k| (home + k) % self.nodes)
+                .find(|&cand| !self.dead[cand])
+                .unwrap_or(home)
+        } else {
+            home
+        };
+        let inputs = self.inputs_at(task, node)?;
+        Some((inputs.max(self.chain_ready[chain]), node, failed))
+    }
+
+    /// The earliest instant `node` can start anything: it is free and,
+    /// in Barrier mode, the open step is released.
+    fn floor(&self, node: usize) -> SimTime {
+        self.node_free[node].max(self.barrier_time)
+    }
+
+    /// `node`'s soonest indexed task, `(start, task, failed)`: promotes
+    /// the keys the floor has reached to `due` and drops committed
+    /// tasks on the way.
+    fn soonest_on(&mut self, node: usize) -> Option<(SimTime, usize, u32)> {
+        let floor = self.floor(node);
+        let (held, q) = (&self.held, &mut self.queues[node]);
+        while let Some(&Reverse((key, task, failed))) = q.future.peek() {
+            let live = held[task].is_none();
+            if live && key > floor {
+                break;
+            }
+            q.future.pop();
+            if live {
+                q.due.push(Reverse((task, failed)));
+            }
+        }
+        while let Some(&Reverse((task, failed))) = q.due.peek() {
+            if held[task].is_none() {
+                return Some((floor, task, failed));
+            }
+            q.due.pop();
+        }
+        let &Reverse((key, task, failed)) = q.future.peek()?;
+        Some((key, task, failed))
+    }
+
+    /// A task joins the ready set's index: parked until its step opens
+    /// in Barrier mode; left out while [`DagRun::placement`] has none
+    /// (the rebuild after the next crash or rejoin looks again);
+    /// otherwise planned once and queued on its node.
+    fn enter(&mut self, task: usize) {
+        let step = self.tasks[task].step;
+        if self.steps.keys().next().is_some_and(|&open| open != step) {
+            self.parked.entry(step).or_default().push(task);
+            return;
+        }
+        let Some((key, node, failed)) = self.placement(task) else {
+            return;
+        };
+        let floor = self.floor(node);
+        let q = &mut self.queues[node];
+        if key <= floor {
+            q.due.push(Reverse((task, failed)));
+        } else {
+            q.future.push(Reverse((key, task, failed)));
+        }
+    }
+
+    /// Re-plans the index from the ready set: after a crash or a rejoin
+    /// (liveness, homes, inputs and release times moved) and after a
+    /// truncated attempt (its task redraws its faults).
+    fn rebuild(&mut self) {
+        for q in &mut self.queues {
+            q.future.clear();
+            q.due.clear();
+        }
+        self.parked.clear();
+        let ready = std::mem::take(&mut self.ready);
+        for &task in &ready {
+            self.enter(task);
+        }
+        self.ready = ready;
     }
 
     /// Wire time for `task`'s value to cross nodes.
@@ -810,20 +990,10 @@ impl<R: Recorder> DagRun<'_, R> {
     /// backoff gaps, then the completing attempt.
     fn plan(&self, task: usize, node: usize, launch: SimTime, failed: u32, moved: bool) -> Attempt {
         let dur = self.rate.per_task * self.tasks[task].cost.max(1);
-        let mut seq = Vec::with_capacity(failed as usize + 2);
-        let mut at = launch;
-        if moved {
-            let hop = self.hop(task);
-            seq.push((Piece::Wire, at, at + hop));
-            at += hop;
-        }
-        for a in 0..failed {
-            let last = a + 1 == self.faults.max_retries;
-            seq.push((Piece::Fail { last }, at, at + dur));
-            at += dur + self.faults.backoff;
-        }
-        let end = at + dur;
-        seq.push((Piece::Done, at, end));
+        let backoff = self.faults.backoff;
+        let wire = moved.then(|| self.hop(task));
+        let end =
+            launch + wire.unwrap_or(SimTime::ZERO) + (dur + backoff) * u64::from(failed) + dur;
         let cut = self
             .survival
             .timeline
@@ -836,7 +1006,11 @@ impl<R: Recorder> DagRun<'_, R> {
             launch,
             end,
             cut,
-            seq,
+            wire,
+            failed,
+            exhausts: failed == self.faults.max_retries,
+            dur,
+            backoff,
         }
     }
 
@@ -856,7 +1030,7 @@ impl<R: Recorder> DagRun<'_, R> {
     /// and the fault counters. Returns `true` when the run was
     /// truncated — the task did **not** complete.
     fn journal(&mut self, stage: Stage, a: &Attempt) -> bool {
-        for &(piece, s, e) in &a.seq {
+        for (piece, s, e) in a.pieces() {
             if a.cut.is_some_and(|c| s >= c) {
                 return true;
             }
@@ -947,7 +1121,7 @@ impl<R: Recorder> DagRun<'_, R> {
         // The loser ran until the winner finished: that occupancy is
         // busy time but never journal history.
         let mut free = self.node_free[loser.node];
-        for &(piece, s, e) in &loser.seq {
+        for (piece, s, e) in loser.pieces() {
             let e = e.min(winner.end);
             if !matches!(piece, Piece::Wire) && s < e {
                 self.report.base.busy_ns += (e - s).as_nanos();
@@ -979,12 +1153,14 @@ impl<R: Recorder> DagRun<'_, R> {
         self.node_free[on] = end;
         self.remaining -= 1;
         self.ready.remove(&task);
-        for &s in &self.succs[task] {
+        for e in self.succ_at[task]..self.succ_at[task + 1] {
+            let s = self.succ[e];
             self.waiting[s] -= 1;
             // A successor that kept its own value through a fold-back
             // of this one has nothing to re-run.
             if self.waiting[s] == 0 && self.held[s].is_none() {
                 self.ready.insert(s);
+                self.enter(s);
             }
         }
 
@@ -1002,12 +1178,18 @@ impl<R: Recorder> DagRun<'_, R> {
 
         // Barrier mode: close the open step once its last task finished.
         // Earlier steps closed before this one opened, so the latest
-        // finish so far is this step's.
+        // finish so far is this step's. The next step's parked tasks
+        // enter the index.
         if let Some(mut open) = self.steps.first_entry() {
             *open.get_mut() -= 1;
             if *open.get() == 0 {
                 self.barrier_time = self.report.base.makespan;
                 open.remove();
+                if let Some(next) = self.steps.keys().next() {
+                    for task in self.parked.remove(next).unwrap_or_default() {
+                        self.enter(task);
+                    }
+                }
             }
         }
     }
@@ -1088,7 +1270,12 @@ impl<R: Recorder> DagRun<'_, R> {
         FrontierSnapshot {
             completed: self.tasks.len() - self.remaining,
             frontier: (0..self.tasks.len())
-                .filter(|&j| holds(j) && self.succs[j].iter().any(|&s| !holds(s)))
+                .filter(|&j| {
+                    holds(j)
+                        && self.succ[self.succ_at[j]..self.succ_at[j + 1]]
+                            .iter()
+                            .any(|&s| !holds(s))
+                })
                 .map(TaskId::from_index)
                 .collect(),
         }
@@ -1100,17 +1287,15 @@ impl<R: Recorder> DagRun<'_, R> {
         let lost_chains: Vec<usize> = (0..self.chain_home.len())
             .filter(|&c| self.chain_home[c] == node)
             .collect();
-        let weights: Vec<u64> = lost_chains
-            .iter()
-            .map(|&c| {
-                let pending = self.tasks.iter().zip(&self.held);
-                pending
-                    .filter(|(t, held)| t.chain as usize == c && held.is_none())
-                    .map(|(t, _)| t.cost.max(1))
-                    .sum::<u64>()
-                    .max(1)
-            })
-            .collect();
+        // Pending work per chain, in one pass over the tasks.
+        let mut pending = vec![0u64; self.chain_home.len()];
+        for (t, held) in self.tasks.iter().zip(&self.held) {
+            let c = t.chain as usize;
+            if held.is_none() && self.chain_home[c] == node {
+                pending[c] += t.cost.max(1);
+            }
+        }
+        let weights: Vec<u64> = lost_chains.iter().map(|&c| pending[c].max(1)).collect();
         let base_secs: Vec<f64> = alive
             .iter()
             .map(|&x| self.node_free[x].max(release).as_secs_f64())

@@ -4,6 +4,12 @@
 //! per mode; the budget is 5 s per mode, an order of magnitude above
 //! what the frontier needs, so only a complexity regression trips it.
 //!
+//! A third test pins the ready *width*: the same 128 k tasks as 1,024
+//! chains × 125 steps may cost at most 3× the 64 × 2,000 shape, per row
+//! (Dataflow, Barrier, survivable). The planned-start index picks in
+//! O(nodes) whatever the width (≈ 0.7–1.1×); a scheduler that rescans
+//! the ready set for every task reads ≈ 9–12×.
+//!
 //! Wall-clock assertions do not belong in the default test run:
 //!
 //! ```bash
@@ -12,6 +18,7 @@
 
 use madness_cluster::dag::{
     run_dag, run_dag_survivable, DagFaultSpec, DagMode, DagSurvivalSpec, DagTask, DagWorkload,
+    SurvivableDagReport,
 };
 use madness_cluster::network::NetworkModel;
 use madness_cluster::node::NodeRate;
@@ -25,19 +32,29 @@ const STEPS: u32 = 2_000;
 const NODES: usize = 16;
 const BUDGET: Duration = Duration::from_secs(5);
 
+/// The wide-frontier shape: as many tasks, 16× the chains.
+const WIDE_CHAINS: u32 = 1_024;
+const WIDE_STEPS: u32 = 125;
+/// How much more a wide-frontier row may cost than the narrow one.
+const WIDTH_RATIO: f64 = 3.0;
+
+fn workload() -> DagWorkload {
+    workload_of(CHAINS, STEPS)
+}
+
 /// Every task follows its chain's previous step; every fourth also
 /// reads a neighbouring chain's (step-stratified, so Barrier runs it).
-fn workload() -> DagWorkload {
+fn workload_of(chains: u32, steps: u32) -> DagWorkload {
     let mut w = DagWorkload::new();
     let mut prev: Vec<usize> = Vec::new();
-    for step in 0..STEPS {
-        let mut this = Vec::with_capacity(CHAINS as usize);
-        for chain in 0..CHAINS {
+    for step in 0..steps {
+        let mut this = Vec::with_capacity(chains as usize);
+        for chain in 0..chains {
             let mut deps = Vec::new();
             if step > 0 {
                 deps.push(prev[chain as usize]);
                 if (chain + step) % 4 == 0 {
-                    deps.push(prev[((chain + 1 + step % 7) % CHAINS) as usize]);
+                    deps.push(prev[((chain + 1 + step % 7) % chains) as usize]);
                 }
             }
             let apply = step % 2 == 0;
@@ -62,29 +79,20 @@ fn workload() -> DagWorkload {
     w
 }
 
+fn rate() -> NodeRate {
+    NodeRate {
+        startup: SimTime::from_micros(5),
+        per_task: SimTime::from_micros(2),
+    }
+}
+
 #[test]
 #[ignore = "wall-clock budget; run in release with --ignored (CI dag smoke)"]
 fn large_dag_schedules_within_budget() {
     let w = workload();
     assert_eq!(w.len(), (CHAINS * STEPS) as usize);
-    let rate = NodeRate {
-        startup: SimTime::from_micros(5),
-        per_task: SimTime::from_micros(2),
-    };
     for mode in [DagMode::Dataflow, DagMode::Barrier] {
-        let t0 = Instant::now();
-        let r = run_dag(
-            &w,
-            NODES,
-            rate,
-            &NetworkModel::default(),
-            mode,
-            &DagFaultSpec::none(),
-            &mut NullRecorder,
-        );
-        let took = t0.elapsed();
-        assert_eq!(r.tasks, w.len() as u64);
-        assert!(r.conserved(NODES), "{mode:?}: {r:?}");
+        let took = plain_run(&w, mode);
         assert!(
             took < BUDGET,
             "{mode:?} took {took:?} for {} tasks (budget {BUDGET:?}): the scheduler is no longer linear in tasks",
@@ -98,20 +106,34 @@ fn large_dag_schedules_within_budget() {
 /// 2 % attempt faults, two crashes 50 µs apart one third into the clean
 /// schedule (the second lands inside the first one's detection window),
 /// one of the two nodes rejoining at two thirds, tail speculation on.
-/// Fold-back recounts the ready set and reassignment walks every task
-/// per lost chain, so this is the row that trips if either goes
-/// quadratic.
+/// Fold-back recounts the ready set, reassignment walks the tasks and
+/// the scheduler re-plans its index once per crash, so this is the row
+/// that trips if any of them goes quadratic.
 #[test]
 #[ignore = "wall-clock budget; run in release with --ignored (CI dag smoke)"]
 fn large_survivable_dag_schedules_within_budget() {
     let w = workload();
-    let rate = NodeRate {
-        startup: SimTime::from_micros(5),
-        per_task: SimTime::from_micros(2),
-    };
+    let (r, took) = survivable_run(&w);
+    assert!(
+        took < BUDGET,
+        "survivable run took {took:?} for {} tasks (budget {BUDGET:?}): crash recovery is no longer linear in tasks",
+        w.len()
+    );
+    println!(
+        "Survivable: {} tasks, {} replayed, {} injected in {took:?}",
+        w.len(),
+        r.replayed,
+        r.base.injected
+    );
+}
+
+/// The survivable row's run of `w`, checked to have folded back,
+/// migrated and retried, with its wall-clock time.
+fn survivable_run(w: &DagWorkload) -> (SurvivableDagReport, Duration) {
+    let rate = rate();
     let net = NetworkModel::default();
     let clean = run_dag(
-        &w,
+        w,
         NODES,
         rate,
         &net,
@@ -138,7 +160,7 @@ fn large_survivable_dag_schedules_within_budget() {
     };
     let t0 = Instant::now();
     let r = run_dag_survivable(
-        &w,
+        w,
         NODES,
         rate,
         &net,
@@ -153,15 +175,53 @@ fn large_survivable_dag_schedules_within_budget() {
         r.crashes == 2 && r.replayed > 0 && r.migrated_values > 0 && r.base.injected > 0,
         "the survivable row must fold back, migrate and retry: {r:?}"
     );
-    assert!(
-        took < BUDGET,
-        "survivable run took {took:?} for {} tasks (budget {BUDGET:?}): crash recovery is no longer linear in tasks",
-        w.len()
+    (r, took)
+}
+
+/// One fault-free run of `w` in `mode`, checked complete, with its
+/// wall-clock time.
+fn plain_run(w: &DagWorkload, mode: DagMode) -> Duration {
+    let t0 = Instant::now();
+    let r = run_dag(
+        w,
+        NODES,
+        rate(),
+        &NetworkModel::default(),
+        mode,
+        &DagFaultSpec::none(),
+        &mut NullRecorder,
     );
-    println!(
-        "Survivable: {} tasks, {} replayed, {} injected in {took:?}",
-        w.len(),
-        r.replayed,
-        r.base.injected
-    );
+    let took = t0.elapsed();
+    assert_eq!(r.tasks, w.len() as u64);
+    assert!(r.conserved(NODES), "{mode:?}: {r:?}");
+    took
+}
+
+/// 1,024 chains × 125 steps against 64 × 2,000: the same task count,
+/// 16× the ready width. Each side's time is the best of three runs.
+#[test]
+#[ignore = "wall-clock ratio; run in release with --ignored (CI dag smoke)"]
+fn wide_frontier_costs_what_a_narrow_one_does() {
+    let narrow = workload();
+    let wide = workload_of(WIDE_CHAINS, WIDE_STEPS);
+    assert_eq!(wide.len(), narrow.len());
+    // `None` is the survivable row.
+    for mode in [Some(DagMode::Dataflow), Some(DagMode::Barrier), None] {
+        let best = |w: &DagWorkload| {
+            let run = || match mode {
+                Some(mode) => plain_run(w, mode),
+                None => survivable_run(w).1,
+            };
+            (0..3).map(|_| run()).min().expect("three runs")
+        };
+        let (n, wd) = (best(&narrow), best(&wide));
+        let row = mode.map_or("Survivable".to_string(), |m| format!("{m:?}"));
+        let ratio = wd.as_secs_f64() / n.as_secs_f64();
+        println!("{row}: {CHAINS} chains {n:?}, {WIDE_CHAINS} chains {wd:?} ({ratio:.2}x)");
+        assert!(
+            ratio <= WIDTH_RATIO,
+            "{row}: {WIDE_CHAINS} chains took {wd:?}, {ratio:.2}x the {CHAINS}-chain {n:?} \
+             (bound {WIDTH_RATIO}x): picking a task costs more with a wider ready set"
+        );
+    }
 }

@@ -111,21 +111,28 @@ pub fn stage_overlap_ns<'a>(spans: impl IntoIterator<Item = &'a Span>) -> u64 {
     }
     edges.sort_unstable_by_key(|&(t, delta, _)| (t, -delta));
 
+    // Per stage: spans active at the cursor; `distinct` counts the
+    // stages with any, kept as the counts cross zero.
     let mut active = [0i64; Stage::ALL.len()];
+    let mut distinct = 0usize;
     let mut overlap = 0u64;
     let mut cursor = 0u64;
     let mut i = 0usize;
     while i < edges.len() {
         let t = edges[i].0;
-        if t > cursor {
-            let distinct = active.iter().filter(|&&c| c > 0).count();
-            if distinct >= 2 {
-                overlap += t - cursor;
-            }
+        if t > cursor && distinct >= 2 {
+            overlap += t - cursor;
         }
         cursor = t;
         while i < edges.len() && edges[i].0 == t {
-            active[edges[i].2] += edges[i].1 as i64;
+            let (_, delta, stage) = edges[i];
+            let was = active[stage] > 0;
+            active[stage] += i64::from(delta);
+            match (was, active[stage] > 0) {
+                (false, true) => distinct += 1,
+                (true, false) => distinct -= 1,
+                _ => {}
+            }
             i += 1;
         }
     }
