@@ -18,14 +18,12 @@
 //! executor in chunks cut between *stack groups* (below), so a chunk may
 //! span flushes and shares but never cuts a group, and results commit
 //! in order as the chunks retire. One run is an `ApplyRun` whose methods
-//! are those stages: `dispatch` (preprocess fused into the push loop) →
-//! `flush` = `split` → `hand_over` (`gpu_share` prices) → `join` (the
-//! pending run; `cpu_share` spawns), with `Commit` as postprocess. A
-//! batch exists to pay a device's launch and transfer costs once, so
-//! only the arms with a device (`Gpu`, `Hybrid`, `Adaptive`) batch:
-//! `ApplyResource::Cpu`'s flush would decide nothing, and `dispatch`
-//! joins each source's tasks to the pending run itself. Both produce
-//! identical trees.
+//! are those stages: `dispatch` (preprocess fused into the push loop,
+//! which cuts the batches in task order) → `flush` = `split` →
+//! `hand_over` (`gpu_share` prices; the pending run, which `cpu_share`
+//! spawns), with `Commit` as postprocess. Every `ApplyResource` takes
+//! that one route — `Cpu`'s split is simply all-CPU. Both entry points
+//! produce identical trees.
 //!
 //! On the host, both hand one source's displacement tasks to the tensor
 //! crate side by side (`transform_sum_accumulate_group`): the operator
@@ -58,7 +56,7 @@ use madness_mra::convolution::SeparatedConvolution;
 use madness_mra::key::Key;
 use madness_mra::ops::sum_down;
 use madness_mra::tree::{FunctionTree, TreeForm};
-use madness_runtime::{Batcher, BatcherConfig, CpuModel, Dispatcher, GpuGate, SplitPlan, TaskKind};
+use madness_runtime::{BatcherConfig, CpuModel, Dispatcher, GpuGate, SplitPlan, TaskKind};
 use madness_tensor::{transform_sum_accumulate_group, Tensor, Term, Workspace};
 use madness_trace::{NullRecorder, Recorder};
 use rayon::prelude::*;
@@ -110,9 +108,8 @@ impl Default for ApplyConfig {
 pub struct ApplyStats {
     /// Compute tasks executed (node × displacement pairs).
     pub tasks: u64,
-    /// Batches the flush policy forms: `Σ` over kinds of `⌈n_kind ⁄
-    /// max_batch⌉`, the device arms' flushes. `Cpu` flushes nothing and
-    /// reports the same count.
+    /// Batches flushed, on every arm: `Σ` over kinds of `⌈n_kind ⁄
+    /// max_batch⌉`, since each kind's tasks are cut in task order.
     pub batches: u64,
     /// Tasks the CPU side computed.
     pub cpu_tasks: u64,
@@ -138,8 +135,7 @@ pub struct ApplyStats {
 struct PreparedTask {
     neighbor: Key,
     task: TransformTask,
-    /// Set by the split (under `Cpu`, by `dispatch`): a CPU-share task
-    /// with rank reduction in force. The device's share stays exact
+    /// Set by the split: a CPU-share task with rank reduction in force. The device's share stays exact
     /// (paper §II-D).
     rank_reduced: bool,
 }
@@ -305,14 +301,12 @@ struct ApplyRun<'a, R: Recorder> {
     dispatcher: Dispatcher,
 }
 
-/// Tasks joined to the run — a flush's two shares, or a `Cpu` source's
-/// tasks — that no chunk holds yet: one kind's, in task order. Chunks
-/// come off its front where [`chunk_len`] cuts between stack groups; the
-/// tail — a source the next join may go on with, and the group it may
-/// join — waits until the run is spawned whole.
+/// Tasks handed over — flushes' two shares — that no chunk holds yet:
+/// one kind's, in task order. Chunks come off its front where
+/// [`chunk_len`] cuts between stack groups; the tail — a source the next
+/// batch may go on with, and the group it may join — waits until the run
+/// is spawned whole.
 struct PendingRun {
-    /// `None` until the first join.
-    kind: Option<TaskKind>,
     /// What one of the kind's tasks costs: the grain's unit.
     task_flops: u64,
     tasks: Vec<PreparedTask>,
@@ -332,7 +326,6 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             device: GpuDevice::new(madness_gpusim::DeviceSpec::default(), config.streams),
             stats: ApplyStats::default(),
             pending: PendingRun {
-                kind: None,
                 task_flops: 0,
                 tasks: Vec::new(),
             },
@@ -388,28 +381,31 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     /// only on (level, displacement), never on the source key, so it is
     /// built the first time its pair comes up and shared (`Arc`) by every
     /// task with that pair: `M` term allocations plus `M × d` block
-    /// lookups a task collapse to one table a pair. The device arms push
-    /// into the [`Batcher`], whose flush is a device batch: the one place
-    /// a flush is triggered, by the size trigger at a full batch, then
-    /// the end-of-run drain. A `Cpu` flush would decide nothing — its
-    /// split is all-CPU and it prices nothing — so `Cpu` skips the
-    /// batcher: each source's tasks join the pending run as the CPU share
-    /// a flush would have made of them, and [`ApplyStats::batches`] counts
-    /// the batches the flush policy would have formed. After the last
-    /// source what is pending is spawned whole.
+    /// lookups a task collapse to one table a pair. Every arm cuts its
+    /// batches here, in task order, into one reused `Vec`: a batch is
+    /// flushed when it holds `max_batch` tasks, when the kind changes and
+    /// after the last source (`Cpu`'s split is all-CPU). On a change of
+    /// kind, and after the last source, what is pending is spawned whole.
+    ///
+    /// # Panics
+    /// Panics if `max_batch == 0`.
     fn dispatch(&mut self, scope: &rayon::Scope<'a>, tree: &FunctionTree) {
         let (op, d) = (self.op, self.op.d());
-        let batched = self.config.resource != ApplyResource::Cpu;
-        let mut batcher: Batcher<PreparedTask> = Batcher::new(self.config.batch);
-        // `Cpu`'s tasks, one source's at a time, and how many each kind
-        // has had.
-        let mut source_tasks = Vec::new();
-        let mut kind_tasks: BTreeMap<TaskKind, u64> = BTreeMap::new();
-        let rank_reduced = !batched && self.config.rank_reduce_eps.is_some();
+        let max_batch = self.config.batch.max_batch;
+        assert!(max_batch > 0, "batch size must be positive");
+        let mut batch = Vec::new();
+        let mut open: Option<TaskKind> = None;
         let mut term_tables: BTreeMap<u8, Vec<Option<Arc<Vec<TransformTerm>>>>> = BTreeMap::new();
         for (key, s) in sources(tree) {
             let level = key.level();
             let kind = TaskKind::new(APPLY_OP_ID, level as u64);
+            // Sources are in key order and `Key` orders by level first, so
+            // a kind never reopens: the last one goes now, whole.
+            if let Some(last) = open.filter(|&last| last != kind) {
+                self.flush(scope, last, &mut batch);
+                self.cpu_share(scope, true);
+            }
+            open = Some(kind);
             let displacements = op.displacements_at(level);
             let tables = term_tables
                 .entry(level)
@@ -428,59 +424,55 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                     terms: Arc::clone(terms),
                 };
                 self.stats.tasks += 1;
-                let prepared = PreparedTask {
+                batch.push(PreparedTask {
                     neighbor,
                     task,
-                    rank_reduced,
-                };
-                if !batched {
-                    source_tasks.push(prepared);
-                } else if let Some((kind, full)) = batcher.push(kind, prepared) {
-                    self.flush(scope, kind, full);
+                    rank_reduced: false,
+                });
+                if batch.len() == max_batch {
+                    self.flush(scope, kind, &mut batch);
                 }
             }
-            if let Some(first) = source_tasks.first() {
-                let n = source_tasks.len() as u64;
-                *kind_tasks.entry(kind).or_default() += n;
-                self.stats.cpu_tasks += n;
-                let task_flops = first.task.flops_rank_reduced();
-                self.join(scope, kind, task_flops, &mut source_tasks);
-            }
         }
-        for (kind, rest) in batcher.drain() {
-            self.flush(scope, kind, rest);
+        if let Some(last) = open {
+            self.flush(scope, last, &mut batch);
         }
-        let max_batch = self.config.batch.max_batch as u64;
-        let formed: u64 = kind_tasks.values().map(|n| n.div_ceil(max_batch)).sum();
-        self.stats.batches += formed;
         self.cpu_share(scope, true);
     }
 
-    /// One batch through Fig. 3: dispatcher split → both shares handed
-    /// over → under `Adaptive`, the learned feedback: both shares'
-    /// simulated prices, recorded once, as `NodeRun::flush` records its
-    /// simulated batch times.
-    fn flush(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, batch: Vec<PreparedTask>) {
+    /// One batch through Fig. 3 (nothing for an empty one): dispatcher
+    /// split → both shares handed over, which leaves `batch` empty →
+    /// under `Adaptive`, the learned feedback: both shares' simulated
+    /// prices, recorded once, as `NodeRun::flush` records its simulated
+    /// batch times.
+    fn flush(&mut self, scope: &rayon::Scope<'a>, kind: TaskKind, batch: &mut Vec<PreparedTask>) {
+        let Some(first) = batch.first() else {
+            return;
+        };
         self.stats.batches += 1;
         // A batch is one kind: its first task's cost stands for all.
-        let task_flops = batch.first().map_or(0, |p| p.task.flops_rank_reduced());
-        let plan = self.split(kind, &batch, task_flops);
-        let gpu_ns = self.hand_over(scope, kind, task_flops, batch, plan);
+        let task_flops = first.task.flops_rank_reduced();
+        let plan = self.split(kind, batch, task_flops);
+        let gpu_ns = self.hand_over(scope, task_flops, batch, plan);
         let cpu_ns = self.cpu_time()(plan.cpu_tasks, task_flops).as_nanos();
         self.dispatcher
             .record(kind, (plan.cpu_tasks, cpu_ns), (plan.gpu_tasks, gpu_ns));
     }
 
-    /// The split batch to the pending run, whole: the first
-    /// `plan.cpu_tasks` are the CPU share (rank-reduced when reduction is
-    /// on), the rest the GPU share, priced here. Returns that price in
-    /// nanoseconds (0 for an empty share).
+    /// The split batch to the back of the pending run, which it leaves
+    /// empty: the first `plan.cpu_tasks` are the CPU share (rank-reduced
+    /// when reduction is on), the rest the GPU share, priced here. Returns
+    /// that price in nanoseconds. The batch that finds the run empty — a
+    /// kind's first — sets its grain. Commit order stays task order within
+    /// a kind — the exact pre-pipeline accumulation order (bit-identical
+    /// trees) — because `dispatch` spawns the run whole before another
+    /// kind joins it; otherwise only chunks that end between stack groups
+    /// go.
     fn hand_over(
         &mut self,
         scope: &rayon::Scope<'a>,
-        kind: TaskKind,
         task_flops: u64,
-        mut batch: Vec<PreparedTask>,
+        batch: &mut Vec<PreparedTask>,
         plan: SplitPlan,
     ) -> u64 {
         self.stats.cpu_tasks += plan.cpu_tasks as u64;
@@ -488,35 +480,13 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         let (cpu, gpu) = batch.split_at_mut(plan.cpu_tasks);
         let rank_reduced = self.config.rank_reduce_eps.is_some();
         cpu.iter_mut().for_each(|p| p.rank_reduced = rank_reduced);
-        let gpu_ns = if gpu.is_empty() {
-            0
-        } else {
-            self.gpu_share(gpu)
-        };
-        self.join(scope, kind, task_flops, &mut batch);
-        gpu_ns
-    }
-
-    /// `tasks` (one kind's, costing `task_flops` each) to the back of the
-    /// pending run, which they leave empty. Commit order stays task order
-    /// within a kind — the exact pre-pipeline accumulation order
-    /// (bit-identical trees) — because the pending run is spawned whole
-    /// before another kind joins it; otherwise only chunks that end
-    /// between stack groups go.
-    fn join(
-        &mut self,
-        scope: &rayon::Scope<'a>,
-        kind: TaskKind,
-        task_flops: u64,
-        tasks: &mut Vec<PreparedTask>,
-    ) {
-        if self.pending.kind != Some(kind) {
-            self.cpu_share(scope, true);
-            self.pending.kind = Some(kind);
+        let gpu_ns = self.gpu_share(gpu);
+        if self.pending.tasks.is_empty() {
             self.pending.task_flops = task_flops;
         }
-        self.pending.tasks.append(tasks);
+        self.pending.tasks.append(batch);
         self.cpu_share(scope, false);
+        gpu_ns
     }
 
     /// Split decision at batch-flush time, the runtime dispatcher's:
@@ -553,7 +523,7 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
             let len = chunk_len(&self.pending.tasks, self.pending.task_flops, whole);
             if len == self.pending.tasks.len() && !whole {
                 // Its last source, or the group that source may join,
-                // may go on in the next join.
+                // may go on in the next batch.
                 return;
             }
             let chunk: Vec<PreparedTask> = self.pending.tasks.drain(..len).collect();
@@ -616,7 +586,7 @@ const CHUNK_FLOPS: u64 = 1_000_000;
 /// for the group call that stacks them — the first group boundary at or
 /// past [`CHUNK_FLOPS`] of work, which is at most one group past the
 /// grain. Unless the run is `whole`, its last source may go on in the
-/// next join, so a group it may still join does not end. All of `tasks`
+/// next batch, so a group it may still join does not end. All of `tasks`
 /// when there is no such boundary.
 fn chunk_len(tasks: &[PreparedTask], task_flops: u64, whole: bool) -> usize {
     let grain = CHUNK_FLOPS.div_ceil(task_flops.max(1)).max(1);
@@ -883,14 +853,13 @@ mod tests {
         let commit = Commit::new(FunctionTree::new(1, 1));
         let mut rec = NullRecorder;
         let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
-        let kind = TaskKind::new(APPLY_OP_ID, 0);
         let minted = || commit.minted.load(Ordering::Relaxed);
         rayon::scope(|scope| {
             // Under the grain: the first flush's CPU share waits …
-            run.hand_over(scope, kind, 1, valued(&[1.0, 1e16]), SplitPlan::all_cpu(2));
+            run.hand_over(scope, 1, &mut valued(&[1.0, 1e16]), SplitPlan::all_cpu(2));
             assert_eq!((run.pending.tasks.len(), minted()), (2, 0));
             // … and a GPU share joins it behind, minting nothing.
-            run.hand_over(scope, kind, 1, valued(&[-1e16, 1.0]), SplitPlan::all_gpu(2));
+            run.hand_over(scope, 1, &mut valued(&[-1e16, 1.0]), SplitPlan::all_gpu(2));
             assert_eq!((run.pending.tasks.len(), minted()), (4, 0));
             run.cpu_share(scope, true);
             assert_eq!((run.pending.tasks.len(), minted()), (0, 1));
@@ -908,13 +877,12 @@ mod tests {
     }
 
     #[test]
-    fn a_pending_run_is_spawned_whole_on_a_change_of_kind() {
+    fn a_kinds_first_batch_sets_the_pending_runs_grain() {
         let op = SeparatedConvolution::gaussian_sum(1, 1, 1, 1.0, 1.0);
         let config = config(ApplyResource::Adaptive);
         let commit = Commit::new(FunctionTree::new(1, 1));
         let mut rec = NullRecorder;
         let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
-        let (a, b) = (TaskKind::new(APPLY_OP_ID, 2), TaskKind::new(APPLY_OP_ID, 3));
         // A grain of 10 tasks over sources of 27 whose task lists differ:
         // chunks end only where the source changes, and the last source
         // waits for more.
@@ -925,18 +893,25 @@ mod tests {
             cpu_tasks: 40,
             gpu_tasks: 41,
         };
+        let pending = |run: &ApplyRun<'_, NullRecorder>| {
+            let p = &run.pending;
+            (p.task_flops, p.tasks.len(), run.stats.chunks)
+        };
         rayon::scope(|scope| {
-            run.hand_over(scope, a, grain_10, tasks_of(&[27, 27, 27]), split);
-            assert_eq!((run.pending.tasks.len(), run.stats.chunks), (27, 2));
-            // Another kind: the run goes whole, under its own grain, and
-            // the new kind's tasks open a run with theirs.
-            run.hand_over(scope, b, 1, tasks_of(&[2, 3]), SplitPlan::all_gpu(5));
-            assert_eq!((run.pending.kind, run.pending.task_flops), (Some(b), 1));
-            assert_eq!((run.pending.tasks.len(), run.stats.chunks), (5, 3));
+            run.hand_over(scope, grain_10, &mut tasks_of(&[27, 27, 27]), split);
+            assert_eq!(pending(&run), (grain_10, 27, 2));
+            // A later batch of the kind keeps the grain …
+            run.hand_over(scope, 1, &mut tasks_of(&[27]), SplitPlan::all_gpu(27));
+            assert_eq!(pending(&run), (grain_10, 27, 3));
+            // … until `dispatch`'s change of kind spawns the run whole:
+            // the next kind's first batch opens a run under its own.
+            run.cpu_share(scope, true);
+            run.hand_over(scope, 1, &mut tasks_of(&[2, 3]), SplitPlan::all_gpu(5));
+            assert_eq!(pending(&run), (1, 5, 4));
             run.cpu_share(scope, true);
         });
-        assert_eq!((run.stats.cpu_tasks, run.stats.gpu_tasks), (40, 46));
-        assert_eq!(run.stats.chunks, 4);
+        assert_eq!((run.stats.cpu_tasks, run.stats.gpu_tasks), (40, 73));
+        assert_eq!(run.stats.chunks, 5);
     }
 
     /// One `Adaptive` probe flush teaches the dispatcher both shares'
@@ -952,7 +927,7 @@ mod tests {
         let mut run = ApplyRun::new(&op, &config, &mut rec, &commit);
         let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] * k + ix[2]) as f64);
         let s = Some(Arc::new(s));
-        let tasks: Vec<PreparedTask> = (0..4)
+        let mut tasks: Vec<PreparedTask> = (0..4)
             .map(|l| PreparedTask {
                 neighbor: Key::new(2, &[l, 0, 0]),
                 task: TransformTask {
@@ -974,7 +949,7 @@ mod tests {
             .as_nanos();
         let kind = TaskKind::new(APPLY_OP_ID, 2);
         rayon::scope(|scope| {
-            run.flush(scope, kind, tasks);
+            run.flush(scope, kind, &mut tasks);
             run.cpu_share(scope, true);
         });
         assert_eq!((run.stats.cpu_tasks, run.stats.gpu_tasks), (2, 2));
@@ -1048,7 +1023,7 @@ mod tests {
         // CPU share, rank-reduced, the last two the device's, exact.
         let s = Tensor::from_fn(Shape::cube(d, k), |ix| (1 + ix[0] * k + ix[1]) as f64);
         let s = Some(Arc::new(s));
-        let tasks: Vec<PreparedTask> = (0..4)
+        let mut tasks: Vec<PreparedTask> = (0..4)
             .map(|l| PreparedTask {
                 neighbor: Key::new(2, &[l, 0]),
                 task: TransformTask {
@@ -1078,7 +1053,7 @@ mod tests {
             gpu_tasks: 2,
         };
         rayon::scope(|scope| {
-            run.hand_over(scope, TaskKind::new(APPLY_OP_ID, 2), 1, tasks, split);
+            run.hand_over(scope, 1, &mut tasks, split);
             run.cpu_share(scope, true);
         });
         assert_eq!(run.stats.chunks, 1);
