@@ -3,10 +3,10 @@
 //! one source's displacement tasks run side by side (the walk), and when
 //! same-level sources with identical task lists are stacked as well (the
 //! batched pass), against the same pass with every task alone — on the
-//! `Cpu`, `Gpu` and `Hybrid` paths, which run one job stream: the split
-//! only prices, so the device arms issue the `Cpu` pass's spans wherever
-//! their batcher's end-of-run drain cuts no stack group. A count, not a
-//! time — it repeats exactly, whatever the pool does.
+//! `Cpu`, `Gpu`, `Hybrid` and `Adaptive` paths, which cut their batches
+//! in task order and run one job stream: the split only prices, so every
+//! arm issues the `Cpu` pass's spans at every `max_batch`. A count, not
+//! a time — it repeats exactly, whatever the pool does.
 //! Runs as its own integration binary (and as one test) because it
 //! flips the process-wide kernel table's counting switch.
 
@@ -71,18 +71,6 @@ const STACKED: u64 = STACKED_LEADING + FANS;
 /// (on the calibrated (16, 4) shape, like the Apply's) — the 8 children
 /// are 4 fans of two, siblings in the last dimension.
 const SUM_DOWN: u64 = 144 * (2 + 4 + 4);
-/// The device arms' batched pass at `max_batch = 60`, `sum_down`
-/// included (`Cpu` skips the batcher, so it runs `STACKED + SUM_DOWN` at
-/// every `max_batch`): their end-of-run drain hands over each level's
-/// remainder after the next level has started, so the pending run is
-/// spawned whole wherever that remainder begins. One cut lands inside
-/// the last source of a group of eight interior sources, after its 15th
-/// task: between the `(0, 0)` and `(0, 1)` triples of `δx = 0`, so no
-/// fan splits, and its two parts run one leading pass a term more than
-/// it does whole (pass 0 at `δx = 0`, once in each), while the rest of
-/// its group runs the list's 12 again without it. The other cuts a corner source between its `δx` halves,
-/// which costs none; at 16 the cuts happen to cost none.
-const BATCH_60: u64 = STACKED + SUM_DOWN + (1 + 12) * 34;
 // The control is arithmetic — every task alone — and sharing saves more
 // than three quarters of it; before fans each task had its own final
 // span. Stacking saves two thirds of what is left.
@@ -189,8 +177,8 @@ fn a_sources_tasks_share_their_leading_passes() {
     // term, a corner source 2 + 4 of 2 × 8 — and the walk, one source at
     // a time, runs exactly those. The batched pass stacks: chunks span
     // flushes and are cut only between stack groups, so one task a batch
-    // shares exactly as much as sixteen do; `Cpu` has no flush, and no
-    // drain holds a level's remainder back. The dispatcher thread alone
+    // shares exactly as much as sixteen do, and a level's last batch is
+    // flushed before the next level starts. The dispatcher thread alone
     // cuts the chunks, so the values hold under any pool.
     let walk = dispatches(table, || drop(apply_cpu_reference(&op, &tree)));
     assert_eq!(walk, APPLY + SUM_DOWN);
@@ -201,12 +189,15 @@ fn a_sources_tasks_share_their_leading_passes() {
     assert_eq!([b1, b16, b60], [STACKED + SUM_DOWN; 3]);
 
     // The device's share is only priced: its tasks join the same pending
-    // run in task order, so neither a flush nor a split cuts a group —
-    // only the drain's kind switch does, at 60.
-    let gpu = [1, 16, 60].map(|b| batched_on(ApplyResource::Gpu, b).0);
-    assert_eq!(gpu, [STACKED + SUM_DOWN, STACKED + SUM_DOWN, BATCH_60]);
-    let hybrid = [16, 60].map(|b| batched_on(ApplyResource::Hybrid, b).0);
-    assert_eq!(hybrid, [STACKED + SUM_DOWN, BATCH_60]);
+    // run in task order, so neither a flush nor a split cuts a group.
+    for resource in [
+        ApplyResource::Gpu,
+        ApplyResource::Hybrid,
+        ApplyResource::Adaptive,
+    ] {
+        let device = [1, 16, 60].map(|b| batched_on(resource, b).0);
+        assert_eq!(device, [STACKED + SUM_DOWN; 3], "{resource:?}");
+    }
 
     // Blocks are told apart by address: a second task over the same
     // three `&Tensor`s adds no span (it holds every slot, so it fans with
