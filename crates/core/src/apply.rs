@@ -962,51 +962,6 @@ mod tests {
         );
     }
 
-    /// `Cpu` flushes nothing, yet reports the batches the flush policy
-    /// forms — the device arms' count, `Σ ⌈n_kind ⁄ max_batch⌉` — and
-    /// marking its tasks rank-reduced changes none of its task counts.
-    #[test]
-    fn a_cpu_pass_counts_the_batches_the_flush_policy_forms() {
-        let app = CoulombApp::small(4, 1e-3);
-        let mut per_kind: BTreeMap<u8, u64> = BTreeMap::new();
-        for (key, _) in sources(&app.tree) {
-            let displacements = app.op.displacements_at(key.level());
-            let live = displacements
-                .iter()
-                .filter(|disp| key.neighbor(&disp.delta).is_some());
-            *per_kind.entry(key.level()).or_default() += live.count() as u64;
-        }
-        assert!(per_kind.len() > 1, "one kind would not test the sum");
-        let total: u64 = per_kind.values().sum();
-        let run = |resource, max_batch, rank_reduce_eps| {
-            let config = ApplyConfig {
-                batch: BatcherConfig {
-                    max_batch,
-                    ..BatcherConfig::default()
-                },
-                rank_reduce_eps,
-                ..config(resource)
-            };
-            apply_batched(&app.op, &app.tree, &config).1
-        };
-        for max_batch in [1, 16, 60] {
-            let formed: u64 = per_kind
-                .values()
-                .map(|n| n.div_ceil(max_batch as u64))
-                .sum();
-            let cpu = run(ApplyResource::Cpu, max_batch, None);
-            let gpu = run(ApplyResource::Gpu, max_batch, None);
-            assert_eq!((cpu.batches, gpu.batches), (formed, formed), "b{max_batch}");
-            assert_eq!((cpu.tasks, cpu.cpu_tasks, cpu.gpu_tasks), (total, total, 0));
-        }
-        let exact = run(ApplyResource::Cpu, 16, None);
-        let reduced = run(ApplyResource::Cpu, 16, Some(1e-2));
-        assert_eq!(
-            (reduced.tasks, reduced.cpu_tasks, reduced.batches),
-            (exact.tasks, exact.cpu_tasks, exact.batches)
-        );
-    }
-
     #[test]
     fn a_chunk_runs_each_task_under_its_own_rank_reduction_flag() {
         let (d, k) = (2, 6);
