@@ -135,8 +135,8 @@ pub struct ApplyStats {
 struct PreparedTask {
     neighbor: Key,
     task: TransformTask,
-    /// Set by the split: a CPU-share task with rank reduction in force. The device's share stays exact
-    /// (paper §II-D).
+    /// Set by the split: a CPU-share task with rank reduction in force.
+    /// The device's share stays exact (paper §II-D).
     rank_reduced: bool,
 }
 
@@ -462,12 +462,11 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     /// The split batch to the back of the pending run, which it leaves
     /// empty: the first `plan.cpu_tasks` are the CPU share (rank-reduced
     /// when reduction is on), the rest the GPU share, priced here. Returns
-    /// that price in nanoseconds. The batch that finds the run empty — a
-    /// kind's first — sets its grain. Commit order stays task order within
-    /// a kind — the exact pre-pipeline accumulation order (bit-identical
-    /// trees) — because `dispatch` spawns the run whole before another
-    /// kind joins it; otherwise only chunks that end between stack groups
-    /// go.
+    /// that price in nanoseconds. A batch that finds the run empty — a
+    /// kind's first, since `dispatch` spawns the run whole on a change of
+    /// kind — sets the run's grain. Commit order stays task order, the
+    /// exact pre-pipeline accumulation order (bit-identical trees); only
+    /// chunks that end between stack groups go.
     fn hand_over(
         &mut self,
         scope: &rayon::Scope<'a>,

@@ -88,9 +88,8 @@ impl Default for BatcherConfig {
 /// * **drain** — [`Batcher::drain`] emptied the remainder at shutdown
 ///   (end-of-run leftovers are *not* timer expiries).
 ///
-/// Pending kinds are few (a serving node holds about two, a device arm
-/// one per tree level), so they sit in a short vector kept in kind
-/// order: a push binary-searches it, and both flushes hand batches out
+/// Pending kinds are few (a serving node holds about two), so they sit
+/// in a short vector kept in kind order: a push binary-searches it, and both flushes hand batches out
 /// in kind order straight off it.
 #[derive(Debug)]
 pub struct Batcher<T> {
