@@ -537,9 +537,10 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
     /// nanoseconds (0 for an empty share); its arithmetic rides the
     /// pending run.
     fn gpu_share(&mut self, tasks: &[PreparedTask]) -> u64 {
+        let priced: Vec<TransformTask> = tasks.iter().map(|p| p.task.clone()).collect();
         let out = self
             .device
-            .execute_batch(tasks, self.kernel, ExecMode::Timing);
+            .execute_batch(&priced, self.kernel, ExecMode::Timing);
         out.time.as_nanos()
     }
 
@@ -941,8 +942,9 @@ mod tests {
         let task_flops = tasks[0].task.flops_rank_reduced();
         let cpu_ns = run.cpu_time()(2, task_flops).as_nanos();
         // The probe's GPU half, priced on a device as fresh as the run's.
+        let gpu: Vec<TransformTask> = tasks[2..].iter().map(|p| p.task.clone()).collect();
         let gpu_ns = GpuDevice::new(madness_gpusim::DeviceSpec::default(), config.streams)
-            .execute_batch(&tasks[2..], run.kernel, ExecMode::Timing)
+            .execute_batch(&gpu, run.kernel, ExecMode::Timing)
             .time
             .as_nanos();
         let kind = TaskKind::new(APPLY_OP_ID, 2);

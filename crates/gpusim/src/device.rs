@@ -9,7 +9,6 @@ use crate::transfer::TransferEngine;
 use madness_faults::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, TaskError};
 use madness_tensor::{Tensor, Workspace};
 use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
-use std::borrow::Borrow;
 use std::iter::repeat_n;
 use std::sync::Arc;
 
@@ -228,12 +227,9 @@ impl GpuDevice {
     /// 3. launch one kernel per task (custom) or per GEMM (cuBLAS-like),
     ///    scheduled greedily over the streams,
     /// 4. transfer results back (one DMA).
-    ///
-    /// `tasks` may be borrowed out of larger records, as
-    /// [`execute_tasks`] and [`crate::kernel::stack_groups`] take them.
-    pub fn execute_batch<T: Borrow<TransformTask>>(
+    pub fn execute_batch(
         &mut self,
-        tasks: &[T],
+        tasks: &[TransformTask],
         kind: KernelKind,
         mode: ExecMode,
     ) -> BatchOutcome {
@@ -265,9 +261,9 @@ impl GpuDevice {
     /// fault is journaled through `rec` as a [`FaultEvent`]. An inert
     /// injector ([`FaultPlan::none`]) answers "no fault" to every query,
     /// which is how `execute_batch` runs.
-    pub fn execute_batch_injected<T: Borrow<TransformTask>, R: Recorder>(
+    pub fn execute_batch_injected<R: Recorder>(
         &mut self,
-        tasks: &[T],
+        tasks: &[TransformTask],
         kind: KernelKind,
         mode: ExecMode,
         batch_start: SimTime,
@@ -294,7 +290,7 @@ impl GpuDevice {
         }
 
         // --- transfers in ---------------------------------------------
-        br.bytes_s = tasks.iter().map(|t| t.borrow().s_bytes()).sum();
+        br.bytes_s = tasks.iter().map(|t| t.s_bytes()).sum();
         br.transfer_in_s = self.engine.transfer_time(br.bytes_s, self.pinned);
         let (hits0, misses0, evictions0) = self.cache.stats();
         // Consecutive tasks applying one term table (the same `Arc`, as
@@ -305,11 +301,10 @@ impl GpuDevice {
         // kernel time, so both are worked out once per run. Faults,
         // stream scheduling and journaling below stay per task.
         let mut costs = Vec::with_capacity(n);
-        for run in tasks.chunk_by(|a, b| {
-            let (a, b) = (a.borrow(), b.borrow());
-            Arc::ptr_eq(&a.terms, &b.terms) && (a.d, a.k) == (b.d, b.k)
-        }) {
-            let head = run[0].borrow();
+        for run in
+            tasks.chunk_by(|a, b| Arc::ptr_eq(&a.terms, &b.terms) && (a.d, a.k) == (b.d, b.k))
+        {
+            let head = &run[0];
             br.bytes_h += self.cache.ensure_batch_repeated(
                 head.h_ids(),
                 head.h_block_bytes(),
@@ -417,7 +412,7 @@ impl GpuDevice {
         let launched = |i: usize| !failed.iter().any(|&(j, _)| j == i);
         br.bytes_out = (0..n)
             .filter(|&i| launched(i))
-            .map(|i| tasks[i].borrow().s_bytes())
+            .map(|i| tasks[i].s_bytes())
             .sum();
         br.transfer_out = self.engine.transfer_time(br.bytes_out, self.pinned);
         if R::ENABLED {
@@ -446,11 +441,9 @@ impl GpuDevice {
         let results: Vec<Option<Tensor>> = match mode {
             ExecMode::Timing => vec![None; n],
             ExecMode::Full => {
-                let computes = |i: usize| launched(i) && tasks[i].borrow().s.is_some();
-                let live: Vec<&TransformTask> = (0..n)
-                    .filter(|&i| computes(i))
-                    .map(|i| tasks[i].borrow())
-                    .collect();
+                let computes = |i: usize| launched(i) && tasks[i].s.is_some();
+                let live: Vec<&TransformTask> =
+                    (0..n).filter(|&i| computes(i)).map(|i| &tasks[i]).collect();
                 let mut rs =
                     Workspace::with(|ws| execute_tasks(&live, false, ws.scratch())).into_iter();
                 (0..n)
@@ -495,8 +488,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_free() {
-        let none: &[TransformTask] = &[];
-        let out = device(5).execute_batch(none, KernelKind::CustomMtxmq, ExecMode::Timing);
+        let out = device(5).execute_batch(&[], KernelKind::CustomMtxmq, ExecMode::Timing);
         assert_eq!(out.time, SimTime::ZERO);
         assert!(out.results.is_empty());
     }
