@@ -914,6 +914,26 @@ mod tests {
         assert_eq!(run.stats.chunks, 5);
     }
 
+    #[test]
+    fn a_pass_spawns_each_kind_apart() {
+        // Leaves on two levels whose tasks together are far under one
+        // grain: only `dispatch`'s change of kind cuts the pass in two.
+        let op = SeparatedConvolution::gaussian_sum(1, 2, 1, 1.0, 1.0);
+        let mut tree = FunctionTree::new(1, 2);
+        for key in [Key::new(1, &[0]), Key::new(2, &[2]), Key::new(2, &[3])] {
+            tree.insert(key, Node::leaf(Tensor::full(Shape::cube(1, 2), 1.0)));
+        }
+        for resource in [
+            ApplyResource::Cpu,
+            ApplyResource::Gpu,
+            ApplyResource::Hybrid,
+            ApplyResource::Adaptive,
+        ] {
+            let (_, stats) = apply_batched(&op, &tree, &config(resource));
+            assert_eq!((stats.batches, stats.chunks), (2, 2), "{resource:?}");
+        }
+    }
+
     /// One `Adaptive` probe flush teaches the dispatcher both shares'
     /// simulated prices: `m̂` is the `CpuModel`'s per CPU task, `n̂` the
     /// device's `Timing` price per GPU task, each floored at 50 ns.

@@ -12,7 +12,9 @@
 //!   `Gpu` nothing on the host);
 //! - `batches = Σ ⌈n_kind ⁄ max_batch⌉` on every arm, a kind being a tree
 //!   level, since every arm cuts its batches in task order;
-//! - `chunks ≥ 1`.
+//! - `chunks ≥` the number of levels with tasks, and `≥ 1`: a level's
+//!   tasks are spawned whole before the next level's start, so no chunk
+//!   holds two kinds.
 //!
 //! (`CoulombApp::synthetic` trees carry no coefficients, so they would
 //! compare nothing.) CI runs it under `RAYON_NUM_THREADS=1` as well, and
@@ -106,6 +108,8 @@ proptest! {
         }
         let formed: u64 = per_level.values().map(|n| n.div_ceil(max_batch as u64)).sum();
         prop_assert_eq!(stats.batches, formed);
+        let kinds = per_level.values().filter(|&&n| n > 0).count();
+        prop_assert!(stats.chunks >= kinds as u64);
         prop_assert!(stats.chunks >= 1);
     }
 }
