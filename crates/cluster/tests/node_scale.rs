@@ -15,7 +15,11 @@
 //! 48–51 (0.10 s), 40–41 → 40–42 (0.08 s), 82 → 442–473 (0.88–0.95 s).
 //! After the device's stream-window list went (four runs on a
 //! shared host): 56–91 → 50–91, 43–78 → 43–79, 41–77 → 43–71
-//! (0.09–0.18 s each).
+//! (0.09–0.18 s each). On an AVX-512F host (two runs each), before
+//! the device remembered resident term tables: 41 → 41 (0.08 s),
+//! 34 → 34 (0.07 s), 34–35 → 35 (0.07 s); after it, with no walk of the
+//! 300 block ids a flush once the table is resident: 26 → 27 (0.05 s),
+//! 21 → 21 (0.04 s), 21 → 21 (0.04 s).
 //!
 //! Wall-clock assertions do not belong in the default test run:
 //!

@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// only probed — eviction order is the FIFO's — so nothing observable
 /// depends on hash order.
 #[derive(Clone, Copy, Debug, Default)]
-struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -118,6 +118,12 @@ impl DeviceHCache {
             }
         }
         bytes
+    }
+
+    /// Counts `n` hits on blocks the caller knows are resident, as
+    /// asking for each would.
+    pub(crate) fn count_hits(&mut self, n: u64) {
+        self.hits += n;
     }
 
     /// True if `id` is currently resident.

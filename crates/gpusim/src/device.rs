@@ -1,14 +1,16 @@
 //! The simulated GPU device: streams, transfers, cache, batch execution.
 
-use crate::cache::DeviceHCache;
+use crate::cache::{DeviceHCache, IdHasher};
 use crate::clock::SimTime;
 use crate::kernel::{execute_tasks, kernel_cost, KernelKind};
 use crate::spec::DeviceSpec;
-use crate::task::TransformTask;
+use crate::task::{TransformTask, TransformTerm};
 use crate::transfer::TransferEngine;
 use madness_faults::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, TaskError};
 use madness_tensor::{Tensor, Workspace};
 use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::iter::repeat_n;
 use std::sync::Arc;
 
@@ -129,6 +131,12 @@ pub struct GpuDevice {
     spec: DeviceSpec,
     engine: TransferEngine,
     cache: DeviceHCache,
+    /// Term tables a cache walk left wholly resident, by address, each
+    /// with its block count. Holding the `Arc` keeps the address from
+    /// passing to another table. Residency shrinks only by an eviction
+    /// or a clear, and either drops the whole memo, so every table in
+    /// it is still wholly resident.
+    resident_tables: HashMap<u64, (Arc<Vec<TransformTerm>>, u64), BuildHasherDefault<IdHasher>>,
     streams: usize,
     pinned: bool,
     /// True after a device-lost fault fired; every batch fails with
@@ -149,6 +157,7 @@ impl GpuDevice {
         GpuDevice {
             engine: TransferEngine::new(&spec),
             cache: DeviceHCache::new(spec.device_mem_bytes),
+            resident_tables: HashMap::default(),
             streams,
             pinned: true,
             lost: false,
@@ -178,7 +187,7 @@ impl GpuDevice {
 
     /// Clears device state between runs.
     pub fn reset(&mut self) {
-        self.cache.clear();
+        self.clear_cache();
         self.lost = false;
     }
 
@@ -194,7 +203,44 @@ impl GpuDevice {
     /// instant retry) is the right recovery shape.
     pub fn revive(&mut self) {
         self.lost = false;
+        self.clear_cache();
+    }
+
+    /// Empties the cache and forgets every remembered table with it.
+    fn clear_cache(&mut self) {
         self.cache.clear();
+        self.resident_tables.clear();
+    }
+
+    /// Asks the cache for the blocks of `run` — tasks on one term table
+    /// — as that many tasks in a row would; returns the bytes to
+    /// transfer. A table the memo holds is counted as hits without a
+    /// walk; a walk that evicted nothing adds its table to the memo, one
+    /// that evicted drops the memo.
+    fn ensure_run(&mut self, run: &[TransformTask]) -> u64 {
+        let head = &run[0];
+        let repeats = run.len() as u64;
+        let key = Arc::as_ptr(&head.terms) as u64;
+        if let Some(&(_, len)) = self.resident_tables.get(&key) {
+            debug_assert!(
+                head.h_ids().all(|id| self.cache.contains(id)),
+                "a remembered term table has an evicted block"
+            );
+            self.cache.count_hits(len * repeats);
+            return 0;
+        }
+        let evictions0 = self.cache.stats().2;
+        let bytes = self
+            .cache
+            .ensure_batch_repeated(head.h_ids(), head.h_block_bytes(), repeats);
+        if self.cache.stats().2 == evictions0 {
+            let len = head.terms.iter().map(|t| t.hs.len() as u64).sum();
+            self.resident_tables
+                .insert(key, (Arc::clone(&head.terms), len));
+        } else {
+            self.resident_tables.clear();
+        }
+        bytes
     }
 
     /// Maximum kernels that can run concurrently given per-kernel SM
@@ -304,13 +350,8 @@ impl GpuDevice {
         for run in
             tasks.chunk_by(|a, b| Arc::ptr_eq(&a.terms, &b.terms) && (a.d, a.k) == (b.d, b.k))
         {
-            let head = &run[0];
-            br.bytes_h += self.cache.ensure_batch_repeated(
-                head.h_ids(),
-                head.h_block_bytes(),
-                run.len() as u64,
-            );
-            costs.extend(repeat_n(kernel_cost(&self.spec, kind, head), run.len()));
+            br.bytes_h += self.ensure_run(run);
+            costs.extend(repeat_n(kernel_cost(&self.spec, kind, &run[0]), run.len()));
         }
         br.transfer_in_h = self.engine.transfer_time(br.bytes_h, self.pinned);
         if inj.transfer(t0).is_some() {

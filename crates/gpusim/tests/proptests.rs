@@ -17,10 +17,9 @@ fn kinds() -> impl Strategy<Value = KernelKind> {
 
 /// A batch for the run-sharing oracle: each `(pick, len)` is `len`
 /// consecutive tasks on one of five term tables, chosen to hit every
-/// way a run can begin, end or be refused.
-fn run_batch(picks: &[(usize, usize)]) -> Vec<TransformTask> {
-    let a = TransformTask::shape_only(3, 10, 7, 0);
-    let b = TransformTask::shape_only_rr(3, 10, 5, 1, 4);
+/// way a run can begin, end or be refused. Batches built on the same
+/// `a` and `b` share those two tables, as a device's flushes do.
+fn run_batch(a: &TransformTask, b: &TransformTask, picks: &[(usize, usize)]) -> Vec<TransformTask> {
     let mut batch = Vec::new();
     for &(pick, len) in picks {
         let task = match pick {
@@ -40,10 +39,25 @@ fn run_batch(picks: &[(usize, usize)]) -> Vec<TransformTask> {
     batch
 }
 
-/// Runs `batch` twice on one device (the second pass meets the cache
-/// the first one left) and returns everything observable.
+/// `batch` with every task's term table deep-cloned into an allocation
+/// of its own.
+fn unshared(batch: &[TransformTask]) -> Vec<TransformTask> {
+    batch
+        .iter()
+        .map(|t| TransformTask {
+            terms: Arc::new(t.terms.as_ref().clone()),
+            ..t.clone()
+        })
+        .collect()
+}
+
+/// Runs the batches in turn on one device, each `prepare`d just before
+/// it runs and after its drawn step (2: `reset()`, 3: `revive()`, else
+/// nothing), so each meets the cache the ones before it left; returns
+/// everything observable.
 fn observe(
-    batch: &[TransformTask],
+    steps: &[(u8, Vec<TransformTask>)],
+    prepare: fn(&[TransformTask]) -> Vec<TransformTask>,
     kind: KernelKind,
     streams: usize,
     mem: u64,
@@ -59,17 +73,32 @@ fn observe(
     let mut inj = FaultInjector::new(plan);
     let mut rec = MemRecorder::new();
     let mut outcomes = Vec::new();
-    for start in [SimTime::ZERO, SimTime::from_millis(500)] {
-        let out =
-            dev.execute_batch_injected(batch, kind, ExecMode::Timing, start, &mut rec, &mut inj);
-        outcomes.push((out.time, out.breakdown, out.failed));
+    for (i, (step, batch)) in steps.iter().enumerate() {
+        match step {
+            2 => dev.reset(),
+            3 => dev.revive(),
+            _ => {}
+        }
+        let start = SimTime::from_millis(500 * i as u64);
+        let out = dev.execute_batch_injected(
+            &prepare(batch),
+            kind,
+            ExecMode::Timing,
+            start,
+            &mut rec,
+            &mut inj,
+        );
+        let cache = dev.cache();
+        outcomes.push((
+            out.time,
+            out.breakdown,
+            out.failed,
+            cache.stats(),
+            cache.bytes_used(),
+            cache.len(),
+        ));
     }
-    let cache = dev.cache();
-    (
-        outcomes,
-        (cache.stats(), cache.bytes_used(), cache.len()),
-        rec,
-    )
+    (outcomes, rec)
 }
 
 proptest! {
@@ -152,15 +181,23 @@ proptest! {
         prop_assert_eq!(dev.cache().bytes_used(), misses * 800);
     }
 
-    /// Sharing-blind oracle for the device's run detection: a batch must
-    /// behave exactly like a copy whose every task owns a deep clone of
-    /// its term table (no two tasks share an allocation, so every run
-    /// has length 1 and every task walks the cache and prices its own
-    /// kernel) — outcome, cache state and journal, under tight device
-    /// memory and launch faults included.
+    /// Sharing-blind oracle for the device's run detection and its
+    /// memo of resident term tables: a sequence of batches on one
+    /// device must behave exactly like a copy in which every task of
+    /// every batch owns a fresh deep clone of its term table (no two
+    /// tasks share an allocation and no table comes back, so every run
+    /// has length 1, the memo never answers, and every task walks the
+    /// cache and prices its own kernel) — outcome, cache state and
+    /// journal after each batch, under tight device memory, launch
+    /// faults, and a `reset()` or `revive()` between batches included.
+    /// The tight budgets make the tables evict one another, so a table
+    /// the memo held comes back after another evicted its blocks.
     #[test]
     fn run_sharing_is_unobservable(
-        picks in proptest::collection::vec((0usize..5, 1usize..6), 1..8),
+        steps in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((0usize..5, 1usize..6), 1..8)),
+            3..6,
+        ),
         kind in kinds(),
         streams in 1usize..7,
         // 6 GB; 10 blocks (no table fits: a task evicts its own
@@ -173,17 +210,15 @@ proptest! {
         let plan = FaultPlan::seeded(seed)
             .with_launch_fail_rate(launch_fail_rate)
             .with_stream_stalls(launch_fail_rate, 40_000);
-        let shared = run_batch(&picks);
-        let unshared: Vec<TransformTask> = shared
+        let a = TransformTask::shape_only(3, 10, 7, 0);
+        let b = TransformTask::shape_only_rr(3, 10, 5, 1, 4);
+        let steps: Vec<(u8, Vec<TransformTask>)> = steps
             .iter()
-            .map(|t| TransformTask {
-                terms: Arc::new(t.terms.as_ref().clone()),
-                ..t.clone()
-            })
+            .map(|(step, picks)| (*step, run_batch(&a, &b, picks)))
             .collect();
         prop_assert_eq!(
-            observe(&shared, kind, streams, mem, &plan),
-            observe(&unshared, kind, streams, mem, &plan)
+            observe(&steps, <[TransformTask]>::to_vec, kind, streams, mem, &plan),
+            observe(&steps, unshared, kind, streams, mem, &plan)
         );
     }
 
