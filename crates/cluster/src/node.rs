@@ -658,19 +658,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     /// size trigger at a `full` batch; the end-of-run remainder is a
     /// shutdown drain, not a timer expiry.
     fn preprocess(&mut self, b: u64, full: bool) -> SimTime {
-        let mut release = SimTime::ZERO;
-        for _ in 0..b {
-            let (lane, start, end) = self.data_res.serve_on(SimTime::ZERO, self.pre_each);
-            if R::ENABLED {
-                self.rec.span(
-                    Stage::Preprocess,
-                    start.as_nanos(),
-                    end.as_nanos(),
-                    lane as u32,
-                );
-            }
-            release = release.max(end);
-        }
+        let release = self.data_lanes(Stage::Preprocess, SimTime::ZERO, self.pre_each, b);
         if R::ENABLED {
             self.rec.record(Event::Point(Point {
                 stage: Stage::Batch,
@@ -895,19 +883,21 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     /// Postprocess accumulations on the data lanes, each share's from
     /// when its compute finished.
     fn postprocess(&mut self) {
-        for &(release, count) in &self.post_release {
-            for _ in 0..count {
-                let (lane, start, end) = self.data_res.serve_on(release, self.post_each);
-                if R::ENABLED {
-                    self.rec.span(
-                        Stage::Postprocess,
-                        start.as_nanos(),
-                        end.as_nanos(),
-                        lane as u32,
-                    );
-                }
-            }
+        for (release, count) in std::mem::take(&mut self.post_release) {
+            self.data_lanes(Stage::Postprocess, release, self.post_each, count);
         }
+    }
+
+    /// Books `n` items of `each` released at `release` on the data lanes,
+    /// journaling one `stage` span an item; returns when the last ends.
+    fn data_lanes(&mut self, stage: Stage, release: SimTime, each: SimTime, n: u64) -> SimTime {
+        let rec = &mut *self.rec;
+        self.data_res
+            .serve_many(release, each, n, |lane, start, end| {
+                if R::ENABLED {
+                    rec.span(stage, start.as_nanos(), end.as_nanos(), lane as u32);
+                }
+            })
     }
 
     /// Journals a recovery action under the most recent fault cause.
