@@ -19,7 +19,13 @@
 //! the device remembered resident term tables: 41 → 41 (0.08 s),
 //! 34 → 34 (0.07 s), 34–35 → 35 (0.07 s); after it, with no walk of the
 //! 300 block ids a flush once the table is resident: 26 → 27 (0.05 s),
-//! 21 → 21 (0.04 s), 21 → 21 (0.04 s).
+//! 21 → 21 (0.04 s), 21 → 21 (0.04 s). On a busier AVX-512F host (two
+//! runs each, alternating), before the data lanes were booked in closed
+//! form: 53 → 44 and 42 → 51 (0.09–0.10 s), 42 → 41 and 37 → 39
+//! (0.08 s), 43 → 36 and 39 → 40 (0.07–0.08 s); after it, with one
+//! `FifoResource::serve_many` call for a flush's preprocess and one a
+//! share for postprocess: 28 → 32 and 38 → 39 (0.06–0.08 s), 26 → 17
+//! and 27 → 18 (0.03–0.04 s), 17 → 20 and 25 → 27 (0.04–0.05 s).
 //!
 //! Wall-clock assertions do not belong in the default test run:
 //!
