@@ -111,8 +111,7 @@ impl<E> Default for Des<E> {
     }
 }
 
-/// Lanes that [`FifoResource::serve_many`] orders on the stack; a wider
-/// resource serves its items one at a time.
+/// Most lanes [`FifoResource::serve_many`] orders on the stack.
 const ROUND_LANES: usize = 16;
 
 /// A FIFO resource with `capacity` identical lanes (greedy assignment:
@@ -175,6 +174,10 @@ impl FifoResource {
     /// within one `duration` of each other, or all free by `release`,
     /// get there within one item a lane, so such a call costs at most
     /// O(lanes²) whatever `n`, plus the sink's calls.
+    ///
+    /// # Panics
+    /// Panics if the resource has more than 16 lanes (its keys are
+    /// sorted on the stack).
     pub fn serve_many(
         &mut self,
         release: SimTime,
@@ -182,7 +185,11 @@ impl FifoResource {
         n: u64,
         sink: impl FnMut(usize, SimTime, SimTime),
     ) -> SimTime {
-        if cfg!(debug_assertions) && self.lanes.len() <= ROUND_LANES {
+        assert!(
+            self.lanes.len() <= ROUND_LANES,
+            "serve_many takes at most {ROUND_LANES} lanes"
+        );
+        if cfg!(debug_assertions) {
             return self.serve_many_checked(release, duration, n, sink);
         }
         self.serve_rounds(release, duration, n, sink)
@@ -233,13 +240,6 @@ impl FifoResource {
         mut sink: impl FnMut(usize, SimTime, SimTime),
     ) -> SimTime {
         let c = self.lanes.len();
-        if c > ROUND_LANES {
-            return (0..n).fold(release, |end, _| {
-                let (lane, start, e) = self.serve_on(release, duration);
-                sink(lane, start, e);
-                end.max(e)
-            });
-        }
         let mut keys = [(SimTime::ZERO, 0u8); ROUND_LANES];
         let keys = &mut keys[..c];
         for (key, (&free, i)) in keys.iter_mut().zip(self.lanes.iter().zip(0u8..)) {
@@ -438,6 +438,13 @@ mod tests {
         }
         assert_eq!(r.makespan(), d * 2); // 8 items / 4 lanes
         assert!((r.utilization() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 lanes")]
+    fn serve_many_refuses_a_wider_resource() {
+        let mut r = FifoResource::new(ROUND_LANES + 1);
+        r.serve_many(SimTime::ZERO, SimTime::from_micros(1), 1, |_, _, _| {});
     }
 
     #[test]
