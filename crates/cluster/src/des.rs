@@ -8,7 +8,7 @@
 //!   the single dispatcher thread) that serves enqueued work items in
 //!   arrival order and reports each item's completion time.
 
-use madness_gpusim::SimTime;
+use madness_gpusim::{serve_lane, serve_many, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -111,14 +111,11 @@ impl<E> Default for Des<E> {
     }
 }
 
-/// Most lanes [`FifoResource::serve_many`] orders on the stack.
-const ROUND_LANES: usize = 16;
-
 /// A FIFO resource with `capacity` identical lanes (greedy assignment:
 /// each item starts on the earliest-free lane, no earlier than its
 /// release time; of lanes free at the same time, the lowest index
-/// serves — the tie-break [`FifoResource::serve_many`]'s closed form
-/// reproduces).
+/// serves — [`madness_gpusim::serve_lane`]'s pick, which
+/// [`FifoResource::serve_many`]'s closed form reproduces).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FifoResource {
     lanes: Vec<SimTime>,
@@ -167,17 +164,15 @@ impl FifoResource {
     /// each item once, in serve order. Returns when the last of them
     /// ends (`release` when `n == 0`).
     ///
-    /// Items go one at a time only until every lane is busy past
-    /// `release` and within one `duration` of the others; from then on
-    /// the picks cycle through the lanes in `(free, index)` order, and
-    /// the rest go in whole rounds by arithmetic. Lanes that start
-    /// within one `duration` of each other, or all free by `release`,
-    /// get there within one item a lane, so such a call costs at most
-    /// O(lanes²) whatever `n`, plus the sink's calls.
+    /// The lanes are booked by [`madness_gpusim::serve_many`]: one item
+    /// at a time only until the picks cycle, then whole rounds by
+    /// arithmetic, checked item by item against `serve_on`'s pick
+    /// wherever debug assertions are on.
     ///
     /// # Panics
-    /// Panics if the resource has more than 16 lanes (its keys are
-    /// sorted on the stack).
+    /// Panics if the resource has more than
+    /// [`madness_gpusim::MAX_LANES`] lanes (their keys are sorted on the
+    /// stack).
     pub fn serve_many(
         &mut self,
         release: SimTime,
@@ -185,111 +180,7 @@ impl FifoResource {
         n: u64,
         sink: impl FnMut(usize, SimTime, SimTime),
     ) -> SimTime {
-        assert!(
-            self.lanes.len() <= ROUND_LANES,
-            "serve_many takes at most {ROUND_LANES} lanes"
-        );
-        if cfg!(debug_assertions) {
-            return self.serve_many_checked(release, duration, n, sink);
-        }
-        self.serve_rounds(release, duration, n, sink)
-    }
-
-    /// [`FifoResource::serve_many`] with every item it sinks, its end
-    /// and the state it leaves checked against `n` one-item picks on a
-    /// stack copy of the lanes (a copy that allocated would break the
-    /// node pipeline's allocation budget in debug builds).
-    fn serve_many_checked(
-        &mut self,
-        release: SimTime,
-        duration: SimTime,
-        n: u64,
-        mut sink: impl FnMut(usize, SimTime, SimTime),
-    ) -> SimTime {
-        let mut copy = [SimTime::ZERO; ROUND_LANES];
-        let oracle = &mut copy[..self.lanes.len()];
-        oracle.copy_from_slice(&self.lanes);
-        let (busy, served) = (self.busy, self.served);
-        let (mut seen, mut last) = (0u64, release);
-        let end = self.serve_rounds(release, duration, n, |lane, start, end| {
-            let want = serve_lane(oracle, release, duration);
-            assert_eq!((lane, start, end), want, "serve_many item {seen} of {n}");
-            seen += 1;
-            last = last.max(end);
-            sink(lane, start, end);
-        });
-        assert_eq!(seen, n, "serve_many sank {seen} of {n} items");
-        assert_eq!(self.lanes, *oracle, "serve_many lanes");
-        assert_eq!(self.busy, busy + duration * n, "serve_many busy time");
-        assert_eq!(self.served, served + n, "serve_many served count");
-        assert_eq!(end, last, "serve_many end");
-        end
-    }
-
-    /// The closed form behind [`FifoResource::serve_many`]. It works on
-    /// the lanes' `(free, index)` keys in sorted order, the order
-    /// `serve_on` picks them in. Items go one at a time, the earliest
-    /// lane serving and then taking its place among the others by its
-    /// new key, only until the picks cycle (see [`cycles`]); the rest go
-    /// in whole rounds by arithmetic.
-    fn serve_rounds(
-        &mut self,
-        release: SimTime,
-        duration: SimTime,
-        n: u64,
-        mut sink: impl FnMut(usize, SimTime, SimTime),
-    ) -> SimTime {
-        let c = self.lanes.len();
-        let mut keys = [(SimTime::ZERO, 0u8); ROUND_LANES];
-        let keys = &mut keys[..c];
-        for (key, (&free, i)) in keys.iter_mut().zip(self.lanes.iter().zip(0u8..)) {
-            *key = (free, i);
-        }
-        keys.sort_unstable();
-        let (mut end, mut left) = (release, n);
-        while left > 0 && !cycles(keys, release, duration) {
-            let (free, i) = keys[0];
-            // `Ord::max`, which inlines across crates where the inherent
-            // `SimTime::max` does not.
-            let start = Ord::max(free, release);
-            let key = (start + duration, i);
-            sink(i as usize, start, key.0);
-            end = Ord::max(end, key.0);
-            left -= 1;
-            let mut at = 0;
-            while at + 1 < c && keys[at + 1] < key {
-                keys[at] = keys[at + 1];
-                at += 1;
-            }
-            keys[at] = key;
-        }
-        // A zero duration leaves the earliest lane where it is, so every
-        // item goes there: a cycle of one lane.
-        let cycle = if duration == SimTime::ZERO { 1 } else { c };
-        let (rounds, rem) = (left / cycle as u64, (left % cycle as u64) as usize);
-        for r in 0..rounds {
-            for &(free, i) in &keys[..cycle] {
-                let start = free + duration * r;
-                sink(i as usize, start, start + duration);
-            }
-        }
-        for &(free, i) in &keys[..rem] {
-            let start = free + duration * rounds;
-            sink(i as usize, start, start + duration);
-        }
-        if left > 0 {
-            // Served in key order, the last item is the last lane of the
-            // final round, or of the whole rounds when none is partial.
-            let last = match rem {
-                0 => keys[cycle - 1].0 + duration * rounds,
-                _ => keys[rem - 1].0 + duration * (rounds + 1),
-            };
-            end = Ord::max(end, last);
-        }
-        // (Past a one-lane cycle the duration is zero and moves no lane.)
-        for (j, &(free, i)) in keys.iter().enumerate() {
-            self.lanes[i as usize] = free + duration * (rounds + u64::from(j < rem));
-        }
+        let end = serve_many(&mut self.lanes, release, duration, n, sink);
         self.busy += duration * n;
         self.served += n;
         end
@@ -331,38 +222,6 @@ impl FifoResource {
     pub fn served(&self) -> u64 {
         self.served
     }
-}
-
-/// True when the picks from here on cycle through the lanes in the
-/// order of their sorted `(free, index)` `keys`: every lane is free no
-/// earlier than `release`, so an item starts when its lane frees, and
-/// the earliest key plus one `duration` comes after the latest key, so
-/// each lane served goes behind all the others. Serving keeps this true,
-/// so `n` more items give every lane `n / c` and the first `n mod c`
-/// lanes in that order one more. A zero `duration` leaves a lane at or
-/// after `release` where it is, so there the earliest lane is the whole
-/// cycle.
-fn cycles(keys: &[(SimTime, u8)], release: SimTime, duration: SimTime) -> bool {
-    let (first, last) = (keys[0], keys[keys.len() - 1]);
-    first.0 >= release && (duration == SimTime::ZERO || last < (first.0 + duration, first.1))
-}
-
-/// The one lane pick: the earliest-free lane, the lowest index of a tie
-/// (`min_by_key` keeps the first minimum), serves from `release` on.
-fn serve_lane(
-    lanes: &mut [SimTime],
-    release: SimTime,
-    duration: SimTime,
-) -> (usize, SimTime, SimTime) {
-    let (idx, &free) = lanes
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, t)| **t)
-        .expect("capacity > 0");
-    let start = free.max(release);
-    let end = start + duration;
-    lanes[idx] = end;
-    (idx, start, end)
 }
 
 #[cfg(test)]
@@ -443,7 +302,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 16 lanes")]
     fn serve_many_refuses_a_wider_resource() {
-        let mut r = FifoResource::new(ROUND_LANES + 1);
+        let mut r = FifoResource::new(madness_gpusim::MAX_LANES + 1);
         r.serve_many(SimTime::ZERO, SimTime::from_micros(1), 1, |_, _, _| {});
     }
 

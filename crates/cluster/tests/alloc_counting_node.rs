@@ -45,9 +45,10 @@ fn allocs(node: &NodeSim, rank: usize, n_tasks: u64, mode: ResourceMode) -> u64 
     after - before
 }
 
-/// Per flush the device allocates its cost list, its stream-load list
-/// and its (all-`None`) result list; the node reuses its task buffer.
-const PER_FLUSH: u64 = 3;
+/// Per flush the device allocates its (all-`None`) result list; it
+/// reuses its run list and keeps its stream loads on the stack, and the
+/// node reuses its task buffer.
+const PER_FLUSH: u64 = 1;
 
 /// Growth steps of the run-long vectors (`post_release`, the cache's
 /// FIFO and set) between the 100- and the 200-flush run.

@@ -406,6 +406,34 @@ impl FaultInjector {
         }
     }
 
+    /// Books the next `n` kernel launches at simulated time `now_ns` in
+    /// one step when none of them can fail, and returns true: no launch
+    /// rate is in force at `now_ns` and no un-consumed launch injection
+    /// would fire on one of them. Otherwise books nothing and returns
+    /// false; the caller then asks [`FaultInjector::kernel_launch`] once
+    /// a launch. Either way the answers are those of `n` such calls.
+    pub fn launches_fault_free(&mut self, n: u64, now_ns: u64) -> bool {
+        let range = self.launches..self.launches + n;
+        let armed = self
+            .plan
+            .injections
+            .iter()
+            .zip(&self.consumed)
+            .any(|(inj, &used)| {
+                !used
+                    && inj.kind == FaultKind::KernelLaunchFail
+                    && match inj.trigger {
+                        Trigger::AtCount(at) => range.contains(&at),
+                        Trigger::AtTime(t) => now_ns >= t,
+                    }
+            });
+        if armed || (self.plan.launch_fail_rate > 0.0 && self.in_window(now_ns)) {
+            return false;
+        }
+        self.launches += n;
+        true
+    }
+
     /// Queries the next host↔device DMA at simulated time `now_ns`.
     pub fn transfer(&mut self, now_ns: u64) -> Option<TaskError> {
         let idx = self.transfers;
@@ -534,6 +562,80 @@ mod tests {
         let mut inj = FaultInjector::new(&plan);
         let hits: Vec<bool> = (0..6).map(|_| inj.kernel_launch(0).is_some()).collect();
         assert_eq!(hits, vec![false, false, true, false, false, false]);
+    }
+
+    #[test]
+    fn fault_free_launches_answer_as_one_query_each() {
+        // (plan, n, now): which batched queries may skip the draws.
+        let cases = [
+            (FaultPlan::none(), 50, 0, true),
+            // A rate outside its window is not in force.
+            (
+                FaultPlan::seeded(5)
+                    .with_launch_fail_rate(0.3)
+                    .with_window(1_000, 2_000),
+                50,
+                2_000,
+                true,
+            ),
+            (
+                FaultPlan::seeded(5).with_launch_fail_rate(0.3),
+                50,
+                0,
+                false,
+            ),
+            // A count injection fires only inside the booked range.
+            (
+                FaultPlan::none().with_injection(FaultKind::KernelLaunchFail, Trigger::AtCount(50)),
+                50,
+                0,
+                true,
+            ),
+            (
+                FaultPlan::none().with_injection(FaultKind::KernelLaunchFail, Trigger::AtCount(49)),
+                50,
+                0,
+                false,
+            ),
+            // A time injection fires once its instant has come.
+            (
+                FaultPlan::none().with_injection(FaultKind::KernelLaunchFail, Trigger::AtTime(10)),
+                50,
+                9,
+                true,
+            ),
+            (
+                FaultPlan::none().with_injection(FaultKind::KernelLaunchFail, Trigger::AtTime(10)),
+                50,
+                10,
+                false,
+            ),
+            // Other kinds never touch launches.
+            (
+                FaultPlan::none().with_injection(FaultKind::TransferTimeout, Trigger::AtCount(3)),
+                50,
+                0,
+                true,
+            ),
+        ];
+        for (plan, n, now, quiet) in cases {
+            let mut batched = FaultInjector::new(&plan);
+            let mut single = FaultInjector::new(&plan);
+            assert_eq!(batched.launches_fault_free(n, now), quiet, "{plan:?}");
+            let draws: Vec<_> = (0..n).map(|_| single.kernel_launch(now)).collect();
+            if quiet {
+                assert!(draws.iter().all(Option::is_none), "{plan:?}");
+            } else {
+                // Nothing was booked: the per-launch queries come next.
+                for &want in &draws {
+                    assert_eq!(batched.kernel_launch(now), want, "{plan:?}");
+                }
+            }
+            // Both stand at launch `n` now.
+            for _ in 0..60 {
+                assert_eq!(batched.kernel_launch(now), single.kernel_launch(now));
+            }
+        }
     }
 
     #[test]

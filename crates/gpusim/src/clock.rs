@@ -75,11 +75,13 @@ impl SimTime {
     }
 
     /// Element-wise maximum.
+    #[inline]
     pub fn max(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.max(rhs.0))
     }
 
     /// Element-wise minimum.
+    #[inline]
     pub fn min(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.min(rhs.0))
     }

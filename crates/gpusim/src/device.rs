@@ -2,7 +2,8 @@
 
 use crate::cache::{DeviceHCache, IdHasher};
 use crate::clock::SimTime;
-use crate::kernel::{execute_tasks, kernel_cost, KernelKind};
+use crate::kernel::{execute_tasks, kernel_cost, KernelCost, KernelKind};
+use crate::lanes::{serve_many, MAX_LANES};
 use crate::spec::DeviceSpec;
 use crate::task::{TransformTask, TransformTerm};
 use crate::transfer::TransferEngine;
@@ -11,7 +12,6 @@ use madness_tensor::{Tensor, Workspace};
 use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::iter::repeat_n;
 use std::sync::Arc;
 
 /// Simulated latency between a device falling off the bus and the
@@ -137,6 +137,9 @@ pub struct GpuDevice {
     /// or a clear, and either drops the whole memo, so every table in
     /// it is still wholly resident.
     resident_tables: HashMap<u64, (Arc<Vec<TransformTerm>>, u64), BuildHasherDefault<IdHasher>>,
+    /// The current batch's runs, one `(kernel cost, task count)` each,
+    /// in task order; kept between batches for its capacity.
+    runs: Vec<(KernelCost, usize)>,
     streams: usize,
     pinned: bool,
     /// True after a device-lost fault fired; every batch fails with
@@ -148,16 +151,22 @@ impl GpuDevice {
     /// A device with `streams` CUDA streams and pinned staging buffers.
     ///
     /// # Panics
-    /// Panics if `streams` is zero or exceeds the spec's maximum.
+    /// Panics if `streams` is zero or exceeds the spec's maximum, or
+    /// [`MAX_LANES`], the most streams a batch's kernels are booked on.
     pub fn new(spec: DeviceSpec, streams: usize) -> Self {
         assert!(
             streams >= 1 && streams <= spec.max_streams,
             "stream count {streams} out of range"
         );
+        assert!(
+            streams <= MAX_LANES,
+            "a device books at most {MAX_LANES} streams, not {streams}"
+        );
         GpuDevice {
             engine: TransferEngine::new(&spec),
             cache: DeviceHCache::new(spec.device_mem_bytes),
             resident_tables: HashMap::default(),
+            runs: Vec::new(),
             streams,
             pinned: true,
             lost: false,
@@ -336,23 +345,26 @@ impl GpuDevice {
         }
 
         // --- transfers in ---------------------------------------------
-        br.bytes_s = tasks.iter().map(|t| t.s_bytes()).sum();
-        br.transfer_in_s = self.engine.transfer_time(br.bytes_s, self.pinned);
         let (hits0, misses0, evictions0) = self.cache.stats();
         // Consecutive tasks applying one term table (the same `Arc`, as
         // `core::apply` hands out per level × displacement and the node
         // simulator per population; equal ids behind different
         // allocations do not count) to one tensor shape form a *run*:
-        // they ask the cache for the same blocks and cost the same
-        // kernel time, so both are worked out once per run. Faults,
-        // stream scheduling and journaling below stay per task.
-        let mut costs = Vec::with_capacity(n);
+        // they ask the cache for the same blocks, ship sources of the
+        // same size and cost the same kernel time, so all three are
+        // worked out once per run. Below, a run's launches are booked on
+        // the streams together; only a plan that can fail one of them
+        // draws a launch a task.
+        self.runs.clear();
         for run in
             tasks.chunk_by(|a, b| Arc::ptr_eq(&a.terms, &b.terms) && (a.d, a.k) == (b.d, b.k))
         {
+            br.bytes_s += run[0].s_bytes() * run.len() as u64;
             br.bytes_h += self.ensure_run(run);
-            costs.extend(repeat_n(kernel_cost(&self.spec, kind, &run[0]), run.len()));
+            self.runs
+                .push((kernel_cost(&self.spec, kind, &run[0]), run.len()));
         }
+        br.transfer_in_s = self.engine.transfer_time(br.bytes_s, self.pinned);
         br.transfer_in_h = self.engine.transfer_time(br.bytes_h, self.pinned);
         if inj.transfer(t0).is_some() {
             // The aggregated DMA timed out: the timeout window is the
@@ -391,36 +403,60 @@ impl GpuDevice {
         }
 
         // --- compute: greedy list scheduling over streams ---------------
-        let sms_per_kernel = costs.iter().map(|c| c.sms_used).max().unwrap_or(1);
+        let sms_per_kernel = self.runs.iter().map(|(c, _)| c.sms_used).max().unwrap_or(1);
         let lanes = self.concurrency(sms_per_kernel);
         let compute_begin = t0 + (br.transfer_in_s + br.transfer_in_h).as_nanos();
         let mut failed: Vec<(usize, TaskError)> = Vec::new();
-        let mut lane_load = vec![SimTime::ZERO; lanes];
-        for (i, c) in costs.iter().enumerate() {
-            if let Some(err) = inj.kernel_launch(compute_begin) {
-                // The launch itself fails — no stream time is consumed,
-                // the task simply never runs on the device.
-                failed.push((i, err));
-                continue;
+        // Each stream's load: lanes fill back-to-back from the compute
+        // phase's start, so a lane's load is its next kernel's offset.
+        let mut load = [SimTime::ZERO; MAX_LANES];
+        let load = &mut load[..lanes];
+        let mut bytes_failed = 0;
+        let mut first = 0;
+        for &(cost, len) in &self.runs {
+            // Books `m` consecutive launched kernels of the run on the
+            // streams, one span each.
+            let mut book = |m: usize| {
+                if m > 0 {
+                    serve_many(
+                        load,
+                        SimTime::ZERO,
+                        cost.duration,
+                        m as u64,
+                        |lane, start, end| {
+                            if R::ENABLED {
+                                let at = |t: SimTime| compute_begin + t.as_nanos();
+                                rec.span(Stage::KernelLaunch, at(start), at(end), lane as u32);
+                            }
+                        },
+                    );
+                }
+            };
+            let mut launched = len;
+            if inj.launches_fault_free(len as u64, compute_begin) {
+                book(len);
+            } else {
+                // Each launch draws in task order; the stretches between
+                // failed launches are booked whole.
+                let mut stretch = 0;
+                for i in first..first + len {
+                    if let Some(err) = inj.kernel_launch(compute_begin) {
+                        // The launch itself fails — no stream time is
+                        // consumed, the task simply never runs on the
+                        // device.
+                        book(stretch);
+                        stretch = 0;
+                        failed.push((i, err));
+                        launched -= 1;
+                    } else {
+                        stretch += 1;
+                    }
+                }
+                book(stretch);
             }
-            br.launches += c.launches;
-            let (idx, _) = lane_load
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| **l)
-                .expect("at least one lane");
-            // Lanes fill back-to-back, so the lane's current load is this
-            // kernel's in-batch start offset.
-            if R::ENABLED {
-                let start = compute_begin + lane_load[idx].as_nanos();
-                rec.span(
-                    Stage::KernelLaunch,
-                    start,
-                    start + c.duration.as_nanos(),
-                    idx as u32,
-                );
-            }
-            lane_load[idx] += c.duration;
+            br.launches += cost.launches * launched as u64;
+            bytes_failed += tasks[first].s_bytes() * (len - launched) as u64;
+            first += len;
         }
         if !failed.is_empty() {
             injected(
@@ -432,14 +468,14 @@ impl GpuDevice {
         }
         if R::ENABLED {
             rec.record(Event::Count("kernel_launches", br.launches));
-            for (idx, load) in lane_load.iter().enumerate() {
+            for (idx, load) in load.iter().enumerate() {
                 rec.record(Event::Count(
                     &format!("stream_busy_ns.{idx}"),
                     load.as_nanos(),
                 ));
             }
         }
-        br.compute = lane_load.into_iter().max().unwrap_or(SimTime::ZERO);
+        br.compute = load.iter().copied().max().unwrap_or(SimTime::ZERO);
         if let Some(stall_ns) = inj.stream_stall(compute_begin) {
             // All streams wedge for the stall window before draining;
             // the batch completes, late. Detection is the caller's job.
@@ -450,11 +486,7 @@ impl GpuDevice {
         // --- transfer out ----------------------------------------------
         // Result blocks have the source shape; launch-failed tasks
         // produced nothing to copy back.
-        let launched = |i: usize| !failed.iter().any(|&(j, _)| j == i);
-        br.bytes_out = (0..n)
-            .filter(|&i| launched(i))
-            .map(|i| tasks[i].s_bytes())
-            .sum();
+        br.bytes_out = br.bytes_s - bytes_failed;
         br.transfer_out = self.engine.transfer_time(br.bytes_out, self.pinned);
         if R::ENABLED {
             let out_begin = compute_begin + br.compute.as_nanos();
@@ -482,13 +514,22 @@ impl GpuDevice {
         let results: Vec<Option<Tensor>> = match mode {
             ExecMode::Timing => vec![None; n],
             ExecMode::Full => {
-                let computes = |i: usize| launched(i) && tasks[i].s.is_some();
-                let live: Vec<&TransformTask> =
-                    (0..n).filter(|&i| computes(i)).map(|i| &tasks[i]).collect();
+                // `failed` is in task order, so one pass beside the
+                // tasks finds the launched ones.
+                let mut dead = failed.iter().map(|&(i, _)| i).peekable();
+                let computes: Vec<bool> = (0..n)
+                    .map(|i| dead.next_if_eq(&i).is_none() && tasks[i].s.is_some())
+                    .collect();
+                let live: Vec<&TransformTask> = tasks
+                    .iter()
+                    .zip(&computes)
+                    .filter_map(|(t, &c)| c.then_some(t))
+                    .collect();
                 let mut rs =
                     Workspace::with(|ws| execute_tasks(&live, false, ws.scratch())).into_iter();
-                (0..n)
-                    .map(|i| if computes(i) { rs.next() } else { None })
+                computes
+                    .iter()
+                    .map(|&c| if c { rs.next() } else { None })
                     .collect()
             }
         };
@@ -525,6 +566,16 @@ mod tests {
         (0..n)
             .map(|_| TransformTask::shape_only(3, 10, 100, 0))
             .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 streams")]
+    fn a_device_refuses_more_streams_than_it_books() {
+        let spec = DeviceSpec {
+            max_streams: MAX_LANES + 1,
+            ..DeviceSpec::default()
+        };
+        GpuDevice::new(spec, MAX_LANES + 1);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   task and synchronizes its thread blocks with an inter-block barrier
 //!   (Xiao–Feng), so at most ⌊16/3⌋ = 5 kernels run concurrently — the
 //!   stream-scaling saturation of Table I;
-//! * **CUDA streams** — task parallelism across concurrent kernels;
+//! * **CUDA streams** — task parallelism across concurrent kernels,
+//!   booked by greedy list scheduling ([`lanes`]) a run of equal
+//!   kernels at a time;
 //! * **PCIe transfers** — latency + bandwidth, with page-locked (pinned)
 //!   buffers twice as fast as pageable ones, and the paper's measured
 //!   0.5 ms page-lock / 2 ms page-unlock costs;
@@ -35,6 +37,7 @@ pub mod cache;
 pub mod clock;
 pub mod device;
 pub mod kernel;
+pub mod lanes;
 pub mod spec;
 pub mod task;
 pub mod transfer;
@@ -43,6 +46,7 @@ pub use cache::DeviceHCache;
 pub use clock::SimTime;
 pub use device::{BatchEstimate, BatchOutcome, CostBreakdown, ExecMode, GpuDevice};
 pub use kernel::KernelKind;
+pub use lanes::{serve_lane, serve_many, MAX_LANES};
 pub use spec::DeviceSpec;
 pub use task::{HBlock, TransformTask, TransformTerm};
 pub use transfer::{PinnedBufferPool, TransferEngine};

@@ -1,13 +1,16 @@
 //! Property-based tests of the device model's monotonicity and
 //! accounting invariants.
 
-use madness_faults::{FaultInjector, FaultPlan};
-use madness_gpusim::kernel::{execute_tasks, kernel_cost};
+use madness_faults::{
+    FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, TaskError, Trigger,
+};
+use madness_gpusim::kernel::{execute_tasks, kernel_cost, KernelCost};
 use madness_gpusim::{
-    DeviceSpec, ExecMode, GpuDevice, HBlock, KernelKind, SimTime, TransformTask, TransformTerm,
+    CostBreakdown, DeviceHCache, DeviceSpec, ExecMode, GpuDevice, HBlock, KernelKind, SimTime,
+    TransferEngine, TransformTask, TransformTerm,
 };
 use madness_tensor::{Shape, Tensor, TransformScratch};
-use madness_trace::MemRecorder;
+use madness_trace::{Event, MemRecorder, Point, Recorder, Stage};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -99,6 +102,257 @@ fn observe(
         ));
     }
     (outcomes, rec)
+}
+
+/// The device's batch path as it ran before it booked kernels a run at a
+/// time: every task walks the cache, prices its kernel, draws its launch
+/// and takes the earliest stream (the lowest index of a tie) on its own.
+/// Timing fidelity, pinned buffers; the plans it meets draw no device
+/// loss.
+struct PerTask {
+    spec: DeviceSpec,
+    engine: TransferEngine,
+    cache: DeviceHCache,
+    streams: usize,
+}
+
+/// Journals a fault the injector fired, as the device does.
+fn injected(rec: &mut MemRecorder, kind: FaultKind, at_ns: u64, tasks: usize) {
+    rec.record(Event::Fault(FaultEvent {
+        kind,
+        action: FaultAction::Injected,
+        at_ns,
+        tasks: tasks as u64,
+    }));
+}
+
+impl PerTask {
+    fn new(spec: DeviceSpec, streams: usize) -> Self {
+        PerTask {
+            engine: TransferEngine::new(&spec),
+            cache: DeviceHCache::new(spec.device_mem_bytes),
+            streams,
+            spec,
+        }
+    }
+
+    /// One batch: its time, breakdown and failed tasks.
+    fn execute(
+        &mut self,
+        tasks: &[TransformTask],
+        kind: KernelKind,
+        batch_start: SimTime,
+        rec: &mut MemRecorder,
+        inj: &mut FaultInjector,
+    ) -> (SimTime, CostBreakdown, Vec<(usize, TaskError)>) {
+        let mut br = CostBreakdown::default();
+        let (t0, n) = (batch_start.as_nanos(), tasks.len());
+        br.bytes_s = tasks.iter().map(TransformTask::s_bytes).sum();
+        br.transfer_in_s = self.engine.transfer_time(br.bytes_s, true);
+        let (hits0, misses0, evictions0) = self.cache.stats();
+        let mut costs: Vec<KernelCost> = Vec::new();
+        for t in tasks {
+            br.bytes_h += self.cache.ensure_batch(t.h_ids(), t.h_block_bytes());
+            costs.push(kernel_cost(&self.spec, kind, t));
+        }
+        br.transfer_in_h = self.engine.transfer_time(br.bytes_h, true);
+        if inj.transfer(t0).is_some() {
+            injected(rec, FaultKind::TransferTimeout, t0, n);
+            br.transfer_in_s = br.transfer_in_s * 2;
+            br.transfer_in_h = br.transfer_in_h * 2;
+            if inj.transfer(t0).is_some() {
+                injected(rec, FaultKind::TransferTimeout, t0, n);
+                let failed = (0..n).map(|i| (i, TaskError::TransferTimedOut)).collect();
+                return (br.transfer_in_s + br.transfer_in_h, br, failed);
+            }
+        }
+        let (hits, misses, evictions) = self.cache.stats();
+        for (stage, counter, n) in [
+            (Stage::CacheHit, "cache_hit", hits - hits0),
+            (Stage::CacheMiss, "cache_miss", misses - misses0),
+            (Stage::CacheEvict, "cache_evict", evictions - evictions0),
+        ] {
+            if n > 0 {
+                rec.record(Event::Count(counter, n));
+                rec.record(Event::Point(Point {
+                    stage,
+                    at_ns: t0,
+                    value: n,
+                }));
+            }
+        }
+        let tin = br.transfer_in_s + br.transfer_in_h;
+        rec.span(Stage::Transfer, t0, t0 + tin.as_nanos(), 0);
+        rec.record(Event::Count("bytes_h2d", br.bytes_s + br.bytes_h));
+
+        let sms = costs.iter().map(|c| c.sms_used).max().unwrap_or(1);
+        let lanes = (self.spec.num_sms / sms).max(1).min(self.streams);
+        let compute_begin = t0 + tin.as_nanos();
+        let mut failed = Vec::new();
+        let mut lane_load = vec![SimTime::ZERO; lanes];
+        for (i, c) in costs.iter().enumerate() {
+            if let Some(err) = inj.kernel_launch(compute_begin) {
+                failed.push((i, err));
+                continue;
+            }
+            br.launches += c.launches;
+            let (idx, _) = lane_load
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| **l)
+                .unwrap();
+            let start = compute_begin + lane_load[idx].as_nanos();
+            let end = start + c.duration.as_nanos();
+            rec.span(Stage::KernelLaunch, start, end, idx as u32);
+            lane_load[idx] += c.duration;
+        }
+        if !failed.is_empty() {
+            injected(
+                rec,
+                FaultKind::KernelLaunchFail,
+                compute_begin,
+                failed.len(),
+            );
+        }
+        rec.record(Event::Count("kernel_launches", br.launches));
+        for (idx, load) in lane_load.iter().enumerate() {
+            rec.record(Event::Count(
+                &format!("stream_busy_ns.{idx}"),
+                load.as_nanos(),
+            ));
+        }
+        br.compute = lane_load.into_iter().max().unwrap();
+        if let Some(stall_ns) = inj.stream_stall(compute_begin) {
+            injected(rec, FaultKind::StreamStall, compute_begin, n);
+            br.compute += SimTime::from_nanos(stall_ns);
+        }
+        let launched = |i: usize| !failed.iter().any(|&(j, _)| j == i);
+        br.bytes_out = (0..n)
+            .filter(|&i| launched(i))
+            .map(|i| tasks[i].s_bytes())
+            .sum();
+        br.transfer_out = self.engine.transfer_time(br.bytes_out, true);
+        let out_begin = compute_begin + br.compute.as_nanos();
+        rec.span(
+            Stage::Transfer,
+            out_begin,
+            out_begin + br.transfer_out.as_nanos(),
+            0,
+        );
+        rec.record(Event::Count("bytes_d2h", br.bytes_out));
+        (br.total(), br, failed)
+    }
+}
+
+/// Batches start this far apart, so a fault window or an `AtTime`
+/// trigger can fall before, inside or after any of them.
+const BATCH_GAP_NS: u64 = 3_000_000;
+
+/// The fault plan `kind` draws: none (0), a launch rate (1), the rate in
+/// a window over some of the batches (2), one to three `AtCount` launch
+/// injections among the first `tasks` launches (3), an `AtTime` launch
+/// injection (4); each with transfer timeouts and stream stalls on a
+/// rate when `dma` / `stall`.
+fn closed_form_plan(
+    (kind, seed, rate, at, dma, stall): (u8, u64, f64, u64, bool, bool),
+    tasks: u64,
+) -> FaultPlan {
+    let mut plan = FaultPlan::seeded(seed);
+    let span = 4 * BATCH_GAP_NS;
+    match kind {
+        1 => plan = plan.with_launch_fail_rate(rate),
+        2 => {
+            let start = at % span;
+            plan = plan
+                .with_launch_fail_rate(rate)
+                .with_window(start, start + BATCH_GAP_NS);
+        }
+        3 => {
+            for j in 0..=at % 3 {
+                let count = (at >> (16 * j + 2)) % tasks;
+                plan = plan.with_injection(FaultKind::KernelLaunchFail, Trigger::AtCount(count));
+            }
+        }
+        4 => {
+            plan = plan.with_injection(FaultKind::KernelLaunchFail, Trigger::AtTime(at % span));
+        }
+        _ => {}
+    }
+    if dma {
+        plan = plan.with_transfer_timeout_rate(0.3);
+    }
+    if stall {
+        plan = plan.with_stream_stalls(0.3, 40_000);
+    }
+    plan
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The device books a batch's kernels a run at a time: one launch
+    /// query for a run no launch of which can fail, one stream booking
+    /// (`serve_many`) for each unbroken stretch of launched tasks, the
+    /// bytes a shape times its run. Against the per-task loop above,
+    /// over 1–4 batches in turn on one device and one injector, every
+    /// batch's time, breakdown and failed tasks, the cache after each,
+    /// the whole journal and the injector's next launch draws must
+    /// agree — for runs on two term tables at two shapes, interleaved,
+    /// 1–16 streams, both kernel kinds, and launch faults by rate, in a
+    /// window, by count and by time, with transfer timeouts and stalls.
+    #[test]
+    fn closed_form_batches_are_the_per_task_loop(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..2, 0usize..2, 1usize..41), 1..5),
+            1..5,
+        ),
+        kind in kinds(),
+        streams in 1usize..17,
+        fault in ((0u8..5, 0u8..4), any::<u64>(), 0.0f64..0.3, any::<u64>()),
+    ) {
+        let tables = [
+            TransformTask::shape_only(3, 10, 4, 0),
+            TransformTask::shape_only(3, 10, 3, 100),
+        ];
+        let batches: Vec<Vec<TransformTask>> = batches
+            .iter()
+            .map(|runs| {
+                let mut batch = Vec::new();
+                for &(table, shape, len) in runs {
+                    let k = [10, 6][shape];
+                    let task = TransformTask { k, ..tables[table].clone() };
+                    batch.extend(std::iter::repeat_n(task, len));
+                }
+                batch
+            })
+            .collect();
+        let total = batches.iter().map(Vec::len).sum::<usize>() as u64;
+        let ((plan_kind, extra), seed, rate, at) = fault;
+        let plan = closed_form_plan((plan_kind, seed, rate, at, extra & 1 == 1, extra & 2 == 2), total);
+
+        let spec = DeviceSpec::default();
+        let mut dev = GpuDevice::new(spec.clone(), streams);
+        let mut reference = PerTask::new(spec, streams);
+        let (mut inj, mut inj_ref) = (FaultInjector::new(&plan), FaultInjector::new(&plan));
+        let (mut rec, mut rec_ref) = (MemRecorder::new(), MemRecorder::new());
+        for (i, batch) in batches.iter().enumerate() {
+            let start = SimTime::from_nanos(BATCH_GAP_NS * i as u64);
+            let out =
+                dev.execute_batch_injected(batch, kind, ExecMode::Timing, start, &mut rec, &mut inj);
+            let want = reference.execute(batch, kind, start, &mut rec_ref, &mut inj_ref);
+            // The batch index rides along to name the batch that differs.
+            prop_assert_eq!((i, out.time, out.breakdown, out.failed), (i, want.0, want.1, want.2));
+            prop_assert!(out.results.iter().all(Option::is_none));
+            prop_assert_eq!(
+                (i, dev.cache().stats(), dev.cache().bytes_used(), dev.cache().len()),
+                (i, reference.cache.stats(), reference.cache.bytes_used(), reference.cache.len())
+            );
+        }
+        prop_assert_eq!(rec, rec_ref);
+        let now = BATCH_GAP_NS * batches.len() as u64;
+        let next = |inj: &mut FaultInjector| (0..32).map(|_| inj.kernel_launch(now)).collect::<Vec<_>>();
+        prop_assert_eq!(next(&mut inj), next(&mut inj_ref));
+    }
 }
 
 proptest! {
