@@ -5,7 +5,9 @@
 //! serves. [`serve_lane`] makes one such pick; [`serve_many`] books `n`
 //! items of one duration in closed form and leaves the lanes exactly
 //! as `n` picks would. The device's streams and the cluster node's
-//! `FifoResource` data lanes both book through them.
+//! `FifoResource` data lanes both book through them; the small
+//! non-generic pieces are `#[inline]` so the other crates' copies of
+//! the closed form and `FifoResource::serve_on` inline them.
 
 use crate::clock::SimTime;
 
@@ -18,6 +20,7 @@ pub const MAX_LANES: usize = 16;
 ///
 /// # Panics
 /// Panics if `lanes` is empty.
+#[inline]
 pub fn serve_lane(
     lanes: &mut [SimTime],
     release: SimTime,
@@ -170,56 +173,8 @@ fn serve_rounds(
 /// lanes in that order one more. A zero `duration` leaves a lane at or
 /// after `release` where it is, so there the earliest lane is the whole
 /// cycle.
+#[inline]
 fn cycles(keys: &[(SimTime, u8)], release: SimTime, duration: SimTime) -> bool {
     let (first, last) = (keys[0], keys[keys.len() - 1]);
     first.0 >= release && (duration == SimTime::ZERO || last < (first.0 + duration, first.1))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serve_many_is_n_picks_from_uneven_lanes() {
-        let us = SimTime::from_micros;
-        let mut many = [us(7), us(0), us(3), us(3)];
-        let mut one = many;
-        let mut got = Vec::new();
-        let end = serve_many(&mut many, us(1), us(2), 11, |lane, start, end| {
-            got.push((lane, start, end))
-        });
-        let want: Vec<_> = (0..11)
-            .map(|_| serve_lane(&mut one, us(1), us(2)))
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(many, one);
-        assert_eq!(end, want.iter().map(|w| w.2).max().unwrap());
-    }
-
-    #[test]
-    fn zero_items_leave_the_lanes_and_end_at_release() {
-        let mut lanes = [SimTime::from_micros(4), SimTime::ZERO];
-        let end = serve_many(
-            &mut lanes,
-            SimTime::from_micros(9),
-            SimTime::ZERO,
-            0,
-            |_, _, _| panic!("no item to sink"),
-        );
-        assert_eq!(end, SimTime::from_micros(9));
-        assert_eq!(lanes, [SimTime::from_micros(4), SimTime::ZERO]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 16 lanes")]
-    fn serve_many_refuses_more_lanes_than_it_sorts() {
-        let mut lanes = [SimTime::ZERO; MAX_LANES + 1];
-        serve_many(
-            &mut lanes,
-            SimTime::ZERO,
-            SimTime::from_micros(1),
-            1,
-            |_, _, _| {},
-        );
-    }
 }
