@@ -25,7 +25,12 @@
 //! (0.08 s), 43 → 36 and 39 → 40 (0.07–0.08 s); after it, with one
 //! `FifoResource::serve_many` call for a flush's preprocess and one a
 //! share for postprocess: 28 → 32 and 38 → 39 (0.06–0.08 s), 26 → 17
-//! and 27 → 18 (0.03–0.04 s), 17 → 20 and 25 → 27 (0.04–0.05 s).
+//! and 27 → 18 (0.03–0.04 s), 17 → 20 and 25 → 27 (0.04–0.05 s). On an
+//! AVX-512F host (two runs each), before the device booked a run's
+//! kernels on its streams in closed form: 36 → 23 and 33 → 33
+//! (0.05–0.07 s), 15 → 14 and 24 → 23 (0.03–0.05 s), 14 → 15 and
+//! 23 → 23 (0.03–0.05 s); after it: 6 → 6 and 5 → 6 (0.01 s), 7 → 7
+//! (0.01 s), 7 → 7 (0.01 s).
 //!
 //! Wall-clock assertions do not belong in the default test run:
 //!
