@@ -40,6 +40,7 @@ use madness_gpusim::{
 };
 use madness_runtime::{BatcherConfig, CpuModel, Dispatcher, SplitPlan, SplitPolicy, TaskKind};
 use madness_trace::{Event, NullRecorder, Point, Recorder, Stage};
+use std::cell::RefCell;
 
 /// Which execution resources the node uses.
 #[derive(Clone, Copy, Debug)]
@@ -242,13 +243,69 @@ impl FaultCtx {
     }
 }
 
-/// Timing-only task for `spec`, carrying effective ranks when the
-/// workload uses rank reduction (inert on Fermi-class devices, active
-/// under Kepler dynamic parallelism — the paper's future work).
-fn shape_task(spec: &WorkloadSpec) -> TransformTask {
-    match spec.rr_mean_rank {
-        Some(kr) => TransformTask::shape_only_rr(spec.d, spec.k, spec.rank, 0, kr),
-        None => TransformTask::shape_only(spec.d, spec.k, spec.rank, 0),
+/// The set-up a pipelined run takes over from the last run on its
+/// thread, as the paper's node sets up its GPU state once and reuses
+/// it for every batch: the device and the population's shape task. In
+/// the idiom of [`madness_tensor::Workspace`], each thread (each
+/// executor worker of a cluster run) has its own, so what a run sees
+/// never depends on which run went before it on the thread.
+struct NodeWorkspace {
+    /// The last run's device, handed back by [`NodeRun::run`].
+    device: Option<GpuDevice>,
+    /// The last shape task built, with the spec it was built for.
+    shape: Option<(WorkloadSpec, TransformTask)>,
+}
+
+thread_local! {
+    static NODE_WORKSPACE: RefCell<NodeWorkspace> = const {
+        RefCell::new(NodeWorkspace {
+            device: None,
+            shape: None,
+        })
+    };
+}
+
+impl NodeWorkspace {
+    /// A device in the state `GpuDevice::new(spec.clone(), streams)`
+    /// leaves: the thread's last one, [`GpuDevice::reset`] (which checks
+    /// it against a new one where debug assertions are on), if it has
+    /// that spec and stream count; a new one otherwise.
+    fn device(spec: &DeviceSpec, streams: usize) -> GpuDevice {
+        match NODE_WORKSPACE.with(|ws| ws.borrow_mut().device.take()) {
+            Some(mut device) if device.spec() == spec && device.streams() == streams => {
+                device.reset();
+                device
+            }
+            _ => GpuDevice::new(spec.clone(), streams),
+        }
+    }
+
+    /// Keeps `device` for the thread's next run.
+    fn give_back(device: GpuDevice) {
+        NODE_WORKSPACE.with(|ws| ws.borrow_mut().device = Some(device));
+    }
+
+    /// Timing-only task for `spec`, carrying effective ranks when the
+    /// workload uses rank reduction (inert on Fermi-class devices,
+    /// active under Kepler dynamic parallelism — the paper's future
+    /// work). Built when the spec differs from the last one asked for
+    /// on this thread; otherwise a clone of that one, an `Arc` bump on
+    /// its term table.
+    fn shape_task(spec: &WorkloadSpec) -> TransformTask {
+        NODE_WORKSPACE.with(|ws| {
+            let shape = &mut ws.borrow_mut().shape;
+            match shape {
+                Some((built_for, task)) if built_for == spec => task.clone(),
+                _ => {
+                    let task = match spec.rr_mean_rank {
+                        Some(kr) => TransformTask::shape_only_rr(spec.d, spec.k, spec.rank, 0, kr),
+                        None => TransformTask::shape_only(spec.d, spec.k, spec.rank, 0),
+                    };
+                    *shape = Some((*spec, task.clone()));
+                    task
+                }
+            }
+        })
     }
 }
 
@@ -502,10 +559,11 @@ struct NodeRun<'a, R: Recorder> {
     pre_each: SimTime,
     post_each: SimTime,
     flops_cpu: u64,
-    /// The population is homogeneous: one shape task, built once, and
-    /// every simulated GPU task is a clone of it — an `Arc` bump on its
-    /// term table, which is also what lets the device see each flush as
-    /// one run. The buffer is reused across flushes and retries.
+    /// The population is homogeneous: one shape task, from the thread's
+    /// [`NodeWorkspace`], and every simulated GPU task is a clone of it
+    /// — an `Arc` bump on its term table, which is also what lets the
+    /// device see each flush as one run. The buffer is reused across
+    /// flushes and retries.
     shape: TransformTask,
     gpu_tasks: Vec<TransformTask>,
     /// Steady-state estimate of a GPU batch (h blocks assumed cached) —
@@ -544,7 +602,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
     ) -> Self {
         let p = &node.params;
         let straggler = ctx.inj.straggler_multiplier();
-        let device = GpuDevice::new(p.gpu.clone(), lanes.streams.max(1));
+        let device = NodeWorkspace::device(&p.gpu, lanes.streams.max(1));
         let pool = PinnedBufferPool::new(&p.gpu, 4, 32 << 20);
         let pool_ready = pool.setup_cost().scale(straggler);
         if R::ENABLED {
@@ -557,7 +615,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         // Memory-bound data threads: lanes beyond the cap add nothing;
         // contention inside the cap comes from the CPU model.
         let lane_slowdown = data_lanes as f64 / p.cpu.effective_threads(data_lanes);
-        let shape = shape_task(spec);
+        let shape = NodeWorkspace::shape_task(spec);
         NodeRun {
             straggler,
             pool_ready,
@@ -606,7 +664,7 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
         self.ctx.summary.quarantines = self.ctx.health.trips();
         self.ctx.summary.readmissions = self.ctx.health.closes();
         self.postprocess();
-        NodeReport {
+        let report = NodeReport {
             total: self
                 .data_res
                 .makespan()
@@ -619,7 +677,9 @@ impl<'a, R: Recorder> NodeRun<'a, R> {
             dispatch_busy: self.dispatch_lane.busy_time(),
             n_batches: self.n_batches,
             mean_split_k: self.split_acc / self.n_batches as f64,
-        }
+        };
+        NodeWorkspace::give_back(self.device);
+        report
     }
 
     /// One batch of `b` tasks through Fig. 3: preprocess → health gate →

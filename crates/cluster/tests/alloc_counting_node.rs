@@ -1,9 +1,12 @@
 //! Counting-allocator pin of what `Timing` fidelity costs on the host:
-//! a pipelined `NodeSim` run allocates a constant number of times per
-//! *flush* — nothing per simulated task, nothing per rank term. Before
-//! the device shared cache and cost lookups across a run, every
-//! simulated task built its own `rank`-term table (≈ `rank + 1`
-//! allocations per task). Runs as its own integration binary so the
+//! a pipelined `NodeSim` run allocates nothing per *flush*, nothing per
+//! simulated task and — once its thread has run the same node before —
+//! nothing per rank term. Before the device shared cache and cost
+//! lookups across a run, every simulated task built its own `rank`-term
+//! table (≈ `rank + 1` allocations per task); before runs took their
+//! device and shape task from the thread's node workspace, every run
+//! built both again (`rank + 1` allocations and the cache's growth to
+//! `rank × d` blocks). Runs as its own integration binary so the
 //! `#[global_allocator]` swap cannot perturb other tests.
 
 use madness_cluster::node::{NodeParams, NodeSim, ResourceMode};
@@ -45,36 +48,50 @@ fn allocs(node: &NodeSim, rank: usize, n_tasks: u64, mode: ResourceMode) -> u64 
     after - before
 }
 
-/// Per flush the device allocates its (all-`None`) result list; it
-/// reuses its run list and keeps its stream loads on the stack, and the
-/// node reuses its task buffer.
-const PER_FLUSH: u64 = 1;
+/// Per flush nothing: the device reuses its run list, keeps its stream
+/// loads on the stack and hands back an empty result list in timing
+/// mode, and the node reuses its task buffer.
+const PER_FLUSH: u64 = 0;
 
-/// Growth steps of the run-long vectors (`post_release`, the cache's
-/// FIFO and set) between the 100- and the 200-flush run.
-const GROWTH_SLACK: u64 = 8;
+/// Growth steps of the run-long vector (`post_release`) between the
+/// 100- and the 200-flush run: one more doubling.
+const GROWTH_SLACK: u64 = 1;
+
+/// All a warm 100-flush run allocates, at any rank: its four lane
+/// resources, the node's task buffer and `post_release`'s growth to 100
+/// entries (`GpuOnly`) or 200 (`Hybrid`, a CPU and a GPU share a flush).
+const WARM_RUN: u64 = 12;
+
+const MODES: [ResourceMode; 2] = [
+    ResourceMode::GpuOnly {
+        streams: 5,
+        kernel: KernelKind::CustomMtxmq,
+        data_threads: 12,
+    },
+    ResourceMode::TABLE1_HYBRID,
+];
 
 #[test]
 fn allocations_scale_with_flushes_not_tasks_or_rank() {
     let node = NodeSim::new(NodeParams::default());
-    let modes = [
-        ResourceMode::GpuOnly {
-            streams: 5,
-            kernel: KernelKind::CustomMtxmq,
-            data_threads: 12,
-        },
-        ResourceMode::Hybrid {
-            compute_threads: 10,
-            data_threads: 5,
-            streams: 5,
-            kernel: KernelKind::CustomMtxmq,
-        },
-    ];
-    for mode in modes {
-        // 6,000 tasks are 100 flushes of 60, 12,000 are 200: the
-        // difference is what 100 more flushes (6,000 more simulated
-        // tasks, 1.8 M more block references at rank 100) cost.
-        let per_100_flushes = [100, 400].map(|rank| {
+    for mode in MODES {
+        let warm = [100, 400].map(|rank| {
+            // On a thread that never ran a node, a run builds the device
+            // and the shape task (`rank + 1` vectors) and grows the
+            // cache to `rank × d` blocks.
+            let cold = std::thread::scope(|s| {
+                s.spawn(|| allocs(&node, rank, 6_000, mode)).join().unwrap()
+            });
+            assert!(
+                cold <= rank as u64 + 64,
+                "{mode:?} rank {rank}: {cold} allocations in a cold run"
+            );
+            // The first run warms this thread; the ones after it take
+            // their set-up from its workspace. 6,000 tasks are 100
+            // flushes of 60, 12,000 are 200: the difference is what 100
+            // more flushes (6,000 more simulated tasks, 1.8 M more block
+            // references at rank 100) cost.
+            allocs(&node, rank, 6_000, mode);
             let short = allocs(&node, rank, 6_000, mode);
             let long = allocs(&node, rank, 12_000, mode);
             let marginal = long - short;
@@ -82,19 +99,15 @@ fn allocations_scale_with_flushes_not_tasks_or_rank() {
                 marginal <= 100 * PER_FLUSH + GROWTH_SLACK,
                 "{mode:?} rank {rank}: {marginal} allocations per 100 flushes"
             );
-            // What is left is per run, not per flush: the one shape
-            // task (`rank + 1` vectors), the device and its cache
-            // growing to `rank × d` blocks, the pipeline's resources.
-            let setup = short - marginal;
             assert!(
-                setup <= rank as u64 + 64,
-                "{mode:?} rank {rank}: {setup} set-up allocations"
+                short <= WARM_RUN,
+                "{mode:?} rank {rank}: {short} allocations in a warm run"
             );
-            marginal
+            (short, marginal)
         });
         assert_eq!(
-            per_100_flushes[0], per_100_flushes[1],
-            "{mode:?}: per-flush allocations depend on the rank"
+            warm[0], warm[1],
+            "{mode:?}: a warm run's allocations depend on the rank"
         );
     }
 }

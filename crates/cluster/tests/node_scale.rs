@@ -30,7 +30,12 @@
 //! kernels on its streams in closed form: 36 → 23 and 33 → 33
 //! (0.05–0.07 s), 15 → 14 and 24 → 23 (0.03–0.05 s), 14 → 15 and
 //! 23 → 23 (0.03–0.05 s); after it: 6 → 6 and 5 → 6 (0.01 s), 7 → 7
-//! (0.01 s), 7 → 7 (0.01 s).
+//! (0.01 s), 7 → 7 (0.01 s). On an AVX-512F host (two runs each),
+//! before a run took its device and shape task from its thread's last
+//! run and a timing-only batch stopped building a result list: 10 → 9
+//! and 8 → 9 (0.02 s), 11 → 10 and 10 → 11 (0.02 s), 10 → 10 and
+//! 12 → 11 (0.02 s); after it: 5 → 5 and 3 → 3 (0.007–0.011 s),
+//! 7 → 7 and 5 → 5 (0.009–0.014 s), 9 → 9 and 5 → 5 (0.010–0.018 s).
 //!
 //! Wall-clock assertions do not belong in the default test run:
 //!

@@ -41,7 +41,7 @@ impl Hasher for IdHasher {
 }
 
 /// Device-side write-once block cache.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct DeviceHCache {
     resident: HashSet<u64, BuildHasherDefault<IdHasher>>,
     fifo: VecDeque<(u64, u64)>, // (id, bytes)
@@ -120,10 +120,49 @@ impl DeviceHCache {
         bytes
     }
 
-    /// Counts `n` hits on blocks the caller knows are resident, as
-    /// asking for each would.
-    pub(crate) fn count_hits(&mut self, n: u64) {
-        self.hits += n;
+    /// Counts `hits` and `misses` the caller knows a walk would count,
+    /// without walking.
+    pub(crate) fn count(&mut self, hits: u64, misses: u64) {
+        self.hits += hits;
+        self.misses += misses;
+    }
+
+    /// Swaps what is resident (the set, the FIFO and the bytes held)
+    /// with `other`; both keep their counters and budget.
+    pub(crate) fn swap_contents(&mut self, other: &mut DeviceHCache) {
+        std::mem::swap(&mut self.resident, &mut other.resident);
+        std::mem::swap(&mut self.fifo, &mut other.fifo);
+        std::mem::swap(&mut self.bytes_used, &mut other.bytes_used);
+    }
+
+    /// Walks `ids` again against what is resident, changing nothing: if
+    /// the cache holds exactly what [`DeviceHCache::ensure_batch`] of
+    /// `ids` leaves behind on an empty cache without an eviction, the
+    /// `(hits, misses)` that walk counts; `None` otherwise.
+    pub(crate) fn replay(
+        &self,
+        ids: impl Iterator<Item = u64>,
+        bytes_each: u64,
+    ) -> Option<(u64, u64)> {
+        // A walk from empty admits each id at its first occurrence, in
+        // order, so the FIFO must list exactly the first occurrences.
+        let (mut hits, mut admitted) = (0u64, 0usize);
+        for id in ids {
+            if self.fifo.get(admitted) == Some(&(id, bytes_each)) {
+                admitted += 1;
+            } else if self.fifo.range(..admitted).any(|&(old, _)| old == id) {
+                hits += 1;
+            } else {
+                return None;
+            }
+        }
+        let misses = admitted as u64;
+        let exact = admitted == self.fifo.len()
+            && self.resident.len() == admitted
+            && self.fifo.iter().all(|(id, _)| self.resident.contains(id))
+            && self.bytes_used == misses * bytes_each
+            && self.bytes_used <= self.bytes_budget;
+        exact.then_some((hits, misses))
     }
 
     /// True if `id` is currently resident.
@@ -151,11 +190,19 @@ impl DeviceHCache {
         self.resident.is_empty()
     }
 
-    /// Drops everything (new run on the same device).
+    /// Drops everything (new run on the same device). The counters
+    /// keep counting; the set and the FIFO keep their capacity.
     pub fn clear(&mut self) {
         self.resident.clear();
         self.fifo.clear();
         self.bytes_used = 0;
+    }
+
+    /// [`DeviceHCache::clear`] with the counters zeroed too: the state
+    /// [`DeviceHCache::new`] leaves, in storage that keeps its capacity.
+    pub(crate) fn reset(&mut self) {
+        self.clear();
+        (self.hits, self.misses, self.evictions) = (0, 0, 0);
     }
 }
 

@@ -63,7 +63,8 @@ impl CostBreakdown {
 /// Result of [`GpuDevice::execute_batch`].
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// One result per task (`None` in timing mode and for failed tasks).
+    /// One result per task in full mode (`None` for a failed task);
+    /// empty in timing mode.
     pub results: Vec<Option<Tensor>>,
     /// Simulated batch duration.
     pub time: SimTime,
@@ -85,9 +86,18 @@ impl BatchOutcome {
 
     /// A batch of `n` tasks that failed as a whole after `time`: no
     /// results, every task handed back with `err`.
-    fn aborted(n: usize, time: SimTime, breakdown: CostBreakdown, err: TaskError) -> Self {
+    fn aborted(
+        n: usize,
+        mode: ExecMode,
+        time: SimTime,
+        breakdown: CostBreakdown,
+        err: TaskError,
+    ) -> Self {
         BatchOutcome {
-            results: vec![None; n],
+            results: match mode {
+                ExecMode::Timing => Vec::new(),
+                ExecMode::Full => vec![None; n],
+            },
             time,
             breakdown,
             failed: (0..n).map(|i| (i, err)).collect(),
@@ -125,12 +135,44 @@ impl BatchEstimate {
     }
 }
 
+/// One walk of a term table, at one block size, on an empty cache that
+/// evicted nothing, with what it counted. Walking the table again on an
+/// empty cache with the same budget would leave the same blocks in the
+/// same order and count the same, so the device keeps such a walk's
+/// result across a reset instead of walking again.
+#[derive(Debug)]
+struct ColdWalk {
+    /// Held so its address cannot pass to another table.
+    table: Arc<Vec<TransformTerm>>,
+    block_bytes: u64,
+    /// The table's block references, and the misses among them.
+    refs: u64,
+    misses: u64,
+}
+
+impl ColdWalk {
+    /// True when walking `task`'s table from empty is this walk.
+    fn is_of(&self, task: &TransformTask) -> bool {
+        Arc::ptr_eq(&self.table, &task.terms) && self.block_bytes == task.h_block_bytes()
+    }
+}
+
 /// The simulated device: spec + transfer engine + persistent block cache.
 #[derive(Debug)]
 pub struct GpuDevice {
     spec: DeviceSpec,
     engine: TransferEngine,
     cache: DeviceHCache,
+    /// The walk the cache holds the result of, when it holds exactly one
+    /// walk from empty: set by such a walk, dropped by any other walk
+    /// and by a clear.
+    cold: Option<ColdWalk>,
+    /// A walk a reset kept aside in `spare`, for a later walk of the
+    /// same table on an empty cache to take back (the "warm reset").
+    warm: Option<ColdWalk>,
+    /// Storage the cache swaps its contents with: empty, or holding the
+    /// result of `warm`. Host work only; no query sees it.
+    spare: DeviceHCache,
     /// Term tables a cache walk left wholly resident, by address, each
     /// with its block count. Holding the `Arc` keeps the address from
     /// passing to another table. Residency shrinks only by an eviction
@@ -165,6 +207,9 @@ impl GpuDevice {
         GpuDevice {
             engine: TransferEngine::new(&spec),
             cache: DeviceHCache::new(spec.device_mem_bytes),
+            cold: None,
+            warm: None,
+            spare: DeviceHCache::new(spec.device_mem_bytes),
             resident_tables: HashMap::default(),
             runs: Vec::new(),
             streams,
@@ -194,10 +239,55 @@ impl GpuDevice {
         &self.cache
     }
 
-    /// Clears device state between runs.
+    /// Returns the device to the state [`GpuDevice::new`] leaves, for a
+    /// new run on the same hardware: the cache empty with its hit, miss
+    /// and eviction counters zeroed, no remembered table, not lost,
+    /// staging buffers pinned. Only storage survives: the cache's set
+    /// and FIFO and the run list keep their capacity, so a run that
+    /// walks a table no larger than the last one allocates nothing.
+    ///
+    /// If the cache held exactly one walk of a table from empty, that
+    /// walk's result is kept aside (a swap, not a copy), and a later
+    /// walk of the same table on an empty cache takes it back and counts
+    /// what walking would have, without walking. Nothing observable
+    /// depends on it.
+    ///
+    /// With debug assertions on, the reset device is checked against a
+    /// new one.
     pub fn reset(&mut self) {
-        self.clear_cache();
+        if let Some(walk) = self.cold.take() {
+            self.cache.swap_contents(&mut self.spare);
+            self.warm = Some(walk);
+        }
+        self.cache.reset();
+        self.resident_tables.clear();
+        self.runs.clear();
+        self.pinned = true;
         self.lost = false;
+        debug_assert!(
+            self.same_state(&GpuDevice::new(self.spec.clone(), self.streams)),
+            "a reset device differs from a new one"
+        );
+    }
+
+    /// True when `other` would answer every query and batch exactly as
+    /// this device does: same spec, streams, staging, loss, cache
+    /// contents and counters, and remembered tables. Capacity and a walk
+    /// kept aside are not state.
+    fn same_state(&self, other: &GpuDevice) -> bool {
+        self.spec == other.spec
+            && self.streams == other.streams
+            && self.pinned == other.pinned
+            && self.lost == other.lost
+            && self.cache == other.cache
+            && self.runs == other.runs
+            && self.resident_tables.len() == other.resident_tables.len()
+            && self.resident_tables.iter().all(|(key, &(_, len))| {
+                other
+                    .resident_tables
+                    .get(key)
+                    .is_some_and(|&(_, l)| l == len)
+            })
     }
 
     /// True after a device-lost fault; batches fail until
@@ -219,13 +309,15 @@ impl GpuDevice {
     fn clear_cache(&mut self) {
         self.cache.clear();
         self.resident_tables.clear();
+        self.cold = None;
     }
 
     /// Asks the cache for the blocks of `run` — tasks on one term table
     /// — as that many tasks in a row would; returns the bytes to
     /// transfer. A table the memo holds is counted as hits without a
-    /// walk; a walk that evicted nothing adds its table to the memo, one
-    /// that evicted drops the memo.
+    /// walk, and so is a walk of the table a reset kept aside; a walk
+    /// that evicted nothing adds its table to the memo, one that evicted
+    /// drops the memo.
     fn ensure_run(&mut self, run: &[TransformTask]) -> u64 {
         let head = &run[0];
         let repeats = run.len() as u64;
@@ -235,17 +327,45 @@ impl GpuDevice {
                 head.h_ids().all(|id| self.cache.contains(id)),
                 "a remembered term table has an evicted block"
             );
-            self.cache.count_hits(len * repeats);
+            self.cache.count(len * repeats, 0);
             return 0;
         }
-        let evictions0 = self.cache.stats().2;
+        let block_bytes = head.h_block_bytes();
+        let empty = self.cache.is_empty();
+        if empty && self.warm.as_ref().is_some_and(|walk| walk.is_of(head)) {
+            let walk = self.warm.take().expect("checked above");
+            self.cache.swap_contents(&mut self.spare);
+            let hits = walk.refs - walk.misses;
+            debug_assert_eq!(
+                self.cache.replay(head.h_ids(), block_bytes),
+                Some((hits, walk.misses)),
+                "a kept walk differs from walking its table again"
+            );
+            self.cache
+                .count(hits + (repeats - 1) * walk.refs, walk.misses);
+            self.resident_tables
+                .insert(key, (Arc::clone(&head.terms), walk.refs));
+            self.cold = Some(walk);
+            return self.cache.bytes_used();
+        }
+        let (_, misses0, evictions0) = self.cache.stats();
         let bytes = self
             .cache
-            .ensure_batch_repeated(head.h_ids(), head.h_block_bytes(), repeats);
-        if self.cache.stats().2 == evictions0 {
-            let len = head.terms.iter().map(|t| t.hs.len() as u64).sum();
+            .ensure_batch_repeated(head.h_ids(), block_bytes, repeats);
+        let (_, misses, evictions) = self.cache.stats();
+        self.cold = None;
+        if evictions == evictions0 {
+            let refs = head.terms.iter().map(|t| t.hs.len() as u64).sum();
+            if empty {
+                self.cold = Some(ColdWalk {
+                    table: Arc::clone(&head.terms),
+                    block_bytes,
+                    refs,
+                    misses: misses - misses0,
+                });
+            }
             self.resident_tables
-                .insert(key, (Arc::clone(&head.terms), len));
+                .insert(key, (Arc::clone(&head.terms), refs));
         } else {
             self.resident_tables.clear();
         }
@@ -341,7 +461,7 @@ impl GpuDevice {
         if self.lost || inj.device_lost(t0) {
             self.lost = true;
             injected(rec, FaultKind::DeviceLost, t0, n);
-            return BatchOutcome::aborted(n, DEVICE_LOST_DETECT, br, TaskError::DeviceLost);
+            return BatchOutcome::aborted(n, mode, DEVICE_LOST_DETECT, br, TaskError::DeviceLost);
         }
 
         // --- transfers in ---------------------------------------------
@@ -378,7 +498,7 @@ impl GpuDevice {
                 // tasks back to the caller.
                 injected(rec, FaultKind::TransferTimeout, t0, n);
                 let wasted = br.transfer_in_s + br.transfer_in_h;
-                return BatchOutcome::aborted(n, wasted, br, TaskError::TransferTimedOut);
+                return BatchOutcome::aborted(n, mode, wasted, br, TaskError::TransferTimedOut);
             }
         }
         if R::ENABLED {
@@ -507,12 +627,12 @@ impl GpuDevice {
             self.lost = true;
             injected(rec, FaultKind::DeviceLost, t0 + br.total().as_nanos(), n);
             let time = br.total() + DEVICE_LOST_DETECT;
-            return BatchOutcome::aborted(n, time, br, TaskError::DeviceLost);
+            return BatchOutcome::aborted(n, mode, time, br, TaskError::DeviceLost);
         }
 
         // --- arithmetic --------------------------------------------------
         let results: Vec<Option<Tensor>> = match mode {
-            ExecMode::Timing => vec![None; n],
+            ExecMode::Timing => Vec::new(),
             ExecMode::Full => {
                 // `failed` is in task order, so one pass beside the
                 // tasks finds the launched ones.
@@ -972,6 +1092,30 @@ mod tests {
             &mut inj,
         );
         assert!(ok.all_ok());
+    }
+
+    #[test]
+    fn a_reset_keeps_a_lone_walk_for_the_same_table() {
+        // A batch of one table walks it on an empty cache; after a
+        // reset, a batch of the same table takes that walk back, unless
+        // the walk was of the table at another block size. Either way
+        // the batch answers as on a new device.
+        let task = TransformTask::shape_only(3, 10, 100, 0);
+        let batch = vec![task.clone(); 4];
+        let wider = vec![TransformTask { k: 12, ..task }; 4];
+        let mut d = device(5);
+        for (before, taken_back) in [(&batch, true), (&wider, false)] {
+            d.reset();
+            d.execute_batch(before, KernelKind::CustomMtxmq, ExecMode::Timing);
+            d.reset();
+            assert!(d.warm.is_some() && d.cache().is_empty());
+            let out = d.execute_batch(&batch, KernelKind::CustomMtxmq, ExecMode::Timing);
+            let mut new = device(5);
+            let want = new.execute_batch(&batch, KernelKind::CustomMtxmq, ExecMode::Timing);
+            assert_eq!((out.time, out.breakdown), (want.time, want.breakdown));
+            assert_eq!(d.cache(), new.cache());
+            assert_eq!(d.warm.is_none(), taken_back, "k {}", before[0].k);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::clock::SimTime;
 /// calibrated so the custom-vs-cuBLAS ratios of Tables III/IV and the
 /// crossover behaviour of Figures 5–6 are reproduced; see
 /// EXPERIMENTS.md for the calibration record.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceSpec {
     /// Streaming multiprocessors on the device.
     pub num_sms: usize,

@@ -10,7 +10,7 @@ use madness_gpusim::{
     TransferEngine, TransformTask, TransformTerm,
 };
 use madness_tensor::{Shape, Tensor, TransformScratch};
-use madness_trace::{Event, MemRecorder, Point, Recorder, Stage};
+use madness_trace::{Event, MemRecorder, NullRecorder, Point, Recorder, Stage};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -54,25 +54,28 @@ fn unshared(batch: &[TransformTask]) -> Vec<TransformTask> {
         .collect()
 }
 
-/// Runs the batches in turn on one device, each `prepare`d just before
-/// it runs and after its drawn step (2: `reset()`, 3: `revive()`, else
-/// nothing), so each meets the cache the ones before it left; returns
-/// everything observable.
-fn observe(
-    steps: &[(u8, Vec<TransformTask>)],
-    prepare: fn(&[TransformTask]) -> Vec<TransformTask>,
-    kind: KernelKind,
-    streams: usize,
-    mem: u64,
-    plan: &FaultPlan,
-) -> impl PartialEq + std::fmt::Debug {
-    let mut dev = GpuDevice::new(
+/// A device with `mem` bytes of memory and `streams` streams.
+fn device_with(mem: u64, streams: usize) -> GpuDevice {
+    GpuDevice::new(
         DeviceSpec {
             device_mem_bytes: mem,
             ..DeviceSpec::default()
         },
         streams,
-    );
+    )
+}
+
+/// Runs the batches in turn on `dev`, each `prepare`d just before it
+/// runs and after its drawn step (2: `reset()`, 3: `revive()`, else
+/// nothing), so each meets the cache the ones before it left; returns
+/// everything observable.
+fn observe(
+    mut dev: GpuDevice,
+    steps: &[(u8, Vec<TransformTask>)],
+    prepare: fn(&[TransformTask]) -> Vec<TransformTask>,
+    kind: KernelKind,
+    plan: &FaultPlan,
+) -> impl PartialEq + std::fmt::Debug {
     let mut inj = FaultInjector::new(plan);
     let mut rec = MemRecorder::new();
     let mut outcomes = Vec::new();
@@ -342,7 +345,7 @@ proptest! {
             let want = reference.execute(batch, kind, start, &mut rec_ref, &mut inj_ref);
             // The batch index rides along to name the batch that differs.
             prop_assert_eq!((i, out.time, out.breakdown, out.failed), (i, want.0, want.1, want.2));
-            prop_assert!(out.results.iter().all(Option::is_none));
+            prop_assert!(out.results.is_empty());
             prop_assert_eq!(
                 (i, dev.cache().stats(), dev.cache().bytes_used(), dev.cache().len()),
                 (i, reference.cache.stats(), reference.cache.bytes_used(), reference.cache.len())
@@ -471,8 +474,82 @@ proptest! {
             .map(|(step, picks)| (*step, run_batch(&a, &b, picks)))
             .collect();
         prop_assert_eq!(
-            observe(&steps, <[TransformTask]>::to_vec, kind, streams, mem, &plan),
-            observe(&steps, unshared, kind, streams, mem, &plan)
+            observe(device_with(mem, streams), &steps, <[TransformTask]>::to_vec, kind, &plan),
+            observe(device_with(mem, streams), &steps, unshared, kind, &plan)
+        );
+    }
+
+    /// A reset device is a new one: the batch sequences and fault draws
+    /// of `run_sharing_is_unobservable`, run on a device that first ran
+    /// other batches on the same tables — pageable, under launch faults,
+    /// the last of them losing the device — and was then `reset()`, and
+    /// on `GpuDevice::new`, give the same outcome, breakdown, `failed`,
+    /// cache stats (absolute: `reset` zeroes them), bytes and journal.
+    /// With `keep_a`, the cache holds one walk of table `a` from empty
+    /// when the device is reset, so a sequence that starts on `a` takes
+    /// that walk back instead of walking.
+    #[test]
+    fn a_reset_device_is_a_new_one(
+        steps in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((0usize..5, 1usize..6), 1..8)),
+            3..6,
+        ),
+        before in proptest::collection::vec(
+            proptest::collection::vec((0usize..5, 1usize..6), 1..8),
+            1..4,
+        ),
+        pageable in any::<bool>(),
+        keep_a in any::<bool>(),
+        kind in kinds(),
+        streams in 1usize..7,
+        mem in prop_oneof![Just(6u64 << 30), Just(8_000u64), Just(17_000u64), Just(32_000u64)],
+        fault in (any::<u64>(), prop_oneof![Just(0.0f64), Just(0.25f64)]),
+    ) {
+        let (seed, launch_fail_rate) = fault;
+        let plan = FaultPlan::seeded(seed)
+            .with_launch_fail_rate(launch_fail_rate)
+            .with_stream_stalls(launch_fail_rate, 40_000);
+        let a = TransformTask::shape_only(3, 10, 7, 0);
+        let b = TransformTask::shape_only_rr(3, 10, 5, 1, 4);
+        let steps: Vec<(u8, Vec<TransformTask>)> = steps
+            .iter()
+            .map(|(step, picks)| (*step, run_batch(&a, &b, picks)))
+            .collect();
+
+        let mut used = device_with(mem, streams);
+        used.set_pinned(!pageable);
+        let mut dirty: Vec<Vec<TransformTask>> =
+            before.iter().map(|picks| run_batch(&a, &b, picks)).collect();
+        if keep_a {
+            dirty.push(Vec::new()); // a `revive()`: the cache empties
+            dirty.push(run_batch(&a, &b, &[(0, 3)]));
+        }
+        // The device is lost before the last batch starts.
+        dirty.push(run_batch(&a, &b, &[(1, 2)]));
+        let lost_at = 500_000_000 * (dirty.len() as u64 - 1);
+        let mut inj = FaultInjector::new(
+            &FaultPlan::seeded(!seed)
+                .with_launch_fail_rate(0.25)
+                .with_device_lost_at(lost_at),
+        );
+        for (i, batch) in dirty.iter().enumerate() {
+            if batch.is_empty() {
+                used.revive();
+            }
+            used.execute_batch_injected(
+                batch,
+                kind,
+                ExecMode::Timing,
+                SimTime::from_millis(500 * i as u64),
+                &mut NullRecorder,
+                &mut inj,
+            );
+        }
+        prop_assert!(used.is_lost());
+        used.reset();
+        prop_assert_eq!(
+            observe(used, &steps, <[TransformTask]>::to_vec, kind, &plan),
+            observe(device_with(mem, streams), &steps, <[TransformTask]>::to_vec, kind, &plan)
         );
     }
 
