@@ -332,8 +332,7 @@ impl GpuDevice {
         }
         let block_bytes = head.h_block_bytes();
         let empty = self.cache.is_empty();
-        if empty && self.warm.as_ref().is_some_and(|walk| walk.is_of(head)) {
-            let walk = self.warm.take().expect("checked above");
+        if let Some(walk) = self.warm.take_if(|walk| empty && walk.is_of(head)) {
             self.cache.swap_contents(&mut self.spare);
             let hits = walk.refs - walk.misses;
             debug_assert_eq!(
