@@ -521,7 +521,7 @@ proptest! {
         let mut dirty: Vec<Vec<TransformTask>> =
             before.iter().map(|picks| run_batch(&a, &b, picks)).collect();
         if keep_a {
-            dirty.push(Vec::new()); // a `revive()`: the cache empties
+            // After a `revive()` empties the cache.
             dirty.push(run_batch(&a, &b, &[(0, 3)]));
         }
         // The device is lost before the last batch starts.
@@ -533,7 +533,7 @@ proptest! {
                 .with_device_lost_at(lost_at),
         );
         for (i, batch) in dirty.iter().enumerate() {
-            if batch.is_empty() {
+            if keep_a && i == before.len() {
                 used.revive();
             }
             used.execute_batch_injected(
