@@ -148,7 +148,7 @@ impl std::borrow::Borrow<TransformTask> for PreparedTask {
 
 /// Stable id for an `h` block: (μ, level, 1-D displacement), packed into
 /// disjoint bit fields (20 bits of displacement covers ±2^19 boxes, far
-/// beyond any displacement policy; the assert guards the invariant).
+/// beyond any displacement radius; the assert guards the invariant).
 fn h_block_id(mu: usize, level: u8, disp: i64) -> u64 {
     let biased = disp + (1 << 19);
     assert!(
@@ -189,21 +189,21 @@ fn sources(tree: &FunctionTree) -> Vec<(&Key, &Tensor)> {
 /// operator.
 pub fn apply_cpu_reference(op: &SeparatedConvolution, tree: &FunctionTree) -> FunctionTree {
     check_operands(op, tree);
+    let displacements = op.displacements();
+    let deltas = || displacements.iter().flat_map(|disp| &disp.delta[..op.d()]);
+    let lo = deltas().copied().min().unwrap_or(0);
+    let width = (deltas().copied().max().unwrap_or(0) - lo + 1) as usize;
     // Parallel across sources (`filter_map`: what the executor's
     // `flatten` comes after).
     let contributions: Vec<(Key, Tensor)> = sources(tree)
         .par_iter()
         .filter_map(|&(key, s)| {
             Some(Workspace::with(|ws| {
-                let displacements = op.displacements_at(key.level());
                 // An `h` block depends on (μ, level, 1-D displacement)
                 // only, so one fetch per source serves every one of its
                 // displacement tasks: `M × width` cache lookups a source
                 // instead of `M × d` a task, which is what kept the
                 // walk's workers queueing on the operator's cache lock.
-                let deltas = || displacements.iter().flat_map(|disp| &disp.delta[..op.d()]);
-                let lo = deltas().copied().min().unwrap_or(0);
-                let width = (deltas().copied().max().unwrap_or(0) - lo + 1) as usize;
                 let blocks: Vec<Arc<Tensor>> = (0..op.rank() * width)
                     .map(|ix| op.get_h(ix / width, key.level(), lo + (ix % width) as i64))
                     .collect();
@@ -395,6 +395,7 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
         assert!(max_batch > 0, "batch size must be positive");
         let mut batch = Vec::new();
         let mut open: Option<TaskKind> = None;
+        let displacements = op.displacements();
         let mut term_tables: BTreeMap<u8, Vec<Option<Arc<Vec<TransformTerm>>>>> = BTreeMap::new();
         for (key, s) in sources(tree) {
             let level = key.level();
@@ -406,7 +407,6 @@ impl<'a, R: Recorder> ApplyRun<'a, R> {
                 self.cpu_share(scope, true);
             }
             open = Some(kind);
-            let displacements = op.displacements_at(level);
             let tables = term_tables
                 .entry(level)
                 .or_insert_with(|| vec![None; displacements.len()]);

@@ -93,7 +93,7 @@ fn dispatches(table: &KernelTable, f: impl FnOnce()) -> u64 {
 fn targets(op: &SeparatedConvolution, tree: &FunctionTree) -> FunctionTree {
     let mut targets = FunctionTree::new(tree.d(), tree.k());
     for (key, s) in tree.leaves() {
-        for disp in op.displacements_at(key.level()).iter() {
+        for disp in op.displacements().iter() {
             if let Some(neighbor) = key.neighbor(&disp.delta) {
                 targets.accumulate(neighbor, 1.0, s);
             }
@@ -108,7 +108,7 @@ fn full_box(table: &KernelTable, r: i64) -> u64 {
     let (d, k, level) = (3, 4, 3);
     let mut op = SeparatedConvolution::coulomb(d, k, 1e-4, 1e-2);
     op.set_max_disp(r);
-    let disps = op.displacements_at(level);
+    let disps = op.displacements();
     let width = (2 * r + 1) as usize;
     let blocks: Vec<_> = (0..op.rank() * width)
         .map(|ix| op.get_h(ix / width, level, (ix % width) as i64 - r))

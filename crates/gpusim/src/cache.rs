@@ -88,38 +88,6 @@ impl DeviceHCache {
         ids.map(|id| self.ensure(id, bytes_each)).sum()
     }
 
-    /// [`DeviceHCache::ensure_batch`] on the same id list `repeats`
-    /// times in a row — what a run of tasks sharing one term table asks
-    /// of the cache — with the accounting of `repeats` separate calls.
-    ///
-    /// If the first pass evicted nothing, every id of the list is
-    /// resident when it ends, so each later pass would be all hits,
-    /// transfer nothing and leave the set alone: those passes are
-    /// counted without being walked. If it did evict (the list does not
-    /// fit beside what was resident, or not at all), a later pass may
-    /// miss again, and every pass is walked.
-    pub fn ensure_batch_repeated(
-        &mut self,
-        ids: impl Iterator<Item = u64> + Clone,
-        bytes_each: u64,
-        repeats: u64,
-    ) -> u64 {
-        if repeats == 0 {
-            return 0;
-        }
-        let (hits0, misses0, evictions0) = self.stats();
-        let mut bytes = self.ensure_batch(ids.clone(), bytes_each);
-        if self.evictions == evictions0 {
-            let list_len = (self.hits - hits0) + (self.misses - misses0);
-            self.hits += (repeats - 1) * list_len;
-        } else {
-            for _ in 1..repeats {
-                bytes += self.ensure_batch(ids.clone(), bytes_each);
-            }
-        }
-        bytes
-    }
-
     /// Counts `hits` and `misses` the caller knows a walk would count,
     /// without walking.
     pub(crate) fn count(&mut self, hits: u64, misses: u64) {
@@ -240,30 +208,6 @@ mod tests {
         assert!(c.contains(2) && c.contains(3));
         assert!(c.bytes_used() <= 250);
         assert_eq!(c.stats().2, 1);
-    }
-
-    #[test]
-    fn repeated_batch_accounts_like_separate_calls() {
-        // Budgets: roomy; the list fits but not beside what is already
-        // resident; the list does not fit at all.
-        for budget in [1 << 20, 500, 250] {
-            let ids = || [1u64, 2, 3, 2, 4].into_iter();
-            let mut once = DeviceHCache::new(budget);
-            let mut each = DeviceHCache::new(budget);
-            for c in [&mut once, &mut each] {
-                c.ensure_batch([8, 9].into_iter(), 100);
-            }
-            let bytes = once.ensure_batch_repeated(ids(), 100, 3);
-            let want: u64 = (0..3).map(|_| each.ensure_batch(ids(), 100)).sum();
-            assert_eq!(bytes, want, "budget {budget}");
-            assert_eq!(once.stats(), each.stats(), "budget {budget}");
-            assert_eq!(once.bytes_used(), each.bytes_used());
-            assert_eq!(once.fifo, each.fifo);
-        }
-        assert_eq!(
-            DeviceHCache::new(100).ensure_batch_repeated([1].into_iter(), 8, 0),
-            0
-        );
     }
 
     #[test]

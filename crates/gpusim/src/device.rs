@@ -315,9 +315,10 @@ impl GpuDevice {
     /// Asks the cache for the blocks of `run` — tasks on one term table
     /// — as that many tasks in a row would; returns the bytes to
     /// transfer. A table the memo holds is counted as hits without a
-    /// walk, and so is a walk of the table a reset kept aside; a walk
-    /// that evicted nothing adds its table to the memo, one that evicted
-    /// drops the memo.
+    /// walk, and so is a walk of the table a reset kept aside. Otherwise
+    /// the table is walked once: a walk that evicted nothing counts the
+    /// run's other tasks as hits and adds its table to the memo; one that
+    /// evicted walks once more for each other task and drops the memo.
     fn ensure_run(&mut self, run: &[TransformTask]) -> u64 {
         let head = &run[0];
         let repeats = run.len() as u64;
@@ -347,14 +348,15 @@ impl GpuDevice {
             self.cold = Some(walk);
             return self.cache.bytes_used();
         }
-        let (_, misses0, evictions0) = self.cache.stats();
-        let bytes = self
-            .cache
-            .ensure_batch_repeated(head.h_ids(), block_bytes, repeats);
-        let (_, misses, evictions) = self.cache.stats();
+        let (hits0, misses0, evictions0) = self.cache.stats();
+        let mut bytes = self.cache.ensure_batch(head.h_ids(), block_bytes);
+        let (hits, misses, evictions) = self.cache.stats();
         self.cold = None;
         if evictions == evictions0 {
-            let refs = head.terms.iter().map(|t| t.hs.len() as u64).sum();
+            // Every id of the table is resident now, so each later task
+            // would be all hits, transfer nothing and leave the set alone.
+            let refs = (hits - hits0) + (misses - misses0);
+            self.cache.count((repeats - 1) * refs, 0);
             if empty {
                 self.cold = Some(ColdWalk {
                     table: Arc::clone(&head.terms),
@@ -366,6 +368,11 @@ impl GpuDevice {
             self.resident_tables
                 .insert(key, (Arc::clone(&head.terms), refs));
         } else {
+            // The table does not fit beside what was resident, or not at
+            // all: a later task may miss again, so each one walks.
+            for _ in 1..repeats {
+                bytes += self.cache.ensure_batch(head.h_ids(), block_bytes);
+            }
             self.resident_tables.clear();
         }
         bytes

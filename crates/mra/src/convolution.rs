@@ -42,24 +42,6 @@ pub struct Displacement {
 /// Cache key for one 1-D operator block: (level, 1-D displacement, term).
 type HKey = (u8, i64, u32);
 
-/// How the operator chooses which neighbor boxes a task visits.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DisplacementPolicy {
-    /// A fixed ∞-norm radius at every level (the experiments use 1; the
-    /// paper's "Obtain displacements" step).
-    Fixed(i64),
-    /// Keep displacements whose kernel magnitude at the box distance
-    /// exceeds `cutoff × K(0)`, up to `max_radius` — the norm-based
-    /// screening real MADNESS applies per level. Short-range kernels
-    /// reach further (in boxes) at finer levels.
-    NormCutoff {
-        /// Relative magnitude threshold.
-        cutoff: f64,
-        /// Hard radius bound in boxes.
-        max_radius: i64,
-    },
-}
-
 /// A separated-rank Gaussian convolution over `[0,1]^d`, with the
 /// write-once software cache of its `(k, k)` operator blocks.
 ///
@@ -70,15 +52,13 @@ pub struct SeparatedConvolution {
     d: usize,
     k: usize,
     terms: Vec<GaussianTerm>,
-    /// Displacement selection policy (default: fixed radius 1).
-    policy: DisplacementPolicy,
+    /// ∞-norm radius of the displacement box (default 1).
+    max_disp: i64,
     /// Quadrature points/φ values used to assemble blocks, precomputed.
     qpts: Vec<f64>,
     qwts: Vec<f64>,
     qphi: Vec<Vec<f64>>, // qphi[q][i] = φ_i(x_q)
     cache: Mutex<FxHashMap<HKey, Arc<Tensor>>>,
-    /// Memoized per-level displacement lists (invalidated on policy change).
-    disp_cache: Mutex<FxHashMap<u8, Arc<Vec<Displacement>>>>,
     /// Memoized effective ranks: recomputing row norms per Apply task
     /// made the rank-reduced path slower than full rank.
     rank_cache: Mutex<FxHashMap<(HKey, u64), usize>>,
@@ -92,7 +72,7 @@ impl std::fmt::Debug for SeparatedConvolution {
             .field("d", &self.d)
             .field("k", &self.k)
             .field("rank", &self.terms.len())
-            .field("policy", &self.policy)
+            .field("max_disp", &self.max_disp)
             .finish()
     }
 }
@@ -128,12 +108,11 @@ impl SeparatedConvolution {
             d,
             k,
             terms,
-            policy: DisplacementPolicy::Fixed(1),
+            max_disp: 1,
             qpts,
             qwts,
             qphi,
             cache: Mutex::new(FxHashMap::default()),
-            disp_cache: Mutex::new(FxHashMap::default()),
             rank_cache: Mutex::new(FxHashMap::default()),
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
@@ -254,30 +233,14 @@ impl SeparatedConvolution {
         &self.terms
     }
 
-    /// Sets a fixed displacement radius (default 1).
+    /// Sets the displacement radius (default 1).
     pub fn set_max_disp(&mut self, r: i64) {
         assert!(r >= 0, "radius must be non-negative");
-        self.policy = DisplacementPolicy::Fixed(r);
-        self.disp_cache.lock().clear();
+        self.max_disp = r;
     }
 
-    /// Sets the displacement policy.
-    pub fn set_displacement_policy(&mut self, policy: DisplacementPolicy) {
-        if let DisplacementPolicy::NormCutoff { cutoff, max_radius } = policy {
-            assert!(cutoff > 0.0 && cutoff < 1.0, "cutoff must be in (0,1)");
-            assert!(max_radius >= 0, "radius must be non-negative");
-        }
-        self.policy = policy;
-        self.disp_cache.lock().clear();
-    }
-
-    /// The active displacement policy.
-    pub fn displacement_policy(&self) -> DisplacementPolicy {
-        self.policy
-    }
-
-    /// Evaluates the separated kernel at squared radius `r²` (for tests
-    /// and norm estimates).
+    /// Evaluates the separated kernel at squared radius `r²` (the tests
+    /// check it against the exact kernel).
     pub fn kernel_at(&self, r2: f64) -> f64 {
         self.terms
             .iter()
@@ -356,68 +319,17 @@ impl SeparatedConvolution {
         h
     }
 
-    /// All displacements at the policy's level-0 behaviour (for a fixed
-    /// policy this is the complete list; prefer
-    /// [`SeparatedConvolution::displacements_at`] for level-aware
-    /// screening), in lexicographic order, `δ_1` slowest: the order of a
-    /// transform's passes, so a source's tasks run side by side in it
-    /// compute each distinct leading intermediate once a term (3 + 9 of
-    /// the 2 × 27 leading passes of a radius-1 box at d = 3) and fan every
-    /// `δ_d` triple. Screening filters this list whole, so nothing gains
-    /// from a distance order.
+    /// The full ∞-norm-radius-`max_disp` displacement box, the same at
+    /// every level (the paper's "Obtain displacements" step), in
+    /// lexicographic order, `δ_1` slowest and `δ_d` fastest. That is the
+    /// order of a transform's passes (pass `p` contracts dimension `p`
+    /// with the block of `δ_p`), so every prefix `(δ_1 … δ_p)` is
+    /// contiguous: a source's tasks run side by side in it compute each
+    /// distinct leading intermediate once a term (3 + 9 of the 2 × 27
+    /// leading passes of a radius-1 box at d = 3) and fan every `δ_d`
+    /// triple.
     pub fn displacements(&self) -> Vec<Displacement> {
-        self.displacements_at(0).as_ref().clone()
-    }
-
-    /// Displacements a task at `level` visits under the active policy.
-    ///
-    /// The list depends only on the level and the (immutable) operator
-    /// state, so it is memoized — Apply calls this once per source leaf.
-    pub fn displacements_at(&self, level: u8) -> Arc<Vec<Displacement>> {
-        // Fixed policy is level-independent: share one entry.
-        let memo_level = match self.policy {
-            DisplacementPolicy::Fixed(_) => 0,
-            DisplacementPolicy::NormCutoff { .. } => level,
-        };
-        if let Some(cached) = self.disp_cache.lock().get(&memo_level) {
-            return Arc::clone(cached);
-        }
-        let built = Arc::new(self.build_displacements(level));
-        Arc::clone(self.disp_cache.lock().entry(memo_level).or_insert(built))
-    }
-
-    fn build_displacements(&self, level: u8) -> Vec<Displacement> {
-        match self.policy {
-            DisplacementPolicy::Fixed(r) => self.box_displacements(r),
-            DisplacementPolicy::NormCutoff { cutoff, max_radius } => {
-                let k0 = self.kernel_at(0.0);
-                let scale = 1.0 / (1u64 << level) as f64;
-                let all = self.box_displacements(max_radius.min(1i64 << level));
-                all.into_iter()
-                    .filter(|disp| {
-                        // Closest approach between the displaced boxes.
-                        let r2: f64 = disp
-                            .delta
-                            .iter()
-                            .map(|&dl| {
-                                let gap = (dl.abs() - 1).max(0) as f64 * scale;
-                                gap * gap
-                            })
-                            .sum();
-                        self.kernel_at(r2) >= cutoff * k0
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// The full ∞-norm-radius-`r` displacement box in lexicographic order,
-    /// `δ_1` slowest and `δ_d` fastest. That is the order of a transform's
-    /// passes (pass `p` contracts dimension `p` with the block of `δ_p`),
-    /// so every prefix `(δ_1 … δ_p)` is contiguous: a group call runs each
-    /// distinct leading intermediate once a term, and the `δ_d` siblings
-    /// are adjacent for its fans.
-    fn box_displacements(&self, r: i64) -> Vec<Displacement> {
+        let r = self.max_disp;
         let side = (2 * r + 1) as usize;
         (0..side.pow(self.d as u32))
             .map(|flat| {
@@ -647,100 +559,5 @@ mod tests {
         let n0 = op.get_h(0, 0, 0).normf();
         let n1 = op.get_h(0, 0, 1).normf();
         assert!(n1 < n0 * 0.5, "no decay: {n0} vs {n1}");
-    }
-}
-
-#[cfg(test)]
-mod policy_tests {
-    use super::*;
-
-    #[test]
-    fn fixed_policy_matches_legacy_behavior() {
-        let op = SeparatedConvolution::gaussian_sum(3, 4, 1, 1.0, 1.0);
-        assert_eq!(op.displacement_policy(), DisplacementPolicy::Fixed(1));
-        assert_eq!(op.displacements_at(0).len(), 27);
-        assert_eq!(op.displacements_at(7).len(), 27);
-    }
-
-    #[test]
-    fn norm_cutoff_reaches_further_at_fine_levels() {
-        // A short-range Gaussian kernel: at coarse levels only adjacent
-        // boxes matter; at fine levels its physical range spans many
-        // (smaller) boxes.
-        let mut op = SeparatedConvolution::gaussian_sum(1, 6, 1, 400.0, 400.0);
-        op.set_displacement_policy(DisplacementPolicy::NormCutoff {
-            cutoff: 1e-6,
-            max_radius: 32,
-        });
-        let coarse = op.displacements_at(2).len();
-        let fine = op.displacements_at(6).len();
-        assert!(
-            fine > coarse,
-            "fine level should see more boxes: {coarse} vs {fine}"
-        );
-        // Screening math: exp(−400 r²) ≥ 1e-6 ⇒ r ≤ 0.186; at level 6
-        // (box 1/64) that is |δ| ≤ 12 ⇒ 25 displacements of the 65
-        // allowed by the hard radius, and at level 2 (box 1/4) only the
-        // adjacent boxes survive.
-        assert_eq!(fine, 25, "cutoff failed to screen");
-        assert_eq!(coarse, 3);
-    }
-
-    #[test]
-    fn norm_cutoff_respects_hard_radius() {
-        let mut op = SeparatedConvolution::gaussian_sum(1, 4, 1, 1e-3, 1e-3);
-        op.set_displacement_policy(DisplacementPolicy::NormCutoff {
-            cutoff: 1e-12,
-            max_radius: 2,
-        });
-        // Kernel is essentially constant: everything within the radius
-        // survives, nothing beyond.
-        assert_eq!(op.displacements_at(5).len(), 5);
-    }
-
-    #[test]
-    fn displacements_never_exceed_domain_extent() {
-        let mut op = SeparatedConvolution::gaussian_sum(1, 4, 1, 1.0, 1.0);
-        op.set_displacement_policy(DisplacementPolicy::NormCutoff {
-            cutoff: 1e-15,
-            max_radius: 100,
-        });
-        // At level 2 there are only 4 boxes per dim: radius clamps to 4.
-        let d2 = op.displacements_at(2);
-        assert!(d2.iter().all(|d| d.delta[0].abs() <= 4));
-    }
-
-    #[test]
-    fn norm_cutoff_lists_stay_sorted_subsets_of_the_box() {
-        // Screening only removes displacements from the box, so a
-        // screened list keeps the box's lexicographic order.
-        let mut op = SeparatedConvolution::gaussian_sum(3, 4, 1, 400.0, 400.0);
-        op.set_displacement_policy(DisplacementPolicy::NormCutoff {
-            cutoff: 1e-6,
-            max_radius: 32,
-        });
-        for level in [2, 4] {
-            let list = op.displacements_at(level);
-            let r = 1i64 << level;
-            assert!(
-                list.len() < (2 * r as usize + 1).pow(3),
-                "level {level}: nothing screened"
-            );
-            assert!(list.iter().flat_map(|d| &d.delta).all(|dl| dl.abs() <= r));
-            assert!(
-                list.windows(2).all(|w| w[0].delta < w[1].delta),
-                "level {level}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cutoff must be")]
-    fn bad_cutoff_rejected() {
-        let mut op = SeparatedConvolution::gaussian_sum(1, 4, 1, 1.0, 1.0);
-        op.set_displacement_policy(DisplacementPolicy::NormCutoff {
-            cutoff: 2.0,
-            max_radius: 2,
-        });
     }
 }

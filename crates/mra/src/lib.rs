@@ -22,13 +22,14 @@
 //! * [`ops`] — the framework operators the paper names: Compress,
 //!   Reconstruct, Truncate (Apply lives in `madness-core`);
 //! * [`convolution`] — separated-rank Gaussian convolutions: the `h^{(μ,i)}`
-//!   operator blocks of Formula 1, their software cache, displacement
-//!   lists, and per-block effective ranks for rank reduction;
+//!   operator blocks of Formula 1, their software cache, the fixed box of
+//!   displacements every source visits, and per-block effective ranks for
+//!   rank reduction;
 //! * [`synth`] — synthetic tree generation for cluster-scale,
 //!   timing-only experiments (matching the paper's task counts);
 //! * [`procmap`] — MADNESS-style process maps (tree-node → compute-node);
-//! * [`arith`] — function arithmetic: `αf + βg`, pointwise products,
-//!   inner products (MADNESS's `gaxpy`/`multiply`/`inner`).
+//! * [`arith`] — function arithmetic: `αf + βg` and scaling (MADNESS's
+//!   `gaxpy`), which the SCF and BSH-chain apps call.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -24,44 +24,14 @@ impl StageBreakdown {
     /// Attributes `[0, total_ns)` using the given spans (clipped to the
     /// window; zero-length spans are ignored).
     pub fn from_spans<'a>(spans: impl IntoIterator<Item = &'a Span>, total_ns: u64) -> Self {
-        // Boundary events: +1/-1 per stage at span edges.
-        let mut edges: Vec<(u64, i32, usize)> = Vec::new();
-        for s in spans {
-            let start = s.start_ns.min(total_ns);
-            let end = s.end_ns.min(total_ns);
-            if end > start {
-                edges.push((start, 1, s.stage.index()));
-                edges.push((end, -1, s.stage.index()));
-            }
-        }
-        edges.sort_unstable_by_key(|&(t, delta, _)| (t, -delta));
-
         let mut per_stage_ns = [0u64; Stage::ALL.len()];
         let mut unattributed_ns = 0u64;
-        let mut active = [0i64; Stage::ALL.len()];
-        let mut cursor = 0u64;
-        let mut i = 0usize;
-        while i < edges.len() {
-            let t = edges[i].0;
-            // Charge [cursor, t) to the highest-priority active stage.
-            if t > cursor {
-                match top_stage(&active) {
-                    Some(stage) => per_stage_ns[stage.index()] += t - cursor,
-                    None => unattributed_ns += t - cursor,
-                }
-                cursor = t;
-            }
-            while i < edges.len() && edges[i].0 == t {
-                active[edges[i].2] += edges[i].1 as i64;
-                i += 1;
-            }
-        }
-        if total_ns > cursor {
-            match top_stage(&active) {
-                Some(stage) => per_stage_ns[stage.index()] += total_ns - cursor,
-                None => unattributed_ns += total_ns - cursor,
-            }
-        }
+        // Charge each stretch to the highest-priority active stage.
+        let last = sweep(spans, total_ns, |len, active, _| match top_stage(active) {
+            Some(stage) => per_stage_ns[stage.index()] += len,
+            None => unattributed_ns += len,
+        });
+        unattributed_ns += total_ns - last;
         StageBreakdown {
             per_stage_ns,
             unattributed_ns,
@@ -102,26 +72,47 @@ impl StageBreakdown {
 /// schedule, where each global step runs exactly one stage, scores 0 by
 /// construction. Zero-length spans are ignored.
 pub fn stage_overlap_ns<'a>(spans: impl IntoIterator<Item = &'a Span>) -> u64 {
+    let mut overlap = 0u64;
+    sweep(spans, u64::MAX, |len, _, distinct| {
+        if distinct >= 2 {
+            overlap += len;
+        }
+    });
+    overlap
+}
+
+/// The sweep line under both attributions. Takes the `(t, ±1, stage)`
+/// edges of `spans` clipped to `[0, end_ns]` (zero-length spans
+/// dropped) in time order, starts before ends at one instant, and calls
+/// `stretch(len, active, distinct)` for each stretch of time between
+/// `0` and the last edge that no edge splits: `active` counts each
+/// stage's spans open across it and `distinct` the stages with any,
+/// kept as the counts cross zero. Returns the last edge's time (0 with
+/// no edges); every span has closed by then.
+fn sweep<'a>(
+    spans: impl IntoIterator<Item = &'a Span>,
+    end_ns: u64,
+    mut stretch: impl FnMut(u64, &[i64; Stage::ALL.len()], usize),
+) -> u64 {
     let mut edges: Vec<(u64, i32, usize)> = Vec::new();
     for s in spans {
-        if s.end_ns > s.start_ns {
-            edges.push((s.start_ns, 1, s.stage.index()));
-            edges.push((s.end_ns, -1, s.stage.index()));
+        let start = s.start_ns.min(end_ns);
+        let end = s.end_ns.min(end_ns);
+        if end > start {
+            edges.push((start, 1, s.stage.index()));
+            edges.push((end, -1, s.stage.index()));
         }
     }
     edges.sort_unstable_by_key(|&(t, delta, _)| (t, -delta));
 
-    // Per stage: spans active at the cursor; `distinct` counts the
-    // stages with any, kept as the counts cross zero.
     let mut active = [0i64; Stage::ALL.len()];
     let mut distinct = 0usize;
-    let mut overlap = 0u64;
     let mut cursor = 0u64;
     let mut i = 0usize;
     while i < edges.len() {
         let t = edges[i].0;
-        if t > cursor && distinct >= 2 {
-            overlap += t - cursor;
+        if t > cursor {
+            stretch(t - cursor, &active, distinct);
         }
         cursor = t;
         while i < edges.len() && edges[i].0 == t {
@@ -136,7 +127,7 @@ pub fn stage_overlap_ns<'a>(spans: impl IntoIterator<Item = &'a Span>) -> u64 {
             i += 1;
         }
     }
-    overlap
+    cursor
 }
 
 fn top_stage(active: &[i64; Stage::ALL.len()]) -> Option<Stage> {

@@ -4,12 +4,14 @@
 //! `apply_cpu_reference`'s tree bit for bit, for every resource,
 //! `max_batch` and executor width (DESIGN §7). `apply_goldens` pins two
 //! fixed trees; this draws seeded coefficient trees — d = 3 under
-//! `SeparatedConvolution::coulomb`, d = 4 under `gaussian_sum` — a
-//! resource and a `max_batch`, and checks the tree and the stats laws:
+//! `SeparatedConvolution::coulomb` at a drawn precision, d = 4 under
+//! `gaussian_sum` at a drawn rank — a resource and a `max_batch`, and
+//! checks the tree and the stats laws:
 //!
 //! - `cpu_tasks + gpu_tasks = tasks` = the walk's task count, the live
 //!   displacements of every source (`Cpu` prices nothing on the device,
-//!   `Gpu` nothing on the host);
+//!   `Gpu` nothing on the host), and `= scenario::count_tasks`, the count
+//!   every simulator takes;
 //! - `batches = Σ ⌈n_kind ⁄ max_batch⌉` on every arm, a kind being a tree
 //!   level, since every arm cuts its batches in task order;
 //! - `chunks ≥` the number of levels with tasks, and `≥ 1`: a level's
@@ -21,7 +23,7 @@
 //! in release with debug assertions.
 
 use madness::core::apply::{apply_batched, apply_cpu_reference, ApplyConfig, ApplyResource};
-use madness::core::scenario::random_centers;
+use madness::core::scenario::{count_tasks, random_centers};
 use madness::mra::convolution::SeparatedConvolution;
 use madness::mra::key::Key;
 use madness::mra::synth::{synthesize_tree, SynthTreeParams};
@@ -44,9 +46,9 @@ fn bits(tree: &FunctionTree) -> Vec<(Key, Option<Vec<u64>>)> {
 
 /// The walk's tasks per tree level: every source's live displacements.
 fn tasks_per_level(op: &SeparatedConvolution, tree: &FunctionTree) -> BTreeMap<u8, u64> {
+    let displacements = op.displacements();
     let mut per_level = BTreeMap::new();
     for (key, _) in tree.leaves() {
-        let displacements = op.displacements_at(key.level());
         let live = displacements
             .iter()
             .filter(|disp| key.neighbor(&disp.delta).is_some());
@@ -64,6 +66,8 @@ proptest! {
         leaves in 16usize..160,
         seed in any::<u64>(),
         level_decay in 0.4f64..0.9,
+        precision_exp in 2.0f64..6.0,
+        rank in 1usize..6,
         resource in prop_oneof![
             Just(ApplyResource::Cpu),
             Just(ApplyResource::Gpu),
@@ -82,9 +86,9 @@ proptest! {
             with_coeffs: true,
         });
         let op = if d == 3 {
-            SeparatedConvolution::coulomb(d, k, 1e-3, 1e-2)
+            SeparatedConvolution::coulomb(d, k, 10f64.powf(-precision_exp), 1e-2)
         } else {
-            SeparatedConvolution::gaussian_sum(d, k, 3, 1.0, 100.0)
+            SeparatedConvolution::gaussian_sum(d, k, rank, 1.0, 100.0)
         };
         let config = ApplyConfig {
             resource,
@@ -100,6 +104,7 @@ proptest! {
         let per_level = tasks_per_level(&op, &tree);
         let tasks: u64 = per_level.values().sum();
         prop_assert_eq!(stats.tasks, tasks);
+        prop_assert_eq!(count_tasks(&tree, &op.displacements()), tasks);
         prop_assert_eq!(stats.cpu_tasks + stats.gpu_tasks, tasks);
         match resource {
             ApplyResource::Cpu => prop_assert_eq!(stats.gpu_tasks, 0),
